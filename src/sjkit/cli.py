@@ -2,7 +2,7 @@
 
 All payloads are JSON on stdin/stdout; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 malformed input or usage, 3 domain
-violation, 4 conditioning or internal consistency failure.
+violation, 4 conditioning, internal consistency or any other internal error.
 """
 
 from __future__ import annotations
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     except SjkError as exc:
         print(f"sjkit: error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"sjkit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

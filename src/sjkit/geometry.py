@@ -1,17 +1,32 @@
 """Invariant metrics, Laplacians, and the volume density.
 
-The Laplacians act on user-supplied scalar fields through central finite
-differences.  Differentiation of the symmetric base variable uses
-upper-triangle coordinates: perturbing an off-diagonal coordinate moves both
-mirrored entries, and the (1 + delta)/2 weight is applied so that the matrix
-derivative of trace(B Omega) is exactly B for symmetric B.  The fiber
-gradient is arranged as a g x h matrix whose (l, k) entry differentiates the
-(k, l) fiber entry.
+Each Laplacian is the operator 4 h^{a b-bar} d_a dbar_b of its metric h, and
+is derived from that metric rather than transcribed: for any frame {e_k}
+that is h-orthonormal at p it is the single stencil
+
+    Lf(p) = sum_k [f(p+te_k) + f(p-te_k) + f(p+ite_k) + f(p-ite_k) - 4f(p)] / t^2.
+
+The three operators differ only in a closed-form frame from one Cholesky
+factor L, with S over E_ii and (E_ij + E_ji)/sqrt(2) and F over the unit
+h x g matrices; the (dOmega, dZ) frame of the Siegel-Jacobi space is lifted
+horizontally so that dZ - V Y^-1 dOmega vanishes on its base directions:
+
+    Siegel space    Y = L L^T              L S L^T
+    disk            I - W conj(W) = L L^H  L S L^T / 2
+    Siegel-Jacobi   Y = L L^T              (L S L^T, V Y^-1 L S L^T) / sqrt(A)
+                                           and (0, F L^T) / sqrt(B)
+
+The Wirtinger gradients use upper-triangle coordinates for the symmetric base
+variable: perturbing an off-diagonal coordinate moves both mirrored entries,
+and the (1 + delta)/2 weight is applied so that the matrix derivative of
+trace(B Omega) is exactly B for symmetric B.  The fiber gradient is arranged
+as a g x h matrix whose (l, k) entry differentiates the (k, l) fiber entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -237,13 +252,9 @@ def _sym_coords(g: int):
 
 
 def _fiber_coords(h: int, g: int):
-    out = []
-    for k in range(h):
-        for l in range(g):
-            e = np.zeros((h, g))
-            e[k, l] = 1.0
-            out.append((k, l, 1.0, e))
-    return out
+    """(k, l, E_kl) over the unit h x g matrices."""
+    units = np.eye(h * g).reshape(-1, h, g)
+    return [(k, l, units[k * g + l]) for k in range(h) for l in range(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +297,7 @@ def wirtinger_gradient(f: Callable, p, which: str, tol: Tolerance = DEFAULT_TOL)
             raise DimensionError("point has no fiber variable")
         hh, gg = fiber.shape
         out = np.zeros((gg, hh), dtype=complex)
-        for k, l, w, e in _fiber_coords(hh, gg):
+        for k, l, e in _fiber_coords(hh, gg):
             out[l, k] = df(e, True)
         return out
     raise DomainError(f"unknown derivative selector: {which!r}")
@@ -296,145 +307,72 @@ def wirtinger_gradient(f: Callable, p, which: str, tol: Tolerance = DEFAULT_TOL)
 # Laplacians
 
 
-def _stencil_points(p, base, fiber, d1, d2, h):
-    """Evaluate-and-cache helper: point displaced by d1 + d2 (complex deltas)."""
-    nb, nf = base, fiber
-    for slot, delta in (d1, d2):
-        if delta is None:
-            continue
-        if slot == "base":
-            nb = nb + h * delta
-        else:
-            nf = nf + h * delta
-    return _rebuild(p, nb, nf, validate=False)
+def _sym_basis(g: int) -> list[np.ndarray]:
+    """E_ii and (E_ij + E_ji)/sqrt(2): orthonormal for trace(S S')."""
+    return [e / np.linalg.norm(e) for *_, e in _sym_coords(g)]
 
 
-def _mixed_wirtinger_hessian(f: Callable, p, coords, h2: float) -> np.ndarray:
-    """H[a, b] = w_a w_b d^2 f / (d conj(c_a) d c_b) over the given coordinates.
+def _siegel_frame(omega: np.ndarray, z=None) -> list:
+    """L S L^T with Im(Omega) = L L^T: orthonormal for metric_siegel."""
+    l = np.linalg.cholesky(np.imag(omega))
+    return [(l @ s @ l.T, None) for s in _sym_basis(len(l))]
 
-    coords is a list of (slot, weight, direction) with slot "base" or "fiber".
-    Uses 4-point cross stencils for distinct real directions and the 3-point
-    stencil on the diagonal.
+
+def _disk_frame(w: np.ndarray, eta=None) -> list:
+    """L S L^T / 2 with I - W conj(W) = L L^H: orthonormal for metric_disk."""
+    l = np.linalg.cholesky(np.eye(len(w)) - w @ w.conj())
+    return [(l @ s @ l.T / 2, None) for s in _sym_basis(len(w))]
+
+
+def _sj_frame(params: MetricParams, omega: np.ndarray, z: np.ndarray) -> list:
+    """Orthonormal for metric_sj = A |dOmega|^2 + B |dZ - V Y^-1 dOmega|^2."""
+    y = np.imag(omega)
+    l = np.linalg.cholesky(y)
+    lift = np.imag(z) @ guarded_inv(y.astype(complex), "Im(omega)")
+    base = [l @ s @ l.T / np.sqrt(params.a) for s in _sym_basis(len(y))]
+    fiber = [e @ l.T / np.sqrt(params.b) for *_, e in _fiber_coords(*z.shape)]
+    return [(d, lift @ d) for d in base] + [(np.zeros_like(y), d) for d in fiber]
+
+
+def _frame_laplacian(f: Callable, p, frame: Callable, tol: Tolerance, what: str) -> float:
+    """Sum over a metric-orthonormal frame {e_k} at p of the central second
+    differences of f along e_k and i e_k.
+
+    frame(base, fiber) returns the (base, fiber) displacement of each e_k,
+    with fiber None for a fixed fiber; it is built only once the point has
+    passed the boundary guard.
     """
     base, fiber = _point_parts(p)
-    f0 = f(p)
-    dirs = []
-    for slot, w, e in coords:
-        dirs.append((slot, e))        # real displacement
-        dirs.append((slot, 1j * e))   # imaginary displacement
-    n = len(dirs)
-
-    def ev(i, ti, j, tj):
-        si, ei = dirs[i]
-        sj, ej = dirs[j]
-        return f(_stencil_points(p, base, fiber, (si, ti * ei), (sj, tj * ej), h2))
-
-    hr = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                si, ei = dirs[i]
-                plus = f(_stencil_points(p, base, fiber, (si, ei), ("base", None), h2))
-                minus = f(_stencil_points(p, base, fiber, (si, -ei), ("base", None), h2))
-                hr[i, i] = (plus - 2 * f0 + minus) / h2**2
-            else:
-                val = (ev(i, 1, j, 1) - ev(i, 1, j, -1) - ev(i, -1, j, 1) + ev(i, -1, j, -1)) / (
-                    4 * h2**2
-                )
-                hr[i, j] = val
-                hr[j, i] = val
-
-    nc = len(coords)
-    out = np.zeros((nc, nc), dtype=complex)
-    for a in range(nc):
-        xa, ya = 2 * a, 2 * a + 1
-        for b in range(nc):
-            xb, yb = 2 * b, 2 * b + 1
-            dd = 0.25 * (hr[xa, xb] + hr[ya, yb] + 1j * (hr[ya, xb] - hr[xa, yb]))
-            out[a, b] = coords[a][1] * coords[b][1] * dd
-    return out
-
-
-def _laplacian_setup(p, with_fiber: bool):
-    base, fiber = _point_parts(p)
-    g = base.shape[0]
     h2 = FD_SECOND_STEP * max(1.0, point_norm(p))
     if _pd_margin(p) <= 10 * h2:
         raise DomainError("point is too close to the boundary for the difference stencil")
-    coords = [("base", w, e) for _, _, w, e in _sym_coords(g)]
-    fcoords = []
-    if with_fiber:
-        if fiber is None:
-            raise DimensionError("point has no fiber variable")
-        fcoords = [("fiber", w, e) for _, _, w, e in _fiber_coords(*fiber.shape)]
-    return coords, fcoords, h2
+    dirs = frame(base, fiber)
+    t = h2 / max(1.0, max(np.hypot(frob(db), 0.0 if df is None else frob(df)) for db, df in dirs))
+    f0 = f(p)
+    total = 0.0
+    for db, df in dirs:
+        for s in (t, -t, 1j * t, -1j * t):
+            q = _rebuild(p, base + s * db, fiber if df is None else fiber + s * df, validate=False)
+            total += f(q) - f0
+    return _real_value(total / t**2, tol.fd_second_rel, what)
 
 
 def laplacian_siegel(f: Callable, p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """4 trace(Y t(Y dbar) d) evaluated by nested central differences."""
-    coords, _, h2 = _laplacian_setup(p, with_fiber=False)
-    hess = _mixed_wirtinger_hessian(f, p, coords, h2)
-    y = np.imag(_point_parts(p)[0])
-    val = 0.0 + 0.0j
-    for a, (_, _, ea) in enumerate(coords):
-        ye_a = y @ ea @ y
-        for b, (_, _, eb) in enumerate(coords):
-            val += _tr(ye_a @ eb) * hess[a, b]
-    return _real_value(4.0 * val, tol.fd_second_rel, "siegel laplacian")
+    """The Laplacian of metric_siegel, 4 trace(Y t(Y dbar) d)."""
+    return _frame_laplacian(f, p, _siegel_frame, tol, "siegel laplacian")
 
 
 def laplacian_disk(f: Callable, p: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """trace(S t(S dbar) d) with S = I - W conj(W)."""
-    coords, _, h2 = _laplacian_setup(p, with_fiber=False)
-    hess = _mixed_wirtinger_hessian(f, p, coords, h2)
-    s = np.eye(p.g) - p.w @ p.w.conj()
-    st = s.T
-    val = 0.0 + 0.0j
-    for a, (_, _, ea) in enumerate(coords):
-        left = s @ ea @ st
-        for b, (_, _, eb) in enumerate(coords):
-            val += _tr(left @ eb) * hess[a, b]
-    return _real_value(val, tol.fd_second_rel, "disk laplacian")
+    """The Laplacian of metric_disk, trace(S t(S dbar) d) with S = I - W conj(W)."""
+    return _frame_laplacian(f, p, _disk_frame, tol, "disk laplacian")
 
 
 def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint,
                  tol: Tolerance = DEFAULT_TOL) -> float:
-    """The (4/A)(base + cross terms) + (4/B)(fiber term) invariant operator."""
-    coords, fcoords, h2 = _laplacian_setup(p, with_fiber=True)
-    allc = coords + fcoords
-    hess = _mixed_wirtinger_hessian(f, p, allc, h2)
-    nb = len(coords)
-    y = p.base.y
-    yi = guarded_inv(y.astype(complex), "Im(omega)")
-    vm = p.v
-    t_a = 0.0 + 0.0j
-    # base-base: trace(Y E_a Y E_b)
-    for a, (_, _, ea) in enumerate(coords):
-        left = y @ ea @ y
-        for b, (_, _, eb) in enumerate(coords):
-            t_a += _tr(left @ eb) * hess[a, b]
-    # fiber-fiber with V: trace(V Y^-1 t(V) t(F_a) Y F_b)
-    for a, (_, _, fa) in enumerate(fcoords):
-        left = vm @ yi @ vm.T @ fa.T @ y
-        for b, (_, _, fb) in enumerate(fcoords):
-            t_a += _tr(left @ fb) * hess[nb + a, nb + b]
-    # base(bar)-fiber: trace(V E_a Y F_b)
-    for a, (_, _, ea) in enumerate(coords):
-        left = vm @ ea @ y
-        for b, (_, _, fb) in enumerate(fcoords):
-            t_a += _tr(left @ fb) * hess[a, nb + b]
-    # fiber(bar)-base: trace(t(V) t(F_a) Y E_b)
-    for a, (_, _, fa) in enumerate(fcoords):
-        left = vm.T @ fa.T @ y
-        for b, (_, _, eb) in enumerate(coords):
-            t_a += _tr(left @ eb) * hess[nb + a, b]
-    # pure fiber term: trace(Y F_b t(F_a))
-    t_b = 0.0 + 0.0j
-    for a, (_, _, fa) in enumerate(fcoords):
-        for b, (_, _, fb) in enumerate(fcoords):
-            t_b += _tr(y @ fb @ fa.T) * hess[nb + a, nb + b]
-    val = (4.0 / params.a) * t_a + (4.0 / params.b) * t_b
-    return _real_value(val, tol.fd_second_rel, "siegel-jacobi laplacian")
+    """The Laplacian of metric_sj."""
+    if not isinstance(p, SiegelJacobiPoint):
+        raise DimensionError("point has no fiber variable")
+    return _frame_laplacian(f, p, partial(_sj_frame, params), tol, "siegel-jacobi laplacian")
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,18 @@ def test_exit_code_conditioning(capsys):
     assert code == 4 and "condition number" in err
 
 
+def test_exit_code_internal_error(monkeypatch, capsys):
+    import sjkit.cli
+
+    def boom(args):
+        raise ValueError("unexpected")
+
+    monkeypatch.setattr(sjkit.cli, "_cmd_sample", boom)
+    code, out, err = run_cli(capsys, "sample", "--kind", "sp")
+    assert code == 4 and out == ""
+    assert "internal error: ValueError: unexpected" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "no-such-suite"])

@@ -5,6 +5,9 @@ from sjkit.geometry import (
     MetricParams,
     TEST_FIELDS,
     TangentVector,
+    _disk_frame,
+    _siegel_frame,
+    _sj_frame,
     action_jacobian_det,
     laplacian_disk,
     laplacian_sj,
@@ -208,6 +211,13 @@ def test_laplacian_sj_closed_value_and_reduction():
     got = laplacian_sj(MetricParams(1.0, 1.0), logy, p0)
     want = laplacian_siegel(logy, p0.base)
     assert got == pytest.approx(want, abs=1e-6)
+    # hand value -g(g+1)/(2A) of log det Y at g >= 2, for any B and any V
+    for g, h in ((2, 2), (3, 2)):
+        for seed in (0, 1):
+            p = sample_point("siegel_jacobi", g, h, seed=seed)
+            for a, b in ((1.0, 0.5), (2.0, 3.0)):
+                got = laplacian_sj(MetricParams(a, b), FIELDS["logdet-y"], p)
+                assert got == pytest.approx(-g * (g + 1) / (2 * a), abs=1e-4)
 
 
 def test_laplacian_sj_mixed_terms_hand_value():
@@ -227,20 +237,47 @@ def test_laplacian_siegel_logdet_multidim():
     assert laplacian_siegel(f, p) == pytest.approx(-3.0, abs=1e-3)
 
 
-def test_laplacian_invariance_catalog():
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_laplacian_invariance_catalog(g, h):
     params = MetricParams(1, 1)
-    a = sample_element("jacobi", 1, 1, seed=11)
-    p = sample_point("siegel_jacobi", 1, 1, seed=12)
+    a = sample_element("jacobi", g, h, seed=11)
+    p = sample_point("siegel_jacobi", g, h, seed=12)
     for f in TEST_FIELDS:
         if f.domain == "disk":
-            gs = sample_element("gstar", 1, 1, seed=13)
-            pd = sample_point("disk", 1, 1, seed=14)
+            gs = sample_element("gstar", g, h, seed=13)
+            pd = sample_point("disk", g, h, seed=14)
             lhs = laplacian_disk(lambda q: f(act_disk(gs, q)), pd)
             rhs = laplacian_disk(f, act_disk(gs, pd))
         else:
             lhs = laplacian_sj(params, lambda q: f(act_jacobi(a, q)), p)
             rhs = laplacian_sj(params, f, act_jacobi(a, p))
         assert abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) < 1e-3
+
+
+def _polarized_gram(metric, frame):
+    """Gram matrix of the Hermitian form whose quadratic form is metric."""
+    def q(u, v, c):
+        return metric(TangentVector(u[0] + c * v[0], None if u[1] is None else u[1] + c * v[1]))
+
+    units = (1, -1, 1j, -1j)
+    return np.array([[sum(c * q(u, v, c) for c in units) / 4 for v in frame] for u in frame])
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+def test_laplacian_frames_are_metric_orthonormal(g, h):
+    # the operators' frames against the metric functions they are derived from
+    params = MetricParams(2.0, 0.5)
+    p = sample_point("siegel", g, h, seed=21)
+    pd = sample_point("disk", g, h, seed=22)
+    pj = sample_point("siegel_jacobi", g, h, seed=23)
+    cases = [
+        (lambda v: metric_siegel(p, v), _siegel_frame(p.omega)),
+        (lambda v: metric_disk(pd, v), _disk_frame(pd.w)),
+        (lambda v: metric_sj(params, pj, v), _sj_frame(params, pj.omega, pj.z)),
+    ]
+    for metric, frame in cases:
+        gram = _polarized_gram(metric, frame)
+        assert np.max(np.abs(gram - np.eye(len(frame)))) < 1e-12
 
 
 def test_laplacian_rejects_boundary_points():

@@ -45,6 +45,7 @@ def test_every_suite_passes_briefly(name):
 
 
 def test_suites_pass_at_g2h2():
-    for name in ("group-axioms", "theta-hom", "compat-37", "hc-reconstruct", "cocycle"):
+    for name in ("group-axioms", "theta-hom", "compat-37", "hc-reconstruct", "cocycle",
+                 "laplacian-invariance"):
         r = run_suite(name, 2, 2, trials=5, seed=11)
         assert r.passed, f"{name}: max residual {r.max_residual}"
