@@ -39,6 +39,7 @@ from .groups import (
     jacobi_mul,
     sample_element,
     theta,
+    tstar_agreement_residual,
     tstar_conjugate_oracle,
 )
 from .spaces import (
@@ -64,7 +65,6 @@ from .decomp import (
     hc_decompose_gstar,
     kc_component,
     pminus_component,
-    pplus_component,
 )
 from .geometry import (
     MetricParams,
@@ -87,10 +87,8 @@ from .automorphy import (
     IndexMatrix,
     Representation,
     chi_character,
-    factor_b,
     j_factor,
     rho_eval,
-    summand_a,
     verify_cocycle,
 )
 from .suites import SUITES, VerifyReport, run_all, run_suite

@@ -29,8 +29,6 @@ __all__ = [
     "Representation",
     "chi_character",
     "rho_eval",
-    "summand_a",
-    "factor_b",
     "j_factor",
     "verify_cocycle",
 ]
@@ -108,19 +106,9 @@ def rho_eval(rep: Representation, p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     return p.copy()
 
 
-def summand_a(a: GStarJacobiElement, p: DiskJacobiPoint,
-              tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """The central coordinate kappa_star; additive under composition."""
-    _, _, kappa_star = kc_component(a, p, tol)
-    return kappa_star
-
-
-def factor_b(a: GStarJacobiElement, p: DiskJacobiPoint,
-             tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The two diagonal blocks (P - (PW+Q) d^-1 conj(Q), d); depends only on
-    the block part of a and the base coordinate W."""
-    k_p, k_lower, _ = kc_component(a, p, tol)
-    return k_p, k_lower
+def _factor(idx: IndexMatrix, rep: Representation, k_lower: np.ndarray,
+            kappa_star: np.ndarray, tol: Tolerance) -> np.ndarray:
+    return chi_character(idx, kappa_star, tol) * rho_eval(rep, k_lower, tol)
 
 
 def j_factor(idx: IndexMatrix, rep: Representation, a: GStarJacobiElement,
@@ -129,7 +117,7 @@ def j_factor(idx: IndexMatrix, rep: Representation, a: GStarJacobiElement,
     if idx.h != a.h:
         raise DimensionError(f"index matrix degree {idx.h} != element h={a.h}")
     _, k_lower, kappa_star = kc_component(a, p, tol)
-    return chi_character(idx, kappa_star, tol) * rho_eval(rep, k_lower, tol)
+    return _factor(idx, rep, k_lower, kappa_star, tol)
 
 
 def verify_cocycle(idx: IndexMatrix, rep: Representation, g1: GStarJacobiElement,
@@ -141,12 +129,10 @@ def verify_cocycle(idx: IndexMatrix, rep: Representation, g1: GStarJacobiElement
 
     prod = gstarj_mul(g1, g2, tol)
     moved = act_jacobi_disk(g2, p, tol)
-
-    add_lhs = summand_a(prod, p, tol)
-    add_rhs = summand_a(g1, moved, tol) + summand_a(g2, p, tol)
-    res_add = rel_error(add_lhs, add_rhs)
-
-    mul_lhs = j_factor(idx, rep, prod, p, tol)
-    mul_rhs = j_factor(idx, rep, g1, moved, tol) @ j_factor(idx, rep, g2, p, tol)
-    res_mul = rel_error(mul_lhs, mul_rhs)
+    (_, d12, k12), (_, d1, k1), (_, d2, k2) = (
+        kc_component(x, q, tol) for x, q in ((prod, p), (g1, moved), (g2, p))
+    )
+    res_add = rel_error(k12, k1 + k2)
+    res_mul = rel_error(_factor(idx, rep, d12, k12, tol),
+                        _factor(idx, rep, d1, k1, tol) @ _factor(idx, rep, d2, k2, tol))
     return max(res_add, res_mul)

@@ -80,17 +80,22 @@ def _read_input(args) -> object:
 
 
 def _parse_params(text: str) -> MetricParams:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DimensionError("--params expects 'A,B'")
-    return MetricParams(float(parts[0]), float(parts[1]))
+    try:
+        a, b = (float(part) for part in text.split(","))
+    except ValueError:
+        raise DimensionError(f"--params expects 'A,B' with two numbers, got {text!r}") from None
+    return MetricParams(a, b)
 
 
 def _parse_rep(text: str) -> Representation:
     if text == "std":
         return Representation("standard")
     if text.startswith("det:"):
-        return Representation("det_power", int(text.split(":", 1)[1]))
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError:
+            raise DimensionError(f"--rep expects 'det:k' with an integer k, got {text!r}") from None
+        return Representation("det_power", k)
     raise DimensionError("--rep expects 'det:k' or 'std'")
 
 
@@ -200,11 +205,11 @@ def _cmd_jfactor(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "all":
-        reports = run_all(args.g, args.h, args.trials, args.seed, args.tol, args.jobs)
+        reports = run_all(args.g, args.h, args.trials, args.seed, args.tol)
         _emit({"reports": [r.to_dict() for r in reports],
                "passed": all(r.passed for r in reports)})
         return 0 if all(r.passed for r in reports) else 1
-    report = run_suite(args.suite, args.g, args.h, args.trials, args.seed, args.tol, args.jobs)
+    report = run_suite(args.suite, args.g, args.h, args.trials, args.seed, args.tol)
     _emit(report.to_dict())
     return 0 if report.passed else 1
 
@@ -263,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -5,6 +5,11 @@ unipotent, a block diagonal, and a lower unipotent part; for the Jacobi
 group the three components of g . (point embedded in the upper unipotent
 part), including the central coordinate kappa_star that later feeds the
 automorphic factors.
+
+The three components are read off one guarded denominator in one private
+core.  component_residuals returns the residuals of the identities they
+satisfy; kc_component, pminus_component and decompose_full return the
+components and raise when a residual exceeds the algebraic tolerance.
 """
 
 from __future__ import annotations
@@ -24,19 +29,21 @@ from .groups import (
 from .numkit import (
     DEFAULT_TOL,
     ConsistencyError,
+    DimensionError,
+    DomainError,
     Tolerance,
+    _check_cond,
     frob,
     guarded_rsolve,
     rel_error,
     symmetry_defect,
 )
-from .spaces import DiskJacobiPoint, DiskPoint, act_jacobi_disk
+from .spaces import DiskJacobiPoint, DiskPoint
 
 __all__ = [
     "HCFactors",
     "JacobiHCFactors",
     "hc_decompose_gstar",
-    "pplus_component",
     "kc_component",
     "pminus_component",
     "decompose_full",
@@ -133,90 +140,31 @@ def embed_disk_jacobi_point(p: DiskJacobiPoint) -> BigComplexGroupElement:
     )
 
 
-def pplus_component(a: GStarJacobiElement, p: DiskJacobiPoint,
-                    tol: Tolerance = DEFAULT_TOL) -> DiskJacobiPoint:
-    """Upper-unipotent coordinates of a . (embedded point).
+def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors, dict]:
+    """All three components of a . (embedded point) from one guarded
+    denominator d = conj(Q) W + conj(P), with the residuals of the identities
+    they must satisfy.
 
-    By construction this coincides with the transitive action on the
-    Siegel-Jacobi disk; both code paths exist and are cross-checked in the
-    test suite.
+    P+ = (W', eta') = ((P W + Q) d^-1, y d^-1) with y = eta + xi W + mu;
+    K = (P - W' conj(Q), d, kappa_star);
+    P- = (d^-1 conj(Q), xi - y d^-1 conj(Q)).
+    kappa_star = kappa + xi t(eta) + y t(xi) - y d^-1 conj(Q) t(y); its
+    transposed form y t(conj Q) t(d)^-1 t(y) = y t(conj Q) t(eta') agrees
+    exactly when d^-1 conj(Q) is symmetric.
     """
-    return act_jacobi_disk(a, p, tol)
-
-
-def _common(a: GStarJacobiElement, p: DiskJacobiPoint):
+    if (a.g, a.h) != (p.g, p.h):
+        raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
     lam, mu, kap = a.hc.xi, a.hc.eta, a.hc.zeta
     qbar = a.gs.q.conj()
     den = qbar @ p.w + a.gs.p.conj()
     y = p.eta + lam @ p.w + mu
-    return lam, mu, kap, qbar, den, y
-
-
-def kc_component(a: GStarJacobiElement, p: DiskJacobiPoint,
-                 tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block-diagonal component: (P - (PW+Q) d^-1 conj(Q), d, kappa_star)
-    with d = conj(Q) W + conj(P).
-
-    kappa_star is computed from the simplified formula
-        kappa + lam t(eta) + y t(lam) - y d^-1 conj(Q) t(y),  y = eta + lam W + mu,
-    and cross-checked against the transposed variant, which agrees exactly
-    when d^-1 conj(Q) is symmetric.
-    """
-    lam, mu, kap, qbar, den, y = _common(a, p)
-    wprime = guarded_rsolve(a.gs.p @ p.w + a.gs.q, den, "conj(Q) W + conj(P)")
-    k_p = a.gs.p - wprime @ qbar
-    sym_block = guarded_rsolve(qbar.T, den.T, "t(conj(Q) W + conj(P))").T  # d^-1 conj(Q)
-    kappa_base = kap + lam @ p.eta.T + y @ lam.T
-    kappa_star = kappa_base - y @ sym_block @ y.T
-    kappa_alt = kappa_base - y @ qbar.T @ np.linalg.solve(den.T, y.T)
-    if frob(kappa_star - kappa_alt) > tol.algebraic_rel * max(1.0, frob(kappa_star)):
-        raise ConsistencyError("the two kappa_star expressions disagree")
-    return k_p, den, kappa_star
-
-
-def pminus_component(a: GStarJacobiElement, p: DiskJacobiPoint,
-                     tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Lower-unipotent component: (d^-1 conj(Q), lam - y d^-1 conj(Q))."""
-    lam, mu, kap, qbar, den, y = _common(a, p)
-    pminus_w = guarded_rsolve(qbar.T, den.T, "t(conj(Q) W + conj(P))").T
-    if symmetry_defect(pminus_w) > tol.algebraic_rel:
-        raise ConsistencyError("d^-1 conj(Q) is not symmetric")
-    return pminus_w, lam - y @ pminus_w
-
-
-def decompose_full(a: GStarJacobiElement, p: DiskJacobiPoint,
-                   tol: Tolerance = DEFAULT_TOL) -> JacobiHCFactors:
-    """All three components of a . (embedded point), validated by rebuilding
-    the product in the ambient group."""
-    moved = pplus_component(a, p, tol)
-    k_p, k_lower, kappa_star = kc_component(a, p, tol)
-    pminus_w, pminus_xi = pminus_component(a, p, tol)
-    out = JacobiHCFactors(
-        hc=HCFactors(pplus_w=moved.w, k_p=k_p, k_lower=k_lower, pminus_w=pminus_w),
-        pplus_eta=moved.eta,
-        pminus_xi=pminus_xi,
-        kappa_star=kappa_star,
-    )
-    res = reconstruction_residual(a, p, out)
-    if res > tol.algebraic_rel:
-        raise ConsistencyError(f"component reconstruction residual {res:.3e}")
-    return out
-
-
-def component_residuals(a: GStarJacobiElement, p: DiskJacobiPoint) -> dict:
-    """Raw residuals of the decomposition identities, without raising.
-
-    Returns reconstruction (triple product vs embedded product), the
-    symmetry defect of the lower-unipotent coordinate, and the relative
-    disagreement of the two kappa_star expressions.
-    """
-    lam, mu, kap, qbar, den, y = _common(a, p)
-    wprime = guarded_rsolve(a.gs.p @ p.w + a.gs.q, den, "conj(Q) W + conj(P)")
-    etap = guarded_rsolve(y, den, "conj(Q) W + conj(P)")
-    pminus_w = guarded_rsolve(qbar.T, den.T, "t(conj(Q) W + conj(P))").T
+    _check_cond(den, "conj(Q) W + conj(P)")
+    right = np.linalg.solve(den.T, np.vstack([a.gs.p @ p.w + a.gs.q, y]).T).T
+    wprime, etap = right[:p.g], right[p.g:]
+    pminus_w = np.linalg.solve(den, qbar)
     kappa_base = kap + lam @ p.eta.T + y @ lam.T
     kappa_star = kappa_base - y @ pminus_w @ y.T
-    kappa_alt = kappa_base - y @ qbar.T @ np.linalg.solve(den.T, y.T)
+    kappa_alt = kappa_base - y @ qbar.T @ etap.T
     factors = JacobiHCFactors(
         hc=HCFactors(
             pplus_w=(wprime + wprime.T) / 2,
@@ -228,11 +176,58 @@ def component_residuals(a: GStarJacobiElement, p: DiskJacobiPoint) -> dict:
         pminus_xi=lam - y @ pminus_w,
         kappa_star=kappa_star,
     )
-    return {
-        "reconstruction": reconstruction_residual(a, p, factors),
+    residuals = {
+        "pplus_symmetry": symmetry_defect(wprime),
         "pminus_symmetry": symmetry_defect(pminus_w),
         "kappa_agreement": frob(kappa_star - kappa_alt) / max(1.0, frob(kappa_star)),
     }
+    return factors, residuals
+
+
+def _require(residual: float, tol: Tolerance, error: type, what: str) -> None:
+    if residual > tol.algebraic_rel:
+        raise error(f"{what} {residual:.3e} exceeds tolerance")
+
+
+def kc_component(a: GStarJacobiElement, p: DiskJacobiPoint,
+                 tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block-diagonal component (P - W' conj(Q), d, kappa_star); raises if the
+    two kappa_star expressions disagree."""
+    factors, res = _hc_core(a, p)
+    _require(res["kappa_agreement"], tol, ConsistencyError, "kappa_star disagreement")
+    return factors.hc.k_p, factors.hc.k_lower, factors.kappa_star
+
+
+def pminus_component(a: GStarJacobiElement, p: DiskJacobiPoint,
+                     tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-unipotent component (d^-1 conj(Q), xi - y d^-1 conj(Q)); raises if
+    d^-1 conj(Q) is not symmetric."""
+    factors, res = _hc_core(a, p)
+    _require(res["pminus_symmetry"], tol, ConsistencyError, "d^-1 conj(Q) symmetry defect")
+    return factors.hc.pminus_w, factors.pminus_xi
+
+
+def decompose_full(a: GStarJacobiElement, p: DiskJacobiPoint,
+                   tol: Tolerance = DEFAULT_TOL) -> JacobiHCFactors:
+    """All three components of a . (embedded point); raises unless the moved
+    point lies in the disk, every identity holds and the product rebuilds."""
+    factors, res = _hc_core(a, p)
+    _require(res["pplus_symmetry"], tol, DomainError, "P+ coordinate symmetry defect")
+    DiskPoint(factors.hc.pplus_w, tol)  # membership check
+    _require(res["kappa_agreement"], tol, ConsistencyError, "kappa_star disagreement")
+    _require(res["pminus_symmetry"], tol, ConsistencyError, "d^-1 conj(Q) symmetry defect")
+    _require(reconstruction_residual(a, p, factors), tol, ConsistencyError,
+             "component reconstruction residual")
+    return factors
+
+
+def component_residuals(a: GStarJacobiElement, p: DiskJacobiPoint) -> dict:
+    """Raw residuals of the decomposition identities, without raising: the
+    symmetry defects of the upper and lower unipotent coordinates, the
+    relative disagreement of the two kappa_star expressions, and the
+    reconstruction (triple product vs embedded product)."""
+    factors, res = _hc_core(a, p)
+    return {**res, "reconstruction": reconstruction_residual(a, p, factors)}
 
 
 def reconstruction_residual(a: GStarJacobiElement, p: DiskJacobiPoint,

@@ -18,7 +18,6 @@ from .numkit import (
     DomainError,
     Tolerance,
     as_cmatrix,
-    fast_mode,
     frob,
     rel_error,
 )
@@ -34,18 +33,16 @@ __all__ = [
     "symplectic_j",
     "cayley_matrix",
     "heisenberg_mul",
-    "heisenberg_identity",
     "jacobi_mul",
     "jacobi_inv",
-    "jacobi_identity",
     "big_mul",
     "gstarj_mul",
     "gstarj_inv",
-    "gstarj_identity",
     "conjugate_by_T",
     "theta",
     "embed_sp_gph",
     "embed_gstarj",
+    "tstar_agreement_residual",
     "tstar_conjugate_oracle",
     "sample_element",
 ]
@@ -86,7 +83,7 @@ class SymplecticMatrix:
             raise DimensionError(f"expected a 2g x 2g matrix, got {m.shape}")
         self.m = _freeze(m)
         self.g = m.shape[0] // 2
-        if validate and not fast_mode():
+        if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -139,7 +136,7 @@ class HeisenbergElement:
         self.h, self.g = self.lam.shape
         if self.kappa.shape != (self.h, self.h):
             raise DimensionError(f"kappa must be {self.h} x {self.h}, got {self.kappa.shape}")
-        if validate and not fast_mode():
+        if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -195,7 +192,7 @@ class GStarElement:
         if self.p.shape[0] != self.p.shape[1] or self.p.shape != self.q.shape:
             raise DimensionError("P and Q must be square matrices of equal size")
         self.g = self.p.shape[0]
-        if validate and not fast_mode():
+        if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -232,7 +229,7 @@ class ComplexHeisenbergElement:
         self.h, self.g = self.xi.shape
         if self.zeta.shape != (self.h, self.h):
             raise DimensionError(f"zeta must be {self.h} x {self.h}, got {self.zeta.shape}")
-        if validate and not fast_mode():
+        if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -262,7 +259,7 @@ class GStarJacobiElement:
             raise DimensionError(f"degree mismatch: blocks g={gs.g}, Heisenberg g={hc.g}")
         self.gs = gs
         self.hc = hc
-        if validate and not fast_mode():
+        if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -308,7 +305,7 @@ class BigComplexGroupElement:
         if hc.g != self.g:
             raise DimensionError(f"Heisenberg width {hc.g} != block degree {self.g}")
         self.hc = hc
-        if validate and not fast_mode():
+        if validate:
             if abs(np.linalg.det(self.block)) < 1e-300:
                 raise DomainError("block matrix is singular")
 
@@ -336,10 +333,6 @@ def heisenberg_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElem
     return HeisenbergElement(a.lam + b.lam, a.mu + b.mu, kappa)
 
 
-def heisenberg_identity(g: int, h: int) -> HeisenbergElement:
-    return HeisenbergElement.identity(g, h)
-
-
 def jacobi_mul(a: JacobiElement, b: JacobiElement) -> JacobiElement:
     """Semidirect product: the Heisenberg part of a is first pushed through
     the symplectic part of b via (lam~, mu~) = (lam, mu) M'."""
@@ -359,10 +352,6 @@ def jacobi_inv(a: JacobiElement) -> JacobiElement:
     lt, mt = lm[:, : a.g], lm[:, a.g :]
     kappa = -a.hs.kappa + lt @ mt.T - mt @ lt.T
     return JacobiElement(mi, HeisenbergElement(-lt, -mt, kappa))
-
-
-def jacobi_identity(g: int, h: int) -> JacobiElement:
-    return JacobiElement.identity(g, h)
 
 
 def big_mul(a: BigComplexGroupElement, b: BigComplexGroupElement) -> BigComplexGroupElement:
@@ -420,10 +409,6 @@ def gstarj_inv(a: GStarJacobiElement, tol: Tolerance = DEFAULT_TOL) -> GStarJaco
     )
 
 
-def gstarj_identity(g: int, h: int) -> GStarJacobiElement:
-    return GStarJacobiElement.identity(g, h)
-
-
 # ---------------------------------------------------------------------------
 # Cayley conjugations
 
@@ -464,14 +449,9 @@ def embed_sp_gph(a: JacobiElement) -> np.ndarray:
     return e
 
 
-def _tstar_blocks(a: JacobiElement) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(numeric P*, numeric Q*, closed-form P*, closed-form Q*)."""
-    g, h = a.g, a.h
-    n = g + h
-    ts = cayley_matrix(n)
-    conj = ts.conj().T @ embed_sp_gph(a).astype(complex) @ ts  # T* is unitary
-    p_num, q_num = conj[:n, :n], conj[:n, n:]
-
+def _tstar_closed(a: JacobiElement) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form upper blocks (P*, Q*) of the conjugated embedding."""
+    h = a.h
     gs = conjugate_by_T(a.m)
     lam, mu, kap = a.hs.lam, a.hs.mu, a.hs.kappa
     lp = (lam + 1j * mu) / 2.0
@@ -480,27 +460,27 @@ def _tstar_blocks(a: JacobiElement) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                          [lp, np.eye(h) + 0.5j * kap]])
     q_closed = np.block([[gs.q, gs.p @ lm.T - gs.q @ lp.T],
                          [lm, -0.5j * kap]])
-    return p_num, q_num, p_closed, q_closed
-
-
-def tstar_conjugate_oracle(a: JacobiElement,
-                           tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Upper blocks of the conjugated embedding, computed two ways.
-
-    The explicit matrix conjugation and the closed-form blocks must agree;
-    a mismatch signals an implementation bug.
-    """
-    p_num, q_num, p_closed, q_closed = _tstar_blocks(a)
-    res = max(rel_error(p_num, p_closed), rel_error(q_num, q_closed))
-    if res > tol.algebraic_rel:
-        raise ConsistencyError(f"conjugation blocks disagree with closed form (residual {res:.3e})")
     return p_closed, q_closed
 
 
 def tstar_agreement_residual(a: JacobiElement) -> float:
-    """Relative residual between the two block computations (for suites)."""
-    p_num, q_num, p_closed, q_closed = _tstar_blocks(a)
-    return max(rel_error(p_num, p_closed), rel_error(q_num, q_closed))
+    """Relative residual between the explicit conjugation of the embedding by
+    the Cayley matrix and the closed-form blocks."""
+    n = a.g + a.h
+    ts = cayley_matrix(n)
+    conj = ts.conj().T @ embed_sp_gph(a).astype(complex) @ ts  # T* is unitary
+    p_closed, q_closed = _tstar_closed(a)
+    return max(rel_error(conj[:n, :n], p_closed), rel_error(conj[:n, n:], q_closed))
+
+
+def tstar_conjugate_oracle(a: JacobiElement,
+                           tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form blocks, after checking them against the explicit
+    conjugation; a mismatch signals an implementation bug."""
+    res = tstar_agreement_residual(a)
+    if res > tol.algebraic_rel:
+        raise ConsistencyError(f"conjugation blocks disagree with closed form (residual {res:.3e})")
+    return _tstar_closed(a)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ checks behave sensibly near zero.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ __all__ = [
     "DomainError",
     "ConditioningError",
     "ConsistencyError",
-    "fast_mode",
-    "set_fast_mode",
     "as_cmatrix",
     "frob",
     "trace_sigma",
@@ -88,19 +85,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-# Debug invariant re-validation is on unless SJK_FAST=1 (or set_fast_mode).
-_FAST = os.environ.get("SJK_FAST") == "1"
-
-
-def fast_mode() -> bool:
-    return _FAST
-
-
-def set_fast_mode(enabled: bool) -> None:
-    global _FAST
-    _FAST = bool(enabled)
-
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d complex128 array and require finite entries."""

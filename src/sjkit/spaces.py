@@ -24,7 +24,6 @@ from .numkit import (
     DomainError,
     Tolerance,
     as_cmatrix,
-    fast_mode,
     guarded_rsolve,
     hermitian_pd_margin,
     rel_error,
@@ -69,7 +68,7 @@ class SiegelPoint:
 
     def __init__(self, omega, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
         self.omega = _freeze(as_cmatrix(omega, "omega"))
-        if validate and not fast_mode():
+        if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
@@ -103,7 +102,7 @@ class DiskPoint:
 
     def __init__(self, w, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
         self.w = _freeze(as_cmatrix(w, "w"))
-        if validate and not fast_mode():
+        if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:

@@ -2,13 +2,12 @@
 
 Each suite draws deterministic per-trial samples, evaluates one identity,
 and reports the worst relative residual.  Per-trial seeds are derived from
-the master seed and the trial index alone, so serial and parallel runs of
-the same suite produce identical reports.
+the master seed and the trial index alone, so reruns of the same suite
+produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,15 +30,14 @@ from .geometry import (
     volume_density,
 )
 from .groups import (
+    GStarJacobiElement,
+    HeisenbergElement,
     JacobiElement,
     conjugate_by_T,
     embed_sp_gph,
-    gstarj_identity,
     gstarj_inv,
     gstarj_mul,
-    heisenberg_identity,
     heisenberg_mul,
-    jacobi_identity,
     jacobi_inv,
     jacobi_mul,
     sample_element,
@@ -128,20 +126,20 @@ def _dist_gstarj(a, b) -> float:
 
 def _trial_group_axioms(g: int, h: int, s: int) -> float:
     a, b, c = (sample_element("jacobi", g, h, s + k) for k in range(3))
-    e = jacobi_identity(g, h)
+    e = JacobiElement.identity(g, h)
     res = _dist_jacobi(jacobi_mul(jacobi_mul(a, b), c), jacobi_mul(a, jacobi_mul(b, c)))
     res = max(res, _dist_jacobi(jacobi_mul(a, e), a), _dist_jacobi(jacobi_mul(e, a), a))
     res = max(res, _dist_jacobi(jacobi_mul(a, jacobi_inv(a)), e))
     res = max(res, _dist_jacobi(jacobi_mul(jacobi_inv(a), a), e))
 
     ha, hb, hc = (sample_element("heisenberg", g, h, s + 3 + k) for k in range(3))
-    he = heisenberg_identity(g, h)
+    he = HeisenbergElement.identity(g, h)
     res = max(res, _dist_heis(heisenberg_mul(heisenberg_mul(ha, hb), hc),
                               heisenberg_mul(ha, heisenberg_mul(hb, hc))))
     res = max(res, _dist_heis(heisenberg_mul(ha, he), ha))
 
     sa, sb, sc = (sample_element("gstarj", g, h, s + 6 + k) for k in range(3))
-    se = gstarj_identity(g, h)
+    se = GStarJacobiElement.identity(g, h)
     res = max(res, _dist_gstarj(gstarj_mul(gstarj_mul(sa, sb), sc),
                                 gstarj_mul(sa, gstarj_mul(sb, sc))))
     res = max(res, _dist_gstarj(gstarj_mul(sa, se), sa), _dist_gstarj(gstarj_mul(se, sa), sa))
@@ -178,8 +176,7 @@ def _trial_compat_37(g: int, h: int, s: int) -> float:
 def _trial_hc_reconstruct(g: int, h: int, s: int) -> float:
     a = sample_element("gstarj", g, h, s)
     p = sample_point("disk_jacobi", g, h, s + 1)
-    res = decomp.component_residuals(a, p)
-    return max(res["reconstruction"], res["pminus_symmetry"], res["kappa_agreement"])
+    return max(decomp.component_residuals(a, p).values())
 
 
 def _metric_action_residual(metric_fn, act_fn, p, v) -> float:
@@ -303,33 +300,28 @@ SUITES = {
 
 
 def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 0,
-              tol: float | None = None, jobs: int = 1) -> VerifyReport:
+              tol: float | None = None) -> VerifyReport:
     """Run one named suite; deterministic in (name, g, h, trials, seed)."""
     if name not in SUITES:
         raise DomainError(f"unknown suite: {name!r}")
     trial_fn, default_tol = SUITES[name]
     tolerance = default_tol if tol is None else float(tol)
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 
-    def one(idx: int) -> tuple[int, float]:
-        s = trial_seed(seed, idx)
-        return s, trial_fn(g, h, s)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(i) for i in range(trials)]
-
+    seeds = [trial_seed(seed, i) for i in range(trials)]
+    results = [(s, trial_fn(g, h, s)) for s in seeds]
     failures = [
         {"seed": s, "residual": float(r)} for s, r in results if not r <= tolerance
     ]
-    max_res = float(max((r for _, r in results), default=0.0))
     return VerifyReport(
         suite=name,
         g=g,
         h=h,
         trials=trials,
-        max_residual=max_res,
+        max_residual=float(max(r for _, r in results)),
         tolerance=tolerance,
         failures=failures,
         passed=not failures,
@@ -337,5 +329,5 @@ def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 
 
 
 def run_all(g: int = 1, h: int = 1, trials: int = 100, seed: int = 0,
-            tol: float | None = None, jobs: int = 1) -> list[VerifyReport]:
-    return [run_suite(name, g, h, trials, seed, tol, jobs) for name in SUITES]
+            tol: float | None = None) -> list[VerifyReport]:
+    return [run_suite(name, g, h, trials, seed, tol) for name in SUITES]

@@ -5,10 +5,8 @@ from sjkit.automorphy import (
     IndexMatrix,
     Representation,
     chi_character,
-    factor_b,
     j_factor,
     rho_eval,
-    summand_a,
     verify_cocycle,
 )
 from sjkit.decomp import kc_component
@@ -16,7 +14,6 @@ from sjkit.groups import (
     ComplexHeisenbergElement,
     GStarElement,
     GStarJacobiElement,
-    gstarj_identity,
     sample_element,
 )
 from sjkit.numkit import DomainError, rel_error
@@ -83,35 +80,35 @@ def test_rho_multiplicativity():
 
 
 def test_summand_identity_and_central_case():
-    e = gstarj_identity(1, 1)
+    e = GStarJacobiElement.identity(1, 1)
     p = sample_point("disk_jacobi", 1, 1, seed=1)
-    assert np.max(np.abs(summand_a(e, p))) < 1e-14
+    assert np.max(np.abs(kc_component(e, p)[2])) < 1e-14
 
     kap = np.array([[0.7]])
     a = GStarJacobiElement(
         GStarElement(np.eye(1), np.zeros((1, 1))),
         ComplexHeisenbergElement(np.zeros((1, 1)), np.zeros((1, 1)), 1j * kap),
     )
-    np.testing.assert_allclose(summand_a(a, p), 1j * kap)
+    np.testing.assert_allclose(kc_component(a, p)[2], 1j * kap)
 
 
 def test_factor_b_cases_and_independence():
-    e = gstarj_identity(2, 1)
+    e = GStarJacobiElement.identity(2, 1)
     p = sample_point("disk_jacobi", 2, 1, seed=2)
-    up, low = factor_b(e, p)
+    up, low = kc_component(e, p)[:2]
     np.testing.assert_allclose(up, np.eye(2))
     np.testing.assert_allclose(low, np.eye(2))
 
     a = sample_element("kstarj", 2, 1, seed=3)  # Q = 0
-    up, low = factor_b(a, p)
+    up, low = kc_component(a, p)[:2]
     np.testing.assert_allclose(up, a.gs.p)
     np.testing.assert_allclose(low, a.gs.p.conj())
 
     # output depends only on the block part and W
     b = sample_element("gstarj", 2, 1, seed=4)
     p2 = DiskJacobiPoint(p.base, p.eta + (0.3 - 0.9j) * np.ones((1, 2)))
-    up1, low1 = factor_b(b, p)
-    up2, low2 = factor_b(b, p2)
+    up1, low1 = kc_component(b, p)[:2]
+    up2, low2 = kc_component(b, p2)[:2]
     np.testing.assert_allclose(up1, up2)
     np.testing.assert_allclose(low1, low2)
     k_p, k_lower, _ = kc_component(b, p)
@@ -122,13 +119,13 @@ def test_factor_b_cases_and_independence():
     shift = np.array([[0.9]])
     b2 = GStarJacobiElement(b.gs, ComplexHeisenbergElement(b.hc.xi, b.hc.eta,
                                                            b.hc.zeta + 1j * shift))
-    up3, low3 = factor_b(b2, p)
+    up3, low3 = kc_component(b2, p)[:2]
     np.testing.assert_allclose(up3, up1)
     np.testing.assert_allclose(low3, low1)
 
 
 def test_j_factor_identity_and_rotation():
-    e = gstarj_identity(1, 1)
+    e = GStarJacobiElement.identity(1, 1)
     p = sample_point("disk_jacobi", 1, 1, seed=5)
     out = j_factor(IndexMatrix(np.eye(1)), Representation("det_power", 3), e, p)
     assert out[0, 0] == pytest.approx(1.0)
@@ -156,7 +153,7 @@ def test_j_factor_reduces_to_classical_factor():
 def test_cocycles_with_identity_and_random():
     idx = IndexMatrix(np.eye(1))
     rep = Representation("det_power", 2)
-    e = gstarj_identity(1, 1)
+    e = GStarJacobiElement.identity(1, 1)
     p = sample_point("disk_jacobi", 1, 1, seed=8)
     assert verify_cocycle(idx, rep, e, e, p) < 1e-14
 

@@ -202,6 +202,7 @@ def test_stdin_input(monkeypatch, capsys):
 
 
 def test_fast_mode_env_disables_validation():
+    """SJK_FAST no longer switches validation off: the variable is ignored."""
     import os
     import subprocess as sp
     import sys as _sys
@@ -209,27 +210,40 @@ def test_fast_mode_env_disables_validation():
     snippet = (
         "import numpy as np\n"
         "from sjkit.groups import SymplecticMatrix\n"
-        "SymplecticMatrix(2 * np.eye(2))\n"
-        "print('constructed')\n"
+        "from sjkit.numkit import DomainError\n"
+        "try:\n"
+        "    SymplecticMatrix(2 * np.eye(2))\n"
+        "except DomainError:\n"
+        "    print('rejected')\n"
     )
     env = dict(os.environ, SJK_FAST="1")
     r = sp.run([_sys.executable, "-c", snippet], capture_output=True, text=True, env=env)
-    assert r.returncode == 0 and "constructed" in r.stdout
-    env.pop("SJK_FAST")
-    r = sp.run([_sys.executable, "-c", snippet], capture_output=True, text=True, env=env)
-    assert r.returncode != 0  # validation is on by default
+    assert r.returncode == 0 and "rejected" in r.stdout
 
 
-def test_fast_mode_toggle():
-    import numpy as np
+def test_exit_code_malformed_rep_and_params(capsys):
+    a = sample_element("gstarj", 1, 1, seed=14)
+    p = sample_point("disk_jacobi", 1, 1, seed=15)
+    payload = json.dumps({"element": encode_element(a), "point": encode_point(p)})
+    for rep in ("det:x", "det:1.5", "det:"):
+        code, out, err = run_cli(capsys, "jfactor", "--index-matrix", "[[1]]", "--rep", rep,
+                                 "--input", payload)
+        assert code == 2 and out == "" and "input error" in err
+    pt = sample_point("siegel_jacobi", 1, 1, seed=3)
+    payload = json.dumps({"point": encode_point(pt),
+                          "tangent": {"dbase": encode_matrix([[0.2 - 0.3j]]),
+                                      "dfiber": encode_matrix([[0.4 + 0.1j]])}})
+    code, _, _ = run_cli(capsys, "metric", "--which", "sj", "--params", "2,0.5",
+                         "--input", payload)
+    assert code == 0
+    for params in ("a,b", "1", "1,2,3", "1,"):
+        code, out, err = run_cli(capsys, "metric", "--which", "sj", "--params", params,
+                                 "--input", payload)
+        assert code == 2 and out == "" and "input error" in err
 
-    from sjkit.groups import SymplecticMatrix
-    from sjkit.numkit import DomainError, set_fast_mode
 
-    set_fast_mode(True)
-    try:
-        SymplecticMatrix(2 * np.eye(2))
-    finally:
-        set_fast_mode(False)
-    with pytest.raises(DomainError):
-        SymplecticMatrix(2 * np.eye(2))
+def test_verify_rejects_empty_run_and_bad_tolerance(capsys):
+    base = ["verify", "--suite", "compat-37", "--seed", "1"]
+    for extra in (["--trials", "0"], ["--trials", "-3"], ["--tol", "nan"], ["--tol", "inf"]):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 3 and out == "" and "domain error" in err

@@ -7,16 +7,16 @@ from sjkit.decomp import (
     hc_decompose_gstar,
     kc_component,
     pminus_component,
-    pplus_component,
 )
 from sjkit.groups import (
     ComplexHeisenbergElement,
     GStarElement,
     GStarJacobiElement,
-    gstarj_identity,
     sample_element,
 )
-from sjkit.numkit import rel_error
+from sjkit import decomp
+from sjkit.automorphy import IndexMatrix, Representation, j_factor
+from sjkit.numkit import ConsistencyError, DomainError, rel_error
 from sjkit.spaces import DiskJacobiPoint, DiskPoint, act_jacobi_disk, sample_point
 
 
@@ -53,16 +53,24 @@ def test_pplus_component_equals_action():
         for g, h in ((1, 1), (2, 1), (1, 2), (2, 2)):
             a = sample_element("gstarj", g, h, seed=seed)
             p = sample_point("disk_jacobi", g, h, seed=seed + 1)
-            lhs = pplus_component(a, p)
+            f = decompose_full(a, p)
             rhs = act_jacobi_disk(a, p)
-            assert rel_error(lhs.w, rhs.w) < 1e-12
-            assert rel_error(lhs.eta, rhs.eta) < 1e-12
+            assert rel_error(f.hc.pplus_w, rhs.w) < 1e-12
+            assert rel_error(f.pplus_eta, rhs.eta) < 1e-12
+            # the raising views read the same components, field for field
+            k_p, k_lower, kappa_star = kc_component(a, p)
+            pm_w, pm_xi = pminus_component(a, p)
+            np.testing.assert_array_equal(f.hc.k_p, k_p)
+            np.testing.assert_array_equal(f.hc.k_lower, k_lower)
+            np.testing.assert_array_equal(f.kappa_star, kappa_star)
+            np.testing.assert_array_equal(f.hc.pminus_w, pm_w)
+            np.testing.assert_array_equal(f.pminus_xi, pm_xi)
 
 
 def test_pplus_identity_and_translation():
-    e = gstarj_identity(1, 1)
+    e = GStarJacobiElement.identity(1, 1)
     p = sample_point("disk_jacobi", 1, 1, seed=4)
-    out = pplus_component(e, p)
+    out = act_jacobi_disk(e, p)
     assert rel_error(out.w, p.w) < 1e-14
 
     xi = np.array([[0.3 - 0.2j]])
@@ -70,13 +78,13 @@ def test_pplus_identity_and_translation():
         GStarElement(np.eye(1), np.zeros((1, 1))),
         ComplexHeisenbergElement(xi, xi.conj(), np.zeros((1, 1), dtype=complex)),
     )
-    out = pplus_component(a, origin(1, 1))
+    out = act_jacobi_disk(a, origin(1, 1))
     assert np.max(np.abs(out.w)) < 1e-14
     np.testing.assert_allclose(out.eta, xi.conj())  # mu-part survives at the origin
 
 
 def test_kc_component_identity_and_kappa_reduction():
-    e = gstarj_identity(2, 1)
+    e = GStarJacobiElement.identity(2, 1)
     p = sample_point("disk_jacobi", 2, 1, seed=5)
     k_p, k_lower, kappa_star = kc_component(e, p)
     np.testing.assert_allclose(k_p, np.eye(2))
@@ -94,7 +102,7 @@ def test_kc_component_identity_and_kappa_reduction():
 
 
 def test_pminus_component_cases():
-    e = gstarj_identity(2, 1)
+    e = GStarJacobiElement.identity(2, 1)
     p = sample_point("disk_jacobi", 2, 1, seed=7)
     pm_w, pm_xi = pminus_component(e, p)
     assert np.max(np.abs(pm_w)) < 1e-14
@@ -106,23 +114,25 @@ def test_pminus_component_cases():
     np.testing.assert_allclose(pm_xi, a.hc.xi)
 
 
-def test_pminus_symmetry_random():
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+def test_pminus_symmetry_random(g, h):
     for seed in range(30):
-        a = sample_element("gstarj", 2, 1, seed=seed)
-        p = sample_point("disk_jacobi", 2, 1, seed=seed + 1)
+        a = sample_element("gstarj", g, h, seed=seed)
+        p = sample_point("disk_jacobi", g, h, seed=seed + 1)
         pm_w, _ = pminus_component(a, p)
         assert rel_error(pm_w, pm_w.T) < 1e-10
 
 
-def test_decompose_full_trivial_and_random():
-    e = gstarj_identity(1, 1)
-    f = decompose_full(e, origin(1, 1))
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+def test_decompose_full_trivial_and_random(g, h):
+    e = GStarJacobiElement.identity(g, h)
+    f = decompose_full(e, origin(g, h))
     assert np.max(np.abs(f.hc.pplus_w)) < 1e-14
     assert np.max(np.abs(f.kappa_star)) < 1e-14
 
     for seed in range(50):
-        a = sample_element("gstarj", 1, 1, seed=seed)
-        p = sample_point("disk_jacobi", 1, 1, seed=seed + 1)
+        a = sample_element("gstarj", g, h, seed=seed)
+        p = sample_point("disk_jacobi", g, h, seed=seed + 1)
         res = component_residuals(a, p)
         assert res["reconstruction"] < 1e-9
         assert res["pminus_symmetry"] < 1e-10
@@ -140,3 +150,54 @@ def test_pure_heisenberg_kappa_star_at_origin():
     _, _, kappa_star = kc_component(a, origin(1, 2))
     expected = a.hc.zeta + a.hc.eta @ a.hc.xi.T  # central part + mu t(lam) at the origin
     np.testing.assert_allclose(kappa_star, expected, atol=1e-13)
+
+
+def test_one_conditioning_guard_per_call(monkeypatch):
+    a = sample_element("gstarj", 2, 2, seed=1)
+    p = sample_point("disk_jacobi", 2, 2, seed=2)
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m, *args: calls.append(1) or cond(m, *args))
+    idx, rep = IndexMatrix(np.eye(2)), Representation("det_power", 1)
+    for fn in (lambda: decompose_full(a, p), lambda: component_residuals(a, p),
+               lambda: kc_component(a, p), lambda: pminus_component(a, p),
+               lambda: j_factor(idx, rep, a, p)):
+        calls.clear()
+        fn()
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("key,error", [
+    ("pplus_symmetry", DomainError),
+    ("kappa_agreement", ConsistencyError),
+    ("pminus_symmetry", ConsistencyError),
+])
+def test_raising_views_check_core_residuals(monkeypatch, key, error):
+    a = sample_element("gstarj", 2, 1, seed=3)
+    p = sample_point("disk_jacobi", 2, 1, seed=4)
+    factors, res = decomp._hc_core(a, p)
+    monkeypatch.setattr(decomp, "_hc_core", lambda a, p: (factors, {**res, key: 1e-6}))
+    assert component_residuals(a, p)[key] == 1e-6
+    with pytest.raises(error):
+        decompose_full(a, p)
+    view = {"kappa_agreement": kc_component, "pminus_symmetry": pminus_component}.get(key)
+    if view is not None:
+        with pytest.raises(error):
+            view(a, p)
+
+
+def test_decompose_full_checks_membership_and_reconstruction(monkeypatch):
+    from dataclasses import replace
+
+    a = sample_element("gstarj", 2, 1, seed=5)
+    p = sample_point("disk_jacobi", 2, 1, seed=6)
+    factors, res = decomp._hc_core(a, p)
+    outside = replace(factors, hc=replace(factors.hc, pplus_w=2 * np.eye(2)))
+    monkeypatch.setattr(decomp, "_hc_core", lambda a, p: (outside, res))
+    with pytest.raises(DomainError):
+        decompose_full(a, p)
+    shifted = replace(factors, kappa_star=factors.kappa_star + 1e-3)
+    monkeypatch.setattr(decomp, "_hc_core", lambda a, p: (shifted, res))
+    with pytest.raises(ConsistencyError):
+        decompose_full(a, p)
+    assert component_residuals(a, p)["reconstruction"] > 1e-9

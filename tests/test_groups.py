@@ -13,12 +13,9 @@ from sjkit.groups import (
     cayley_matrix,
     conjugate_by_T,
     embed_sp_gph,
-    gstarj_identity,
     gstarj_inv,
     gstarj_mul,
-    heisenberg_identity,
     heisenberg_mul,
-    jacobi_identity,
     jacobi_inv,
     jacobi_mul,
     sample_element,
@@ -35,7 +32,7 @@ def heis(lam, mu, kappa):
 
 def test_heisenberg_identity_law():
     a = sample_element("heisenberg", 2, 2, seed=1)
-    e = heisenberg_identity(2, 2)
+    e = HeisenbergElement.identity(2, 2)
     prod = heisenberg_mul(a, e)
     np.testing.assert_allclose(prod.lam, a.lam)
     np.testing.assert_allclose(prod.mu, a.mu)
@@ -59,7 +56,7 @@ def test_heisenberg_scalar_example():
 
 
 def test_jacobi_identity_and_inverse():
-    e = jacobi_identity(2, 1)
+    e = JacobiElement.identity(2, 1)
     a = sample_element("jacobi", 2, 1, seed=3)
     for prod in (jacobi_mul(a, e), jacobi_mul(e, a)):
         assert rel_error(prod.m.m, a.m.m) < 1e-12
@@ -96,7 +93,7 @@ def test_embed_is_symplectic():
 
 
 def test_embed_identity():
-    np.testing.assert_allclose(embed_sp_gph(jacobi_identity(2, 2)), np.eye(8))
+    np.testing.assert_allclose(embed_sp_gph(JacobiElement.identity(2, 2)), np.eye(8))
 
 
 def test_big_mul_identity_and_associativity():
@@ -132,7 +129,7 @@ def test_big_mul_central_parts_add():
 
 
 def test_gstarj_mul_identity_and_theta_homomorphism():
-    e = gstarj_identity(2, 1)
+    e = GStarJacobiElement.identity(2, 1)
     for seed in range(20):
         a = sample_element("jacobi", 2, 1, seed=seed)
         b = sample_element("jacobi", 2, 1, seed=seed + 500)
@@ -155,7 +152,7 @@ def test_gstarj_unitary_closure():
 
 
 def test_gstarj_inverse():
-    e = gstarj_identity(2, 2)
+    e = GStarJacobiElement.identity(2, 2)
     a = sample_element("gstarj", 2, 2, seed=13)
     prod = gstarj_mul(a, gstarj_inv(a))
     assert rel_error(prod.gs.p, e.gs.p) < 1e-9
@@ -203,7 +200,7 @@ def test_conjugate_g1_lands_in_su11():
 
 
 def test_theta_of_identity_and_pure_heisenberg():
-    th = theta(jacobi_identity(2, 1))
+    th = theta(JacobiElement.identity(2, 1))
     np.testing.assert_allclose(th.gs.p, np.eye(2))
     np.testing.assert_allclose(th.gs.q, np.zeros((2, 2)))
 
@@ -216,7 +213,7 @@ def test_theta_of_identity_and_pure_heisenberg():
 
 
 def test_tstar_oracle_identity():
-    p, q = tstar_conjugate_oracle(jacobi_identity(2, 1))
+    p, q = tstar_conjugate_oracle(JacobiElement.identity(2, 1))
     np.testing.assert_allclose(p, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(q, np.zeros((3, 3)), atol=1e-14)
 

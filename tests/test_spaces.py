@@ -213,7 +213,7 @@ def test_jacobi_compatibility_residuals():
         a = sample_element("jacobi", 2, 2, seed=seed)
         p = sample_point("disk_jacobi", 2, 2, seed=seed)
         assert check_compatibility(a, p) < 1e-9
-    e = __import__("sjkit.groups", fromlist=["jacobi_identity"]).jacobi_identity(1, 1)
+    e = __import__("sjkit.groups", fromlist=["JacobiElement"]).JacobiElement.identity(1, 1)
     p = sample_point("disk_jacobi", 1, 1, seed=0)
     assert check_compatibility(e, p) < 1e-15
 

@@ -31,10 +31,13 @@ def test_failures_recorded_with_seeds():
     assert [f["seed"] for f in r.failures] == [trial_seed(7, i) for i in range(4)]
 
 
-def test_serial_and_parallel_agree():
-    a = run_suite("theta-hom", 1, 1, trials=12, seed=3, jobs=1)
-    b = run_suite("theta-hom", 1, 1, trials=12, seed=3, jobs=4)
-    assert a.to_dict() == b.to_dict()
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 0}, {"trials": -3},
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-9},
+], ids=["trials0", "trials-3", "tol-nan", "tol-inf", "tol0", "tol-neg"])
+def test_run_suite_rejects_empty_runs_and_bad_tolerance(kwargs):
+    with pytest.raises(DomainError):
+        run_suite("compat-37", 1, 1, **{"trials": 2, "seed": 1, **kwargs})
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
