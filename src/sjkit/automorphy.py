@@ -3,6 +3,8 @@
 The factor splits as J = a . b: an additive central part kappa_star (a
 summand of automorphy) fed to a character of the additive group of h x h
 matrices, and a block part fed to a holomorphic representation of GL(g,C).
+verify_cocycle(indexes, reps, g1, g2, p, tol) checks the cocycle identities
+on one triple for every (index, representation) pair at once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import kc_component
-from .groups import GStarJacobiElement
+from .groups import GStarJacobiElement, gstarj_mul
 from .numkit import (
     DEFAULT_TOL,
     DimensionError,
@@ -51,6 +53,8 @@ class IndexMatrix:
         object.__setattr__(self, "m", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"index matrix must be square, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("index matrix entries must be finite (no NaN/Inf)")
         if frob(m - m.T) > self.tol.algebraic_rel * max(1.0, frob(m)):
             raise DomainError("index matrix must be symmetric")
         if self.half_integral:
@@ -106,33 +110,28 @@ def rho_eval(rep: Representation, p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     return p.copy()
 
 
-def _factor(idx: IndexMatrix, rep: Representation, k_lower: np.ndarray,
-            kappa_star: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return chi_character(idx, kappa_star, tol) * rho_eval(rep, k_lower, tol)
-
-
 def j_factor(idx: IndexMatrix, rep: Representation, a: GStarJacobiElement,
              p: DiskJacobiPoint, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """chi(kappa_star) rho(conj(Q) W + conj(P)), the automorphic factor."""
     if idx.h != a.h:
         raise DimensionError(f"index matrix degree {idx.h} != element h={a.h}")
     _, k_lower, kappa_star = kc_component(a, p, tol)
-    return _factor(idx, rep, k_lower, kappa_star, tol)
+    return chi_character(idx, kappa_star, tol) * rho_eval(rep, k_lower, tol)
 
 
-def verify_cocycle(idx: IndexMatrix, rep: Representation, g1: GStarJacobiElement,
-                   g2: GStarJacobiElement, p: DiskJacobiPoint,
+def verify_cocycle(indexes: list[IndexMatrix], reps: list[Representation],
+                   g1: GStarJacobiElement, g2: GStarJacobiElement, p: DiskJacobiPoint,
                    tol: Tolerance = DEFAULT_TOL) -> float:
-    """Worst relative residual of the additive cocycle of kappa_star and the
-    multiplicative cocycle of the automorphic factor on (g1, g2, p)."""
-    from .groups import gstarj_mul
-
-    prod = gstarj_mul(g1, g2, tol)
-    moved = act_jacobi_disk(g2, p, tol)
-    (_, d12, k12), (_, d1, k1), (_, d2, k2) = (
-        kc_component(x, q, tol) for x, q in ((prod, p), (g1, moved), (g2, p))
-    )
-    res_add = rel_error(k12, k1 + k2)
-    res_mul = rel_error(_factor(idx, rep, d12, k12, tol),
-                        _factor(idx, rep, d1, k1, tol) @ _factor(idx, rep, d2, k2, tol))
-    return max(res_add, res_mul)
+    """Worst relative residual on (g1, g2, p) of the additive cocycle of kappa_star
+    and, per (index, rep) pair, of J(g1 g2, p) = J(g1, g2 p) J(g2, p); the shared
+    components are formed once, chi and rho once per (index or rep, component)."""
+    prod, moved = gstarj_mul(g1, g2, tol), act_jacobi_disk(g2, p, tol)
+    parts = [kc_component(x, q, tol)[1:] for x, q in ((prod, p), (g1, moved), (g2, p))]
+    (_, k12), (_, k1), (_, k2) = parts
+    res = rel_error(k12, k1 + k2)
+    rhos = [[rho_eval(rep, d, tol) for d, _ in parts] for rep in reps]
+    for idx in indexes:
+        c12, c1, c2 = (chi_character(idx, k, tol) for _, k in parts)
+        for r12, r1, r2 in rhos:
+            res = max(res, rel_error(c12 * r12, (c1 * r1) @ (c2 * r2)))
+    return res

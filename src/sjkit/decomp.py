@@ -9,7 +9,8 @@ automorphic factors.
 The three components are read off one guarded denominator in one private
 core.  component_residuals returns the residuals of the identities they
 satisfy; kc_component, pminus_component and decompose_full return the
-components and raise when a residual exceeds the algebraic tolerance.
+components and raise when a residual exceeds the algebraic tolerance;
+hc_decompose_gstar is the same core at the origin.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .numkit import (
     Tolerance,
     _check_cond,
     frob,
-    guarded_rsolve,
     rel_error,
     symmetry_defect,
 )
@@ -108,23 +108,18 @@ class JacobiHCFactors:
 def hc_decompose_gstar(gs: GStarElement, tol: Tolerance = DEFAULT_TOL) -> HCFactors:
     """Factor [[P, Q], [conj Q, conj P]] through the origin.
 
-    The upper coordinate Q conj(P)^-1 lands in the bounded domain; the
-    factorization is validated by reconstruction.
+    The core at W = 0, eta = 0 with zero Heisenberg part: the upper coordinate
+    Q conj(P)^-1 lands in the bounded domain; reconstruction validates it.
     """
-    p, q = gs.p, gs.q
-    pbar = p.conj()
-    qbar = q.conj()
-    pplus_w = guarded_rsolve(q, pbar, "conj(P)")
-    pminus_w = np.linalg.solve(pbar, qbar)
-    k_p = p - pplus_w @ qbar
-    factors = HCFactors(pplus_w=pplus_w, k_p=k_p, k_lower=pbar, pminus_w=pminus_w)
-    res = rel_error(factors.reconstruct(), gs.block())
-    if res > tol.algebraic_rel:
-        raise ConsistencyError(f"Harish-Chandra reconstruction residual {res:.3e}")
-    if symmetry_defect(pplus_w) > tol.algebraic_rel:
-        raise ConsistencyError("Q conj(P)^-1 is not symmetric")
-    DiskPoint((pplus_w + pplus_w.T) / 2, tol)  # membership check
-    return factors
+    a = GStarJacobiElement(gs, ComplexHeisenbergElement.identity(gs.g, 1), validate=False)
+    origin = DiskJacobiPoint(DiskPoint(np.zeros((gs.g, gs.g)), validate=False),
+                             np.zeros((1, gs.g)))
+    factors, res = _hc_core(a, origin)
+    _require(rel_error(factors.hc.reconstruct(), gs.block()), tol, ConsistencyError,
+             "Harish-Chandra reconstruction residual")
+    _require(res["pplus_symmetry"], tol, ConsistencyError, "Q conj(P)^-1 symmetry defect")
+    DiskPoint(factors.hc.pplus_w, tol)  # membership check
+    return factors.hc
 
 
 def embed_disk_jacobi_point(p: DiskJacobiPoint) -> BigComplexGroupElement:

@@ -136,6 +136,9 @@ class HeisenbergElement:
         self.h, self.g = self.lam.shape
         if self.kappa.shape != (self.h, self.h):
             raise DimensionError(f"kappa must be {self.h} x {self.h}, got {self.kappa.shape}")
+        if not np.isfinite(np.concatenate((self.lam.ravel(), self.mu.ravel(),
+                                           self.kappa.ravel()))).all():
+            raise DomainError("lam, mu, kappa: entries must be finite (no NaN/Inf)")
         if validate:
             self.validate(tol)
 

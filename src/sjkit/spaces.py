@@ -202,22 +202,29 @@ def _symmetrized(m: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
     return (m + m.T) / 2
 
 
+def _fractional_linear(a, b, c, d, x, fiber, tol: Tolerance, context: str, what: str):
+    """(a x + b)(c x + d)^-1 symmetrized, and fiber (c x + d)^-1, in one guarded solve."""
+    num = a @ x + b if fiber is None else np.vstack([a @ x + b, fiber])
+    out = guarded_rsolve(num, c @ x + d, context)
+    return _symmetrized(out[:x.shape[0]], tol, what), out[x.shape[0]:]
+
+
 def act_siegel(m: SymplecticMatrix, p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> SiegelPoint:
     """Fractional linear action (A omega + B)(C omega + D)^-1."""
     if m.g != p.g:
         raise DimensionError(f"degree mismatch: element g={m.g}, point g={p.g}")
-    den = m.c @ p.omega + m.d
-    om = guarded_rsolve(m.a @ p.omega + m.b, den, "C omega + D")
-    return SiegelPoint(_symmetrized(om, tol, "siegel action"), tol)
+    om, _ = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, tol,
+                               "C omega + D", "siegel action")
+    return SiegelPoint(om, tol)
 
 
 def act_disk(gs: GStarElement, p: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     """Fractional linear action (P W + Q)(conj(Q) W + conj(P))^-1."""
     if gs.g != p.g:
         raise DimensionError(f"degree mismatch: element g={gs.g}, point g={p.g}")
-    den = gs.q.conj() @ p.w + gs.p.conj()
-    w = guarded_rsolve(gs.p @ p.w + gs.q, den, "conj(Q) W + conj(P)")
-    return DiskPoint(_symmetrized(w, tol, "disk action"), tol)
+    w, _ = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None, tol,
+                              "conj(Q) W + conj(P)", "disk action")
+    return DiskPoint(w, tol)
 
 
 def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint,
@@ -225,10 +232,10 @@ def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint,
     """(M omega, (Z + lam omega + mu)(C omega + D)^-1); kappa plays no role."""
     if (a.g, a.h) != (p.g, p.h):
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
-    base = act_siegel(a.m, p.base, tol)
-    den = a.m.c @ p.omega + a.m.d
-    z = guarded_rsolve(p.z + a.hs.lam @ p.omega + a.hs.mu, den, "C omega + D")
-    return SiegelJacobiPoint(base, z, tol)
+    m, fiber = a.m, p.z + a.hs.lam @ p.omega + a.hs.mu
+    om, z = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, fiber, tol,
+                               "C omega + D", "siegel action")
+    return SiegelJacobiPoint(SiegelPoint(om, tol), z, tol)
 
 
 def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint,
@@ -236,10 +243,10 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint,
     """((P W + Q) d^-1, (eta + xi W + mu) d^-1) with d = conj(Q) W + conj(P)."""
     if (a.g, a.h) != (p.g, p.h):
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
-    base = act_disk(a.gs, p.base, tol)
-    den = a.gs.q.conj() @ p.w + a.gs.p.conj()
-    eta = guarded_rsolve(p.eta + a.hc.xi @ p.w + a.hc.eta, den, "conj(Q) W + conj(P)")
-    return DiskJacobiPoint(base, eta, tol)
+    gs, fiber = a.gs, p.eta + a.hc.xi @ p.w + a.hc.eta
+    w, eta = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, fiber, tol,
+                                "conj(Q) W + conj(P)", "disk action")
+    return DiskJacobiPoint(DiskPoint(w, tol), eta, tol)
 
 
 # ---------------------------------------------------------------------------

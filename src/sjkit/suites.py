@@ -270,11 +270,7 @@ def _trial_cocycle(g: int, h: int, s: int) -> float:
         _half_integral_example(h),
     ]
     reps = [Representation("det_power", k) for k in (0, 1, 2)] + [Representation("standard")]
-    res = 0.0
-    for idx in indexes:
-        for rep in reps:
-            res = max(res, verify_cocycle(idx, rep, g1, g2, p))
-    return res
+    return verify_cocycle(indexes, reps, g1, g2, p)
 
 
 def _trial_volume_invariance(g: int, h: int, s: int) -> float:

@@ -214,9 +214,7 @@ def test_c09_cocycles():
             g1 = sample_element("gstarj", g, h, seed=s)
             g2 = sample_element("gstarj", g, h, seed=s + 1)
             p = sample_point("disk_jacobi", g, h, seed=s + 2)
-            for idx in indexes:
-                for rep in reps:
-                    worst = max(worst, verify_cocycle(idx, rep, g1, g2, p))
+            worst = max(worst, verify_cocycle(indexes, reps, g1, g2, p))
     report(9, "additive and multiplicative cocycles (500 trials)", worst, 1e-8)
 
 

@@ -14,10 +14,11 @@ from sjkit.groups import (
     ComplexHeisenbergElement,
     GStarElement,
     GStarJacobiElement,
+    gstarj_mul,
     sample_element,
 )
 from sjkit.numkit import DomainError, rel_error
-from sjkit.spaces import DiskJacobiPoint, sample_point
+from sjkit.spaces import DiskJacobiPoint, act_jacobi_disk, sample_point
 
 
 def test_chi_at_zero():
@@ -57,6 +58,15 @@ def test_index_matrix_validation():
         IndexMatrix(-np.eye(2), psd=True)
     with pytest.raises(DomainError):
         IndexMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_index_matrix_rejects_non_finite_entries(bad):
+    for flags in ({}, {"psd": True}, {"half_integral": True}):
+        with pytest.raises(DomainError):
+            IndexMatrix([[bad]], **flags)
+        with pytest.raises(DomainError):
+            IndexMatrix(np.array([[1.0, bad], [bad, 1.0]]), **flags)
 
 
 def test_rho_det_power_and_standard():
@@ -155,15 +165,39 @@ def test_cocycles_with_identity_and_random():
     rep = Representation("det_power", 2)
     e = GStarJacobiElement.identity(1, 1)
     p = sample_point("disk_jacobi", 1, 1, seed=8)
-    assert verify_cocycle(idx, rep, e, e, p) < 1e-14
+    assert verify_cocycle([idx], [rep], e, e, p) < 1e-14
 
     g1 = sample_element("gstarj", 1, 1, seed=9)
-    assert verify_cocycle(idx, rep, g1, e, p) < 1e-12
+    assert verify_cocycle([idx], [rep], g1, e, p) < 1e-12
 
     for seed in range(20):
         for g, h in ((1, 1), (2, 1), (1, 2), (2, 2)):
             g1 = sample_element("gstarj", g, h, seed=seed)
             g2 = sample_element("gstarj", g, h, seed=seed + 100)
             q = sample_point("disk_jacobi", g, h, seed=seed)
-            res = verify_cocycle(IndexMatrix(np.eye(h)), rep, g1, g2, q)
+            res = verify_cocycle([IndexMatrix(np.eye(h))], [rep], g1, g2, q)
             assert res < 1e-8
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+def test_verify_cocycle_matches_j_factor_oracle(g, h):
+    # the residual is the max of the additive kappa_star residual and, per
+    # (index, representation) pair, j(g1 g2, p) against j(g1, g2 p) j(g2, p)
+    indexes = [IndexMatrix(np.zeros((h, h))), IndexMatrix(np.eye(h)),
+               IndexMatrix(2.0 * np.eye(h) + 0.5 * (np.ones((h, h)) - np.eye(h)),
+                           half_integral=True, psd=True)]
+    reps = [Representation("det_power", k) for k in (0, 1, 2)] + [Representation("standard")]
+    for seed in range(12):
+        g1 = sample_element("gstarj", g, h, seed=seed)
+        g2 = sample_element("gstarj", g, h, seed=seed + 50)
+        p = sample_point("disk_jacobi", g, h, seed=seed + 100)
+        prod, moved = gstarj_mul(g1, g2), act_jacobi_disk(g2, p)
+        want = rel_error(kc_component(prod, p)[2],
+                         kc_component(g1, moved)[2] + kc_component(g2, p)[2])
+        for idx in indexes:
+            for rep in reps:
+                lhs = j_factor(idx, rep, prod, p)
+                rhs = j_factor(idx, rep, g1, moved) @ j_factor(idx, rep, g2, p)
+                want = max(want, rel_error(lhs, rhs))
+        assert verify_cocycle(indexes, reps, g1, g2, p) == want
+        assert verify_cocycle(indexes[1:2], reps[3:], g1, g2, p) <= want

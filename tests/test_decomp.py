@@ -14,10 +14,18 @@ from sjkit.groups import (
     GStarJacobiElement,
     sample_element,
 )
-from sjkit import decomp
+from sjkit import decomp, suites
 from sjkit.automorphy import IndexMatrix, Representation, j_factor
 from sjkit.numkit import ConsistencyError, DomainError, rel_error
-from sjkit.spaces import DiskJacobiPoint, DiskPoint, act_jacobi_disk, sample_point
+from sjkit.spaces import (
+    DiskJacobiPoint,
+    DiskPoint,
+    act_disk,
+    act_jacobi,
+    act_jacobi_disk,
+    act_siegel,
+    sample_point,
+)
 
 
 def origin(g, h):
@@ -152,12 +160,17 @@ def test_pure_heisenberg_kappa_star_at_origin():
     np.testing.assert_allclose(kappa_star, expected, atol=1e-13)
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
 def test_one_conditioning_guard_per_call(monkeypatch):
     a = sample_element("gstarj", 2, 2, seed=1)
     p = sample_point("disk_jacobi", 2, 2, seed=2)
-    calls = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda m, *args: calls.append(1) or cond(m, *args))
+    calls = _count_calls(monkeypatch, np.linalg, "cond")
     idx, rep = IndexMatrix(np.eye(2)), Representation("det_power", 1)
     for fn in (lambda: decompose_full(a, p), lambda: component_residuals(a, p),
                lambda: kc_component(a, p), lambda: pminus_component(a, p),
@@ -165,6 +178,32 @@ def test_one_conditioning_guard_per_call(monkeypatch):
         calls.clear()
         fn()
         assert len(calls) == 1
+
+
+def test_cocycle_trial_guards_and_cores(monkeypatch):
+    guards = _count_calls(monkeypatch, np.linalg, "cond")
+    cores = _count_calls(monkeypatch, decomp, "_hc_core")
+    for seed in range(3):
+        guards.clear()
+        cores.clear()
+        suites._trial_cocycle(2, 2, seed)
+        # one action plus three Harish-Chandra cores, each guarded once
+        assert (len(guards), len(cores)) == (4, 3)
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+def test_jacobi_actions_one_guard_and_base_action(monkeypatch, g, h):
+    a = sample_element("jacobi", g, h, seed=7)
+    p = sample_point("siegel_jacobi", g, h, seed=8)
+    b = sample_element("gstarj", g, h, seed=9)
+    q = sample_point("disk_jacobi", g, h, seed=10)
+    guards = _count_calls(monkeypatch, np.linalg, "cond")
+    out = act_jacobi(a, p)
+    assert len(guards) == 1
+    outd = act_jacobi_disk(b, q)
+    assert len(guards) == 2
+    np.testing.assert_array_equal(out.omega, act_siegel(a.m, p.base).omega)
+    np.testing.assert_array_equal(outd.w, act_disk(b.gs, q.base).w)
 
 
 @pytest.mark.parametrize("key,error", [

@@ -284,3 +284,13 @@ def test_invalid_elements_rejected():
             GStarElement(np.eye(1), np.zeros((1, 1))),
             ComplexHeisenbergElement(xi, xi, np.array([[0.5 + 0.0j]])),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_heisenberg_rejects_non_finite_entries(slot, bad):
+    parts = [np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 1))]
+    parts[slot][0, 0] = bad
+    for validate in (True, False):
+        with pytest.raises(DomainError):
+            HeisenbergElement(*parts, validate=validate)
