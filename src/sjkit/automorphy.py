@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomp import kc_component
-from .groups import GStarJacobiElement, gstarj_mul
+from .groups import GStarJacobiElement, _as_real, gstarj_mul
 from .numkit import (
     DEFAULT_TOL,
     DimensionError,
@@ -49,7 +49,7 @@ class IndexMatrix:
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        m = _as_real(self.m, "index matrix", self.tol)
         object.__setattr__(self, "m", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"index matrix must be square, got {m.shape}")

@@ -33,6 +33,7 @@ from .numkit import (
     DimensionError,
     DomainError,
     Tolerance,
+    _block,
     _check_cond,
     frob,
     rel_error,
@@ -62,13 +63,16 @@ class HCFactors:
     k_lower: np.ndarray
     pminus_w: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = self.k_p.shape[0]
         i = np.eye(g)
         z = np.zeros((g, g))
-        up = np.block([[i, self.pplus_w], [z, i]])
-        mid = np.block([[self.k_p, z], [z, self.k_lower]])
-        low = np.block([[i, z], [self.pminus_w, i]])
+        return (_block([[i, self.pplus_w], [z, i]]),
+                _block([[self.k_p, z], [z, self.k_lower]]),
+                _block([[i, z], [self.pminus_w, i]]))
+
+    def reconstruct(self) -> np.ndarray:
+        up, mid, low = self._blocks()
         return up @ mid @ low
 
 
@@ -83,26 +87,13 @@ class JacobiHCFactors:
 
     def factors(self, h: int) -> tuple[BigComplexGroupElement, ...]:
         g = self.hc.k_p.shape[0]
-        i = np.eye(g)
-        z = np.zeros((g, g))
         zf = np.zeros((h, g), dtype=complex)
         zc = np.zeros((h, h), dtype=complex)
-        up = BigComplexGroupElement(
-            np.block([[i, self.hc.pplus_w], [z, i]]),
-            ComplexHeisenbergElement(zf, self.pplus_eta, zc, validate=False),
-            validate=False,
+        heisenberg = [(zf, self.pplus_eta, zc), (zf, zf, self.kappa_star), (self.pminus_xi, zf, zc)]
+        return tuple(
+            BigComplexGroupElement(b, ComplexHeisenbergElement(*t, validate=False), validate=False)
+            for b, t in zip(self.hc._blocks(), heisenberg)
         )
-        mid = BigComplexGroupElement(
-            np.block([[self.hc.k_p, z], [z, self.hc.k_lower]]),
-            ComplexHeisenbergElement(zf, zf, self.kappa_star, validate=False),
-            validate=False,
-        )
-        low = BigComplexGroupElement(
-            np.block([[i, z], [self.hc.pminus_w, i]]),
-            ComplexHeisenbergElement(self.pminus_xi, zf, zc, validate=False),
-            validate=False,
-        )
-        return up, mid, low
 
 
 def hc_decompose_gstar(gs: GStarElement, tol: Tolerance = DEFAULT_TOL) -> HCFactors:
@@ -129,7 +120,7 @@ def embed_disk_jacobi_point(p: DiskJacobiPoint) -> BigComplexGroupElement:
     z = np.zeros((g, g))
     zf = np.zeros((h, g), dtype=complex)
     return BigComplexGroupElement(
-        np.block([[i, p.w], [z, i]]),
+        _block([[i, p.w], [z, i]]),
         ComplexHeisenbergElement(zf, p.eta, np.zeros((h, h), dtype=complex), validate=False),
         validate=False,
     )

@@ -105,8 +105,8 @@ class MetricParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError("metric parameters must be positive")
+        if not (0 < self.a < np.inf and 0 < self.b < np.inf):
+            raise DomainError("metric parameters must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .numkit import (
     DimensionError,
     DomainError,
     Tolerance,
+    _block,
     as_cmatrix,
     frob,
     rel_error,
@@ -50,15 +51,15 @@ __all__ = [
 
 def symplectic_j(g: int) -> np.ndarray:
     """The standard symplectic form [[0, I], [-I, 0]] of degree g."""
-    z = np.zeros((g, g))
-    i = np.eye(g)
-    return np.block([[z, i], [-i, z]]).astype(np.complex128)
+    j = np.zeros((2 * g, 2 * g), dtype=np.complex128)
+    j[:g, g:], j[g:, :g] = np.eye(g), -np.eye(g)
+    return j
 
 
 def cayley_matrix(n: int) -> np.ndarray:
     """The unitary 2n x 2n matrix (1/sqrt 2) [[I, I], [iI, -iI]]."""
     i = np.eye(n)
-    return np.block([[i, i], [1j * i, -1j * i]]) / np.sqrt(2.0)
+    return _block([[i, i], [1j * i, -1j * i]]) / np.sqrt(2.0)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -67,9 +68,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_real(a: np.ndarray, name: str, tol: Tolerance) -> None:
-    if frob(np.imag(a)) > tol.algebraic_rel * max(1.0, frob(a)):
-        raise DomainError(f"{name} must be real")
+def _as_real(a, name: str, tol: Tolerance) -> np.ndarray:
+    """A float array; a complex input must be finite and real within tolerance."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        if not np.isfinite(a).all() or frob(np.imag(a)) > tol.algebraic_rel * max(1.0, frob(a)):
+            raise DomainError(f"{name} must be finite and real")
+        a = a.real
+    return np.asarray(a, dtype=float)
 
 
 class SymplecticMatrix:
@@ -87,7 +93,7 @@ class SymplecticMatrix:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        _require_real(self.m, "symplectic matrix", tol)
+        _as_real(self.m, "symplectic matrix", tol)  # raises unless finite and real within tol
         j = symplectic_j(self.g)
         if rel_error(self.m.T @ j @ self.m, j) > tol.algebraic_rel:
             raise DomainError("matrix is not symplectic within tolerance")
@@ -111,7 +117,7 @@ class SymplecticMatrix:
     def inv(self) -> "SymplecticMatrix":
         # M^-1 = [[tD, -tB], [-tC, tA]], exact for symplectic M
         a, b, c, d = self.a, self.b, self.c, self.d
-        mi = np.block([[d.T, -b.T], [-c.T, a.T]])
+        mi = _block([[d.T, -b.T], [-c.T, a.T]])
         return SymplecticMatrix(mi, validate=False)
 
     @classmethod
@@ -128,9 +134,9 @@ class HeisenbergElement:
     __slots__ = ("lam", "mu", "kappa", "g", "h")
 
     def __init__(self, lam, mu, kappa, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        self.lam = _freeze(np.asarray(lam, dtype=float))
-        self.mu = _freeze(np.asarray(mu, dtype=float))
-        self.kappa = _freeze(np.asarray(kappa, dtype=float))
+        self.lam = _freeze(_as_real(lam, "lam", tol))
+        self.mu = _freeze(_as_real(mu, "mu", tol))
+        self.kappa = _freeze(_as_real(kappa, "kappa", tol))
         if self.lam.ndim != 2 or self.mu.shape != self.lam.shape:
             raise DimensionError("lam and mu must be h x g matrices of equal shape")
         self.h, self.g = self.lam.shape
@@ -208,7 +214,7 @@ class GStarElement:
 
     def block(self) -> np.ndarray:
         """The full 2g x 2g matrix [[P, Q], [conj Q, conj P]]."""
-        return np.block([[self.p, self.q], [self.q.conj(), self.p.conj()]])
+        return _block([[self.p, self.q], [self.q.conj(), self.p.conj()]])
 
     @classmethod
     def identity(cls, g: int) -> "GStarElement":
@@ -403,7 +409,7 @@ def gstarj_inv(a: GStarJacobiElement, tol: Tolerance = DEFAULT_TOL) -> GStarJaco
     g = a.g
     p_i = a.gs.p.T.conj()
     q_i = -a.gs.q.T
-    minv = np.block([[p_i, q_i], [q_i.conj(), p_i.conj()]])
+    minv = _block([[p_i, q_i], [q_i.conj(), p_i.conj()]])
     xit = a.hc.xi @ minv[:g, :g] + a.hc.eta @ minv[g:, :g]
     ett = a.hc.xi @ minv[:g, g:] + a.hc.eta @ minv[g:, g:]
     zeta = -a.hc.zeta + xit @ ett.T - ett @ xit.T
@@ -441,7 +447,7 @@ def embed_sp_gph(a: JacobiElement) -> np.ndarray:
     C, D = np.real(a.m.c), np.real(a.m.d)
     lam, mu, kap = a.hs.lam, a.hs.mu, a.hs.kappa
     zgh = np.zeros((g, h))
-    e = np.block(
+    e = _block(
         [
             [A, zgh, B, A @ mu.T - B @ lam.T],
             [lam, np.eye(h), mu, kap],
@@ -459,10 +465,10 @@ def _tstar_closed(a: JacobiElement) -> tuple[np.ndarray, np.ndarray]:
     lam, mu, kap = a.hs.lam, a.hs.mu, a.hs.kappa
     lp = (lam + 1j * mu) / 2.0
     lm = (lam - 1j * mu) / 2.0
-    p_closed = np.block([[gs.p, gs.q @ lp.T - gs.p @ lm.T],
-                         [lp, np.eye(h) + 0.5j * kap]])
-    q_closed = np.block([[gs.q, gs.p @ lm.T - gs.q @ lp.T],
-                         [lm, -0.5j * kap]])
+    p_closed = _block([[gs.p, gs.q @ lp.T - gs.p @ lm.T],
+                       [lp, np.eye(h) + 0.5j * kap]])
+    q_closed = _block([[gs.q, gs.p @ lm.T - gs.q @ lp.T],
+                       [lm, -0.5j * kap]])
     return p_closed, q_closed
 
 
@@ -502,19 +508,18 @@ def _sample_symplectic(rng: np.random.Generator, g: int, scale: float) -> Symple
         kind = int(rng.integers(0, 4))
         if kind == 0:
             b = rng.uniform(-scale, scale, (g, g))
-            b = (b + b.T) / 2
-            gen = np.block([[np.eye(g), b], [np.zeros((g, g)), np.eye(g)]])
+            gen = np.eye(2 * g)
+            gen[:g, g:] = (b + b.T) / 2
         elif kind == 1:
             c = rng.uniform(-scale, scale, (g, g))
-            c = (c + c.T) / 2
-            gen = np.block([[np.eye(g), np.zeros((g, g))], [c, np.eye(g)]])
+            gen = np.eye(2 * g)
+            gen[g:, :g] = (c + c.T) / 2
         elif kind == 2:
             # A = I + R with |R|_2 < 1 so the block stays well conditioned
             r = rng.uniform(-scale, scale, (g, g)) / max(1, g)
             a = np.eye(g) + r
-            gen = np.block(
-                [[a, np.zeros((g, g))], [np.zeros((g, g)), np.linalg.inv(a).T]]
-            )
+            gen = np.zeros((2 * g, 2 * g))
+            gen[:g, :g], gen[g:, g:] = a, np.linalg.inv(a).T
         else:
             gen = j
         m = m @ gen

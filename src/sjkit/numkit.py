@@ -3,11 +3,14 @@ predicates, trace/bracket helpers, and guarded linear solves.
 
 Every other module builds on the conventions fixed here; in particular all
 approximate equality is relative Frobenius with a max(1, .) floor so that
-checks behave sensibly near zero.
+checks behave sensibly near zero.  The per-trial helpers (frob, as_cmatrix
+and the block-matrix assembly _block) avoid numpy's generic dispatch on the
+small matrices they see, while giving exactly numpy's results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,13 +94,39 @@ def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-d matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise DomainError(f"{name}: entries must be finite (no NaN/Inf)")
     return arr
 
 
-def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def frob(a) -> float:
+    """Frobenius norm, summed exactly as np.linalg.norm sums it."""
+    x = np.asarray(a).ravel(order="K")
+    if x.dtype.char == "D":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x)) if x.dtype.char == "d" else float(np.linalg.norm(x))
+
+
+def _block(rows) -> np.ndarray:
+    """np.block for a grid of 2-d arrays: the same dtype, bytes and memory
+    order, without its generic dispatch.  Like np.concatenate, the result is
+    Fortran-ordered when every block with no unit dimension is."""
+    widths = [b.shape[1] for b in rows[0]]
+    blocks = [b for row in rows for b in row]
+    votes = [abs(b.strides[1]) > abs(b.strides[0]) for b in blocks if 1 not in b.shape]
+    out = np.empty((sum(row[0].shape[0] for row in rows), sum(widths)), np.result_type(*blocks),
+                   order="F" if votes and all(votes) else "C")
+    i = 0
+    for row in rows:
+        height, j = row[0].shape[0], 0
+        for b, width in zip(row, widths, strict=True):
+            if b.shape != (height, width):
+                raise DimensionError(f"block shape {b.shape} != {(height, width)}")
+            out[i:i + height, j:j + width] = b
+            j += width
+        i += height
+    return out
 
 
 def trace_sigma(a) -> complex:

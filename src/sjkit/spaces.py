@@ -253,32 +253,42 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint,
 # Cayley transforms
 
 
+def _cayley(w, fiber, tol: Tolerance):
+    """i (I + W)(I - W)^-1 symmetrized, and 2i fiber (I - W)^-1, in one guarded solve."""
+    i = np.eye(w.shape[0])
+    num = i + w if fiber is None else np.vstack([i + w, fiber])
+    out = guarded_rsolve(num, i - w, "I - W")
+    return _symmetrized(1j * out[:w.shape[0]], tol, "cayley"), 2j * out[w.shape[0]:]
+
+
+def _cayley_inv(omega, fiber, tol: Tolerance):
+    """(omega - iI)(omega + iI)^-1 symmetrized, and fiber (omega + iI)^-1, in one guarded solve."""
+    i = np.eye(omega.shape[0])
+    num = omega - 1j * i if fiber is None else np.vstack([omega - 1j * i, fiber])
+    out = guarded_rsolve(num, omega + 1j * i, "omega + iI")
+    return _symmetrized(out[:omega.shape[0]], tol, "inverse cayley"), out[omega.shape[0]:]
+
+
 def cayley(p: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> SiegelPoint:
     """W -> i (I + W)(I - W)^-1."""
-    i = np.eye(p.g)
-    om = 1j * guarded_rsolve(i + p.w, i - p.w, "I - W")
-    return SiegelPoint(_symmetrized(om, tol, "cayley"), tol)
+    return SiegelPoint(_cayley(p.w, None, tol)[0], tol)
 
 
 def cayley_inv(p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     """omega -> (omega - iI)(omega + iI)^-1."""
-    i = np.eye(p.g)
-    w = guarded_rsolve(p.omega - 1j * i, p.omega + 1j * i, "omega + iI")
-    return DiskPoint(_symmetrized(w, tol, "inverse cayley"), tol)
+    return DiskPoint(_cayley_inv(p.omega, None, tol)[0], tol)
 
 
 def partial_cayley(p: DiskJacobiPoint, tol: Tolerance = DEFAULT_TOL) -> SiegelJacobiPoint:
     """(W, eta) -> (i (I + W)(I - W)^-1, 2i eta (I - W)^-1)."""
-    base = cayley(p.base, tol)
-    z = 2j * guarded_rsolve(p.eta, np.eye(p.g) - p.w, "I - W")
-    return SiegelJacobiPoint(base, z, tol)
+    om, z = _cayley(p.w, p.eta, tol)
+    return SiegelJacobiPoint(SiegelPoint(om, tol), z, tol)
 
 
 def partial_cayley_inv(p: SiegelJacobiPoint, tol: Tolerance = DEFAULT_TOL) -> DiskJacobiPoint:
     """(omega, Z) -> ((omega - iI)(omega + iI)^-1, Z (omega + iI)^-1)."""
-    base = cayley_inv(p.base, tol)
-    eta = guarded_rsolve(p.z, p.omega + 1j * np.eye(p.g), "omega + iI")
-    return DiskJacobiPoint(base, eta, tol)
+    w, eta = _cayley_inv(p.omega, p.z, tol)
+    return DiskJacobiPoint(DiskPoint(w, tol), eta, tol)
 
 
 def check_compatibility(a: JacobiElement, p: DiskJacobiPoint,

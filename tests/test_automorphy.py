@@ -69,6 +69,16 @@ def test_index_matrix_rejects_non_finite_entries(bad):
             IndexMatrix(np.array([[1.0, bad], [bad, 1.0]]), **flags)
 
 
+def test_index_matrix_rejects_complex_entries():
+    for m in (np.array([[1 + 5j]]), [[1.0, 0.5j], [0.5j, 1.0]],
+              np.array([[1 + 1j * np.inf]]), np.array([[1 + 1j * np.nan]]),
+              np.array([[complex(np.nan, 0.0)]])):
+        with pytest.raises(DomainError):
+            IndexMatrix(m)
+    idx = IndexMatrix(np.array([[2 + 0j]]))
+    assert idx.m.dtype == np.float64 and idx.m[0, 0] == 2.0
+
+
 def test_rho_det_power_and_standard():
     assert rho_eval(Representation("det_power", 0), 3.7 * np.eye(2))[0, 0] == pytest.approx(1.0)
     assert rho_eval(Representation("det_power", 2), 2 * np.eye(2))[0, 0] == pytest.approx(16.0)

@@ -24,6 +24,10 @@ from sjkit.spaces import (
     act_jacobi,
     act_jacobi_disk,
     act_siegel,
+    cayley,
+    cayley_inv,
+    partial_cayley,
+    partial_cayley_inv,
     sample_point,
 )
 
@@ -204,6 +208,19 @@ def test_jacobi_actions_one_guard_and_base_action(monkeypatch, g, h):
     assert len(guards) == 2
     np.testing.assert_array_equal(out.omega, act_siegel(a.m, p.base).omega)
     np.testing.assert_array_equal(outd.w, act_disk(b.gs, q.base).w)
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+def test_partial_cayley_maps_one_guard_and_base_map(monkeypatch, g, h):
+    p = sample_point("disk_jacobi", g, h, seed=11)
+    q = sample_point("siegel_jacobi", g, h, seed=12)
+    guards = _count_calls(monkeypatch, np.linalg, "cond")
+    out = partial_cayley(p)
+    assert len(guards) == 1
+    outi = partial_cayley_inv(q)
+    assert len(guards) == 2
+    np.testing.assert_array_equal(out.omega, cayley(p.base).omega)
+    np.testing.assert_array_equal(outi.w, cayley_inv(q.base).w)
 
 
 @pytest.mark.parametrize("key,error", [

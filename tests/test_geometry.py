@@ -280,6 +280,12 @@ def test_laplacian_frames_are_metric_orthonormal(g, h):
         assert np.max(np.abs(gram - np.eye(len(frame)))) < 1e-12
 
 
+@pytest.mark.parametrize("a,b", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (0.0, 1.0), (1.0, -2.0)])
+def test_metric_params_must_be_finite_and_positive(a, b):
+    with pytest.raises(DomainError):
+        MetricParams(a, b)
+
+
 def test_laplacian_rejects_boundary_points():
     p = SiegelPoint([[1e-5j]])  # margin far below the stencil step
     with pytest.raises(DomainError):

@@ -23,6 +23,7 @@ from sjkit.groups import (
     theta,
     tstar_conjugate_oracle,
 )
+from sjkit import groups
 from sjkit.numkit import DomainError, rel_error
 
 
@@ -294,3 +295,72 @@ def test_heisenberg_rejects_non_finite_entries(slot, bad):
     for validate in (True, False):
         with pytest.raises(DomainError):
             HeisenbergElement(*parts, validate=validate)
+
+
+def test_heisenberg_rejects_complex_entries():
+    for lam in (0.5j, 1 + 1j * np.inf, 1 + 1j * np.nan, complex(np.inf, 0.0)):
+        with pytest.raises(DomainError):
+            HeisenbergElement(np.array([[lam]]), np.zeros((1, 1)), np.zeros((1, 1)))
+    for slot in range(3):
+        parts = [np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 1))]
+        parts[slot] = parts[slot] + 1e-3j
+        for validate in (True, False):
+            with pytest.raises(DomainError):
+                HeisenbergElement(*parts, validate=validate)
+    a = HeisenbergElement(np.array([[0.5 + 0j]]), np.zeros((1, 1)), np.zeros((1, 1)))
+    assert a.lam.dtype == np.float64 and a.lam[0, 0] == 0.5
+
+
+def _bytes(*arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def test_symplectic_j_and_cayley_matrix_match_np_block_forms():
+    for g in range(1, 6):
+        z, i = np.zeros((g, g)), np.eye(g)
+        assert _bytes(symplectic_j(g)) == _bytes(np.block([[z, i], [-i, z]]).astype(np.complex128))
+        want = np.block([[i, i], [1j * i, -1j * i]]) / np.sqrt(2.0)
+        assert _bytes(cayley_matrix(g)) == _bytes(want)
+
+
+def _np_block_sample_symplectic(rng, g, scale):
+    """_sample_symplectic as written with np.block, kept as the reference."""
+    j = np.real(np.block([[np.zeros((g, g)), np.eye(g)], [-np.eye(g), np.zeros((g, g))]]))
+    m = np.eye(2 * g)
+    for _ in range(int(rng.integers(4, 9))):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            b = rng.uniform(-scale, scale, (g, g))
+            b = (b + b.T) / 2
+            gen = np.block([[np.eye(g), b], [np.zeros((g, g)), np.eye(g)]])
+        elif kind == 1:
+            c = rng.uniform(-scale, scale, (g, g))
+            c = (c + c.T) / 2
+            gen = np.block([[np.eye(g), np.zeros((g, g))], [c, np.eye(g)]])
+        elif kind == 2:
+            a = np.eye(g) + rng.uniform(-scale, scale, (g, g)) / max(1, g)
+            gen = np.block([[a, np.zeros((g, g))], [np.zeros((g, g)), np.linalg.inv(a).T]])
+        else:
+            gen = j
+        m = m @ gen
+    return SymplecticMatrix(m)
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 2), (4, 3)])
+def test_sampled_elements_match_np_block_reference(g, h):
+    for seed in range(30):
+        rng = groups._rng([seed, groups._KIND_TAG["sp"]])
+        assert _bytes(sample_element("sp", g, h, seed=seed).m) == \
+            _bytes(_np_block_sample_symplectic(rng, g, 0.8).m)
+        rng = groups._rng([seed, groups._KIND_TAG["jacobi"]])
+        want = JacobiElement(_np_block_sample_symplectic(rng, g, 0.8),
+                             groups._sample_heisenberg(rng, g, h, 0.8))
+        got = sample_element("jacobi", g, h, seed=seed)
+        assert _bytes(got.m.m, got.hs.lam, got.hs.mu, got.hs.kappa) == \
+            _bytes(want.m.m, want.hs.lam, want.hs.mu, want.hs.kappa)
+        rng = groups._rng([seed, groups._KIND_TAG["gstarj"]])
+        want = theta(JacobiElement(_np_block_sample_symplectic(rng, g, 0.8),
+                                   groups._sample_heisenberg(rng, g, h, 0.8)))
+        got = sample_element("gstarj", g, h, seed=seed)
+        assert _bytes(got.gs.p, got.gs.q, got.hc.xi, got.hc.eta, got.hc.zeta) == \
+            _bytes(want.gs.p, want.gs.q, want.hc.xi, want.hc.eta, want.hc.zeta)

@@ -6,7 +6,9 @@ from sjkit.numkit import (
     DimensionError,
     DomainError,
     Tolerance,
+    _block,
     bracket,
+    frob,
     guarded_rsolve,
     hermitian_pd_margin,
     is_hermitian_pd,
@@ -121,3 +123,72 @@ def test_guarded_solve_raises_on_ill_conditioning():
     den = np.diag([1e13, 1.0]).astype(complex)
     with pytest.raises(ConditioningError):
         guarded_rsolve(np.eye(2), den)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _grids(g, h, rng):
+    """Every block grid the library assembles, on random blocks of its shapes."""
+    def r(m, n):
+        return rng.uniform(-1, 1, (m, n))
+
+    def c(m, n):
+        return r(m, n) + 1j * r(m, n)
+
+    i, z = np.eye(g), np.zeros((g, g))
+    cg = c(g, g)
+    return [
+        [[z, i], [-i, z]],
+        [[i, i], [1j * i, -1j * i]],
+        [[r(g, g).T, -r(g, g).T], [-r(g, g).T, r(g, g).T]],
+        [[cg, c(g, g)], [cg.conj(), cg.T.conj()]],
+        [[i, c(g, g)], [z, i]],
+        [[c(g, g), z], [z, c(g, g)]],
+        [[i, z], [c(g, g), i]],
+        [[r(g, g), np.zeros((g, h)), r(g, g), r(g, h)],
+         [r(h, g), np.eye(h), r(h, g), r(h, h)],
+         [r(g, g), np.zeros((g, h)), r(g, g), r(g, h)],
+         [np.zeros((h, g)), np.zeros((h, h)), np.zeros((h, g)), np.eye(h)]],
+        [[c(g, g), c(h, g).T], [c(h, g), np.eye(h) + 0.5j * r(h, h)]],
+        [[r(g, g)[::-1], c(g, 2 * g)[:, ::2]], [r(h, g), c(h, g)]],
+    ]
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (2, 2), (4, 3)])
+def test_block_matches_np_block(g, h):
+    rng = np.random.default_rng(10 * g + h)
+    for grid in _grids(g, h, rng):
+        # the same grid transposed, so that every block is Fortran-ordered
+        for grid in (grid, [[b.T for b in col] for col in zip(*grid)]):
+            got, want = _block(grid), np.block(grid)
+            _assert_same_bytes(got, want)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
+def test_block_rejects_ragged_grids():
+    with pytest.raises(DimensionError):
+        _block([[np.eye(2), np.eye(2)], [np.eye(2), np.eye(3)]])
+    with pytest.raises(ValueError):
+        _block([[np.eye(2), np.eye(2)], [np.eye(2)]])
+
+
+def test_frob_matches_linalg_norm():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(5, 6))
+    z = x + 1j * rng.normal(size=(5, 6))
+    cases = [x, z, x.T, z.T, x[::2, 1::3], z[::-1, ::2], z.real, z.imag,
+             np.arange(12).reshape(3, 4), np.zeros((0, 3)), np.zeros((0, 3), complex),
+             np.array([[np.inf, 1.0]]), np.array([[np.nan + 1j]]), x.astype(np.float32), x[0], z[:, 1]]
+    for n in range(1, 25):
+        y = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+        cases += [y, y + 1j * rng.normal(size=(n, n)), y.T[::2]]
+    for a in cases:
+        want = float(np.linalg.norm(a))
+        got = frob(a)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+    assert frob([[3, 4]]) == 5.0 and frob(-2.0) == 2.0 and frob([1j, 0]) == 1.0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sjkit.numkit import DomainError
@@ -52,3 +53,12 @@ def test_suites_pass_at_g2h2():
                  "laplacian-invariance"):
         r = run_suite(name, 2, 2, trials=5, seed=11)
         assert r.passed, f"{name}: max residual {r.max_residual}"
+
+
+def test_algebraic_suites_assemble_no_np_block(monkeypatch):
+    calls = []
+    inner = np.block
+    monkeypatch.setattr(np, "block", lambda *args, **kwargs: calls.append(1) or inner(*args, **kwargs))
+    for name in ("group-axioms", "theta-hom", "compat-29", "compat-37", "hc-reconstruct", "cocycle"):
+        assert run_suite(name, 2, 2, trials=1, seed=3).passed
+    assert calls == []
