@@ -81,7 +81,6 @@ from .geometry import (
     pushforward,
     sample_tangent,
     volume_density,
-    wirtinger_gradient,
 )
 from .automorphy import (
     IndexMatrix,

@@ -99,16 +99,20 @@ def _parse_rep(text: str) -> Representation:
     raise DimensionError("--rep expects 'det:k' or 'std'")
 
 
+def _element_and_point(payload, what: str):
+    """Decode an {'element': ..., 'point': ...} payload for the command what."""
+    if not isinstance(payload, dict) or "element" not in payload or "point" not in payload:
+        raise DimensionError(f"{what} input must be {{'element': ..., 'point': ...}}")
+    return decode_element(payload["element"]), decode_point(payload["point"])
+
+
 def _cmd_transform(args) -> int:
     payload = _read_input(args)
     if args.map in _PLAIN_MAPS:
         _emit(encode_point(_PLAIN_MAPS[args.map](decode_point(payload))))
         return 0
     if args.map in _ACTION_MAPS:
-        if not isinstance(payload, dict) or "element" not in payload or "point" not in payload:
-            raise DimensionError("action input must be {'element': ..., 'point': ...}")
-        el = decode_element(payload["element"])
-        pt = decode_point(payload["point"])
+        el, pt = _element_and_point(payload, "action")
         _emit(encode_point(_ACTION_MAPS[args.map](el, pt)))
         return 0
     raise DimensionError(f"unknown map {args.map!r}")
@@ -166,10 +170,7 @@ def _cmd_laplacian(args) -> int:
 
 def _cmd_decompose(args) -> int:
     payload = _read_input(args)
-    if not isinstance(payload, dict) or "element" not in payload or "point" not in payload:
-        raise DimensionError("decompose input must be {'element': ..., 'point': ...}")
-    el = decode_element(payload["element"])
-    pt = decode_point(payload["point"])
+    el, pt = _element_and_point(payload, "decompose")
     factors = decompose_full(el, pt)
     _emit(
         {
@@ -193,10 +194,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_jfactor(args) -> int:
     payload = _read_input(args)
-    if not isinstance(payload, dict) or "element" not in payload or "point" not in payload:
-        raise DimensionError("jfactor input must be {'element': ..., 'point': ...}")
-    el = decode_element(payload["element"])
-    pt = decode_point(payload["point"])
+    el, pt = _element_and_point(payload, "jfactor")
     idx = IndexMatrix(decode_real_matrix(json.loads(args.index_matrix), "index matrix"))
     rep = _parse_rep(args.rep)
     _emit({"matrix": encode_matrix(j_factor(idx, rep, el, pt))})

@@ -16,11 +16,12 @@ horizontally so that dZ - V Y^-1 dOmega vanishes on its base directions:
     Siegel-Jacobi   Y = L L^T              (L S L^T, V Y^-1 L S L^T) / sqrt(A)
                                            and (0, F L^T) / sqrt(B)
 
-The Wirtinger gradients use upper-triangle coordinates for the symmetric base
-variable: perturbing an off-diagonal coordinate moves both mirrored entries,
-and the (1 + delta)/2 weight is applied so that the matrix derivative of
-trace(B Omega) is exactly B for symmetric B.  The fiber gradient is arranged
-as a g x h matrix whose (l, k) entry differentiates the (k, l) fiber entry.
+The actions and the partial Cayley transform are holomorphic, so the real
+Jacobian determinant of such a map is |det|^2 of its complex differential.
+action_jacobian_det reads that differential off pushforward along the
+coordinate directions E_ii and E_ij + E_ji of the base and the unit h x g
+matrices of the fiber.  Every finite-difference operator here displaces
+points through the one chart _rebuild.
 """
 
 from __future__ import annotations
@@ -40,9 +41,15 @@ from .numkit import (
     as_cmatrix,
     frob,
     guarded_inv,
-    symmetry_defect,
 )
-from .spaces import DiskJacobiPoint, DiskPoint, SiegelJacobiPoint, SiegelPoint, partial_cayley
+from .spaces import (
+    DiskJacobiPoint,
+    DiskPoint,
+    SiegelJacobiPoint,
+    SiegelPoint,
+    _check_square_symmetric,
+    partial_cayley,
+)
 
 __all__ = [
     "TangentVector",
@@ -53,14 +60,12 @@ __all__ = [
     "metric_disk",
     "metric_sj",
     "pullback_metric_disk",
-    "wirtinger_gradient",
     "laplacian_siegel",
     "laplacian_disk",
     "laplacian_sj",
     "volume_density",
     "pushforward",
     "sample_tangent",
-    "real_coordinates",
     "action_jacobian_det",
 ]
 
@@ -75,10 +80,7 @@ class TangentVector:
 
     def __init__(self, dbase, dfiber=None, tol: Tolerance = DEFAULT_TOL):
         self.dbase = as_cmatrix(dbase, "dbase")
-        if self.dbase.shape[0] != self.dbase.shape[1]:
-            raise DimensionError(f"dbase must be square, got {self.dbase.shape}")
-        if symmetry_defect(self.dbase) > tol.algebraic_rel:
-            raise DomainError("dbase is not symmetric within tolerance")
+        _check_square_symmetric(self.dbase, "dbase", tol)
         self.dfiber = None if dfiber is None else as_cmatrix(dfiber, "dfiber")
 
     @property
@@ -238,69 +240,21 @@ def _pd_margin(p) -> float:
     return base.pd_margin()
 
 
-def _sym_coords(g: int):
-    """Upper-triangle coordinates (weight, direction matrix) of symmetric g x g."""
+def _sym_coords(g: int) -> list[np.ndarray]:
+    """E_ii and E_ij + E_ji (i < j): the upper-triangle directions of symmetric g x g."""
     out = []
     for mu in range(g):
         for nu in range(mu, g):
             e = np.zeros((g, g))
             e[mu, nu] = 1.0
             e[nu, mu] = 1.0
-            w = 1.0 if mu == nu else 0.5
-            out.append((mu, nu, w, e))
+            out.append(e)
     return out
 
 
-def _fiber_coords(h: int, g: int):
-    """(k, l, E_kl) over the unit h x g matrices."""
-    units = np.eye(h * g).reshape(-1, h, g)
-    return [(k, l, units[k * g + l]) for k in range(h) for l in range(g)]
-
-
-# ---------------------------------------------------------------------------
-# first derivatives
-
-
-def wirtinger_gradient(f: Callable, p, which: str, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Matrix of weighted Wirtinger derivatives of f at p by central differences.
-
-    which selects the variable: "base" / "base_bar" give the symmetric g x g
-    operator matrices; "fiber" / "fiber_bar" give the g x h arrangement.
-    """
-    base, fiber = _point_parts(p)
-    g = base.shape[0]
-    h = 1e-6 * max(1.0, point_norm(p))
-    if _pd_margin(p) <= 10 * h:
-        raise DomainError("point is too close to the boundary for the difference stencil")
-
-    def df(dirmat, to_fiber):
-        def ev(delta):
-            if to_fiber:
-                return f(_rebuild(p, base, fiber + delta, validate=False))
-            return f(_rebuild(p, base + delta, fiber, validate=False))
-
-        dx = (ev(h * dirmat) - ev(-h * dirmat)) / (2 * h)
-        dy = (ev(1j * h * dirmat) - ev(-1j * h * dirmat)) / (2 * h)
-        if which.endswith("_bar"):
-            return 0.5 * (dx + 1j * dy)
-        return 0.5 * (dx - 1j * dy)
-
-    if which in ("base", "base_bar"):
-        out = np.zeros((g, g), dtype=complex)
-        for mu, nu, w, e in _sym_coords(g):
-            d = w * df(e, False)
-            out[mu, nu] = d
-            out[nu, mu] = d
-        return out
-    if which in ("fiber", "fiber_bar"):
-        if fiber is None:
-            raise DimensionError("point has no fiber variable")
-        hh, gg = fiber.shape
-        out = np.zeros((gg, hh), dtype=complex)
-        for k, l, e in _fiber_coords(hh, gg):
-            out[l, k] = df(e, True)
-        return out
-    raise DomainError(f"unknown derivative selector: {which!r}")
+def _fiber_coords(h: int, g: int) -> np.ndarray:
+    """The unit h x g matrices, row-major."""
+    return np.eye(h * g).reshape(-1, h, g)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +263,7 @@ def wirtinger_gradient(f: Callable, p, which: str, tol: Tolerance = DEFAULT_TOL)
 
 def _sym_basis(g: int) -> list[np.ndarray]:
     """E_ii and (E_ij + E_ji)/sqrt(2): orthonormal for trace(S S')."""
-    return [e / np.linalg.norm(e) for *_, e in _sym_coords(g)]
+    return [e / np.linalg.norm(e) for e in _sym_coords(g)]
 
 
 def _siegel_frame(omega: np.ndarray, z=None) -> list:
@@ -330,7 +284,7 @@ def _sj_frame(params: MetricParams, omega: np.ndarray, z: np.ndarray) -> list:
     l = np.linalg.cholesky(y)
     lift = np.imag(z) @ guarded_inv(y.astype(complex), "Im(omega)")
     base = [l @ s @ l.T / np.sqrt(params.a) for s in _sym_basis(len(y))]
-    fiber = [e @ l.T / np.sqrt(params.b) for *_, e in _fiber_coords(*z.shape)]
+    fiber = [e @ l.T / np.sqrt(params.b) for e in _fiber_coords(*z.shape)]
     return [(d, lift @ d) for d in base] + [(np.zeros_like(y), d) for d in fiber]
 
 
@@ -422,53 +376,18 @@ def sample_tangent(g: int, h: int | None = None, seed: int = 0, scale: float = 1
     return TangentVector(csym(), dfiber)
 
 
-def real_coordinates(p) -> np.ndarray:
-    """Flatten a point to its independent real coordinates.
-
-    Order: upper-triangle of Re(base), upper-triangle of Im(base), then
-    Re(fiber) and Im(fiber) row-major.
-    """
-    base, fiber = _point_parts(p)
-    g = base.shape[0]
-    iu = np.triu_indices(g)
-    parts = [np.real(base)[iu], np.imag(base)[iu]]
-    if fiber is not None:
-        parts += [np.real(fiber).ravel(), np.imag(fiber).ravel()]
-    return np.concatenate(parts)
-
-
-def _from_real_coordinates(p, coords: np.ndarray):
-    base, fiber = _point_parts(p)
-    g = base.shape[0]
-    iu = np.triu_indices(g)
-    nsym = len(iu[0])
-    re = np.zeros((g, g))
-    im = np.zeros((g, g))
-    re[iu] = coords[:nsym]
-    im[iu] = coords[nsym : 2 * nsym]
-    re = re + re.T - np.diag(np.diag(re))
-    im = im + im.T - np.diag(np.diag(im))
-    nb = 2 * nsym
-    nf = None
-    if fiber is not None:
-        hh, gg = fiber.shape
-        k = hh * gg
-        nf = coords[nb : nb + k].reshape(hh, gg) + 1j * coords[nb + k : nb + 2 * k].reshape(hh, gg)
-    return _rebuild(p, re + 1j * im, nf, validate=False)
-
-
 def action_jacobian_det(map_fn: Callable, p, tol: Tolerance = DEFAULT_TOL) -> float:
-    """|det| of the differential of map_fn in the real coordinates of p."""
-    x0 = real_coordinates(p)
-    n = x0.size
-    h = FD_FIRST_STEP * max(1.0, point_norm(p))
-    jac = np.zeros((n, n))
-    for k in range(n):
-        xp = x0.copy()
-        xp[k] += h
-        xm = x0.copy()
-        xm[k] -= h
-        fp = real_coordinates(map_fn(_from_real_coordinates(p, xp)))
-        fm = real_coordinates(map_fn(_from_real_coordinates(p, xm)))
-        jac[:, k] = (fp - fm) / (2 * h)
-    return abs(float(np.linalg.det(jac)))
+    """|det| of the differential of the holomorphic map_fn in the real
+    coordinates of p: |det|^2 of its complex differential in the upper
+    triangle of the base and the fiber row-major."""
+    base, fiber = _point_parts(p)
+    iu = np.triu_indices(len(base))
+    dirs = [TangentVector(e) for e in _sym_coords(len(base))]
+    if fiber is not None:
+        dirs += [TangentVector(np.zeros_like(base), e) for e in _fiber_coords(*fiber.shape)]
+    cols = []
+    for v in dirs:
+        dv = pushforward(map_fn, p, v, tol)
+        col = dv.dbase[iu]
+        cols.append(col if dv.dfiber is None else np.concatenate([col, dv.dfiber.ravel()]))
+    return abs(complex(np.linalg.det(np.array(cols).T))) ** 2

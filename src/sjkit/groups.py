@@ -18,6 +18,7 @@ from .numkit import (
     DomainError,
     Tolerance,
     _block,
+    _freeze,
     as_cmatrix,
     frob,
     rel_error,
@@ -60,12 +61,6 @@ def cayley_matrix(n: int) -> np.ndarray:
     """The unitary 2n x 2n matrix (1/sqrt 2) [[I, I], [iI, -iI]]."""
     i = np.eye(n)
     return _block([[i, i], [1j * i, -1j * i]]) / np.sqrt(2.0)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 def _as_real(a, name: str, tol: Tolerance) -> np.ndarray:

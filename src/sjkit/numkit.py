@@ -83,11 +83,19 @@ class Tolerance:
 
     def __post_init__(self):
         for name in ("algebraic_rel", "fd_first_rel", "fd_second_rel", "pd_min_eig"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"tolerance field {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"tolerance field {name} must be finite and positive")
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """a as a read-only C-contiguous array: a itself when it already is one."""
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d complex128 array and require finite entries."""

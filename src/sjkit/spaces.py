@@ -23,6 +23,7 @@ from .numkit import (
     DimensionError,
     DomainError,
     Tolerance,
+    _freeze,
     as_cmatrix,
     guarded_rsolve,
     hermitian_pd_margin,
@@ -46,12 +47,6 @@ __all__ = [
     "check_compatibility",
     "sample_point",
 ]
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 def _check_square_symmetric(m: np.ndarray, name: str, tol: Tolerance) -> None:

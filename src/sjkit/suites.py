@@ -9,6 +9,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -97,27 +98,14 @@ def _scalar_rel(x: float, y: float) -> float:
 # element distances
 
 
-def _dist_jacobi(a: JacobiElement, b: JacobiElement) -> float:
-    return max(
-        rel_error(a.m.m, b.m.m),
-        rel_error(a.hs.lam, b.hs.lam),
-        rel_error(a.hs.mu, b.hs.mu),
-        rel_error(a.hs.kappa, b.hs.kappa),
-    )
+_JACOBI = attrgetter("m.m", "hs.lam", "hs.mu", "hs.kappa")
+_HEIS = attrgetter("lam", "mu", "kappa")
+_GSTARJ = attrgetter("gs.p", "gs.q", "hc.xi", "hc.eta", "hc.zeta")
 
 
-def _dist_heis(a, b) -> float:
-    return max(rel_error(a.lam, b.lam), rel_error(a.mu, b.mu), rel_error(a.kappa, b.kappa))
-
-
-def _dist_gstarj(a, b) -> float:
-    return max(
-        rel_error(a.gs.p, b.gs.p),
-        rel_error(a.gs.q, b.gs.q),
-        rel_error(a.hc.xi, b.hc.xi),
-        rel_error(a.hc.eta, b.hc.eta),
-        rel_error(a.hc.zeta, b.hc.zeta),
-    )
+def _dist(fields: attrgetter, a, b) -> float:
+    """The worst rel_error over the paired fields of two elements."""
+    return max(rel_error(x, y) for x, y in zip(fields(a), fields(b), strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -127,30 +115,30 @@ def _dist_gstarj(a, b) -> float:
 def _trial_group_axioms(g: int, h: int, s: int) -> float:
     a, b, c = (sample_element("jacobi", g, h, s + k) for k in range(3))
     e = JacobiElement.identity(g, h)
-    res = _dist_jacobi(jacobi_mul(jacobi_mul(a, b), c), jacobi_mul(a, jacobi_mul(b, c)))
-    res = max(res, _dist_jacobi(jacobi_mul(a, e), a), _dist_jacobi(jacobi_mul(e, a), a))
-    res = max(res, _dist_jacobi(jacobi_mul(a, jacobi_inv(a)), e))
-    res = max(res, _dist_jacobi(jacobi_mul(jacobi_inv(a), a), e))
+    res = _dist(_JACOBI, jacobi_mul(jacobi_mul(a, b), c), jacobi_mul(a, jacobi_mul(b, c)))
+    res = max(res, _dist(_JACOBI, jacobi_mul(a, e), a), _dist(_JACOBI, jacobi_mul(e, a), a))
+    res = max(res, _dist(_JACOBI, jacobi_mul(a, jacobi_inv(a)), e))
+    res = max(res, _dist(_JACOBI, jacobi_mul(jacobi_inv(a), a), e))
 
     ha, hb, hc = (sample_element("heisenberg", g, h, s + 3 + k) for k in range(3))
     he = HeisenbergElement.identity(g, h)
-    res = max(res, _dist_heis(heisenberg_mul(heisenberg_mul(ha, hb), hc),
-                              heisenberg_mul(ha, heisenberg_mul(hb, hc))))
-    res = max(res, _dist_heis(heisenberg_mul(ha, he), ha))
+    res = max(res, _dist(_HEIS, heisenberg_mul(heisenberg_mul(ha, hb), hc),
+                         heisenberg_mul(ha, heisenberg_mul(hb, hc))))
+    res = max(res, _dist(_HEIS, heisenberg_mul(ha, he), ha))
 
     sa, sb, sc = (sample_element("gstarj", g, h, s + 6 + k) for k in range(3))
     se = GStarJacobiElement.identity(g, h)
-    res = max(res, _dist_gstarj(gstarj_mul(gstarj_mul(sa, sb), sc),
-                                gstarj_mul(sa, gstarj_mul(sb, sc))))
-    res = max(res, _dist_gstarj(gstarj_mul(sa, se), sa), _dist_gstarj(gstarj_mul(se, sa), sa))
-    res = max(res, _dist_gstarj(gstarj_mul(sa, gstarj_inv(sa)), se))
+    res = max(res, _dist(_GSTARJ, gstarj_mul(gstarj_mul(sa, sb), sc),
+                         gstarj_mul(sa, gstarj_mul(sb, sc))))
+    res = max(res, _dist(_GSTARJ, gstarj_mul(sa, se), sa), _dist(_GSTARJ, gstarj_mul(se, sa), sa))
+    res = max(res, _dist(_GSTARJ, gstarj_mul(sa, gstarj_inv(sa)), se))
     return res
 
 
 def _trial_theta_hom(g: int, h: int, s: int) -> float:
     a = sample_element("jacobi", g, h, s)
     b = sample_element("jacobi", g, h, s + 1)
-    res = _dist_gstarj(theta(jacobi_mul(a, b)), gstarj_mul(theta(a), theta(b)))
+    res = _dist(_GSTARJ, theta(jacobi_mul(a, b)), gstarj_mul(theta(a), theta(b)))
     res = max(res, tstar_agreement_residual(a))
     ea, eb = embed_sp_gph(a), embed_sp_gph(b)
     res = max(res, rel_error(embed_sp_gph(jacobi_mul(a, b)), ea @ eb))

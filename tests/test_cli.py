@@ -156,6 +156,22 @@ def test_exit_code_malformed_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("transform", "--map", "act-jacobi-disk"), "action"),
+        (("decompose",), "decompose"),
+        (("jfactor", "--index-matrix", "[[1]]"), "jfactor"),
+    ],
+    ids=["transform", "decompose", "jfactor"],
+)
+def test_element_point_commands_require_point(capsys, argv, what):
+    payload = json.dumps({"element": encode_element(sample_element("gstarj", 1, 1, seed=3))})
+    code, out, err = run_cli(capsys, *argv, "--input", payload)
+    assert code == 2 and out == "" and "input error" in err
+    assert f"{what} input must be" in err
+
+
 def test_exit_code_domain_violation(capsys):
     code, _, err = run_cli(capsys, "transform", "--map", "cayley", "--input", '{"w":[[[2,0]]]}')
     assert code == 3 and "domain error" in err

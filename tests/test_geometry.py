@@ -19,10 +19,9 @@ from sjkit.geometry import (
     pushforward,
     sample_tangent,
     volume_density,
-    wirtinger_gradient,
 )
 from sjkit.groups import conjugate_by_T, sample_element
-from sjkit.numkit import DomainError, rel_error
+from sjkit.numkit import DEFAULT_TOL, DomainError, rel_error
 from sjkit.spaces import (
     DiskJacobiPoint,
     DiskPoint,
@@ -124,50 +123,6 @@ def test_cayley_isometry():
             lhs = metric_disk(p, v)
             rhs = metric_siegel(cayley(p), pushforward(cayley, p, v))
             assert abs(lhs - rhs) / max(1, abs(lhs)) < 1e-5
-
-
-# -- Wirtinger gradients ------------------------------------------------------
-
-
-def test_wirtinger_holomorphic_trace():
-    p = SiegelPoint([[0.4 + 0.9j]])
-    g = wirtinger_gradient(lambda q: complex(np.trace(q.omega)), p, "base")
-    assert g[0, 0] == pytest.approx(1.0, abs=1e-8)
-    gbar = wirtinger_gradient(lambda q: complex(np.trace(q.omega)), p, "base_bar")
-    assert abs(gbar[0, 0]) < 1e-8
-
-
-def test_wirtinger_of_imaginary_part():
-    p = SiegelPoint([[0.4 + 0.9j]])
-    f = lambda q: float(np.imag(q.omega[0, 0]))
-    assert wirtinger_gradient(f, p, "base")[0, 0] == pytest.approx(1 / 2j, abs=1e-8)
-    assert wirtinger_gradient(f, p, "base_bar")[0, 0] == pytest.approx(-1 / 2j, abs=1e-8)
-
-
-def test_wirtinger_fiber_real_part():
-    p = SiegelJacobiPoint(SiegelPoint([[1j]]), [[0.2 + 0.1j]])
-    f = lambda q: float(np.real(q.z[0, 0]))
-    assert wirtinger_gradient(f, p, "fiber")[0, 0] == pytest.approx(0.5, abs=1e-8)
-    assert wirtinger_gradient(f, p, "fiber_bar")[0, 0] == pytest.approx(0.5, abs=1e-8)
-    hol = lambda q: complex(q.z[0, 0])
-    assert abs(wirtinger_gradient(hol, p, "fiber_bar")[0, 0]) < 1e-8
-
-
-def test_wirtinger_fiber_arrangement():
-    # gradient of z_{k,l} sits at output entry (l, k)
-    p = SiegelJacobiPoint(SiegelPoint(1j * np.eye(2)), np.array([[0.1 + 0j, 0.2 + 0j]]))
-    g = wirtinger_gradient(lambda q: complex(q.z[0, 1]), p, "fiber")
-    assert g.shape == (2, 1)
-    assert g[1, 0] == pytest.approx(1.0, abs=1e-8)
-    assert abs(g[0, 0]) < 1e-8
-
-
-def test_wirtinger_matrix_calculus_identity():
-    # the weighted symmetric convention gives d trace(B Omega) / d Omega = B
-    b = np.array([[0.7, -0.3], [-0.3, 1.1]])
-    p = sample_point("siegel", 2, 1, seed=3)
-    g = wirtinger_gradient(lambda q: complex(np.trace(b @ q.omega)), p, "base")
-    assert np.max(np.abs(g - b)) < 1e-8
 
 
 # -- Laplacians ---------------------------------------------------------------
@@ -331,6 +286,32 @@ def test_volume_invariance():
             lhs = volume_density(act_jacobi(a, p)) * det_j
             rhs = volume_density(p)
             assert abs(lhs - rhs) / max(1.0, rhs) < 1e-4
+
+
+def _abs_det_j(m, omega) -> float:
+    """|det(C Omega + D)| for the symplectic part m."""
+    return abs(np.linalg.det(m.c @ omega + m.d))
+
+
+@pytest.mark.parametrize("g, h", [(2, 2), (3, 2), (4, 3)])
+def test_jacobian_det_jacobi_action_closed_form(g, h):
+    # J-H. Yang, J. Number Theory 127 (2007): |det(C Omega + D)|^-2(g+h+1)
+    for seed in range(3):
+        a = sample_element("jacobi", g, h, seed=seed)
+        p = sample_point("siegel_jacobi", g, h, seed=seed + 1)
+        got = action_jacobian_det(lambda q: act_jacobi(a, q), p)
+        want = _abs_det_j(a.m, p.omega) ** (-2 * (g + h + 1))
+        assert abs(got - want) <= DEFAULT_TOL.fd_first_rel * want
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_jacobian_det_siegel_action_closed_form(g):
+    for seed in range(3):
+        m = sample_element("sp", g, 1, seed=seed)
+        p = sample_point("siegel", g, 1, seed=seed + 1)
+        got = action_jacobian_det(lambda q: act_siegel(m, q), p)
+        want = _abs_det_j(m, p.omega) ** (-2 * (g + 1))
+        assert abs(got - want) <= DEFAULT_TOL.fd_first_rel * want
 
 
 def test_tangent_vector_validation():

@@ -119,6 +119,13 @@ def test_tolerance_requires_positive_fields():
         Tolerance(algebraic_rel=0.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["algebraic_rel", "fd_first_rel", "fd_second_rel", "pd_min_eig"])
+def test_tolerance_requires_finite_fields(name, value):
+    with pytest.raises(DomainError, match=name):
+        Tolerance(**{name: value})
+
+
 def test_guarded_solve_raises_on_ill_conditioning():
     den = np.diag([1e13, 1.0]).astype(complex)
     with pytest.raises(ConditioningError):
