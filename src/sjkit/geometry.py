@@ -17,11 +17,14 @@ horizontally so that dZ - V Y^-1 dOmega vanishes on its base directions:
                                            and (0, F L^T) / sqrt(B)
 
 The actions and the partial Cayley transform are holomorphic, so the real
-Jacobian determinant of such a map is |det|^2 of its complex differential.
-action_jacobian_det reads that differential off pushforward along the
-coordinate directions E_ii and E_ij + E_ji of the base and the unit h x g
-matrices of the fiber.  Every finite-difference operator here displaces
-points through the one chart _rebuild.
+Jacobian determinant of such a map is |det|^2 of its complex differential,
+read off the images of the coordinate directions E_ii and E_ij + E_ji of
+the base and the unit h x g matrices of the fiber.  Each of those maps
+returns its exact differential along given tangent vectors (see spaces):
+pullback_metric_disk and the metric- and volume-invariance suites use it.
+pushforward and action_jacobian_det are the finite-difference oracles for
+those differentials, kept to check them.  Every finite-difference operator
+here displaces points through the one chart _rebuild.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .numkit import (
     DimensionError,
     DomainError,
     Tolerance,
-    as_cmatrix,
     frob,
     guarded_inv,
 )
@@ -47,7 +49,7 @@ from .spaces import (
     DiskPoint,
     SiegelJacobiPoint,
     SiegelPoint,
-    _check_square_symmetric,
+    TangentVector,
     partial_cayley,
 )
 
@@ -71,32 +73,6 @@ __all__ = [
 
 FD_FIRST_STEP = 1e-6
 FD_SECOND_STEP = 1e-4
-
-
-class TangentVector:
-    """A symmetric base displacement plus an optional fiber displacement."""
-
-    __slots__ = ("dbase", "dfiber")
-
-    def __init__(self, dbase, dfiber=None, tol: Tolerance = DEFAULT_TOL):
-        self.dbase = as_cmatrix(dbase, "dbase")
-        _check_square_symmetric(self.dbase, "dbase", tol)
-        self.dfiber = None if dfiber is None else as_cmatrix(dfiber, "dfiber")
-
-    @property
-    def g(self) -> int:
-        return self.dbase.shape[0]
-
-    def norm(self) -> float:
-        n2 = frob(self.dbase) ** 2
-        if self.dfiber is not None:
-            n2 += frob(self.dfiber) ** 2
-        return float(np.sqrt(n2))
-
-    def scaled(self, t: float) -> "TangentVector":
-        return TangentVector(
-            t * self.dbase, None if self.dfiber is None else t * self.dfiber
-        )
 
 
 @dataclass(frozen=True)
@@ -196,8 +172,7 @@ def pullback_metric_disk(params: MetricParams, p: DiskJacobiPoint, v: TangentVec
                          tol: Tolerance = DEFAULT_TOL) -> float:
     """The invariant metric on the bounded model, realized as the pullback of
     the unbounded-model metric through the partial Cayley transform."""
-    moved = partial_cayley(p, tol)
-    dv = pushforward(lambda q: partial_cayley(q, tol), p, v, tol)
+    moved, (dv,) = partial_cayley(p, tol, dirs=[v])
     return metric_sj(params, moved, dv, tol)
 
 
@@ -376,18 +351,28 @@ def sample_tangent(g: int, h: int | None = None, seed: int = 0, scale: float = 1
     return TangentVector(csym(), dfiber)
 
 
-def action_jacobian_det(map_fn: Callable, p, tol: Tolerance = DEFAULT_TOL) -> float:
-    """|det| of the differential of the holomorphic map_fn in the real
-    coordinates of p: |det|^2 of its complex differential in the upper
-    triangle of the base and the fiber row-major."""
+def _coordinate_dirs(p) -> list[TangentVector]:
+    """E_ii and E_ij + E_ji (i < j) on the base, then the unit h x g matrices
+    on the fiber when p has one: the complex coordinate directions at p."""
     base, fiber = _point_parts(p)
-    iu = np.triu_indices(len(base))
     dirs = [TangentVector(e) for e in _sym_coords(len(base))]
     if fiber is not None:
         dirs += [TangentVector(np.zeros_like(base), e) for e in _fiber_coords(*fiber.shape)]
-    cols = []
-    for v in dirs:
-        dv = pushforward(map_fn, p, v, tol)
-        col = dv.dbase[iu]
-        cols.append(col if dv.dfiber is None else np.concatenate([col, dv.dfiber.ravel()]))
+    return dirs
+
+
+def _abs_det2(pushed: list[TangentVector]) -> float:
+    """|det|^2 of the complex Jacobian whose columns are the images of the
+    _coordinate_dirs, read in the upper triangle of the base and the fiber
+    row-major."""
+    iu = np.triu_indices(pushed[0].g)
+    cols = [v.dbase[iu] if v.dfiber is None else np.concatenate([v.dbase[iu], v.dfiber.ravel()])
+            for v in pushed]
     return abs(complex(np.linalg.det(np.array(cols).T))) ** 2
+
+
+def action_jacobian_det(map_fn: Callable, p, tol: Tolerance = DEFAULT_TOL) -> float:
+    """|det| of the differential of the holomorphic map_fn in the real
+    coordinates of p, by finite differences: |det|^2 of its complex
+    differential in the upper triangle of the base and the fiber row-major."""
+    return _abs_det2([pushforward(map_fn, p, v, tol) for v in _coordinate_dirs(p)])

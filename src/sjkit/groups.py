@@ -79,11 +79,10 @@ class SymplecticMatrix:
     __slots__ = ("m", "g")
 
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        m = as_cmatrix(m, "symplectic matrix")
-        if m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise DimensionError(f"expected a 2g x 2g matrix, got {m.shape}")
-        self.m = _freeze(m)
-        self.g = m.shape[0] // 2
+        self.m = _freeze(as_cmatrix(m, "symplectic matrix"), m)
+        if self.m.shape[0] != self.m.shape[1] or self.m.shape[0] % 2:
+            raise DimensionError(f"expected a 2g x 2g matrix, got {self.m.shape}")
+        self.g = self.m.shape[0] // 2
         if validate:
             self.validate(tol)
 
@@ -129,9 +128,9 @@ class HeisenbergElement:
     __slots__ = ("lam", "mu", "kappa", "g", "h")
 
     def __init__(self, lam, mu, kappa, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        self.lam = _freeze(_as_real(lam, "lam", tol))
-        self.mu = _freeze(_as_real(mu, "mu", tol))
-        self.kappa = _freeze(_as_real(kappa, "kappa", tol))
+        self.lam = _freeze(_as_real(lam, "lam", tol), lam)
+        self.mu = _freeze(_as_real(mu, "mu", tol), mu)
+        self.kappa = _freeze(_as_real(kappa, "kappa", tol), kappa)
         if self.lam.ndim != 2 or self.mu.shape != self.lam.shape:
             raise DimensionError("lam and mu must be h x g matrices of equal shape")
         self.h, self.g = self.lam.shape
@@ -191,8 +190,8 @@ class GStarElement:
     __slots__ = ("p", "q", "g")
 
     def __init__(self, p, q, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        self.p = _freeze(as_cmatrix(p, "P"))
-        self.q = _freeze(as_cmatrix(q, "Q"))
+        self.p = _freeze(as_cmatrix(p, "P"), p)
+        self.q = _freeze(as_cmatrix(q, "Q"), q)
         if self.p.shape[0] != self.p.shape[1] or self.p.shape != self.q.shape:
             raise DimensionError("P and Q must be square matrices of equal size")
         self.g = self.p.shape[0]
@@ -225,9 +224,9 @@ class ComplexHeisenbergElement:
     __slots__ = ("xi", "eta", "zeta", "g", "h")
 
     def __init__(self, xi, eta, zeta, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        self.xi = _freeze(as_cmatrix(xi, "xi"))
-        self.eta = _freeze(as_cmatrix(eta, "eta"))
-        self.zeta = _freeze(as_cmatrix(zeta, "zeta"))
+        self.xi = _freeze(as_cmatrix(xi, "xi"), xi)
+        self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
+        self.zeta = _freeze(as_cmatrix(zeta, "zeta"), zeta)
         if self.eta.shape != self.xi.shape:
             raise DimensionError("xi and eta must have equal shape")
         self.h, self.g = self.xi.shape
@@ -301,7 +300,7 @@ class BigComplexGroupElement:
     __slots__ = ("block", "hc", "g")
 
     def __init__(self, block, hc: ComplexHeisenbergElement, validate: bool = True):
-        self.block = _freeze(as_cmatrix(block, "block"))
+        self.block = _freeze(as_cmatrix(block, "block"), block)
         n = self.block.shape[0]
         if self.block.shape[1] != n or n % 2:
             raise DimensionError(f"block must be 2g x 2g, got {self.block.shape}")

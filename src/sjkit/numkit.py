@@ -90,10 +90,19 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """a as a read-only C-contiguous array: a itself when it already is one."""
+def _freeze(a: np.ndarray, src) -> np.ndarray:
+    """a, coerced from the caller's src, as a read-only C-contiguous array.
+
+    A writeable a that shares memory with src is copied first, so the
+    caller's array keeps its flags and a later write to it cannot reach the
+    frozen one; an a that is already read-only is returned as it is.
+    """
     a = np.ascontiguousarray(a)
-    a.setflags(write=False)
+    if a.flags.writeable:
+        # only src itself or a view (a.base set) can share its memory
+        if a is src or (a.base is not None and np.may_share_memory(a, src)):
+            a = a.copy()
+        a.setflags(write=False)
     return a
 
 

@@ -5,6 +5,17 @@ definite imaginary part; points of the bounded model carry a symmetric W with
 I - W conj(W) positive definite.  Both extend by an h x g fiber coordinate.
 Actions re-symmetrize their output and record the defect, which must stay
 below the algebraic tolerance.
+
+The actions and the (partial) Cayley transform are fractional-linear,
+x' = (a x + b) J^-1 with fiber z' = f J^-1 and J = c x + d, so each has the
+exact differential
+
+    dx' = (a - x'c) dx J^-1,    dz' = (df - z'c dx) J^-1,
+
+with df = dZ + lam dOmega for act_jacobi, deta + xi dW for act_jacobi_disk
+and 2i deta for partial_cayley.  Given tangent vectors (dirs=...), a map
+also returns their images under it; its one guarded solve then returns J^-1
+as well, by stacking I under the numerator.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .numkit import (
     Tolerance,
     _freeze,
     as_cmatrix,
+    frob,
     guarded_rsolve,
     hermitian_pd_margin,
     rel_error,
@@ -36,6 +48,7 @@ __all__ = [
     "DiskPoint",
     "SiegelJacobiPoint",
     "DiskJacobiPoint",
+    "TangentVector",
     "act_siegel",
     "act_disk",
     "act_jacobi",
@@ -62,7 +75,7 @@ class SiegelPoint:
     __slots__ = ("omega",)
 
     def __init__(self, omega, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        self.omega = _freeze(as_cmatrix(omega, "omega"))
+        self.omega = _freeze(as_cmatrix(omega, "omega"), omega)
         if validate:
             self.validate(tol)
 
@@ -96,7 +109,7 @@ class DiskPoint:
     __slots__ = ("w",)
 
     def __init__(self, w, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        self.w = _freeze(as_cmatrix(w, "w"))
+        self.w = _freeze(as_cmatrix(w, "w"), w)
         if validate:
             self.validate(tol)
 
@@ -129,7 +142,7 @@ class SiegelJacobiPoint:
         if not isinstance(base, SiegelPoint):
             base = SiegelPoint(base, tol)
         self.base = base
-        self.z = _freeze(as_cmatrix(z, "z"))
+        self.z = _freeze(as_cmatrix(z, "z"), z)
         if self.z.shape[1] != base.g:
             raise DimensionError(f"z must have {base.g} columns, got {self.z.shape}")
 
@@ -166,7 +179,7 @@ class DiskJacobiPoint:
         if not isinstance(base, DiskPoint):
             base = DiskPoint(base, tol)
         self.base = base
-        self.eta = _freeze(as_cmatrix(eta, "eta"))
+        self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
         if self.eta.shape[1] != base.g:
             raise DimensionError(f"eta must have {base.g} columns, got {self.eta.shape}")
 
@@ -186,6 +199,32 @@ class DiskJacobiPoint:
         return f"DiskJacobiPoint(g={self.g}, h={self.h})"
 
 
+class TangentVector:
+    """A symmetric base displacement plus an optional fiber displacement."""
+
+    __slots__ = ("dbase", "dfiber")
+
+    def __init__(self, dbase, dfiber=None, tol: Tolerance = DEFAULT_TOL):
+        self.dbase = as_cmatrix(dbase, "dbase")
+        _check_square_symmetric(self.dbase, "dbase", tol)
+        self.dfiber = None if dfiber is None else as_cmatrix(dfiber, "dfiber")
+
+    @property
+    def g(self) -> int:
+        return self.dbase.shape[0]
+
+    def norm(self) -> float:
+        n2 = frob(self.dbase) ** 2
+        if self.dfiber is not None:
+            n2 += frob(self.dfiber) ** 2
+        return float(np.sqrt(n2))
+
+    def scaled(self, t: float) -> "TangentVector":
+        return TangentVector(
+            t * self.dbase, None if self.dfiber is None else t * self.dfiber
+        )
+
+
 # ---------------------------------------------------------------------------
 # actions
 
@@ -197,76 +236,150 @@ def _symmetrized(m: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def _fractional_linear(a, b, c, d, x, fiber, tol: Tolerance, context: str, what: str):
-    """(a x + b)(c x + d)^-1 symmetrized, and fiber (c x + d)^-1, in one guarded solve."""
-    num = a @ x + b if fiber is None else np.vstack([a @ x + b, fiber])
-    out = guarded_rsolve(num, c @ x + d, context)
-    return _symmetrized(out[:x.shape[0]], tol, what), out[x.shape[0]:]
+def _displacements(dirs, x: np.ndarray, fiber: np.ndarray | None = None, lift=None):
+    """The (dx, df) pairs of tangent vectors at (x, fiber) for a map whose
+    numerator fiber moves by df = dfiber + lift dx; None when dirs is None."""
+    if dirs is None:
+        return None
+    out = []
+    for v in dirs:
+        df = v.dfiber
+        if fiber is None:
+            df = None
+        elif df is None:
+            df = np.zeros_like(fiber)
+        if v.dbase.shape != x.shape or (df is not None and df.shape != fiber.shape):
+            raise DimensionError(f"tangent vector does not fit a point of shape {x.shape}")
+        out.append((v.dbase, df if lift is None else df + lift @ v.dbase))
+    return out
 
 
-def act_siegel(m: SymplecticMatrix, p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> SiegelPoint:
-    """Fractional linear action (A omega + B)(C omega + D)^-1."""
+def _stacked_rsolve(top, fiber, den, context: str, with_inverse: bool):
+    """top den^-1, fiber den^-1 and, if with_inverse, den^-1 itself, from one
+    guarded solve of the stacked numerator."""
+    n = den.shape[0]
+    parts = [m for m in (top, fiber, np.eye(n) if with_inverse else None) if m is not None]
+    out = guarded_rsolve(parts[0] if len(parts) == 1 else np.vstack(parts), den, context)
+    k = n if fiber is None else n + fiber.shape[0]
+    return out[:n], out[n:k], out[k:]
+
+
+def _pushed(lead, c, z, jinv, dirs, tol: Tolerance) -> list[TangentVector]:
+    """(lead dx J^-1 symmetrized, (df - z c dx) J^-1) for each (dx, df) in dirs,
+    with lead = a - x'c: the exact differential of a fractional-linear map."""
+    out = []
+    for dx, df in dirs:
+        dx2 = lead @ dx @ jinv
+        out.append(TangentVector((dx2 + dx2.T) / 2,
+                                 None if df is None else (df - z @ (c @ dx)) @ jinv, tol))
+    return out
+
+
+def _fractional_linear(a, b, c, d, x, fiber, tol: Tolerance, context: str, what: str,
+                       dirs=None):
+    """(a x + b)(c x + d)^-1 symmetrized, fiber (c x + d)^-1 and, given (dx, df)
+    pairs, their pushforwards, in one guarded solve."""
+    top, z, jinv = _stacked_rsolve(a @ x + b, fiber, c @ x + d, context, dirs is not None)
+    out = _symmetrized(top, tol, what)
+    return out, z, None if dirs is None else _pushed(a - out @ c, c, z, jinv, dirs, tol)
+
+
+def act_siegel(m: SymplecticMatrix, p: SiegelPoint, tol: Tolerance = DEFAULT_TOL,
+               dirs=None):
+    """Fractional linear action (A omega + B)(C omega + D)^-1.
+
+    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    """
     if m.g != p.g:
         raise DimensionError(f"degree mismatch: element g={m.g}, point g={p.g}")
-    om, _ = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, tol,
-                               "C omega + D", "siegel action")
-    return SiegelPoint(om, tol)
+    om, _, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, tol,
+                                       "C omega + D", "siegel action",
+                                       _displacements(dirs, p.omega))
+    out = SiegelPoint(om, tol)
+    return out if dirs is None else (out, pushed)
 
 
-def act_disk(gs: GStarElement, p: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
-    """Fractional linear action (P W + Q)(conj(Q) W + conj(P))^-1."""
+def act_disk(gs: GStarElement, p: DiskPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
+    """Fractional linear action (P W + Q)(conj(Q) W + conj(P))^-1.
+
+    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    """
     if gs.g != p.g:
         raise DimensionError(f"degree mismatch: element g={gs.g}, point g={p.g}")
-    w, _ = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None, tol,
-                              "conj(Q) W + conj(P)", "disk action")
-    return DiskPoint(w, tol)
+    w, _, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None, tol,
+                                      "conj(Q) W + conj(P)", "disk action",
+                                      _displacements(dirs, p.w))
+    out = DiskPoint(w, tol)
+    return out if dirs is None else (out, pushed)
 
 
-def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint,
-               tol: Tolerance = DEFAULT_TOL) -> SiegelJacobiPoint:
-    """(M omega, (Z + lam omega + mu)(C omega + D)^-1); kappa plays no role."""
+def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, tol: Tolerance = DEFAULT_TOL,
+               dirs=None):
+    """(M omega, (Z + lam omega + mu)(C omega + D)^-1); kappa plays no role.
+
+    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    """
     if (a.g, a.h) != (p.g, p.h):
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
     m, fiber = a.m, p.z + a.hs.lam @ p.omega + a.hs.mu
-    om, z = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, fiber, tol,
-                               "C omega + D", "siegel action")
-    return SiegelJacobiPoint(SiegelPoint(om, tol), z, tol)
+    om, z, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, fiber, tol,
+                                       "C omega + D", "siegel action",
+                                       _displacements(dirs, p.omega, p.z, a.hs.lam))
+    out = SiegelJacobiPoint(SiegelPoint(om, tol), z, tol)
+    return out if dirs is None else (out, pushed)
 
 
 def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint,
-                    tol: Tolerance = DEFAULT_TOL) -> DiskJacobiPoint:
-    """((P W + Q) d^-1, (eta + xi W + mu) d^-1) with d = conj(Q) W + conj(P)."""
+                    tol: Tolerance = DEFAULT_TOL, dirs=None):
+    """((P W + Q) d^-1, (eta + xi W + mu) d^-1) with d = conj(Q) W + conj(P).
+
+    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    """
     if (a.g, a.h) != (p.g, p.h):
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
     gs, fiber = a.gs, p.eta + a.hc.xi @ p.w + a.hc.eta
-    w, eta = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, fiber, tol,
-                                "conj(Q) W + conj(P)", "disk action")
-    return DiskJacobiPoint(DiskPoint(w, tol), eta, tol)
+    w, eta, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, fiber, tol,
+                                        "conj(Q) W + conj(P)", "disk action",
+                                        _displacements(dirs, p.w, p.eta, a.hc.xi))
+    out = DiskJacobiPoint(DiskPoint(w, tol), eta, tol)
+    return out if dirs is None else (out, pushed)
 
 
 # ---------------------------------------------------------------------------
 # Cayley transforms
 
 
-def _cayley(w, fiber, tol: Tolerance):
-    """i (I + W)(I - W)^-1 symmetrized, and 2i fiber (I - W)^-1, in one guarded solve."""
+def _cayley(w, fiber, tol: Tolerance, dirs=None):
+    """i (I + W)(I - W)^-1 symmetrized, 2i fiber (I - W)^-1 and, given (dW, deta)
+    pairs, their pushforwards, in one guarded solve.
+
+    This is the fractional-linear map with a = b = iI, c = -I, d = I and the
+    fiber 2i eta, so df = 2i deta.
+    """
     i = np.eye(w.shape[0])
-    num = i + w if fiber is None else np.vstack([i + w, fiber])
-    out = guarded_rsolve(num, i - w, "I - W")
-    return _symmetrized(1j * out[:w.shape[0]], tol, "cayley"), 2j * out[w.shape[0]:]
+    top, z, rinv = _stacked_rsolve(i + w, fiber, i - w, "I - W", dirs is not None)
+    om, z = _symmetrized(1j * top, tol, "cayley"), 2j * z
+    if dirs is None:
+        return om, z, None
+    dirs = [(dw, None if de is None else 2j * de) for dw, de in dirs]
+    return om, z, _pushed(1j * i + om, -i, z, rinv, dirs, tol)
 
 
 def _cayley_inv(omega, fiber, tol: Tolerance):
     """(omega - iI)(omega + iI)^-1 symmetrized, and fiber (omega + iI)^-1, in one guarded solve."""
     i = np.eye(omega.shape[0])
-    num = omega - 1j * i if fiber is None else np.vstack([omega - 1j * i, fiber])
-    out = guarded_rsolve(num, omega + 1j * i, "omega + iI")
-    return _symmetrized(out[:omega.shape[0]], tol, "inverse cayley"), out[omega.shape[0]:]
+    top, eta, _ = _stacked_rsolve(omega - 1j * i, fiber, omega + 1j * i, "omega + iI", False)
+    return _symmetrized(top, tol, "inverse cayley"), eta
 
 
-def cayley(p: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> SiegelPoint:
-    """W -> i (I + W)(I - W)^-1."""
-    return SiegelPoint(_cayley(p.w, None, tol)[0], tol)
+def cayley(p: DiskPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
+    """W -> i (I + W)(I - W)^-1.
+
+    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    """
+    om, _, pushed = _cayley(p.w, None, tol, _displacements(dirs, p.w))
+    out = SiegelPoint(om, tol)
+    return out if dirs is None else (out, pushed)
 
 
 def cayley_inv(p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
@@ -274,10 +387,14 @@ def cayley_inv(p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     return DiskPoint(_cayley_inv(p.omega, None, tol)[0], tol)
 
 
-def partial_cayley(p: DiskJacobiPoint, tol: Tolerance = DEFAULT_TOL) -> SiegelJacobiPoint:
-    """(W, eta) -> (i (I + W)(I - W)^-1, 2i eta (I - W)^-1)."""
-    om, z = _cayley(p.w, p.eta, tol)
-    return SiegelJacobiPoint(SiegelPoint(om, tol), z, tol)
+def partial_cayley(p: DiskJacobiPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
+    """(W, eta) -> (i (I + W)(I - W)^-1, 2i eta (I - W)^-1).
+
+    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    """
+    om, z, pushed = _cayley(p.w, p.eta, tol, _displacements(dirs, p.w, p.eta))
+    out = SiegelJacobiPoint(SiegelPoint(om, tol), z, tol)
+    return out if dirs is None else (out, pushed)
 
 
 def partial_cayley_inv(p: SiegelJacobiPoint, tol: Tolerance = DEFAULT_TOL) -> DiskJacobiPoint:

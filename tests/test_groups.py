@@ -364,3 +364,35 @@ def test_sampled_elements_match_np_block_reference(g, h):
         got = sample_element("gstarj", g, h, seed=seed)
         assert _bytes(got.gs.p, got.gs.q, got.hc.xi, got.hc.eta, got.hc.zeta) == \
             _bytes(want.gs.p, want.gs.q, want.hc.xi, want.hc.eta, want.hc.zeta)
+
+
+def _element_inputs():
+    """(constructor, caller arrays, attribute names) for each element class
+    that stores arrays, with inputs that need no dtype conversion."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, s], [-s, c]])
+    xi = np.array([[0.2 + 0.1j, -0.4j]])
+    return [
+        (SymplecticMatrix, [rot.astype(complex)], ["m"]),
+        (HeisenbergElement, [np.array([[0.5, 1.0]]), np.array([[0.25, -1.0]]), np.array([[0.75]])],
+         ["lam", "mu", "kappa"]),
+        (HeisenbergElement, [np.array([[0.5 + 0j]]), np.array([[0.25 + 0j]]), np.array([[1.0 + 0j]])],
+         ["lam", "mu", "kappa"]),
+        (GStarElement, [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)], ["p", "q"]),
+        (ComplexHeisenbergElement, [xi, xi.conj(), np.array([[0.5j]])], ["xi", "eta", "zeta"]),
+        (lambda block: BigComplexGroupElement(block, ComplexHeisenbergElement.identity(1, 1)),
+         [np.array([[2.0, 1j], [0.0, 0.5]])], ["block"]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_element_constructors_leave_caller_arrays_writeable_and_unaliased(case):
+    make, inputs, names = _element_inputs()[case]
+    before = [a.copy() for a in inputs]
+    el = make(*inputs)
+    for a, name, old in zip(inputs, names, before, strict=True):
+        assert a.flags.writeable
+        stored = getattr(el, name)
+        assert not stored.flags.writeable
+        a += 7.0
+        np.testing.assert_array_equal(stored, np.real(old) if stored.dtype.kind == "f" else old)

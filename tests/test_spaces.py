@@ -258,3 +258,23 @@ def test_invalid_points_rejected():
         SiegelPoint(np.array([[1j, 0.5], [0.0, 1j]]))  # not symmetric
     with pytest.raises(DomainError):
         DiskPoint([[1.5 + 0j]])  # outside the disk
+
+
+@pytest.mark.parametrize("kind", ["siegel", "disk", "siegel_jacobi", "disk_jacobi"])
+def test_point_constructors_leave_caller_arrays_writeable_and_unaliased(kind):
+    base = np.array([[0.1 + 1.0j, 0.2], [0.2, 0.3 + 2.0j]]) / (1 if "siegel" in kind else 4)
+    fiber = np.array([[0.5 - 0.25j, 1j]])
+    before = (base.copy(), fiber.copy())
+    if kind == "siegel":
+        p, stored = SiegelPoint(base), lambda p: [p.omega]
+    elif kind == "disk":
+        p, stored = DiskPoint(base), lambda p: [p.w]
+    elif kind == "siegel_jacobi":
+        p, stored = SiegelJacobiPoint(base, fiber), lambda p: [p.omega, p.z]
+    else:
+        p, stored = DiskJacobiPoint(base, fiber), lambda p: [p.w, p.eta]
+    for a, arr, old in zip((base, fiber), stored(p), before):
+        assert a.flags.writeable
+        assert not arr.flags.writeable
+        a += 7.0
+        np.testing.assert_array_equal(arr, old)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sjkit import geometry, suites
 from sjkit.numkit import DomainError
 from sjkit.suites import SUITES, run_suite, trial_seed
 
@@ -62,3 +63,33 @@ def test_algebraic_suites_assemble_no_np_block(monkeypatch):
     for name in ("group-axioms", "theta-hom", "compat-29", "compat-37", "hc-reconstruct", "cocycle"):
         assert run_suite(name, 2, 2, trials=1, seed=3).passed
     assert calls == []
+
+
+def _count_calls(monkeypatch, module, name, calls=None):
+    calls = [] if calls is None else calls
+    inner = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(1) or inner(*args, **kwargs))
+    return calls
+
+
+def test_metric_and_volume_trials_take_no_finite_differences(monkeypatch):
+    fd = []
+    for module in (geometry, suites):
+        if hasattr(module, "pushforward"):
+            _count_calls(monkeypatch, module, "pushforward", fd)
+    guards = _count_calls(monkeypatch, np.linalg, "cond")
+    for seed in range(3):
+        suites._trial_metric_invariance(2, 2, seed)
+        assert fd == []
+        guards.clear()
+        suites._trial_volume_invariance(2, 2, seed)
+        assert fd == []
+        assert len(guards) == 1  # the one act_jacobi solve, which also returns J^-1
+
+
+@pytest.mark.parametrize("g,h", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("name", ["metric-invariance", "volume-invariance"])
+def test_exact_differential_suites_pass_at_g_ne_h(name, g, h):
+    r = run_suite(name, g, h, trials=10, seed=17)
+    assert r.tolerance == 1e-9
+    assert r.passed, f"{name}: max residual {r.max_residual}"
