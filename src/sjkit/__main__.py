@@ -1,0 +1,5 @@
+"""python -m sjkit: the sjkit command line without the installed script."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

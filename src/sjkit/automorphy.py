@@ -4,7 +4,8 @@ The factor splits as J = a . b: an additive central part kappa_star (a
 summand of automorphy) fed to a character of the additive group of h x h
 matrices, and a block part fed to a holomorphic representation of GL(g,C).
 verify_cocycle(indexes, reps, g1, g2, p, tol) checks the cocycle identities
-on one triple for every (index, representation) pair at once.
+on one triple, or on each of a batch of triples, for every (index,
+representation) pair at once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .numkit import (
     DimensionError,
     DomainError,
     Tolerance,
+    _fail,
     as_cmatrix,
     frob,
     rel_error,
@@ -86,27 +88,30 @@ class Representation:
         return 1 if self.kind == "det_power" else g
 
 
-def chi_character(idx: IndexMatrix, c, tol: Tolerance = DEFAULT_TOL) -> complex:
+def chi_character(idx: IndexMatrix, c, tol: Tolerance = DEFAULT_TOL):
     """exp(-2 pi i trace(M c)), a character of the additive group."""
     c = as_cmatrix(c, "c")
-    if c.shape != (idx.h, idx.h):
-        raise DimensionError(f"expected a {idx.h} x {idx.h} argument, got {c.shape}")
-    s = complex(np.trace(idx.m @ c))
-    if abs(2.0 * np.pi * np.imag(s)) > _EXP_LIMIT:
-        raise DomainError("character exponent out of double-precision range")
-    return complex(np.exp(-2j * np.pi * s))
+    if c.shape[-2:] != (idx.h, idx.h):
+        raise DimensionError(f"expected a {idx.h} x {idx.h} argument, got {c.shape[-2:]}")
+    s = np.trace(idx.m @ c, axis1=-2, axis2=-1)
+    _fail(abs(2.0 * np.pi * np.imag(s)) > _EXP_LIMIT, DomainError,
+          "character exponent out of double-precision range")
+    chi = np.exp(-2j * np.pi * s)
+    return complex(chi) if chi.ndim == 0 else chi
 
 
 def rho_eval(rep: Representation, p, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the representation on an invertible matrix; result is dim x dim."""
     p = as_cmatrix(p, "P")
-    if p.shape[0] != p.shape[1]:
-        raise DimensionError(f"representation argument must be square, got {p.shape}")
-    det = complex(np.linalg.det(p))
-    if abs(det) < 1e-300 or not np.isfinite(abs(det)):
-        raise DomainError("representation argument is singular")
+    if p.shape[-2] != p.shape[-1]:
+        raise DimensionError(f"representation argument must be square, got {p.shape[-2:]}")
+    det = np.linalg.det(p)
+    _fail(~(abs(det) >= 1e-300) | ~np.isfinite(abs(det)), DomainError,
+          "representation argument is singular")
     if rep.kind == "det_power":
-        return np.array([[det**rep.k]], dtype=complex)
+        # Python's complex power on each slice: numpy's array power rounds differently
+        power = np.array([complex(d) ** rep.k for d in det.flat]).reshape(det.shape)
+        return power[..., None, None]
     return p.copy()
 
 
@@ -128,10 +133,10 @@ def verify_cocycle(indexes: list[IndexMatrix], reps: list[Representation],
     prod, moved = gstarj_mul(g1, g2, tol), act_jacobi_disk(g2, p, tol)
     parts = [kc_component(x, q, tol)[1:] for x, q in ((prod, p), (g1, moved), (g2, p))]
     (_, k12), (_, k1), (_, k2) = parts
-    res = rel_error(k12, k1 + k2)
+    res = [rel_error(k12, k1 + k2)]
     rhos = [[rho_eval(rep, d, tol) for d, _ in parts] for rep in reps]
     for idx in indexes:
-        c12, c1, c2 = (chi_character(idx, k, tol) for _, k in parts)
+        c12, c1, c2 = (np.asarray(chi_character(idx, k, tol))[..., None, None] for _, k in parts)
         for r12, r1, r2 in rhos:
-            res = max(res, rel_error(c12 * r12, (c1 * r1) @ (c2 * r2)))
-    return res
+            res.append(rel_error(c12 * r12, (c1 * r1) @ (c2 * r2)))
+    return np.max(res, axis=0)

@@ -10,7 +10,8 @@ The three components are read off one guarded denominator in one private
 core.  component_residuals returns the residuals of the identities they
 satisfy; kc_component, pminus_component and decompose_full return the
 components and raise when a residual exceeds the algebraic tolerance;
-hc_decompose_gstar is the same core at the origin.
+hc_decompose_gstar is the same core at the origin.  All act on every slice
+of batched holders in one pass.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ from .numkit import (
     Tolerance,
     _block,
     _check_cond,
+    _fail,
+    _floor1,
     frob,
     rel_error,
     symmetry_defect,
 )
-from .spaces import DiskJacobiPoint, DiskPoint
+from .spaces import DiskJacobiPoint, DiskPoint, _positive
 
 __all__ = [
     "HCFactors",
@@ -64,7 +67,7 @@ class HCFactors:
     pminus_w: np.ndarray
 
     def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        g = self.k_p.shape[0]
+        g = self.k_p.shape[-1]
         i = np.eye(g)
         z = np.zeros((g, g))
         return (_block([[i, self.pplus_w], [z, i]]),
@@ -86,7 +89,7 @@ class JacobiHCFactors:
     kappa_star: np.ndarray
 
     def factors(self, h: int) -> tuple[BigComplexGroupElement, ...]:
-        g = self.hc.k_p.shape[0]
+        g = self.hc.k_p.shape[-1]
         zf = np.zeros((h, g), dtype=complex)
         zc = np.zeros((h, h), dtype=complex)
         heisenberg = [(zf, self.pplus_eta, zc), (zf, zf, self.kappa_star), (self.pminus_xi, zf, zc)]
@@ -103,13 +106,13 @@ def hc_decompose_gstar(gs: GStarElement, tol: Tolerance = DEFAULT_TOL) -> HCFact
     Q conj(P)^-1 lands in the bounded domain; reconstruction validates it.
     """
     a = GStarJacobiElement(gs, ComplexHeisenbergElement.identity(gs.g, 1), validate=False)
-    origin = DiskJacobiPoint(DiskPoint(np.zeros((gs.g, gs.g)), validate=False),
-                             np.zeros((1, gs.g)))
+    origin = DiskJacobiPoint(DiskPoint(np.zeros(gs.p.shape), validate=False),
+                             np.zeros(gs.p.shape[:-2] + (1, gs.g)))
     factors, res = _hc_core(a, origin)
     _require(rel_error(factors.hc.reconstruct(), gs.block()), tol, ConsistencyError,
              "Harish-Chandra reconstruction residual")
     _require(res["pplus_symmetry"], tol, ConsistencyError, "Q conj(P)^-1 symmetry defect")
-    DiskPoint(factors.hc.pplus_w, tol)  # membership check
+    _positive(DiskPoint, factors.hc.pplus_w, tol)  # membership check
     return factors.hc
 
 
@@ -145,15 +148,15 @@ def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors
     den = qbar @ p.w + a.gs.p.conj()
     y = p.eta + lam @ p.w + mu
     _check_cond(den, "conj(Q) W + conj(P)")
-    right = np.linalg.solve(den.T, np.vstack([a.gs.p @ p.w + a.gs.q, y]).T).T
-    wprime, etap = right[:p.g], right[p.g:]
+    right = np.linalg.solve(den.mT, np.concatenate([a.gs.p @ p.w + a.gs.q, y], axis=-2).mT).mT
+    wprime, etap = right[..., :p.g, :], right[..., p.g:, :]
     pminus_w = np.linalg.solve(den, qbar)
-    kappa_base = kap + lam @ p.eta.T + y @ lam.T
-    kappa_star = kappa_base - y @ pminus_w @ y.T
-    kappa_alt = kappa_base - y @ qbar.T @ etap.T
+    kappa_base = kap + lam @ p.eta.mT + y @ lam.mT
+    kappa_star = kappa_base - y @ pminus_w @ y.mT
+    kappa_alt = kappa_base - y @ qbar.mT @ etap.mT
     factors = JacobiHCFactors(
         hc=HCFactors(
-            pplus_w=(wprime + wprime.T) / 2,
+            pplus_w=(wprime + wprime.mT) / 2,
             k_p=a.gs.p - wprime @ qbar,
             k_lower=den,
             pminus_w=pminus_w,
@@ -165,14 +168,13 @@ def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors
     residuals = {
         "pplus_symmetry": symmetry_defect(wprime),
         "pminus_symmetry": symmetry_defect(pminus_w),
-        "kappa_agreement": frob(kappa_star - kappa_alt) / max(1.0, frob(kappa_star)),
+        "kappa_agreement": frob(kappa_star - kappa_alt) / _floor1(frob(kappa_star)),
     }
     return factors, residuals
 
 
-def _require(residual: float, tol: Tolerance, error: type, what: str) -> None:
-    if residual > tol.algebraic_rel:
-        raise error(f"{what} {residual:.3e} exceeds tolerance")
+def _require(residual, tol: Tolerance, error: type, what: str) -> None:
+    _fail(residual > tol.algebraic_rel, error, "{} {:.3e} exceeds tolerance", what, residual)
 
 
 def kc_component(a: GStarJacobiElement, p: DiskJacobiPoint,
@@ -199,7 +201,7 @@ def decompose_full(a: GStarJacobiElement, p: DiskJacobiPoint,
     point lies in the disk, every identity holds and the product rebuilds."""
     factors, res = _hc_core(a, p)
     _require(res["pplus_symmetry"], tol, DomainError, "P+ coordinate symmetry defect")
-    DiskPoint(factors.hc.pplus_w, tol)  # membership check
+    _positive(DiskPoint, factors.hc.pplus_w, tol)  # membership check
     _require(res["kappa_agreement"], tol, ConsistencyError, "kappa_star disagreement")
     _require(res["pminus_symmetry"], tol, ConsistencyError, "d^-1 conj(Q) symmetry defect")
     _require(reconstruction_residual(a, p, factors), tol, ConsistencyError,
@@ -222,9 +224,9 @@ def reconstruction_residual(a: GStarJacobiElement, p: DiskJacobiPoint,
     up, mid, low = factors.factors(p.h)
     rebuilt = big_mul(big_mul(up, mid), low)
     target = big_mul(embed_gstarj(a), embed_disk_jacobi_point(p))
-    return max(
+    return np.max([
         rel_error(rebuilt.block, target.block),
         rel_error(rebuilt.hc.xi, target.hc.xi),
         rel_error(rebuilt.hc.eta, target.hc.eta),
         rel_error(rebuilt.hc.zeta, target.hc.zeta),
-    )
+    ], axis=0)

@@ -50,6 +50,7 @@ from .spaces import (
     SiegelJacobiPoint,
     SiegelPoint,
     TangentVector,
+    _fit,
     partial_cayley,
 )
 
@@ -133,17 +134,19 @@ def _real_value(val: complex, tol: float, what: str) -> float:
 
 def metric_siegel(p: SiegelPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL) -> float:
     """trace(Y^-1 dOmega Y^-1 conj(dOmega))."""
+    do, _ = _fit(v, p.omega)
     yi = guarded_inv(p.y.astype(complex), "Im(omega)")
-    val = _tr(yi @ v.dbase @ yi @ v.dbase.conj())
+    val = _tr(yi @ do @ yi @ do.conj())
     return _real_value(val, tol.algebraic_rel, "siegel metric")
 
 
 def metric_disk(p: DiskPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL) -> float:
     """4 trace((I - W conj W)^-1 dW (I - conj(W) W)^-1 conj(dW))."""
+    dw, _ = _fit(v, p.w)
     i = np.eye(p.g)
     s = guarded_inv(i - p.w @ p.w.conj(), "I - W conj(W)")
     sb = guarded_inv(i - p.w.conj() @ p.w, "I - conj(W) W")
-    val = 4.0 * _tr(s @ v.dbase @ sb @ v.dbase.conj())
+    val = 4.0 * _tr(s @ dw @ sb @ dw.conj())
     return _real_value(val, tol.algebraic_rel, "disk metric")
 
 
@@ -155,10 +158,10 @@ def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector,
     """
     if v.dfiber is None:
         raise DimensionError("tangent vector must carry a fiber part")
+    do, dz = _fit(v, p.omega, p.z)
     yi = guarded_inv(p.base.y.astype(complex), "Im(omega)")
     vmat = p.v.astype(complex)
-    do, dob = v.dbase, v.dbase.conj()
-    dz, dzb = v.dfiber, v.dfiber.conj()
+    dob, dzb = do.conj(), dz.conj()
     m1 = _tr(yi @ do @ yi @ dob)
     m2 = _tr(yi @ vmat.T @ vmat @ yi @ do @ yi @ dob)
     m3 = _tr(yi @ dz.T @ dzb)
@@ -319,14 +322,12 @@ def pushforward(map_fn: Callable, p, v: TangentVector, tol: Tolerance = DEFAULT_
     differences; the base part of the result is re-symmetrized."""
     h = FD_FIRST_STEP * max(1.0, point_norm(p)) / max(1.0, v.norm())
     base, fiber = _point_parts(p)
-    fiber_delta = None if v.dfiber is None else v.dfiber
-    if fiber is not None and fiber_delta is None:
-        fiber_delta = np.zeros_like(fiber)
+    dbase, dfiber = _fit(v, base, fiber)
     try:
-        plus = map_fn(_rebuild(p, base + h * v.dbase,
-                               None if fiber is None else fiber + h * fiber_delta, validate=True))
-        minus = map_fn(_rebuild(p, base - h * v.dbase,
-                                None if fiber is None else fiber - h * fiber_delta, validate=True))
+        plus = map_fn(_rebuild(p, base + h * dbase,
+                               None if fiber is None else fiber + h * dfiber, validate=True))
+        minus = map_fn(_rebuild(p, base - h * dbase,
+                                None if fiber is None else fiber - h * dfiber, validate=True))
     except DomainError as exc:
         raise DomainError(f"difference stencil left the domain: {exc}") from exc
     bp, fp = _point_parts(plus)

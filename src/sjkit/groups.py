@@ -5,6 +5,8 @@ groups, the Jacobi group and its bounded-model conjugate, the semidirect
 product SL(2g,C) x H_C, the Cayley conjugations, and seeded random sampling
 of all of them.  The conjugated blocks are always stored as the upper half
 (P, Q); the lower row (conj Q, conj P) is implied by the structure.
+Elements hold (..., r, c) arrays (see numkit), so one holder may carry a
+batch, and every law acts slice by slice.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ from .numkit import (
     ConsistencyError,
     DimensionError,
     DomainError,
+    Holder,
     Tolerance,
     _block,
+    _fail,
+    _floor1,
     _freeze,
+    _nonfinite,
     as_cmatrix,
     frob,
     rel_error,
@@ -67,62 +73,62 @@ def _as_real(a, name: str, tol: Tolerance) -> np.ndarray:
     """A float array; a complex input must be finite and real within tolerance."""
     a = np.asarray(a)
     if a.dtype.kind == "c":
-        if not np.isfinite(a).all() or frob(np.imag(a)) > tol.algebraic_rel * max(1.0, frob(a)):
-            raise DomainError(f"{name} must be finite and real")
+        if not np.isfinite(a).all():
+            _nonfinite(name, np.atleast_2d(a))
+        _fail(frob(np.imag(a)) > tol.algebraic_rel * _floor1(frob(a)), DomainError,
+              "{} must be real", name)
         a = a.real
     return np.asarray(a, dtype=float)
 
 
-class SymplecticMatrix:
+class SymplecticMatrix(Holder):
     """A real 2g x 2g matrix M with t(M) J M = J."""
 
     __slots__ = ("m", "g")
 
     def __init__(self, m, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
         self.m = _freeze(as_cmatrix(m, "symplectic matrix"), m)
-        if self.m.shape[0] != self.m.shape[1] or self.m.shape[0] % 2:
-            raise DimensionError(f"expected a 2g x 2g matrix, got {self.m.shape}")
-        self.g = self.m.shape[0] // 2
+        n = self.m.shape[-1]
+        if self.m.shape[-2] != n or n % 2:
+            raise DimensionError(f"expected a 2g x 2g matrix, got {self.m.shape[-2:]}")
+        self.g = n // 2
         if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         _as_real(self.m, "symplectic matrix", tol)  # raises unless finite and real within tol
         j = symplectic_j(self.g)
-        if rel_error(self.m.T @ j @ self.m, j) > tol.algebraic_rel:
-            raise DomainError("matrix is not symplectic within tolerance")
+        _fail(rel_error(self.m.mT @ j @ self.m, j) > tol.algebraic_rel, DomainError,
+              "matrix is not symplectic within tolerance")
 
     @property
     def a(self) -> np.ndarray:
-        return self.m[: self.g, : self.g]
+        return self.m[..., : self.g, : self.g]
 
     @property
     def b(self) -> np.ndarray:
-        return self.m[: self.g, self.g :]
+        return self.m[..., : self.g, self.g :]
 
     @property
     def c(self) -> np.ndarray:
-        return self.m[self.g :, : self.g]
+        return self.m[..., self.g :, : self.g]
 
     @property
     def d(self) -> np.ndarray:
-        return self.m[self.g :, self.g :]
+        return self.m[..., self.g :, self.g :]
 
     def inv(self) -> "SymplecticMatrix":
         # M^-1 = [[tD, -tB], [-tC, tA]], exact for symplectic M
         a, b, c, d = self.a, self.b, self.c, self.d
-        mi = _block([[d.T, -b.T], [-c.T, a.T]])
+        mi = _block([[d.mT, -b.mT], [-c.mT, a.mT]])
         return SymplecticMatrix(mi, validate=False)
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticMatrix":
         return cls(np.eye(2 * g), validate=False)
 
-    def __repr__(self):
-        return f"SymplecticMatrix(g={self.g})"
 
-
-class HeisenbergElement:
+class HeisenbergElement(Holder):
     """A triple (lam, mu; kappa) of real matrices with kappa + mu t(lam) symmetric."""
 
     __slots__ = ("lam", "mu", "kappa", "g", "h")
@@ -131,32 +137,29 @@ class HeisenbergElement:
         self.lam = _freeze(_as_real(lam, "lam", tol), lam)
         self.mu = _freeze(_as_real(mu, "mu", tol), mu)
         self.kappa = _freeze(_as_real(kappa, "kappa", tol), kappa)
-        if self.lam.ndim != 2 or self.mu.shape != self.lam.shape:
+        if self.lam.ndim < 2 or self.mu.shape != self.lam.shape:
             raise DimensionError("lam and mu must be h x g matrices of equal shape")
-        self.h, self.g = self.lam.shape
-        if self.kappa.shape != (self.h, self.h):
-            raise DimensionError(f"kappa must be {self.h} x {self.h}, got {self.kappa.shape}")
+        self.h, self.g = self.lam.shape[-2:]
+        if self.kappa.shape[-2:] != (self.h, self.h):
+            raise DimensionError(f"kappa must be {self.h} x {self.h}, got {self.kappa.shape[-2:]}")
         if not np.isfinite(np.concatenate((self.lam.ravel(), self.mu.ravel(),
                                            self.kappa.ravel()))).all():
-            raise DomainError("lam, mu, kappa: entries must be finite (no NaN/Inf)")
+            _nonfinite("lam, mu, kappa", self.lam, self.mu, self.kappa)
         if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        s = self.kappa + self.mu @ self.lam.T
-        if frob(s - s.T) > tol.algebraic_rel * max(1.0, frob(s)):
-            raise DomainError("kappa + mu t(lam) is not symmetric")
+        s = self.kappa + self.mu @ self.lam.mT
+        _fail(frob(s - s.mT) > tol.algebraic_rel * _floor1(frob(s)), DomainError,
+              "kappa + mu t(lam) is not symmetric")
 
     @classmethod
     def identity(cls, g: int, h: int) -> "HeisenbergElement":
         z = np.zeros((h, g))
         return cls(z, z, np.zeros((h, h)), validate=False)
 
-    def __repr__(self):
-        return f"HeisenbergElement(g={self.g}, h={self.h})"
 
-
-class JacobiElement:
+class JacobiElement(Holder):
     """An element (M, (lam, mu; kappa)) of the semidirect product group."""
 
     __slots__ = ("m", "hs")
@@ -179,11 +182,8 @@ class JacobiElement:
     def identity(cls, g: int, h: int) -> "JacobiElement":
         return cls(SymplecticMatrix.identity(g), HeisenbergElement.identity(g, h))
 
-    def __repr__(self):
-        return f"JacobiElement(g={self.g}, h={self.h})"
 
-
-class GStarElement:
+class GStarElement(Holder):
     """Upper blocks (P, Q) of a matrix [[P, Q], [conj Q, conj P]] satisfying
     t(P) conj(P) - t(conj Q) Q = I and t(P) conj(Q) = t(conj Q) P."""
 
@@ -192,19 +192,19 @@ class GStarElement:
     def __init__(self, p, q, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
         self.p = _freeze(as_cmatrix(p, "P"), p)
         self.q = _freeze(as_cmatrix(q, "Q"), q)
-        if self.p.shape[0] != self.p.shape[1] or self.p.shape != self.q.shape:
+        if self.p.shape[-2] != self.p.shape[-1] or self.p.shape[-2:] != self.q.shape[-2:]:
             raise DimensionError("P and Q must be square matrices of equal size")
-        self.g = self.p.shape[0]
+        self.g = self.p.shape[-1]
         if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         p, q = self.p, self.q
-        if rel_error(p.T @ p.conj() - q.conj().T @ q, np.eye(self.g)) > tol.algebraic_rel:
-            raise DomainError("t(P) conj(P) - t(conj Q) Q != I")
-        lhs = p.T @ q.conj()
-        if frob(lhs - q.conj().T @ p) > tol.algebraic_rel * max(1.0, frob(lhs)):
-            raise DomainError("t(P) conj(Q) != t(conj Q) P")
+        _fail(rel_error(p.mT @ p.conj() - q.conj().mT @ q, np.eye(self.g)) > tol.algebraic_rel,
+              DomainError, "t(P) conj(P) - t(conj Q) Q != I")
+        lhs = p.mT @ q.conj()
+        _fail(frob(lhs - q.conj().mT @ p) > tol.algebraic_rel * _floor1(frob(lhs)),
+              DomainError, "t(P) conj(Q) != t(conj Q) P")
 
     def block(self) -> np.ndarray:
         """The full 2g x 2g matrix [[P, Q], [conj Q, conj P]]."""
@@ -214,11 +214,8 @@ class GStarElement:
     def identity(cls, g: int) -> "GStarElement":
         return cls(np.eye(g), np.zeros((g, g)), validate=False)
 
-    def __repr__(self):
-        return f"GStarElement(g={self.g})"
 
-
-class ComplexHeisenbergElement:
+class ComplexHeisenbergElement(Holder):
     """A triple (xi, eta; zeta) of complex matrices with zeta + eta t(xi) symmetric."""
 
     __slots__ = ("xi", "eta", "zeta", "g", "h")
@@ -227,29 +224,26 @@ class ComplexHeisenbergElement:
         self.xi = _freeze(as_cmatrix(xi, "xi"), xi)
         self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
         self.zeta = _freeze(as_cmatrix(zeta, "zeta"), zeta)
-        if self.eta.shape != self.xi.shape:
+        if self.eta.shape[-2:] != self.xi.shape[-2:]:
             raise DimensionError("xi and eta must have equal shape")
-        self.h, self.g = self.xi.shape
-        if self.zeta.shape != (self.h, self.h):
-            raise DimensionError(f"zeta must be {self.h} x {self.h}, got {self.zeta.shape}")
+        self.h, self.g = self.xi.shape[-2:]
+        if self.zeta.shape[-2:] != (self.h, self.h):
+            raise DimensionError(f"zeta must be {self.h} x {self.h}, got {self.zeta.shape[-2:]}")
         if validate:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        s = self.zeta + self.eta @ self.xi.T
-        if frob(s - s.T) > tol.algebraic_rel * max(1.0, frob(s)):
-            raise DomainError("zeta + eta t(xi) is not symmetric")
+        s = self.zeta + self.eta @ self.xi.mT
+        _fail(frob(s - s.mT) > tol.algebraic_rel * _floor1(frob(s)), DomainError,
+              "zeta + eta t(xi) is not symmetric")
 
     @classmethod
     def identity(cls, g: int, h: int) -> "ComplexHeisenbergElement":
         z = np.zeros((h, g), dtype=complex)
         return cls(z, z, np.zeros((h, h), dtype=complex), validate=False)
 
-    def __repr__(self):
-        return f"ComplexHeisenbergElement(g={self.g}, h={self.h})"
 
-
-class GStarJacobiElement:
+class GStarJacobiElement(Holder):
     """Bounded-model Jacobi group element: a GStarElement together with a
     complex Heisenberg triple of the constrained form (xi, conj xi; i kappa),
     kappa real."""
@@ -266,11 +260,11 @@ class GStarJacobiElement:
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        scale = max(1.0, frob(self.hc.xi), frob(self.hc.zeta))
-        if frob(self.hc.eta - self.hc.xi.conj()) > tol.algebraic_rel * scale:
-            raise DomainError("eta != conj(xi)")
-        if frob(np.real(self.hc.zeta)) > tol.algebraic_rel * scale:
-            raise DomainError("zeta is not i * (real kappa)")
+        scale = _floor1(frob(self.hc.xi), frob(self.hc.zeta))
+        _fail(frob(self.hc.eta - self.hc.xi.conj()) > tol.algebraic_rel * scale, DomainError,
+              "eta != conj(xi)")
+        _fail(frob(np.real(self.hc.zeta)) > tol.algebraic_rel * scale, DomainError,
+              "zeta is not i * (real kappa)")
 
     @property
     def g(self) -> int:
@@ -290,34 +284,31 @@ class GStarJacobiElement:
         return cls(GStarElement.identity(g), ComplexHeisenbergElement.identity(g, h),
                    validate=False)
 
-    def __repr__(self):
-        return f"GStarJacobiElement(g={self.g}, h={self.h})"
 
-
-class BigComplexGroupElement:
+class BigComplexGroupElement(Holder):
     """An element (block, (xi, eta; zeta)) of SL(2g,C) x H_C (semidirect)."""
 
     __slots__ = ("block", "hc", "g")
 
     def __init__(self, block, hc: ComplexHeisenbergElement, validate: bool = True):
         self.block = _freeze(as_cmatrix(block, "block"), block)
-        n = self.block.shape[0]
-        if self.block.shape[1] != n or n % 2:
-            raise DimensionError(f"block must be 2g x 2g, got {self.block.shape}")
+        n = self.block.shape[-1]
+        if self.block.shape[-2] != n or n % 2:
+            raise DimensionError(f"block must be 2g x 2g, got {self.block.shape[-2:]}")
         self.g = n // 2
         if hc.g != self.g:
             raise DimensionError(f"Heisenberg width {hc.g} != block degree {self.g}")
         self.hc = hc
         if validate:
-            if abs(np.linalg.det(self.block)) < 1e-300:
-                raise DomainError("block matrix is singular")
+            _fail(abs(np.linalg.det(self.block)) < 1e-300, DomainError, "block matrix is singular")
+
+    @property
+    def h(self) -> int:
+        return self.hc.h
 
     @classmethod
     def identity(cls, g: int, h: int) -> "BigComplexGroupElement":
         return cls(np.eye(2 * g), ComplexHeisenbergElement.identity(g, h), validate=False)
-
-    def __repr__(self):
-        return f"BigComplexGroupElement(g={self.g}, h={self.hc.h})"
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +323,7 @@ def _check_gh(a, b) -> None:
 def heisenberg_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
     """(lam, mu; kappa)(lam', mu'; kappa') with central twist lam t(mu') - mu t(lam')."""
     _check_gh(a, b)
-    kappa = a.kappa + b.kappa + a.lam @ b.mu.T - a.mu @ b.lam.T
+    kappa = a.kappa + b.kappa + a.lam @ b.mu.mT - a.mu @ b.lam.mT
     return HeisenbergElement(a.lam + b.lam, a.mu + b.mu, kappa)
 
 
@@ -340,9 +331,9 @@ def jacobi_mul(a: JacobiElement, b: JacobiElement) -> JacobiElement:
     """Semidirect product: the Heisenberg part of a is first pushed through
     the symplectic part of b via (lam~, mu~) = (lam, mu) M'."""
     _check_gh(a, b)
-    lm = np.hstack([a.hs.lam, a.hs.mu]) @ np.real(b.m.m)
-    lt, mt = lm[:, : a.g], lm[:, a.g :]
-    kappa = a.hs.kappa + b.hs.kappa + lt @ b.hs.mu.T - mt @ b.hs.lam.T
+    lm = np.concatenate([a.hs.lam, a.hs.mu], axis=-1) @ np.real(b.m.m)
+    lt, mt = lm[..., : a.g], lm[..., a.g :]
+    kappa = a.hs.kappa + b.hs.kappa + lt @ b.hs.mu.mT - mt @ b.hs.lam.mT
     return JacobiElement(
         SymplecticMatrix(np.real(a.m.m @ b.m.m)),
         HeisenbergElement(lt + b.hs.lam, mt + b.hs.mu, kappa),
@@ -351,22 +342,22 @@ def jacobi_mul(a: JacobiElement, b: JacobiElement) -> JacobiElement:
 
 def jacobi_inv(a: JacobiElement) -> JacobiElement:
     mi = a.m.inv()
-    lm = np.hstack([a.hs.lam, a.hs.mu]) @ np.real(mi.m)
-    lt, mt = lm[:, : a.g], lm[:, a.g :]
-    kappa = -a.hs.kappa + lt @ mt.T - mt @ lt.T
+    lm = np.concatenate([a.hs.lam, a.hs.mu], axis=-1) @ np.real(mi.m)
+    lt, mt = lm[..., : a.g], lm[..., a.g :]
+    kappa = -a.hs.kappa + lt @ mt.mT - mt @ lt.mT
     return JacobiElement(mi, HeisenbergElement(-lt, -mt, kappa))
 
 
 def big_mul(a: BigComplexGroupElement, b: BigComplexGroupElement) -> BigComplexGroupElement:
     """Product in SL(2g,C) x H_C with (xi~, eta~) = (xi, eta) block(b)."""
-    if a.g != b.g or a.hc.h != b.hc.h:
+    if (a.g, a.h) != (b.g, b.h):
         raise DimensionError("dimension mismatch in big group product")
     g = a.g
-    pp, qp = b.block[:g, :g], b.block[:g, g:]
-    rp, sp = b.block[g:, :g], b.block[g:, g:]
+    pp, qp = b.block[..., :g, :g], b.block[..., :g, g:]
+    rp, sp = b.block[..., g:, :g], b.block[..., g:, g:]
     xit = a.hc.xi @ pp + a.hc.eta @ rp
     ett = a.hc.xi @ qp + a.hc.eta @ sp
-    zeta = a.hc.zeta + b.hc.zeta + xit @ b.hc.eta.T - ett @ b.hc.xi.T
+    zeta = a.hc.zeta + b.hc.zeta + xit @ b.hc.eta.mT - ett @ b.hc.xi.mT
     hc = ComplexHeisenbergElement(xit + b.hc.xi, ett + b.hc.eta, zeta)
     return BigComplexGroupElement(a.block @ b.block, hc)
 
@@ -386,11 +377,11 @@ def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement,
     _check_gh(a, b)
     g = a.g
     prod = big_mul(embed_gstarj(a), embed_gstarj(b))
-    p, q = prod.block[:g, :g], prod.block[:g, g:]
-    lower = prod.block[g:, :]
-    upper_conj = np.hstack([q.conj(), p.conj()])
-    if rel_error(lower, upper_conj) > tol.algebraic_rel:
-        raise ConsistencyError("product left the (P, Q; conj Q, conj P) block form")
+    p, q = prod.block[..., :g, :g], prod.block[..., :g, g:]
+    lower = prod.block[..., g:, :]
+    upper_conj = np.concatenate([q.conj(), p.conj()], axis=-1)
+    _fail(rel_error(lower, upper_conj) > tol.algebraic_rel, ConsistencyError,
+          "product left the (P, Q; conj Q, conj P) block form")
     try:
         return GStarJacobiElement(GStarElement(p, q, tol), prod.hc, tol)
     except DomainError as exc:
@@ -401,12 +392,12 @@ def gstarj_inv(a: GStarJacobiElement, tol: Tolerance = DEFAULT_TOL) -> GStarJaco
     """Inverse in the bounded model: block inverse [[t(conj P), -t(Q)], ...]
     with the Heisenberg part pushed through it."""
     g = a.g
-    p_i = a.gs.p.T.conj()
-    q_i = -a.gs.q.T
+    p_i = a.gs.p.mT.conj()
+    q_i = -a.gs.q.mT
     minv = _block([[p_i, q_i], [q_i.conj(), p_i.conj()]])
-    xit = a.hc.xi @ minv[:g, :g] + a.hc.eta @ minv[g:, :g]
-    ett = a.hc.xi @ minv[:g, g:] + a.hc.eta @ minv[g:, g:]
-    zeta = -a.hc.zeta + xit @ ett.T - ett @ xit.T
+    xit = a.hc.xi @ minv[..., :g, :g] + a.hc.eta @ minv[..., g:, :g]
+    ett = a.hc.xi @ minv[..., :g, g:] + a.hc.eta @ minv[..., g:, g:]
+    zeta = -a.hc.zeta + xit @ ett.mT - ett @ xit.mT
     return GStarJacobiElement(
         GStarElement(p_i, q_i, tol), ComplexHeisenbergElement(-xit, -ett, zeta, tol), tol
     )
@@ -443,9 +434,9 @@ def embed_sp_gph(a: JacobiElement) -> np.ndarray:
     zgh = np.zeros((g, h))
     e = _block(
         [
-            [A, zgh, B, A @ mu.T - B @ lam.T],
+            [A, zgh, B, A @ mu.mT - B @ lam.mT],
             [lam, np.eye(h), mu, kap],
-            [C, zgh, D, C @ mu.T - D @ lam.T],
+            [C, zgh, D, C @ mu.mT - D @ lam.mT],
             [np.zeros((h, g)), np.zeros((h, h)), np.zeros((h, g)), np.eye(h)],
         ]
     )
@@ -459,9 +450,9 @@ def _tstar_closed(a: JacobiElement) -> tuple[np.ndarray, np.ndarray]:
     lam, mu, kap = a.hs.lam, a.hs.mu, a.hs.kappa
     lp = (lam + 1j * mu) / 2.0
     lm = (lam - 1j * mu) / 2.0
-    p_closed = _block([[gs.p, gs.q @ lp.T - gs.p @ lm.T],
+    p_closed = _block([[gs.p, gs.q @ lp.mT - gs.p @ lm.mT],
                        [lp, np.eye(h) + 0.5j * kap]])
-    q_closed = _block([[gs.q, gs.p @ lm.T - gs.q @ lp.T],
+    q_closed = _block([[gs.q, gs.p @ lm.mT - gs.q @ lp.mT],
                        [lm, -0.5j * kap]])
     return p_closed, q_closed
 
@@ -473,7 +464,8 @@ def tstar_agreement_residual(a: JacobiElement) -> float:
     ts = cayley_matrix(n)
     conj = ts.conj().T @ embed_sp_gph(a).astype(complex) @ ts  # T* is unitary
     p_closed, q_closed = _tstar_closed(a)
-    return max(rel_error(conj[:n, :n], p_closed), rel_error(conj[:n, n:], q_closed))
+    return np.maximum(rel_error(conj[..., :n, :n], p_closed),
+                      rel_error(conj[..., :n, n:], q_closed))
 
 
 def tstar_conjugate_oracle(a: JacobiElement,
@@ -481,8 +473,8 @@ def tstar_conjugate_oracle(a: JacobiElement,
     """The closed-form blocks, after checking them against the explicit
     conjugation; a mismatch signals an implementation bug."""
     res = tstar_agreement_residual(a)
-    if res > tol.algebraic_rel:
-        raise ConsistencyError(f"conjugation blocks disagree with closed form (residual {res:.3e})")
+    _fail(res > tol.algebraic_rel, ConsistencyError,
+          "conjugation blocks disagree with closed form (residual {:.3e})", res)
     return _tstar_closed(a)
 
 

@@ -3,13 +3,27 @@ predicates, trace/bracket helpers, and guarded linear solves.
 
 Every other module builds on the conventions fixed here; in particular all
 approximate equality is relative Frobenius with a max(1, .) floor so that
-checks behave sensibly near zero.  The per-trial helpers (frob, as_cmatrix
-and the block-matrix assembly _block) avoid numpy's generic dispatch on the
-small matrices they see, while giving exactly numpy's results.
+checks behave sensibly near zero.
+
+Every kernel takes matrices of shape (..., r, c): leading axes index a batch
+of slices, which broadcast against unbatched (2-d) operands, and a 2-d input
+is the unbatched case of the same code.  Per-matrix scalars come back with
+the batch shape (plain floats for 2-d input).  Every validation and
+conditioning guard checks every slice and raises its usual error class if
+any slice fails, naming the first failing slice.  Serialization and the CLI
+take 2-d matrices only.
+
+Each slice of a batched result has the bits of the 2-d call: stacked @,
+solve, cond, det and eigvalsh give them by themselves, and frob sums each
+slice in the order ravel(order="K") gives it, over the strided real and
+imaginary views, with the BLAS dot np.linalg.norm uses: ndarray.dot on the
+one vector of a 2-d input, np.vecdot on a batch's rows.  einsum and .sum(-1)
+round differently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +50,8 @@ __all__ = [
     "rel_error",
     "guarded_inv",
     "guarded_rsolve",
+    "Holder",
+    "stack",
 ]
 
 # Condition-number ceiling for every matrix inverse in the library.  Hitting
@@ -90,6 +106,39 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _fail(bad, error: type, message: str, *args) -> None:
+    """Raise error(message.format(*args)) if the batch mask bad is set, naming
+    the first failing slice of a batch; array args give that slice's entry."""
+    if bad is False or bad is np.False_:  # a passing 2-d check
+        return
+    if getattr(bad, "ndim", 0):
+        if not bad.any():
+            return
+        i = tuple(int(k) for k in np.argwhere(bad)[0])
+        where = f" (slice {i[0] if len(i) == 1 else i})"
+    elif bad:
+        i, where = (), ""
+    else:
+        return
+    args = [x[i] if isinstance(x, np.ndarray) else x for x in args]
+    raise error(message.format(*args) + where)
+
+
+def _floor1(x, y=0.0):
+    """max(1, x, y), entry by entry for batches; a NaN counts for nothing."""
+    try:
+        return max(1.0, x, y)
+    except ValueError:  # the truth value of a comparison of batches
+        return np.fmax(np.fmax(1.0, x), y)
+
+
+def _nonfinite(name: str, *arrays: np.ndarray) -> None:
+    """Raise the DomainError for arrays known to hold a NaN or Inf."""
+    finite = [np.isfinite(a).all(axis=(-2, -1)) for a in arrays]
+    _fail(~functools.reduce(np.logical_and, finite), DomainError,
+          "{}: entries must be finite (no NaN/Inf)", name)
+
+
 def _freeze(a: np.ndarray, src) -> np.ndarray:
     """a, coerced from the caller's src, as a read-only C-contiguous array.
 
@@ -106,116 +155,166 @@ def _freeze(a: np.ndarray, src) -> np.ndarray:
     return a
 
 
+class Holder:
+    """Base of the point and element classes: thin holders of (..., r, c)
+    arrays, a batch of points or elements when those have leading axes."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        h = f", h={self.h}" if hasattr(self, "h") else ""
+        return f"{type(self).__name__}(g={self.g}{h})"
+
+
+def stack(items):
+    """One holder of the same-shape holders items, stacking each array along a
+    new leading axis; nothing is validated again, as every item already was."""
+    cls = type(items[0])
+    out = cls.__new__(cls)
+    for name in cls.__slots__:
+        vals = [getattr(x, name) for x in items]
+        v = vals[0]
+        if isinstance(v, np.ndarray):
+            v = _freeze(np.stack(vals), None)
+        elif hasattr(v, "__slots__"):
+            v = stack(vals)
+        setattr(out, name, v)
+    return out
+
+
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-d complex128 array and require finite entries."""
+    """Coerce to a complex128 array of shape (..., r, c) with finite entries."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name}: expected a 2-d matrix, got ndim={arr.ndim}")
-    if arr.size and not np.isfinite(arr).all():
-        raise DomainError(f"{name}: entries must be finite (no NaN/Inf)")
+    if arr.ndim < 2:
+        raise DimensionError(f"{name}: expected a matrix, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        _nonfinite(name, arr)
     return arr
 
 
-def frob(a) -> float:
-    """Frobenius norm, summed exactly as np.linalg.norm sums it."""
-    x = np.asarray(a).ravel(order="K")
-    if x.dtype.char == "D":
+def frob(a):
+    """Frobenius norm of each (r, c) slice (of the whole array below 2-d),
+    summed exactly as np.linalg.norm sums it: see the module docstring."""
+    x = np.asarray(a)
+    if x.ndim <= 2:  # one vector, in the order ravel(order="K") gives
+        x = x.ravel(order="K")
+        if x.dtype.char == "D":
+            re, im = x.real, x.imag
+            return math.sqrt(re.dot(re) + im.dot(im))
+        return math.sqrt(x.dot(x)) if x.dtype.char == "d" else float(np.linalg.norm(x))
+    # one such vector per slice: a copy, as ravel makes, unless the slice is contiguous
+    if abs(x.strides[-1]) > abs(x.strides[-2]) and 1 not in x.shape[-2:]:
+        x = x.mT  # a slice read column by column
+    x = np.ascontiguousarray(x if x.dtype.kind in "fc" else x.astype(float))
+    x = x.reshape(x.shape[:-2] + (-1,))
+    if x.dtype.kind == "c":
         re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x)) if x.dtype.char == "d" else float(np.linalg.norm(x))
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _block(rows) -> np.ndarray:
-    """np.block for a grid of 2-d arrays: the same dtype, bytes and memory
-    order, without its generic dispatch.  Like np.concatenate, the result is
+    """np.block for a grid of (..., r, c) arrays whose batch axes broadcast:
+    each slice has the dtype, bytes and memory order np.block gives it,
+    without its generic dispatch.  Like np.concatenate, a slice is
     Fortran-ordered when every block with no unit dimension is."""
-    widths = [b.shape[1] for b in rows[0]]
+    widths = [b.shape[-1] for b in rows[0]]
     blocks = [b for row in rows for b in row]
-    votes = [abs(b.strides[1]) > abs(b.strides[0]) for b in blocks if 1 not in b.shape]
-    out = np.empty((sum(row[0].shape[0] for row in rows), sum(widths)), np.result_type(*blocks),
-                   order="F" if votes and all(votes) else "C")
+    batch = ()
+    for b in blocks:
+        if b.ndim > 2 and b.shape[:-2] != batch:
+            batch = np.broadcast_shapes(batch, b.shape[:-2])
+    votes = [abs(b.strides[-1]) > abs(b.strides[-2]) for b in blocks if 1 not in b.shape[-2:]]
+    shape = (sum(row[0].shape[-2] for row in rows), sum(widths))
+    fortran = votes and all(votes)
+    out = np.empty(batch + (shape[::-1] if fortran else shape), np.result_type(*blocks))
+    out = out.mT if fortran else out
     i = 0
     for row in rows:
-        height, j = row[0].shape[0], 0
+        height, j = row[0].shape[-2], 0
         for b, width in zip(row, widths, strict=True):
-            if b.shape != (height, width):
-                raise DimensionError(f"block shape {b.shape} != {(height, width)}")
-            out[i:i + height, j:j + width] = b
+            if b.shape[-2:] != (height, width):
+                raise DimensionError(f"block shape {b.shape[-2:]} != {(height, width)}")
+            out[..., i:i + height, j:j + width] = b
             j += width
         i += height
     return out
 
 
-def trace_sigma(a) -> complex:
-    """Trace of a square matrix."""
+def trace_sigma(a):
+    """Trace of each square slice."""
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"trace requires a square matrix, got {a.shape[-2:]}")
+    t = np.trace(a, axis1=-2, axis2=-1)
+    return complex(t) if t.ndim == 0 else t
 
 
 def bracket(a, b) -> np.ndarray:
     """A[B] = transpose(B) A B."""
     a = as_cmatrix(a, "A")
     b = as_cmatrix(b, "B")
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"A must be square, got {a.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"A must be square, got {a.shape[-2:]}")
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"inner dimensions do not match: {a.shape} vs {b.shape}")
-    return b.T @ a @ b
+    return b.mT @ a @ b
 
 
-def symmetry_defect(a: np.ndarray) -> float:
-    """Relative Frobenius distance of a from its transpose."""
-    return frob(a - a.T) / max(1.0, frob(a))
+def symmetry_defect(a: np.ndarray):
+    """Relative Frobenius distance of each slice from its transpose."""
+    return frob(a - a.mT) / _floor1(frob(a))
 
 
-def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_symmetric(a, tol: Tolerance = DEFAULT_TOL):
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"symmetry test requires a square matrix, got {a.shape}")
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"symmetry test requires a square matrix, got {a.shape[-2:]}")
     return symmetry_defect(a) <= tol.algebraic_rel
 
 
-def hermitian_pd_margin(a, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, -inf if not Hermitian.
+def hermitian_pd_margin(a, tol: Tolerance = DEFAULT_TOL):
+    """Smallest eigenvalue of each Hermitian slice, -inf where a slice is not
+    Hermitian.
 
     The margin is returned rather than a bare bool so callers can report how
     far inside the domain a point sits.
     """
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"PD test requires a square matrix, got {a.shape}")
-    if frob(a - a.conj().T) > tol.algebraic_rel * max(1.0, frob(a)):
-        return -np.inf
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"PD test requires a square matrix, got {a.shape[-2:]}")
+    hermitian = frob(a - a.conj().mT) <= tol.algebraic_rel * _floor1(frob(a))
     try:
         eigs = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # LAPACK does not say which slice failed
         raise ConditioningError(f"eigenvalue iteration failed: {exc}") from exc
-    return float(eigs[0])
+    # a plain True for a Hermitian 2-d input
+    margin = eigs[..., 0] if hermitian is True else np.where(hermitian, eigs[..., 0], -np.inf)
+    return float(margin) if margin.ndim == 0 else margin
 
 
-def is_hermitian_pd(a, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_hermitian_pd(a, tol: Tolerance = DEFAULT_TOL):
     return hermitian_pd_margin(a, tol) > tol.pd_min_eig
 
 
-def rel_close(a, b, tol: float) -> bool:
+def rel_close(a, b, tol: float):
     return rel_error(a, b) <= tol
 
 
-def rel_error(a, b) -> float:
-    """|a - b|_F / max(1, |a|_F, |b|_F)."""
+def rel_error(a, b):
+    """|a - b|_F / max(1, |a|_F, |b|_F) per slice; an unbatched operand
+    broadcasts against a batched one."""
     a = as_cmatrix(a, "a")
     b = as_cmatrix(b, "b")
-    if a.shape != b.shape:
+    if a.shape != b.shape and (a.shape[-2:] != b.shape[-2:] or min(a.ndim, b.ndim) > 2):
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return frob(a - b) / max(1.0, frob(a), frob(b))
+    return frob(a - b) / _floor1(frob(a), frob(b))
 
 
 def _check_cond(a: np.ndarray, context: str) -> None:
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(f"{context}: condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    _fail(~(cond <= COND_LIMIT), ConditioningError, "{}: condition number {:.3e} exceeds {:.0e}",
+          context, cond, COND_LIMIT)
 
 
 def guarded_inv(a, context: str = "inverse") -> np.ndarray:
@@ -225,8 +324,9 @@ def guarded_inv(a, context: str = "inverse") -> np.ndarray:
 
 
 def guarded_rsolve(num, den, context: str = "solve") -> np.ndarray:
-    """num @ inv(den), computed as a linear solve with a conditioning guard."""
+    """num @ inv(den) per slice, computed as a linear solve with a
+    conditioning guard."""
     num = as_cmatrix(num, "numerator")
     den = as_cmatrix(den, "denominator")
     _check_cond(den, context)
-    return np.linalg.solve(den.T, num.T).T
+    return np.linalg.solve(den.mT, num.mT).mT

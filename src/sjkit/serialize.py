@@ -36,6 +36,8 @@ __all__ = [
 
 def encode_matrix(a) -> list:
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise DimensionError(f"only a 2-d matrix can be encoded, got ndim={a.ndim}")
     return [[[float(np.real(x)), float(np.imag(x))] for x in row] for row in a]
 
 

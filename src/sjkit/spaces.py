@@ -16,6 +16,8 @@ with df = dZ + lam dOmega for act_jacobi, deta + xi dW for act_jacobi_disk
 and 2i deta for partial_cayley.  Given tangent vectors (dirs=...), a map
 also returns their images under it; its one guarded solve then returns J^-1
 as well, by stacking I under the numerator.
+Points hold (..., r, c) arrays (see numkit), so one holder may carry a
+batch; tangent vectors and their pushforwards are unbatched.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from .numkit import (
     DEFAULT_TOL,
     DimensionError,
     DomainError,
+    Holder,
     Tolerance,
+    _fail,
     _freeze,
     as_cmatrix,
     frob,
@@ -63,16 +67,17 @@ __all__ = [
 
 
 def _check_square_symmetric(m: np.ndarray, name: str, tol: Tolerance) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got {m.shape}")
-    if symmetry_defect(m) > tol.algebraic_rel:
-        raise DomainError(f"{name} is not symmetric within tolerance")
+    if m.shape[-2] != m.shape[-1]:
+        raise DimensionError(f"{name} must be square, got {m.shape[-2:]}")
+    _fail(symmetry_defect(m) > tol.algebraic_rel, DomainError,
+          "{} is not symmetric within tolerance", name)
 
 
-class SiegelPoint:
+class SiegelPoint(Holder):
     """A symmetric complex matrix with positive definite imaginary part."""
 
     __slots__ = ("omega",)
+    _NOT_PD = "Im(omega) is not positive definite"
 
     def __init__(self, omega, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
         self.omega = _freeze(as_cmatrix(omega, "omega"), omega)
@@ -81,15 +86,14 @@ class SiegelPoint:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         _check_square_symmetric(self.omega, "omega", tol)
-        if self.pd_margin(tol) <= tol.pd_min_eig:
-            raise DomainError("Im(omega) is not positive definite")
+        _fail(self.pd_margin(tol) <= tol.pd_min_eig, DomainError, self._NOT_PD)
 
-    def pd_margin(self, tol: Tolerance = DEFAULT_TOL) -> float:
+    def pd_margin(self, tol: Tolerance = DEFAULT_TOL):
         return hermitian_pd_margin(self.y.astype(complex), tol)
 
     @property
     def g(self) -> int:
-        return self.omega.shape[0]
+        return self.omega.shape[-1]
 
     @property
     def x(self) -> np.ndarray:
@@ -99,14 +103,12 @@ class SiegelPoint:
     def y(self) -> np.ndarray:
         return np.imag(self.omega)
 
-    def __repr__(self):
-        return f"SiegelPoint(g={self.g})"
 
-
-class DiskPoint:
+class DiskPoint(Holder):
     """A symmetric complex matrix W with I - W conj(W) positive definite."""
 
     __slots__ = ("w",)
+    _NOT_PD = "I - W conj(W) is not positive definite"
 
     def __init__(self, w, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
         self.w = _freeze(as_cmatrix(w, "w"), w)
@@ -115,25 +117,20 @@ class DiskPoint:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         _check_square_symmetric(self.w, "w", tol)
-        if self.pd_margin(tol) <= tol.pd_min_eig:
-            raise DomainError("I - W conj(W) is not positive definite")
+        _fail(self.pd_margin(tol) <= tol.pd_min_eig, DomainError, self._NOT_PD)
 
-    def pd_margin(self, tol: Tolerance = DEFAULT_TOL) -> float:
-        g = self.w.shape[0]
-        m = np.eye(g) - self.w @ self.w.conj()
+    def pd_margin(self, tol: Tolerance = DEFAULT_TOL):
+        m = np.eye(self.g) - self.w @ self.w.conj()
         # symmetrize away the roundoff skew before the Hermitian eigensolve
-        m = (m + m.conj().T) / 2
+        m = (m + m.conj().mT) / 2
         return hermitian_pd_margin(m, tol)
 
     @property
     def g(self) -> int:
-        return self.w.shape[0]
-
-    def __repr__(self):
-        return f"DiskPoint(g={self.g})"
+        return self.w.shape[-1]
 
 
-class SiegelJacobiPoint:
+class SiegelJacobiPoint(Holder):
     """A SiegelPoint together with an h x g complex fiber coordinate."""
 
     __slots__ = ("base", "z")
@@ -143,8 +140,9 @@ class SiegelJacobiPoint:
             base = SiegelPoint(base, tol)
         self.base = base
         self.z = _freeze(as_cmatrix(z, "z"), z)
-        if self.z.shape[1] != base.g:
-            raise DimensionError(f"z must have {base.g} columns, got {self.z.shape}")
+        if self.z.shape[-1] != base.g or self.z.shape[:-2] != base.omega.shape[:-2]:
+            raise DimensionError(f"z must be a batch {base.omega.shape[:-2]} of matrices with "
+                                 f"{base.g} columns, got {self.z.shape}")
 
     @property
     def omega(self) -> np.ndarray:
@@ -156,7 +154,7 @@ class SiegelJacobiPoint:
 
     @property
     def h(self) -> int:
-        return self.z.shape[0]
+        return self.z.shape[-2]
 
     @property
     def u(self) -> np.ndarray:
@@ -166,11 +164,8 @@ class SiegelJacobiPoint:
     def v(self) -> np.ndarray:
         return np.imag(self.z)
 
-    def __repr__(self):
-        return f"SiegelJacobiPoint(g={self.g}, h={self.h})"
 
-
-class DiskJacobiPoint:
+class DiskJacobiPoint(Holder):
     """A DiskPoint together with an h x g complex fiber coordinate."""
 
     __slots__ = ("base", "eta")
@@ -180,8 +175,9 @@ class DiskJacobiPoint:
             base = DiskPoint(base, tol)
         self.base = base
         self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
-        if self.eta.shape[1] != base.g:
-            raise DimensionError(f"eta must have {base.g} columns, got {self.eta.shape}")
+        if self.eta.shape[-1] != base.g or self.eta.shape[:-2] != base.w.shape[:-2]:
+            raise DimensionError(f"eta must be a batch {base.w.shape[:-2]} of matrices with "
+                                 f"{base.g} columns, got {self.eta.shape}")
 
     @property
     def w(self) -> np.ndarray:
@@ -193,10 +189,7 @@ class DiskJacobiPoint:
 
     @property
     def h(self) -> int:
-        return self.eta.shape[0]
-
-    def __repr__(self):
-        return f"DiskJacobiPoint(g={self.g}, h={self.h})"
+        return self.eta.shape[-2]
 
 
 class TangentVector:
@@ -231,9 +224,29 @@ class TangentVector:
 
 def _symmetrized(m: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
     defect = symmetry_defect(m)
-    if defect > tol.algebraic_rel:
-        raise DomainError(f"{what}: output symmetry defect {defect:.3e} exceeds tolerance")
-    return (m + m.T) / 2
+    _fail(defect > tol.algebraic_rel, DomainError,
+          "{}: output symmetry defect {:.3e} exceeds tolerance", what, defect)
+    return (m + m.mT) / 2
+
+
+def _positive(cls, m: np.ndarray, tol: Tolerance):
+    """The cls point at a _symmetrized m: (m + m^T)/2 is exactly symmetric, so
+    of cls's validation only the positivity check is left to make."""
+    out = cls(m, validate=False)
+    _fail(out.pd_margin(tol) <= tol.pd_min_eig, DomainError, cls._NOT_PD)
+    return out
+
+
+def _fit(v: TangentVector, x: np.ndarray, fiber: np.ndarray | None = None):
+    """The (dx, df) displacement of the tangent vector v at the point (x, fiber):
+    df is None at a point without a fiber and zero where v has none."""
+    df = None if fiber is None else v.dfiber
+    if fiber is not None and df is None:
+        df = np.zeros_like(fiber)
+    if x.ndim != 2 or v.dbase.shape != x.shape or (df is not None and df.shape != fiber.shape):
+        at = x.shape if fiber is None else (x.shape, fiber.shape)
+        raise DimensionError(f"tangent vector does not fit a point of shape {at}")
+    return v.dbase, df
 
 
 def _displacements(dirs, x: np.ndarray, fiber: np.ndarray | None = None, lift=None):
@@ -243,35 +256,32 @@ def _displacements(dirs, x: np.ndarray, fiber: np.ndarray | None = None, lift=No
         return None
     out = []
     for v in dirs:
-        df = v.dfiber
-        if fiber is None:
-            df = None
-        elif df is None:
-            df = np.zeros_like(fiber)
-        if v.dbase.shape != x.shape or (df is not None and df.shape != fiber.shape):
-            raise DimensionError(f"tangent vector does not fit a point of shape {x.shape}")
-        out.append((v.dbase, df if lift is None else df + lift @ v.dbase))
+        dx, df = _fit(v, x, fiber)
+        out.append((dx, df if lift is None else df + lift @ dx))
     return out
 
 
 def _stacked_rsolve(top, fiber, den, context: str, with_inverse: bool):
     """top den^-1, fiber den^-1 and, if with_inverse, den^-1 itself, from one
     guarded solve of the stacked numerator."""
-    n = den.shape[0]
+    if fiber is None and not with_inverse:
+        return guarded_rsolve(top, den, context), None, None
+    n = den.shape[-1]
     parts = [m for m in (top, fiber, np.eye(n) if with_inverse else None) if m is not None]
-    out = guarded_rsolve(parts[0] if len(parts) == 1 else np.vstack(parts), den, context)
-    k = n if fiber is None else n + fiber.shape[0]
-    return out[:n], out[n:k], out[k:]
+    out = guarded_rsolve(np.concatenate(parts, axis=-2), den, context)
+    k = n if fiber is None else n + fiber.shape[-2]
+    return out[..., :n, :], None if fiber is None else out[..., n:k, :], out[..., k:, :]
 
 
-def _pushed(lead, c, z, jinv, dirs, tol: Tolerance) -> list[TangentVector]:
+def _pushed(lead, c, z, jinv, dirs) -> list[TangentVector]:
     """(lead dx J^-1 symmetrized, (df - z c dx) J^-1) for each (dx, df) in dirs,
     with lead = a - x'c: the exact differential of a fractional-linear map."""
     out = []
     for dx, df in dirs:
         dx2 = lead @ dx @ jinv
-        out.append(TangentVector((dx2 + dx2.T) / 2,
-                                 None if df is None else (df - z @ (c @ dx)) @ jinv, tol))
+        v = TangentVector.__new__(TangentVector)  # (dx2 + dx2^T)/2 is exactly symmetric
+        v.dbase, v.dfiber = (dx2 + dx2.T) / 2, None if df is None else (df - z @ (c @ dx)) @ jinv
+        out.append(v)
     return out
 
 
@@ -281,7 +291,7 @@ def _fractional_linear(a, b, c, d, x, fiber, tol: Tolerance, context: str, what:
     pairs, their pushforwards, in one guarded solve."""
     top, z, jinv = _stacked_rsolve(a @ x + b, fiber, c @ x + d, context, dirs is not None)
     out = _symmetrized(top, tol, what)
-    return out, z, None if dirs is None else _pushed(a - out @ c, c, z, jinv, dirs, tol)
+    return out, z, None if dirs is None else _pushed(a - out @ c, c, z, jinv, dirs)
 
 
 def act_siegel(m: SymplecticMatrix, p: SiegelPoint, tol: Tolerance = DEFAULT_TOL,
@@ -295,7 +305,7 @@ def act_siegel(m: SymplecticMatrix, p: SiegelPoint, tol: Tolerance = DEFAULT_TOL
     om, _, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, tol,
                                        "C omega + D", "siegel action",
                                        _displacements(dirs, p.omega))
-    out = SiegelPoint(om, tol)
+    out = _positive(SiegelPoint, om, tol)
     return out if dirs is None else (out, pushed)
 
 
@@ -309,7 +319,7 @@ def act_disk(gs: GStarElement, p: DiskPoint, tol: Tolerance = DEFAULT_TOL, dirs=
     w, _, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None, tol,
                                       "conj(Q) W + conj(P)", "disk action",
                                       _displacements(dirs, p.w))
-    out = DiskPoint(w, tol)
+    out = _positive(DiskPoint, w, tol)
     return out if dirs is None else (out, pushed)
 
 
@@ -325,7 +335,7 @@ def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, tol: Tolerance = DEFAULT_
     om, z, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, fiber, tol,
                                        "C omega + D", "siegel action",
                                        _displacements(dirs, p.omega, p.z, a.hs.lam))
-    out = SiegelJacobiPoint(SiegelPoint(om, tol), z, tol)
+    out = SiegelJacobiPoint(_positive(SiegelPoint, om, tol), z, tol)
     return out if dirs is None else (out, pushed)
 
 
@@ -341,7 +351,7 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint,
     w, eta, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, fiber, tol,
                                         "conj(Q) W + conj(P)", "disk action",
                                         _displacements(dirs, p.w, p.eta, a.hc.xi))
-    out = DiskJacobiPoint(DiskPoint(w, tol), eta, tol)
+    out = DiskJacobiPoint(_positive(DiskPoint, w, tol), eta, tol)
     return out if dirs is None else (out, pushed)
 
 
@@ -356,18 +366,18 @@ def _cayley(w, fiber, tol: Tolerance, dirs=None):
     This is the fractional-linear map with a = b = iI, c = -I, d = I and the
     fiber 2i eta, so df = 2i deta.
     """
-    i = np.eye(w.shape[0])
+    i = np.eye(w.shape[-1])
     top, z, rinv = _stacked_rsolve(i + w, fiber, i - w, "I - W", dirs is not None)
-    om, z = _symmetrized(1j * top, tol, "cayley"), 2j * z
+    om, z = _symmetrized(1j * top, tol, "cayley"), None if fiber is None else 2j * z
     if dirs is None:
         return om, z, None
     dirs = [(dw, None if de is None else 2j * de) for dw, de in dirs]
-    return om, z, _pushed(1j * i + om, -i, z, rinv, dirs, tol)
+    return om, z, _pushed(1j * i + om, -i, z, rinv, dirs)
 
 
 def _cayley_inv(omega, fiber, tol: Tolerance):
     """(omega - iI)(omega + iI)^-1 symmetrized, and fiber (omega + iI)^-1, in one guarded solve."""
-    i = np.eye(omega.shape[0])
+    i = np.eye(omega.shape[-1])
     top, eta, _ = _stacked_rsolve(omega - 1j * i, fiber, omega + 1j * i, "omega + iI", False)
     return _symmetrized(top, tol, "inverse cayley"), eta
 
@@ -378,13 +388,13 @@ def cayley(p: DiskPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
     om, _, pushed = _cayley(p.w, None, tol, _displacements(dirs, p.w))
-    out = SiegelPoint(om, tol)
+    out = _positive(SiegelPoint, om, tol)
     return out if dirs is None else (out, pushed)
 
 
 def cayley_inv(p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
     """omega -> (omega - iI)(omega + iI)^-1."""
-    return DiskPoint(_cayley_inv(p.omega, None, tol)[0], tol)
+    return _positive(DiskPoint, _cayley_inv(p.omega, None, tol)[0], tol)
 
 
 def partial_cayley(p: DiskJacobiPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
@@ -393,14 +403,14 @@ def partial_cayley(p: DiskJacobiPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
     om, z, pushed = _cayley(p.w, p.eta, tol, _displacements(dirs, p.w, p.eta))
-    out = SiegelJacobiPoint(SiegelPoint(om, tol), z, tol)
+    out = SiegelJacobiPoint(_positive(SiegelPoint, om, tol), z, tol)
     return out if dirs is None else (out, pushed)
 
 
 def partial_cayley_inv(p: SiegelJacobiPoint, tol: Tolerance = DEFAULT_TOL) -> DiskJacobiPoint:
     """(omega, Z) -> ((omega - iI)(omega + iI)^-1, Z (omega + iI)^-1)."""
     w, eta = _cayley_inv(p.omega, p.z, tol)
-    return DiskJacobiPoint(DiskPoint(w, tol), eta, tol)
+    return DiskJacobiPoint(_positive(DiskPoint, w, tol), eta, tol)
 
 
 def check_compatibility(a: JacobiElement, p: DiskJacobiPoint,
@@ -413,7 +423,7 @@ def check_compatibility(a: JacobiElement, p: DiskJacobiPoint,
     """
     lhs = act_jacobi(a, partial_cayley(p, tol), tol)
     rhs = partial_cayley(act_jacobi_disk(theta(a), p, tol), tol)
-    return max(rel_error(lhs.omega, rhs.omega), rel_error(lhs.z, rhs.z))
+    return np.maximum(rel_error(lhs.omega, rhs.omega), rel_error(lhs.z, rhs.z))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,14 @@ Each suite draws deterministic per-trial samples, evaluates one identity,
 and reports the worst relative residual.  Per-trial seeds are derived from
 the master seed and the trial index alone, so reruns of the same suite
 produce byte-identical reports.
+
+The six algebraic suites draw and validate each trial's samples on their
+own, stack them (see numkit) and evaluate each chunk of up to 64 trials in
+one pass: a slice that fails a guard fails the call, naming the slice (and
+the chunk's first trial after the first chunk), and each residual has the
+bits of its trial evaluated alone.  The finite-difference suites evaluate
+one trial at a time.  A SUITES entry is (fn, default tolerance) with
+fn(g, h, seeds) returning one residual per seed.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +56,7 @@ from .groups import (
     theta,
     tstar_agreement_residual,
 )
-from .numkit import DomainError, rel_error
+from .numkit import DomainError, SjkError, rel_error, stack
 from .spaces import (
     act_disk,
     act_jacobi,
@@ -104,68 +113,96 @@ _HEIS = attrgetter("lam", "mu", "kappa")
 _GSTARJ = attrgetter("gs.p", "gs.q", "hc.xi", "hc.eta", "hc.zeta")
 
 
-def _dist(fields: attrgetter, a, b) -> float:
+def _dist(fields: attrgetter, a, b):
     """The worst rel_error over the paired fields of two elements."""
-    return max(rel_error(x, y) for x, y in zip(fields(a), fields(b), strict=True))
+    return np.max([rel_error(x, y) for x, y in zip(fields(a), fields(b), strict=True)], axis=0)
 
 
 # ---------------------------------------------------------------------------
-# per-trial residuals
+# algebraic suites: per-trial draws, one evaluation of every trial
 
 
-def _trial_group_axioms(g: int, h: int, s: int) -> float:
-    a, b, c = (sample_element("jacobi", g, h, s + k) for k in range(3))
-    e = JacobiElement.identity(g, h)
-    res = _dist(_JACOBI, jacobi_mul(jacobi_mul(a, b), c), jacobi_mul(a, jacobi_mul(b, c)))
-    res = max(res, _dist(_JACOBI, jacobi_mul(a, e), a), _dist(_JACOBI, jacobi_mul(e, a), a))
-    res = max(res, _dist(_JACOBI, jacobi_mul(a, jacobi_inv(a)), e))
-    res = max(res, _dist(_JACOBI, jacobi_mul(jacobi_inv(a), a), e))
-
-    ha, hb, hc = (sample_element("heisenberg", g, h, s + 3 + k) for k in range(3))
-    he = HeisenbergElement.identity(g, h)
-    res = max(res, _dist(_HEIS, heisenberg_mul(heisenberg_mul(ha, hb), hc),
-                         heisenberg_mul(ha, heisenberg_mul(hb, hc))))
-    res = max(res, _dist(_HEIS, heisenberg_mul(ha, he), ha))
-
-    sa, sb, sc = (sample_element("gstarj", g, h, s + 6 + k) for k in range(3))
-    se = GStarJacobiElement.identity(g, h)
-    res = max(res, _dist(_GSTARJ, gstarj_mul(gstarj_mul(sa, sb), sc),
-                         gstarj_mul(sa, gstarj_mul(sb, sc))))
-    res = max(res, _dist(_GSTARJ, gstarj_mul(sa, se), sa), _dist(_GSTARJ, gstarj_mul(se, sa), sa))
-    res = max(res, _dist(_GSTARJ, gstarj_mul(sa, gstarj_inv(sa)), se))
-    return res
+_POINT_KINDS = ("siegel", "disk", "siegel_jacobi", "disk_jacobi")
+# trials evaluated in one pass: memory stays flat in the trial count
+_CHUNK = 64
 
 
-def _trial_theta_hom(g: int, h: int, s: int) -> float:
-    a = sample_element("jacobi", g, h, s)
-    b = sample_element("jacobi", g, h, s + 1)
-    res = _dist(_GSTARJ, theta(jacobi_mul(a, b)), gstarj_mul(theta(a), theta(b)))
-    res = max(res, tstar_agreement_residual(a))
+@dataclass(frozen=True)
+class _Batched:
+    """A suite that draws one sample of each kind per trial, seeded s, s + 1,
+    ..., and evaluates each chunk of _CHUNK trials in one pass over the
+    stacked samples."""
+
+    kinds: tuple
+    evaluate: Callable
+
+    def draw(self, g: int, h: int, s: int) -> tuple:
+        return tuple((sample_point if kind in _POINT_KINDS else sample_element)(kind, g, h, s + k)
+                     for k, kind in enumerate(self.kinds))
+
+    def __call__(self, g: int, h: int, seeds: list[int]) -> np.ndarray:
+        out = []
+        for i in range(0, len(seeds), _CHUNK):
+            batch = [stack(x) for x in zip(*(self.draw(g, h, s) for s in seeds[i:i + _CHUNK]))]
+            try:
+                out.append(self.evaluate(*batch))
+            except SjkError as exc:
+                if not i:
+                    raise
+                raise type(exc)(f"{exc}, counting slices from trial {i}") from exc
+        return np.concatenate(out)
+
+
+def _group_axioms(a, b, c, ha, hb, hc, sa, sb, sc):
+    e = JacobiElement.identity(a.g, a.h)
+    res = [_dist(_JACOBI, jacobi_mul(jacobi_mul(a, b), c), jacobi_mul(a, jacobi_mul(b, c))),
+           _dist(_JACOBI, jacobi_mul(a, e), a), _dist(_JACOBI, jacobi_mul(e, a), a),
+           _dist(_JACOBI, jacobi_mul(a, jacobi_inv(a)), e),
+           _dist(_JACOBI, jacobi_mul(jacobi_inv(a), a), e)]
+
+    he = HeisenbergElement.identity(a.g, a.h)
+    res += [_dist(_HEIS, heisenberg_mul(heisenberg_mul(ha, hb), hc),
+                  heisenberg_mul(ha, heisenberg_mul(hb, hc))),
+            _dist(_HEIS, heisenberg_mul(ha, he), ha)]
+
+    se = GStarJacobiElement.identity(a.g, a.h)
+    res += [_dist(_GSTARJ, gstarj_mul(gstarj_mul(sa, sb), sc), gstarj_mul(sa, gstarj_mul(sb, sc))),
+            _dist(_GSTARJ, gstarj_mul(sa, se), sa), _dist(_GSTARJ, gstarj_mul(se, sa), sa),
+            _dist(_GSTARJ, gstarj_mul(sa, gstarj_inv(sa)), se)]
+    return np.max(res, axis=0)
+
+
+def _theta_hom(a, b):
+    res = [_dist(_GSTARJ, theta(jacobi_mul(a, b)), gstarj_mul(theta(a), theta(b))),
+           tstar_agreement_residual(a)]
     ea, eb = embed_sp_gph(a), embed_sp_gph(b)
-    res = max(res, rel_error(embed_sp_gph(jacobi_mul(a, b)), ea @ eb))
-    j = symplectic_j(g + h)
-    res = max(res, rel_error(ea.T @ np.real(j) @ ea, np.real(j)))
-    return res
+    res.append(rel_error(embed_sp_gph(jacobi_mul(a, b)), ea @ eb))
+    j = symplectic_j(a.g + a.h)
+    res.append(rel_error(ea.mT @ np.real(j) @ ea, np.real(j)))
+    return np.max(res, axis=0)
 
 
-def _trial_compat_29(g: int, h: int, s: int) -> float:
-    m = sample_element("sp", g, h, s)
-    w = sample_point("disk", g, h, s + 1)
+def _compat_29(m, w):
     lhs = act_siegel(m, cayley(w))
     rhs = cayley(act_disk(conjugate_by_T(m), w))
     return rel_error(lhs.omega, rhs.omega)
 
 
-def _trial_compat_37(g: int, h: int, s: int) -> float:
-    a = sample_element("jacobi", g, h, s)
-    p = sample_point("disk_jacobi", g, h, s + 1)
-    return check_compatibility(a, p)
+def _hc_reconstruct(a, p):
+    return np.max(list(decomp.component_residuals(a, p).values()), axis=0)
 
 
-def _trial_hc_reconstruct(g: int, h: int, s: int) -> float:
-    a = sample_element("gstarj", g, h, s)
-    p = sample_point("disk_jacobi", g, h, s + 1)
-    return max(decomp.component_residuals(a, p).values())
+def _cocycle(g1, g2, p):
+    h = g1.h
+    half_integral = 2.0 * np.eye(h) + 0.5 * (np.ones((h, h)) - np.eye(h))
+    indexes = [IndexMatrix(np.zeros((h, h))), IndexMatrix(np.eye(h)),
+               IndexMatrix(half_integral, half_integral=True, psd=True)]
+    reps = [Representation("det_power", k) for k in (0, 1, 2)] + [Representation("standard")]
+    return verify_cocycle(indexes, reps, g1, g2, p)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference suites: one trial at a time
 
 
 def _metric_action_residual(metric_fn, act_fn, p, v) -> float:
@@ -180,32 +217,33 @@ def _trial_metric_invariance(g: int, h: int, s: int) -> float:
     m = sample_element("sp", g, h, s)
     ps = sample_point("siegel", g, h, s + 1)
     vs = sample_tangent(g, None, s + 2)
-    res = max(res, _metric_action_residual(metric_siegel, partial(act_siegel, m), ps, vs))
+    res = np.maximum(res, _metric_action_residual(metric_siegel, partial(act_siegel, m), ps, vs))
 
     gs = sample_element("gstar", g, h, s + 3)
     pd = sample_point("disk", g, h, s + 4)
     vd = sample_tangent(g, None, s + 5)
-    res = max(res, _metric_action_residual(metric_disk, partial(act_disk, gs), pd, vd))
+    res = np.maximum(res, _metric_action_residual(metric_disk, partial(act_disk, gs), pd, vd))
 
     a = sample_element("jacobi", g, h, s + 6)
     pj = sample_point("siegel_jacobi", g, h, s + 7)
     vj = sample_tangent(g, h, s + 8)
     moved, (moved_v,) = act_jacobi(a, pj, dirs=[vj])
     for params in (MetricParams(1.0, 1.0), MetricParams(2.0, 0.5)):
-        res = max(res, _scalar_rel(metric_sj(params, pj, vj), metric_sj(params, moved, moved_v)))
+        res = np.maximum(res, _scalar_rel(metric_sj(params, pj, vj),
+                                          metric_sj(params, moved, moved_v)))
 
     # Cayley isometry: the factor 4 in the bounded-model metric
     pc = sample_point("disk", g, h, s + 9)
     vc = sample_tangent(g, None, s + 10)
     moved, (moved_v,) = cayley(pc, dirs=[vc])
-    res = max(res, _scalar_rel(metric_disk(pc, vc), metric_siegel(moved, moved_v)))
+    res = np.maximum(res, _scalar_rel(metric_disk(pc, vc), metric_siegel(moved, moved_v)))
 
     # pullback metric on the disk model is invariant under the bounded action
     b = sample_element("gstarj", g, h, s + 11)
     pb = sample_point("disk_jacobi", g, h, s + 12)
     vb = sample_tangent(g, h, s + 13)
     params = MetricParams(1.0, 1.0)
-    res = max(res, _metric_action_residual(partial(pullback_metric_disk, params),
+    res = np.maximum(res, _metric_action_residual(partial(pullback_metric_disk, params),
                                            partial(act_jacobi_disk, b), pb, vb))
     return res
 
@@ -229,26 +267,8 @@ def _trial_laplacian_invariance(g: int, h: int, s: int) -> float:
         pb = sample_point("siegel", g, h, s + 3)
         lhs = laplacian_siegel(lambda q: fld(act_siegel(m, q)), pb)
         rhs = laplacian_siegel(fld, act_siegel(m, pb))
-        res = max(res, _scalar_rel(lhs, rhs))
+        res = np.maximum(res, _scalar_rel(lhs, rhs))
     return res
-
-
-def _half_integral_example(h: int) -> IndexMatrix:
-    m = 2.0 * np.eye(h) + 0.5 * (np.ones((h, h)) - np.eye(h))
-    return IndexMatrix(m, half_integral=True, psd=True)
-
-
-def _trial_cocycle(g: int, h: int, s: int) -> float:
-    g1 = sample_element("gstarj", g, h, s)
-    g2 = sample_element("gstarj", g, h, s + 1)
-    p = sample_point("disk_jacobi", g, h, s + 2)
-    indexes = [
-        IndexMatrix(np.zeros((h, h))),
-        IndexMatrix(np.eye(h)),
-        _half_integral_example(h),
-    ]
-    reps = [Representation("det_power", k) for k in (0, 1, 2)] + [Representation("standard")]
-    return verify_cocycle(indexes, reps, g1, g2, p)
 
 
 def _trial_volume_invariance(g: int, h: int, s: int) -> float:
@@ -259,17 +279,23 @@ def _trial_volume_invariance(g: int, h: int, s: int) -> float:
     return _scalar_rel(lhs, volume_density(p))
 
 
-# name -> (trial function, default tolerance)
+def _one_at_a_time(trial: Callable) -> Callable:
+    """A suite that evaluates trial(g, h, seed) for each seed in turn."""
+    return lambda g, h, seeds: [trial(g, h, s) for s in seeds]
+
+
+# name -> (suite function (g, h, seeds) -> residual per seed, default tolerance)
 SUITES = {
-    "group-axioms": (_trial_group_axioms, 1e-9),
-    "theta-hom": (_trial_theta_hom, 1e-9),
-    "compat-29": (_trial_compat_29, 1e-9),
-    "compat-37": (_trial_compat_37, 1e-9),
-    "hc-reconstruct": (_trial_hc_reconstruct, 1e-9),
-    "metric-invariance": (_trial_metric_invariance, 1e-9),
-    "laplacian-invariance": (_trial_laplacian_invariance, 1e-3),
-    "cocycle": (_trial_cocycle, 1e-8),
-    "volume-invariance": (_trial_volume_invariance, 1e-9),
+    "group-axioms": (_Batched(("jacobi",) * 3 + ("heisenberg",) * 3 + ("gstarj",) * 3,
+                              _group_axioms), 1e-9),
+    "theta-hom": (_Batched(("jacobi", "jacobi"), _theta_hom), 1e-9),
+    "compat-29": (_Batched(("sp", "disk"), _compat_29), 1e-9),
+    "compat-37": (_Batched(("jacobi", "disk_jacobi"), check_compatibility), 1e-9),
+    "hc-reconstruct": (_Batched(("gstarj", "disk_jacobi"), _hc_reconstruct), 1e-9),
+    "metric-invariance": (_one_at_a_time(_trial_metric_invariance), 1e-9),
+    "laplacian-invariance": (_one_at_a_time(_trial_laplacian_invariance), 1e-3),
+    "cocycle": (_Batched(("gstarj", "gstarj", "disk_jacobi"), _cocycle), 1e-8),
+    "volume-invariance": (_one_at_a_time(_trial_volume_invariance), 1e-9),
 }
 
 
@@ -278,7 +304,7 @@ def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 
     """Run one named suite; deterministic in (name, g, h, trials, seed)."""
     if name not in SUITES:
         raise DomainError(f"unknown suite: {name!r}")
-    trial_fn, default_tol = SUITES[name]
+    suite_fn, default_tol = SUITES[name]
     tolerance = default_tol if tol is None else float(tol)
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
@@ -286,16 +312,16 @@ def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 
         raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 
     seeds = [trial_seed(seed, i) for i in range(trials)]
-    results = [(s, trial_fn(g, h, s)) for s in seeds]
+    residuals = np.asarray(suite_fn(g, h, seeds), dtype=float)
     failures = [
-        {"seed": s, "residual": float(r)} for s, r in results if not r <= tolerance
+        {"seed": s, "residual": float(r)} for s, r in zip(seeds, residuals) if not r <= tolerance
     ]
     return VerifyReport(
         suite=name,
         g=g,
         h=h,
         trials=trials,
-        max_residual=float(max(r for _, r in results)),
+        max_residual=float(np.max(residuals)),  # NaN if any residual is
         tolerance=tolerance,
         failures=failures,
         passed=not failures,

@@ -187,11 +187,11 @@ def test_one_conditioning_guard_per_call(monkeypatch):
 def test_cocycle_trial_guards_and_cores(monkeypatch):
     guards = _count_calls(monkeypatch, np.linalg, "cond")
     cores = _count_calls(monkeypatch, decomp, "_hc_core")
-    for seed in range(3):
+    for seeds in ([0], [1], [2], [0, 1, 2]):
         guards.clear()
         cores.clear()
-        suites._trial_cocycle(2, 2, seed)
-        # one action plus three Harish-Chandra cores, each guarded once
+        suites.SUITES["cocycle"][0](2, 2, seeds)
+        # one action plus three Harish-Chandra cores, each guarded once per batch
         assert (len(guards), len(cores)) == (4, 3)
 
 

@@ -21,7 +21,7 @@ from sjkit.geometry import (
     volume_density,
 )
 from sjkit.groups import conjugate_by_T, sample_element
-from sjkit.numkit import DEFAULT_TOL, DomainError, rel_error
+from sjkit.numkit import DEFAULT_TOL, DimensionError, DomainError, rel_error
 from sjkit.spaces import (
     DiskJacobiPoint,
     DiskPoint,
@@ -321,3 +321,43 @@ def test_tangent_vector_validation():
     assert v.dfiber.shape == (2, 2)
     again = sample_tangent(2, 2, seed=0)
     np.testing.assert_array_equal(v.dbase, again.dbase)
+
+
+def _tangent_cases(g, h, seed):
+    """A fitting tangent, a wrong base, a wrong fiber and a missing fiber at a (g, h) point."""
+    v = sample_tangent(g, h, seed=seed)
+    wrong_base = sample_tangent(g + 1, h, seed=seed)
+    return v, TangentVector(wrong_base.dbase, v.dfiber), \
+        TangentVector(v.dbase, np.ones((h + 1, g))), TangentVector(v.dbase)
+
+
+@pytest.mark.parametrize("name", ["metric_siegel", "metric_disk", "metric_sj", "pushforward"])
+def test_tangent_shapes_are_checked_against_the_point(name):
+    g, h = 2, 2
+    p_sj = sample_point("siegel_jacobi", g, h, seed=1)
+    evaluate = {
+        "metric_siegel": lambda v: metric_siegel(p_sj.base, v),
+        "metric_disk": lambda v: metric_disk(sample_point("disk", g, h, seed=2), v),
+        "metric_sj": lambda v: metric_sj(MetricParams(2.0, 0.5), p_sj, v),
+        "pushforward": lambda v: pushforward(lambda q: act_jacobi(sample_element("jacobi", g, h, 3), q),
+                                             p_sj, v),
+    }[name]
+    fits, wrong_base, wrong_fiber, no_fiber = _tangent_cases(g, h, seed=4)
+    evaluate(fits)
+    with pytest.raises(DimensionError):
+        evaluate(wrong_base)
+    if name in ("metric_sj", "pushforward"):
+        with pytest.raises(DimensionError):
+            evaluate(wrong_fiber)
+    else:  # a point without a fiber reads only the base part of a tangent
+        assert evaluate(wrong_fiber) == evaluate(fits)
+    if name == "metric_sj":
+        with pytest.raises(DimensionError):
+            evaluate(no_fiber)
+    elif name == "pushforward":  # no fiber part: the fiber stays put
+        zero = TangentVector(fits.dbase, np.zeros((h, g)))
+        got, want = evaluate(no_fiber), evaluate(zero)
+        np.testing.assert_array_equal(got.dbase, want.dbase)
+        np.testing.assert_array_equal(got.dfiber, want.dfiber)
+    else:
+        assert evaluate(no_fiber) == evaluate(fits)
