@@ -23,8 +23,9 @@ the base and the unit h x g matrices of the fiber.  Each of those maps
 returns its exact differential along given tangent vectors (see spaces):
 pullback_metric_disk and the metric- and volume-invariance suites use it.
 pushforward and action_jacobian_det are the finite-difference oracles for
-those differentials, kept to check them.  Every finite-difference operator
-here displaces points through the one chart _rebuild.
+those differentials, kept to check them.  Each finite-difference operator
+makes one batched pass: its displaced points, built as one batch through
+_rebuild, go through its field or map in one call.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class MetricParams:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A named twice-differentiable test field on one of the domains."""
+    """A named twice-differentiable test field on one of the domains: fn maps a
+    holder of points to one real value per point, an array of its batch shape."""
 
     name: str
     domain: str  # "siegel", "disk", or "sj"
@@ -100,25 +102,24 @@ class ScalarField:
         return self.fn(point)
 
 
-def _tr(a) -> complex:
-    return complex(np.trace(a))
+def _tr(a):
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def _abs2(x):
+    """|x|^2 per value, with the bits of abs(x) ** 2 on a numpy scalar: np.abs
+    and an array's ** 2 (x * x) round differently from hypot and pow."""
+    return np.float_power(np.hypot(x.real, x.imag), 2)
 
 
 TEST_FIELDS = [
-    ScalarField("trace-re-base", "sj", lambda p: float(np.trace(np.real(p.omega)))),
-    ScalarField("logdet-y", "sj", lambda p: float(np.log(np.linalg.det(np.imag(p.omega))))),
-    ScalarField(
-        "trace-yvv",
-        "sj",
-        lambda p: float(np.real(_tr(np.imag(p.omega) @ np.imag(p.z).T @ np.imag(p.z)))),
-    ),
-    ScalarField("re-trace-z", "sj", lambda p: float(np.real(np.trace(p.z)))),
-    ScalarField("abs2-trace-z", "sj", lambda p: float(abs(np.trace(p.z)) ** 2)),
-    ScalarField(
-        "logdet-disk",
-        "disk",
-        lambda p: float(np.real(np.log(np.linalg.det(np.eye(p.g) - p.w @ p.w.conj())))),
-    ),
+    ScalarField("trace-re-base", "sj", lambda p: _tr(p.omega.real)),
+    ScalarField("logdet-y", "sj", lambda p: np.log(np.linalg.det(p.omega.imag))),
+    ScalarField("trace-yvv", "sj", lambda p: _tr(p.omega.imag @ p.z.imag.mT @ p.z.imag)),
+    ScalarField("re-trace-z", "sj", lambda p: _tr(p.z).real),
+    ScalarField("abs2-trace-z", "sj", lambda p: _abs2(_tr(p.z))),
+    ScalarField("logdet-disk", "disk",
+                lambda p: np.log(np.linalg.det(np.eye(p.g) - p.w @ p.w.conj())).real),
 ]
 
 
@@ -196,13 +197,9 @@ def _point_parts(p) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _rebuild(p, base: np.ndarray, fiber: np.ndarray | None, validate: bool):
-    if isinstance(p, SiegelJacobiPoint):
-        return SiegelJacobiPoint(SiegelPoint(base, validate=validate), fiber)
-    if isinstance(p, DiskJacobiPoint):
-        return DiskJacobiPoint(DiskPoint(base, validate=validate), fiber)
-    if isinstance(p, SiegelPoint):
-        return SiegelPoint(base, validate=validate)
-    return DiskPoint(base, validate=validate)
+    if fiber is None:
+        return type(p)(base, validate=validate)
+    return type(p)(type(p.base)(base, validate=validate), fiber)
 
 
 def point_norm(p) -> float:
@@ -213,21 +210,12 @@ def point_norm(p) -> float:
     return float(np.sqrt(n2))
 
 
-def _pd_margin(p) -> float:
-    base = p.base if isinstance(p, (SiegelJacobiPoint, DiskJacobiPoint)) else p
-    return base.pd_margin()
-
-
-def _sym_coords(g: int) -> list[np.ndarray]:
-    """E_ii and E_ij + E_ji (i < j): the upper-triangle directions of symmetric g x g."""
-    out = []
-    for mu in range(g):
-        for nu in range(mu, g):
-            e = np.zeros((g, g))
-            e[mu, nu] = 1.0
-            e[nu, mu] = 1.0
-            out.append(e)
-    return out
+def _sym_coords(g: int) -> np.ndarray:
+    """E_ii and E_ij + E_ji (i <= j row-major), stacked: the directions of symmetric g x g."""
+    e = np.zeros((g * (g + 1) // 2, g, g))
+    for k, (i, j) in enumerate((i, j) for i in range(g) for j in range(i, g)):
+        e[k, i, j] = e[k, j, i] = 1.0
+    return e
 
 
 def _fiber_coords(h: int, g: int) -> np.ndarray:
@@ -239,53 +227,63 @@ def _fiber_coords(h: int, g: int) -> np.ndarray:
 # Laplacians
 
 
-def _sym_basis(g: int) -> list[np.ndarray]:
-    """E_ii and (E_ij + E_ji)/sqrt(2): orthonormal for trace(S S')."""
-    return [e / np.linalg.norm(e) for e in _sym_coords(g)]
+def _sym_basis(g: int) -> np.ndarray:
+    """E_ii and (E_ij + E_ji)/sqrt(2), stacked: orthonormal for trace(S S')."""
+    e = _sym_coords(g)
+    return e / np.sqrt(e.sum(axis=(-2, -1)))[:, None, None]
 
 
-def _siegel_frame(omega: np.ndarray, z=None) -> list:
+def _siegel_frame(omega: np.ndarray, z=None) -> tuple:
     """L S L^T with Im(Omega) = L L^T: orthonormal for metric_siegel."""
     l = np.linalg.cholesky(np.imag(omega))
-    return [(l @ s @ l.T, None) for s in _sym_basis(len(l))]
+    return l @ _sym_basis(len(l)) @ l.T, None
 
 
-def _disk_frame(w: np.ndarray, eta=None) -> list:
+def _disk_frame(w: np.ndarray, eta=None) -> tuple:
     """L S L^T / 2 with I - W conj(W) = L L^H: orthonormal for metric_disk."""
     l = np.linalg.cholesky(np.eye(len(w)) - w @ w.conj())
-    return [(l @ s @ l.T / 2, None) for s in _sym_basis(len(w))]
+    return l @ _sym_basis(len(w)) @ l.T / 2, None
 
 
-def _sj_frame(params: MetricParams, omega: np.ndarray, z: np.ndarray) -> list:
+def _sj_frame(params: MetricParams, omega: np.ndarray, z: np.ndarray) -> tuple:
     """Orthonormal for metric_sj = A |dOmega|^2 + B |dZ - V Y^-1 dOmega|^2."""
     y = np.imag(omega)
     l = np.linalg.cholesky(y)
     lift = np.imag(z) @ guarded_inv(y.astype(complex), "Im(omega)")
-    base = [l @ s @ l.T / np.sqrt(params.a) for s in _sym_basis(len(y))]
-    fiber = [e @ l.T / np.sqrt(params.b) for e in _fiber_coords(*z.shape)]
-    return [(d, lift @ d) for d in base] + [(np.zeros_like(y), d) for d in fiber]
+    base = l @ _sym_basis(len(y)) @ l.T / np.sqrt(params.a)
+    fiber = _fiber_coords(*z.shape) @ l.T / np.sqrt(params.b)
+    return (np.concatenate([base, np.zeros((len(fiber),) + y.shape)]),
+            np.concatenate([lift @ base, fiber]))
 
 
 def _frame_laplacian(f: Callable, p, frame: Callable, tol: Tolerance, what: str) -> float:
     """Sum over a metric-orthonormal frame {e_k} at p of the central second
-    differences of f along e_k and i e_k.
+    differences of f along e_k and i e_k, from one call of f on the batch of
+    p and its 4 len(e) displaced points.
 
-    frame(base, fiber) returns the (base, fiber) displacement of each e_k,
-    with fiber None for a fixed fiber; it is built only once the point has
-    passed the boundary guard.
+    frame(base, fiber) returns the stacked (base, fiber) displacements of the
+    e_k, with fiber None for a fixed fiber; it is built only once the point
+    has passed the boundary guard.
     """
     base, fiber = _point_parts(p)
     h2 = FD_SECOND_STEP * max(1.0, point_norm(p))
-    if _pd_margin(p) <= 10 * h2:
+    if getattr(p, "base", p).pd_margin() <= 10 * h2:
         raise DomainError("point is too close to the boundary for the difference stencil")
-    dirs = frame(base, fiber)
-    t = h2 / max(1.0, max(np.hypot(frob(db), 0.0 if df is None else frob(df)) for db, df in dirs))
-    f0 = f(p)
-    total = 0.0
-    for db, df in dirs:
-        for s in (t, -t, 1j * t, -1j * t):
-            q = _rebuild(p, base + s * db, fiber if df is None else fiber + s * df, validate=False)
-            total += f(q) - f0
+    db, df = frame(base, fiber)
+    t = h2 / max(1.0, np.hypot(frob(db), 0.0 if df is None else frob(df)).max())
+    steps = np.array([t, -t, 1j * t, -1j * t])[:, None, None]
+    n = 1 + len(steps) * len(db)
+
+    def displaced(x, dx):  # x, then x + s e_k for each k and, within k, each step s
+        if dx is None:
+            return None if x is None else np.broadcast_to(x, (n,) + x.shape)
+        return np.concatenate([x[None], (x + steps * dx[:, None]).reshape((-1,) + x.shape)])
+
+    vals = np.asarray(f(_rebuild(p, displaced(base, db), displaced(fiber, df), validate=False)))
+    if vals.shape != (n,):
+        raise DimensionError(f"a field returns one value per point: shape ({n},), not {vals.shape}")
+    # summed in stencil order: np.sum's pairwise order would round differently
+    total = np.cumsum(vals[1:] - vals[0])[-1]
     return _real_value(total / t**2, tol.fd_second_rel, what)
 
 
@@ -317,39 +315,41 @@ def volume_density(p: SiegelJacobiPoint) -> float:
     return det ** (-(p.g + p.h + 1))
 
 
-def pushforward(map_fn: Callable, p, v: TangentVector, tol: Tolerance = DEFAULT_TOL) -> TangentVector:
-    """Directional derivative of a holomorphic map by complex-linear central
-    differences; the base part of the result is re-symmetrized."""
-    h = FD_FIRST_STEP * max(1.0, point_norm(p)) / max(1.0, v.norm())
+def _pushforwards(map_fn: Callable, p, vs: list, tol: Tolerance) -> list[TangentVector]:
+    """pushforward along each of vs, from one call of map_fn on the batch of
+    the 2 len(vs) displaced points, + then - for each v."""
     base, fiber = _point_parts(p)
-    dbase, dfiber = _fit(v, base, fiber)
+    h = FD_FIRST_STEP * max(1.0, point_norm(p)) / np.array([max(1.0, v.norm()) for v in vs])
+    steps = np.stack([h, -h], axis=-1).reshape(-1, 1, 1)
+    moves = zip(*(_fit(v, base, fiber) for v in vs))  # every base, then every fiber displacement
+    displaced = [None if x is None else x + steps * np.repeat(np.stack(dx), 2, axis=0)
+                 for x, dx in zip((base, fiber), moves)]
     try:
-        plus = map_fn(_rebuild(p, base + h * dbase,
-                               None if fiber is None else fiber + h * dfiber, validate=True))
-        minus = map_fn(_rebuild(p, base - h * dbase,
-                                None if fiber is None else fiber - h * dfiber, validate=True))
+        out = map_fn(_rebuild(p, *displaced, validate=True))
     except DomainError as exc:
         raise DomainError(f"difference stencil left the domain: {exc}") from exc
-    bp, fp = _point_parts(plus)
-    bm, fm = _point_parts(minus)
-    dbase = (bp - bm) / (2 * h)
-    dbase = (dbase + dbase.T) / 2
-    dfiber = None if fp is None else (fp - fm) / (2 * h)
-    return TangentVector(dbase, dfiber, tol)
+    db, df = [None if x is None else (x[0::2] - x[1::2]) / (2 * h[:, None, None])
+              for x in _point_parts(out)]
+    return [TangentVector((d + d.T) / 2, None if df is None else df[k], tol)
+            for k, d in enumerate(db)]
+
+
+def pushforward(map_fn: Callable, p, v: TangentVector, tol: Tolerance = DEFAULT_TOL) -> TangentVector:
+    """Directional derivative of a holomorphic map by complex-linear central
+    differences; the base part of the result is re-symmetrized.  map_fn takes
+    the batch of the two displaced points, as the actions and Cayley maps do."""
+    return _pushforwards(map_fn, p, [v], tol)[0]
 
 
 def sample_tangent(g: int, h: int | None = None, seed: int = 0, scale: float = 1.0) -> TangentVector:
     """Random tangent vector, deterministic in seed; fiber part iff h given."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 20]))
 
-    def csym():
-        s = rng.uniform(-scale, scale, (g, g)) + 1j * rng.uniform(-scale, scale, (g, g))
-        return (s + s.T) / 2
-
     dfiber = None
     if h is not None:
         dfiber = rng.uniform(-scale, scale, (h, g)) + 1j * rng.uniform(-scale, scale, (h, g))
-    return TangentVector(csym(), dfiber)
+    s = rng.uniform(-scale, scale, (g, g)) + 1j * rng.uniform(-scale, scale, (g, g))
+    return TangentVector((s + s.T) / 2, dfiber)
 
 
 def _coordinate_dirs(p) -> list[TangentVector]:
@@ -375,5 +375,6 @@ def _abs_det2(pushed: list[TangentVector]) -> float:
 def action_jacobian_det(map_fn: Callable, p, tol: Tolerance = DEFAULT_TOL) -> float:
     """|det| of the differential of the holomorphic map_fn in the real
     coordinates of p, by finite differences: |det|^2 of its complex
-    differential in the upper triangle of the base and the fiber row-major."""
-    return _abs_det2([pushforward(map_fn, p, v, tol) for v in _coordinate_dirs(p)])
+    differential in the upper triangle of the base and the fiber row-major,
+    from one call of map_fn on all the displaced points."""
+    return _abs_det2(_pushforwards(map_fn, p, _coordinate_dirs(p), tol))

@@ -10,8 +10,9 @@ own, stack them (see numkit) and evaluate each chunk of up to 64 trials in
 one pass: a slice that fails a guard fails the call, naming the slice (and
 the chunk's first trial after the first chunk), and each residual has the
 bits of its trial evaluated alone.  The finite-difference suites evaluate
-one trial at a time.  A SUITES entry is (fn, default tolerance) with
-fn(g, h, seeds) returning one residual per seed.
+one trial at a time, each Laplacian acting on its stencil's points in one
+batch.  A SUITES entry is (fn, default tolerance) with fn(g, h, seeds)
+returning one residual per seed.
 """
 
 from __future__ import annotations
@@ -248,26 +249,24 @@ def _trial_metric_invariance(g: int, h: int, s: int) -> float:
     return res
 
 
+def _laplacian_residual(laplacian, fld, act, p) -> float:
+    """The Laplacian of fld after act at p against that of fld at act(p); the
+    stencil's batch of points goes through act in one call."""
+    return _scalar_rel(laplacian(lambda q: fld(act(q)), p), laplacian(fld, act(p)))
+
+
 def _trial_laplacian_invariance(g: int, h: int, s: int) -> float:
     fld = TEST_FIELDS[s % len(TEST_FIELDS)]
-    params = MetricParams(1.0, 1.0)
     if fld.domain == "disk":
-        gs = sample_element("gstar", g, h, s)
-        p = sample_point("disk", g, h, s + 1)
-        lhs = laplacian_disk(lambda q: fld(act_disk(gs, q)), p)
-        rhs = laplacian_disk(fld, act_disk(gs, p))
-        return _scalar_rel(lhs, rhs)
-    a = sample_element("jacobi", g, h, s)
-    p = sample_point("siegel_jacobi", g, h, s + 1)
-    lhs = laplacian_sj(params, lambda q: fld(act_jacobi(a, q)), p)
-    rhs = laplacian_sj(params, fld, act_jacobi(a, p))
-    res = _scalar_rel(lhs, rhs)
+        act = partial(act_disk, sample_element("gstar", g, h, s))
+        return _laplacian_residual(laplacian_disk, fld, act, sample_point("disk", g, h, s + 1))
+    act = partial(act_jacobi, sample_element("jacobi", g, h, s))
+    lap = partial(laplacian_sj, MetricParams(1.0, 1.0))
+    res = _laplacian_residual(lap, fld, act, sample_point("siegel_jacobi", g, h, s + 1))
     if fld.name in ("trace-re-base", "logdet-y"):
-        m = sample_element("sp", g, h, s + 2)
-        pb = sample_point("siegel", g, h, s + 3)
-        lhs = laplacian_siegel(lambda q: fld(act_siegel(m, q)), pb)
-        rhs = laplacian_siegel(fld, act_siegel(m, pb))
-        res = np.maximum(res, _scalar_rel(lhs, rhs))
+        act = partial(act_siegel, sample_element("sp", g, h, s + 2))
+        res = np.maximum(res, _laplacian_residual(laplacian_siegel, fld, act,
+                                                  sample_point("siegel", g, h, s + 3)))
     return res
 
 

@@ -1,19 +1,34 @@
 """The (..., r, c) batch convention: a batched kernel gives every slice the
 bits of the 2-d call, and a guard that fails on one slice raises for the
-batch, naming that slice."""
+batch, naming that slice.  The finite-difference operators evaluate their
+displaced points in one such batch."""
 
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sjkit import suites
+from sjkit import geometry, suites
+from sjkit.geometry import (
+    TEST_FIELDS,
+    MetricParams,
+    TangentVector,
+    _abs_det2,
+    action_jacobian_det,
+    laplacian_disk,
+    laplacian_sj,
+    laplacian_siegel,
+    pushforward,
+    sample_tangent,
+)
 from sjkit.groups import SymplecticMatrix, sample_element
 from sjkit.numkit import (
     ConditioningError,
+    DimensionError,
     DomainError,
     _fail,
     frob,
@@ -22,6 +37,19 @@ from sjkit.numkit import (
     rel_error,
     stack,
     symmetry_defect,
+)
+from sjkit.spaces import (
+    DiskPoint,
+    SiegelJacobiPoint,
+    SiegelPoint,
+    _fit,
+    act_disk,
+    act_jacobi,
+    act_jacobi_disk,
+    act_siegel,
+    cayley,
+    partial_cayley,
+    sample_point,
 )
 from sjkit.suites import SUITES, run_suite, trial_seed
 
@@ -159,3 +187,211 @@ def test_python_m_sjkit_runs_the_cli():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- finite-difference stencils: one batched pass per operator ----------------
+
+FD_SHAPES = [(1, 1), (2, 1), (3, 2), (4, 3)]
+
+
+def _laplacian_point_by_point(f, p, frame):
+    """The Laplacian stencil evaluated one displaced point at a time: f(p),
+    then p + s e_k for each frame direction e_k and s = t, -t, it, -it,
+    summed in that order."""
+    base, fiber = geometry._point_parts(p)
+    h2 = geometry.FD_SECOND_STEP * max(1.0, geometry.point_norm(p))
+    db, df = frame(base, fiber)
+    t = h2 / max(1.0, max(np.hypot(frob(db[k]), 0.0 if df is None else frob(df[k]))
+                          for k in range(len(db))))
+    f0 = f(p)
+    total = 0.0
+    for k in range(len(db)):
+        for s in (t, -t, 1j * t, -1j * t):
+            q = geometry._rebuild(p, base + s * db[k],
+                                  fiber if df is None else fiber + s * df[k], validate=False)
+            total += f(q) - f0
+    return float(total / t**2)
+
+
+def _centred(p):
+    """A field that is 0 at p and of every size nearby, so that the order in
+    which the stencil adds its differences shows in the last bits."""
+    return lambda q: np.expm1(1e3 * np.trace(q.omega - p.omega, axis1=-2, axis2=-1).real)
+
+
+def _laplacian_cases(g, h, seed):
+    """(field, point, laplacian, its frame) for each test field and each
+    Laplacian it lives on, with the field itself and with it after an action,
+    and for a field centred at the point."""
+    params = MetricParams(2.0, 0.5)
+    a = sample_element("jacobi", g, h, seed)
+    m = sample_element("sp", g, h, seed + 1)
+    gs = sample_element("gstar", g, h, seed + 2)
+    pj = sample_point("siegel_jacobi", g, h, seed + 3)
+    ps = sample_point("siegel", g, h, seed + 4)
+    pd = sample_point("disk", g, h, seed + 5)
+    yield _centred(pj), pj, partial(laplacian_sj, params), partial(geometry._sj_frame, params)
+    yield _centred(ps), ps, laplacian_siegel, geometry._siegel_frame
+    for f in TEST_FIELDS:
+        if f.domain == "disk":
+            yield f, pd, laplacian_disk, geometry._disk_frame
+            yield (lambda q, f=f: f(act_disk(gs, q))), pd, laplacian_disk, geometry._disk_frame
+            continue
+        sj = partial(laplacian_sj, params)
+        frame = partial(geometry._sj_frame, params)
+        yield f, pj, sj, frame
+        yield (lambda q, f=f: f(act_jacobi(a, q))), pj, sj, frame
+        if f.name in ("trace-re-base", "logdet-y"):
+            yield f, ps, laplacian_siegel, geometry._siegel_frame
+            yield (lambda q, f=f: f(act_siegel(m, q))), ps, laplacian_siegel, geometry._siegel_frame
+
+
+@pytest.mark.parametrize("g,h", FD_SHAPES)
+def test_batched_laplacian_stencil_matches_points_one_at_a_time(g, h):
+    cases = 0
+    for seed in (0, 40):
+        for f, p, laplacian, frame in _laplacian_cases(g, h, seed):
+            got = laplacian(f, p)
+            assert type(got) is float
+            assert got.hex() == _laplacian_point_by_point(f, p, frame).hex()
+            cases += 1
+    # six fields on the Laplacians they live on (eight pairs), with and without an
+    # action, and two centred fields
+    assert cases == 2 * 18
+
+
+# each test field written for one point, with numpy scalars
+_SCALAR_FIELDS = {
+    "trace-re-base": lambda p: float(np.trace(np.real(p.omega))),
+    "logdet-y": lambda p: float(np.log(np.linalg.det(np.imag(p.omega)))),
+    "trace-yvv": lambda p: float(np.trace(np.imag(p.omega) @ np.imag(p.z).T @ np.imag(p.z))),
+    "re-trace-z": lambda p: float(np.real(np.trace(p.z))),
+    "abs2-trace-z": lambda p: float(abs(np.trace(p.z)) ** 2),
+    "logdet-disk": lambda p: float(np.real(np.log(np.linalg.det(np.eye(p.g) - p.w @ p.w.conj())))),
+}
+
+
+@pytest.mark.parametrize("g,h", FD_SHAPES)
+def test_test_fields_give_each_point_of_a_batch_its_scalar_bits(g, h):
+    # enough points that np.abs for hypot, or x * x for pow, would show
+    rng = np.random.default_rng(10 * g + h)
+    n = 2000
+    x, y = rng.uniform(-1, 1, (2, n, g, g))
+    a = rng.uniform(-1, 1, (n, g, g))
+    omega = (x + x.mT) / 2 + 1j * (a @ a.mT + 0.1 * np.eye(g))
+    z = rng.uniform(-2, 2, (n, h, g)) + 1j * rng.uniform(-2, 2, (n, h, g))
+    w = (x + 1j * y + (x + 1j * y).mT) / 2
+    w = 0.9 * w / (1 + np.linalg.norm(w, 2, axis=(-2, -1)))[:, None, None]
+    batches = {"sj": SiegelJacobiPoint(SiegelPoint(omega), z), "disk": DiskPoint(w)}
+    points = {"sj": [SiegelJacobiPoint(SiegelPoint(o, validate=False), f)
+                     for o, f in zip(omega, z)],
+              "disk": [DiskPoint(m) for m in w]}
+    for f in TEST_FIELDS:
+        got = f(batches[f.domain])
+        assert got.shape == (n,)
+        assert _bits(got) == _bits([_SCALAR_FIELDS[f.name](q) for q in points[f.domain]]), f.name
+
+
+def _pushforward_two_calls(map_fn, p, v):
+    """The central difference of map_fn along v from two separate map calls."""
+    h = geometry.FD_FIRST_STEP * max(1.0, geometry.point_norm(p)) / max(1.0, v.norm())
+    base, fiber = geometry._point_parts(p)
+    db, df = _fit(v, base, fiber)
+    plus = map_fn(geometry._rebuild(p, base + h * db, None if fiber is None else fiber + h * df,
+                                    validate=True))
+    minus = map_fn(geometry._rebuild(p, base - h * db, None if fiber is None else fiber - h * df,
+                                     validate=True))
+    (bp, fp), (bm, fm) = geometry._point_parts(plus), geometry._point_parts(minus)
+    d = (bp - bm) / (2 * h)
+    return TangentVector((d + d.T) / 2, None if fp is None else (fp - fm) / (2 * h))
+
+
+def _fd_maps(g, h, seed):
+    """(map, point) pairs: the four actions and the two Cayley maps."""
+    yield partial(act_siegel, sample_element("sp", g, h, seed)), sample_point("siegel", g, h, seed)
+    yield partial(act_disk, sample_element("gstar", g, h, seed)), sample_point("disk", g, h, seed)
+    yield (partial(act_jacobi, sample_element("jacobi", g, h, seed)),
+           sample_point("siegel_jacobi", g, h, seed))
+    yield (partial(act_jacobi_disk, sample_element("gstarj", g, h, seed)),
+           sample_point("disk_jacobi", g, h, seed))
+    yield cayley, sample_point("disk", g, h, seed)
+    yield partial_cayley, sample_point("disk_jacobi", g, h, seed)
+
+
+def _tangent_bytes(v) -> bytes:
+    return v.dbase.tobytes() + (b"" if v.dfiber is None else v.dfiber.tobytes())
+
+
+@pytest.mark.parametrize("g,h", FD_SHAPES)
+def test_batched_fd_oracles_match_separate_map_calls(g, h):
+    for seed in (3, 4):
+        for map_fn, p in _fd_maps(g, h, seed):
+            fiber = getattr(p, "z", getattr(p, "eta", None))
+            v = sample_tangent(g, None if fiber is None else h, seed + 1)
+            want = _pushforward_two_calls(map_fn, p, v)
+            assert _tangent_bytes(pushforward(map_fn, p, v)) == _tangent_bytes(want)
+            dirs = geometry._coordinate_dirs(p)
+            want = _abs_det2([_pushforward_two_calls(map_fn, p, d) for d in dirs])
+            assert action_jacobian_det(map_fn, p).hex() == want.hex()
+
+
+def test_fd_oracles_make_one_map_call_on_every_displaced_point():
+    a = sample_element("jacobi", 3, 2, seed=1)
+    p = sample_point("siegel_jacobi", 3, 2, seed=2)
+    batches = []
+    fn = lambda q: batches.append(q.omega.shape[:-2]) or act_jacobi(a, q)  # noqa: E731
+    pushforward(fn, p, sample_tangent(3, 2, seed=3))
+    action_jacobian_det(fn, p)
+    assert batches == [(2,), (2 * (6 + 6),)]  # 2 points per direction; 6 + 6 directions
+
+
+@pytest.mark.parametrize("field", [
+    lambda q: 3.25,  # a constant
+    lambda q: np.imag(q.omega[0, 0]),  # a per-point field reads row 0 of slice 0
+    lambda q: np.imag(q.omega[..., :1, 0]),  # one value per point, in a column
+    lambda q: np.imag(q.omega[:-1, 0, 0]),  # one value too few
+], ids=["constant", "per-point", "column", "short"])
+def test_a_field_of_the_wrong_shape_raises_naming_the_contract(field):
+    p = sample_point("siegel_jacobi", 2, 1, seed=5)
+    for laplacian in (laplacian_siegel, partial(laplacian_sj, MetricParams())):
+        with pytest.raises(DimensionError, match=r"returns one value per point"):
+            laplacian(field, p)
+
+
+def test_a_boundary_point_raises_before_any_field_is_called():
+    calls = []
+    field = lambda q: calls.append(q) or np.zeros(q.omega.shape[:-2])  # noqa: E731
+    disk_field = lambda q: calls.append(q) or np.zeros(q.w.shape[:-2])  # noqa: E731
+    cases = [(laplacian_siegel, field, SiegelPoint([[1e-5j]])),
+             (partial(laplacian_sj, MetricParams()), field,
+              SiegelJacobiPoint(SiegelPoint([[1e-5j]]), [[0.5 + 0j]])),
+             (laplacian_disk, disk_field, DiskPoint([[0.99999 + 0j]]))]
+    for laplacian, f, p in cases:
+        with pytest.raises(DomainError, match="too close to the boundary"):
+            laplacian(f, p)
+    assert calls == []
+
+
+def test_fd_displaced_points_are_still_validated():
+    # a stencil point outside the Siegel space fails validation, naming its slice
+    p = SiegelPoint([[1e-7j]])
+    with pytest.raises(DomainError, match=r"difference stencil left the domain.*\(slice 1\)"):
+        pushforward(lambda q: q, p, TangentVector([[1j]]))
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 2), (4, 3)])
+def test_a_laplacian_trial_calls_its_field_at_most_four_times_at_every_shape(monkeypatch, g, h):
+    fields, guards = [], []
+    inner_call, inner_cond = geometry.ScalarField.__call__, np.linalg.cond
+    monkeypatch.setattr(geometry.ScalarField, "__call__",
+                        lambda self, q: fields.append(1) or inner_call(self, q))
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: guards.append(1) or inner_cond(*a, **k))
+    for k in range(len(TEST_FIELDS)):  # the trial's field is its seed modulo six
+        fields.clear()
+        guards.clear()
+        suites._trial_laplacian_invariance(g, h, 6 * 7 + k)
+        base_only = TEST_FIELDS[k].name in ("trace-re-base", "logdet-y")
+        assert len(fields) == (4 if base_only else 2)
+        # per Laplacian one action of the stencil's batch and one of the point,
+        # plus the Im(omega) inverse of each of the two Siegel-Jacobi frames
+        assert len(guards) == (2 if TEST_FIELDS[k].domain == "disk" else 4 + 2 * base_only)

@@ -130,27 +130,27 @@ def test_cayley_isometry():
 
 def test_laplacian_constants_vanish():
     p = sample_point("siegel", 2, 1, seed=1)
-    assert laplacian_siegel(lambda q: 3.25, p) == pytest.approx(0.0, abs=1e-10)
+    assert laplacian_siegel(lambda q: np.full(q.omega.shape[:-2], 3.25), p) == pytest.approx(0.0, abs=1e-10)
     pd = sample_point("disk", 2, 1, seed=1)
-    assert laplacian_disk(lambda q: -1.5, pd) == pytest.approx(0.0, abs=1e-10)
+    assert laplacian_disk(lambda q: np.full(q.w.shape[:-2], -1.5), pd) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_laplacian_siegel_closed_values():
     p = SiegelPoint([[0.6 + 1.4j]])
-    logy = lambda q: float(np.log(np.imag(q.omega[0, 0])))
+    logy = lambda q: np.log(np.imag(q.omega[..., 0, 0]))
     assert laplacian_siegel(logy, p) == pytest.approx(-1.0, abs=1e-4)
-    assert laplacian_siegel(lambda q: float(np.imag(q.omega[0, 0])), p) == pytest.approx(
+    assert laplacian_siegel(lambda q: np.imag(q.omega[..., 0, 0]), p) == pytest.approx(
         0.0, abs=1e-6
     )
 
 
 def test_laplacian_disk_closed_value_and_correspondence():
-    assert laplacian_disk(lambda q: float(abs(q.w[0, 0]) ** 2), DiskPoint([[0j]])) == pytest.approx(
+    assert laplacian_disk(lambda q: abs(q.w[..., 0, 0]) ** 2, DiskPoint([[0j]])) == pytest.approx(
         1.0, abs=1e-6
     )
     # isometry correspondence at a non-trivial point, f = log Im on the upper model
     w = DiskPoint([[0.3 - 0.2j]])
-    logy = lambda q: float(np.log(np.imag(q.omega[0, 0])))
+    logy = lambda q: np.log(np.imag(q.omega[..., 0, 0]))
     lhs = laplacian_disk(lambda q: logy(cayley(q)), w)
     rhs = laplacian_siegel(logy, cayley(w))
     assert lhs == pytest.approx(rhs, abs=1e-4)
@@ -159,7 +159,7 @@ def test_laplacian_disk_closed_value_and_correspondence():
 
 def test_laplacian_sj_closed_value_and_reduction():
     p = SiegelJacobiPoint(SiegelPoint([[0.4 + 1.1j]]), [[0.3 + 0.2j]])
-    logy = lambda q: float(np.log(np.imag(q.omega[0, 0])))
+    logy = lambda q: np.log(np.imag(q.omega[..., 0, 0]))
     assert laplacian_sj(MetricParams(2.0, 1.0), logy, p) == pytest.approx(-0.5, abs=1e-4)
     # V = 0, Z-independent field, A = 1: agrees with the base operator
     p0 = SiegelJacobiPoint(SiegelPoint([[0.4 + 1.1j]]), [[0.25 + 0j]])
@@ -215,6 +215,8 @@ def _polarized_gram(metric, frame):
         return metric(TangentVector(u[0] + c * v[0], None if u[1] is None else u[1] + c * v[1]))
 
     units = (1, -1, 1j, -1j)
+    db, df = frame  # the stacked displacements, df None for a fixed fiber
+    frame = list(zip(db, [None] * len(db) if df is None else df))
     return np.array([[sum(c * q(u, v, c) for c in units) / 4 for v in frame] for u in frame])
 
 
@@ -232,7 +234,7 @@ def test_laplacian_frames_are_metric_orthonormal(g, h):
     ]
     for metric, frame in cases:
         gram = _polarized_gram(metric, frame)
-        assert np.max(np.abs(gram - np.eye(len(frame)))) < 1e-12
+        assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
 
 
 @pytest.mark.parametrize("a,b", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (0.0, 1.0), (1.0, -2.0)])
@@ -244,7 +246,7 @@ def test_metric_params_must_be_finite_and_positive(a, b):
 def test_laplacian_rejects_boundary_points():
     p = SiegelPoint([[1e-5j]])  # margin far below the stencil step
     with pytest.raises(DomainError):
-        laplacian_siegel(lambda q: 0.0, p)
+        laplacian_siegel(lambda q: np.zeros(q.omega.shape[:-2]), p)
 
 
 # -- volume, pushforward, jacobian -------------------------------------------
