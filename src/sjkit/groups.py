@@ -11,6 +11,9 @@ batch, and every law acts slice by slice.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
+
 import numpy as np
 
 from .numkit import (
@@ -21,10 +24,13 @@ from .numkit import (
     Holder,
     Tolerance,
     _block,
+    _built_once,
+    _eye,
     _fail,
     _floor1,
     _freeze,
     _nonfinite,
+    _rel,
     as_cmatrix,
     frob,
     rel_error,
@@ -63,6 +69,9 @@ def symplectic_j(g: int) -> np.ndarray:
     return j
 
 
+_j = _built_once(symplectic_j)
+
+
 def cayley_matrix(n: int) -> np.ndarray:
     """The unitary 2n x 2n matrix (1/sqrt 2) [[I, I], [iI, -iI]]."""
     i = np.eye(n)
@@ -96,9 +105,10 @@ class SymplecticMatrix(Holder):
             self.validate(tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        _as_real(self.m, "symplectic matrix", tol)  # raises unless finite and real within tol
-        j = symplectic_j(self.g)
-        _fail(rel_error(self.m.mT @ j @ self.m, j) > tol.algebraic_rel, DomainError,
+        m, j = self.m, _j(self.g)  # m is complex and finite, see __init__
+        _fail(frob(m.imag) > tol.algebraic_rel * _floor1(frob(m)), DomainError,
+              "symplectic matrix must be real")
+        _fail(_rel(m.mT @ j @ m, j) > tol.algebraic_rel, DomainError,
               "matrix is not symplectic within tolerance")
 
     @property
@@ -200,7 +210,7 @@ class GStarElement(Holder):
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         p, q = self.p, self.q
-        _fail(rel_error(p.mT @ p.conj() - q.conj().mT @ q, np.eye(self.g)) > tol.algebraic_rel,
+        _fail(_rel(p.mT @ p.conj() - q.conj().mT @ q, _eye(self.g)) > tol.algebraic_rel,
               DomainError, "t(P) conj(P) - t(conj Q) Q != I")
         lhs = p.mT @ q.conj()
         _fail(frob(lhs - q.conj().mT @ p) > tol.algebraic_rel * _floor1(frob(lhs)),
@@ -486,53 +496,83 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _sample_symplectic(rng: np.random.Generator, g: int, scale: float) -> SymplecticMatrix:
-    # Products of elementary generators keep condition numbers moderate.
-    j = np.real(symplectic_j(g))
-    m = np.eye(2 * g)
-    for _ in range(int(rng.integers(4, 9))):
-        kind = int(rng.integers(0, 4))
-        if kind == 0:
-            b = rng.uniform(-scale, scale, (g, g))
-            gen = np.eye(2 * g)
-            gen[:g, g:] = (b + b.T) / 2
-        elif kind == 1:
-            c = rng.uniform(-scale, scale, (g, g))
-            gen = np.eye(2 * g)
-            gen[g:, :g] = (c + c.T) / 2
-        elif kind == 2:
-            # A = I + R with |R|_2 < 1 so the block stays well conditioned
-            r = rng.uniform(-scale, scale, (g, g)) / max(1, g)
-            a = np.eye(g) + r
-            gen = np.zeros((2 * g, 2 * g))
-            gen[:g, :g], gen[g:, g:] = a, np.linalg.inv(a).T
+def _rngs(seed, tag: int):
+    """The generator of seed's stream for tag or, for a sequence of seeds, a
+    list of them: each seed draws from the stream it has alone."""
+    if isinstance(seed, (int, np.integer)) or np.ndim(seed) == 0:
+        return _rng([int(seed), tag])
+    if np.ndim(seed) != 1 or not len(seed):
+        raise DimensionError("seed must be an int or a non-empty sequence of ints")
+    return [_rng([int(s), tag]) for s in seed]
+
+
+def _draws(rng, draw) -> list:
+    """draw(rng), or for a list of generators each drawn array stacked over them."""
+    return [np.array(x) for x in zip(*map(draw, rng))] if isinstance(rng, list) else draw(rng)
+
+
+def _sym(s: np.ndarray) -> np.ndarray:
+    return (s + s.mT) / 2
+
+
+@_built_once
+def _generator_bases(g: int) -> np.ndarray:
+    """The four kinds of elementary generator with their drawn blocks zero."""
+    return np.stack([_eye(2 * g), _eye(2 * g), 0 * _eye(2 * g), _j(g).real])
+
+
+def _sample_symplectic(rng, g: int, scale: float) -> SymplecticMatrix:
+    """A product of 4 to 8 elementary generators (which keeps condition numbers
+    moderate), one per generator of a list.  The words are drawn one by one,
+    their generators built at once; step k multiplies only the words longer
+    than k, as padding by I could flip the sign of a zero."""
+    rngs = rng if isinstance(rng, list) else [rng]
+    lens, steps = [], []
+    for r in rngs:
+        lens.append(int(r.integers(4, 9)))
+        for k in range(lens[-1]):
+            kind = int(r.integers(0, 4))
+            steps.append((k, kind, r.uniform(-scale, scale, (g, g)) if kind < 3 else None))
+    steps.sort(key=itemgetter(0))  # stable: step k of every word longer than k in one block
+    kinds, bases = [st[1] for st in steps], _generator_bases(g)
+    gens = bases[kinds]
+    for kind in (k for k in range(3) if k in kinds):
+        at = [t for t, k in enumerate(kinds) if k == kind]
+        u = np.array([steps[t][2] for t in at])
+        if kind < 2:  # [[I, S], [0, I]] or [[I, 0], [S, I]]
+            gens[at, kind * g:(kind + 1) * g, (1 - kind) * g:(2 - kind) * g] = _sym(u)
+        else:  # A = I + R with |R|_2 < 1 so the block stays well conditioned
+            a = bases[0, :g, :g] + u / max(1, g)
+            gens[at, :g, :g], gens[at, g:, g:] = a, np.linalg.inv(a).mT
+    m, t, ends = np.repeat(bases[:1], len(lens), axis=0), 0, sorted(lens)
+    for k in range(ends[-1]):
+        n = len(ends) - bisect_right(ends, k)  # the words longer than k
+        step, t = gens[t:t + n], t + n
+        if n == len(lens):
+            m = m @ step
         else:
-            gen = j
-        m = m @ gen
-    return SymplecticMatrix(m)
+            idx = [i for i, w in enumerate(lens) if w > k]
+            m[idx] = m[idx] @ step
+    return SymplecticMatrix(m if isinstance(rng, list) else m[0])
 
 
-def _sample_heisenberg(rng: np.random.Generator, g: int, h: int, scale: float) -> HeisenbergElement:
-    lam = rng.uniform(-scale, scale, (h, g))
-    mu = rng.uniform(-scale, scale, (h, g))
-    s = rng.uniform(-scale, scale, (h, h))
-    s = (s + s.T) / 2
+def _sample_heisenberg(rng, g: int, h: int, scale: float) -> HeisenbergElement:
+    """A Heisenberg element, one per generator of a list."""
+    lam, mu, s = _draws(rng, lambda r: (r.uniform(-scale, scale, (h, g)),
+                                        r.uniform(-scale, scale, (h, g)),
+                                        r.uniform(-scale, scale, (h, h))))
     # kappa = S - mu t(lam) + (mu t(lam) + lam t(mu))/2 makes
     # kappa + mu t(lam) = S + sym part, symmetric by construction.
-    kappa = s - mu @ lam.T + (mu @ lam.T + lam @ mu.T) / 2
-    return HeisenbergElement(lam, mu, kappa)
+    ml = mu @ lam.mT
+    return HeisenbergElement(lam, mu, _sym(s) - ml + (ml + lam @ mu.mT) / 2)
 
 
-def _sample_unitary(rng: np.random.Generator, g: int) -> np.ndarray:
-    z = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def sample_element(kind: str, g: int, h: int = 1, seed: int = 0, scale: float = 0.8):
+def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     """Draw a random element of the requested group, deterministic in seed.
 
-    kind is one of sp, heisenberg, jacobi, gstar, gstarj, kstarj.
+    kind is one of sp, heisenberg, jacobi, gstar, gstarj, kstarj.  A sequence
+    of seeds gives one holder of their batch, built and validated in one pass,
+    each slice with the bits of its seed's element.
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown element kind: {kind!r}")
@@ -540,27 +580,23 @@ def sample_element(kind: str, g: int, h: int = 1, seed: int = 0, scale: float = 
         raise DimensionError("g and h must be >= 1")
     if not scale > 0:
         raise DomainError("scale must be positive")
-    rng = _rng([int(seed), _KIND_TAG[kind]])
-    if kind == "sp":
-        return _sample_symplectic(rng, g, scale)
+    rng = _rngs(seed, _KIND_TAG[kind])
+    if kind in ("sp", "gstar"):
+        m = _sample_symplectic(rng, g, scale)
+        return m if kind == "sp" else conjugate_by_T(m)
     if kind == "heisenberg":
         return _sample_heisenberg(rng, g, h, scale)
-    if kind == "jacobi":
-        return JacobiElement(_sample_symplectic(rng, g, scale), _sample_heisenberg(rng, g, h, scale))
-    if kind == "gstar":
-        return conjugate_by_T(_sample_symplectic(rng, g, scale))
-    if kind == "gstarj":
-        return theta(JacobiElement(_sample_symplectic(rng, g, scale),
-                                   _sample_heisenberg(rng, g, h, scale)))
-    if kind == "kstarj":
-        p = _sample_unitary(rng, g)
-        kap = rng.uniform(-scale, scale, (h, h))
-        kap = (kap + kap.T) / 2
-        z = np.zeros((h, g), dtype=complex)
-        return GStarJacobiElement(
-            GStarElement(p, np.zeros((g, g))),
-            ComplexHeisenbergElement(z, z, 1j * kap),
-        )
+    if kind in ("jacobi", "gstarj"):
+        a = JacobiElement(_sample_symplectic(rng, g, scale), _sample_heisenberg(rng, g, h, scale))
+        return a if kind == "jacobi" else theta(a)
+    if kind == "kstarj":  # a unitary P from the QR of a complex Gaussian, phases fixed
+        re, im, kap = _draws(rng, lambda r: (r.normal(size=(g, g)), r.normal(size=(g, g)),
+                                             r.uniform(-scale, scale, (h, h))))
+        q, r = np.linalg.qr(re + 1j * im)
+        d = np.diagonal(r, axis1=-2, axis2=-1)[..., None, :]
+        z = np.zeros(q.shape[:-2] + (h, g), dtype=complex)
+        return GStarJacobiElement(GStarElement(q * (d / np.abs(d)), np.zeros(q.shape)),
+                                  ComplexHeisenbergElement(z, z, 1j * _sym(kap)))
     raise AssertionError("unreachable")
 
 

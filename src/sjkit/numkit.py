@@ -51,7 +51,6 @@ __all__ = [
     "guarded_inv",
     "guarded_rsolve",
     "Holder",
-    "stack",
 ]
 
 # Condition-number ceiling for every matrix inverse in the library.  Hitting
@@ -155,6 +154,14 @@ def _freeze(a: np.ndarray, src) -> np.ndarray:
     return a
 
 
+def _built_once(make):
+    """make(n) as a read-only array, built once per n."""
+    return functools.cache(lambda n: _freeze(make(n), None))
+
+
+_eye = _built_once(np.eye)
+
+
 class Holder:
     """Base of the point and element classes: thin holders of (..., r, c)
     arrays, a batch of points or elements when those have leading axes."""
@@ -164,22 +171,6 @@ class Holder:
     def __repr__(self):
         h = f", h={self.h}" if hasattr(self, "h") else ""
         return f"{type(self).__name__}(g={self.g}{h})"
-
-
-def stack(items):
-    """One holder of the same-shape holders items, stacking each array along a
-    new leading axis; nothing is validated again, as every item already was."""
-    cls = type(items[0])
-    out = cls.__new__(cls)
-    for name in cls.__slots__:
-        vals = [getattr(x, name) for x in items]
-        v = vals[0]
-        if isinstance(v, np.ndarray):
-            v = _freeze(np.stack(vals), None)
-        elif hasattr(v, "__slots__"):
-            v = stack(vals)
-        setattr(out, name, v)
-    return out
 
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
@@ -308,6 +299,11 @@ def rel_error(a, b):
     b = as_cmatrix(b, "b")
     if a.shape != b.shape and (a.shape[-2:] != b.shape[-2:] or min(a.ndim, b.ndim) > 2):
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return _rel(a, b)
+
+
+def _rel(a: np.ndarray, b: np.ndarray):
+    """rel_error of complex arrays that need no coercion or shape check."""
     return frob(a - b) / _floor1(frob(a), frob(b))
 
 

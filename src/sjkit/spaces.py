@@ -29,6 +29,9 @@ from .groups import (
     GStarJacobiElement,
     JacobiElement,
     SymplecticMatrix,
+    _draws,
+    _rngs,
+    _sym,
     theta,
 )
 from .numkit import (
@@ -37,6 +40,7 @@ from .numkit import (
     DomainError,
     Holder,
     Tolerance,
+    _eye,
     _fail,
     _freeze,
     as_cmatrix,
@@ -120,7 +124,7 @@ class DiskPoint(Holder):
         _fail(self.pd_margin(tol) <= tol.pd_min_eig, DomainError, self._NOT_PD)
 
     def pd_margin(self, tol: Tolerance = DEFAULT_TOL):
-        m = np.eye(self.g) - self.w @ self.w.conj()
+        m = _eye(self.g) - self.w @ self.w.conj()
         # symmetrize away the roundoff skew before the Hermitian eigensolve
         m = (m + m.conj().mT) / 2
         return hermitian_pd_margin(m, tol)
@@ -433,42 +437,32 @@ def check_compatibility(a: JacobiElement, p: DiskJacobiPoint,
 _DISK_RADIUS = 0.9
 
 
-def sample_point(kind: str, g: int, h: int = 1, seed: int = 0, scale: float = 1.0):
+def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
     """Draw a random point of the requested domain, deterministic in seed.
 
     kind is one of siegel, disk, siegel_jacobi, disk_jacobi.  Disk bases are
-    scaled to spectral norm < 0.9; Siegel bases get Im >= 0.1 I.
+    scaled to spectral norm < 0.9; Siegel bases get Im >= 0.1 I.  A sequence
+    of seeds gives one holder of their batch, built and validated in one
+    pass, each slice with the bits of its seed's point.
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown point kind: {kind!r}")
     if g < 1 or h < 1:
         raise DimensionError("g and h must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _KIND_TAG[kind]]))
-
-    def sym(n):
-        s = rng.uniform(-scale, scale, (n, n))
-        return (s + s.T) / 2
-
-    def fiber():
-        return rng.uniform(-scale, scale, (h, g)) + 1j * rng.uniform(-scale, scale, (h, g))
-
-    def disk_base():
-        s = sym(g) + 1j * sym(g)
-        return DiskPoint(_DISK_RADIUS * s / (1 + np.linalg.norm(s, 2)))
-
-    def siegel_base():
-        r = rng.uniform(-scale, scale, (g, g))
-        return SiegelPoint(sym(g) + 1j * (r.T @ r + 0.1 * np.eye(g)))
-
-    if kind == "siegel":
-        return siegel_base()
-    if kind == "disk":
-        return disk_base()
-    if kind == "siegel_jacobi":
-        return SiegelJacobiPoint(siegel_base(), fiber())
-    if kind == "disk_jacobi":
-        return DiskJacobiPoint(disk_base(), fiber())
-    raise AssertionError("unreachable")
+    # two g x g draws for the base (Siegel: R, then Re omega; disk: Re W, then
+    # Im W), then the real and the imaginary part of the fiber
+    shapes = [(g, g)] * 2 + ([(h, g)] * 2 if kind.endswith("jacobi") else [])
+    x = _draws(_rngs(seed, _KIND_TAG[kind]),
+               lambda r: [r.uniform(-scale, scale, shape) for shape in shapes])
+    if kind.startswith("siegel"):
+        base = SiegelPoint(_sym(x[1]) + 1j * (x[0].mT @ x[0] + 0.1 * _eye(g)))
+    else:
+        w = _sym(x[0]) + 1j * _sym(x[1])
+        norm = np.linalg.svd(w, compute_uv=False)[..., :1, None]  # spectral: the largest, first
+        base = DiskPoint(_DISK_RADIUS * w / (1 + norm))
+    if not kind.endswith("jacobi"):
+        return base
+    return (SiegelJacobiPoint if "siegel" in kind else DiskJacobiPoint)(base, x[2] + 1j * x[3])
 
 
 _KIND_TAG = {"siegel": 10, "disk": 11, "siegel_jacobi": 12, "disk_jacobi": 13}

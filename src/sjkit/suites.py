@@ -5,19 +5,23 @@ and reports the worst relative residual.  Per-trial seeds are derived from
 the master seed and the trial index alone, so reruns of the same suite
 produce byte-identical reports.
 
-The six algebraic suites draw and validate each trial's samples on their
-own, stack them (see numkit) and evaluate each chunk of up to 64 trials in
-one pass: a slice that fails a guard fails the call, naming the slice (and
-the chunk's first trial after the first chunk), and each residual has the
-bits of its trial evaluated alone.  The finite-difference suites evaluate
-one trial at a time, each Laplacian acting on its stencil's points in one
-batch.  A SUITES entry is (fn, default tolerance) with fn(g, h, seeds)
-returning one residual per seed.
+The six algebraic suites work in chunks of up to 64 trials.  A chunk's
+samples of each kind come from one sampler call on its list of seeds: every
+seed draws from its own stream as it would alone, and the construction and
+validation of the samples run once for the chunk.  The chunk is then
+evaluated in one pass: a slice that fails a guard fails the call, naming the
+slice (and the chunk's first trial after the first chunk), and each residual
+has the bits of its trial drawn and evaluated alone.  The finite-difference
+suites evaluate one trial at a time, each Laplacian acting on its stencil's
+points in one batch, and a trial that raises an SjkError is recorded as a
+failure with its error and the run goes on.  A SUITES entry is (fn, default
+tolerance) with fn(g, h, seeds) returning, per seed, a residual or the
+SjkError its trial raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from operator import attrgetter
 from typing import Callable
@@ -57,7 +61,7 @@ from .groups import (
     theta,
     tstar_agreement_residual,
 )
-from .numkit import DomainError, SjkError, rel_error, stack
+from .numkit import DomainError, SjkError, rel_error
 from .spaces import (
     act_disk,
     act_jacobi,
@@ -83,16 +87,7 @@ class VerifyReport:
     passed: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "g": self.g,
-            "h": self.h,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def trial_seed(master: int, index: int) -> int:
@@ -131,21 +126,19 @@ _CHUNK = 64
 @dataclass(frozen=True)
 class _Batched:
     """A suite that draws one sample of each kind per trial, seeded s, s + 1,
-    ..., and evaluates each chunk of _CHUNK trials in one pass over the
-    stacked samples."""
+    ..., and evaluates each chunk of _CHUNK trials in one pass, drawing each
+    kind's samples for the chunk in one sampler call."""
 
     kinds: tuple
     evaluate: Callable
 
-    def draw(self, g: int, h: int, s: int) -> tuple:
-        return tuple((sample_point if kind in _POINT_KINDS else sample_element)(kind, g, h, s + k)
-                     for k, kind in enumerate(self.kinds))
-
     def __call__(self, g: int, h: int, seeds: list[int]) -> np.ndarray:
         out = []
         for i in range(0, len(seeds), _CHUNK):
-            batch = [stack(x) for x in zip(*(self.draw(g, h, s) for s in seeds[i:i + _CHUNK]))]
+            chunk = seeds[i:i + _CHUNK]
             try:
+                batch = [(sample_point if kind in _POINT_KINDS else sample_element)(
+                    kind, g, h, [s + k for s in chunk]) for k, kind in enumerate(self.kinds)]
                 out.append(self.evaluate(*batch))
             except SjkError as exc:
                 if not i:
@@ -279,11 +272,17 @@ def _trial_volume_invariance(g: int, h: int, s: int) -> float:
 
 
 def _one_at_a_time(trial: Callable) -> Callable:
-    """A suite that evaluates trial(g, h, seed) for each seed in turn."""
-    return lambda g, h, seeds: [trial(g, h, s) for s in seeds]
+    """A suite that evaluates trial(g, h, seed) for each seed in turn; a trial
+    that raises an SjkError gives that error in place of its residual."""
+    def attempt(g: int, h: int, s: int):
+        try:
+            return trial(g, h, s)
+        except SjkError as exc:
+            return exc
+    return lambda g, h, seeds: [attempt(g, h, s) for s in seeds]
 
 
-# name -> (suite function (g, h, seeds) -> residual per seed, default tolerance)
+# name -> (suite function (g, h, seeds) -> residual or error per seed, default tolerance)
 SUITES = {
     "group-axioms": (_Batched(("jacobi",) * 3 + ("heisenberg",) * 3 + ("gstarj",) * 3,
                               _group_axioms), 1e-9),
@@ -311,9 +310,12 @@ def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 
         raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 
     seeds = [trial_seed(seed, i) for i in range(trials)]
-    residuals = np.asarray(suite_fn(g, h, seeds), dtype=float)
+    results = list(suite_fn(g, h, seeds))
+    errors = [r if isinstance(r, SjkError) else None for r in results]
+    residuals = np.array([np.nan if e else r for r, e in zip(results, errors)], dtype=float)
     failures = [
-        {"seed": s, "residual": float(r)} for s, r in zip(seeds, residuals) if not r <= tolerance
+        {"seed": s, "residual": float(r)} | ({"error": f"{type(e).__name__}: {e}"} if e else {})
+        for s, r, e in zip(seeds, residuals, errors) if not r <= tolerance
     ]
     return VerifyReport(
         suite=name,

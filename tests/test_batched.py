@@ -1,7 +1,8 @@
 """The (..., r, c) batch convention: a batched kernel gives every slice the
 bits of the 2-d call, and a guard that fails on one slice raises for the
-batch, naming that slice.  The finite-difference operators evaluate their
-displaced points in one such batch."""
+batch, naming that slice.  The samplers draw a batch of seeds in one holder,
+and the finite-difference operators evaluate their displaced points in one
+such batch."""
 
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sjkit import geometry, suites
+from sjkit import geometry, groups, suites
 from sjkit.geometry import (
     TEST_FIELDS,
     MetricParams,
@@ -25,17 +26,17 @@ from sjkit.geometry import (
     pushforward,
     sample_tangent,
 )
-from sjkit.groups import SymplecticMatrix, sample_element
+from sjkit.groups import SymplecticMatrix, _rng, sample_element
 from sjkit.numkit import (
     ConditioningError,
     DimensionError,
     DomainError,
+    Holder,
     _fail,
     frob,
     guarded_rsolve,
     hermitian_pd_margin,
     rel_error,
-    stack,
     symmetry_defect,
 )
 from sjkit.spaces import (
@@ -66,15 +67,32 @@ def test_the_six_algebraic_suites_are_batched():
                          "hc-reconstruct", "cocycle"]
 
 
+def _draw_alone(suite, g, h, s) -> tuple:
+    """A trial's samples as unbatched holders, each kind drawn with its int seed."""
+    return tuple(_sampler(kind)(kind, g, h, s + k) for k, kind in enumerate(suite.kinds))
+
+
+def _count_draws(monkeypatch) -> list:
+    """The length of the seed list of every sampler call the suites make."""
+    draws = []
+    for name in ("sample_element", "sample_point"):
+        inner = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda kind, g, h, seeds, inner=inner:
+                            draws.append(len(seeds)) or inner(kind, g, h, seeds))
+    return draws
+
+
 @pytest.mark.parametrize("g,h", SHAPES)
 @pytest.mark.parametrize("name", ALGEBRAIC)
-def test_batched_suite_matches_trials_one_at_a_time(name, g, h):
+def test_batched_suite_matches_trials_one_at_a_time(monkeypatch, name, g, h):
     suite = SUITES[name][0]
     seeds = [trial_seed(5, i) for i in range(10)]
-    batched = suite(g, h, seeds)
-    assert batched.shape == (10,)
-    alone = [suite.evaluate(*suite.draw(g, h, s)) for s in seeds]  # unbatched, 2-d holders
+    alone = [suite.evaluate(*_draw_alone(suite, g, h, s)) for s in seeds]  # unbatched, 2-d holders
     assert all(type(r) in (float, np.float64) for r in alone)
+    draws = _count_draws(monkeypatch)
+    batched = suite(g, h, seeds)
+    assert draws == [10] * len(suite.kinds)  # one sampler call per kind
+    assert batched.shape == (10,)
     assert _bits(batched) == _bits(alone)
     assert _bits(np.concatenate([suite(g, h, [s]) for s in seeds])) == _bits(alone)
 
@@ -82,12 +100,11 @@ def test_batched_suite_matches_trials_one_at_a_time(name, g, h):
 def test_trials_past_one_chunk_match_trials_one_at_a_time(monkeypatch):
     suite = SUITES["compat-29"][0]
     seeds = [trial_seed(2, i) for i in range(suites._CHUNK + 6)]
-    stacked = []
-    inner = suites.stack
-    monkeypatch.setattr(suites, "stack", lambda items: stacked.append(len(items)) or inner(items))
+    want = [suite.evaluate(*_draw_alone(suite, 1, 1, s)) for s in seeds]
+    draws = _count_draws(monkeypatch)
     batched = suite(1, 1, seeds)
-    assert stacked == [suites._CHUNK] * 2 + [6] * 2  # two kinds, two chunks
-    assert _bits(batched) == _bits([suite.evaluate(*suite.draw(1, 1, s)) for s in seeds])
+    assert draws == [suites._CHUNK] * 2 + [6] * 2  # two kinds, two chunks
+    assert _bits(batched) == _bits(want)
 
 
 def test_a_failing_slice_past_the_first_chunk_names_its_chunk():
@@ -149,15 +166,6 @@ def test_one_non_symplectic_slice_fails_the_batch_naming_it():
     SymplecticMatrix(np.stack(ms[:1] + ms[2:]))
 
 
-def test_stack_builds_one_holder_without_validating_again():
-    els = [sample_element("gstarj", 2, 2, seed=s) for s in range(3)]
-    batch = stack(els)
-    assert (batch.g, batch.h) == (2, 2)
-    assert batch.gs.p.shape == (3, 2, 2) and batch.hc.zeta.shape == (3, 2, 2)
-    assert not batch.gs.p.flags.writeable
-    np.testing.assert_array_equal(batch.hc.xi[1], els[1].hc.xi)
-
-
 @pytest.mark.parametrize("name", ALGEBRAIC)
 def test_ten_trials_take_the_guards_of_one(monkeypatch, name):
     guards = []
@@ -187,6 +195,90 @@ def test_python_m_sjkit_runs_the_cli():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# -- samplers: per-seed draws, one batched construction per call ---------------
+
+ELEMENT_KINDS = ["sp", "heisenberg", "jacobi", "gstar", "gstarj", "kstarj"]
+POINT_KINDS = ["siegel", "disk", "siegel_jacobi", "disk_jacobi"]
+SAMPLE_SHAPES = [(1, 1), (2, 1), (3, 2), (4, 3)]
+
+
+def _arrays(x) -> list:
+    """Every array a holder stores, nested holders included, in slot order."""
+    out = []
+    for name in type(x).__slots__:
+        v = getattr(x, name)
+        out += [v] if isinstance(v, np.ndarray) else _arrays(v) if isinstance(v, Holder) else []
+    return out
+
+
+def _sampler(kind):
+    return sample_point if kind in POINT_KINDS else sample_element
+
+
+def _word(kind: str, seed: int, g: int) -> list[int]:
+    """The generator kinds of a seed's symplectic word, replayed from its
+    stream the way the sampler draws it."""
+    rng = _rng([seed, groups._KIND_TAG[kind]])
+    word = []
+    for _ in range(int(rng.integers(4, 9))):
+        word.append(int(rng.integers(0, 4)))
+        if word[-1] < 3:
+            rng.uniform(-0.8, 0.8, (g, g))
+    return word
+
+
+@pytest.mark.parametrize("g,h", SAMPLE_SHAPES)
+@pytest.mark.parametrize("kind", ELEMENT_KINDS + POINT_KINDS)
+def test_a_batched_draw_is_the_draws_of_its_seeds_stacked(kind, g, h):
+    chunks = [[41], list(range(40)), [trial_seed(9, i) for i in range(suites._CHUNK + 6)]]
+    for seeds in chunks:
+        batch = _sampler(kind)(kind, g, h, seeds)
+        alone = [_sampler(kind)(kind, g, h, s) for s in seeds]
+        assert (batch.g, getattr(batch, "h", h)) == (g, h)
+        for got, *want in zip(_arrays(batch), *map(_arrays, alone), strict=True):
+            assert got.shape == (len(seeds),) + want[0].shape and want[0].ndim == 2
+            assert got.tobytes() == np.stack(want).tobytes()
+            assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["sp", "jacobi", "gstar", "gstarj"])
+def test_the_forty_seed_chunk_has_words_of_every_length_and_generator(kind, g):
+    # the chunk range(40) of the equality test above
+    words = [_word(kind, s, g) for s in range(40)]
+    assert {len(w) for w in words} == {4, 5, 6, 7, 8}
+    assert {k for w in words for k in w} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("seed", [[], [[1, 2]], np.zeros((2, 2), dtype=int)])
+def test_a_seed_list_must_be_one_non_empty_sequence(seed):
+    for kind in ("sp", "siegel"):
+        with pytest.raises(DimensionError, match="non-empty sequence"):
+            _sampler(kind)(kind, 2, 1, seed)
+
+
+def _count_validations(monkeypatch) -> dict:
+    counts = {}
+    for cls in (SymplecticMatrix, SiegelPoint, DiskPoint):
+        inner = cls.validate
+        monkeypatch.setattr(cls, "validate", lambda self, *a, inner=inner, name=cls.__name__:
+                            counts.update({name: counts.get(name, 0) + 1}) or inner(self, *a))
+    return counts
+
+
+def test_each_kind_is_validated_once_per_chunk(monkeypatch):
+    kinds = ("sp", "jacobi", "gstar", "gstarj", "siegel", "disk", "siegel_jacobi", "disk_jacobi")
+    counts = _count_validations(monkeypatch)
+    suite = suites._Batched(kinds, lambda *batch: np.zeros(len(batch[0].m)))
+    assert suite(2, 1, list(range(suites._CHUNK + 6))).shape == (suites._CHUNK + 6,)
+    # two chunks: a symplectic part in four kinds, a Siegel and a disk base in two each
+    assert counts == {"SymplecticMatrix": 2 * 4, "SiegelPoint": 2 * 2, "DiskPoint": 2 * 2}
+    counts.clear()
+    for kind in kinds:
+        _sampler(kind)(kind, 2, 1, 5)
+    assert counts == {"SymplecticMatrix": 4, "SiegelPoint": 2, "DiskPoint": 2}
 
 
 # -- finite-difference stencils: one batched pass per operator ----------------

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from sjkit import geometry, suites
+from sjkit.cli import main
 from sjkit.numkit import DomainError
 from sjkit.suites import SUITES, run_suite, trial_seed
 
@@ -93,3 +96,17 @@ def test_exact_differential_suites_pass_at_g_ne_h(name, g, h):
     r = run_suite(name, g, h, trials=10, seed=17)
     assert r.tolerance == 1e-9
     assert r.passed, f"{name}: max residual {r.max_residual}"
+
+
+def test_a_trial_that_raises_is_a_recorded_failure_and_the_run_goes_on(capsys):
+    # trial 25 of this run samples a point too near the boundary for the stencil
+    r = run_suite("laplacian-invariance", 1, 1, trials=30, seed=77)
+    assert r.trials == 30 and not r.passed and np.isnan(r.max_residual)
+    assert len(r.failures) == 1
+    (failure,) = r.failures
+    assert failure["seed"] == trial_seed(77, 25) and np.isnan(failure["residual"])
+    assert failure["error"] == ("DomainError: point is too close to the boundary "
+                                "for the difference stencil")
+    assert main(["verify", "--suite", "laplacian-invariance", "--g", "1", "--h", "1",
+                 "--trials", "30", "--seed", "77"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"][0]["seed"] == trial_seed(77, 25)
