@@ -16,10 +16,7 @@ from .numkit import (
     Tolerance,
     bracket,
     is_hermitian_pd,
-    is_symmetric,
-    rel_close,
     rel_error,
-    trace_sigma,
 )
 from .groups import (
     BigComplexGroupElement,
@@ -40,7 +37,6 @@ from .groups import (
     sample_element,
     theta,
     tstar_agreement_residual,
-    tstar_conjugate_oracle,
 )
 from .spaces import (
     DiskJacobiPoint,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .automorphy import IndexMatrix, Representation, j_factor
@@ -70,8 +71,20 @@ _ACTION_MAPS = {
 }
 
 
+def _json_safe(obj):
+    """obj with each non-finite float (a recorded failure's NaN residual) as
+    None, which JSON writes as null: JSON has no NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(_json_safe(obj), sort_keys=True, allow_nan=False) + "\n")
 
 
 def _read_input(args) -> object:

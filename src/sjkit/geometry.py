@@ -26,6 +26,10 @@ pushforward and action_jacobian_det are the finite-difference oracles for
 those differentials, kept to check them.  Each finite-difference operator
 makes one batched pass: its displaced points, built as one batch through
 _rebuild, go through its field or map in one call.
+
+The metrics, the volume density and sample_tangent take (..., r, c) batches
+like the points (see numkit): each slice of a result has the bits of its 2-d
+call, and a 2-d input gives a plain float.
 """
 
 from __future__ import annotations
@@ -36,12 +40,15 @@ from typing import Callable
 
 import numpy as np
 
+from .groups import _draws, _rngs
 from .numkit import (
     DEFAULT_TOL,
     ConsistencyError,
     DimensionError,
     DomainError,
     Tolerance,
+    _fail,
+    _floor1,
     frob,
     guarded_inv,
 )
@@ -127,13 +134,19 @@ TEST_FIELDS = [
 # metrics
 
 
-def _real_value(val: complex, tol: float, what: str) -> float:
-    if abs(np.imag(val)) > tol * max(1.0, abs(val)):
-        raise ConsistencyError(f"{what}: imaginary residual {np.imag(val):.3e}")
-    return float(np.real(val))
+def _real_value(val, tol: float, what: str):
+    """The real part of each value, checked to carry no imaginary residual."""
+    _fail(abs(val.imag) > tol * _floor1(abs(val)), ConsistencyError,
+          "{}: imaginary residual {:.3e}", what, val.imag)
+    return _plain(val.real)
 
 
-def metric_siegel(p: SiegelPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL) -> float:
+def _plain(x):
+    """A plain float for a 0-d result, the batch array otherwise."""
+    return float(x) if x.ndim == 0 else x
+
+
+def metric_siegel(p: SiegelPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL):
     """trace(Y^-1 dOmega Y^-1 conj(dOmega))."""
     do, _ = _fit(v, p.omega)
     yi = guarded_inv(p.y.astype(complex), "Im(omega)")
@@ -141,7 +154,7 @@ def metric_siegel(p: SiegelPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL
     return _real_value(val, tol.algebraic_rel, "siegel metric")
 
 
-def metric_disk(p: DiskPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL) -> float:
+def metric_disk(p: DiskPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL):
     """4 trace((I - W conj W)^-1 dW (I - conj(W) W)^-1 conj(dW))."""
     dw, _ = _fit(v, p.w)
     i = np.eye(p.g)
@@ -152,7 +165,7 @@ def metric_disk(p: DiskPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector,
-              tol: Tolerance = DEFAULT_TOL) -> float:
+              tol: Tolerance = DEFAULT_TOL):
     """The five-term A/B metric in dOmega and dZ.
 
     Reduces to a times the base metric when dZ = 0 and Im(Z) = 0.
@@ -164,16 +177,16 @@ def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector,
     vmat = p.v.astype(complex)
     dob, dzb = do.conj(), dz.conj()
     m1 = _tr(yi @ do @ yi @ dob)
-    m2 = _tr(yi @ vmat.T @ vmat @ yi @ do @ yi @ dob)
-    m3 = _tr(yi @ dz.T @ dzb)
-    m4 = _tr(vmat @ yi @ do @ yi @ dzb.T)
-    m5 = _tr(vmat @ yi @ dob @ yi @ dz.T)
+    m2 = _tr(yi @ vmat.mT @ vmat @ yi @ do @ yi @ dob)
+    m3 = _tr(yi @ dz.mT @ dzb)
+    m4 = _tr(vmat @ yi @ do @ yi @ dzb.mT)
+    m5 = _tr(vmat @ yi @ dob @ yi @ dz.mT)
     val = params.a * m1 + params.b * (m2 + m3 - m4 - m5)
     return _real_value(val, tol.algebraic_rel, "siegel-jacobi metric")
 
 
 def pullback_metric_disk(params: MetricParams, p: DiskJacobiPoint, v: TangentVector,
-                         tol: Tolerance = DEFAULT_TOL) -> float:
+                         tol: Tolerance = DEFAULT_TOL):
     """The invariant metric on the bounded model, realized as the pullback of
     the unbounded-model metric through the partial Cayley transform."""
     moved, (dv,) = partial_cayley(p, tol, dirs=[v])
@@ -203,7 +216,11 @@ def _rebuild(p, base: np.ndarray, fiber: np.ndarray | None, validate: bool):
 
 
 def point_norm(p) -> float:
-    base, fiber = _point_parts(p)
+    return _norm(*_point_parts(p))
+
+
+def _norm(base: np.ndarray, fiber: np.ndarray | None) -> float:
+    """The Frobenius norm of a 2-d (base, fiber) pair, a point's or a tangent vector's."""
     n2 = frob(base) ** 2
     if fiber is not None:
         n2 += frob(fiber) ** 2
@@ -309,17 +326,18 @@ def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint,
 # volume density and numerical differentials
 
 
-def volume_density(p: SiegelJacobiPoint) -> float:
-    """det(Y)^-(g+h+1), the density of the invariant volume element."""
-    det = float(np.linalg.det(p.base.y))
-    return det ** (-(p.g + p.h + 1))
+def volume_density(p: SiegelJacobiPoint):
+    """det(Y)^-(g+h+1), the density of the invariant volume element; float_power
+    has the bits of a float's ** where an array's ** differs."""
+    return _plain(np.float_power(np.linalg.det(p.base.y), -(p.g + p.h + 1)))
 
 
 def _pushforwards(map_fn: Callable, p, vs: list, tol: Tolerance) -> list[TangentVector]:
     """pushforward along each of vs, from one call of map_fn on the batch of
     the 2 len(vs) displaced points, + then - for each v."""
     base, fiber = _point_parts(p)
-    h = FD_FIRST_STEP * max(1.0, point_norm(p)) / np.array([max(1.0, v.norm()) for v in vs])
+    norms = np.array([max(1.0, _norm(v.dbase, v.dfiber)) for v in vs])
+    h = FD_FIRST_STEP * max(1.0, point_norm(p)) / norms
     steps = np.stack([h, -h], axis=-1).reshape(-1, 1, 1)
     moves = zip(*(_fit(v, base, fiber) for v in vs))  # every base, then every fiber displacement
     displaced = [None if x is None else x + steps * np.repeat(np.stack(dx), 2, axis=0)
@@ -341,35 +359,38 @@ def pushforward(map_fn: Callable, p, v: TangentVector, tol: Tolerance = DEFAULT_
     return _pushforwards(map_fn, p, [v], tol)[0]
 
 
-def sample_tangent(g: int, h: int | None = None, seed: int = 0, scale: float = 1.0) -> TangentVector:
-    """Random tangent vector, deterministic in seed; fiber part iff h given."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 20]))
-
-    dfiber = None
-    if h is not None:
-        dfiber = rng.uniform(-scale, scale, (h, g)) + 1j * rng.uniform(-scale, scale, (h, g))
-    s = rng.uniform(-scale, scale, (g, g)) + 1j * rng.uniform(-scale, scale, (g, g))
-    return TangentVector((s + s.T) / 2, dfiber)
+def sample_tangent(g: int, h: int | None = None, seed=0, scale: float = 1.0) -> TangentVector:
+    """Random tangent vector, deterministic in seed; fiber part iff h given.  A
+    sequence of seeds gives one holder of their batch, as sample_point does."""
+    # the real and the imaginary part of the fiber, then of the base
+    shapes = ([(h, g)] * 2 if h is not None else []) + [(g, g)] * 2
+    x = _draws(_rngs(seed, 20), lambda r: [r.uniform(-scale, scale, shape) for shape in shapes])
+    s = x[-2] + 1j * x[-1]
+    return TangentVector((s + s.mT) / 2, None if h is None else x[0] + 1j * x[1])
 
 
 def _coordinate_dirs(p) -> list[TangentVector]:
     """E_ii and E_ij + E_ji (i < j) on the base, then the unit h x g matrices
     on the fiber when p has one: the complex coordinate directions at p."""
     base, fiber = _point_parts(p)
-    dirs = [TangentVector(e) for e in _sym_coords(len(base))]
+    dirs = [TangentVector(e) for e in _sym_coords(base.shape[-1])]
     if fiber is not None:
-        dirs += [TangentVector(np.zeros_like(base), e) for e in _fiber_coords(*fiber.shape)]
+        zero = np.zeros(base.shape[-2:])
+        dirs += [TangentVector(zero, e) for e in _fiber_coords(*fiber.shape[-2:])]
     return dirs
 
 
-def _abs_det2(pushed: list[TangentVector]) -> float:
+def _abs_det2(pushed: list[TangentVector]):
     """|det|^2 of the complex Jacobian whose columns are the images of the
     _coordinate_dirs, read in the upper triangle of the base and the fiber
     row-major."""
     iu = np.triu_indices(pushed[0].g)
-    cols = [v.dbase[iu] if v.dfiber is None else np.concatenate([v.dbase[iu], v.dfiber.ravel()])
-            for v in pushed]
-    return abs(complex(np.linalg.det(np.array(cols).T))) ** 2
+    cols = np.array([v.dbase for v in pushed])[..., iu[0], iu[1]]  # one row per column
+    if pushed[0].dfiber is not None:
+        df = np.array([v.dfiber for v in pushed])
+        cols = np.concatenate([cols, df.reshape(df.shape[:-2] + (-1,))], axis=-1)
+    jac = cols.transpose(tuple(range(1, cols.ndim)) + (0,))
+    return _plain(_abs2(np.linalg.det(jac)))
 
 
 def action_jacobian_det(map_fn: Callable, p, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -57,7 +57,6 @@ __all__ = [
     "embed_sp_gph",
     "embed_gstarj",
     "tstar_agreement_residual",
-    "tstar_conjugate_oracle",
     "sample_element",
 ]
 
@@ -478,16 +477,6 @@ def tstar_agreement_residual(a: JacobiElement) -> float:
                       rel_error(conj[..., :n, n:], q_closed))
 
 
-def tstar_conjugate_oracle(a: JacobiElement,
-                           tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form blocks, after checking them against the explicit
-    conjugation; a mismatch signals an implementation bug."""
-    res = tstar_agreement_residual(a)
-    _fail(res > tol.algebraic_rel, ConsistencyError,
-          "conjugation blocks disagree with closed form (residual {:.3e})", res)
-    return _tstar_closed(a)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -572,7 +561,9 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
 
     kind is one of sp, heisenberg, jacobi, gstar, gstarj, kstarj.  A sequence
     of seeds gives one holder of their batch, built and validated in one pass,
-    each slice with the bits of its seed's element.
+    each slice with the bits of its seed's element.  The kinds built on a
+    symplectic word take scale <= 1: above it the words' generators lose
+    their conditioning and the product fails its own validation.
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown element kind: {kind!r}")
@@ -580,6 +571,8 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
         raise DimensionError("g and h must be >= 1")
     if not scale > 0:
         raise DomainError("scale must be positive")
+    if kind in ("sp", "gstar", "jacobi", "gstarj") and scale > 1:
+        raise DomainError(f"scale must be at most 1 for kind {kind!r}, got {scale}")
     rng = _rngs(seed, _KIND_TAG[kind])
     if kind in ("sp", "gstar"):
         m = _sample_symplectic(rng, g, scale)

@@ -40,13 +40,10 @@ __all__ = [
     "ConsistencyError",
     "as_cmatrix",
     "frob",
-    "trace_sigma",
     "bracket",
-    "is_symmetric",
     "symmetry_defect",
     "hermitian_pd_margin",
     "is_hermitian_pd",
-    "rel_close",
     "rel_error",
     "guarded_inv",
     "guarded_rsolve",
@@ -232,15 +229,6 @@ def _block(rows) -> np.ndarray:
     return out
 
 
-def trace_sigma(a):
-    """Trace of each square slice."""
-    a = as_cmatrix(a)
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"trace requires a square matrix, got {a.shape[-2:]}")
-    t = np.trace(a, axis1=-2, axis2=-1)
-    return complex(t) if t.ndim == 0 else t
-
-
 def bracket(a, b) -> np.ndarray:
     """A[B] = transpose(B) A B."""
     a = as_cmatrix(a, "A")
@@ -255,13 +243,6 @@ def bracket(a, b) -> np.ndarray:
 def symmetry_defect(a: np.ndarray):
     """Relative Frobenius distance of each slice from its transpose."""
     return frob(a - a.mT) / _floor1(frob(a))
-
-
-def is_symmetric(a, tol: Tolerance = DEFAULT_TOL):
-    a = as_cmatrix(a)
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"symmetry test requires a square matrix, got {a.shape[-2:]}")
-    return symmetry_defect(a) <= tol.algebraic_rel
 
 
 def hermitian_pd_margin(a, tol: Tolerance = DEFAULT_TOL):
@@ -286,10 +267,6 @@ def hermitian_pd_margin(a, tol: Tolerance = DEFAULT_TOL):
 
 def is_hermitian_pd(a, tol: Tolerance = DEFAULT_TOL):
     return hermitian_pd_margin(a, tol) > tol.pd_min_eig
-
-
-def rel_close(a, b, tol: float):
-    return rel_error(a, b) <= tol
 
 
 def rel_error(a, b):

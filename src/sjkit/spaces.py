@@ -16,8 +16,9 @@ with df = dZ + lam dOmega for act_jacobi, deta + xi dW for act_jacobi_disk
 and 2i deta for partial_cayley.  Given tangent vectors (dirs=...), a map
 also returns their images under it; its one guarded solve then returns J^-1
 as well, by stacking I under the numerator.
-Points hold (..., r, c) arrays (see numkit), so one holder may carry a
-batch; tangent vectors and their pushforwards are unbatched.
+Points and tangent vectors hold (..., r, c) arrays (see numkit), so one
+holder may carry a batch; an unbatched tangent vector broadcasts against a
+batched point.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .numkit import (
     _fail,
     _freeze,
     as_cmatrix,
-    frob,
     guarded_rsolve,
     hermitian_pd_margin,
     rel_error,
@@ -196,7 +196,7 @@ class DiskJacobiPoint(Holder):
         return self.eta.shape[-2]
 
 
-class TangentVector:
+class TangentVector(Holder):
     """A symmetric base displacement plus an optional fiber displacement."""
 
     __slots__ = ("dbase", "dfiber")
@@ -208,13 +208,7 @@ class TangentVector:
 
     @property
     def g(self) -> int:
-        return self.dbase.shape[0]
-
-    def norm(self) -> float:
-        n2 = frob(self.dbase) ** 2
-        if self.dfiber is not None:
-            n2 += frob(self.dfiber) ** 2
-        return float(np.sqrt(n2))
+        return self.dbase.shape[-1]
 
     def scaled(self, t: float) -> "TangentVector":
         return TangentVector(
@@ -243,11 +237,13 @@ def _positive(cls, m: np.ndarray, tol: Tolerance):
 
 def _fit(v: TangentVector, x: np.ndarray, fiber: np.ndarray | None = None):
     """The (dx, df) displacement of the tangent vector v at the point (x, fiber):
-    df is None at a point without a fiber and zero where v has none."""
+    df is None at a point without a fiber and zero where v has none.  An
+    unbatched v broadcasts against a batched point."""
     df = None if fiber is None else v.dfiber
     if fiber is not None and df is None:
         df = np.zeros_like(fiber)
-    if x.ndim != 2 or v.dbase.shape != x.shape or (df is not None and df.shape != fiber.shape):
+    if v.dbase.shape not in (x.shape, x.shape[-2:]) or (
+            df is not None and df.shape not in (fiber.shape, fiber.shape[-2:])):
         at = x.shape if fiber is None else (x.shape, fiber.shape)
         raise DimensionError(f"tangent vector does not fit a point of shape {at}")
     return v.dbase, df
@@ -271,7 +267,8 @@ def _stacked_rsolve(top, fiber, den, context: str, with_inverse: bool):
     if fiber is None and not with_inverse:
         return guarded_rsolve(top, den, context), None, None
     n = den.shape[-1]
-    parts = [m for m in (top, fiber, np.eye(n) if with_inverse else None) if m is not None]
+    eye = np.zeros_like(den) + _eye(n) if with_inverse else None  # I in each slice
+    parts = [m for m in (top, fiber, eye) if m is not None]
     out = guarded_rsolve(np.concatenate(parts, axis=-2), den, context)
     k = n if fiber is None else n + fiber.shape[-2]
     return out[..., :n, :], None if fiber is None else out[..., n:k, :], out[..., k:, :]
@@ -284,7 +281,7 @@ def _pushed(lead, c, z, jinv, dirs) -> list[TangentVector]:
     for dx, df in dirs:
         dx2 = lead @ dx @ jinv
         v = TangentVector.__new__(TangentVector)  # (dx2 + dx2^T)/2 is exactly symmetric
-        v.dbase, v.dfiber = (dx2 + dx2.T) / 2, None if df is None else (df - z @ (c @ dx)) @ jinv
+        v.dbase, v.dfiber = (dx2 + dx2.mT) / 2, None if df is None else (df - z @ (c @ dx)) @ jinv
         out.append(v)
     return out
 
@@ -380,10 +377,11 @@ def _cayley(w, fiber, tol: Tolerance, dirs=None):
 
 
 def _cayley_inv(omega, fiber, tol: Tolerance):
-    """(omega - iI)(omega + iI)^-1 symmetrized, and fiber (omega + iI)^-1, in one guarded solve."""
-    i = np.eye(omega.shape[-1])
-    top, eta, _ = _stacked_rsolve(omega - 1j * i, fiber, omega + 1j * i, "omega + iI", False)
-    return _symmetrized(top, tol, "inverse cayley"), eta
+    """(omega - iI)(omega + iI)^-1 symmetrized and fiber (omega + iI)^-1: the
+    fractional-linear map with a = I, b = -iI, c = I, d = iI."""
+    i = _eye(omega.shape[-1])
+    return _fractional_linear(i, -1j * i, i, 1j * i, omega, fiber, tol, "omega + iI",
+                              "inverse cayley")[:2]
 
 
 def cayley(p: DiskPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):

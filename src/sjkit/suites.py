@@ -5,18 +5,18 @@ and reports the worst relative residual.  Per-trial seeds are derived from
 the master seed and the trial index alone, so reruns of the same suite
 produce byte-identical reports.
 
-The six algebraic suites work in chunks of up to 64 trials.  A chunk's
-samples of each kind come from one sampler call on its list of seeds: every
-seed draws from its own stream as it would alone, and the construction and
-validation of the samples run once for the chunk.  The chunk is then
-evaluated in one pass: a slice that fails a guard fails the call, naming the
-slice (and the chunk's first trial after the first chunk), and each residual
-has the bits of its trial drawn and evaluated alone.  The finite-difference
-suites evaluate one trial at a time, each Laplacian acting on its stencil's
-points in one batch, and a trial that raises an SjkError is recorded as a
-failure with its error and the run goes on.  A SUITES entry is (fn, default
-tolerance) with fn(g, h, seeds) returning, per seed, a residual or the
-SjkError its trial raised.
+Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  A
+chunk's samples of each kind come from one sampler call on its list of
+seeds: every seed draws from its own stream as it would alone, and the
+construction and validation of the samples run once for the chunk.  The
+chunk is then evaluated in one pass, and each residual has the bits of its
+trial drawn and evaluated alone.  A chunk that raises an SjkError is
+evaluated again one trial at a time, so a trial that raises is recorded as a
+failure with its error and the run goes on.  laplacian-invariance, whose
+test field depends on the seed, runs in chunks of one trial, each Laplacian
+acting on its stencil's points in one batch.  A SUITES entry is (fn,
+default tolerance) with fn(g, h, seeds) returning, per seed, a residual or
+the SjkError its trial raised.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .groups import (
     theta,
     tstar_agreement_residual,
 )
-from .numkit import DomainError, SjkError, rel_error
+from .numkit import DomainError, SjkError, _floor1, rel_error
 from .spaces import (
     act_disk,
     act_jacobi,
@@ -96,8 +96,8 @@ def trial_seed(master: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _scalar_rel(x: float, y: float) -> float:
-    return abs(x - y) / max(1.0, abs(x), abs(y))
+def _scalar_rel(x, y):
+    return abs(x - y) / _floor1(abs(x), abs(y))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def _dist(fields: attrgetter, a, b):
 
 
 # ---------------------------------------------------------------------------
-# algebraic suites: per-trial draws, one evaluation of every trial
+# the runner
 
 
 _POINT_KINDS = ("siegel", "disk", "siegel_jacobi", "disk_jacobi")
@@ -123,28 +123,56 @@ _POINT_KINDS = ("siegel", "disk", "siegel_jacobi", "disk_jacobi")
 _CHUNK = 64
 
 
+def _sample(kind: str, g: int, h: int, seed):
+    """The sample of one kind for a seed or a sequence of seeds: an element,
+    a point, a tangent vector ("tangent", "tangent_jacobi" with a fiber) or,
+    for "trial", the trial (g, h, seed) itself, for a suite that draws its own."""
+    if kind == "trial":
+        return g, h, seed
+    if kind.startswith("tangent"):
+        return sample_tangent(g, h if kind == "tangent_jacobi" else None, seed)
+    return (sample_point if kind in _POINT_KINDS else sample_element)(kind, g, h, seed)
+
+
 @dataclass(frozen=True)
 class _Batched:
     """A suite that draws one sample of each kind per trial, seeded s, s + 1,
-    ..., and evaluates each chunk of _CHUNK trials in one pass, drawing each
-    kind's samples for the chunk in one sampler call."""
+    ..., and evaluates each chunk of up to `chunk` trials in one pass, drawing
+    each kind's samples for the chunk in one sampler call.
+
+    A chunk that raises an SjkError, and a chunk of one trial, is evaluated
+    trial by trial from 2-d holders drawn with the trial's int seed; a trial
+    that still raises gives its error in place of its residual.
+    """
 
     kinds: tuple
     evaluate: Callable
+    chunk: int = _CHUNK
 
-    def __call__(self, g: int, h: int, seeds: list[int]) -> np.ndarray:
+    def __call__(self, g: int, h: int, seeds: list[int]) -> list:
         out = []
-        for i in range(0, len(seeds), _CHUNK):
-            chunk = seeds[i:i + _CHUNK]
-            try:
-                batch = [(sample_point if kind in _POINT_KINDS else sample_element)(
-                    kind, g, h, [s + k for s in chunk]) for k, kind in enumerate(self.kinds)]
-                out.append(self.evaluate(*batch))
-            except SjkError as exc:
-                if not i:
-                    raise
-                raise type(exc)(f"{exc}, counting slices from trial {i}") from exc
-        return np.concatenate(out)
+        for i in range(0, len(seeds), self.chunk):
+            chunk = seeds[i:i + self.chunk]
+            if len(chunk) > 1:
+                try:
+                    out.extend(self.evaluate(*[_sample(kind, g, h, [s + k for s in chunk])
+                                               for k, kind in enumerate(self.kinds)]))
+                    continue
+                except SjkError:
+                    pass  # replayed trial by trial below, recording the trials that raise
+            out.extend(self.alone(g, h, s) for s in chunk)
+        return out
+
+    def alone(self, g: int, h: int, s: int):
+        """Trial s evaluated from 2-d holders, or the SjkError it raises."""
+        try:
+            return self.evaluate(*[_sample(kind, g, h, s + k) for k, kind in enumerate(self.kinds)])
+        except SjkError as exc:
+            return exc
+
+
+# ---------------------------------------------------------------------------
+# algebraic suites
 
 
 def _group_axioms(a, b, c, ha, hb, hc, sa, sb, sc):
@@ -196,50 +224,35 @@ def _cocycle(g1, g2, p):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference suites: one trial at a time
+# invariant geometry: metrics and volume through the exact differentials, and
+# the Laplacians by their stencils
 
 
-def _metric_action_residual(metric_fn, act_fn, p, v) -> float:
+def _metric_action_residual(metric_fn, act_fn, p, v):
     """The metric at (p, v) against the metric at their images under act_fn,
     with v pushed through the action's exact differential."""
     moved_p, (moved_v,) = act_fn(p, dirs=[v])
     return _scalar_rel(metric_fn(p, v), metric_fn(moved_p, moved_v))
 
 
-def _trial_metric_invariance(g: int, h: int, s: int) -> float:
-    res = 0.0
-    m = sample_element("sp", g, h, s)
-    ps = sample_point("siegel", g, h, s + 1)
-    vs = sample_tangent(g, None, s + 2)
-    res = np.maximum(res, _metric_action_residual(metric_siegel, partial(act_siegel, m), ps, vs))
-
-    gs = sample_element("gstar", g, h, s + 3)
-    pd = sample_point("disk", g, h, s + 4)
-    vd = sample_tangent(g, None, s + 5)
-    res = np.maximum(res, _metric_action_residual(metric_disk, partial(act_disk, gs), pd, vd))
-
-    a = sample_element("jacobi", g, h, s + 6)
-    pj = sample_point("siegel_jacobi", g, h, s + 7)
-    vj = sample_tangent(g, h, s + 8)
+def _metric_invariance(m, ps, vs, gs, pd, vd, a, pj, vj, pc, vc, b, pb, vb):
+    res = [_metric_action_residual(metric_siegel, partial(act_siegel, m), ps, vs),
+           _metric_action_residual(metric_disk, partial(act_disk, gs), pd, vd)]
     moved, (moved_v,) = act_jacobi(a, pj, dirs=[vj])
-    for params in (MetricParams(1.0, 1.0), MetricParams(2.0, 0.5)):
-        res = np.maximum(res, _scalar_rel(metric_sj(params, pj, vj),
-                                          metric_sj(params, moved, moved_v)))
-
+    res += [_scalar_rel(metric_sj(params, pj, vj), metric_sj(params, moved, moved_v))
+            for params in (MetricParams(1.0, 1.0), MetricParams(2.0, 0.5))]
     # Cayley isometry: the factor 4 in the bounded-model metric
-    pc = sample_point("disk", g, h, s + 9)
-    vc = sample_tangent(g, None, s + 10)
     moved, (moved_v,) = cayley(pc, dirs=[vc])
-    res = np.maximum(res, _scalar_rel(metric_disk(pc, vc), metric_siegel(moved, moved_v)))
-
+    res.append(_scalar_rel(metric_disk(pc, vc), metric_siegel(moved, moved_v)))
     # pullback metric on the disk model is invariant under the bounded action
-    b = sample_element("gstarj", g, h, s + 11)
-    pb = sample_point("disk_jacobi", g, h, s + 12)
-    vb = sample_tangent(g, h, s + 13)
-    params = MetricParams(1.0, 1.0)
-    res = np.maximum(res, _metric_action_residual(partial(pullback_metric_disk, params),
-                                           partial(act_jacobi_disk, b), pb, vb))
-    return res
+    res.append(_metric_action_residual(partial(pullback_metric_disk, MetricParams(1.0, 1.0)),
+                                       partial(act_jacobi_disk, b), pb, vb))
+    return np.max(res, axis=0)
+
+
+def _volume_invariance(a, p):
+    moved, pushed = act_jacobi(a, p, dirs=_coordinate_dirs(p))
+    return _scalar_rel(volume_density(moved) * _abs_det2(pushed), volume_density(p))
 
 
 def _laplacian_residual(laplacian, fld, act, p) -> float:
@@ -248,7 +261,9 @@ def _laplacian_residual(laplacian, fld, act, p) -> float:
     return _scalar_rel(laplacian(lambda q: fld(act(q)), p), laplacian(fld, act(p)))
 
 
-def _trial_laplacian_invariance(g: int, h: int, s: int) -> float:
+def _laplacian_invariance(trial) -> float:
+    """One trial: its test field, and so the samples it draws, follow from its seed."""
+    g, h, s = trial
     fld = TEST_FIELDS[s % len(TEST_FIELDS)]
     if fld.domain == "disk":
         act = partial(act_disk, sample_element("gstar", g, h, s))
@@ -263,25 +278,6 @@ def _trial_laplacian_invariance(g: int, h: int, s: int) -> float:
     return res
 
 
-def _trial_volume_invariance(g: int, h: int, s: int) -> float:
-    a = sample_element("jacobi", g, h, s)
-    p = sample_point("siegel_jacobi", g, h, s + 1)
-    moved, pushed = act_jacobi(a, p, dirs=_coordinate_dirs(p))
-    lhs = volume_density(moved) * _abs_det2(pushed)
-    return _scalar_rel(lhs, volume_density(p))
-
-
-def _one_at_a_time(trial: Callable) -> Callable:
-    """A suite that evaluates trial(g, h, seed) for each seed in turn; a trial
-    that raises an SjkError gives that error in place of its residual."""
-    def attempt(g: int, h: int, s: int):
-        try:
-            return trial(g, h, s)
-        except SjkError as exc:
-            return exc
-    return lambda g, h, seeds: [attempt(g, h, s) for s in seeds]
-
-
 # name -> (suite function (g, h, seeds) -> residual or error per seed, default tolerance)
 SUITES = {
     "group-axioms": (_Batched(("jacobi",) * 3 + ("heisenberg",) * 3 + ("gstarj",) * 3,
@@ -290,10 +286,13 @@ SUITES = {
     "compat-29": (_Batched(("sp", "disk"), _compat_29), 1e-9),
     "compat-37": (_Batched(("jacobi", "disk_jacobi"), check_compatibility), 1e-9),
     "hc-reconstruct": (_Batched(("gstarj", "disk_jacobi"), _hc_reconstruct), 1e-9),
-    "metric-invariance": (_one_at_a_time(_trial_metric_invariance), 1e-9),
-    "laplacian-invariance": (_one_at_a_time(_trial_laplacian_invariance), 1e-3),
+    "metric-invariance": (_Batched(("sp", "siegel", "tangent", "gstar", "disk", "tangent",
+                                    "jacobi", "siegel_jacobi", "tangent_jacobi", "disk", "tangent",
+                                    "gstarj", "disk_jacobi", "tangent_jacobi"),
+                                   _metric_invariance), 1e-9),
+    "laplacian-invariance": (_Batched(("trial",), _laplacian_invariance, chunk=1), 1e-3),
     "cocycle": (_Batched(("gstarj", "gstarj", "disk_jacobi"), _cocycle), 1e-8),
-    "volume-invariance": (_one_at_a_time(_trial_volume_invariance), 1e-9),
+    "volume-invariance": (_Batched(("jacobi", "siegel_jacobi"), _volume_invariance), 1e-9),
 }
 
 

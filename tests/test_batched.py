@@ -1,9 +1,12 @@
 """The (..., r, c) batch convention: a batched kernel gives every slice the
 bits of the 2-d call, and a guard that fails on one slice raises for the
 batch, naming that slice.  The samplers draw a batch of seeds in one holder,
-and the finite-difference operators evaluate their displaced points in one
-such batch."""
+the metrics and the volume density take such batches, the suites evaluate a
+chunk of trials in one pass, and the finite-difference operators evaluate
+their displaced points in one batch."""
 
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,8 +26,13 @@ from sjkit.geometry import (
     laplacian_disk,
     laplacian_sj,
     laplacian_siegel,
+    metric_disk,
+    metric_siegel,
+    metric_sj,
+    pullback_metric_disk,
     pushforward,
     sample_tangent,
+    volume_density,
 )
 from sjkit.groups import SymplecticMatrix, _rng, sample_element
 from sjkit.numkit import (
@@ -54,7 +62,9 @@ from sjkit.spaces import (
 )
 from sjkit.suites import SUITES, run_suite, trial_seed
 
-ALGEBRAIC = [name for name, (fn, _) in SUITES.items() if isinstance(fn, suites._Batched)]
+ALGEBRAIC = ["group-axioms", "theta-hom", "compat-29", "compat-37", "hc-reconstruct", "cocycle"]
+# the suites that evaluate a chunk of trials in one pass
+BATCHED = [name for name, (fn, _) in SUITES.items() if fn.chunk > 1]
 SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)]
 
 
@@ -63,38 +73,51 @@ def _bits(x) -> bytes:
 
 
 def test_the_six_algebraic_suites_are_batched():
-    assert ALGEBRAIC == ["group-axioms", "theta-hom", "compat-29", "compat-37",
-                         "hc-reconstruct", "cocycle"]
+    assert set(ALGEBRAIC) < set(BATCHED)
+
+
+def test_every_suite_runs_on_the_one_runner():
+    assert all(type(fn) is suites._Batched for fn, _ in SUITES.values())
+    # the Laplacian's test field, and so its samples, depend on the seed
+    assert [name for name in SUITES if name not in BATCHED] == ["laplacian-invariance"]
 
 
 def _draw_alone(suite, g, h, s) -> tuple:
     """A trial's samples as unbatched holders, each kind drawn with its int seed."""
-    return tuple(_sampler(kind)(kind, g, h, s + k) for k, kind in enumerate(suite.kinds))
+    return tuple(suites._sample(kind, g, h, s + k) for k, kind in enumerate(suite.kinds))
 
 
 def _count_draws(monkeypatch) -> list:
     """The length of the seed list of every sampler call the suites make."""
     draws = []
-    for name in ("sample_element", "sample_point"):
+    for name in ("sample_element", "sample_point", "sample_tangent"):
         inner = getattr(suites, name)
-        monkeypatch.setattr(suites, name, lambda kind, g, h, seeds, inner=inner:
-                            draws.append(len(seeds)) or inner(kind, g, h, seeds))
+        monkeypatch.setattr(suites, name, lambda *args, inner=inner:
+                            draws.append(np.size(args[-1])) or inner(*args))
     return draws
 
 
 @pytest.mark.parametrize("g,h", SHAPES)
-@pytest.mark.parametrize("name", ALGEBRAIC)
+@pytest.mark.parametrize("name", BATCHED)
 def test_batched_suite_matches_trials_one_at_a_time(monkeypatch, name, g, h):
     suite = SUITES[name][0]
     seeds = [trial_seed(5, i) for i in range(10)]
     alone = [suite.evaluate(*_draw_alone(suite, g, h, s)) for s in seeds]  # unbatched, 2-d holders
     assert all(type(r) in (float, np.float64) for r in alone)
+    evaluations, counted = _counting(suite)
     draws = _count_draws(monkeypatch)
-    batched = suite(g, h, seeds)
+    batched = counted(g, h, seeds)
     assert draws == [10] * len(suite.kinds)  # one sampler call per kind
-    assert batched.shape == (10,)
+    assert evaluations == [1] and len(batched) == 10  # one pass, no trial replayed
     assert _bits(batched) == _bits(alone)
     assert _bits(np.concatenate([suite(g, h, [s]) for s in seeds])) == _bits(alone)
+
+
+def _counting(suite) -> tuple[list, suites._Batched]:
+    """The suite with an evaluate that records each of its calls, and that record."""
+    calls = []
+    return calls, dataclasses.replace(
+        suite, evaluate=lambda *batch: calls.append(1) or suite.evaluate(*batch))
 
 
 def test_trials_past_one_chunk_match_trials_one_at_a_time(monkeypatch):
@@ -107,13 +130,25 @@ def test_trials_past_one_chunk_match_trials_one_at_a_time(monkeypatch):
     assert _bits(batched) == _bits(want)
 
 
-def test_a_failing_slice_past_the_first_chunk_names_its_chunk():
-    def evaluate(m):  # fails on trial 67, slice 3 of the second chunk
-        _fail(np.arange(len(m.m)) == 3 if len(m.m) < suites._CHUNK else False, DomainError,
-              "bad trial")
-        return np.zeros(len(m.m))
-    with pytest.raises(DomainError, match=r"bad trial \(slice 3\), counting slices from trial 64"):
-        suites._Batched(("sp",), evaluate)(1, 1, list(range(suites._CHUNK + 6)))
+def test_a_raising_slice_is_replayed_alone_and_recorded_as_its_trial(monkeypatch):
+    compat = SUITES["compat-29"][0]
+    seeds = [trial_seed(2, i) for i in range(suites._CHUNK + 6)]
+    bad = sample_point("disk", 1, 1, seeds[67] + 1).w  # trial 67: slice 3 of the second chunk
+
+    def evaluate(m, w):
+        _fail((w.w == bad).all(axis=(-2, -1)), DomainError, "bad trial")
+        return compat.evaluate(m, w)
+
+    calls, suite = _counting(dataclasses.replace(compat, evaluate=evaluate))
+    got = suite(1, 1, seeds)
+    assert len(calls) == 2 + 6  # a pass per chunk, then the second chunk trial by trial
+    assert type(got[67]) is DomainError and str(got[67]) == "bad trial"  # no "(slice 3)"
+    want = compat(1, 1, seeds)
+    assert _bits(got[:67] + got[68:]) == _bits(want[:67] + want[68:])
+    monkeypatch.setitem(SUITES, "compat-29", (suite, 1e-9))
+    (failure,) = run_suite("compat-29", 1, 1, trials=len(seeds), seed=2).failures
+    assert failure["seed"] == seeds[67] and np.isnan(failure["residual"])
+    assert failure["error"] == "DomainError: bad trial"
 
 
 def _views(rng, b, r, c):
@@ -166,7 +201,7 @@ def test_one_non_symplectic_slice_fails_the_batch_naming_it():
     SymplecticMatrix(np.stack(ms[:1] + ms[2:]))
 
 
-@pytest.mark.parametrize("name", ALGEBRAIC)
+@pytest.mark.parametrize("name", BATCHED)
 def test_ten_trials_take_the_guards_of_one(monkeypatch, name):
     guards = []
     inner = np.linalg.cond
@@ -252,6 +287,17 @@ def test_the_forty_seed_chunk_has_words_of_every_length_and_generator(kind, g):
     assert {k for w in words for k in w} == {0, 1, 2, 3}
 
 
+def test_a_scale_point_eight_draw_keeps_its_bits():
+    # the sha256 these draws had before scale was bounded
+    digest = hashlib.sha256()
+    for kind in ("sp", "gstar", "jacobi", "gstarj"):
+        for g, h in [(1, 1), (2, 1), (4, 3)]:
+            for seed in range(5):
+                for a in _arrays(sample_element(kind, g, h, seed, scale=0.8)):
+                    digest.update(a.tobytes())
+    assert digest.hexdigest() == "cb6de2c60e3829133fb08b1a2e783ec89cdf886d7027289115c92c23f5753fd5"
+
+
 @pytest.mark.parametrize("seed", [[], [[1, 2]], np.zeros((2, 2), dtype=int)])
 def test_a_seed_list_must_be_one_non_empty_sequence(seed):
     for kind in ("sp", "siegel"):
@@ -272,13 +318,63 @@ def test_each_kind_is_validated_once_per_chunk(monkeypatch):
     kinds = ("sp", "jacobi", "gstar", "gstarj", "siegel", "disk", "siegel_jacobi", "disk_jacobi")
     counts = _count_validations(monkeypatch)
     suite = suites._Batched(kinds, lambda *batch: np.zeros(len(batch[0].m)))
-    assert suite(2, 1, list(range(suites._CHUNK + 6))).shape == (suites._CHUNK + 6,)
+    assert len(suite(2, 1, list(range(suites._CHUNK + 6)))) == suites._CHUNK + 6
     # two chunks: a symplectic part in four kinds, a Siegel and a disk base in two each
     assert counts == {"SymplecticMatrix": 2 * 4, "SiegelPoint": 2 * 2, "DiskPoint": 2 * 2}
     counts.clear()
     for kind in kinds:
         _sampler(kind)(kind, 2, 1, 5)
     assert counts == {"SymplecticMatrix": 4, "SiegelPoint": 2, "DiskPoint": 2}
+
+
+# -- tangent vectors, metrics and volume: one batched pass per call ----------
+
+
+def _tangent_bytes(v) -> bytes:
+    return v.dbase.tobytes() + (b"" if v.dfiber is None else v.dfiber.tobytes())
+
+
+@pytest.mark.parametrize("g,h", SAMPLE_SHAPES)
+def test_batched_tangents_metrics_and_volume_match_their_slices(g, h):
+    seeds = [trial_seed(4, i) for i in range(24)]
+    for fiber in (None, h):
+        batch = sample_tangent(g, fiber, seeds)
+        alone = [sample_tangent(g, fiber, s) for s in seeds]
+        assert _tangent_bytes(batch) == b"".join(np.stack(x).tobytes() for x in zip(
+            *[(v.dbase,) if v.dfiber is None else (v.dbase, v.dfiber) for v in alone]))
+    params = MetricParams(2.0, 0.5)
+    cases = [(metric_siegel, "siegel", None), (metric_disk, "disk", None),
+             (partial(metric_sj, params), "siegel_jacobi", h),
+             (partial(pullback_metric_disk, params), "disk_jacobi", h)]
+    for metric, kind, fiber in cases:
+        p, v = sample_point(kind, g, h, [s + 1 for s in seeds]), sample_tangent(g, fiber, seeds)
+        points = [sample_point(kind, g, h, s + 1) for s in seeds]
+        want = [metric(q, sample_tangent(g, fiber, s)) for q, s in zip(points, seeds)]
+        assert all(type(w) is float for w in want)
+        assert _bits(metric(p, v)) == _bits(want), kind
+        # an unbatched tangent vector broadcasts against the batch of points
+        v0 = sample_tangent(g, fiber, seeds[0])
+        assert _bits(metric(p, v0)) == _bits([metric(q, v0) for q in points]), kind
+    a = sample_element("jacobi", g, h, seeds)
+    p = sample_point("siegel_jacobi", g, h, [s + 1 for s in seeds])
+    moved, pushed = act_jacobi(a, p, dirs=geometry._coordinate_dirs(p))
+    want_volume, want_det = [], []
+    for s in seeds:
+        q = sample_point("siegel_jacobi", g, h, s + 1)
+        moved_q, pushed_q = act_jacobi(sample_element("jacobi", g, h, s), q,
+                                       dirs=geometry._coordinate_dirs(q))
+        want_volume.append(volume_density(moved_q))
+        want_det.append(_abs_det2(pushed_q))
+    assert all(type(w) is float for w in want_volume + want_det)
+    assert _bits(volume_density(moved)) == _bits(want_volume)
+    assert _bits(_abs_det2(pushed)) == _bits(want_det)
+
+
+def test_volume_density_has_the_bits_of_a_float_power():
+    # an array's ** rounds differently from a Python float's on some values
+    y = np.random.default_rng(0).uniform(0.05, 3.0, 5000)
+    p = SiegelJacobiPoint(SiegelPoint(1j * y[:, None, None]), np.zeros((len(y), 3, 1)))
+    assert _bits(volume_density(p)) == _bits([float(np.linalg.det(q)) ** -5 for q in p.base.y])
 
 
 # -- finite-difference stencils: one batched pass per operator ----------------
@@ -386,7 +482,8 @@ def test_test_fields_give_each_point_of_a_batch_its_scalar_bits(g, h):
 
 def _pushforward_two_calls(map_fn, p, v):
     """The central difference of map_fn along v from two separate map calls."""
-    h = geometry.FD_FIRST_STEP * max(1.0, geometry.point_norm(p)) / max(1.0, v.norm())
+    h = geometry.FD_FIRST_STEP * max(1.0, geometry.point_norm(p)) / max(1.0, geometry._norm(
+        v.dbase, v.dfiber))
     base, fiber = geometry._point_parts(p)
     db, df = _fit(v, base, fiber)
     plus = map_fn(geometry._rebuild(p, base + h * db, None if fiber is None else fiber + h * df,
@@ -408,10 +505,6 @@ def _fd_maps(g, h, seed):
            sample_point("disk_jacobi", g, h, seed))
     yield cayley, sample_point("disk", g, h, seed)
     yield partial_cayley, sample_point("disk_jacobi", g, h, seed)
-
-
-def _tangent_bytes(v) -> bytes:
-    return v.dbase.tobytes() + (b"" if v.dfiber is None else v.dfiber.tobytes())
 
 
 @pytest.mark.parametrize("g,h", FD_SHAPES)
@@ -481,7 +574,7 @@ def test_a_laplacian_trial_calls_its_field_at_most_four_times_at_every_shape(mon
     for k in range(len(TEST_FIELDS)):  # the trial's field is its seed modulo six
         fields.clear()
         guards.clear()
-        suites._trial_laplacian_invariance(g, h, 6 * 7 + k)
+        suites._laplacian_invariance((g, h, 6 * 7 + k))
         base_only = TEST_FIELDS[k].name in ("trace-re-base", "logdet-y")
         assert len(fields) == (4 if base_only else 2)
         # per Laplacian one action of the stencil's batch and one of the point,

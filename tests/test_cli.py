@@ -177,6 +177,12 @@ def test_exit_code_domain_violation(capsys):
     assert code == 3 and "domain error" in err
 
 
+def test_sample_rejects_a_scale_above_one_for_symplectic_kinds(capsys):
+    code, out, err = run_cli(capsys, "sample", "--kind", "sp", "--g", "2", "--scale", "50",
+                             "--seed", "0")
+    assert code == 3 and out == "" and "scale must be at most 1" in err
+
+
 def test_exit_code_conditioning(capsys):
     m = [[1e13, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1e-13, 0], [0, 0, 0, 1]]
     payload = json.dumps(

@@ -21,7 +21,7 @@ from sjkit.groups import (
     sample_element,
     symplectic_j,
     theta,
-    tstar_conjugate_oracle,
+    tstar_agreement_residual,
 )
 from sjkit import groups
 from sjkit.numkit import DomainError, rel_error
@@ -214,7 +214,9 @@ def test_theta_of_identity_and_pure_heisenberg():
 
 
 def test_tstar_oracle_identity():
-    p, q = tstar_conjugate_oracle(JacobiElement.identity(2, 1))
+    a = JacobiElement.identity(2, 1)
+    assert tstar_agreement_residual(a) <= 1e-9
+    p, q = groups._tstar_closed(a)
     np.testing.assert_allclose(p, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(q, np.zeros((3, 3)), atol=1e-14)
 
@@ -222,7 +224,8 @@ def test_tstar_oracle_identity():
 def test_tstar_oracle_pure_heisenberg_blocks():
     lam, mu, kap = 0.7, -0.4, 0.9
     a = JacobiElement(SymplecticMatrix.identity(1), heis([[lam]], [[mu]], [[kap]]))
-    p, q = tstar_conjugate_oracle(a)
+    assert tstar_agreement_residual(a) <= 1e-9
+    p, q = groups._tstar_closed(a)
     np.testing.assert_allclose(p[0, 0], 1.0)
     np.testing.assert_allclose(p[1, 0], 0.5 * (lam + 1j * mu))
     np.testing.assert_allclose(p[0, 1], -0.5 * (lam - 1j * mu))
@@ -235,13 +238,14 @@ def test_tstar_oracle_pure_heisenberg_blocks():
 
 def test_tstar_oracle_agreement_on_random_elements():
     for seed in range(20):
-        tstar_conjugate_oracle(sample_element("jacobi", 1, 2, seed=seed))
+        assert tstar_agreement_residual(sample_element("jacobi", 1, 2, seed=seed)) <= 1e-9
 
 
 def test_theta_matches_tstar_blocks():
     a = sample_element("jacobi", 1, 1, seed=21)
     th = theta(a)
-    p, q = tstar_conjugate_oracle(a)
+    assert tstar_agreement_residual(a) <= 1e-9
+    p, q = groups._tstar_closed(a)
     np.testing.assert_allclose(p[:1, :1], th.gs.p, atol=1e-12)
     np.testing.assert_allclose(q[:1, :1], th.gs.q, atol=1e-12)
     np.testing.assert_allclose(p[1:, :1], th.hc.xi, atol=1e-12)
@@ -364,6 +368,19 @@ def test_sampled_elements_match_np_block_reference(g, h):
         got = sample_element("gstarj", g, h, seed=seed)
         assert _bytes(got.gs.p, got.gs.q, got.hc.xi, got.hc.eta, got.hc.zeta) == \
             _bytes(want.gs.p, want.gs.q, want.hc.xi, want.hc.eta, want.hc.zeta)
+
+
+@pytest.mark.parametrize("kind", ["sp", "gstar", "jacobi", "gstarj"])
+def test_symplectic_based_kinds_reject_a_scale_above_one(kind):
+    for scale in (1.0 + 1e-12, 1.5, 50.0):
+        with pytest.raises(DomainError, match="scale must be at most 1"):
+            sample_element(kind, 2, 1, seed=0, scale=scale)
+    sample_element(kind, 2, 1, seed=0, scale=1.0)
+
+
+def test_other_kinds_keep_their_scales():
+    for kind in ("heisenberg", "kstarj"):
+        sample_element(kind, 2, 1, seed=0, scale=50.0)
 
 
 def _element_inputs():

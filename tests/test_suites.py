@@ -82,10 +82,10 @@ def test_metric_and_volume_trials_take_no_finite_differences(monkeypatch):
             _count_calls(monkeypatch, module, "pushforward", fd)
     guards = _count_calls(monkeypatch, np.linalg, "cond")
     for seed in range(3):
-        suites._trial_metric_invariance(2, 2, seed)
+        assert np.isfinite(SUITES["metric-invariance"][0](2, 2, [seed])).all()
         assert fd == []
         guards.clear()
-        suites._trial_volume_invariance(2, 2, seed)
+        assert np.isfinite(SUITES["volume-invariance"][0](2, 2, [seed])).all()
         assert fd == []
         assert len(guards) == 1  # the one act_jacobi solve, which also returns J^-1
 
@@ -109,4 +109,10 @@ def test_a_trial_that_raises_is_a_recorded_failure_and_the_run_goes_on(capsys):
                                 "for the difference stencil")
     assert main(["verify", "--suite", "laplacian-invariance", "--g", "1", "--h", "1",
                  "--trials", "30", "--seed", "77"]) == 1
-    assert json.loads(capsys.readouterr().out)["failures"][0]["seed"] == trial_seed(77, 25)
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject)  # strict JSON: no NaN
+    assert out["failures"][0]["seed"] == trial_seed(77, 25)
+    assert out["max_residual"] is None and out["failures"][0]["residual"] is None
+
+
+def _reject(name):
+    raise ValueError(f"not JSON: {name}")
