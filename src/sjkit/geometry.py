@@ -35,7 +35,7 @@ call, and a 2-d input gives a plain float.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -47,8 +47,10 @@ from .numkit import (
     DimensionError,
     DomainError,
     Tolerance,
+    _built_once,
     _fail,
     _floor1,
+    _freeze,
     frob,
     guarded_inv,
 )
@@ -369,22 +371,32 @@ def sample_tangent(g: int, h: int | None = None, seed=0, scale: float = 1.0) -> 
     return TangentVector((s + s.mT) / 2, None if h is None else x[0] + 1j * x[1])
 
 
-def _coordinate_dirs(p) -> list[TangentVector]:
+def _coordinate_dirs(p) -> tuple[TangentVector, ...]:
     """E_ii and E_ij + E_ji (i < j) on the base, then the unit h x g matrices
     on the fiber when p has one: the complex coordinate directions at p."""
     base, fiber = _point_parts(p)
-    dirs = [TangentVector(e) for e in _sym_coords(base.shape[-1])]
-    if fiber is not None:
-        zero = np.zeros(base.shape[-2:])
-        dirs += [TangentVector(zero, e) for e in _fiber_coords(*fiber.shape[-2:])]
-    return dirs
+    return _coordinate_dirs_of(base.shape[-1], None if fiber is None else fiber.shape[-2])
+
+
+@cache
+def _coordinate_dirs_of(g: int, h: int | None) -> tuple[TangentVector, ...]:
+    """The _coordinate_dirs of a (g, h) point, built once on read-only arrays."""
+    dirs = [TangentVector(e) for e in _freeze(_sym_coords(g).astype(complex), None)]
+    if h is not None:
+        zero = _freeze(np.zeros((g, g), complex), None)
+        fiber = _freeze(_fiber_coords(h, g).astype(complex), None)
+        dirs += [TangentVector(zero, e) for e in fiber]
+    return tuple(dirs)
+
+
+_triu = _built_once(np.triu_indices)  # its (row, column) indices, stacked
 
 
 def _abs_det2(pushed: list[TangentVector]):
     """|det|^2 of the complex Jacobian whose columns are the images of the
     _coordinate_dirs, read in the upper triangle of the base and the fiber
     row-major."""
-    iu = np.triu_indices(pushed[0].g)
+    iu = _triu(pushed[0].g)
     cols = np.array([v.dbase for v in pushed])[..., iu[0], iu[1]]  # one row per column
     if pushed[0].dfiber is not None:
         df = np.array([v.dfiber for v in pushed])

@@ -3,10 +3,16 @@
 Complex numbers serialize as [re, im] pairs and matrices as nested arrays of
 such pairs; points are named objects ({"omega", "z"} upstairs, {"w", "eta"}
 downstairs); elements carry a "kind" discriminator.  Nothing is ever encoded
-as a string.
+as a string; a real matrix may also be rows of plain numbers.  A matrix is
+a non-empty list of equal, non-empty rows, lists at every level, of ints or
+floats (no bool, string or null), else DimensionError (CLI exit code 2); a
+NaN, an inf or an int past the doubles raises DomainError (exit code 3).
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -38,41 +44,55 @@ def encode_matrix(a) -> list:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"only a 2-d matrix can be encoded, got ndim={a.ndim}")
-    return [[[float(np.real(x)), float(np.imag(x))] for x in row] for row in a]
+    # the (re, im) doubles of each entry, as Python floats
+    return np.ascontiguousarray(a).view(float).reshape(a.shape + (2,)).tolist()
+
+
+def _every(items: list, types: tuple) -> bool:
+    """Whether every item is an instance of types and none is a bool: one
+    C-level pass over the exact types, isinstance only if another type shows."""
+    return set(map(type, items)).issubset(types) or all(
+        isinstance(x, types) and not isinstance(x, bool) for x in items)
+
+
+def _numbers(obj, name: str, pairs: bool) -> np.ndarray:
+    """obj, a matrix of [re, im] pairs or of plain numbers, as one float array
+    of shape (r, c, 2) or (r, c); the error that says why for anything else."""
+    try:
+        a = np.array(obj, dtype=float)
+        entries = list(chain.from_iterable(obj))
+        if pairs:
+            lists, leaves = [obj, *obj, *entries], list(chain.from_iterable(entries))
+        else:
+            lists, leaves = [obj, *obj], entries
+        shaped = a.ndim == 2 + pairs and a.size and (a.shape[-1] == 2 or not pairs)
+        if shaped and _every(lists, (list,)) and _every(leaves, (int, float)) and \
+                all(map(math.isfinite, leaves)):
+            return a
+    except (ValueError, TypeError, OverflowError):  # ragged, not numbers, or past the doubles
+        pass
+    if not isinstance(obj, list) or not obj or not _every(obj, (list,)):
+        raise DimensionError(f"{name}: expected a non-empty array of rows")
+    what = "[re, im] number pairs" if pairs else "numbers"
+    for r in obj:
+        if len(r) != len(obj[0]) or not r:
+            raise DimensionError(f"{name}: rows must be non-empty and rectangular")
+        if pairs and not (_every(r, (list,)) and set(map(len, r)) == {2}) or \
+                not _every(list(chain.from_iterable(r)) if pairs else r, (int, float)):
+            raise DimensionError(f"{name}: entries must be {what}")
+    raise DomainError(f"{name}: entries must be finite")  # NaN, inf, or an int past the doubles
 
 
 def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise DimensionError(f"{name}: expected a non-empty array of rows")
-    width = len(obj[0])
-    rows = []
-    for r in obj:
-        if len(r) != width or width == 0:
-            raise DimensionError(f"{name}: rows must be non-empty and rectangular")
-        row = []
-        for entry in r:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            ):
-                raise DimensionError(f"{name}: entries must be [re, im] number pairs")
-            row.append(complex(entry[0], entry[1]))
-        rows.append(row)
-    a = np.array(rows, dtype=complex)
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name}: entries must be finite")
-    return a
+    """A complex matrix from rows of [re, im] pairs, with the bits of complex(re, im)."""
+    return _numbers(obj, name, pairs=True).view(complex)[..., 0]
 
 
 def decode_real_matrix(obj, name: str = "matrix") -> np.ndarray:
     """Real matrix; entries may be plain numbers or [re, im] with im = 0."""
     if isinstance(obj, list) and obj and isinstance(obj[0], list) and obj[0] and \
             isinstance(obj[0][0], (int, float)):
-        a = np.asarray(obj, dtype=float)
-        if a.ndim != 2 or not np.all(np.isfinite(a)):
-            raise DimensionError(f"{name}: expected a finite real matrix")
-        return a
+        return _numbers(obj, name, pairs=False)
     a = decode_matrix(obj, name)
     if frob(np.imag(a)) > 1e-12 * max(1.0, frob(a)):
         raise DomainError(f"{name}: expected a real matrix")

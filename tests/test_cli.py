@@ -9,6 +9,7 @@ from sjkit.groups import sample_element
 from sjkit.serialize import decode_point, encode_element, encode_matrix, encode_point
 from sjkit.spaces import act_jacobi, sample_point
 from sjkit.suites import run_suite
+from test_serialize import MALFORMED, PLAIN_MALFORMED
 
 
 def run_cli(capsys, *args):
@@ -269,3 +270,59 @@ def test_verify_rejects_empty_run_and_bad_tolerance(capsys):
     for extra in (["--trials", "0"], ["--trials", "-3"], ["--tol", "nan"], ["--tol", "inf"]):
         code, out, err = run_cli(capsys, *base, *extra)
         assert code == 3 and out == "" and "domain error" in err
+
+
+def _payloads():
+    """(argv, payload) for every subcommand that reads --input, at (g, h) = (2, 1)."""
+    pt = {k: encode_point(sample_point(k, 2, 1, seed=20)) for k in
+          ("siegel", "disk", "siegel_jacobi", "disk_jacobi")}
+    el = {k: encode_element(sample_element(k, 2, 1, seed=21)) for k in
+          ("sp", "gstar", "jacobi", "gstarj")}
+    tangent = {"dbase": encode_matrix(np.eye(2)), "dfiber": encode_matrix(np.ones((1, 2)))}
+    for m, kind in (("cayley", "disk"), ("cayley-inv", "siegel"),
+                    ("partial-cayley", "disk_jacobi"), ("partial-cayley-inv", "siegel_jacobi")):
+        yield ("transform", "--map", m), pt[kind]
+    for m, e, kind in (("act-siegel", "sp", "siegel"), ("act-disk", "gstar", "disk"),
+                       ("act-jacobi", "jacobi", "siegel_jacobi"),
+                       ("act-jacobi-disk", "gstarj", "disk_jacobi")):
+        yield ("transform", "--map", m), {"element": el[e], "point": pt[kind]}
+    for which in ("siegel", "disk", "sj"):
+        kind = {"siegel": "siegel", "disk": "disk", "sj": "siegel_jacobi"}[which]
+        v = tangent if which == "sj" else {"dbase": tangent["dbase"]}
+        yield ("metric", "--which", which), {"point": pt[kind], "tangent": v}
+    yield ("laplacian", "--which", "siegel", "--field", "logdet-y"), pt["siegel"]
+    yield ("laplacian", "--which", "sj", "--field", "trace-yvv"), pt["siegel_jacobi"]
+    yield ("decompose",), {"element": el["gstarj"], "point": pt["disk_jacobi"]}
+    yield ("jfactor", "--index-matrix", "[[1]]"), {"element": el["gstarj"], "point": pt["disk_jacobi"]}
+
+
+def _with_matrix(doc, matrix):
+    """Copies of the JSON object doc, each with one of its matrices replaced by matrix."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            for inner in _with_matrix(value, matrix):
+                yield {**doc, key: inner}
+        elif isinstance(value, list):
+            yield {**doc, key: matrix}
+
+
+def test_every_input_matrix_rejects_malformed_matrices_as_input_errors(capsys):
+    """Each matrix of each --input payload and the --index-matrix, replaced by each
+    malformed matrix, ends in an input (2) or domain (3) error, never an internal one."""
+    runs = 0
+    for argv, payload in _payloads():
+        assert main([*argv, "--input", json.dumps(payload)]) == 0, argv
+        for _, matrix, _ in MALFORMED:
+            for doc in _with_matrix(payload, matrix):
+                code = main([*argv, "--input", json.dumps(doc)])
+                err = capsys.readouterr().err
+                assert code in (2, 3) and "internal error" not in err, (argv, doc, err)
+                runs += 1
+        if argv[0] == "jfactor":
+            for _, matrix, _ in MALFORMED + PLAIN_MALFORMED:
+                code = main(["jfactor", "--index-matrix", json.dumps(matrix),
+                             "--input", json.dumps(payload)])
+                err = capsys.readouterr().err
+                assert code in (2, 3) and "internal error" not in err, (matrix, err)
+                runs += 1
+    assert runs > 500

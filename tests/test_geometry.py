@@ -5,9 +5,11 @@ from sjkit.geometry import (
     MetricParams,
     TEST_FIELDS,
     TangentVector,
+    _coordinate_dirs,
     _disk_frame,
     _siegel_frame,
     _sj_frame,
+    _triu,
     action_jacobian_det,
     laplacian_disk,
     laplacian_sj,
@@ -363,3 +365,29 @@ def test_tangent_shapes_are_checked_against_the_point(name):
         np.testing.assert_array_equal(got.dfiber, want.dfiber)
     else:
         assert evaluate(no_fiber) == evaluate(fits)
+
+
+@pytest.mark.parametrize("g, h", [(1, 1), (2, 2), (4, 3)])
+def test_coordinate_dirs_are_built_once_per_shape_and_read_only(g, h):
+    for kind, fiber in (("siegel", None), ("disk_jacobi", h)):
+        dirs = _coordinate_dirs(sample_point(kind, g, h, seed=1))
+        assert _coordinate_dirs(sample_point(kind, g, h, seed=2)) is dirs
+        base = [(i, j) for i in range(g) for j in range(i, g)]
+        assert len(dirs) == len(base) + (0 if fiber is None else h * g)
+        for k, v in enumerate(dirs):
+            want = np.zeros((g, g))
+            if k < len(base):
+                want[base[k]] = want[base[k][::-1]] = 1.0
+            np.testing.assert_array_equal(v.dbase, want)
+            # a base direction has no fiber part: _fit reads it as zero
+            assert (v.dfiber is None) == (k < len(base))
+            if k >= len(base):
+                np.testing.assert_array_equal(v.dfiber.ravel(), np.eye(h * g)[k - len(base)])
+            for x in (v.dbase, v.dfiber):
+                if x is not None:
+                    assert not x.flags.writeable
+                    with pytest.raises(ValueError):
+                        x[0, 0] = 2.0
+    iu = _triu(g)
+    np.testing.assert_array_equal(iu, np.triu_indices(g))
+    assert _triu(g) is iu and not iu.flags.writeable
