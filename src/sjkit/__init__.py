@@ -9,13 +9,10 @@ that certify the identities numerically.
 from .numkit import (
     ConditioningError,
     ConsistencyError,
-    DEFAULT_TOL,
     DimensionError,
     DomainError,
     SjkError,
-    Tolerance,
     bracket,
-    is_hermitian_pd,
     rel_error,
 )
 from .groups import (

@@ -29,14 +29,13 @@ from .groups import (
     embed_gstarj,
 )
 from .numkit import (
-    DEFAULT_TOL,
+    ALGEBRAIC_REL,
     ConsistencyError,
     DimensionError,
     DomainError,
-    Tolerance,
     _block,
     _check_cond,
-    _fail,
+    _ensure,
     _floor1,
     frob,
     rel_error,
@@ -99,7 +98,7 @@ class JacobiHCFactors:
         )
 
 
-def hc_decompose_gstar(gs: GStarElement, tol: Tolerance = DEFAULT_TOL) -> HCFactors:
+def hc_decompose_gstar(gs: GStarElement) -> HCFactors:
     """Factor [[P, Q], [conj Q, conj P]] through the origin.
 
     The core at W = 0, eta = 0 with zero Heisenberg part: the upper coordinate
@@ -109,10 +108,10 @@ def hc_decompose_gstar(gs: GStarElement, tol: Tolerance = DEFAULT_TOL) -> HCFact
     origin = DiskJacobiPoint(DiskPoint(np.zeros(gs.p.shape), validate=False),
                              np.zeros(gs.p.shape[:-2] + (1, gs.g)))
     factors, res = _hc_core(a, origin)
-    _require(rel_error(factors.hc.reconstruct(), gs.block()), tol, ConsistencyError,
+    _require(rel_error(factors.hc.reconstruct(), gs.block()), ConsistencyError,
              "Harish-Chandra reconstruction residual")
-    _require(res["pplus_symmetry"], tol, ConsistencyError, "Q conj(P)^-1 symmetry defect")
-    _positive(DiskPoint, factors.hc.pplus_w, tol)  # membership check
+    _require(res["pplus_symmetry"], ConsistencyError, "Q conj(P)^-1 symmetry defect")
+    _positive(DiskPoint, factors.hc.pplus_w)  # membership check
     return factors.hc
 
 
@@ -173,38 +172,36 @@ def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors
     return factors, residuals
 
 
-def _require(residual, tol: Tolerance, error: type, what: str) -> None:
-    _fail(residual > tol.algebraic_rel, error, "{} {:.3e} exceeds tolerance", what, residual)
+def _require(residual, error: type, what: str) -> None:
+    _ensure(residual <= ALGEBRAIC_REL, error, "{} {:.3e} exceeds tolerance", what, residual)
 
 
-def kc_component(a: GStarJacobiElement, p: DiskJacobiPoint,
-                 tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kc_component(a: GStarJacobiElement,
+                 p: DiskJacobiPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block-diagonal component (P - W' conj(Q), d, kappa_star); raises if the
     two kappa_star expressions disagree."""
     factors, res = _hc_core(a, p)
-    _require(res["kappa_agreement"], tol, ConsistencyError, "kappa_star disagreement")
+    _require(res["kappa_agreement"], ConsistencyError, "kappa_star disagreement")
     return factors.hc.k_p, factors.hc.k_lower, factors.kappa_star
 
 
-def pminus_component(a: GStarJacobiElement, p: DiskJacobiPoint,
-                     tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def pminus_component(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[np.ndarray, np.ndarray]:
     """Lower-unipotent component (d^-1 conj(Q), xi - y d^-1 conj(Q)); raises if
     d^-1 conj(Q) is not symmetric."""
     factors, res = _hc_core(a, p)
-    _require(res["pminus_symmetry"], tol, ConsistencyError, "d^-1 conj(Q) symmetry defect")
+    _require(res["pminus_symmetry"], ConsistencyError, "d^-1 conj(Q) symmetry defect")
     return factors.hc.pminus_w, factors.pminus_xi
 
 
-def decompose_full(a: GStarJacobiElement, p: DiskJacobiPoint,
-                   tol: Tolerance = DEFAULT_TOL) -> JacobiHCFactors:
+def decompose_full(a: GStarJacobiElement, p: DiskJacobiPoint) -> JacobiHCFactors:
     """All three components of a . (embedded point); raises unless the moved
     point lies in the disk, every identity holds and the product rebuilds."""
     factors, res = _hc_core(a, p)
-    _require(res["pplus_symmetry"], tol, DomainError, "P+ coordinate symmetry defect")
-    _positive(DiskPoint, factors.hc.pplus_w, tol)  # membership check
-    _require(res["kappa_agreement"], tol, ConsistencyError, "kappa_star disagreement")
-    _require(res["pminus_symmetry"], tol, ConsistencyError, "d^-1 conj(Q) symmetry defect")
-    _require(reconstruction_residual(a, p, factors), tol, ConsistencyError,
+    _require(res["pplus_symmetry"], DomainError, "P+ coordinate symmetry defect")
+    _positive(DiskPoint, factors.hc.pplus_w)  # membership check
+    _require(res["kappa_agreement"], ConsistencyError, "kappa_star disagreement")
+    _require(res["pminus_symmetry"], ConsistencyError, "d^-1 conj(Q) symmetry defect")
+    _require(reconstruction_residual(a, p, factors), ConsistencyError,
              "component reconstruction residual")
     return factors
 

@@ -42,13 +42,12 @@ import numpy as np
 
 from .groups import _draws, _rngs
 from .numkit import (
-    DEFAULT_TOL,
+    ALGEBRAIC_REL,
     ConsistencyError,
     DimensionError,
     DomainError,
-    Tolerance,
     _built_once,
-    _fail,
+    _ensure,
     _floor1,
     _freeze,
     frob,
@@ -82,8 +81,11 @@ __all__ = [
     "action_jacobian_det",
 ]
 
+# first- and second-order central differences: relative steps, then result bounds
 FD_FIRST_STEP = 1e-6
 FD_SECOND_STEP = 1e-4
+FD_FIRST_REL = 1e-6
+FD_SECOND_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,10 @@ TEST_FIELDS = [
 # metrics
 
 
-def _real_value(val, tol: float, what: str):
+def _real_value(val, bound: float, what: str):
     """The real part of each value, checked to carry no imaginary residual."""
-    _fail(abs(val.imag) > tol * _floor1(abs(val)), ConsistencyError,
-          "{}: imaginary residual {:.3e}", what, val.imag)
+    _ensure(abs(val.imag) / _floor1(abs(val)) <= bound, ConsistencyError,
+            "{}: imaginary residual {:.3e}", what, val.imag)
     return _plain(val.real)
 
 
@@ -148,26 +150,25 @@ def _plain(x):
     return float(x) if x.ndim == 0 else x
 
 
-def metric_siegel(p: SiegelPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL):
+def metric_siegel(p: SiegelPoint, v: TangentVector):
     """trace(Y^-1 dOmega Y^-1 conj(dOmega))."""
     do, _ = _fit(v, p.omega)
     yi = guarded_inv(p.y.astype(complex), "Im(omega)")
     val = _tr(yi @ do @ yi @ do.conj())
-    return _real_value(val, tol.algebraic_rel, "siegel metric")
+    return _real_value(val, ALGEBRAIC_REL, "siegel metric")
 
 
-def metric_disk(p: DiskPoint, v: TangentVector, tol: Tolerance = DEFAULT_TOL):
+def metric_disk(p: DiskPoint, v: TangentVector):
     """4 trace((I - W conj W)^-1 dW (I - conj(W) W)^-1 conj(dW))."""
     dw, _ = _fit(v, p.w)
     i = np.eye(p.g)
     s = guarded_inv(i - p.w @ p.w.conj(), "I - W conj(W)")
     sb = guarded_inv(i - p.w.conj() @ p.w, "I - conj(W) W")
     val = 4.0 * _tr(s @ dw @ sb @ dw.conj())
-    return _real_value(val, tol.algebraic_rel, "disk metric")
+    return _real_value(val, ALGEBRAIC_REL, "disk metric")
 
 
-def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector,
-              tol: Tolerance = DEFAULT_TOL):
+def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector):
     """The five-term A/B metric in dOmega and dZ.
 
     Reduces to a times the base metric when dZ = 0 and Im(Z) = 0.
@@ -184,15 +185,14 @@ def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector,
     m4 = _tr(vmat @ yi @ do @ yi @ dzb.mT)
     m5 = _tr(vmat @ yi @ dob @ yi @ dz.mT)
     val = params.a * m1 + params.b * (m2 + m3 - m4 - m5)
-    return _real_value(val, tol.algebraic_rel, "siegel-jacobi metric")
+    return _real_value(val, ALGEBRAIC_REL, "siegel-jacobi metric")
 
 
-def pullback_metric_disk(params: MetricParams, p: DiskJacobiPoint, v: TangentVector,
-                         tol: Tolerance = DEFAULT_TOL):
+def pullback_metric_disk(params: MetricParams, p: DiskJacobiPoint, v: TangentVector):
     """The invariant metric on the bounded model, realized as the pullback of
     the unbounded-model metric through the partial Cayley transform."""
-    moved, (dv,) = partial_cayley(p, tol, dirs=[v])
-    return metric_sj(params, moved, dv, tol)
+    moved, (dv,) = partial_cayley(p, dirs=[v])
+    return metric_sj(params, moved, dv)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,7 @@ def _sj_frame(params: MetricParams, omega: np.ndarray, z: np.ndarray) -> tuple:
             np.concatenate([lift @ base, fiber]))
 
 
-def _frame_laplacian(f: Callable, p, frame: Callable, tol: Tolerance, what: str) -> float:
+def _frame_laplacian(f: Callable, p, frame: Callable, what: str) -> float:
     """Sum over a metric-orthonormal frame {e_k} at p of the central second
     differences of f along e_k and i e_k, from one call of f on the batch of
     p and its 4 len(e) displaced points.
@@ -303,25 +303,24 @@ def _frame_laplacian(f: Callable, p, frame: Callable, tol: Tolerance, what: str)
         raise DimensionError(f"a field returns one value per point: shape ({n},), not {vals.shape}")
     # summed in stencil order: np.sum's pairwise order would round differently
     total = np.cumsum(vals[1:] - vals[0])[-1]
-    return _real_value(total / t**2, tol.fd_second_rel, what)
+    return _real_value(total / t**2, FD_SECOND_REL, what)
 
 
-def laplacian_siegel(f: Callable, p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
+def laplacian_siegel(f: Callable, p: SiegelPoint) -> float:
     """The Laplacian of metric_siegel, 4 trace(Y t(Y dbar) d)."""
-    return _frame_laplacian(f, p, _siegel_frame, tol, "siegel laplacian")
+    return _frame_laplacian(f, p, _siegel_frame, "siegel laplacian")
 
 
-def laplacian_disk(f: Callable, p: DiskPoint, tol: Tolerance = DEFAULT_TOL) -> float:
+def laplacian_disk(f: Callable, p: DiskPoint) -> float:
     """The Laplacian of metric_disk, trace(S t(S dbar) d) with S = I - W conj(W)."""
-    return _frame_laplacian(f, p, _disk_frame, tol, "disk laplacian")
+    return _frame_laplacian(f, p, _disk_frame, "disk laplacian")
 
 
-def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint,
-                 tol: Tolerance = DEFAULT_TOL) -> float:
+def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint) -> float:
     """The Laplacian of metric_sj."""
     if not isinstance(p, SiegelJacobiPoint):
         raise DimensionError("point has no fiber variable")
-    return _frame_laplacian(f, p, partial(_sj_frame, params), tol, "siegel-jacobi laplacian")
+    return _frame_laplacian(f, p, partial(_sj_frame, params), "siegel-jacobi laplacian")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +333,7 @@ def volume_density(p: SiegelJacobiPoint):
     return _plain(np.float_power(np.linalg.det(p.base.y), -(p.g + p.h + 1)))
 
 
-def _pushforwards(map_fn: Callable, p, vs: list, tol: Tolerance) -> list[TangentVector]:
+def _pushforwards(map_fn: Callable, p, vs: list) -> list[TangentVector]:
     """pushforward along each of vs, from one call of map_fn on the batch of
     the 2 len(vs) displaced points, + then - for each v."""
     base, fiber = _point_parts(p)
@@ -350,23 +349,23 @@ def _pushforwards(map_fn: Callable, p, vs: list, tol: Tolerance) -> list[Tangent
         raise DomainError(f"difference stencil left the domain: {exc}") from exc
     db, df = [None if x is None else (x[0::2] - x[1::2]) / (2 * h[:, None, None])
               for x in _point_parts(out)]
-    return [TangentVector((d + d.T) / 2, None if df is None else df[k], tol)
+    return [TangentVector((d + d.T) / 2, None if df is None else df[k])
             for k, d in enumerate(db)]
 
 
-def pushforward(map_fn: Callable, p, v: TangentVector, tol: Tolerance = DEFAULT_TOL) -> TangentVector:
+def pushforward(map_fn: Callable, p, v: TangentVector) -> TangentVector:
     """Directional derivative of a holomorphic map by complex-linear central
     differences; the base part of the result is re-symmetrized.  map_fn takes
     the batch of the two displaced points, as the actions and Cayley maps do."""
-    return _pushforwards(map_fn, p, [v], tol)[0]
+    return _pushforwards(map_fn, p, [v])[0]
 
 
-def sample_tangent(g: int, h: int | None = None, seed=0, scale: float = 1.0) -> TangentVector:
+def sample_tangent(g: int, h: int | None = None, seed=0) -> TangentVector:
     """Random tangent vector, deterministic in seed; fiber part iff h given.  A
     sequence of seeds gives one holder of their batch, as sample_point does."""
     # the real and the imaginary part of the fiber, then of the base
     shapes = ([(h, g)] * 2 if h is not None else []) + [(g, g)] * 2
-    x = _draws(_rngs(seed, 20), lambda r: [r.uniform(-scale, scale, shape) for shape in shapes])
+    x = _draws(_rngs(seed, 20), lambda r: [r.uniform(-1.0, 1.0, shape) for shape in shapes])
     s = x[-2] + 1j * x[-1]
     return TangentVector((s + s.mT) / 2, None if h is None else x[0] + 1j * x[1])
 
@@ -405,9 +404,9 @@ def _abs_det2(pushed: list[TangentVector]):
     return _plain(_abs2(np.linalg.det(jac)))
 
 
-def action_jacobian_det(map_fn: Callable, p, tol: Tolerance = DEFAULT_TOL) -> float:
+def action_jacobian_det(map_fn: Callable, p) -> float:
     """|det| of the differential of the holomorphic map_fn in the real
     coordinates of p, by finite differences: |det|^2 of its complex
     differential in the upper triangle of the base and the fiber row-major,
     from one call of map_fn on all the displaced points."""
-    return _abs_det2(_pushforwards(map_fn, p, _coordinate_dirs(p), tol))
+    return _abs_det2(_pushforwards(map_fn, p, _coordinate_dirs(p)))

@@ -17,16 +17,15 @@ from operator import itemgetter
 import numpy as np
 
 from .numkit import (
-    DEFAULT_TOL,
+    ALGEBRAIC_REL,
     ConsistencyError,
     DimensionError,
     DomainError,
     Holder,
-    Tolerance,
     _block,
     _built_once,
+    _ensure,
     _eye,
-    _fail,
     _floor1,
     _freeze,
     _nonfinite,
@@ -34,6 +33,7 @@ from .numkit import (
     as_cmatrix,
     frob,
     rel_error,
+    symmetry_defect,
 )
 
 __all__ = [
@@ -77,14 +77,14 @@ def cayley_matrix(n: int) -> np.ndarray:
     return _block([[i, i], [1j * i, -1j * i]]) / np.sqrt(2.0)
 
 
-def _as_real(a, name: str, tol: Tolerance) -> np.ndarray:
+def _as_real(a, name: str) -> np.ndarray:
     """A float array; a complex input must be finite and real within tolerance."""
     a = np.asarray(a)
     if a.dtype.kind == "c":
         if not np.isfinite(a).all():
             _nonfinite(name, np.atleast_2d(a))
-        _fail(frob(np.imag(a)) > tol.algebraic_rel * _floor1(frob(a)), DomainError,
-              "{} must be real", name)
+        _ensure(frob(np.imag(a)) / _floor1(frob(a)) <= ALGEBRAIC_REL, DomainError,
+                "{} must be real", name)
         a = a.real
     return np.asarray(a, dtype=float)
 
@@ -94,21 +94,21 @@ class SymplecticMatrix(Holder):
 
     __slots__ = ("m", "g")
 
-    def __init__(self, m, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, m, *, validate: bool = True):
         self.m = _freeze(as_cmatrix(m, "symplectic matrix"), m)
         n = self.m.shape[-1]
         if self.m.shape[-2] != n or n % 2:
             raise DimensionError(f"expected a 2g x 2g matrix, got {self.m.shape[-2:]}")
         self.g = n // 2
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         m, j = self.m, _j(self.g)  # m is complex and finite, see __init__
-        _fail(frob(m.imag) > tol.algebraic_rel * _floor1(frob(m)), DomainError,
-              "symplectic matrix must be real")
-        _fail(_rel(m.mT @ j @ m, j) > tol.algebraic_rel, DomainError,
-              "matrix is not symplectic within tolerance")
+        _ensure(frob(m.imag) / _floor1(frob(m)) <= ALGEBRAIC_REL, DomainError,
+                "symplectic matrix must be real")
+        _ensure(_rel(m.mT @ j @ m, j) <= ALGEBRAIC_REL, DomainError,
+                "matrix is not symplectic within tolerance")
 
     @property
     def a(self) -> np.ndarray:
@@ -142,10 +142,10 @@ class HeisenbergElement(Holder):
 
     __slots__ = ("lam", "mu", "kappa", "g", "h")
 
-    def __init__(self, lam, mu, kappa, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
-        self.lam = _freeze(_as_real(lam, "lam", tol), lam)
-        self.mu = _freeze(_as_real(mu, "mu", tol), mu)
-        self.kappa = _freeze(_as_real(kappa, "kappa", tol), kappa)
+    def __init__(self, lam, mu, kappa, *, validate: bool = True):
+        self.lam = _freeze(_as_real(lam, "lam"), lam)
+        self.mu = _freeze(_as_real(mu, "mu"), mu)
+        self.kappa = _freeze(_as_real(kappa, "kappa"), kappa)
         if self.lam.ndim < 2 or self.mu.shape != self.lam.shape:
             raise DimensionError("lam and mu must be h x g matrices of equal shape")
         self.h, self.g = self.lam.shape[-2:]
@@ -155,12 +155,12 @@ class HeisenbergElement(Holder):
                                            self.kappa.ravel()))).all():
             _nonfinite("lam, mu, kappa", self.lam, self.mu, self.kappa)
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         s = self.kappa + self.mu @ self.lam.mT
-        _fail(frob(s - s.mT) > tol.algebraic_rel * _floor1(frob(s)), DomainError,
-              "kappa + mu t(lam) is not symmetric")
+        _ensure(symmetry_defect(s) <= ALGEBRAIC_REL, DomainError,
+                "kappa + mu t(lam) is not symmetric")
 
     @classmethod
     def identity(cls, g: int, h: int) -> "HeisenbergElement":
@@ -198,22 +198,22 @@ class GStarElement(Holder):
 
     __slots__ = ("p", "q", "g")
 
-    def __init__(self, p, q, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, p, q, *, validate: bool = True):
         self.p = _freeze(as_cmatrix(p, "P"), p)
         self.q = _freeze(as_cmatrix(q, "Q"), q)
         if self.p.shape[-2] != self.p.shape[-1] or self.p.shape[-2:] != self.q.shape[-2:]:
             raise DimensionError("P and Q must be square matrices of equal size")
         self.g = self.p.shape[-1]
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         p, q = self.p, self.q
-        _fail(_rel(p.mT @ p.conj() - q.conj().mT @ q, _eye(self.g)) > tol.algebraic_rel,
-              DomainError, "t(P) conj(P) - t(conj Q) Q != I")
+        _ensure(_rel(p.mT @ p.conj() - q.conj().mT @ q, _eye(self.g)) <= ALGEBRAIC_REL,
+                DomainError, "t(P) conj(P) - t(conj Q) Q != I")
         lhs = p.mT @ q.conj()
-        _fail(frob(lhs - q.conj().mT @ p) > tol.algebraic_rel * _floor1(frob(lhs)),
-              DomainError, "t(P) conj(Q) != t(conj Q) P")
+        _ensure(frob(lhs - q.conj().mT @ p) / _floor1(frob(lhs)) <= ALGEBRAIC_REL,
+                DomainError, "t(P) conj(Q) != t(conj Q) P")
 
     def block(self) -> np.ndarray:
         """The full 2g x 2g matrix [[P, Q], [conj Q, conj P]]."""
@@ -229,7 +229,7 @@ class ComplexHeisenbergElement(Holder):
 
     __slots__ = ("xi", "eta", "zeta", "g", "h")
 
-    def __init__(self, xi, eta, zeta, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, xi, eta, zeta, *, validate: bool = True):
         self.xi = _freeze(as_cmatrix(xi, "xi"), xi)
         self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
         self.zeta = _freeze(as_cmatrix(zeta, "zeta"), zeta)
@@ -239,12 +239,12 @@ class ComplexHeisenbergElement(Holder):
         if self.zeta.shape[-2:] != (self.h, self.h):
             raise DimensionError(f"zeta must be {self.h} x {self.h}, got {self.zeta.shape[-2:]}")
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         s = self.zeta + self.eta @ self.xi.mT
-        _fail(frob(s - s.mT) > tol.algebraic_rel * _floor1(frob(s)), DomainError,
-              "zeta + eta t(xi) is not symmetric")
+        _ensure(symmetry_defect(s) <= ALGEBRAIC_REL, DomainError,
+                "zeta + eta t(xi) is not symmetric")
 
     @classmethod
     def identity(cls, g: int, h: int) -> "ComplexHeisenbergElement":
@@ -259,21 +259,21 @@ class GStarJacobiElement(Holder):
 
     __slots__ = ("gs", "hc")
 
-    def __init__(self, gs: GStarElement, hc: ComplexHeisenbergElement,
-                 tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, gs: GStarElement, hc: ComplexHeisenbergElement, *,
+                 validate: bool = True):
         if gs.g != hc.g:
             raise DimensionError(f"degree mismatch: blocks g={gs.g}, Heisenberg g={hc.g}")
         self.gs = gs
         self.hc = hc
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         scale = _floor1(frob(self.hc.xi), frob(self.hc.zeta))
-        _fail(frob(self.hc.eta - self.hc.xi.conj()) > tol.algebraic_rel * scale, DomainError,
-              "eta != conj(xi)")
-        _fail(frob(np.real(self.hc.zeta)) > tol.algebraic_rel * scale, DomainError,
-              "zeta is not i * (real kappa)")
+        _ensure(frob(self.hc.eta - self.hc.xi.conj()) / scale <= ALGEBRAIC_REL, DomainError,
+                "eta != conj(xi)")
+        _ensure(frob(np.real(self.hc.zeta)) / scale <= ALGEBRAIC_REL, DomainError,
+                "zeta is not i * (real kappa)")
 
     @property
     def g(self) -> int:
@@ -299,7 +299,7 @@ class BigComplexGroupElement(Holder):
 
     __slots__ = ("block", "hc", "g")
 
-    def __init__(self, block, hc: ComplexHeisenbergElement, validate: bool = True):
+    def __init__(self, block, hc: ComplexHeisenbergElement, *, validate: bool = True):
         self.block = _freeze(as_cmatrix(block, "block"), block)
         n = self.block.shape[-1]
         if self.block.shape[-2] != n or n % 2:
@@ -309,7 +309,8 @@ class BigComplexGroupElement(Holder):
             raise DimensionError(f"Heisenberg width {hc.g} != block degree {self.g}")
         self.hc = hc
         if validate:
-            _fail(abs(np.linalg.det(self.block)) < 1e-300, DomainError, "block matrix is singular")
+            _ensure(abs(np.linalg.det(self.block)) >= 1e-300, DomainError,
+                    "block matrix is singular")
 
     @property
     def h(self) -> int:
@@ -376,8 +377,7 @@ def embed_gstarj(a: GStarJacobiElement) -> BigComplexGroupElement:
     return BigComplexGroupElement(a.gs.block(), a.hc, validate=False)
 
 
-def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement,
-               tol: Tolerance = DEFAULT_TOL) -> GStarJacobiElement:
+def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement) -> GStarJacobiElement:
     """Multiply in the ambient group and re-read the constrained form.
 
     Closure holds in exact arithmetic, so a violation beyond tolerance is
@@ -389,15 +389,15 @@ def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement,
     p, q = prod.block[..., :g, :g], prod.block[..., :g, g:]
     lower = prod.block[..., g:, :]
     upper_conj = np.concatenate([q.conj(), p.conj()], axis=-1)
-    _fail(rel_error(lower, upper_conj) > tol.algebraic_rel, ConsistencyError,
-          "product left the (P, Q; conj Q, conj P) block form")
+    _ensure(rel_error(lower, upper_conj) <= ALGEBRAIC_REL, ConsistencyError,
+            "product left the (P, Q; conj Q, conj P) block form")
     try:
-        return GStarJacobiElement(GStarElement(p, q, tol), prod.hc, tol)
+        return GStarJacobiElement(GStarElement(p, q), prod.hc)
     except DomainError as exc:
         raise ConsistencyError(f"product violates closure: {exc}") from exc
 
 
-def gstarj_inv(a: GStarJacobiElement, tol: Tolerance = DEFAULT_TOL) -> GStarJacobiElement:
+def gstarj_inv(a: GStarJacobiElement) -> GStarJacobiElement:
     """Inverse in the bounded model: block inverse [[t(conj P), -t(Q)], ...]
     with the Heisenberg part pushed through it."""
     g = a.g
@@ -407,9 +407,7 @@ def gstarj_inv(a: GStarJacobiElement, tol: Tolerance = DEFAULT_TOL) -> GStarJaco
     xit = a.hc.xi @ minv[..., :g, :g] + a.hc.eta @ minv[..., g:, :g]
     ett = a.hc.xi @ minv[..., :g, g:] + a.hc.eta @ minv[..., g:, g:]
     zeta = -a.hc.zeta + xit @ ett.mT - ett @ xit.mT
-    return GStarJacobiElement(
-        GStarElement(p_i, q_i, tol), ComplexHeisenbergElement(-xit, -ett, zeta, tol), tol
-    )
+    return GStarJacobiElement(GStarElement(p_i, q_i), ComplexHeisenbergElement(-xit, -ett, zeta))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Shared complex dense-matrix semantics: tolerance policy, structural
-predicates, trace/bracket helpers, and guarded linear solves.
+"""Shared complex dense-matrix semantics: the algebraic and conditioning
+thresholds, structural predicates, trace/bracket helpers, and guarded linear
+solves.
 
 Every other module builds on the conventions fixed here; in particular all
 approximate equality is relative Frobenius with a max(1, .) floor so that
-checks behave sensibly near zero.
+checks behave sensibly near zero.  A check states the condition that must
+hold, residual <= bound, so that a NaN residual (an overflow inside the
+check) fails it.
 
 Every kernel takes matrices of shape (..., r, c): leading axes index a batch
 of slices, which broadcast against unbatched (2-d) operands, and a 2-d input
@@ -25,13 +28,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
+    "ALGEBRAIC_REL",
+    "PD_MIN_EIG",
     "COND_LIMIT",
     "SjkError",
     "DimensionError",
@@ -43,13 +45,17 @@ __all__ = [
     "bracket",
     "symmetry_defect",
     "hermitian_pd_margin",
-    "is_hermitian_pd",
     "rel_error",
     "guarded_inv",
     "guarded_rsolve",
     "Holder",
 ]
 
+# Relative residual allowed to an exact algebraic identity evaluated in
+# double precision.
+ALGEBRAIC_REL = 1e-9
+# Smallest eigenvalue accepted as positive definite.
+PD_MIN_EIG = 1e-12
 # Condition-number ceiling for every matrix inverse in the library.  Hitting
 # it raises ConditioningError instead of silently returning garbage.
 COND_LIMIT = 1e12
@@ -78,43 +84,19 @@ class ConsistencyError(SjkError, RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Tolerance policy shared by all modules.
-
-    algebraic_rel bounds residuals of exact algebraic identities evaluated in
-    double precision; fd_first_rel / fd_second_rel bound first/second order
-    finite-difference checks; pd_min_eig is the smallest eigenvalue accepted
-    as positive definite.
-    """
-
-    algebraic_rel: float = 1e-9
-    fd_first_rel: float = 1e-6
-    fd_second_rel: float = 1e-4
-    pd_min_eig: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("algebraic_rel", "fd_first_rel", "fd_second_rel", "pd_min_eig"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise DomainError(f"tolerance field {name} must be finite and positive")
-
-
-DEFAULT_TOL = Tolerance()
-
-
-def _fail(bad, error: type, message: str, *args) -> None:
-    """Raise error(message.format(*args)) if the batch mask bad is set, naming
-    the first failing slice of a batch; array args give that slice's entry."""
-    if bad is False or bad is np.False_:  # a passing 2-d check
+def _ensure(ok, error: type, message: str, *args) -> None:
+    """Raise error(message.format(*args)) unless the batch mask ok holds in
+    every slice, naming the first failing slice of a batch; array args give
+    that slice's entry."""
+    if ok is True or ok is np.True_:  # a passing 2-d check
         return
-    if getattr(bad, "ndim", 0):
-        if not bad.any():
+    i, where = (), ""
+    if getattr(ok, "ndim", 0):
+        if ok.all():
             return
-        i = tuple(int(k) for k in np.argwhere(bad)[0])
+        i = tuple(int(k) for k in np.argwhere(~ok)[0])
         where = f" (slice {i[0] if len(i) == 1 else i})"
-    elif bad:
-        i, where = (), ""
-    else:
+    elif ok:
         return
     args = [x[i] if isinstance(x, np.ndarray) else x for x in args]
     raise error(message.format(*args) + where)
@@ -131,8 +113,8 @@ def _floor1(x, y=0.0):
 def _nonfinite(name: str, *arrays: np.ndarray) -> None:
     """Raise the DomainError for arrays known to hold a NaN or Inf."""
     finite = [np.isfinite(a).all(axis=(-2, -1)) for a in arrays]
-    _fail(~functools.reduce(np.logical_and, finite), DomainError,
-          "{}: entries must be finite (no NaN/Inf)", name)
+    _ensure(functools.reduce(np.logical_and, finite), DomainError,
+            "{}: entries must be finite (no NaN/Inf)", name)
 
 
 def _freeze(a: np.ndarray, src) -> np.ndarray:
@@ -245,28 +227,28 @@ def symmetry_defect(a: np.ndarray):
     return frob(a - a.mT) / _floor1(frob(a))
 
 
-def hermitian_pd_margin(a, tol: Tolerance = DEFAULT_TOL):
+def hermitian_pd_margin(a):
     """Smallest eigenvalue of each Hermitian slice, -inf where a slice is not
-    Hermitian.
+    Hermitian or holds a NaN or Inf (a matrix that overflowed while it was
+    formed is not positive definite).
 
     The margin is returned rather than a bare bool so callers can report how
     far inside the domain a point sits.
     """
-    a = as_cmatrix(a)
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"PD test requires a square matrix, got {a.shape[-2:]}")
-    hermitian = frob(a - a.conj().mT) <= tol.algebraic_rel * _floor1(frob(a))
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"PD test requires a square matrix, got shape {a.shape}")
+    finite = True
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        a = np.where(finite[..., None, None], a, 0)
+    hermitian = finite & (frob(a - a.conj().mT) / _floor1(frob(a)) <= ALGEBRAIC_REL)
     try:
         eigs = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # LAPACK does not say which slice failed
         raise ConditioningError(f"eigenvalue iteration failed: {exc}") from exc
-    # a plain True for a Hermitian 2-d input
     margin = eigs[..., 0] if hermitian is True else np.where(hermitian, eigs[..., 0], -np.inf)
     return float(margin) if margin.ndim == 0 else margin
-
-
-def is_hermitian_pd(a, tol: Tolerance = DEFAULT_TOL):
-    return hermitian_pd_margin(a, tol) > tol.pd_min_eig
 
 
 def rel_error(a, b):
@@ -286,8 +268,8 @@ def _rel(a: np.ndarray, b: np.ndarray):
 
 def _check_cond(a: np.ndarray, context: str) -> None:
     cond = np.linalg.cond(a)
-    _fail(~(cond <= COND_LIMIT), ConditioningError, "{}: condition number {:.3e} exceeds {:.0e}",
-          context, cond, COND_LIMIT)
+    _ensure(cond <= COND_LIMIT, ConditioningError,
+            "{}: condition number {:.3e} exceeds {:.0e}", context, cond, COND_LIMIT)
 
 
 def guarded_inv(a, context: str = "inverse") -> np.ndarray:

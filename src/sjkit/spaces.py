@@ -36,13 +36,13 @@ from .groups import (
     theta,
 )
 from .numkit import (
-    DEFAULT_TOL,
+    ALGEBRAIC_REL,
+    PD_MIN_EIG,
     DimensionError,
     DomainError,
     Holder,
-    Tolerance,
+    _ensure,
     _eye,
-    _fail,
     _freeze,
     as_cmatrix,
     guarded_rsolve,
@@ -70,11 +70,11 @@ __all__ = [
 ]
 
 
-def _check_square_symmetric(m: np.ndarray, name: str, tol: Tolerance) -> None:
+def _check_square_symmetric(m: np.ndarray, name: str) -> None:
     if m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"{name} must be square, got {m.shape[-2:]}")
-    _fail(symmetry_defect(m) > tol.algebraic_rel, DomainError,
-          "{} is not symmetric within tolerance", name)
+    _ensure(symmetry_defect(m) <= ALGEBRAIC_REL, DomainError,
+            "{} is not symmetric within tolerance", name)
 
 
 class SiegelPoint(Holder):
@@ -83,17 +83,17 @@ class SiegelPoint(Holder):
     __slots__ = ("omega",)
     _NOT_PD = "Im(omega) is not positive definite"
 
-    def __init__(self, omega, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, omega, *, validate: bool = True):
         self.omega = _freeze(as_cmatrix(omega, "omega"), omega)
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        _check_square_symmetric(self.omega, "omega", tol)
-        _fail(self.pd_margin(tol) <= tol.pd_min_eig, DomainError, self._NOT_PD)
+    def validate(self) -> None:
+        _check_square_symmetric(self.omega, "omega")
+        _ensure(self.pd_margin() > PD_MIN_EIG, DomainError, self._NOT_PD)
 
-    def pd_margin(self, tol: Tolerance = DEFAULT_TOL):
-        return hermitian_pd_margin(self.y.astype(complex), tol)
+    def pd_margin(self):
+        return hermitian_pd_margin(self.y.astype(complex))
 
     @property
     def g(self) -> int:
@@ -114,20 +114,20 @@ class DiskPoint(Holder):
     __slots__ = ("w",)
     _NOT_PD = "I - W conj(W) is not positive definite"
 
-    def __init__(self, w, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, w, *, validate: bool = True):
         self.w = _freeze(as_cmatrix(w, "w"), w)
         if validate:
-            self.validate(tol)
+            self.validate()
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        _check_square_symmetric(self.w, "w", tol)
-        _fail(self.pd_margin(tol) <= tol.pd_min_eig, DomainError, self._NOT_PD)
+    def validate(self) -> None:
+        _check_square_symmetric(self.w, "w")
+        _ensure(self.pd_margin() > PD_MIN_EIG, DomainError, self._NOT_PD)
 
-    def pd_margin(self, tol: Tolerance = DEFAULT_TOL):
+    def pd_margin(self):
         m = _eye(self.g) - self.w @ self.w.conj()
         # symmetrize away the roundoff skew before the Hermitian eigensolve
         m = (m + m.conj().mT) / 2
-        return hermitian_pd_margin(m, tol)
+        return hermitian_pd_margin(m)
 
     @property
     def g(self) -> int:
@@ -139,9 +139,9 @@ class SiegelJacobiPoint(Holder):
 
     __slots__ = ("base", "z")
 
-    def __init__(self, base: SiegelPoint, z, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, base: SiegelPoint, z):
         if not isinstance(base, SiegelPoint):
-            base = SiegelPoint(base, tol)
+            base = SiegelPoint(base)
         self.base = base
         self.z = _freeze(as_cmatrix(z, "z"), z)
         if self.z.shape[-1] != base.g or self.z.shape[:-2] != base.omega.shape[:-2]:
@@ -174,9 +174,9 @@ class DiskJacobiPoint(Holder):
 
     __slots__ = ("base", "eta")
 
-    def __init__(self, base: DiskPoint, eta, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, base: DiskPoint, eta):
         if not isinstance(base, DiskPoint):
-            base = DiskPoint(base, tol)
+            base = DiskPoint(base)
         self.base = base
         self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
         if self.eta.shape[-1] != base.g or self.eta.shape[:-2] != base.w.shape[:-2]:
@@ -201,9 +201,9 @@ class TangentVector(Holder):
 
     __slots__ = ("dbase", "dfiber")
 
-    def __init__(self, dbase, dfiber=None, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, dbase, dfiber=None):
         self.dbase = as_cmatrix(dbase, "dbase")
-        _check_square_symmetric(self.dbase, "dbase", tol)
+        _check_square_symmetric(self.dbase, "dbase")
         self.dfiber = None if dfiber is None else as_cmatrix(dfiber, "dfiber")
 
     @property
@@ -220,18 +220,18 @@ class TangentVector(Holder):
 # actions
 
 
-def _symmetrized(m: np.ndarray, tol: Tolerance, what: str) -> np.ndarray:
+def _symmetrized(m: np.ndarray, what: str) -> np.ndarray:
     defect = symmetry_defect(m)
-    _fail(defect > tol.algebraic_rel, DomainError,
-          "{}: output symmetry defect {:.3e} exceeds tolerance", what, defect)
+    _ensure(defect <= ALGEBRAIC_REL, DomainError,
+            "{}: output symmetry defect {:.3e} exceeds tolerance", what, defect)
     return (m + m.mT) / 2
 
 
-def _positive(cls, m: np.ndarray, tol: Tolerance):
+def _positive(cls, m: np.ndarray):
     """The cls point at a _symmetrized m: (m + m^T)/2 is exactly symmetric, so
     of cls's validation only the positivity check is left to make."""
     out = cls(m, validate=False)
-    _fail(out.pd_margin(tol) <= tol.pd_min_eig, DomainError, cls._NOT_PD)
+    _ensure(out.pd_margin() > PD_MIN_EIG, DomainError, cls._NOT_PD)
     return out
 
 
@@ -286,46 +286,42 @@ def _pushed(lead, c, z, jinv, dirs) -> list[TangentVector]:
     return out
 
 
-def _fractional_linear(a, b, c, d, x, fiber, tol: Tolerance, context: str, what: str,
-                       dirs=None):
+def _fractional_linear(a, b, c, d, x, fiber, context: str, what: str, dirs=None):
     """(a x + b)(c x + d)^-1 symmetrized, fiber (c x + d)^-1 and, given (dx, df)
     pairs, their pushforwards, in one guarded solve."""
     top, z, jinv = _stacked_rsolve(a @ x + b, fiber, c @ x + d, context, dirs is not None)
-    out = _symmetrized(top, tol, what)
+    out = _symmetrized(top, what)
     return out, z, None if dirs is None else _pushed(a - out @ c, c, z, jinv, dirs)
 
 
-def act_siegel(m: SymplecticMatrix, p: SiegelPoint, tol: Tolerance = DEFAULT_TOL,
-               dirs=None):
+def act_siegel(m: SymplecticMatrix, p: SiegelPoint, *, dirs=None):
     """Fractional linear action (A omega + B)(C omega + D)^-1.
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
     if m.g != p.g:
         raise DimensionError(f"degree mismatch: element g={m.g}, point g={p.g}")
-    om, _, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, tol,
-                                       "C omega + D", "siegel action",
-                                       _displacements(dirs, p.omega))
-    out = _positive(SiegelPoint, om, tol)
+    om, _, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, "C omega + D",
+                                       "siegel action", _displacements(dirs, p.omega))
+    out = _positive(SiegelPoint, om)
     return out if dirs is None else (out, pushed)
 
 
-def act_disk(gs: GStarElement, p: DiskPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
+def act_disk(gs: GStarElement, p: DiskPoint, *, dirs=None):
     """Fractional linear action (P W + Q)(conj(Q) W + conj(P))^-1.
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
     if gs.g != p.g:
         raise DimensionError(f"degree mismatch: element g={gs.g}, point g={p.g}")
-    w, _, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None, tol,
+    w, _, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None,
                                       "conj(Q) W + conj(P)", "disk action",
                                       _displacements(dirs, p.w))
-    out = _positive(DiskPoint, w, tol)
+    out = _positive(DiskPoint, w)
     return out if dirs is None else (out, pushed)
 
 
-def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, tol: Tolerance = DEFAULT_TOL,
-               dirs=None):
+def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, *, dirs=None):
     """(M omega, (Z + lam omega + mu)(C omega + D)^-1); kappa plays no role.
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
@@ -333,15 +329,14 @@ def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, tol: Tolerance = DEFAULT_
     if (a.g, a.h) != (p.g, p.h):
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
     m, fiber = a.m, p.z + a.hs.lam @ p.omega + a.hs.mu
-    om, z, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, fiber, tol,
-                                       "C omega + D", "siegel action",
+    om, z, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, fiber, "C omega + D",
+                                       "siegel action",
                                        _displacements(dirs, p.omega, p.z, a.hs.lam))
-    out = SiegelJacobiPoint(_positive(SiegelPoint, om, tol), z, tol)
+    out = SiegelJacobiPoint(_positive(SiegelPoint, om), z)
     return out if dirs is None else (out, pushed)
 
 
-def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint,
-                    tol: Tolerance = DEFAULT_TOL, dirs=None):
+def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint, *, dirs=None):
     """((P W + Q) d^-1, (eta + xi W + mu) d^-1) with d = conj(Q) W + conj(P).
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
@@ -349,10 +344,10 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint,
     if (a.g, a.h) != (p.g, p.h):
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
     gs, fiber = a.gs, p.eta + a.hc.xi @ p.w + a.hc.eta
-    w, eta, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, fiber, tol,
+    w, eta, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, fiber,
                                         "conj(Q) W + conj(P)", "disk action",
                                         _displacements(dirs, p.w, p.eta, a.hc.xi))
-    out = DiskJacobiPoint(_positive(DiskPoint, w, tol), eta, tol)
+    out = DiskJacobiPoint(_positive(DiskPoint, w), eta)
     return out if dirs is None else (out, pushed)
 
 
@@ -360,7 +355,7 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint,
 # Cayley transforms
 
 
-def _cayley(w, fiber, tol: Tolerance, dirs=None):
+def _cayley(w, fiber, dirs=None):
     """i (I + W)(I - W)^-1 symmetrized, 2i fiber (I - W)^-1 and, given (dW, deta)
     pairs, their pushforwards, in one guarded solve.
 
@@ -369,62 +364,61 @@ def _cayley(w, fiber, tol: Tolerance, dirs=None):
     """
     i = np.eye(w.shape[-1])
     top, z, rinv = _stacked_rsolve(i + w, fiber, i - w, "I - W", dirs is not None)
-    om, z = _symmetrized(1j * top, tol, "cayley"), None if fiber is None else 2j * z
+    om, z = _symmetrized(1j * top, "cayley"), None if fiber is None else 2j * z
     if dirs is None:
         return om, z, None
     dirs = [(dw, None if de is None else 2j * de) for dw, de in dirs]
     return om, z, _pushed(1j * i + om, -i, z, rinv, dirs)
 
 
-def _cayley_inv(omega, fiber, tol: Tolerance):
+def _cayley_inv(omega, fiber):
     """(omega - iI)(omega + iI)^-1 symmetrized and fiber (omega + iI)^-1: the
     fractional-linear map with a = I, b = -iI, c = I, d = iI."""
     i = _eye(omega.shape[-1])
-    return _fractional_linear(i, -1j * i, i, 1j * i, omega, fiber, tol, "omega + iI",
+    return _fractional_linear(i, -1j * i, i, 1j * i, omega, fiber, "omega + iI",
                               "inverse cayley")[:2]
 
 
-def cayley(p: DiskPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
+def cayley(p: DiskPoint, *, dirs=None):
     """W -> i (I + W)(I - W)^-1.
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
-    om, _, pushed = _cayley(p.w, None, tol, _displacements(dirs, p.w))
-    out = _positive(SiegelPoint, om, tol)
+    om, _, pushed = _cayley(p.w, None, _displacements(dirs, p.w))
+    out = _positive(SiegelPoint, om)
     return out if dirs is None else (out, pushed)
 
 
-def cayley_inv(p: SiegelPoint, tol: Tolerance = DEFAULT_TOL) -> DiskPoint:
+def cayley_inv(p: SiegelPoint) -> DiskPoint:
     """omega -> (omega - iI)(omega + iI)^-1."""
-    return _positive(DiskPoint, _cayley_inv(p.omega, None, tol)[0], tol)
+    return _positive(DiskPoint, _cayley_inv(p.omega, None)[0])
 
 
-def partial_cayley(p: DiskJacobiPoint, tol: Tolerance = DEFAULT_TOL, dirs=None):
+def partial_cayley(p: DiskJacobiPoint, *, dirs=None):
     """(W, eta) -> (i (I + W)(I - W)^-1, 2i eta (I - W)^-1).
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
-    om, z, pushed = _cayley(p.w, p.eta, tol, _displacements(dirs, p.w, p.eta))
-    out = SiegelJacobiPoint(_positive(SiegelPoint, om, tol), z, tol)
+    om, z, pushed = _cayley(p.w, p.eta, _displacements(dirs, p.w, p.eta))
+    out = SiegelJacobiPoint(_positive(SiegelPoint, om), z)
     return out if dirs is None else (out, pushed)
 
 
-def partial_cayley_inv(p: SiegelJacobiPoint, tol: Tolerance = DEFAULT_TOL) -> DiskJacobiPoint:
+def partial_cayley_inv(p: SiegelJacobiPoint) -> DiskJacobiPoint:
     """(omega, Z) -> ((omega - iI)(omega + iI)^-1, Z (omega + iI)^-1)."""
-    w, eta = _cayley_inv(p.omega, p.z, tol)
-    return DiskJacobiPoint(_positive(DiskPoint, w, tol), eta, tol)
+    w, eta = _cayley_inv(p.omega, p.z)
+    return DiskJacobiPoint(_positive(DiskPoint, w), eta)
 
 
-def check_compatibility(a: JacobiElement, p: DiskJacobiPoint,
-                        tol: Tolerance = DEFAULT_TOL) -> float:
+def check_compatibility(a: JacobiElement, p: DiskJacobiPoint) -> float:
     """Residual of the compatibility identity between the two models.
 
     Compares acting upstairs after transforming against transforming after
     acting downstairs (through theta); returns the worse of the base and
     fiber relative residuals.
     """
-    lhs = act_jacobi(a, partial_cayley(p, tol), tol)
-    rhs = partial_cayley(act_jacobi_disk(theta(a), p, tol), tol)
+    lhs = act_jacobi(a, partial_cayley(p))
+    rhs = partial_cayley(act_jacobi_disk(theta(a), p))
     return np.maximum(rel_error(lhs.omega, rhs.omega), rel_error(lhs.z, rhs.z))
 
 

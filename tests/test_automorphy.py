@@ -69,6 +69,13 @@ def test_index_matrix_rejects_non_finite_entries(bad):
             IndexMatrix(np.array([[1.0, bad], [bad, 1.0]]), **flags)
 
 
+# The symmetry check of this finite index overflows on purpose; numpy warns as it does.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_index_matrix_whose_check_overflows_is_rejected():
+    with pytest.raises(DomainError, match="must be symmetric"):
+        IndexMatrix(np.array([[1e308, 1e308], [-1e308, 1e308]]))
+
+
 def test_index_matrix_rejects_complex_entries():
     for m in (np.array([[1 + 5j]]), [[1.0, 0.5j], [0.5j, 1.0]],
               np.array([[1 + 1j * np.inf]]), np.array([[1 + 1j * np.nan]]),
@@ -86,6 +93,14 @@ def test_rho_det_power_and_standard():
     np.testing.assert_allclose(rho_eval(Representation("standard"), p), p)
     with pytest.raises(DomainError):
         rho_eval(Representation("det_power", 1), np.zeros((2, 2)))
+
+
+def test_rho_det_power_that_overflows_is_a_domain_error():
+    rep = Representation("det_power", -100000)
+    for p in (0.5 * np.eye(1), np.stack([np.eye(2), 0.5 * np.eye(2)])):
+        with pytest.raises(DomainError, match="out of double-precision range"):
+            rho_eval(rep, p)
+    assert rho_eval(rep, 2 * np.eye(1))[0, 0] == 0  # an underflow is exact zero, not an error
 
 
 def test_rho_multiplicativity():

@@ -40,7 +40,7 @@ from sjkit.numkit import (
     DimensionError,
     DomainError,
     Holder,
-    _fail,
+    _ensure,
     frob,
     guarded_rsolve,
     hermitian_pd_margin,
@@ -136,7 +136,7 @@ def test_a_raising_slice_is_replayed_alone_and_recorded_as_its_trial(monkeypatch
     bad = sample_point("disk", 1, 1, seeds[67] + 1).w  # trial 67: slice 3 of the second chunk
 
     def evaluate(m, w):
-        _fail((w.w == bad).all(axis=(-2, -1)), DomainError, "bad trial")
+        _ensure((w.w != bad).any(axis=(-2, -1)), DomainError, "bad trial")
         return compat.evaluate(m, w)
 
     calls, suite = _counting(dataclasses.replace(compat, evaluate=evaluate))

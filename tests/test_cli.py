@@ -178,6 +178,28 @@ def test_exit_code_domain_violation(capsys):
     assert code == 3 and "domain error" in err
 
 
+# W conj(W) overflows on purpose; numpy warns as it does.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cayley_of_a_huge_finite_point_names_the_disk_condition(capsys):
+    code, out, err = run_cli(capsys, "transform", "--map", "cayley",
+                             "--input", '{"w": [[[1e-320, 1e308]]]}')
+    assert code == 3 and out == ""
+    assert "I - W conj(W) is not positive definite" in err and "must be finite" not in err
+
+
+def test_jfactor_power_that_overflows_is_a_domain_error(capsys):
+    a = sample_element("gstarj", 1, 1, seed=1)
+    p = sample_point("disk_jacobi", 1, 1, seed=2)
+    payload = json.dumps({"element": encode_element(a), "point": encode_point(p)})
+    code, out, err = run_cli(capsys, "jfactor", "--index-matrix", "[[1]]", "--rep", "det:-100000",
+                             "--input", payload)
+    assert code == 3 and out == ""
+    assert "domain error: det^-100000 out of double-precision range" in err
+    code, _, _ = run_cli(capsys, "jfactor", "--index-matrix", "[[1]]", "--rep", "det:-1000",
+                         "--input", payload)
+    assert code == 0
+
+
 def test_sample_rejects_a_scale_above_one_for_symplectic_kinds(capsys):
     code, out, err = run_cli(capsys, "sample", "--kind", "sp", "--g", "2", "--scale", "50",
                              "--seed", "0")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sjkit.geometry import (
+    FD_FIRST_REL,
     MetricParams,
     TEST_FIELDS,
     TangentVector,
@@ -23,7 +24,7 @@ from sjkit.geometry import (
     volume_density,
 )
 from sjkit.groups import conjugate_by_T, sample_element
-from sjkit.numkit import DEFAULT_TOL, DimensionError, DomainError, rel_error
+from sjkit.numkit import DimensionError, DomainError, rel_error
 from sjkit.spaces import (
     DiskJacobiPoint,
     DiskPoint,
@@ -305,7 +306,7 @@ def test_jacobian_det_jacobi_action_closed_form(g, h):
         p = sample_point("siegel_jacobi", g, h, seed=seed + 1)
         got = action_jacobian_det(lambda q: act_jacobi(a, q), p)
         want = _abs_det_j(a.m, p.omega) ** (-2 * (g + h + 1))
-        assert abs(got - want) <= DEFAULT_TOL.fd_first_rel * want
+        assert abs(got - want) <= FD_FIRST_REL * want
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -315,7 +316,7 @@ def test_jacobian_det_siegel_action_closed_form(g):
         p = sample_point("siegel", g, 1, seed=seed + 1)
         got = action_jacobian_det(lambda q: act_siegel(m, q), p)
         want = _abs_det_j(m, p.omega) ** (-2 * (g + 1))
-        assert abs(got - want) <= DEFAULT_TOL.fd_first_rel * want
+        assert abs(got - want) <= FD_FIRST_REL * want
 
 
 def test_tangent_vector_validation():

@@ -291,6 +291,22 @@ def test_invalid_elements_rejected():
         )
 
 
+# The checks of these finite inputs overflow on purpose; numpy warns as they do.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make, match", [
+    (lambda: HeisenbergElement([[1e308], [0]], [[0], [1e308]], np.zeros((2, 2))),
+     "kappa \\+ mu t\\(lam\\) is not symmetric"),
+    (lambda: HeisenbergElement([[1e308 + 1e308j]], [[0]], [[0]]), "lam must be real"),
+    (lambda: SymplecticMatrix(np.array([[1e308 + 1e308j, 0], [0, 1]])),
+     "symplectic matrix must be real"),
+], ids=["heisenberg-symmetry", "heisenberg-real", "symplectic-real"])
+def test_a_check_that_overflows_rejects(make, match):
+    """A residual and its scale that both overflow to inf fail the check
+    (inf / inf is NaN) rather than passing it (inf <= inf)."""
+    with pytest.raises(DomainError, match=match):
+        make()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("slot", [0, 1, 2])
 def test_heisenberg_rejects_non_finite_entries(slot, bad):

@@ -15,6 +15,7 @@ from sjkit.spaces import (
     DiskPoint,
     SiegelJacobiPoint,
     SiegelPoint,
+    TangentVector,
     act_disk,
     act_jacobi,
     act_jacobi_disk,
@@ -258,6 +259,21 @@ def test_invalid_points_rejected():
         SiegelPoint(np.array([[1j, 0.5], [0.0, 1j]]))  # not symmetric
     with pytest.raises(DomainError):
         DiskPoint([[1.5 + 0j]])  # outside the disk
+
+
+# The checks of these finite inputs overflow on purpose; numpy warns as they do.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make, match", [
+    (lambda: SiegelPoint([[1j, 1e308], [-1e308, 1j]]), "omega is not symmetric"),
+    (lambda: TangentVector([[0, 1e308], [-1e308, 0]]), "dbase is not symmetric"),
+    (lambda: DiskPoint([[1e-320 + 1e308j]]), "I - W conj\\(W\\) is not positive definite"),
+    (lambda: DiskPoint(np.array([[[0.5]], [[1e-320 + 1e308j]]])),
+     "I - W conj\\(W\\) is not positive definite \\(slice 1\\)"),
+], ids=["siegel-symmetry", "tangent-symmetry", "disk-positivity", "disk-batch"])
+def test_a_check_that_overflows_rejects(make, match):
+    """A residual that overflows to NaN fails its check rather than passing it."""
+    with pytest.raises(DomainError, match=match):
+        make()
 
 
 @pytest.mark.parametrize("kind", ["siegel", "disk", "siegel_jacobi", "disk_jacobi"])
