@@ -12,6 +12,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .automorphy import IndexMatrix, Representation, j_factor
 from .decomp import decompose_full
 from .geometry import (
@@ -288,7 +290,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # a finite input that overflows inside a check fails that check; numpy
+        # need not warn about it on stderr before the error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (json.JSONDecodeError, DimensionError, KeyError, TypeError) as exc:
         print(f"sjkit: input error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,10 @@ from .groups import (
     ComplexHeisenbergElement,
     GStarElement,
     GStarJacobiElement,
-    big_mul,
-    embed_gstarj,
+    _big_element,
+    _big_parts,
+    _big_product,
+    _embedded,
 )
 from .numkit import (
     ALGEBRAIC_REL,
@@ -36,7 +38,9 @@ from .numkit import (
     _block,
     _check_cond,
     _ensure,
+    _eye,
     _floor1,
+    _rel,
     frob,
     rel_error,
     symmetry_defect,
@@ -67,7 +71,7 @@ class HCFactors:
 
     def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = self.k_p.shape[-1]
-        i = np.eye(g)
+        i = _eye(g)
         z = np.zeros((g, g))
         return (_block([[i, self.pplus_w], [z, i]]),
                 _block([[self.k_p, z], [z, self.k_lower]]),
@@ -87,15 +91,16 @@ class JacobiHCFactors:
     pminus_xi: np.ndarray
     kappa_star: np.ndarray
 
-    def factors(self, h: int) -> tuple[BigComplexGroupElement, ...]:
+    def _parts(self, h: int) -> list[tuple]:
+        """The (block, xi, eta, zeta) arrays of the three factors, unchecked."""
         g = self.hc.k_p.shape[-1]
         zf = np.zeros((h, g), dtype=complex)
         zc = np.zeros((h, h), dtype=complex)
         heisenberg = [(zf, self.pplus_eta, zc), (zf, zf, self.kappa_star), (self.pminus_xi, zf, zc)]
-        return tuple(
-            BigComplexGroupElement(b, ComplexHeisenbergElement(*t, validate=False), validate=False)
-            for b, t in zip(self.hc._blocks(), heisenberg)
-        )
+        return [(b, *t) for b, t in zip(self.hc._blocks(), heisenberg)]
+
+    def factors(self, h: int) -> tuple[BigComplexGroupElement, ...]:
+        return tuple(_big_element(*parts) for parts in self._parts(h))
 
 
 def hc_decompose_gstar(gs: GStarElement) -> HCFactors:
@@ -117,15 +122,16 @@ def hc_decompose_gstar(gs: GStarElement) -> HCFactors:
 
 def embed_disk_jacobi_point(p: DiskJacobiPoint) -> BigComplexGroupElement:
     """Identify (W, eta) with ([[I, W], [0, I]], (0, eta; 0))."""
+    return _big_element(*_embedded_point(p))
+
+
+def _embedded_point(p: DiskJacobiPoint) -> tuple:
+    """The (block, xi, eta, zeta) arrays of embed_disk_jacobi_point(p), unchecked."""
     g, h = p.g, p.h
-    i = np.eye(g)
+    i = _eye(g)
     z = np.zeros((g, g))
     zf = np.zeros((h, g), dtype=complex)
-    return BigComplexGroupElement(
-        _block([[i, p.w], [z, i]]),
-        ComplexHeisenbergElement(zf, p.eta, np.zeros((h, h), dtype=complex), validate=False),
-        validate=False,
-    )
+    return _block([[i, p.w], [z, i]]), zf, p.eta, np.zeros((h, h), dtype=complex)
 
 
 def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors, dict]:
@@ -217,13 +223,12 @@ def component_residuals(a: GStarJacobiElement, p: DiskJacobiPoint) -> dict:
 
 def reconstruction_residual(a: GStarJacobiElement, p: DiskJacobiPoint,
                             factors: JacobiHCFactors) -> float:
-    """Relative residual of (up mid low) against a . (embedded point)."""
-    up, mid, low = factors.factors(p.h)
-    rebuilt = big_mul(big_mul(up, mid), low)
-    target = big_mul(embed_gstarj(a), embed_disk_jacobi_point(p))
-    return np.max([
-        rel_error(rebuilt.block, target.block),
-        rel_error(rebuilt.hc.xi, target.hc.xi),
-        rel_error(rebuilt.hc.eta, target.hc.eta),
-        rel_error(rebuilt.hc.zeta, target.hc.zeta),
-    ], axis=0)
+    """Relative residual of (up mid low) against a . (embedded point), the
+    largest over the block and the three Heisenberg parts.  The products run
+    through big_mul's kernel on plain arrays, after the checks the holders
+    of the factors and of the embedded point would make."""
+    up, mid, low = (_big_parts(*parts) for parts in factors._parts(p.h))
+    rebuilt = _big_product(_big_product(up, mid), low)
+    target = _big_product(_embedded(a), _big_parts(*_embedded_point(p)))
+    block, xi, eta, zeta = map(_rel, rebuilt, target)
+    return np.maximum(np.maximum(block, xi), np.maximum(eta, zeta))

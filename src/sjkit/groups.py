@@ -230,21 +230,14 @@ class ComplexHeisenbergElement(Holder):
     __slots__ = ("xi", "eta", "zeta", "g", "h")
 
     def __init__(self, xi, eta, zeta, *, validate: bool = True):
-        self.xi = _freeze(as_cmatrix(xi, "xi"), xi)
-        self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
-        self.zeta = _freeze(as_cmatrix(zeta, "zeta"), zeta)
-        if self.eta.shape[-2:] != self.xi.shape[-2:]:
-            raise DimensionError("xi and eta must have equal shape")
+        self.xi, self.eta, self.zeta = map(_freeze, _heisenberg_parts(xi, eta, zeta),
+                                           (xi, eta, zeta))
         self.h, self.g = self.xi.shape[-2:]
-        if self.zeta.shape[-2:] != (self.h, self.h):
-            raise DimensionError(f"zeta must be {self.h} x {self.h}, got {self.zeta.shape[-2:]}")
         if validate:
             self.validate()
 
     def validate(self) -> None:
-        s = self.zeta + self.eta @ self.xi.mT
-        _ensure(symmetry_defect(s) <= ALGEBRAIC_REL, DomainError,
-                "zeta + eta t(xi) is not symmetric")
+        _check_heisenberg_symmetry(self.xi, self.eta, self.zeta)
 
     @classmethod
     def identity(cls, g: int, h: int) -> "ComplexHeisenbergElement":
@@ -300,17 +293,11 @@ class BigComplexGroupElement(Holder):
     __slots__ = ("block", "hc", "g")
 
     def __init__(self, block, hc: ComplexHeisenbergElement, *, validate: bool = True):
-        self.block = _freeze(as_cmatrix(block, "block"), block)
-        n = self.block.shape[-1]
-        if self.block.shape[-2] != n or n % 2:
-            raise DimensionError(f"block must be 2g x 2g, got {self.block.shape[-2:]}")
-        self.g = n // 2
-        if hc.g != self.g:
-            raise DimensionError(f"Heisenberg width {hc.g} != block degree {self.g}")
+        self.block = _freeze(_block_part(block, hc.g), block)
+        self.g = hc.g
         self.hc = hc
         if validate:
-            _ensure(abs(np.linalg.det(self.block)) >= 1e-300, DomainError,
-                    "block matrix is singular")
+            _check_nonsingular(self.block)
 
     @property
     def h(self) -> int:
@@ -319,6 +306,50 @@ class BigComplexGroupElement(Holder):
     @classmethod
     def identity(cls, g: int, h: int) -> "BigComplexGroupElement":
         return cls(np.eye(2 * g), ComplexHeisenbergElement.identity(g, h), validate=False)
+
+
+def _heisenberg_parts(xi, eta, zeta) -> tuple:
+    """xi, eta, zeta as finite complex arrays of shapes (h, g), (h, g), (h, h)."""
+    xi, eta, zeta = as_cmatrix(xi, "xi"), as_cmatrix(eta, "eta"), as_cmatrix(zeta, "zeta")
+    if eta.shape[-2:] != xi.shape[-2:]:
+        raise DimensionError("xi and eta must have equal shape")
+    h = xi.shape[-2]
+    if zeta.shape[-2:] != (h, h):
+        raise DimensionError(f"zeta must be {h} x {h}, got {zeta.shape[-2:]}")
+    return xi, eta, zeta
+
+
+def _check_heisenberg_symmetry(xi, eta, zeta) -> None:
+    _ensure(symmetry_defect(zeta + eta @ xi.mT) <= ALGEBRAIC_REL, DomainError,
+            "zeta + eta t(xi) is not symmetric")
+
+
+def _block_part(block, g: int) -> np.ndarray:
+    """block as a finite complex 2g x 2g array, for a Heisenberg part of width g."""
+    block = as_cmatrix(block, "block")
+    n = block.shape[-1]
+    if block.shape[-2] != n or n % 2:
+        raise DimensionError(f"block must be 2g x 2g, got {block.shape[-2:]}")
+    if g != n // 2:
+        raise DimensionError(f"Heisenberg width {g} != block degree {n // 2}")
+    return block
+
+
+def _check_nonsingular(block) -> None:
+    _ensure(abs(np.linalg.det(block)) >= 1e-300, DomainError, "block matrix is singular")
+
+
+def _big_element(block, xi, eta, zeta) -> BigComplexGroupElement:
+    """The unvalidated holder of (block, xi, eta, zeta) arrays."""
+    return BigComplexGroupElement(block, ComplexHeisenbergElement(xi, eta, zeta, validate=False),
+                                  validate=False)
+
+
+def _big_parts(block, xi, eta, zeta) -> tuple:
+    """The arrays _big_element(block, xi, eta, zeta) would hold, after the
+    checks it would make, without building it."""
+    xi, eta, zeta = _heisenberg_parts(xi, eta, zeta)
+    return _block_part(block, xi.shape[-1]), xi, eta, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +389,41 @@ def jacobi_inv(a: JacobiElement) -> JacobiElement:
     return JacobiElement(mi, HeisenbergElement(-lt, -mt, kappa))
 
 
+def _big_product(a: tuple, b: tuple) -> tuple:
+    """The product law of big_mul on (block, xi, eta, zeta) arrays, with
+    the checks the validated holders of the product would make, in their
+    order: finite parts, zeta + eta t(xi) symmetric, a nonsingular block."""
+    ablock, axi, aeta, azeta = a
+    bblock, bxi, beta, bzeta = b
+    g = bblock.shape[-1] // 2
+    pp, qp = bblock[..., :g, :g], bblock[..., :g, g:]
+    rp, sp = bblock[..., g:, :g], bblock[..., g:, g:]
+    xit = axi @ pp + aeta @ rp
+    ett = axi @ qp + aeta @ sp
+    zeta = azeta + bzeta + xit @ beta.mT - ett @ bxi.mT
+    xi, eta, zeta = _heisenberg_parts(xit + bxi, ett + beta, zeta)
+    _check_heisenberg_symmetry(xi, eta, zeta)
+    block = _block_part(ablock @ bblock, g)
+    _check_nonsingular(block)
+    return block, xi, eta, zeta
+
+
 def big_mul(a: BigComplexGroupElement, b: BigComplexGroupElement) -> BigComplexGroupElement:
     """Product in SL(2g,C) x H_C with (xi~, eta~) = (xi, eta) block(b)."""
     if (a.g, a.h) != (b.g, b.h):
         raise DimensionError("dimension mismatch in big group product")
-    g = a.g
-    pp, qp = b.block[..., :g, :g], b.block[..., :g, g:]
-    rp, sp = b.block[..., g:, :g], b.block[..., g:, g:]
-    xit = a.hc.xi @ pp + a.hc.eta @ rp
-    ett = a.hc.xi @ qp + a.hc.eta @ sp
-    zeta = a.hc.zeta + b.hc.zeta + xit @ b.hc.eta.mT - ett @ b.hc.xi.mT
-    hc = ComplexHeisenbergElement(xit + b.hc.xi, ett + b.hc.eta, zeta)
-    return BigComplexGroupElement(a.block @ b.block, hc)
+    return _big_element(*_big_product((a.block, a.hc.xi, a.hc.eta, a.hc.zeta),
+                                      (b.block, b.hc.xi, b.hc.eta, b.hc.zeta)))
 
 
 def embed_gstarj(a: GStarJacobiElement) -> BigComplexGroupElement:
     """Forget the constraints: view a G_* Jacobi element inside SL(2g,C) x H_C."""
     return BigComplexGroupElement(a.gs.block(), a.hc, validate=False)
+
+
+def _embedded(a: GStarJacobiElement) -> tuple:
+    """The (block, xi, eta, zeta) arrays of embed_gstarj(a), with its check."""
+    return _block_part(a.gs.block(), a.g), a.hc.xi, a.hc.eta, a.hc.zeta
 
 
 def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement) -> GStarJacobiElement:
@@ -385,14 +434,14 @@ def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement) -> GStarJacobiEleme
     """
     _check_gh(a, b)
     g = a.g
-    prod = big_mul(embed_gstarj(a), embed_gstarj(b))
-    p, q = prod.block[..., :g, :g], prod.block[..., :g, g:]
-    lower = prod.block[..., g:, :]
+    block, xi, eta, zeta = _big_product(_embedded(a), _embedded(b))
+    p, q = block[..., :g, :g], block[..., :g, g:]
     upper_conj = np.concatenate([q.conj(), p.conj()], axis=-1)
-    _ensure(rel_error(lower, upper_conj) <= ALGEBRAIC_REL, ConsistencyError,
+    _ensure(_rel(block[..., g:, :], upper_conj) <= ALGEBRAIC_REL, ConsistencyError,
             "product left the (P, Q; conj Q, conj P) block form")
     try:
-        return GStarJacobiElement(GStarElement(p, q), prod.hc)
+        return GStarJacobiElement(GStarElement(p, q),
+                                  ComplexHeisenbergElement(xi, eta, zeta, validate=False))
     except DomainError as exc:
         raise ConsistencyError(f"product violates closure: {exc}") from exc
 

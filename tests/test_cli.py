@@ -178,13 +178,28 @@ def test_exit_code_domain_violation(capsys):
     assert code == 3 and "domain error" in err
 
 
-# W conj(W) overflows on purpose; numpy warns as it does.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cayley_of_a_huge_finite_point_names_the_disk_condition(capsys):
+    # W conj(W) overflows on purpose; main runs the command without numpy's warnings
     code, out, err = run_cli(capsys, "transform", "--map", "cayley",
                              "--input", '{"w": [[[1e-320, 1e308]]]}')
     assert code == 3 and out == ""
     assert "I - W conj(W) is not positive definite" in err and "must be finite" not in err
+
+
+def test_an_overflow_inside_a_check_prints_only_the_error_line():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sjkit
+
+    env = dict(os.environ, PYTHONPATH=str(Path(sjkit.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-m", "sjkit", "transform", "--map", "cayley",
+                        "--input", '{"w": [[[1e-320, 1e308]]]}'],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 3 and r.stdout == ""
+    assert r.stderr == "sjkit: domain error: I - W conj(W) is not positive definite\n"
 
 
 def test_jfactor_power_that_overflows_is_a_domain_error(capsys):

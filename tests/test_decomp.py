@@ -12,9 +12,10 @@ from sjkit.groups import (
     ComplexHeisenbergElement,
     GStarElement,
     GStarJacobiElement,
+    gstarj_mul,
     sample_element,
 )
-from sjkit import decomp, suites
+from sjkit import decomp, groups, suites
 from sjkit.automorphy import IndexMatrix, Representation, j_factor
 from sjkit.numkit import ConsistencyError, DomainError, rel_error
 from sjkit.spaces import (
@@ -257,3 +258,105 @@ def test_decompose_full_checks_membership_and_reconstruction(monkeypatch):
     with pytest.raises(ConsistencyError):
         decompose_full(a, p)
     assert component_residuals(a, p)["reconstruction"] > 1e-9
+
+
+def _part(factors, field):
+    return getattr(factors.hc if field in ("pplus_w", "k_p", "k_lower", "pminus_w") else factors,
+                   field)
+
+
+def _corrupt(factors, field, value):
+    from dataclasses import replace
+
+    if field in ("pplus_w", "k_p", "k_lower", "pminus_w"):
+        return replace(factors, hc=replace(factors.hc, **{field: value}))
+    return replace(factors, **{field: value})
+
+
+# The errors the factor and product holders raised: pplus_eta * 1e300
+# overflows inside the symmetry check on purpose.
+CORRUPTIONS = [
+    ("kappa_star", lambda x: np.full_like(x, np.nan), "zeta: entries must be finite (no NaN/Inf)"),
+    ("k_lower", np.zeros_like, "block matrix is singular"),
+    ("pplus_eta", lambda x: x * 1e300, "zeta + eta t(xi) is not symmetric"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("field,bad,message", CORRUPTIONS)
+def test_reconstruction_of_corrupted_factors_raises_the_holder_errors(g, h, field, bad, message):
+    a = sample_element("gstarj", g, h, seed=5)
+    p = sample_point("disk_jacobi", g, h, seed=6)
+    factors = decompose_full(a, p)
+    with pytest.raises(DomainError) as err:
+        decomp.reconstruction_residual(a, p, _corrupt(factors, field, bad(_part(factors, field))))
+    assert str(err.value) == message
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field,bad,message", CORRUPTIONS)
+def test_reconstruction_of_a_batch_names_its_corrupted_slice(field, bad, message):
+    seeds = list(range(7))
+    a = sample_element("gstarj", 2, 1, seed=seeds)
+    p = sample_point("disk_jacobi", 2, 1, seed=[s + 1 for s in seeds])
+    factors = decompose_full(a, p)
+    part = _part(factors, field).copy()
+    part[3] = bad(part[3])
+    with pytest.raises(DomainError) as err:
+        decomp.reconstruction_residual(a, p, _corrupt(factors, field, part))
+    assert str(err.value) == message + " (slice 3)"
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+def test_reconstruction_of_a_shifted_factor_is_a_residual(g, h):
+    a = sample_element("gstarj", g, h, seed=5)
+    p = sample_point("disk_jacobi", g, h, seed=6)
+    factors = decompose_full(a, p)
+    shifted = _corrupt(factors, "pminus_xi", factors.pminus_xi + 1e-3)
+    assert decomp.reconstruction_residual(a, p, shifted) > 1e-9
+
+
+def _holder_reconstruction(a, p, factors):
+    """reconstruction_residual through BigComplexGroupElement holders."""
+    up, mid, low = factors.factors(p.h)
+    rebuilt = groups.big_mul(groups.big_mul(up, mid), low)
+    target = groups.big_mul(groups.embed_gstarj(a), decomp.embed_disk_jacobi_point(p))
+    return np.max([rel_error(rebuilt.block, target.block), rel_error(rebuilt.hc.xi, target.hc.xi),
+                   rel_error(rebuilt.hc.eta, target.hc.eta),
+                   rel_error(rebuilt.hc.zeta, target.hc.zeta)], axis=0)
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2), (4, 3)])
+@pytest.mark.parametrize("seed", [0, list(range(20, 27))])
+def test_array_products_match_the_holder_path_bit_for_bit(g, h, seed):
+    other = 40 if np.ndim(seed) == 0 else [s + 20 for s in seed]
+    a = sample_element("gstarj", g, h, seed=seed)
+    b = sample_element("gstarj", g, h, seed=other)
+    p = sample_point("disk_jacobi", g, h, seed=other)
+    factors = decompose_full(a, p)
+    res = decomp.reconstruction_residual(a, p, factors)
+    assert np.all(res == _holder_reconstruction(a, p, factors)) and np.shape(res) == np.shape(seed)
+    # a shifted factor leaves a residual that must agree as well
+    shifted = _corrupt(factors, "pminus_xi", factors.pminus_xi + 1e-3)
+    assert np.all(decomp.reconstruction_residual(a, p, shifted)
+                  == _holder_reconstruction(a, p, shifted))
+    prod = gstarj_mul(a, b)
+    ref = groups.big_mul(groups.embed_gstarj(a), groups.embed_gstarj(b))
+    assert np.all(prod.gs.p == ref.block[..., :g, :g]) and np.all(prod.gs.q == ref.block[..., :g, g:])
+    for part in ("xi", "eta", "zeta"):
+        assert np.all(getattr(prod.hc, part) == getattr(ref.hc, part))
+
+
+def test_decompose_full_builds_no_big_group_holders(monkeypatch):
+    a = sample_element("gstarj", 2, 2, seed=1)
+    p = sample_point("disk_jacobi", 2, 2, seed=2)
+    built = []
+    for cls in (groups.BigComplexGroupElement, ComplexHeisenbergElement):
+        inner = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, inner=inner, **kw:
+                            built.append(type(self).__name__) or inner(self, *args, **kw))
+    decompose_full(a, p)
+    assert built == []
+    decomp.embed_disk_jacobi_point(p)  # the counter counts
+    assert built == ["ComplexHeisenbergElement", "BigComplexGroupElement"]
