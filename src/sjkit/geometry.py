@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import _draws, _rngs
+from .groups import _blocks, _uniforms
 from .numkit import (
     ALGEBRAIC_REL,
     ConsistencyError,
@@ -361,13 +361,15 @@ def pushforward(map_fn: Callable, p, v: TangentVector) -> TangentVector:
 
 
 def sample_tangent(g: int, h: int | None = None, seed=0) -> TangentVector:
-    """Random tangent vector, deterministic in seed; fiber part iff h given.  A
-    sequence of seeds gives one holder of their batch, as sample_point does."""
-    # the real and the imaginary part of the fiber, then of the base
-    shapes = ([(h, g)] * 2 if h is not None else []) + [(g, g)] * 2
-    x = _draws(_rngs(seed, 20), lambda r: [r.uniform(-1.0, 1.0, shape) for shape in shapes])
-    s = x[-2] + 1j * x[-1]
-    return TangentVector((s + s.mT) / 2, None if h is None else x[0] + 1j * x[1])
+    """Random tangent vector, deterministic in seed; fiber part iff h given.
+    The seed is a non-negative int, whose vector is built from the numbers of
+    the counter-based (seed, 20) stream; a sequence of seeds gives one holder
+    of their batch, as sample_point does."""
+    # the real and the imaginary part of the base, then of the fiber
+    shapes = [(g, g)] * 2 + ([(h, g)] * 2 if h is not None else [])
+    x = _blocks(_uniforms(seed, 20, sum(r * c for r, c in shapes)), shapes, 1.0)
+    s = x[0] + 1j * x[1]
+    return TangentVector((s + s.mT) / 2, None if h is None else x[2] + 1j * x[3])
 
 
 def _coordinate_dirs(p) -> tuple[TangentVector, ...]:

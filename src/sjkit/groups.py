@@ -11,8 +11,7 @@ batch, and every law acts slice by slice.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import itemgetter
+from math import prod
 
 import numpy as np
 
@@ -525,26 +524,61 @@ def tstar_agreement_residual(a: JacobiElement) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling from counter-based streams (Salmon et al., SC'11): number i of the
+# (seed, kind tag) stream is the SplitMix64 mix of key + (i + 1) gamma (Steele,
+# Lea & Flood, OOPSLA'14) as a 53-bit float in [0, 1), so a sampler draws all
+# its seeds' numbers in one vectorized pass and reads each part at an offset.
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
+_MASK, _GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15
 
 
-def _rngs(seed, tag: int):
-    """The generator of seed's stream for tag or, for a sequence of seeds, a
-    list of them: each seed draws from the stream it has alone."""
-    if isinstance(seed, (int, np.integer)) or np.ndim(seed) == 0:
-        return _rng([int(seed), tag])
-    if np.ndim(seed) != 1 or not len(seed):
+def _mix(z):
+    """SplitMix64's finalizer of an int below 2**64 or of a (wrapping) uint64 array."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    return z ^ z >> 31
+
+
+def _seed(s) -> int:
+    """s as an int, if it is a non-negative integer and not a bool."""
+    if isinstance(s, (bool, np.bool_)) or not isinstance(s, (int, np.integer)) or s < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {s!r}")
+    return int(s)
+
+
+def _key(seed, tag: int) -> int:
+    """The seed's low 64 bits plus a mix of the tag and its higher words, mixed."""
+    s = _seed(seed)
+    z, high = _mix(tag * _GAMMA & _MASK), s >> 64
+    while high:
+        z, high = _mix(z ^ high & _MASK), high >> 64
+    return _mix((s & _MASK) + z & _MASK)
+
+
+def _uniforms(seed, tag: int, n: int, start: int = 0) -> np.ndarray:
+    """Numbers start, ..., start + n - 1 of the (seed, tag) stream: shape (n,)
+    for an int seed, (len(seed), n) for a sequence of seeds, a row per seed."""
+    # dtype=object keeps a ragged nesting 1-d, its sequences then rejected one by one
+    seeds = None if isinstance(seed, (int, np.integer)) else np.asarray(seed, dtype=object)
+    if seeds is None or seeds.ndim == 0:
+        key = _key(seed if seeds is None else seeds.item(), tag)
+    elif seeds.ndim != 1 or not len(seeds):
         raise DimensionError("seed must be an int or a non-empty sequence of ints")
-    return [_rng([int(s), tag]) for s in seed]
+    else:
+        key = np.array([_key(s, tag) for s in seeds], dtype=np.uint64)[:, None]
+    z = _mix(np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GAMMA + key)
+    return (z >> 11) * 2.0 ** -53
 
 
-def _draws(rng, draw) -> list:
-    """draw(rng), or for a list of generators each drawn array stacked over them."""
-    return [np.array(x) for x in zip(*map(draw, rng))] if isinstance(rng, list) else draw(rng)
+def _blocks(u: np.ndarray, shapes, scale: float) -> list:
+    """Consecutive row-major blocks of the numbers u (..., n) as uniforms on
+    (-scale, scale), -scale + 2 scale u."""
+    x, at, out = 2 * scale * u - scale, 0, []
+    for shape in shapes:
+        out.append(x[..., at:at + prod(shape)].reshape(u.shape[:-1] + shape))
+        at += prod(shape)
+    return out
 
 
 def _sym(s: np.ndarray) -> np.ndarray:
@@ -557,46 +591,38 @@ def _generator_bases(g: int) -> np.ndarray:
     return np.stack([_eye(2 * g), _eye(2 * g), 0 * _eye(2 * g), _j(g).real])
 
 
-def _sample_symplectic(rng, g: int, scale: float) -> SymplecticMatrix:
+def _sample_symplectic(u: np.ndarray, g: int, scale: float) -> SymplecticMatrix:
     """A product of 4 to 8 elementary generators (which keeps condition numbers
-    moderate), one per generator of a list.  The words are drawn one by one,
-    their generators built at once; step k multiplies only the words longer
+    moderate) for each row of numbers u: u[0] sets the word's length, u[1 + k]
+    the kind of its step k and u[9 + k g^2:] that step's g x g block.  Every
+    step's generator is built at once; step k multiplies only the words longer
     than k, as padding by I could flip the sign of a zero."""
-    rngs = rng if isinstance(rng, list) else [rng]
-    lens, steps = [], []
-    for r in rngs:
-        lens.append(int(r.integers(4, 9)))
-        for k in range(lens[-1]):
-            kind = int(r.integers(0, 4))
-            steps.append((k, kind, r.uniform(-scale, scale, (g, g)) if kind < 3 else None))
-    steps.sort(key=itemgetter(0))  # stable: step k of every word longer than k in one block
-    kinds, bases = [st[1] for st in steps], _generator_bases(g)
+    rows = u.reshape(-1, u.shape[-1])
+    steps = (np.arange(8) < 4 + (5 * rows[:, :1]).astype(int)).T  # step k of word w runs
+    kinds = (4 * rows[:, 1:9]).astype(int).T[steps]  # step-major, as the product runs
+    drawn = _blocks(rows[:, 9:], [(8, g, g)], scale)[0].swapaxes(0, 1)[steps]
+    bases = _generator_bases(g)
     gens = bases[kinds]
-    for kind in (k for k in range(3) if k in kinds):
-        at = [t for t, k in enumerate(kinds) if k == kind]
-        u = np.array([steps[t][2] for t in at])
+    for kind in {0, 1, 2} & set(kinds.tolist()):
+        at = kinds == kind
         if kind < 2:  # [[I, S], [0, I]] or [[I, 0], [S, I]]
-            gens[at, kind * g:(kind + 1) * g, (1 - kind) * g:(2 - kind) * g] = _sym(u)
+            gens[at, kind * g:(kind + 1) * g, (1 - kind) * g:(2 - kind) * g] = _sym(drawn[at])
         else:  # A = I + R with |R|_2 < 1 so the block stays well conditioned
-            a = bases[0, :g, :g] + u / max(1, g)
+            a = bases[0, :g, :g] + drawn[at] / max(1, g)
             gens[at, :g, :g], gens[at, g:, g:] = a, np.linalg.inv(a).mT
-    m, t, ends = np.repeat(bases[:1], len(lens), axis=0), 0, sorted(lens)
-    for k in range(ends[-1]):
-        n = len(ends) - bisect_right(ends, k)  # the words longer than k
+    m, t = np.repeat(bases[:1], len(rows), axis=0), 0
+    for running, n in zip(steps, steps.sum(axis=1).tolist()):
         step, t = gens[t:t + n], t + n
-        if n == len(lens):
+        if n == len(rows):
             m = m @ step
-        else:
-            idx = [i for i, w in enumerate(lens) if w > k]
-            m[idx] = m[idx] @ step
-    return SymplecticMatrix(m if isinstance(rng, list) else m[0])
+        elif n:
+            m[running] = m[running] @ step
+    return SymplecticMatrix(m.reshape(u.shape[:-1] + m.shape[-2:]))
 
 
-def _sample_heisenberg(rng, g: int, h: int, scale: float) -> HeisenbergElement:
-    """A Heisenberg element, one per generator of a list."""
-    lam, mu, s = _draws(rng, lambda r: (r.uniform(-scale, scale, (h, g)),
-                                        r.uniform(-scale, scale, (h, g)),
-                                        r.uniform(-scale, scale, (h, h))))
+def _sample_heisenberg(u: np.ndarray, g: int, h: int, scale: float) -> HeisenbergElement:
+    """A Heisenberg element for each row of numbers u: lam, mu, then S."""
+    lam, mu, s = _blocks(u, [(h, g), (h, g), (h, h)], scale)
     # kappa = S - mu t(lam) + (mu t(lam) + lam t(mu))/2 makes
     # kappa + mu t(lam) = S + sym part, symmetric by construction.
     ml = mu @ lam.mT
@@ -606,10 +632,13 @@ def _sample_heisenberg(rng, g: int, h: int, scale: float) -> HeisenbergElement:
 def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     """Draw a random element of the requested group, deterministic in seed.
 
-    kind is one of sp, heisenberg, jacobi, gstar, gstarj, kstarj.  A sequence
-    of seeds gives one holder of their batch, built and validated in one pass,
-    each slice with the bits of its seed's element.  The kinds built on a
-    symplectic word take scale <= 1: above it the words' generators lose
+    kind is one of sp, heisenberg, jacobi, gstar, gstarj, kstarj.  The seed
+    is a non-negative int; its element is built from the numbers of the
+    counter-based (seed, kind tag) stream at fixed offsets: a symplectic
+    word's length, generator kinds and blocks, then the Heisenberg part.  A
+    sequence of seeds gives one holder of their batch, built and validated in
+    one pass, each slice with the bits of its seed's element.  The kinds built
+    on a symplectic word take scale <= 1: above it the words' generators lose
     their conditioning and the product fails its own validation.
     """
     if kind not in _KIND_TAG:
@@ -620,19 +649,23 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
         raise DomainError("scale must be positive")
     if kind in ("sp", "gstar", "jacobi", "gstarj") and scale > 1:
         raise DomainError(f"scale must be at most 1 for kind {kind!r}, got {scale}")
-    rng = _rngs(seed, _KIND_TAG[kind])
+    word, heis, tag = 9 + 8 * g * g, 2 * h * g + h * h, _KIND_TAG[kind]
     if kind in ("sp", "gstar"):
-        m = _sample_symplectic(rng, g, scale)
+        m = _sample_symplectic(_uniforms(seed, tag, word), g, scale)
         return m if kind == "sp" else conjugate_by_T(m)
     if kind == "heisenberg":
-        return _sample_heisenberg(rng, g, h, scale)
+        return _sample_heisenberg(_uniforms(seed, tag, heis), g, h, scale)
     if kind in ("jacobi", "gstarj"):
-        a = JacobiElement(_sample_symplectic(rng, g, scale), _sample_heisenberg(rng, g, h, scale))
+        u = _uniforms(seed, tag, word + heis)
+        a = JacobiElement(_sample_symplectic(u, g, scale),
+                          _sample_heisenberg(u[..., word:], g, h, scale))
         return a if kind == "jacobi" else theta(a)
     if kind == "kstarj":  # a unitary P from the QR of a complex Gaussian, phases fixed
-        re, im, kap = _draws(rng, lambda r: (r.normal(size=(g, g)), r.normal(size=(g, g)),
-                                             r.uniform(-scale, scale, (h, h))))
-        q, r = np.linalg.qr(re + 1j * im)
+        u, n = _uniforms(seed, tag, 2 * g * g + h * h), g * g
+        # Box-Muller: numbers k and n + k give the real and imaginary part of a Gaussian
+        z = np.sqrt(-2 * np.log1p(-u[..., :n])) * np.exp(2j * np.pi * u[..., n:2 * n])
+        (kap,) = _blocks(u[..., 2 * n:], [(h, h)], scale)
+        q, r = np.linalg.qr(z.reshape(u.shape[:-1] + (g, g)))
         d = np.diagonal(r, axis1=-2, axis2=-1)[..., None, :]
         z = np.zeros(q.shape[:-2] + (h, g), dtype=complex)
         return GStarJacobiElement(GStarElement(q * (d / np.abs(d)), np.zeros(q.shape)),

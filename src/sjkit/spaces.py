@@ -30,9 +30,9 @@ from .groups import (
     GStarJacobiElement,
     JacobiElement,
     SymplecticMatrix,
-    _draws,
-    _rngs,
+    _blocks,
     _sym,
+    _uniforms,
     theta,
 )
 from .numkit import (
@@ -433,19 +433,20 @@ def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
     """Draw a random point of the requested domain, deterministic in seed.
 
     kind is one of siegel, disk, siegel_jacobi, disk_jacobi.  Disk bases are
-    scaled to spectral norm < 0.9; Siegel bases get Im >= 0.1 I.  A sequence
-    of seeds gives one holder of their batch, built and validated in one
-    pass, each slice with the bits of its seed's point.
+    scaled to spectral norm < 0.9; Siegel bases get Im >= 0.1 I.  The seed is
+    a non-negative int; its point is built from the numbers of the
+    counter-based (seed, kind tag) stream, as sample_element's are.  A
+    sequence of seeds gives one holder of their batch, built and validated
+    in one pass, each slice with the bits of its seed's point.
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown point kind: {kind!r}")
     if g < 1 or h < 1:
         raise DimensionError("g and h must be >= 1")
-    # two g x g draws for the base (Siegel: R, then Re omega; disk: Re W, then
-    # Im W), then the real and the imaginary part of the fiber
+    # two g x g blocks for the base (Siegel: R, then Re omega; disk: Re W,
+    # then Im W), then the real and the imaginary part of the fiber
     shapes = [(g, g)] * 2 + ([(h, g)] * 2 if kind.endswith("jacobi") else [])
-    x = _draws(_rngs(seed, _KIND_TAG[kind]),
-               lambda r: [r.uniform(-scale, scale, shape) for shape in shapes])
+    x = _blocks(_uniforms(seed, _KIND_TAG[kind], sum(r * c for r, c in shapes)), shapes, scale)
     if kind.startswith("siegel"):
         base = SiegelPoint(_sym(x[1]) + 1j * (x[0].mT @ x[0] + 0.1 * _eye(g)))
     else:

@@ -7,10 +7,10 @@ produce byte-identical reports.
 
 Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  A
 chunk's samples of each kind come from one sampler call on its list of
-seeds: every seed draws from its own stream as it would alone, and the
-construction and validation of the samples run once for the chunk.  The
-chunk is then evaluated in one pass, and each residual has the bits of its
-trial drawn and evaluated alone.  A chunk that raises an SjkError is
+seeds: each seed's counter-based stream gives the numbers it gives alone,
+and the samples are built and validated once for the chunk.  The chunk is
+then evaluated in one pass, and each residual has the bits of its trial
+drawn and evaluated alone.  A chunk that raises an SjkError is
 evaluated again one trial at a time, so a trial that raises is recorded as a
 failure with its error and the run goes on.  laplacian-invariance, whose
 test field depends on the seed, runs in chunks of one trial, each Laplacian
@@ -49,6 +49,7 @@ from .groups import (
     GStarJacobiElement,
     HeisenbergElement,
     JacobiElement,
+    _seed,
     conjugate_by_T,
     embed_sp_gph,
     gstarj_inv,
@@ -308,7 +309,7 @@ def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 
-    seeds = [trial_seed(seed, i) for i in range(trials)]
+    seeds = [trial_seed(_seed(seed), i) for i in range(trials)]
     results = list(suite_fn(g, h, seeds))
     errors = [r if isinstance(r, SjkError) else None for r in results]
     residuals = np.array([np.nan if e else r for r, e in zip(results, errors)], dtype=float)

@@ -34,7 +34,7 @@ from sjkit.geometry import (
     sample_tangent,
     volume_density,
 )
-from sjkit.groups import SymplecticMatrix, _rng, sample_element
+from sjkit.groups import SymplecticMatrix, _uniforms, sample_element
 from sjkit.numkit import (
     ConditioningError,
     DimensionError,
@@ -236,6 +236,7 @@ def test_python_m_sjkit_runs_the_cli():
 
 ELEMENT_KINDS = ["sp", "heisenberg", "jacobi", "gstar", "gstarj", "kstarj"]
 POINT_KINDS = ["siegel", "disk", "siegel_jacobi", "disk_jacobi"]
+TANGENT_KINDS = ["tangent", "tangent_jacobi"]
 SAMPLE_SHAPES = [(1, 1), (2, 1), (3, 2), (4, 3)]
 
 
@@ -253,29 +254,26 @@ def _sampler(kind):
 
 
 def _word(kind: str, seed: int, g: int) -> list[int]:
-    """The generator kinds of a seed's symplectic word, replayed from its
-    stream the way the sampler draws it."""
-    rng = _rng([seed, groups._KIND_TAG[kind]])
-    word = []
-    for _ in range(int(rng.integers(4, 9))):
-        word.append(int(rng.integers(0, 4)))
-        if word[-1] < 3:
-            rng.uniform(-0.8, 0.8, (g, g))
-    return word
+    """The generator kinds of a seed's symplectic word, read from its stream
+    the way the sampler reads them: u[0] sets the length, u[1 + k] the kind
+    of step k (the blocks that follow do not move them, whatever g is)."""
+    u = _uniforms(seed, groups._KIND_TAG[kind], 9 + 8 * g * g)
+    return [int(4 * x) for x in u[1:5 + int(5 * u[0])]]
 
 
 @pytest.mark.parametrize("g,h", SAMPLE_SHAPES)
-@pytest.mark.parametrize("kind", ELEMENT_KINDS + POINT_KINDS)
+@pytest.mark.parametrize("kind", ELEMENT_KINDS + POINT_KINDS + TANGENT_KINDS)
 def test_a_batched_draw_is_the_draws_of_its_seeds_stacked(kind, g, h):
     chunks = [[41], list(range(40)), [trial_seed(9, i) for i in range(suites._CHUNK + 6)]]
     for seeds in chunks:
-        batch = _sampler(kind)(kind, g, h, seeds)
-        alone = [_sampler(kind)(kind, g, h, s) for s in seeds]
+        batch = suites._sample(kind, g, h, seeds)
+        alone = [suites._sample(kind, g, h, s) for s in seeds]
         assert (batch.g, getattr(batch, "h", h)) == (g, h)
         for got, *want in zip(_arrays(batch), *map(_arrays, alone), strict=True):
             assert got.shape == (len(seeds),) + want[0].shape and want[0].ndim == 2
             assert got.tobytes() == np.stack(want).tobytes()
-            assert not got.flags.writeable
+            if kind not in TANGENT_KINDS:  # a tangent vector does not freeze its arrays
+                assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -288,14 +286,14 @@ def test_the_forty_seed_chunk_has_words_of_every_length_and_generator(kind, g):
 
 
 def test_a_scale_point_eight_draw_keeps_its_bits():
-    # the sha256 these draws had before scale was bounded
+    # the sha256 of these draws from the counter-based streams
     digest = hashlib.sha256()
     for kind in ("sp", "gstar", "jacobi", "gstarj"):
         for g, h in [(1, 1), (2, 1), (4, 3)]:
             for seed in range(5):
                 for a in _arrays(sample_element(kind, g, h, seed, scale=0.8)):
                     digest.update(a.tobytes())
-    assert digest.hexdigest() == "cb6de2c60e3829133fb08b1a2e783ec89cdf886d7027289115c92c23f5753fd5"
+    assert digest.hexdigest() == "20aa578e0b3aefeba39efdd132f4e634c3e5128a880396e93aaa94d20d9ac142"
 
 
 @pytest.mark.parametrize("seed", [[], [[1, 2]], np.zeros((2, 2), dtype=int)])

@@ -43,6 +43,8 @@ def test_reports_keep_their_golden_bits():
     golden = json.loads(GOLDEN.read_text())
     got = reports()
     assert sorted(got) == sorted(golden)
+    # a regeneration must not pin a failing report
+    assert all(want["report"]["passed"] for want in golden.values())
     for key, want in golden.items():
         assert got[key] == want, key
 

@@ -343,22 +343,22 @@ def test_symplectic_j_and_cayley_matrix_match_np_block_forms():
         assert _bytes(cayley_matrix(g)) == _bytes(want)
 
 
-def _np_block_sample_symplectic(rng, g, scale):
-    """_sample_symplectic as written with np.block, kept as the reference."""
+def _np_block_sample_symplectic(u, g, scale):
+    """_sample_symplectic as written with np.block, kept as the reference: u[0]
+    sets the length, u[1 + k] the kind of step k and u[9 + k g^2:] its block."""
     j = np.real(np.block([[np.zeros((g, g)), np.eye(g)], [-np.eye(g), np.zeros((g, g))]]))
     m = np.eye(2 * g)
-    for _ in range(int(rng.integers(4, 9))):
-        kind = int(rng.integers(0, 4))
+    for k in range(4 + int(5 * u[0])):
+        kind = int(4 * u[1 + k])
+        block = -scale + 2 * scale * u[9 + k * g * g:9 + (k + 1) * g * g].reshape(g, g)
         if kind == 0:
-            b = rng.uniform(-scale, scale, (g, g))
-            b = (b + b.T) / 2
+            b = (block + block.T) / 2
             gen = np.block([[np.eye(g), b], [np.zeros((g, g)), np.eye(g)]])
         elif kind == 1:
-            c = rng.uniform(-scale, scale, (g, g))
-            c = (c + c.T) / 2
+            c = (block + block.T) / 2
             gen = np.block([[np.eye(g), np.zeros((g, g))], [c, np.eye(g)]])
         elif kind == 2:
-            a = np.eye(g) + rng.uniform(-scale, scale, (g, g)) / max(1, g)
+            a = np.eye(g) + block / max(1, g)
             gen = np.block([[a, np.zeros((g, g))], [np.zeros((g, g)), np.linalg.inv(a).T]])
         else:
             gen = j
@@ -368,19 +368,20 @@ def _np_block_sample_symplectic(rng, g, scale):
 
 @pytest.mark.parametrize("g,h", [(1, 1), (2, 2), (4, 3)])
 def test_sampled_elements_match_np_block_reference(g, h):
+    word, heis = 9 + 8 * g * g, 2 * h * g + h * h
     for seed in range(30):
-        rng = groups._rng([seed, groups._KIND_TAG["sp"]])
+        u = groups._uniforms(seed, groups._KIND_TAG["sp"], word)
         assert _bytes(sample_element("sp", g, h, seed=seed).m) == \
-            _bytes(_np_block_sample_symplectic(rng, g, 0.8).m)
-        rng = groups._rng([seed, groups._KIND_TAG["jacobi"]])
-        want = JacobiElement(_np_block_sample_symplectic(rng, g, 0.8),
-                             groups._sample_heisenberg(rng, g, h, 0.8))
+            _bytes(_np_block_sample_symplectic(u, g, 0.8).m)
+        u = groups._uniforms(seed, groups._KIND_TAG["jacobi"], word + heis)
+        want = JacobiElement(_np_block_sample_symplectic(u, g, 0.8),
+                             groups._sample_heisenberg(u[word:], g, h, 0.8))
         got = sample_element("jacobi", g, h, seed=seed)
         assert _bytes(got.m.m, got.hs.lam, got.hs.mu, got.hs.kappa) == \
             _bytes(want.m.m, want.hs.lam, want.hs.mu, want.hs.kappa)
-        rng = groups._rng([seed, groups._KIND_TAG["gstarj"]])
-        want = theta(JacobiElement(_np_block_sample_symplectic(rng, g, 0.8),
-                                   groups._sample_heisenberg(rng, g, h, 0.8)))
+        u = groups._uniforms(seed, groups._KIND_TAG["gstarj"], word + heis)
+        want = theta(JacobiElement(_np_block_sample_symplectic(u, g, 0.8),
+                                   groups._sample_heisenberg(u[word:], g, h, 0.8)))
         got = sample_element("gstarj", g, h, seed=seed)
         assert _bytes(got.gs.p, got.gs.q, got.hc.xi, got.hc.eta, got.hc.zeta) == \
             _bytes(want.gs.p, want.gs.q, want.hc.xi, want.hc.eta, want.hc.zeta)

@@ -29,7 +29,7 @@ def test_report_shape_and_pass_invariant():
 
 
 def test_failures_recorded_with_seeds():
-    r = run_suite("compat-29", 1, 1, trials=4, seed=7, tol=1e-30)
+    r = run_suite("compat-29", 2, 1, trials=4, seed=7, tol=1e-30)
     assert not r.passed
     assert len(r.failures) == 4
     assert all(set(f) == {"seed", "residual"} for f in r.failures)
@@ -99,18 +99,18 @@ def test_exact_differential_suites_pass_at_g_ne_h(name, g, h):
 
 
 def test_a_trial_that_raises_is_a_recorded_failure_and_the_run_goes_on(capsys):
-    # trial 25 of this run samples a point too near the boundary for the stencil
-    r = run_suite("laplacian-invariance", 1, 1, trials=30, seed=77)
+    # trial 8 of this run samples a point too near the boundary for the stencil
+    r = run_suite("laplacian-invariance", 1, 1, trials=30, seed=29)
     assert r.trials == 30 and not r.passed and np.isnan(r.max_residual)
     assert len(r.failures) == 1
     (failure,) = r.failures
-    assert failure["seed"] == trial_seed(77, 25) and np.isnan(failure["residual"])
+    assert failure["seed"] == trial_seed(29, 8) and np.isnan(failure["residual"])
     assert failure["error"] == ("DomainError: point is too close to the boundary "
                                 "for the difference stencil")
     assert main(["verify", "--suite", "laplacian-invariance", "--g", "1", "--h", "1",
-                 "--trials", "30", "--seed", "77"]) == 1
+                 "--trials", "30", "--seed", "29"]) == 1
     out = json.loads(capsys.readouterr().out, parse_constant=_reject)  # strict JSON: no NaN
-    assert out["failures"][0]["seed"] == trial_seed(77, 25)
+    assert out["failures"][0]["seed"] == trial_seed(29, 8)
     assert out["max_residual"] is None and out["failures"][0]["residual"] is None
 
 
