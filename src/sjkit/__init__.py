@@ -16,14 +16,12 @@ from .numkit import (
     rel_error,
 )
 from .groups import (
-    BigComplexGroupElement,
     ComplexHeisenbergElement,
     GStarElement,
     GStarJacobiElement,
     HeisenbergElement,
     JacobiElement,
     SymplecticMatrix,
-    big_mul,
     conjugate_by_T,
     embed_sp_gph,
     gstarj_inv,

@@ -10,8 +10,9 @@ The three components are read off one guarded denominator in one private
 core.  component_residuals returns the residuals of the identities they
 satisfy; kc_component, pminus_component and decompose_full return the
 components and raise when a residual exceeds the algebraic tolerance;
-hc_decompose_gstar is the same core at the origin.  All act on every slice
-of batched holders in one pass.
+hc_decompose_gstar is the same core at the origin; reconstruction_residual
+multiplies through the one product law, groups._big_product.  All act on
+every slice of batched holders in one pass.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (
-    BigComplexGroupElement,
     ComplexHeisenbergElement,
     GStarElement,
     GStarJacobiElement,
-    _big_element,
     _big_parts,
     _big_product,
     _embedded,
@@ -56,7 +55,6 @@ __all__ = [
     "decompose_full",
     "component_residuals",
     "reconstruction_residual",
-    "embed_disk_jacobi_point",
 ]
 
 
@@ -99,9 +97,6 @@ class JacobiHCFactors:
         heisenberg = [(zf, self.pplus_eta, zc), (zf, zf, self.kappa_star), (self.pminus_xi, zf, zc)]
         return [(b, *t) for b, t in zip(self.hc._blocks(), heisenberg)]
 
-    def factors(self, h: int) -> tuple[BigComplexGroupElement, ...]:
-        return tuple(_big_element(*parts) for parts in self._parts(h))
-
 
 def hc_decompose_gstar(gs: GStarElement) -> HCFactors:
     """Factor [[P, Q], [conj Q, conj P]] through the origin.
@@ -120,13 +115,8 @@ def hc_decompose_gstar(gs: GStarElement) -> HCFactors:
     return factors.hc
 
 
-def embed_disk_jacobi_point(p: DiskJacobiPoint) -> BigComplexGroupElement:
-    """Identify (W, eta) with ([[I, W], [0, I]], (0, eta; 0))."""
-    return _big_element(*_embedded_point(p))
-
-
 def _embedded_point(p: DiskJacobiPoint) -> tuple:
-    """The (block, xi, eta, zeta) arrays of embed_disk_jacobi_point(p), unchecked."""
+    """(W, eta) as (block, xi, eta, zeta) = ([[I, W], [0, I]], 0, eta, 0), unchecked."""
     g, h = p.g, p.h
     i = _eye(g)
     z = np.zeros((g, g))
@@ -224,9 +214,9 @@ def component_residuals(a: GStarJacobiElement, p: DiskJacobiPoint) -> dict:
 def reconstruction_residual(a: GStarJacobiElement, p: DiskJacobiPoint,
                             factors: JacobiHCFactors) -> float:
     """Relative residual of (up mid low) against a . (embedded point), the
-    largest over the block and the three Heisenberg parts.  The products run
-    through big_mul's kernel on plain arrays, after the checks the holders
-    of the factors and of the embedded point would make."""
+    largest over the block and the three Heisenberg parts.  Every factor and
+    product is checked as in _big_product: finite parts of conforming shapes,
+    then, for a product, zeta + eta t(xi) symmetric and a nonsingular block."""
     up, mid, low = (_big_parts(*parts) for parts in factors._parts(p.h))
     rebuilt = _big_product(_big_product(up, mid), low)
     target = _big_product(_embedded(a), _big_parts(*_embedded_point(p)))

@@ -1,12 +1,12 @@
 """Group elements and group laws.
 
 Covers the real symplectic group, the real and complexified Heisenberg
-groups, the Jacobi group and its bounded-model conjugate, the semidirect
-product SL(2g,C) x H_C, the Cayley conjugations, and seeded random sampling
-of all of them.  The conjugated blocks are always stored as the upper half
-(P, Q); the lower row (conj Q, conj P) is implied by the structure.
-Elements hold (..., r, c) arrays (see numkit), so one holder may carry a
-batch, and every law acts slice by slice.
+groups, the Jacobi group and its bounded-model conjugate, the product law of
+the ambient group SL(2g,C) x H_C on plain arrays, the Cayley conjugations,
+and seeded random sampling.  The conjugated blocks are always stored as the
+upper half (P, Q); the lower row (conj Q, conj P) is implied by the
+structure.  Elements hold (..., r, c) arrays (see numkit), so one holder may
+carry a batch, and every law acts slice by slice.
 """
 
 from __future__ import annotations
@@ -42,19 +42,16 @@ __all__ = [
     "GStarElement",
     "ComplexHeisenbergElement",
     "GStarJacobiElement",
-    "BigComplexGroupElement",
     "symplectic_j",
     "cayley_matrix",
     "heisenberg_mul",
     "jacobi_mul",
     "jacobi_inv",
-    "big_mul",
     "gstarj_mul",
     "gstarj_inv",
     "conjugate_by_T",
     "theta",
     "embed_sp_gph",
-    "embed_gstarj",
     "tstar_agreement_residual",
     "sample_element",
 ]
@@ -286,27 +283,6 @@ class GStarJacobiElement(Holder):
                    validate=False)
 
 
-class BigComplexGroupElement(Holder):
-    """An element (block, (xi, eta; zeta)) of SL(2g,C) x H_C (semidirect)."""
-
-    __slots__ = ("block", "hc", "g")
-
-    def __init__(self, block, hc: ComplexHeisenbergElement, *, validate: bool = True):
-        self.block = _freeze(_block_part(block, hc.g), block)
-        self.g = hc.g
-        self.hc = hc
-        if validate:
-            _check_nonsingular(self.block)
-
-    @property
-    def h(self) -> int:
-        return self.hc.h
-
-    @classmethod
-    def identity(cls, g: int, h: int) -> "BigComplexGroupElement":
-        return cls(np.eye(2 * g), ComplexHeisenbergElement.identity(g, h), validate=False)
-
-
 def _heisenberg_parts(xi, eta, zeta) -> tuple:
     """xi, eta, zeta as finite complex arrays of shapes (h, g), (h, g), (h, h)."""
     xi, eta, zeta = as_cmatrix(xi, "xi"), as_cmatrix(eta, "eta"), as_cmatrix(zeta, "zeta")
@@ -338,15 +314,9 @@ def _check_nonsingular(block) -> None:
     _ensure(abs(np.linalg.det(block)) >= 1e-300, DomainError, "block matrix is singular")
 
 
-def _big_element(block, xi, eta, zeta) -> BigComplexGroupElement:
-    """The unvalidated holder of (block, xi, eta, zeta) arrays."""
-    return BigComplexGroupElement(block, ComplexHeisenbergElement(xi, eta, zeta, validate=False),
-                                  validate=False)
-
-
 def _big_parts(block, xi, eta, zeta) -> tuple:
-    """The arrays _big_element(block, xi, eta, zeta) would hold, after the
-    checks it would make, without building it."""
+    """(block, xi, eta, zeta) as finite complex arrays of conforming shapes,
+    the first of _big_product's checks."""
     xi, eta, zeta = _heisenberg_parts(xi, eta, zeta)
     return _block_part(block, xi.shape[-1]), xi, eta, zeta
 
@@ -389,9 +359,9 @@ def jacobi_inv(a: JacobiElement) -> JacobiElement:
 
 
 def _big_product(a: tuple, b: tuple) -> tuple:
-    """The product law of big_mul on (block, xi, eta, zeta) arrays, with
-    the checks the validated holders of the product would make, in their
-    order: finite parts, zeta + eta t(xi) symmetric, a nonsingular block."""
+    """Product in SL(2g,C) x H_C of (block, xi, eta, zeta) arrays with (xi~,
+    eta~) = (xi, eta) block(b); checks, in order: finite parts of conforming
+    shapes, zeta + eta t(xi) symmetric, a nonsingular block."""
     ablock, axi, aeta, azeta = a
     bblock, bxi, beta, bzeta = b
     g = bblock.shape[-1] // 2
@@ -407,21 +377,8 @@ def _big_product(a: tuple, b: tuple) -> tuple:
     return block, xi, eta, zeta
 
 
-def big_mul(a: BigComplexGroupElement, b: BigComplexGroupElement) -> BigComplexGroupElement:
-    """Product in SL(2g,C) x H_C with (xi~, eta~) = (xi, eta) block(b)."""
-    if (a.g, a.h) != (b.g, b.h):
-        raise DimensionError("dimension mismatch in big group product")
-    return _big_element(*_big_product((a.block, a.hc.xi, a.hc.eta, a.hc.zeta),
-                                      (b.block, b.hc.xi, b.hc.eta, b.hc.zeta)))
-
-
-def embed_gstarj(a: GStarJacobiElement) -> BigComplexGroupElement:
-    """Forget the constraints: view a G_* Jacobi element inside SL(2g,C) x H_C."""
-    return BigComplexGroupElement(a.gs.block(), a.hc, validate=False)
-
-
 def _embedded(a: GStarJacobiElement) -> tuple:
-    """The (block, xi, eta, zeta) arrays of embed_gstarj(a), with its check."""
+    """a as (block, xi, eta, zeta) arrays of SL(2g,C) x H_C, constraints forgotten."""
     return _block_part(a.gs.block(), a.g), a.hc.xi, a.hc.eta, a.hc.zeta
 
 
@@ -571,6 +528,14 @@ def _uniforms(seed, tag: int, n: int, start: int = 0) -> np.ndarray:
     return (z >> 11) * 2.0 ** -53
 
 
+_SCALE_MAX = 1e50  # drawn entries reach scale, their norms scale**2: 1e100 overflows
+
+
+def _check_scale(scale) -> None:
+    if not 0 < scale <= _SCALE_MAX:  # NaN fails too
+        raise DomainError(f"scale must be in (0, _SCALE_MAX = {_SCALE_MAX:g}], got {scale}")
+
+
 def _blocks(u: np.ndarray, shapes, scale: float) -> list:
     """Consecutive row-major blocks of the numbers u (..., n) as uniforms on
     (-scale, scale), -scale + 2 scale u."""
@@ -637,16 +602,16 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     counter-based (seed, kind tag) stream at fixed offsets: a symplectic
     word's length, generator kinds and blocks, then the Heisenberg part.  A
     sequence of seeds gives one holder of their batch, built and validated in
-    one pass, each slice with the bits of its seed's element.  The kinds built
-    on a symplectic word take scale <= 1: above it the words' generators lose
-    their conditioning and the product fails its own validation.
+    one pass, each slice with the bits of its seed's element.  scale must lie
+    in (0, _SCALE_MAX]; the kinds built on a symplectic word take scale <= 1:
+    above it the words' generators lose their conditioning and the product
+    fails its own validation.
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown element kind: {kind!r}")
     if g < 1 or h < 1:
         raise DimensionError("g and h must be >= 1")
-    if not scale > 0:
-        raise DomainError("scale must be positive")
+    _check_scale(scale)
     if kind in ("sp", "gstar", "jacobi", "gstarj") and scale > 1:
         raise DomainError(f"scale must be at most 1 for kind {kind!r}, got {scale}")
     word, heis, tag = 9 + 8 * g * g, 2 * h * g + h * h, _KIND_TAG[kind]

@@ -31,6 +31,7 @@ from .groups import (
     JacobiElement,
     SymplecticMatrix,
     _blocks,
+    _check_scale,
     _sym,
     _uniforms,
     theta,
@@ -434,15 +435,16 @@ def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
 
     kind is one of siegel, disk, siegel_jacobi, disk_jacobi.  Disk bases are
     scaled to spectral norm < 0.9; Siegel bases get Im >= 0.1 I.  The seed is
-    a non-negative int; its point is built from the numbers of the
-    counter-based (seed, kind tag) stream, as sample_element's are.  A
-    sequence of seeds gives one holder of their batch, built and validated
-    in one pass, each slice with the bits of its seed's point.
+    a non-negative int and scale in (0, _SCALE_MAX], as for sample_element;
+    the point is built from the numbers of the counter-based (seed, kind tag)
+    stream.  A sequence of seeds gives one holder of their batch, built and
+    validated in one pass, each slice with the bits of its seed's point.
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown point kind: {kind!r}")
     if g < 1 or h < 1:
         raise DimensionError("g and h must be >= 1")
+    _check_scale(scale)
     # two g x g blocks for the base (Siegel: R, then Re omega; disk: Re W,
     # then Im W), then the real and the imaginary part of the fiber
     shapes = [(g, g)] * 2 + ([(h, g)] * 2 if kind.endswith("jacobi") else [])

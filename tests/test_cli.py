@@ -221,6 +221,11 @@ def test_sample_rejects_a_scale_above_one_for_symplectic_kinds(capsys):
     assert code == 3 and out == "" and "scale must be at most 1" in err
 
 
+def test_sample_rejects_a_nan_scale_as_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "sample", "--kind", "disk", "--scale", "nan")
+    assert code == 3 and out == "" and "_SCALE_MAX" in err
+
+
 def test_exit_code_conditioning(capsys):
     m = [[1e13, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1e-13, 0], [0, 0, 0, 1]]
     payload = json.dumps(

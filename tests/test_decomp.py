@@ -317,46 +317,80 @@ def test_reconstruction_of_a_shifted_factor_is_a_residual(g, h):
     assert decomp.reconstruction_residual(a, p, shifted) > 1e-9
 
 
-def _holder_reconstruction(a, p, factors):
-    """reconstruction_residual through BigComplexGroupElement holders."""
-    up, mid, low = factors.factors(p.h)
-    rebuilt = groups.big_mul(groups.big_mul(up, mid), low)
-    target = groups.big_mul(groups.embed_gstarj(a), decomp.embed_disk_jacobi_point(p))
-    return np.max([rel_error(rebuilt.block, target.block), rel_error(rebuilt.hc.xi, target.hc.xi),
-                   rel_error(rebuilt.hc.eta, target.hc.eta),
-                   rel_error(rebuilt.hc.zeta, target.hc.zeta)], axis=0)
+def _oracle(block, xi, eta, zeta):
+    """The 2(g+h) x 2(g+h) complex matrix E(block, xi, eta, zeta): embed_sp_gph's
+    block formula with (M, lam, mu, kappa) replaced by (block, xi, eta, zeta),
+    so that E(ab) = E(a) E(b) in SL(2g,C) x H_C for complex symplectic blocks."""
+    g, h = block.shape[-1] // 2, xi.shape[-2]
+    batch = np.broadcast_shapes(*(x.shape[:-2] for x in (block, xi, eta, zeta)))
+    a, b, c, d = block[..., :g, :g], block[..., :g, g:], block[..., g:, :g], block[..., g:, g:]
+
+    def full(x):
+        return np.broadcast_to(x, batch + x.shape[-2:])
+
+    def zero(r, c):
+        return np.zeros(batch + (r, c))
+
+    one = full(np.eye(h))
+    return np.block([[full(a), zero(g, h), full(b), full(a @ eta.mT - b @ xi.mT)],
+                     [full(xi), one, full(eta), full(zeta)],
+                     [full(c), zero(g, h), full(d), full(c @ eta.mT - d @ xi.mT)],
+                     [zero(h, g), zero(h, h), zero(h, g), one]])
+
+
+def _oracle_rel(x, y):
+    """Relative Frobenius residual |x - y| / |y| of each slice."""
+    return np.linalg.norm(x - y, axis=(-2, -1)) / np.linalg.norm(y, axis=(-2, -1))
+
+
+def _oracle_reconstruction(a, p, factors):
+    """reconstruction_residual through the oracle: E(up) E(mid) E(low) against
+    E(a) E(embedded point)."""
+    up, mid, low = (_oracle(*parts) for parts in factors._parts(p.h))
+    target = _oracle(*groups._embedded(a)) @ _oracle(*decomp._embedded_point(p))
+    return _oracle_rel(up @ mid @ low, target)
 
 
 @pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2), (4, 3)])
 @pytest.mark.parametrize("seed", [0, list(range(20, 27))])
 def test_array_products_match_the_holder_path_bit_for_bit(g, h, seed):
+    """_big_product, gstarj_mul and reconstruction_residual against the
+    independent 2(g+h) matrix oracle E."""
     other = 40 if np.ndim(seed) == 0 else [s + 20 for s in seed]
     a = sample_element("gstarj", g, h, seed=seed)
     b = sample_element("gstarj", g, h, seed=other)
     p = sample_point("disk_jacobi", g, h, seed=other)
+    ea, eb = _oracle(*groups._embedded(a)), _oracle(*groups._embedded(b))
+    kernel = groups._big_product(groups._embedded(a), groups._embedded(b))
+    assert np.all(_oracle_rel(_oracle(*kernel), ea @ eb) <= 1e-12)
     factors = decompose_full(a, p)
+    up, mid, low = (groups._big_parts(*parts) for parts in factors._parts(h))
+    rebuilt = groups._big_product(groups._big_product(up, mid), low)
+    assert np.all(_oracle_rel(_oracle(*rebuilt), _oracle(*up) @ _oracle(*mid) @ _oracle(*low))
+                  <= 1e-12)
     res = decomp.reconstruction_residual(a, p, factors)
-    assert np.all(res == _holder_reconstruction(a, p, factors)) and np.shape(res) == np.shape(seed)
-    # a shifted factor leaves a residual that must agree as well
+    assert np.shape(res) == np.shape(seed)
+    assert np.all(res <= 1e-12) and np.all(_oracle_reconstruction(a, p, factors) <= 1e-12)
+    # a shifted factor leaves a residual on both paths
     shifted = _corrupt(factors, "pminus_xi", factors.pminus_xi + 1e-3)
-    assert np.all(decomp.reconstruction_residual(a, p, shifted)
-                  == _holder_reconstruction(a, p, shifted))
-    prod = gstarj_mul(a, b)
-    ref = groups.big_mul(groups.embed_gstarj(a), groups.embed_gstarj(b))
-    assert np.all(prod.gs.p == ref.block[..., :g, :g]) and np.all(prod.gs.q == ref.block[..., :g, g:])
-    for part in ("xi", "eta", "zeta"):
-        assert np.all(getattr(prod.hc, part) == getattr(ref.hc, part))
+    assert np.all(decomp.reconstruction_residual(a, p, shifted) > 1e-9)
+    assert np.all(_oracle_reconstruction(a, p, shifted) > 1e-9)
+    # gstarj_mul's parts, read off E(a) E(b)
+    prod, ref, n = gstarj_mul(a, b), ea @ eb, g + h
+    for got, want in [(prod.gs.p, ref[..., :g, :g]), (prod.gs.q, ref[..., :g, n:n + g]),
+                      (prod.hc.xi, ref[..., g:n, :g]), (prod.hc.eta, ref[..., g:n, n:n + g]),
+                      (prod.hc.zeta, ref[..., g:n, n + g:])]:
+        assert np.all(_oracle_rel(got, want) <= 1e-12)
 
 
 def test_decompose_full_builds_no_big_group_holders(monkeypatch):
     a = sample_element("gstarj", 2, 2, seed=1)
     p = sample_point("disk_jacobi", 2, 2, seed=2)
     built = []
-    for cls in (groups.BigComplexGroupElement, ComplexHeisenbergElement):
-        inner = cls.__init__
-        monkeypatch.setattr(cls, "__init__", lambda self, *args, inner=inner, **kw:
-                            built.append(type(self).__name__) or inner(self, *args, **kw))
+    inner = ComplexHeisenbergElement.__init__
+    monkeypatch.setattr(ComplexHeisenbergElement, "__init__", lambda self, *args, **kw:
+                        built.append(type(self).__name__) or inner(self, *args, **kw))
     decompose_full(a, p)
     assert built == []
-    decomp.embed_disk_jacobi_point(p)  # the counter counts
-    assert built == ["ComplexHeisenbergElement", "BigComplexGroupElement"]
+    ComplexHeisenbergElement(p.eta, p.eta, np.zeros((2, 2)))  # the counter counts
+    assert built == ["ComplexHeisenbergElement"]

@@ -53,3 +53,15 @@ def test_tolerance_object_is_gone():
 
     for n in ("Tolerance", "DEFAULT_TOL"):
         assert not hasattr(sjkit, n) and not hasattr(sjkit.numkit, n)
+
+
+def test_big_group_holder_layer_is_gone():
+    import sjkit
+    import sjkit.decomp
+    import sjkit.groups
+
+    for n in ("BigComplexGroupElement", "big_mul", "embed_gstarj", "_big_element",
+              "embed_disk_jacobi_point"):
+        for mod in (sjkit, sjkit.groups, sjkit.decomp):
+            assert not hasattr(mod, n), f"{mod.__name__}.{n}"
+    assert not hasattr(sjkit.decomp.JacobiHCFactors, "factors")

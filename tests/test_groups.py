@@ -8,8 +8,6 @@ from sjkit.groups import (
     HeisenbergElement,
     JacobiElement,
     SymplecticMatrix,
-    big_mul,
-    BigComplexGroupElement,
     cayley_matrix,
     conjugate_by_T,
     embed_sp_gph,
@@ -24,7 +22,9 @@ from sjkit.groups import (
     tstar_agreement_residual,
 )
 from sjkit import groups
-from sjkit.numkit import DomainError, rel_error
+from sjkit.groups import _SCALE_MAX
+from sjkit.numkit import DomainError, Holder, rel_error
+from sjkit.spaces import sample_point
 
 
 def heis(lam, mu, kappa):
@@ -97,7 +97,7 @@ def test_embed_identity():
     np.testing.assert_allclose(embed_sp_gph(JacobiElement.identity(2, 2)), np.eye(8))
 
 
-def test_big_mul_identity_and_associativity():
+def test_big_product_identity_and_associativity():
     # at g = 1 the determinant-one condition makes the block preserve the
     # central pairing, which is what associativity of the ambient law needs
     rng = np.random.default_rng(5)
@@ -107,26 +107,27 @@ def test_big_mul_identity_and_associativity():
         xi = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
         eta = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
         zeta = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
-        return BigComplexGroupElement(blk, ComplexHeisenbergElement(xi, eta, zeta, validate=False))
-    e = BigComplexGroupElement.identity(1, 1)
+        return groups._big_parts(blk, xi, eta, zeta)
+    z = np.zeros((1, 1))
+    e = groups._big_parts(np.eye(2), z, z, z)
     for _ in range(20):
         a, b, c = rand_big(), rand_big(), rand_big()
-        ae = big_mul(a, e)
-        assert rel_error(ae.block, a.block) < 1e-12
-        assert rel_error(ae.hc.zeta, a.hc.zeta) < 1e-12
-        lhs = big_mul(big_mul(a, b), c)
-        rhs = big_mul(a, big_mul(b, c))
-        assert rel_error(lhs.block, rhs.block) < 1e-9
-        assert rel_error(lhs.hc.zeta, rhs.hc.zeta) < 1e-9
+        ae = groups._big_product(a, e)
+        assert rel_error(ae[0], a[0]) < 1e-12
+        assert rel_error(ae[3], a[3]) < 1e-12
+        lhs = groups._big_product(groups._big_product(a, b), c)
+        rhs = groups._big_product(a, groups._big_product(b, c))
+        assert rel_error(lhs[0], rhs[0]) < 1e-9
+        assert rel_error(lhs[3], rhs[3]) < 1e-9
 
 
-def test_big_mul_central_parts_add():
+def test_big_product_central_parts_add():
     z1 = np.array([[0.3 + 0.1j]])
     z2 = np.array([[-0.2 + 0.5j]])
     zf = np.zeros((1, 1), dtype=complex)
-    a = BigComplexGroupElement(np.eye(2), ComplexHeisenbergElement(zf, zf, z1))
-    b = BigComplexGroupElement(np.eye(2), ComplexHeisenbergElement(zf, zf, z2))
-    np.testing.assert_allclose(big_mul(a, b).hc.zeta, z1 + z2)
+    a = groups._big_parts(np.eye(2), zf, zf, z1)
+    b = groups._big_parts(np.eye(2), zf, zf, z2)
+    np.testing.assert_allclose(groups._big_product(a, b)[3], z1 + z2)
 
 
 def test_gstarj_mul_identity_and_theta_homomorphism():
@@ -400,6 +401,37 @@ def test_other_kinds_keep_their_scales():
         sample_element(kind, 2, 1, seed=0, scale=50.0)
 
 
+WORD_KINDS = ("sp", "gstar", "jacobi", "gstarj")
+SAMPLED_KINDS = WORD_KINDS + ("heisenberg", "kstarj", "siegel", "disk", "siegel_jacobi",
+                              "disk_jacobi")
+
+
+def _assert_valid(x):
+    """Every array x stores is finite and every holder in it passes its validation."""
+    if hasattr(x, "validate"):
+        x.validate()
+    for name in type(x).__slots__:
+        v = getattr(x, name)
+        if isinstance(v, np.ndarray):
+            assert np.isfinite(v).all()
+        elif isinstance(v, Holder):
+            _assert_valid(v)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g,h", [(1, 1), (4, 3)])
+@pytest.mark.parametrize("kind", SAMPLED_KINDS)
+def test_samplers_check_scale_at_entry(kind, g, h):
+    draw = sample_element if kind in groups._KIND_TAG else sample_point
+    good = (1e-300, 1.0) if kind in WORD_KINDS else (1e-300, 1.0, 50.0, _SCALE_MAX)
+    for scale in good:
+        _assert_valid(draw(kind, g, h, seed=3, scale=scale))
+        _assert_valid(draw(kind, g, h, seed=[3, 4], scale=scale))
+    for scale in (0.0, -1.0, np.nan, np.inf, 10 * _SCALE_MAX, 1e308):
+        with pytest.raises(DomainError, match="_SCALE_MAX"):
+            draw(kind, g, h, seed=3, scale=scale)
+
+
 def _element_inputs():
     """(constructor, caller arrays, attribute names) for each element class
     that stores arrays, with inputs that need no dtype conversion."""
@@ -414,12 +446,10 @@ def _element_inputs():
          ["lam", "mu", "kappa"]),
         (GStarElement, [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)], ["p", "q"]),
         (ComplexHeisenbergElement, [xi, xi.conj(), np.array([[0.5j]])], ["xi", "eta", "zeta"]),
-        (lambda block: BigComplexGroupElement(block, ComplexHeisenbergElement.identity(1, 1)),
-         [np.array([[2.0, 1j], [0.0, 0.5]])], ["block"]),
     ]
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(5))
 def test_element_constructors_leave_caller_arrays_writeable_and_unaliased(case):
     make, inputs, names = _element_inputs()[case]
     before = [a.copy() for a in inputs]
