@@ -1,20 +1,21 @@
 """Invariant metrics, Laplacians, and the volume density.
 
 Each Laplacian is the operator 4 h^{a b-bar} d_a dbar_b of its metric h, and
-is derived from that metric rather than transcribed: for any frame {e_k}
-that is h-orthonormal at p it is the single stencil
+is derived from that metric rather than transcribed: for any frame {e_k} at p
+with weights w_k that make the sqrt(w_k) e_k h-orthonormal it is the stencil
 
-    Lf(p) = sum_k [f(p+te_k) + f(p-te_k) + f(p+ite_k) + f(p-ite_k) - 4f(p)] / t^2.
+    Lf(p) = sum_k w_k [f(p+te_k) + f(p-te_k) + f(p+ite_k) + f(p-ite_k) - 4f(p)] / t^2
 
-The three operators differ only in a closed-form frame from one Cholesky
-factor L, with S over E_ii and (E_ij + E_ji)/sqrt(2) and F over the unit
-h x g matrices; the (dOmega, dZ) frame of the Siegel-Jacobi space is lifted
-horizontally so that dZ - V Y^-1 dOmega vanishes on its base directions:
+with t = FD_SECOND_STEP in the frame's units; p + s e_k stays in the domain for |s| < 1
+on Siegel space (Y + s L S L^T = L (I + sS) L^T), and on the disk for |s| cond(M) < 1,
+which its check ensures.  The frames are closed forms in one Cholesky factor L, with S
+over E_ii and (E_ij + E_ji)/sqrt(2) and F over the unit h x g matrices; the Siegel-Jacobi
+one is lifted horizontally so that dZ - V Y^-1 dOmega vanishes on its base:
 
-    Siegel space    Y = L L^T              L S L^T
-    disk            I - W conj(W) = L L^H  L S L^T / 2
-    Siegel-Jacobi   Y = L L^T              (L S L^T, V Y^-1 L S L^T) / sqrt(A)
-                                           and (0, F L^T) / sqrt(B)
+    Siegel space    Y = L L^T              L S L^T                    w = 1
+    disk            I - W conj(W) = L L^H  L S L^T / 2                w = 1
+    Siegel-Jacobi   Y = L L^T              (L S L^T, V Y^-1 L S L^T)  w = 1/A
+                                           and (0, F L^T)             w = 1/B
 
 The actions and the partial Cayley transform are holomorphic, so the real
 Jacobian determinant of such a map is |det|^2 of its complex differential,
@@ -35,7 +36,7 @@ call, and a 2-d input gives a plain float.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -43,6 +44,7 @@ import numpy as np
 from .groups import _blocks, _uniforms
 from .numkit import (
     ALGEBRAIC_REL,
+    ConditioningError,
     ConsistencyError,
     DimensionError,
     DomainError,
@@ -81,11 +83,13 @@ __all__ = [
     "action_jacobian_det",
 ]
 
-# first- and second-order central differences: relative steps, then result bounds
+# central differences: steps (first order relative to the point, second in frame units), bounds
 FD_FIRST_STEP = 1e-6
 FD_SECOND_STEP = 1e-4
 FD_FIRST_REL = 1e-6
 FD_SECOND_REL = 1e-4
+# the largest cond(M) at which a field read through M^-1 (cond(M) eps / t^2) keeps FD_SECOND_REL
+_STENCIL_COND = FD_SECOND_REL * FD_SECOND_STEP**2 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -217,10 +221,6 @@ def _rebuild(p, base: np.ndarray, fiber: np.ndarray | None, validate: bool):
     return type(p)(type(p.base)(base, validate=validate), fiber)
 
 
-def point_norm(p) -> float:
-    return _norm(*_point_parts(p))
-
-
 def _norm(base: np.ndarray, fiber: np.ndarray | None) -> float:
     """The Frobenius norm of a 2-d (base, fiber) pair, a point's or a tangent vector's."""
     n2 = frob(base) ** 2
@@ -246,51 +246,49 @@ def _fiber_coords(h: int, g: int) -> np.ndarray:
 # Laplacians
 
 
-def _sym_basis(g: int) -> np.ndarray:
-    """E_ii and (E_ij + E_ji)/sqrt(2), stacked: orthonormal for trace(S S')."""
-    e = _sym_coords(g)
-    return e / np.sqrt(e.sum(axis=(-2, -1)))[:, None, None]
+def _sym_frame(m: np.ndarray, what="Im(omega): condition number", top=None) -> tuple:
+    """L with M = L L^H, and L S L^T with S over E_ii and (E_ij + E_ji)/sqrt(2) (orthonormal
+    for trace(S S')), once top / lambda_min(M), cond(M) by default, keeps FD_SECOND_REL."""
+    lam = np.linalg.eigvalsh(m)
+    cond = (lam[-1] if top is None else top) / lam[0]
+    _ensure(cond <= _STENCIL_COND, ConditioningError,
+            "{} {:.3e} exceeds the difference stencil's {:.0f}", what, cond, _STENCIL_COND)
+    l, e = np.linalg.cholesky(m), _sym_coords(len(m))
+    return l, l @ (e / np.sqrt(e.sum(axis=(-2, -1)))[:, None, None]) @ l.T
 
 
 def _siegel_frame(omega: np.ndarray, z=None) -> tuple:
     """L S L^T with Im(Omega) = L L^T: orthonormal for metric_siegel."""
-    l = np.linalg.cholesky(np.imag(omega))
-    return l @ _sym_basis(len(l)) @ l.T, None
+    return _sym_frame(np.imag(omega))[1], None
 
 
 def _disk_frame(w: np.ndarray, eta=None) -> tuple:
-    """L S L^T / 2 with I - W conj(W) = L L^H: orthonormal for metric_disk."""
-    l = np.linalg.cholesky(np.eye(len(w)) - w @ w.conj())
-    return l @ _sym_basis(len(w)) @ l.T / 2, None
+    """L S L^T / 2 with M = I - W conj(W) = L L^H: orthonormal for metric_disk.  Fields form M
+    from unit-size terms, losing up to 2.5 eps / lambda_min(M) (W = r U, g = 1..4): top = 4."""
+    return _sym_frame(np.eye(len(w)) - w @ w.conj(), "I - W conj(W): 4/lambda_min", 4)[1] / 2, None
 
 
-def _sj_frame(params: MetricParams, omega: np.ndarray, z: np.ndarray) -> tuple:
-    """Orthonormal for metric_sj = A |dOmega|^2 + B |dZ - V Y^-1 dOmega|^2."""
+def _sj_frame(omega: np.ndarray, z: np.ndarray) -> tuple:
+    """Orthonormal at A = B = 1 for metric_sj = A |dOmega|^2 + B |dZ - V Y^-1 dOmega|^2."""
     y = np.imag(omega)
-    l = np.linalg.cholesky(y)
-    lift = np.imag(z) @ guarded_inv(y.astype(complex), "Im(omega)")
-    base = l @ _sym_basis(len(y)) @ l.T / np.sqrt(params.a)
-    fiber = _fiber_coords(*z.shape) @ l.T / np.sqrt(params.b)
+    l, base = _sym_frame(y)
+    fiber = _fiber_coords(*z.shape) @ l.T
     return (np.concatenate([base, np.zeros((len(fiber),) + y.shape)]),
-            np.concatenate([lift @ base, fiber]))
+            np.concatenate([np.imag(z) @ np.linalg.inv(y) @ base, fiber]))
 
 
-def _frame_laplacian(f: Callable, p, frame: Callable, what: str) -> float:
-    """Sum over a metric-orthonormal frame {e_k} at p of the central second
-    differences of f along e_k and i e_k, from one call of f on the batch of
-    p and its 4 len(e) displaced points.
+def _frame_laplacian(f: Callable, p, frame: Callable, what: str, weights=(1.0, 1.0)) -> float:
+    """Sum over a frame {e_k} at p of w_k times the central second differences
+    of f along e_k and i e_k, from one call of f on the batch of p and its
+    4 len(e) displaced points; w_k is weights[0] where e_k moves the base and
+    weights[1] where it moves only the fiber.
 
     frame(base, fiber) returns the stacked (base, fiber) displacements of the
-    e_k, with fiber None for a fixed fiber; it is built only once the point
-    has passed the boundary guard.
+    e_k, with fiber None for a fixed fiber.
     """
     base, fiber = _point_parts(p)
-    h2 = FD_SECOND_STEP * max(1.0, point_norm(p))
-    if getattr(p, "base", p).pd_margin() <= 10 * h2:
-        raise DomainError("point is too close to the boundary for the difference stencil")
     db, df = frame(base, fiber)
-    t = h2 / max(1.0, np.hypot(frob(db), 0.0 if df is None else frob(df)).max())
-    steps = np.array([t, -t, 1j * t, -1j * t])[:, None, None]
+    steps = FD_SECOND_STEP * np.array([1, -1, 1j, -1j])[:, None, None]
     n = 1 + len(steps) * len(db)
 
     def displaced(x, dx):  # x, then x + s e_k for each k and, within k, each step s
@@ -302,8 +300,9 @@ def _frame_laplacian(f: Callable, p, frame: Callable, what: str) -> float:
     if vals.shape != (n,):
         raise DimensionError(f"a field returns one value per point: shape ({n},), not {vals.shape}")
     # summed in stencil order: np.sum's pairwise order would round differently
-    total = np.cumsum(vals[1:] - vals[0])[-1]
-    return _real_value(total / t**2, FD_SECOND_REL, what)
+    second = np.cumsum((vals[1:] - vals[0]).reshape(len(db), len(steps)), axis=1)[:, -1]
+    w = np.where(np.any(db != 0, axis=(-2, -1)), *weights)
+    return _real_value(np.cumsum(w * second)[-1] / FD_SECOND_STEP**2, FD_SECOND_REL, what)
 
 
 def laplacian_siegel(f: Callable, p: SiegelPoint) -> float:
@@ -317,10 +316,11 @@ def laplacian_disk(f: Callable, p: DiskPoint) -> float:
 
 
 def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint) -> float:
-    """The Laplacian of metric_sj."""
+    """The Laplacian of metric_sj, Delta_h / A + Delta_v / B."""
     if not isinstance(p, SiegelJacobiPoint):
         raise DimensionError("point has no fiber variable")
-    return _frame_laplacian(f, p, partial(_sj_frame, params), "siegel-jacobi laplacian")
+    return _frame_laplacian(f, p, _sj_frame, "siegel-jacobi laplacian",
+                            (1 / params.a, 1 / params.b))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ def _pushforwards(map_fn: Callable, p, vs: list) -> list[TangentVector]:
     the 2 len(vs) displaced points, + then - for each v."""
     base, fiber = _point_parts(p)
     norms = np.array([max(1.0, _norm(v.dbase, v.dfiber)) for v in vs])
-    h = FD_FIRST_STEP * max(1.0, point_norm(p)) / norms
+    h = FD_FIRST_STEP * max(1.0, _norm(base, fiber)) / norms
     steps = np.stack([h, -h], axis=-1).reshape(-1, 1, 1)
     moves = zip(*(_fit(v, base, fiber) for v in vs))  # every base, then every fiber displacement
     displaced = [None if x is None else x + steps * np.repeat(np.stack(dx), 2, axis=0)

@@ -96,6 +96,24 @@ def test_laplacian_command(capsys):
     assert json.loads(out)["value"] == pytest.approx(-1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("which, field, point, error", [
+    # cond(Im omega) = 1e5: the stencil's step is too coarse
+    ("siegel", "logdet-y", '{"omega":[[[0,1],[0,0]],[[0,0],[0,1e-5]]]}',
+     "Im(omega): condition number 1.000e+05"),
+    ("siegel", "logdet-y", '{"omega":[[[0,1e-5]]]}', None),  # near the boundary, well conditioned
+    # 1 - |w|^2 = 2e-5: a field forming it loses eps / 2e-5
+    ("disk", "logdet-disk", '{"w":[[[0.99999,0]]]}', "I - W conj(W): 4/lambda_min 2.000e+05"),
+    ("disk", "logdet-disk", '{"w":[[[0.6,0.7]]]}', None),
+])
+def test_laplacian_command_refuses_only_ill_conditioned_points(capsys, which, field, point, error):
+    got, out, err = run_cli(capsys, "laplacian", "--which", which, "--field", field,
+                            "--input", point)
+    if error:
+        assert got == 4 and out == "" and f"numeric error: {error}" in err
+    else:
+        assert got == 0 and json.loads(out)["value"] == pytest.approx(-1.0, abs=1e-4)
+
+
 def test_decompose_command(capsys):
     a = sample_element("gstarj", 1, 1, seed=12)
     p = sample_point("disk_jacobi", 1, 1, seed=13)

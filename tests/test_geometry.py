@@ -1,3 +1,6 @@
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from sjkit.geometry import (
     volume_density,
 )
 from sjkit.groups import conjugate_by_T, sample_element
-from sjkit.numkit import DimensionError, DomainError, rel_error
+from sjkit.numkit import ConditioningError, DimensionError, DomainError, rel_error
 from sjkit.spaces import (
     DiskJacobiPoint,
     DiskPoint,
@@ -225,31 +228,119 @@ def _polarized_gram(metric, frame):
 
 @pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
 def test_laplacian_frames_are_metric_orthonormal(g, h):
-    # the operators' frames against the metric functions they are derived from
+    # the operators' frames against the metric functions they are derived from;
+    # the Siegel-Jacobi frame is orthonormal for A = B = 1, so under (A, B) its
+    # Gram matrix is diag(A, ..., A, B, ..., B), the reciprocals of its weights
     params = MetricParams(2.0, 0.5)
     p = sample_point("siegel", g, h, seed=21)
     pd = sample_point("disk", g, h, seed=22)
     pj = sample_point("siegel_jacobi", g, h, seed=23)
+    n = g * (g + 1) // 2
     cases = [
-        (lambda v: metric_siegel(p, v), _siegel_frame(p.omega)),
-        (lambda v: metric_disk(pd, v), _disk_frame(pd.w)),
-        (lambda v: metric_sj(params, pj, v), _sj_frame(params, pj.omega, pj.z)),
+        (lambda v: metric_siegel(p, v), _siegel_frame(p.omega), np.ones(n)),
+        (lambda v: metric_disk(pd, v), _disk_frame(pd.w), np.ones(n)),
+        (lambda v: metric_sj(params, pj, v), _sj_frame(pj.omega, pj.z),
+         np.repeat([params.a, params.b], [n, h * g])),
     ]
-    for metric, frame in cases:
+    for metric, frame, diag in cases:
         gram = _polarized_gram(metric, frame)
-        assert np.max(np.abs(gram - np.eye(len(gram)))) < 1e-12
+        assert np.max(np.abs(gram - np.diag(diag))) < 1e-12
+
+
+def _close(got, want, weights=()):
+    # relative, with a floor of 1 and of the weights 1/A and 1/B, which scale the
+    # stencil's rounding also where the value is 0
+    assert abs(got - want) <= 1e-4 * max(1.0, abs(want), *weights), (got, want)
+
+
+def _check_closed_forms(g, omega, z, w):
+    """Delta logdet-y = -g(g+1)/2 on Siegel space and -g(g+1)/(2A) on the
+    Siegel-Jacobi space, Delta logdet-disk = -g(g+1)/2, and trace-re-base and
+    re-trace-z, real parts of holomorphic functions, are harmonic."""
+    n = g * (g + 1) / 2
+    if omega is not None:
+        p = SiegelPoint(omega)
+        _close(laplacian_siegel(FIELDS["logdet-y"], p), -n)
+        _close(laplacian_siegel(FIELDS["trace-re-base"], p), 0.0)
+        pj = SiegelJacobiPoint(p, z)
+        for a, b in ((1, 1), (2, 0.5), (1e-6, 1), (1e6, 1e6)):
+            params = MetricParams(a, b)
+            _close(laplacian_sj(params, FIELDS["logdet-y"], pj), -n / a, (1 / a, 1 / b))
+            for name in ("trace-re-base", "re-trace-z"):
+                _close(laplacian_sj(params, FIELDS[name], pj), 0.0, (1 / a, 1 / b))
+    if w is not None:
+        _close(laplacian_disk(FIELDS["logdet-disk"], DiskPoint(w)), -n)
+
+
+def _near_boundary_disk(g, gap, seed):
+    """W = r U with U = V V^T, V unitary of random phases, and 1 - r^2 = gap: a
+    point of the disk with I - W conj(W) = gap I, neither real nor diagonal."""
+    a = np.random.default_rng(seed).normal(size=(2, g, g))
+    v = np.linalg.qr(a[0] + 1j * a[1])[0]
+    return np.sqrt(1 - gap) * v @ v.T
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2), (4, 3)])
+def test_laplacians_meet_their_closed_forms_near_the_boundary_and_far_out(g, h):
+    # a step in the frame's units keeps the stencil inside the domain at any point
+    # the conditioning check admits: on the disk while 4 / lambda_min(M) <= 4504
+    eye = np.eye(g)
+    z = sample_point("siegel_jacobi", g, h, seed=30).z
+    for seed in (31, 32):
+        _check_closed_forms(g, sample_point("siegel", g, h, seed).omega, z,
+                            sample_point("disk", g, h, seed).w)
+    for omega in (1e-5j * eye, 1e4 * eye + 1j * eye, 3 * eye + 1e-6j * eye):
+        _check_closed_forms(g, omega, z, None)
+    for seed in (33, 34, 35):
+        _check_closed_forms(g, None, None, _near_boundary_disk(g, 1e-3, seed))
+
+
+def _conditioned(cond):
+    """Valid g = 2 points whose M = Im(Omega) has condition number cond and whose
+    M = I - W conj(W) has 4 / lambda_min(M) = cond."""
+    omega = 1j * np.diag([1.0, 1 / cond])
+    return omega, np.array([[0.5 + 0.3j, -0.2 + 0.1j]]), np.diag([0.0, np.sqrt(1 - 4 / cond)])
+
+
+@pytest.mark.parametrize("cond", [5e3, 1e5])
+def test_laplacians_refuse_an_ill_conditioned_point_before_any_field_call(cond):
+    omega, z, w = _conditioned(cond)
+    calls = []
+    field = lambda q: calls.append(q) or np.zeros(q.omega.shape[:-2])  # noqa: E731
+    disk_field = lambda q: calls.append(q) or np.zeros(q.w.shape[:-2])  # noqa: E731
+    cases = [(laplacian_siegel, field, SiegelPoint(omega), "Im(omega): condition number"),
+             (partial(laplacian_sj, MetricParams()), field,
+              SiegelJacobiPoint(SiegelPoint(omega), z), "Im(omega): condition number"),
+             (laplacian_disk, disk_field, DiskPoint(w), "I - W conj(W): 4/lambda_min")]
+    for laplacian, f, p, m in cases:
+        with pytest.raises(ConditioningError, match=re.escape(f"{m} {cond:.3e} ")):
+            laplacian(f, p)
+    assert calls == []
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_the_disk_laplacian_refuses_points_near_the_boundary_before_any_field_call(g):
+    # I - W conj(W) is well conditioned at W = r U, but a field forms it from terms
+    # of size 1, losing eps / (1 - r^2): there the stencil's error would exceed 1e-4
+    calls = []
+    field = lambda q: calls.append(q) or np.zeros(q.w.shape[:-2])  # noqa: E731
+    points = [0.99999 * np.eye(g)] + [_near_boundary_disk(g, gap, seed=40 + g)
+                                      for gap in (2e-4, 1e-5, 1e-8)]
+    for w in points:
+        with pytest.raises(ConditioningError, match=re.escape("I - W conj(W): 4/lambda_min")):
+            laplacian_disk(field, DiskPoint(w))
+    assert calls == []
+
+
+def test_laplacians_meet_their_closed_forms_just_inside_the_conditioning_bound():
+    omega, z, w = _conditioned(3e3)
+    _check_closed_forms(2, omega, z, w)
 
 
 @pytest.mark.parametrize("a,b", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (0.0, 1.0), (1.0, -2.0)])
 def test_metric_params_must_be_finite_and_positive(a, b):
     with pytest.raises(DomainError):
         MetricParams(a, b)
-
-
-def test_laplacian_rejects_boundary_points():
-    p = SiegelPoint([[1e-5j]])  # margin far below the stencil step
-    with pytest.raises(DomainError):
-        laplacian_siegel(lambda q: np.zeros(q.omega.shape[:-2]), p)
 
 
 # -- volume, pushforward, jacobian -------------------------------------------

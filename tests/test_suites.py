@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -98,20 +99,40 @@ def test_exact_differential_suites_pass_at_g_ne_h(name, g, h):
     assert r.passed, f"{name}: max residual {r.max_residual}"
 
 
-def test_a_trial_that_raises_is_a_recorded_failure_and_the_run_goes_on(capsys):
-    # trial 8 of this run samples a point too near the boundary for the stencil
+def test_a_trial_that_raises_is_a_recorded_failure_and_the_run_goes_on(monkeypatch, capsys):
+    suite, tol = SUITES["laplacian-invariance"]
+    bad = trial_seed(29, 8)
+
+    def evaluate(trial):  # trial 8 of this run raises
+        if trial[2] == bad:
+            raise DomainError("bad trial")
+        return suite.evaluate(trial)
+
+    monkeypatch.setitem(SUITES, "laplacian-invariance",
+                        (dataclasses.replace(suite, evaluate=evaluate), tol))
     r = run_suite("laplacian-invariance", 1, 1, trials=30, seed=29)
     assert r.trials == 30 and not r.passed and np.isnan(r.max_residual)
     assert len(r.failures) == 1
     (failure,) = r.failures
-    assert failure["seed"] == trial_seed(29, 8) and np.isnan(failure["residual"])
-    assert failure["error"] == ("DomainError: point is too close to the boundary "
-                                "for the difference stencil")
+    assert failure["seed"] == bad and np.isnan(failure["residual"])
+    assert failure["error"] == "DomainError: bad trial"
     assert main(["verify", "--suite", "laplacian-invariance", "--g", "1", "--h", "1",
                  "--trials", "30", "--seed", "29"]) == 1
     out = json.loads(capsys.readouterr().out, parse_constant=_reject)  # strict JSON: no NaN
     assert out["failures"][0]["seed"] == trial_seed(29, 8)
     assert out["max_residual"] is None and out["failures"][0]["residual"] is None
+
+
+@pytest.mark.parametrize("args", [
+    ("laplacian-invariance", "1", "1", "30", "29"),
+    ("laplacian-invariance", "4", "3", "30", "1"),
+    ("all", "1", "1", "100", "42"),
+])
+def test_runs_with_laplacian_trials_near_the_boundary_pass(capsys, args):
+    # each run has a trial whose image point lies within ten Euclidean steps of the boundary
+    suite, g, h, trials, seed = args
+    assert main(["verify", "--suite", suite, "--g", g, "--h", h, "--trials", trials,
+                 "--seed", seed]) == 0
 
 
 def _reject(name):
