@@ -104,10 +104,9 @@ def _ensure(ok, error: type, message: str, *args) -> None:
 
 def _floor1(x, y=0.0):
     """max(1, x, y), entry by entry for batches; a NaN counts for nothing."""
-    try:
-        return max(1.0, x, y)
-    except ValueError:  # the truth value of a comparison of batches
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return np.fmax(np.fmax(1.0, x), y)
+    return max(1.0, x, y)
 
 
 def _nonfinite(name: str, *arrays: np.ndarray) -> None:
@@ -150,6 +149,25 @@ class Holder:
     def __repr__(self):
         h = f", h={self.h}" if hasattr(self, "h") else ""
         return f"{type(self).__name__}(g={self.g}{h})"
+
+
+def _slice_holder(x: Holder, rows: slice) -> Holder:
+    """The rows of the batched holder x, as a holder of x's type: each array
+    part, nested holders' included, is a read-only view of those rows of its
+    leading axis.  Nothing is copied or validated again, as the batch was
+    validated slice by slice; a part with no batch axis raises DimensionError."""
+    out = object.__new__(type(x))
+    for name in type(x).__slots__:
+        v = getattr(x, name)
+        if isinstance(v, Holder):
+            v = _slice_holder(v, rows)
+        elif isinstance(v, np.ndarray):
+            if v.ndim < 3:
+                raise DimensionError(f"{type(x).__name__}.{name} has no batch axis: {v.shape}")
+            v = v[rows]
+            v.flags.writeable = False
+        setattr(out, name, v)
+    return out
 
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:

@@ -6,23 +6,25 @@ the master seed and the trial index alone, so reruns of the same suite
 produce byte-identical reports.
 
 Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  A
-chunk's samples of each kind come from one sampler call on its list of
-seeds: each seed's counter-based stream gives the numbers it gives alone,
-and the samples are built and validated once for the chunk.  The chunk is
-then evaluated in one pass, and each residual has the bits of its trial
-drawn and evaluated alone.  A chunk that raises an SjkError is
-evaluated again one trial at a time, so a trial that raises is recorded as a
-failure with its error and the run goes on.  laplacian-invariance, whose
-test field depends on the seed, runs in chunks of one trial, each Laplacian
-acting on its stencil's points in one batch.  A SUITES entry is (fn,
-default tolerance) with fn(g, h, seeds) returning, per seed, a residual or
-the SjkError its trial raised.
+chunk's samples of each distinct kind come from one sampler call on its list
+of seeds, every offset the kind sits at included: each seed's counter-based
+stream gives the numbers it gives alone, the samples are built and validated
+once for the chunk, and each offset takes its rows of the batch as views.  The
+chunk is then evaluated in one pass, and each residual has the bits of its
+trial drawn and evaluated alone.  A chunk that raises an SjkError is
+evaluated again one trial at a time, each sample drawn alone with its int
+seed (a batch of a repeated kind and its split cost more than its 2-d draws),
+so a trial that raises is recorded as a failure with its error and the run
+goes on.  laplacian-invariance, whose test field depends on the seed, runs in
+chunks of one trial, each Laplacian acting on its stencil's points in one
+batch.  A SUITES entry is (fn, default tolerance) with fn(g, h, seeds)
+returning, per seed, a residual or the SjkError its trial raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Callable
 
@@ -62,7 +64,7 @@ from .groups import (
     theta,
     tstar_agreement_residual,
 )
-from .numkit import DomainError, SjkError, _floor1, rel_error
+from .numkit import DomainError, SjkError, _floor1, _slice_holder, rel_error
 from .spaces import (
     act_disk,
     act_jacobi,
@@ -138,17 +140,26 @@ def _sample(kind: str, g: int, h: int, seed):
 @dataclass(frozen=True)
 class _Batched:
     """A suite that draws one sample of each kind per trial, seeded s, s + 1,
-    ..., and evaluates each chunk of up to `chunk` trials in one pass, drawing
-    each kind's samples for the chunk in one sampler call.
+    ..., and evaluates each chunk of up to `chunk` trials in one pass.  A
+    chunk's samples of a kind come from one sampler call: a kind at offsets
+    k1..km is drawn on the seeds s + k1 over the chunk, then s + k2, ..., and
+    each offset takes its rows of that batch as a view.
 
     A chunk that raises an SjkError, and a chunk of one trial, is evaluated
-    trial by trial from 2-d holders drawn with the trial's int seed; a trial
-    that still raises gives its error in place of its residual.
+    trial by trial from 2-d holders drawn with the trial's int seed, one
+    sampler call per offset: a batch of a repeated kind and its split cost
+    more than its 2-d draws.  A trial that still raises gives its error in
+    place of its residual.
     """
 
     kinds: tuple
     evaluate: Callable
     chunk: int = _CHUNK
+
+    @cached_property
+    def offsets(self) -> dict:
+        """The offsets in kinds of each distinct kind, in order of first offset."""
+        return {kind: [k for k, x in enumerate(self.kinds) if x == kind] for kind in self.kinds}
 
     def __call__(self, g: int, h: int, seeds: list[int]) -> list:
         out = []
@@ -156,13 +167,25 @@ class _Batched:
             chunk = seeds[i:i + self.chunk]
             if len(chunk) > 1:
                 try:
-                    out.extend(self.evaluate(*[_sample(kind, g, h, [s + k for s in chunk])
-                                               for k, kind in enumerate(self.kinds)]))
+                    out.extend(self.evaluate(*self._draw(g, h, chunk)))
                     continue
                 except SjkError:
                     pass  # replayed trial by trial below, recording the trials that raise
             out.extend(self.alone(g, h, s) for s in chunk)
         return out
+
+    def _draw(self, g: int, h: int, chunk: list[int]) -> list:
+        """The chunk's samples, one batch per kind position, from one sampler
+        call per distinct kind."""
+        n, samples = len(chunk), [None] * len(self.kinds)
+        for kind, ks in self.offsets.items():
+            batch = _sample(kind, g, h, [s + k for k in ks for s in chunk])
+            if len(ks) == 1:
+                samples[ks[0]] = batch
+            else:
+                for j, k in enumerate(ks):
+                    samples[k] = _slice_holder(batch, slice(j * n, (j + 1) * n))
+        return samples
 
     def alone(self, g: int, h: int, s: int):
         """Trial s evaluated from 2-d holders, or the SjkError it raises."""
@@ -177,11 +200,10 @@ class _Batched:
 
 
 def _group_axioms(a, b, c, ha, hb, hc, sa, sb, sc):
-    e = JacobiElement.identity(a.g, a.h)
+    e, ai = JacobiElement.identity(a.g, a.h), jacobi_inv(a)
     res = [_dist(_JACOBI, jacobi_mul(jacobi_mul(a, b), c), jacobi_mul(a, jacobi_mul(b, c))),
            _dist(_JACOBI, jacobi_mul(a, e), a), _dist(_JACOBI, jacobi_mul(e, a), a),
-           _dist(_JACOBI, jacobi_mul(a, jacobi_inv(a)), e),
-           _dist(_JACOBI, jacobi_mul(jacobi_inv(a), a), e)]
+           _dist(_JACOBI, jacobi_mul(a, ai), e), _dist(_JACOBI, jacobi_mul(ai, a), e)]
 
     he = HeisenbergElement.identity(a.g, a.h)
     res += [_dist(_HEIS, heisenberg_mul(heisenberg_mul(ha, hb), hc),

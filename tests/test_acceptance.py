@@ -5,12 +5,16 @@ lines.  Every tolerance is pinned here and matches the library defaults.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
+import sjkit
 from sjkit.automorphy import IndexMatrix, Representation, verify_cocycle
 from sjkit.decomp import component_residuals
 from sjkit.geometry import (
@@ -257,12 +261,15 @@ def test_c11_domain_preservation():
 def test_c12_report_determinism():
     cmd = [sys.executable, "-m", "sjkit.cli", "verify", "--suite", "compat-37",
            "--g", "1", "--h", "1", "--trials", "50", "--seed", "42"]
-    first = subprocess.run(cmd, capture_output=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True).stdout
+    # the child imports this sjkit, from wherever the tests found it
+    run = partial(subprocess.run, capture_output=True, check=True,
+                  env=dict(os.environ, PYTHONPATH=str(Path(sjkit.__file__).parents[1])))
+    first = run(cmd).stdout
+    second = run(cmd).stdout
     cmd2 = [sys.executable, "-m", "sjkit.cli", "verify", "--suite", "hc-reconstruct",
             "--g", "2", "--h", "1", "--trials", "30", "--seed", "7"]
-    third = subprocess.run(cmd2, capture_output=True, check=True).stdout
-    fourth = subprocess.run(cmd2, capture_output=True, check=True).stdout
+    third = run(cmd2).stdout
+    fourth = run(cmd2).stdout
     ok = first == second and third == fourth and json.loads(first)["passed"]
     print(f"criterion 12 [report determinism across reruns]: {'PASS' if ok else 'FAIL'}")
     assert ok

@@ -41,6 +41,7 @@ from sjkit.numkit import (
     DomainError,
     Holder,
     _ensure,
+    _slice_holder,
     frob,
     guarded_rsolve,
     hermitian_pd_margin,
@@ -107,7 +108,8 @@ def test_batched_suite_matches_trials_one_at_a_time(monkeypatch, name, g, h):
     evaluations, counted = _counting(suite)
     draws = _count_draws(monkeypatch)
     batched = counted(g, h, seeds)
-    assert draws == [10] * len(suite.kinds)  # one sampler call per kind
+    # one sampler call per distinct kind, on ten seeds per offset it sits at
+    assert draws == [10 * suite.kinds.count(kind) for kind in dict.fromkeys(suite.kinds)]
     assert evaluations == [1] and len(batched) == 10  # one pass, no trial replayed
     assert _bits(batched) == _bits(alone)
     assert _bits(np.concatenate([suite(g, h, [s]) for s in seeds])) == _bits(alone)
@@ -130,25 +132,38 @@ def test_trials_past_one_chunk_match_trials_one_at_a_time(monkeypatch):
     assert _bits(batched) == _bits(want)
 
 
-def test_a_raising_slice_is_replayed_alone_and_recorded_as_its_trial(monkeypatch):
-    compat = SUITES["compat-29"][0]
+def _raise_on_trial_67(monkeypatch, name: str, k: int) -> None:
+    """Run the suite with an evaluate that raises on trial 67's sample at
+    offset k (slice 3 of the second chunk): that trial is replayed alone and
+    recorded as a failure, and every other residual keeps its bits."""
+    inner = SUITES[name][0]
     seeds = [trial_seed(2, i) for i in range(suites._CHUNK + 6)]
-    bad = sample_point("disk", 1, 1, seeds[67] + 1).w  # trial 67: slice 3 of the second chunk
+    bad = _arrays(suites._sample(inner.kinds[k], 1, 1, seeds[67] + k))[0]
 
-    def evaluate(m, w):
-        _ensure((w.w != bad).any(axis=(-2, -1)), DomainError, "bad trial")
-        return compat.evaluate(m, w)
+    def evaluate(*batch):
+        _ensure((_arrays(batch[k])[0] != bad).any(axis=(-2, -1)), DomainError, "bad trial")
+        return inner.evaluate(*batch)
 
-    calls, suite = _counting(dataclasses.replace(compat, evaluate=evaluate))
+    calls, suite = _counting(dataclasses.replace(inner, evaluate=evaluate))
     got = suite(1, 1, seeds)
     assert len(calls) == 2 + 6  # a pass per chunk, then the second chunk trial by trial
     assert type(got[67]) is DomainError and str(got[67]) == "bad trial"  # no "(slice 3)"
-    want = compat(1, 1, seeds)
+    want = inner(1, 1, seeds)
     assert _bits(got[:67] + got[68:]) == _bits(want[:67] + want[68:])
-    monkeypatch.setitem(SUITES, "compat-29", (suite, 1e-9))
-    (failure,) = run_suite("compat-29", 1, 1, trials=len(seeds), seed=2).failures
+    monkeypatch.setitem(SUITES, name, (suite, 1e-9))
+    (failure,) = run_suite(name, 1, 1, trials=len(seeds), seed=2).failures
     assert failure["seed"] == seeds[67] and np.isnan(failure["residual"])
     assert failure["error"] == "DomainError: bad trial"
+
+
+def test_a_raising_slice_is_replayed_alone_and_recorded_as_its_trial(monkeypatch):
+    _raise_on_trial_67(monkeypatch, "compat-29", 1)  # the disk point
+
+
+def test_a_raising_slice_of_a_repeated_kind_is_replayed_alone(monkeypatch):
+    # the second of the three Heisenberg samples: the middle third of their one draw
+    assert SUITES["group-axioms"][0].kinds[3:6] == ("heisenberg",) * 3
+    _raise_on_trial_67(monkeypatch, "group-axioms", 4)
 
 
 def _views(rng, b, r, c):
@@ -274,6 +289,24 @@ def test_a_batched_draw_is_the_draws_of_its_seeds_stacked(kind, g, h):
             assert got.tobytes() == np.stack(want).tobytes()
             if kind not in TANGENT_KINDS:  # a tangent vector does not freeze its arrays
                 assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("g,h", SAMPLE_SHAPES)
+@pytest.mark.parametrize("kind", ELEMENT_KINDS + POINT_KINDS + TANGENT_KINDS)
+def test_a_slice_of_a_batch_is_the_batch_of_its_seeds(kind, g, h):
+    seeds = [trial_seed(6, i) for i in range(12)]
+    batch = suites._sample(kind, g, h, seeds)
+    flags = [a.flags.writeable for a in _arrays(batch)]
+    for rows in (slice(0, 5), slice(5, 12), slice(11, 12)):
+        got = _slice_holder(batch, rows)
+        want = suites._sample(kind, g, h, seeds[rows])
+        assert type(got) is type(want) and (got.g, getattr(got, "h", h)) == (g, h)
+        for x, y, whole in zip(_arrays(got), _arrays(want), _arrays(batch), strict=True):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert not x.flags.writeable and x.base is not None and np.shares_memory(x, whole)
+    assert [a.flags.writeable for a in _arrays(batch)] == flags  # the batch is left as it was
+    with pytest.raises(DimensionError, match="no batch axis"):
+        _slice_holder(suites._sample(kind, g, h, seeds[0]), slice(0, 1))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

@@ -289,6 +289,9 @@ def test_fast_mode_env_disables_validation():
     import os
     import subprocess as sp
     import sys as _sys
+    from pathlib import Path
+
+    import sjkit
 
     snippet = (
         "import numpy as np\n"
@@ -299,7 +302,7 @@ def test_fast_mode_env_disables_validation():
         "except DomainError:\n"
         "    print('rejected')\n"
     )
-    env = dict(os.environ, SJK_FAST="1")
+    env = dict(os.environ, SJK_FAST="1", PYTHONPATH=str(Path(sjkit.__file__).parents[1]))
     r = sp.run([_sys.executable, "-c", snippet], capture_output=True, text=True, env=env)
     assert r.returncode == 0 and "rejected" in r.stdout
 
