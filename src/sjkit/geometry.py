@@ -30,7 +30,9 @@ _rebuild, go through its field or map in one call.
 
 The metrics, the volume density and sample_tangent take (..., r, c) batches
 like the points (see numkit): each slice of a result has the bits of its 2-d
-call, and a 2-d input gives a plain float.
+call, and a 2-d input gives a plain float.  metric_disk makes one guarded
+inverse, as I - conj(W) W = conj(I - W conj(W)): the conjugate of the one
+inverse has the bits of the other.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .spaces import (
     SiegelPoint,
     TangentVector,
     _fit,
+    _takes,
     partial_cayley,
 )
 
@@ -156,6 +159,7 @@ def _plain(x):
 
 def metric_siegel(p: SiegelPoint, v: TangentVector):
     """trace(Y^-1 dOmega Y^-1 conj(dOmega))."""
+    _takes("metric_siegel", p, SiegelPoint)
     do, _ = _fit(v, p.omega)
     yi = guarded_inv(p.y.astype(complex), "Im(omega)")
     val = _tr(yi @ do @ yi @ do.conj())
@@ -163,20 +167,34 @@ def metric_siegel(p: SiegelPoint, v: TangentVector):
 
 
 def metric_disk(p: DiskPoint, v: TangentVector):
-    """4 trace((I - W conj W)^-1 dW (I - conj(W) W)^-1 conj(dW))."""
+    """4 trace((I - W conj W)^-1 dW (I - conj(W) W)^-1 conj(dW)), the second
+    inverse the conjugate of the first: I - conj(W) W = conj(I - W conj(W))."""
+    _takes("metric_disk", p, DiskPoint, DiskJacobiPoint)
     dw, _ = _fit(v, p.w)
-    i = np.eye(p.g)
-    s = guarded_inv(i - p.w @ p.w.conj(), "I - W conj(W)")
-    sb = guarded_inv(i - p.w.conj() @ p.w, "I - conj(W) W")
-    val = 4.0 * _tr(s @ dw @ sb @ dw.conj())
+    s = guarded_inv(np.eye(p.g) - p.w @ p.w.conj(), "I - W conj(W)")
+    val = 4.0 * _tr(s @ dw @ s.conj() @ dw.conj())
     return _real_value(val, ALGEBRAIC_REL, "disk metric")
 
 
 def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector):
-    """The five-term A/B metric in dOmega and dZ.
+    """The five-term A/B metric in dOmega and dZ: A and B weigh the two
+    terms of _metric_sj_terms.
 
     Reduces to a times the base metric when dZ = 0 and Im(Z) = 0.
     """
+    return _weighted_sj(params, _metric_sj_terms(p, v))
+
+
+def _weighted_sj(params: MetricParams, terms: tuple):
+    """metric_sj from its (A-term, B-term)."""
+    ta, tb = terms
+    return _real_value(params.a * ta + params.b * tb, ALGEBRAIC_REL, "siegel-jacobi metric")
+
+
+def _metric_sj_terms(p: SiegelJacobiPoint, v: TangentVector) -> tuple:
+    """The complex A- and B-terms of metric_sj at (p, v), computed once for
+    any number of MetricParams."""
+    _takes("metric_sj", p, SiegelJacobiPoint)
     if v.dfiber is None:
         raise DimensionError("tangent vector must carry a fiber part")
     do, dz = _fit(v, p.omega, p.z)
@@ -188,8 +206,7 @@ def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector):
     m3 = _tr(yi @ dz.mT @ dzb)
     m4 = _tr(vmat @ yi @ do @ yi @ dzb.mT)
     m5 = _tr(vmat @ yi @ dob @ yi @ dz.mT)
-    val = params.a * m1 + params.b * (m2 + m3 - m4 - m5)
-    return _real_value(val, ALGEBRAIC_REL, "siegel-jacobi metric")
+    return m1, m2 + m3 - m4 - m5
 
 
 def pullback_metric_disk(params: MetricParams, p: DiskJacobiPoint, v: TangentVector):
@@ -307,18 +324,19 @@ def _frame_laplacian(f: Callable, p, frame: Callable, what: str, weights=(1.0, 1
 
 def laplacian_siegel(f: Callable, p: SiegelPoint) -> float:
     """The Laplacian of metric_siegel, 4 trace(Y t(Y dbar) d)."""
+    _takes("laplacian_siegel", p, SiegelPoint, SiegelJacobiPoint)
     return _frame_laplacian(f, p, _siegel_frame, "siegel laplacian")
 
 
 def laplacian_disk(f: Callable, p: DiskPoint) -> float:
     """The Laplacian of metric_disk, trace(S t(S dbar) d) with S = I - W conj(W)."""
+    _takes("laplacian_disk", p, DiskPoint, DiskJacobiPoint)
     return _frame_laplacian(f, p, _disk_frame, "disk laplacian")
 
 
 def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint) -> float:
     """The Laplacian of metric_sj, Delta_h / A + Delta_v / B."""
-    if not isinstance(p, SiegelJacobiPoint):
-        raise DimensionError("point has no fiber variable")
+    _takes("laplacian_sj", p, SiegelJacobiPoint)
     return _frame_laplacian(f, p, _sj_frame, "siegel-jacobi laplacian",
                             (1 / params.a, 1 / params.b))
 

@@ -17,7 +17,7 @@ any slice fails, naming the first failing slice.  Serialization and the CLI
 take 2-d matrices only.
 
 Each slice of a batched result has the bits of the 2-d call: stacked @,
-solve, cond, det and eigvalsh give them by themselves, and frob sums each
+solve, svd, det and eigvalsh give them by themselves, and frob sums each
 slice in the order ravel(order="K") gives it, over the strided real and
 imaginary views, with the BLAS dot np.linalg.norm uses: ndarray.dot on the
 one vector of a 2-d input, np.vecdot on a batch's rows.  einsum and .sum(-1)
@@ -170,6 +170,25 @@ def _slice_holder(x: Holder, rows: slice) -> Holder:
     return out
 
 
+def _stack_holders(*xs: Holder) -> Holder:
+    """The holders xs, of one type and shape, as one holder with a new
+    leading batch axis, x k at index k: the inverse of _slice_holder.  Each
+    array part, nested holders' included, is a read-only stack of the xs'
+    parts; any other part (None, an int) is xs[0]'s.  Nothing is validated
+    again, as each x was."""
+    out = object.__new__(type(xs[0]))
+    for name in type(out).__slots__:
+        v = getattr(xs[0], name)
+        if isinstance(v, Holder):
+            v = _stack_holders(*[getattr(x, name) for x in xs])
+        elif isinstance(v, np.ndarray):
+            # np.stack's copy without its checks, at a quarter of its cost
+            v = np.array([getattr(x, name) for x in xs])
+            v.flags.writeable = False
+        setattr(out, name, v)
+    return out
+
+
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex128 array of shape (..., r, c) with finite entries."""
     arr = np.asarray(a, dtype=np.complex128)
@@ -285,7 +304,12 @@ def _rel(a: np.ndarray, b: np.ndarray):
 
 
 def _check_cond(a: np.ndarray, context: str) -> None:
-    cond = np.linalg.cond(a)
+    """ConditioningError unless cond(a) <= COND_LIMIT in every slice: the
+    quotient of the extreme singular values, as np.linalg.cond forms it, from
+    one SVD without cond's wrapper (an all-zero slice reads NaN, not inf)."""
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = s[..., 0] / s[..., -1]
     _ensure(cond <= COND_LIMIT, ConditioningError,
             "{}: condition number {:.3e} exceeds {:.0e}", context, cond, COND_LIMIT)
 

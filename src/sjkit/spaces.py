@@ -71,6 +71,14 @@ __all__ = [
 ]
 
 
+def _takes(what: str, x, *kinds: type) -> None:
+    """The entry check of a map or metric: DimensionError, naming the models
+    or elements it takes, unless x is one of kinds."""
+    if not isinstance(x, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DimensionError(f"{what} takes a {names}, not a {type(x).__name__}")
+
+
 def _check_square_symmetric(m: np.ndarray, name: str) -> None:
     if m.shape[-2] != m.shape[-1]:
         raise DimensionError(f"{name} must be square, got {m.shape[-2:]}")
@@ -298,8 +306,11 @@ def _fractional_linear(a, b, c, d, x, fiber, context: str, what: str, dirs=None)
 def act_siegel(m: SymplecticMatrix, p: SiegelPoint, *, dirs=None):
     """Fractional linear action (A omega + B)(C omega + D)^-1.
 
-    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    Given tangent vectors dirs at p, returns (image, their pushforwards); a
+    SiegelJacobiPoint is acted on in its base.
     """
+    _takes("act_siegel", m, SymplecticMatrix)
+    _takes("act_siegel", p, SiegelPoint, SiegelJacobiPoint)
     if m.g != p.g:
         raise DimensionError(f"degree mismatch: element g={m.g}, point g={p.g}")
     om, _, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, "C omega + D",
@@ -311,8 +322,11 @@ def act_siegel(m: SymplecticMatrix, p: SiegelPoint, *, dirs=None):
 def act_disk(gs: GStarElement, p: DiskPoint, *, dirs=None):
     """Fractional linear action (P W + Q)(conj(Q) W + conj(P))^-1.
 
-    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    Given tangent vectors dirs at p, returns (image, their pushforwards); a
+    DiskJacobiPoint is acted on in its base.
     """
+    _takes("act_disk", gs, GStarElement)
+    _takes("act_disk", p, DiskPoint, DiskJacobiPoint)
     if gs.g != p.g:
         raise DimensionError(f"degree mismatch: element g={gs.g}, point g={p.g}")
     w, _, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None,
@@ -327,6 +341,8 @@ def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, *, dirs=None):
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
+    _takes("act_jacobi", a, JacobiElement)
+    _takes("act_jacobi", p, SiegelJacobiPoint)
     if (a.g, a.h) != (p.g, p.h):
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
     m, fiber = a.m, p.z + a.hs.lam @ p.omega + a.hs.mu
@@ -342,6 +358,8 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint, *, dirs=None):
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
+    _takes("act_jacobi_disk", a, GStarJacobiElement)
+    _takes("act_jacobi_disk", p, DiskJacobiPoint)
     if (a.g, a.h) != (p.g, p.h):
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
     gs, fiber = a.gs, p.eta + a.hc.xi @ p.w + a.hc.eta
@@ -381,17 +399,19 @@ def _cayley_inv(omega, fiber):
 
 
 def cayley(p: DiskPoint, *, dirs=None):
-    """W -> i (I + W)(I - W)^-1.
+    """W -> i (I + W)(I - W)^-1; a DiskJacobiPoint is mapped in its base.
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
+    _takes("cayley", p, DiskPoint, DiskJacobiPoint)
     om, _, pushed = _cayley(p.w, None, _displacements(dirs, p.w))
     out = _positive(SiegelPoint, om)
     return out if dirs is None else (out, pushed)
 
 
 def cayley_inv(p: SiegelPoint) -> DiskPoint:
-    """omega -> (omega - iI)(omega + iI)^-1."""
+    """omega -> (omega - iI)(omega + iI)^-1; a SiegelJacobiPoint is mapped in its base."""
+    _takes("cayley_inv", p, SiegelPoint, SiegelJacobiPoint)
     return _positive(DiskPoint, _cayley_inv(p.omega, None)[0])
 
 
@@ -400,6 +420,7 @@ def partial_cayley(p: DiskJacobiPoint, *, dirs=None):
 
     Given tangent vectors dirs at p, returns (image, their pushforwards).
     """
+    _takes("partial_cayley", p, DiskJacobiPoint)
     om, z, pushed = _cayley(p.w, p.eta, _displacements(dirs, p.w, p.eta))
     out = SiegelJacobiPoint(_positive(SiegelPoint, om), z)
     return out if dirs is None else (out, pushed)
@@ -407,6 +428,7 @@ def partial_cayley(p: DiskJacobiPoint, *, dirs=None):
 
 def partial_cayley_inv(p: SiegelJacobiPoint) -> DiskJacobiPoint:
     """(omega, Z) -> ((omega - iI)(omega + iI)^-1, Z (omega + iI)^-1)."""
+    _takes("partial_cayley_inv", p, SiegelJacobiPoint)
     w, eta = _cayley_inv(p.omega, p.z)
     return DiskJacobiPoint(_positive(DiskPoint, w), eta)
 

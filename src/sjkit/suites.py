@@ -17,12 +17,15 @@ seed (a batch of a repeated kind and its split cost more than its 2-d draws),
 so a trial that raises is recorded as a failure with its error and the run
 goes on.  laplacian-invariance, whose test field depends on the seed, runs in
 chunks of one trial, each Laplacian acting on its stencil's points in one
-batch.  A SUITES entry is (fn, default tolerance) with fn(g, h, seeds)
-returning, per seed, a residual or the SjkError its trial raised.
+batch.  metric-invariance evaluates each metric once per (point, image) pair,
+stacked with its tangent vectors on a leading axis of two.  A SUITES entry is
+(fn, default tolerance) with fn(g, h, seeds) returning, per seed, a residual
+or the SjkError its trial raised.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
@@ -37,12 +40,13 @@ from .geometry import (
     TEST_FIELDS,
     _abs_det2,
     _coordinate_dirs,
+    _metric_sj_terms,
+    _weighted_sj,
     laplacian_disk,
     laplacian_sj,
     laplacian_siegel,
     metric_disk,
     metric_siegel,
-    metric_sj,
     pullback_metric_disk,
     sample_tangent,
     volume_density,
@@ -64,7 +68,15 @@ from .groups import (
     theta,
     tstar_agreement_residual,
 )
-from .numkit import DomainError, SjkError, _floor1, _slice_holder, rel_error
+from .numkit import (
+    DimensionError,
+    DomainError,
+    SjkError,
+    _floor1,
+    _slice_holder,
+    _stack_holders,
+    rel_error,
+)
 from .spaces import (
     act_disk,
     act_jacobi,
@@ -251,18 +263,29 @@ def _cocycle(g1, g2, p):
 # the Laplacians by their stencils
 
 
+def _paired(act_fn, p, v):
+    """(p, act_fn(p)) and (v, its pushforward), each pair one holder with a
+    leading axis of two, for one metric call."""
+    moved_p, (moved_v,) = act_fn(p, dirs=[v])
+    return _stack_holders(p, moved_p), _stack_holders(v, moved_v)
+
+
+def _pair_rel(vals):
+    """The relative residual of a metric's values at a pair's two slices."""
+    return _scalar_rel(vals[0], vals[1])
+
+
 def _metric_action_residual(metric_fn, act_fn, p, v):
     """The metric at (p, v) against the metric at their images under act_fn,
     with v pushed through the action's exact differential."""
-    moved_p, (moved_v,) = act_fn(p, dirs=[v])
-    return _scalar_rel(metric_fn(p, v), metric_fn(moved_p, moved_v))
+    return _pair_rel(metric_fn(*_paired(act_fn, p, v)))
 
 
 def _metric_invariance(m, ps, vs, gs, pd, vd, a, pj, vj, pc, vc, b, pb, vb):
     res = [_metric_action_residual(metric_siegel, partial(act_siegel, m), ps, vs),
            _metric_action_residual(metric_disk, partial(act_disk, gs), pd, vd)]
-    moved, (moved_v,) = act_jacobi(a, pj, dirs=[vj])
-    res += [_scalar_rel(metric_sj(params, pj, vj), metric_sj(params, moved, moved_v))
+    terms = _metric_sj_terms(*_paired(partial(act_jacobi, a), pj, vj))
+    res += [_pair_rel(_weighted_sj(params, terms))
             for params in (MetricParams(1.0, 1.0), MetricParams(2.0, 0.5))]
     # Cayley isometry: the factor 4 in the bounded-model metric
     moved, (moved_v,) = cayley(pc, dirs=[vc])
@@ -319,15 +342,22 @@ SUITES = {
 }
 
 
+def _count(x, what: str, error: type) -> int:
+    """x as an int, or error unless x is an integer >= 1 and not a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
+        raise error(f"{what} must be an int >= 1, got {x!r}")
+    return int(x)
+
+
 def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 0,
               tol: float | None = None) -> VerifyReport:
     """Run one named suite; deterministic in (name, g, h, trials, seed)."""
     if name not in SUITES:
         raise DomainError(f"unknown suite: {name!r}")
+    g, h = _count(g, "g", DimensionError), _count(h, "h", DimensionError)
+    trials = _count(trials, "trials", DomainError)
     suite_fn, default_tol = SUITES[name]
     tolerance = default_tol if tol is None else float(tol)
-    if trials < 1:
-        raise DomainError(f"trials must be at least 1, got {trials}")
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 

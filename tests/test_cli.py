@@ -389,3 +389,70 @@ def test_every_input_matrix_rejects_malformed_matrices_as_input_errors(capsys):
                 assert code in (2, 3) and "internal error" not in err, (matrix, err)
                 runs += 1
     assert runs > 500
+
+
+# the point kinds each map, metric and Laplacian takes; a Jacobi point is taken in its base
+# where the command's own model has no fiber
+_TAKES = {
+    ("transform", "--map", "cayley"): ("disk", "disk_jacobi"),
+    ("transform", "--map", "cayley-inv"): ("siegel", "siegel_jacobi"),
+    ("transform", "--map", "partial-cayley"): ("disk_jacobi",),
+    ("transform", "--map", "partial-cayley-inv"): ("siegel_jacobi",),
+    ("transform", "--map", "act-siegel"): ("siegel", "siegel_jacobi"),
+    ("transform", "--map", "act-disk"): ("disk", "disk_jacobi"),
+    ("transform", "--map", "act-jacobi"): ("siegel_jacobi",),
+    ("transform", "--map", "act-jacobi-disk"): ("disk_jacobi",),
+    ("metric", "--which", "siegel"): ("siegel",),
+    ("metric", "--which", "disk"): ("disk", "disk_jacobi"),
+    ("metric", "--which", "sj"): ("siegel_jacobi",),
+    ("laplacian", "--which", "siegel", "--field", "logdet-y"): ("siegel", "siegel_jacobi"),
+    ("laplacian", "--which", "disk", "--field", "logdet-disk"): ("disk", "disk_jacobi"),
+    ("laplacian", "--which", "sj", "--field", "trace-yvv"): ("siegel_jacobi",),
+}
+_ACTION_ELEMENT = {"act-siegel": "sp", "act-disk": "gstar", "act-jacobi": "jacobi",
+                   "act-jacobi-disk": "gstarj"}
+
+
+def _request(argv, point, element=None):
+    """The --input of argv for point, with element for an action (its own kind by default)."""
+    if argv[0] == "metric":
+        tangent = {"dbase": encode_matrix(np.eye(2)), "dfiber": encode_matrix(np.ones((1, 2)))}
+        return {"point": point, "tangent": tangent}
+    if argv[0] == "transform" and argv[2] in _ACTION_ELEMENT:
+        kind = element or _ACTION_ELEMENT[argv[2]]
+        return {"element": encode_element(sample_element(kind, 2, 1, seed=21, scale=0.5)),
+                "point": point}
+    return point
+
+
+def test_every_command_refuses_a_point_or_element_of_another_model_as_an_input_error(capsys):
+    points = {k: sample_point(k, 2, 1, seed=20) for k in
+              ("siegel", "disk", "siegel_jacobi", "disk_jacobi")}
+    for argv, takes in _TAKES.items():
+        for kind, p in points.items():
+            code, out, err = run_cli(capsys, *argv, "--input",
+                                     json.dumps(_request(argv, encode_point(p))))
+            if kind not in takes:
+                assert code == 2 and out == "" and " takes a " in err, (argv, kind, err)
+                continue
+            assert code == 0, (argv, kind, err)
+            if kind.endswith("jacobi") and takes[0] != kind:  # a Jacobi point in its base
+                base = encode_point(p.base)
+                assert run_cli(capsys, *argv, "--input",
+                               json.dumps(_request(argv, base)))[1] == out, (argv, kind)
+    for action, own in _ACTION_ELEMENT.items():
+        argv = ("transform", "--map", action)
+        point = encode_point(points[_TAKES[argv][0]])
+        for kind in ("sp", "heisenberg", "jacobi", "gstar", "gstarj", "kstarj"):
+            code, out, err = run_cli(capsys, *argv, "--input",
+                                     json.dumps(_request(argv, point, kind)))
+            takes = kind == own or (own, kind) == ("gstarj", "kstarj")  # K*J lies in G*J
+            assert (code, " takes a " in err) == ((0, False) if takes else (2, True)), \
+                (action, kind, err)
+
+
+@pytest.mark.parametrize("suite", ["compat-29", "all"])
+@pytest.mark.parametrize("shape", [("--g", "0"), ("--h", "0"), ("--g", "-2")])
+def test_verify_refuses_a_shape_below_one_as_an_input_error(capsys, suite, shape):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *shape, "--trials", "2")
+    assert code == 2 and out == "" and "must be an int >= 1" in err

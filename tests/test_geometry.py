@@ -11,6 +11,7 @@ from sjkit.geometry import (
     TangentVector,
     _coordinate_dirs,
     _disk_frame,
+    _metric_sj_terms,
     _siegel_frame,
     _sj_frame,
     _triu,
@@ -483,3 +484,40 @@ def test_coordinate_dirs_are_built_once_per_shape_and_read_only(g, h):
     iu = _triu(g)
     np.testing.assert_array_equal(iu, np.triu_indices(g))
     assert _triu(g) is iu and not iu.flags.writeable
+
+
+def _two_inverse_metric_disk(w, dw) -> float:
+    """metric_disk with a second inverse, of I - conj(W) W, in place of the conjugate of the first."""
+    i = np.eye(len(w))
+    s, sb = np.linalg.inv(i - w @ w.conj()), np.linalg.inv(i - w.conj() @ w)
+    return float((4.0 * np.trace(s @ dw @ sb @ dw.conj())).real)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_metric_disk_has_the_bits_of_its_two_inverse_formula(g):
+    # I - conj(W) W = conj(I - W conj(W)), so the conjugate of one inverse is the other
+    points = list(sample_point("disk", g, 1, seed=list(range(300))).w)
+    points += [_near_boundary_disk(g, 1e-3, seed) for seed in (50, 51, 52)]
+    tangents = sample_tangent(g, seed=list(range(len(points)))).dbase
+    for w, dw in zip(points, tangents, strict=True):
+        assert metric_disk(DiskPoint(w), TangentVector(dw)) == _two_inverse_metric_disk(w, dw)
+
+
+def test_metric_disk_refuses_a_near_singular_point_naming_its_guard():
+    # an unvalidated point with cond(I - W conj(W)) about 1e13, alone and as the image of a pair
+    w = np.diag([0.0, np.sqrt(1 - 1e-13)])
+    v = TangentVector(np.eye(2))
+    with pytest.raises(ConditioningError, match=re.escape("I - W conj(W): condition number")):
+        metric_disk(DiskPoint(w, validate=False), v)
+    pair = DiskPoint(np.stack([0.5 * np.eye(2), w]), validate=False)
+    with pytest.raises(ConditioningError, match=r"I - W conj\(W\): .* \(slice 1\)$"):
+        metric_disk(pair, v)
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
+def test_metric_sj_weighs_the_terms_it_shares_between_metric_params(g, h):
+    p = sample_point("siegel_jacobi", g, h, seed=60)
+    v = sample_tangent(g, h, seed=61)
+    ta, tb = _metric_sj_terms(p, v)
+    for a, b in ((1.0, 1.0), (2.0, 0.5), (0.3, 7.0)):
+        assert metric_sj(MetricParams(a, b), p, v) == float((a * ta + b * tb).real)

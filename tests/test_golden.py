@@ -5,9 +5,13 @@ Regenerate the file (only for an intended report change, recorded in
 CHANGES.md) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the key of each entry whose bits change and writes nothing if
+a regenerated report fails, as the golden test pins passing reports only.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,5 +53,34 @@ def test_reports_keep_their_golden_bits():
         assert got[key] == want, key
 
 
+def regenerate(got: dict, path: Path = GOLDEN) -> int:
+    """Print each key whose entry in got differs from path's, and write got
+    to path unless one of its reports fails; 0 if written, 1 if not."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for key in sorted(got.keys() | old.keys()):
+        if got.get(key) != old.get(key):
+            print(f"changed: {key}")
+    failing = sorted(key for key, entry in got.items() if not entry["report"]["passed"])
+    if failing:
+        print(f"not written: failing reports: {', '.join(failing)}", file=sys.stderr)
+        return 1
+    path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+def test_regeneration_names_the_changed_keys_and_pins_no_failing_report(tmp_path, capsys):
+    path, ok = tmp_path / "golden.json", {"report": {"passed": True}, "residuals": ["0x0.0p+0"]}
+    path.write_text(json.dumps({"a 1 1": ok, "b 1 1": ok}))
+    got = {"a 1 1": ok, "b 1 1": {**ok, "residuals": ["0x1.0p-52"]}, "c 1 1": ok}
+    assert regenerate(got, path) == 0
+    assert capsys.readouterr().out.splitlines() == ["changed: b 1 1", "changed: c 1 1"]
+    assert json.loads(path.read_text()) == got
+    before = path.read_text()
+    assert regenerate({"a 1 1": {**ok, "report": {"passed": False}}}, path) == 1
+    out = capsys.readouterr()
+    assert out.out.splitlines() == ["changed: a 1 1", "changed: b 1 1", "changed: c 1 1"]
+    assert "failing reports: a 1 1" in out.err and path.read_text() == before
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(reports(), indent=1, sort_keys=True) + "\n")
+    sys.exit(regenerate(reports()))

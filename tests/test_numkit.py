@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sjkit.numkit import (
     _block,
     bracket,
     frob,
+    guarded_inv,
     guarded_rsolve,
     hermitian_pd_margin,
     rel_error,
@@ -158,3 +161,20 @@ def test_frob_matches_linalg_norm():
         assert type(got) is float
         assert np.array([got]).tobytes() == np.array([want]).tobytes()
     assert frob([[3, 4]]) == 5.0 and frob(-2.0) == 2.0 and frob([1j, 0]) == 1.0
+
+
+def test_the_guard_reads_the_condition_number_np_linalg_cond_gives():
+    # one SVD's extreme singular values: cond's quotient, bit for bit, on every slice
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+    a[:, :, 0] = a[:, :, 1] + 1e-14 * a[:, :, 0]  # about 1e14
+    for x in a:
+        with pytest.raises(ConditioningError, match=re.escape(f"number {np.linalg.cond(x):.3e} ")):
+            guarded_inv(x)
+    with pytest.raises(ConditioningError, match=r"condition number .* \(slice 0\)"):
+        guarded_inv(a)
+    s = np.linalg.svd(a, compute_uv=False)
+    assert (s[..., 0] / s[..., -1]).tobytes() == np.linalg.cond(a).tobytes()
+    # an all-zero matrix reads NaN, where np.linalg.cond reads inf, and fails all the same
+    with pytest.raises(ConditioningError, match="condition number nan exceeds"):
+        guarded_inv(np.zeros((2, 2)))

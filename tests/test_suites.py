@@ -6,7 +6,8 @@ import pytest
 
 from sjkit import geometry, suites
 from sjkit.cli import main
-from sjkit.numkit import DomainError
+from sjkit.numkit import DimensionError, DomainError
+from sjkit.spaces import SiegelPoint, sample_point
 from sjkit.suites import SUITES, run_suite, trial_seed
 
 
@@ -46,6 +47,46 @@ def test_run_suite_rejects_empty_runs_and_bad_tolerance(kwargs):
         run_suite("compat-37", 1, 1, **{"trials": 2, "seed": 1, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs,error", [
+    ({"g": 0}, DimensionError), ({"h": -1}, DimensionError), ({"g": 1.5}, DimensionError),
+    ({"g": True}, DimensionError), ({"h": 2.0}, DimensionError), ({"h": "2"}, DimensionError),
+    ({"trials": 2.5}, DomainError), ({"trials": True}, DomainError),
+], ids=["g0", "h-1", "g1.5", "gTrue", "h2.0", "h-str", "trials2.5", "trialsTrue"])
+def test_run_suite_checks_shapes_and_trials_before_any_seed_is_drawn(monkeypatch, kwargs, error):
+    drawn = []
+    monkeypatch.setattr(suites, "trial_seed", lambda *args: drawn.append(args))
+    for name in ("compat-29", "metric-invariance"):
+        with pytest.raises(error, match=r"must be an int >= 1"):
+            run_suite(name, **{"g": 1, "h": 1, "trials": 2, **kwargs})
+    assert drawn == []
+
+
+def test_run_suite_takes_numpy_ints_and_reports_plain_ints():
+    r = run_suite("compat-29", np.int64(2), np.int32(1), trials=np.int64(3), seed=7)
+    assert (r.g, r.h, r.trials) == (2, 1, 3) and {type(x) for x in (r.g, r.h, r.trials)} == {int}
+    assert r.to_dict() == run_suite("compat-29", 2, 1, trials=3, seed=7).to_dict()
+
+
+def test_a_metric_trial_whose_image_fails_a_guard_is_recorded_naming_the_image(monkeypatch):
+    # trial 1's Siegel action takes its point to an unvalidated image with
+    # cond(Im(omega)) = 1e13, which only metric_siegel's guard refuses
+    bad, inner = trial_seed(5, 1), suites.act_siegel
+    start = sample_point("siegel", 2, 2, bad + 1).omega  # the trial's point: kind offset 1
+
+    def act(m, p, *, dirs=None):
+        out, pushed = inner(m, p, dirs=dirs)
+        hit = np.all(p.omega == start, axis=(-2, -1))[..., None, None]
+        image = np.where(hit, 1j * np.diag([1.0, 1e-13]), out.omega)
+        return SiegelPoint(image, validate=False), pushed
+
+    monkeypatch.setattr(suites, "act_siegel", act)
+    r = run_suite("metric-invariance", 2, 2, trials=3, seed=5)
+    assert [f["seed"] for f in r.failures] == [bad] and np.isnan(r.failures[0]["residual"])
+    error = r.failures[0]["error"]
+    assert error.startswith("ConditioningError: Im(omega): condition number 1.000e+13 exceeds")
+    assert error.endswith(" (slice 1)")
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_every_suite_passes_briefly(name):
     trials = 3 if name in ("laplacian-invariance", "metric-invariance") else 10
@@ -76,12 +117,11 @@ def _count_calls(monkeypatch, module, name, calls=None):
     return calls
 
 
-def test_metric_and_volume_trials_take_no_finite_differences(monkeypatch):
+def test_metric_and_volume_trials_take_no_finite_differences(monkeypatch, guards):
     fd = []
     for module in (geometry, suites):
         if hasattr(module, "pushforward"):
             _count_calls(monkeypatch, module, "pushforward", fd)
-    guards = _count_calls(monkeypatch, np.linalg, "cond")
     for seed in range(3):
         assert np.isfinite(SUITES["metric-invariance"][0](2, 2, [seed])).all()
         assert fd == []
