@@ -21,6 +21,8 @@ from .numkit import (
     PD_MIN_EIG,
     DimensionError,
     DomainError,
+    _det,
+    _eigvalsh,
     _ensure,
     as_cmatrix,
     frob,
@@ -64,7 +66,7 @@ class IndexMatrix:
             if not (frob(diag - np.round(diag)) <= ALGEBRAIC_REL and
                     frob(off - np.round(off)) <= ALGEBRAIC_REL):
                 raise DomainError("index matrix is not half-integral")
-        if self.psd and not np.linalg.eigvalsh(m)[0] >= -PD_MIN_EIG:
+        if self.psd and not _eigvalsh(m)[0] >= -PD_MIN_EIG:
             raise DomainError("index matrix is not positive semidefinite")
 
     @property
@@ -101,7 +103,7 @@ def rho_eval(rep: Representation, p) -> np.ndarray:
     p = as_cmatrix(p, "P")
     if p.shape[-2] != p.shape[-1]:
         raise DimensionError(f"representation argument must be square, got {p.shape[-2:]}")
-    det = np.linalg.det(p)
+    det = _det(p)
     _ensure((abs(det) >= 1e-300) & np.isfinite(abs(det)), DomainError,
             "representation argument is singular")
     if rep.kind == "det_power":

@@ -40,6 +40,7 @@ from .numkit import (
     _eye,
     _floor1,
     _rel,
+    _solve,
     frob,
     rel_error,
     symmetry_defect,
@@ -143,9 +144,9 @@ def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors
     den = qbar @ p.w + a.gs.p.conj()
     y = p.eta + lam @ p.w + mu
     _check_cond(den, "conj(Q) W + conj(P)")
-    right = np.linalg.solve(den.mT, np.concatenate([a.gs.p @ p.w + a.gs.q, y], axis=-2).mT).mT
+    right = _solve(den.mT, np.concatenate([a.gs.p @ p.w + a.gs.q, y], axis=-2).mT).mT
     wprime, etap = right[..., :p.g, :], right[..., p.g:, :]
-    pminus_w = np.linalg.solve(den, qbar)
+    pminus_w = _solve(den, qbar)
     kappa_base = kap + lam @ p.eta.mT + y @ lam.mT
     kappa_star = kappa_base - y @ pminus_w @ y.mT
     kappa_alt = kappa_base - y @ qbar.mT @ etap.mT

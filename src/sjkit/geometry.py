@@ -51,9 +51,13 @@ from .numkit import (
     DimensionError,
     DomainError,
     _built_once,
+    _cholesky,
+    _det,
+    _eigvalsh,
     _ensure,
     _floor1,
     _freeze,
+    _inv,
     frob,
     guarded_inv,
 )
@@ -132,12 +136,12 @@ def _abs2(x):
 
 TEST_FIELDS = [
     ScalarField("trace-re-base", "sj", lambda p: _tr(p.omega.real)),
-    ScalarField("logdet-y", "sj", lambda p: np.log(np.linalg.det(p.omega.imag))),
+    ScalarField("logdet-y", "sj", lambda p: np.log(_det(p.omega.imag))),
     ScalarField("trace-yvv", "sj", lambda p: _tr(p.omega.imag @ p.z.imag.mT @ p.z.imag)),
     ScalarField("re-trace-z", "sj", lambda p: _tr(p.z).real),
     ScalarField("abs2-trace-z", "sj", lambda p: _abs2(_tr(p.z))),
     ScalarField("logdet-disk", "disk",
-                lambda p: np.log(np.linalg.det(np.eye(p.g) - p.w @ p.w.conj())).real),
+                lambda p: np.log(_det(np.eye(p.g) - p.w @ p.w.conj())).real),
 ]
 
 
@@ -265,12 +269,14 @@ def _fiber_coords(h: int, g: int) -> np.ndarray:
 
 def _sym_frame(m: np.ndarray, what="Im(omega): condition number", top=None) -> tuple:
     """L with M = L L^H, and L S L^T with S over E_ii and (E_ij + E_ji)/sqrt(2) (orthonormal
-    for trace(S S')), once top / lambda_min(M), cond(M) by default, keeps FD_SECOND_REL."""
-    lam = np.linalg.eigvalsh(m)
-    cond = (lam[-1] if top is None else top) / lam[0]
+    for trace(S S')), once M is positive definite and top / lambda_min(M), cond(M) by default,
+    keeps FD_SECOND_REL."""
+    lam = _eigvalsh(m)
+    # inf unless M is positive definite, whatever top is
+    cond = (lam[-1] if top is None else top) / lam[0] if lam[0] > 0 else np.inf
     _ensure(cond <= _STENCIL_COND, ConditioningError,
             "{} {:.3e} exceeds the difference stencil's {:.0f}", what, cond, _STENCIL_COND)
-    l, e = np.linalg.cholesky(m), _sym_coords(len(m))
+    l, e = _cholesky(m), _sym_coords(len(m))
     return l, l @ (e / np.sqrt(e.sum(axis=(-2, -1)))[:, None, None]) @ l.T
 
 
@@ -291,7 +297,7 @@ def _sj_frame(omega: np.ndarray, z: np.ndarray) -> tuple:
     l, base = _sym_frame(y)
     fiber = _fiber_coords(*z.shape) @ l.T
     return (np.concatenate([base, np.zeros((len(fiber),) + y.shape)]),
-            np.concatenate([np.imag(z) @ np.linalg.inv(y) @ base, fiber]))
+            np.concatenate([np.imag(z) @ _inv(y) @ base, fiber]))
 
 
 def _frame_laplacian(f: Callable, p, frame: Callable, what: str, weights=(1.0, 1.0)) -> float:
@@ -348,7 +354,7 @@ def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint) -> flo
 def volume_density(p: SiegelJacobiPoint):
     """det(Y)^-(g+h+1), the density of the invariant volume element; float_power
     has the bits of a float's ** where an array's ** differs."""
-    return _plain(np.float_power(np.linalg.det(p.base.y), -(p.g + p.h + 1)))
+    return _plain(np.float_power(_det(p.base.y), -(p.g + p.h + 1)))
 
 
 def _pushforwards(map_fn: Callable, p, vs: list) -> list[TangentVector]:
@@ -421,7 +427,7 @@ def _abs_det2(pushed: list[TangentVector]):
         df = np.array([v.dfiber for v in pushed])
         cols = np.concatenate([cols, df.reshape(df.shape[:-2] + (-1,))], axis=-1)
     jac = cols.transpose(tuple(range(1, cols.ndim)) + (0,))
-    return _plain(_abs2(np.linalg.det(jac)))
+    return _plain(_abs2(_det(jac)))
 
 
 def action_jacobian_det(map_fn: Callable, p) -> float:

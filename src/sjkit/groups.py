@@ -23,10 +23,12 @@ from .numkit import (
     Holder,
     _block,
     _built_once,
+    _det,
     _ensure,
     _eye,
     _floor1,
     _freeze,
+    _inv,
     _nonfinite,
     _rel,
     as_cmatrix,
@@ -311,7 +313,7 @@ def _block_part(block, g: int) -> np.ndarray:
 
 
 def _check_nonsingular(block) -> None:
-    _ensure(abs(np.linalg.det(block)) >= 1e-300, DomainError, "block matrix is singular")
+    _ensure(abs(_det(block)) >= 1e-300, DomainError, "block matrix is singular")
 
 
 def _big_parts(block, xi, eta, zeta) -> tuple:
@@ -574,7 +576,7 @@ def _sample_symplectic(u: np.ndarray, g: int, scale: float) -> SymplecticMatrix:
             gens[at, kind * g:(kind + 1) * g, (1 - kind) * g:(2 - kind) * g] = _sym(drawn[at])
         else:  # A = I + R with |R|_2 < 1 so the block stays well conditioned
             a = bases[0, :g, :g] + drawn[at] / max(1, g)
-            gens[at, :g, :g], gens[at, g:, g:] = a, np.linalg.inv(a).mT
+            gens[at, :g, :g], gens[at, g:, g:] = a, _inv(a).mT
     m, t = np.repeat(bases[:1], len(rows), axis=0), 0
     for running, n in zip(steps, steps.sum(axis=1).tolist()):
         step, t = gens[t:t + n], t + n
@@ -605,7 +607,10 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     one pass, each slice with the bits of its seed's element.  scale must lie
     in (0, _SCALE_MAX]; the kinds built on a symplectic word take scale <= 1:
     above it the words' generators lose their conditioning and the product
-    fails its own validation.
+    fails its own validation.  kstarj's unitary part is the library's one
+    np.linalg call outside numkit's LAPACK kernels, np.linalg.qr, whose
+    wrapper builds Q from two gufuncs; no suite or perfbench workload draws
+    kstarj.
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown element kind: {kind!r}")

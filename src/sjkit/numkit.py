@@ -16,8 +16,13 @@ conditioning guard checks every slice and raises its usual error class if
 any slice fails, naming the first failing slice.  Serialization and the CLI
 take 2-d matrices only.
 
-Each slice of a batched result has the bits of the 2-d call: stacked @,
-solve, svd, det and eigvalsh give them by themselves, and frob sums each
+Each slice of a batched result has the bits of the 2-d call: stacked @ gives
+them by itself, and so do the LAPACK kernels (_svdvals, _eigvalsh, _inv,
+_solve, _det, _cholesky), which every module calls in place of np.linalg.
+Each kernel calls the gufunc of numpy.linalg._umath_linalg that its np.linalg
+function calls, on the same operand with the signature and errstate that
+function sets up, so it keeps that function's bits and its LinAlgError
+without the wrapper's coercion and checks.  frob sums each
 slice in the order ravel(order="K") gives it, over the strided real and
 imaginary views, with the BLAS dot np.linalg.norm uses: ndarray.dot on the
 one vector of a 2-d input, np.vecdot on a batch's rows.  einsum and .sum(-1)
@@ -30,6 +35,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "ALGEBRAIC_REL",
@@ -82,6 +88,64 @@ class ConsistencyError(SjkError, RuntimeError):
 
     This signals an implementation bug, not bad input.
     """
+
+
+# ---------------------------------------------------------------------------
+# LAPACK kernels (see the module docstring): each takes an ndarray and computes
+# in complex128 for complex input, float64 otherwise.  The wrapper's
+# _makearray, _commonType, square check and astype cost 3-6 us a call on top
+# of 2-3 us of LAPACK for g <= 4.  A non-square operand raises the gufunc's
+# ValueError, not LinAlgError, so callers check shapes first.
+
+def _lapack_errors(message: str) -> dict:
+    """The errstate np.linalg sets up around a LAPACK gufunc: a failure
+    (flagged as invalid) raises LinAlgError(message)."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+
+    return dict(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+_SINGULAR = _lapack_errors("Singular matrix")
+_NOT_PD = _lapack_errors("Matrix is not positive definite")
+_EIG_FAILED = _lapack_errors("Eigenvalues did not converge")
+_SVD_FAILED = _lapack_errors("SVD did not converge")
+
+
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(a, compute_uv=False): singular values, largest first."""
+    with np.errstate(**_SVD_FAILED):
+        return _umath_linalg.svd(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(a): eigenvalues from the lower triangle, ascending."""
+    with np.errstate(**_EIG_FAILED):
+        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(a)."""
+    with np.errstate(**_SINGULAR):
+        return _umath_linalg.inv(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a matrix (..., n, k) b."""
+    complex_ = a.dtype.kind == "c" or b.dtype.kind == "c"
+    with np.errstate(**_SINGULAR):
+        return _umath_linalg.solve(a, b, signature="DD->D" if complex_ else "dd->d")
+
+
+def _det(a: np.ndarray):
+    """np.linalg.det(a), which sets up no errstate of its own."""
+    return _umath_linalg.det(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(a): the lower factor."""
+    with np.errstate(**_NOT_PD):
+        return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 def _ensure(ok, error: type, message: str, *args) -> None:
@@ -281,8 +345,8 @@ def hermitian_pd_margin(a):
         a = np.where(finite[..., None, None], a, 0)
     hermitian = finite & (frob(a - a.conj().mT) / _floor1(frob(a)) <= ALGEBRAIC_REL)
     try:
-        eigs = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:  # LAPACK does not say which slice failed
+        eigs = _eigvalsh(a)
+    except LinAlgError as exc:  # LAPACK does not say which slice failed
         raise ConditioningError(f"eigenvalue iteration failed: {exc}") from exc
     margin = eigs[..., 0] if hermitian is True else np.where(hermitian, eigs[..., 0], -np.inf)
     return float(margin) if margin.ndim == 0 else margin
@@ -307,17 +371,23 @@ def _check_cond(a: np.ndarray, context: str) -> None:
     """ConditioningError unless cond(a) <= COND_LIMIT in every slice: the
     quotient of the extreme singular values, as np.linalg.cond forms it, from
     one SVD without cond's wrapper (an all-zero slice reads NaN, not inf)."""
-    s = np.linalg.svd(a, compute_uv=False)
+    s = _svdvals(a)
     with np.errstate(all="ignore"):
         cond = s[..., 0] / s[..., -1]
     _ensure(cond <= COND_LIMIT, ConditioningError,
             "{}: condition number {:.3e} exceeds {:.0e}", context, cond, COND_LIMIT)
 
 
+def _check_square(a: np.ndarray, context: str) -> None:
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"{context}: expected a square matrix, got {a.shape[-2:]}")
+
+
 def guarded_inv(a, context: str = "inverse") -> np.ndarray:
     a = as_cmatrix(a)
+    _check_square(a, context)
     _check_cond(a, context)
-    return np.linalg.inv(a)
+    return _inv(a)
 
 
 def guarded_rsolve(num, den, context: str = "solve") -> np.ndarray:
@@ -325,5 +395,9 @@ def guarded_rsolve(num, den, context: str = "solve") -> np.ndarray:
     conditioning guard."""
     num = as_cmatrix(num, "numerator")
     den = as_cmatrix(den, "denominator")
+    _check_square(den, context)
+    if num.shape[-1] != den.shape[-1]:
+        raise DimensionError(f"{context}: numerator has {num.shape[-1]} columns, "
+                             f"denominator is {den.shape[-1]} x {den.shape[-1]}")
     _check_cond(den, context)
-    return np.linalg.solve(den.mT, num.mT).mT
+    return _solve(den.mT, num.mT).mT

@@ -45,6 +45,7 @@ from .numkit import (
     _ensure,
     _eye,
     _freeze,
+    _svdvals,
     as_cmatrix,
     guarded_rsolve,
     hermitian_pd_margin,
@@ -475,7 +476,7 @@ def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
         base = SiegelPoint(_sym(x[1]) + 1j * (x[0].mT @ x[0] + 0.1 * _eye(g)))
     else:
         w = _sym(x[0]) + 1j * _sym(x[1])
-        norm = np.linalg.svd(w, compute_uv=False)[..., :1, None]  # spectral: the largest, first
+        norm = _svdvals(w)[..., :1, None]  # spectral: the largest, first
         base = DiskPoint(_DISK_RADIUS * w / (1 + norm))
     if not kind.endswith("jacobi"):
         return base

@@ -26,6 +26,7 @@ or the SjkError its trial raised.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 from operator import attrgetter
@@ -357,9 +358,10 @@ def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 
     g, h = _count(g, "g", DimensionError), _count(h, "h", DimensionError)
     trials = _count(trials, "trials", DomainError)
     suite_fn, default_tol = SUITES[name]
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                            or not 0 < tol <= sys.float_info.max):  # NaN fails it too
+        raise DomainError(f"tolerance must be a finite real number > 0, got {tol!r}")
     tolerance = default_tol if tol is None else float(tol)
-    if not (np.isfinite(tolerance) and tolerance > 0):
-        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 
     seeds = [trial_seed(_seed(seed), i) for i in range(trials)]
     results = list(suite_fn(g, h, seeds))

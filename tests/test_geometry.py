@@ -333,6 +333,33 @@ def test_the_disk_laplacian_refuses_points_near_the_boundary_before_any_field_ca
     assert calls == []
 
 
+@pytest.mark.parametrize("omega", [
+    [[-1j]], np.diag([-1j, -2j]), np.diag([1j, -1j]), np.diag([1j, 0j]), np.zeros((2, 2)),
+], ids=["negative-1x1", "negative-definite", "indefinite", "singular", "zero"])
+def test_a_siegel_frame_that_is_not_positive_definite_is_a_conditioning_error(omega):
+    # every eigenvalue negative once passed top / lambda_min <= 4504; a zero one divided by 0
+    omega = np.asarray(omega, dtype=complex)
+    calls = []
+    field = lambda q: calls.append(q) or np.zeros(q.omega.shape[:-2])  # noqa: E731
+    cases = [(laplacian_siegel, SiegelPoint(omega, validate=False)),
+             (partial(laplacian_sj, MetricParams()),
+              SiegelJacobiPoint(SiegelPoint(omega, validate=False), np.zeros((1, len(omega)))))]
+    for laplacian, p in cases:
+        with pytest.raises(ConditioningError, match=re.escape("Im(omega): condition number inf ")):
+            laplacian(field, p)
+    assert calls == []
+
+
+@pytest.mark.parametrize("w", [[[1.0]], [[1j]], [[-1.0]], np.diag([0.5, 1.0]), np.diag([2.0, 0.1])],
+                         ids=["1", "i", "-1", "diag-0.5-1", "outside"])
+def test_a_disk_frame_at_or_past_the_boundary_is_a_conditioning_error(w):
+    calls = []
+    field = lambda q: calls.append(q) or np.zeros(q.w.shape[:-2])  # noqa: E731
+    with pytest.raises(ConditioningError, match=re.escape("I - W conj(W): 4/lambda_min inf ")):
+        laplacian_disk(field, DiskPoint(np.asarray(w, dtype=complex), validate=False))
+    assert calls == []
+
+
 def test_laplacians_meet_their_closed_forms_just_inside_the_conditioning_bound():
     omega, z, w = _conditioned(3e3)
     _check_closed_forms(2, omega, z, w)

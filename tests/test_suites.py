@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,23 @@ def test_failures_recorded_with_seeds():
 def test_run_suite_rejects_empty_runs_and_bad_tolerance(kwargs):
     with pytest.raises(DomainError):
         run_suite("compat-37", 1, 1, **{"trials": 2, "seed": 1, **kwargs})
+
+
+@pytest.mark.parametrize("tol", [[1], "x", "1e-9", True, False, 1j, 10 ** 400, -1, 0],
+                         ids=["list", "str", "numeric-str", "True", "False", "complex",
+                              "huge-int", "int-neg", "int0"])
+def test_run_suite_takes_only_a_positive_finite_real_tolerance(monkeypatch, tol):
+    drawn = []
+    monkeypatch.setattr(suites, "trial_seed", lambda *args: drawn.append(args))
+    with pytest.raises(DomainError, match=r"tolerance must be a finite real number > 0"):
+        run_suite("compat-29", tol=tol)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("tol", [1, np.float64(1e-9), np.int64(2), Fraction(1, 10 ** 9)])
+def test_run_suite_reads_any_positive_real_tolerance_as_a_float(tol):
+    r = run_suite("compat-29", trials=2, seed=3, tol=tol)
+    assert type(r.tolerance) is float and r.tolerance == float(tol)
 
 
 @pytest.mark.parametrize("kwargs,error", [
