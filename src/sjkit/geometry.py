@@ -37,13 +37,14 @@ inverse has the bits of the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .groups import _blocks, _uniforms
+from .groups import _blocks, _draw_rows
 from .numkit import (
     ALGEBRAIC_REL,
     ConditioningError,
@@ -325,7 +326,11 @@ def _frame_laplacian(f: Callable, p, frame: Callable, what: str, weights=(1.0, 1
     # summed in stencil order: np.sum's pairwise order would round differently
     second = np.cumsum((vals[1:] - vals[0]).reshape(len(db), len(steps)), axis=1)[:, -1]
     w = np.where(np.any(db != 0, axis=(-2, -1)), *weights)
-    return _real_value(np.cumsum(w * second)[-1] / FD_SECOND_STEP**2, FD_SECOND_REL, what)
+    value = _real_value(np.cumsum(w * second)[-1] / FD_SECOND_STEP**2, FD_SECOND_REL, what)
+    if not math.isfinite(value):  # a NaN or inf field value leaves the sum NaN or inf
+        raise DomainError(f"{what}: not finite, from a NaN or inf field value or "
+                          "differences that overflow")
+    return value
 
 
 def laplacian_siegel(f: Callable, p: SiegelPoint) -> float:
@@ -353,8 +358,12 @@ def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint) -> flo
 
 def volume_density(p: SiegelJacobiPoint):
     """det(Y)^-(g+h+1), the density of the invariant volume element; float_power
-    has the bits of a float's ** where an array's ** differs."""
-    return _plain(np.float_power(_det(p.base.y), -(p.g + p.h + 1)))
+    has the bits of a float's ** where an array's ** differs.  A density that
+    comes out as 0 or inf, det(Y) or its power out of range, raises DomainError."""
+    density = np.float_power(_det(p.base.y), -(p.g + p.h + 1))
+    _ensure((density > 0) & (density < np.inf), DomainError,
+            "volume density det(Y)^-(g+h+1) = {} is not a positive finite number", density)
+    return _plain(density)
 
 
 def _pushforwards(map_fn: Callable, p, vs: list) -> list[TangentVector]:
@@ -389,11 +398,24 @@ def sample_tangent(g: int, h: int | None = None, seed=0) -> TangentVector:
     The seed is a non-negative int, whose vector is built from the numbers of
     the counter-based (seed, 20) stream; a sequence of seeds gives one holder
     of their batch, as sample_point does."""
+    kind = "tangent" if h is None else "tangent_jacobi"
+    return _sample_tangents(g, h, {kind: seed})[kind]
+
+
+def _sample_tangents(g: int, h: int, seeds: dict) -> dict:
+    """One family draw of tangent vectors, kind -> TangentVector, with seeds
+    mapping each kind to its seed or sequence of seeds (see
+    groups._draw_rows): "tangent" without a fiber part and "tangent_jacobi"
+    with an h x g one, both on the (seed, 20) streams.  Their rows are read to
+    the longest kind's numbers and the base part is built for every row."""
     # the real and the imaginary part of the base, then of the fiber
-    shapes = [(g, g)] * 2 + ([(h, g)] * 2 if h is not None else [])
-    x = _blocks(_uniforms(seed, 20, sum(r * c for r, c in shapes)), shapes, 1.0)
+    shapes = [(g, g)] * 2 + ([(h, g)] * 2 if "tangent_jacobi" in seeds else [])
+    u, spans = _draw_rows(seeds, dict.fromkeys(seeds, 20), sum(r * c for r, c in shapes))
+    x = _blocks(u, shapes, 1.0)
     s = x[0] + 1j * x[1]
-    return TangentVector((s + s.mT) / 2, None if h is None else x[2] + 1j * x[3])
+    s = (s + s.mT) / 2
+    return {kind: TangentVector(s[rows], x[2][rows] + 1j * x[3][rows] if kind == "tangent_jacobi"
+                                else None) for kind, rows in spans.items()}
 
 
 def _coordinate_dirs(p) -> tuple[TangentVector, ...]:

@@ -31,6 +31,7 @@ from .numkit import (
     _inv,
     _nonfinite,
     _rel,
+    _slice_holder,
     as_cmatrix,
     frob,
     rel_error,
@@ -493,9 +494,14 @@ _MASK, _GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15
 
 
 def _mix(z):
-    """SplitMix64's finalizer of an int below 2**64 or of a (wrapping) uint64 array."""
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    """SplitMix64's finalizer of an int below 2**64, its products masked to 64
+    bits, or of a uint64 array, whose products wrap by themselves."""
+    if isinstance(z, int):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    else:
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+        z = (z ^ z >> 27) * 0x94D049BB133111EB
     return z ^ z >> 31
 
 
@@ -515,9 +521,10 @@ def _key(seed, tag: int) -> int:
     return _mix((s & _MASK) + z & _MASK)
 
 
-def _uniforms(seed, tag: int, n: int, start: int = 0) -> np.ndarray:
+def _uniforms(seed, tag, n: int, start: int = 0) -> np.ndarray:
     """Numbers start, ..., start + n - 1 of the (seed, tag) stream: shape (n,)
-    for an int seed, (len(seed), n) for a sequence of seeds, a row per seed."""
+    for an int seed, (len(seed), n) for a sequence of seeds, a row per seed,
+    each with tag or, for a sequence of tags, its own."""
     # dtype=object keeps a ragged nesting 1-d, its sequences then rejected one by one
     seeds = None if isinstance(seed, (int, np.integer)) else np.asarray(seed, dtype=object)
     if seeds is None or seeds.ndim == 0:
@@ -525,9 +532,36 @@ def _uniforms(seed, tag: int, n: int, start: int = 0) -> np.ndarray:
     elif seeds.ndim != 1 or not len(seeds):
         raise DimensionError("seed must be an int or a non-empty sequence of ints")
     else:
-        key = np.array([_key(s, tag) for s in seeds], dtype=np.uint64)[:, None]
+        tags = [tag] * len(seeds) if isinstance(tag, int) else tag
+        key = np.array([_key(s, t) for s, t in zip(seeds, tags, strict=True)],
+                       dtype=np.uint64)[:, None]
     z = _mix(np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GAMMA + key)
     return (z >> 11) * 2.0 ** -53
+
+
+def _draw_rows(seeds: dict, tags: dict, n: int) -> tuple[np.ndarray, dict]:
+    """The first n numbers of each (seed, tag) row of one family draw, and
+    where each kind's rows lie.  seeds maps each kind to its seed or sequence
+    of seeds and tags each kind to its tag.  A lone kind draws as _uniforms
+    does, an int seed giving shape (n,), and its rows are all of them (...).
+    Otherwise the rows run kind by kind in the order of seeds, a sequence
+    taking a slice of them and an int seed one row, at an int index."""
+    if len(seeds) == 1:
+        kind = next(iter(seeds))
+        return _uniforms(seeds[kind], tags[kind], n), {kind: ...}
+    spans, rows, row_tags = {}, [], []
+    for kind, s in seeds.items():
+        one = isinstance(s, (int, np.integer))
+        spans[kind] = len(rows) if one else slice(len(rows), len(rows) + len(s))
+        rows += [s] if one else s
+        row_tags += [tags[kind]] * (len(rows) - len(row_tags))
+    return _uniforms(rows, row_tags, n), spans
+
+
+def _rows(x: Holder, spans: dict, kind: str) -> Holder:
+    """kind's rows of the batch x of a family draw (see _draw_rows): a 2-d
+    holder for an int index, all of x for a lone kind."""
+    return x if spans[kind] is ... else _slice_holder(x, spans[kind])
 
 
 _SCALE_MAX = 1e50  # drawn entries reach scale, their norms scale**2: 1e100 overflows
@@ -561,9 +595,10 @@ def _generator_bases(g: int) -> np.ndarray:
 def _sample_symplectic(u: np.ndarray, g: int, scale: float) -> SymplecticMatrix:
     """A product of 4 to 8 elementary generators (which keeps condition numbers
     moderate) for each row of numbers u: u[0] sets the word's length, u[1 + k]
-    the kind of its step k and u[9 + k g^2:] that step's g x g block.  Every
-    step's generator is built at once; step k multiplies only the words longer
-    than k, as padding by I could flip the sign of a zero."""
+    the kind of its step k and u[9 + k g^2:] that step's g x g block (a longer
+    row's later numbers are not read).  Every step's generator is built at
+    once; step k multiplies only the words longer than k, as padding by I
+    could flip the sign of a zero."""
     rows = u.reshape(-1, u.shape[-1])
     steps = (np.arange(8) < 4 + (5 * rows[:, :1]).astype(int)).T  # step k of word w runs
     kinds = (4 * rows[:, 1:9]).astype(int).T[steps]  # step-major, as the product runs
@@ -617,30 +652,54 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     if g < 1 or h < 1:
         raise DimensionError("g and h must be >= 1")
     _check_scale(scale)
-    if kind in ("sp", "gstar", "jacobi", "gstarj") and scale > 1:
+    if kind in _WORD_KINDS and scale > 1:
         raise DomainError(f"scale must be at most 1 for kind {kind!r}, got {scale}")
-    word, heis, tag = 9 + 8 * g * g, 2 * h * g + h * h, _KIND_TAG[kind]
-    if kind in ("sp", "gstar"):
-        m = _sample_symplectic(_uniforms(seed, tag, word), g, scale)
-        return m if kind == "sp" else conjugate_by_T(m)
+    return _sample_elements(g, h, {kind: seed}, scale)[kind]
+
+
+def _sample_elements(g: int, h: int, seeds: dict, scale: float = 0.8) -> dict:
+    """One family draw of elements, kind -> holder, with seeds mapping each
+    kind to its seed or sequence of seeds (see _draw_rows): heisenberg or
+    kstarj alone, or any of the kinds on a symplectic word, sp, gstar, jacobi
+    and gstarj.  Their rows are read to the longest kind's numbers, as a
+    stream's first numbers do not depend on how many are drawn; one word is
+    built for every row and one Heisenberg part for the rows of jacobi and
+    gstarj, which run first.  A kind's holder then takes its rows of these."""
+    kind = next(iter(seeds))
+    word, heis = 9 + 8 * g * g, 2 * h * g + h * h
     if kind == "heisenberg":
-        return _sample_heisenberg(_uniforms(seed, tag, heis), g, h, scale)
-    if kind in ("jacobi", "gstarj"):
-        u = _uniforms(seed, tag, word + heis)
-        a = JacobiElement(_sample_symplectic(u, g, scale),
-                          _sample_heisenberg(u[..., word:], g, h, scale))
-        return a if kind == "jacobi" else theta(a)
+        u = _uniforms(seeds[kind], _KIND_TAG[kind], heis)
+        return {kind: _sample_heisenberg(u, g, h, scale)}
     if kind == "kstarj":  # a unitary P from the QR of a complex Gaussian, phases fixed
-        u, n = _uniforms(seed, tag, 2 * g * g + h * h), g * g
+        u, n = _uniforms(seeds[kind], _KIND_TAG[kind], 2 * g * g + h * h), g * g
         # Box-Muller: numbers k and n + k give the real and imaginary part of a Gaussian
         z = np.sqrt(-2 * np.log1p(-u[..., :n])) * np.exp(2j * np.pi * u[..., n:2 * n])
         (kap,) = _blocks(u[..., 2 * n:], [(h, h)], scale)
         q, r = np.linalg.qr(z.reshape(u.shape[:-1] + (g, g)))
         d = np.diagonal(r, axis1=-2, axis2=-1)[..., None, :]
         z = np.zeros(q.shape[:-2] + (h, g), dtype=complex)
-        return GStarJacobiElement(GStarElement(q * (d / np.abs(d)), np.zeros(q.shape)),
-                                  ComplexHeisenbergElement(z, z, 1j * _sym(kap)))
-    raise AssertionError("unreachable")
+        return {kind: GStarJacobiElement(GStarElement(q * (d / np.abs(d)), np.zeros(q.shape)),
+                                         ComplexHeisenbergElement(z, z, 1j * _sym(kap)))}
+    if len(seeds) > 1:
+        seeds = {k: seeds[k] for k in _WORD_KINDS if k in seeds}
+    lifted = "jacobi" in seeds or "gstarj" in seeds
+    u, spans = _draw_rows(seeds, _KIND_TAG, word + heis if lifted else word)
+    m = _sample_symplectic(u, g, scale)
+    if lifted:  # the rows of jacobi and gstarj, first
+        rows = ... if len(seeds) == 1 else slice(
+            sum(np.size(seeds[k]) for k in ("jacobi", "gstarj") if k in seeds))
+        hs = _sample_heisenberg(u[rows, word:], g, h, scale)
+    out = {}
+    for kind in seeds:
+        mk = _rows(m, spans, kind)
+        if kind in ("sp", "gstar"):
+            out[kind] = mk if kind == "sp" else conjugate_by_T(mk)
+        else:
+            a = JacobiElement(mk, _rows(hs, spans, kind))
+            out[kind] = a if kind == "jacobi" else theta(a)
+    return out
 
 
+# the kinds on a symplectic word, those with a Heisenberg part first
+_WORD_KINDS = ("jacobi", "gstarj", "sp", "gstar")
 _KIND_TAG = {"sp": 0, "heisenberg": 1, "jacobi": 2, "gstar": 3, "gstarj": 4, "kstarj": 5}

@@ -215,11 +215,12 @@ class Holder:
         return f"{type(self).__name__}(g={self.g}{h})"
 
 
-def _slice_holder(x: Holder, rows: slice) -> Holder:
+def _slice_holder(x: Holder, rows: slice | int) -> Holder:
     """The rows of the batched holder x, as a holder of x's type: each array
     part, nested holders' included, is a read-only view of those rows of its
-    leading axis.  Nothing is copied or validated again, as the batch was
-    validated slice by slice; a part with no batch axis raises DimensionError."""
+    leading axis, and an int row gives a 2-d view, one unbatched sample.
+    Nothing is copied or validated again, as the batch was validated slice by
+    slice; a part with no batch axis raises DimensionError."""
     out = object.__new__(type(x))
     for name in type(x).__slots__:
         v = getattr(x, name)
@@ -399,5 +400,12 @@ def guarded_rsolve(num, den, context: str = "solve") -> np.ndarray:
     if num.shape[-1] != den.shape[-1]:
         raise DimensionError(f"{context}: numerator has {num.shape[-1]} columns, "
                              f"denominator is {den.shape[-1]} x {den.shape[-1]}")
+    # equal batches (the actions' case) and an unbatched side always broadcast
+    if num.shape[:-2] != den.shape[:-2] and min(num.ndim, den.ndim) > 2:
+        try:
+            np.broadcast_shapes(num.shape[:-2], den.shape[:-2])
+        except ValueError:
+            raise DimensionError(f"{context}: numerator batch {num.shape[:-2]} does not "
+                                 f"broadcast with denominator batch {den.shape[:-2]}") from None
     _check_cond(den, context)
     return _solve(den.mT, num.mT).mT

@@ -32,8 +32,9 @@ from .groups import (
     SymplecticMatrix,
     _blocks,
     _check_scale,
+    _draw_rows,
+    _rows,
     _sym,
-    _uniforms,
     theta,
 )
 from .numkit import (
@@ -468,19 +469,36 @@ def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
     if g < 1 or h < 1:
         raise DimensionError("g and h must be >= 1")
     _check_scale(scale)
+    return _sample_points(g, h, {kind: seed}, scale)[kind]
+
+
+def _sample_points(g: int, h: int, seeds: dict, scale: float = 1.0) -> dict:
+    """One family draw of points, kind -> holder, with seeds mapping each kind
+    to its seed or sequence of seeds (see groups._draw_rows): any of siegel and
+    siegel_jacobi, or of disk and disk_jacobi.  Their rows are read to the
+    longest kind's numbers, and one base is built and validated for every
+    row; a kind's points take their rows of it, with a fiber for a jacobi
+    kind."""
     # two g x g blocks for the base (Siegel: R, then Re omega; disk: Re W,
     # then Im W), then the real and the imaginary part of the fiber
-    shapes = [(g, g)] * 2 + ([(h, g)] * 2 if kind.endswith("jacobi") else [])
-    x = _blocks(_uniforms(seed, _KIND_TAG[kind], sum(r * c for r, c in shapes)), shapes, scale)
-    if kind.startswith("siegel"):
+    siegel = next(iter(seeds)).startswith("siegel")
+    fibered = ("siegel_jacobi" if siegel else "disk_jacobi") in seeds
+    shapes = [(g, g)] * 2 + ([(h, g)] * 2 if fibered else [])
+    u, spans = _draw_rows(seeds, _KIND_TAG, sum(r * c for r, c in shapes))
+    x = _blocks(u, shapes, scale)
+    if siegel:
         base = SiegelPoint(_sym(x[1]) + 1j * (x[0].mT @ x[0] + 0.1 * _eye(g)))
     else:
         w = _sym(x[0]) + 1j * _sym(x[1])
         norm = _svdvals(w)[..., :1, None]  # spectral: the largest, first
         base = DiskPoint(_DISK_RADIUS * w / (1 + norm))
-    if not kind.endswith("jacobi"):
-        return base
-    return (SiegelJacobiPoint if "siegel" in kind else DiskJacobiPoint)(base, x[2] + 1j * x[3])
+    out = {}
+    for kind, rows in spans.items():
+        out[kind] = _rows(base, spans, kind)
+        if kind.endswith("jacobi"):
+            out[kind] = (SiegelJacobiPoint if siegel else DiskJacobiPoint)(
+                out[kind], x[2][rows] + 1j * x[3][rows])
+    return out
 
 
 _KIND_TAG = {"siegel": 10, "disk": 11, "siegel_jacobi": 12, "disk_jacobi": 13}

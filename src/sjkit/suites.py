@@ -5,22 +5,27 @@ and reports the worst relative residual.  Per-trial seeds are derived from
 the master seed and the trial index alone, so reruns of the same suite
 produce byte-identical reports.
 
-Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  A
-chunk's samples of each distinct kind come from one sampler call on its list
-of seeds, every offset the kind sits at included: each seed's counter-based
-stream gives the numbers it gives alone, the samples are built and validated
-once for the chunk, and each offset takes its rows of the batch as views.  The
-chunk is then evaluated in one pass, and each residual has the bits of its
-trial drawn and evaluated alone.  A chunk that raises an SjkError is
-evaluated again one trial at a time, each sample drawn alone with its int
-seed (a batch of a repeated kind and its split cost more than its 2-d draws),
-so a trial that raises is recorded as a failure with its error and the run
-goes on.  laplacian-invariance, whose test field depends on the seed, runs in
-chunks of one trial, each Laplacian acting on its stencil's points in one
-batch.  metric-invariance evaluates each metric once per (point, image) pair,
-stacked with its tangent vectors on a leading axis of two.  A SUITES entry is
-(fn, default tolerance) with fn(g, h, seeds) returning, per seed, a residual
-or the SjkError its trial raised.
+Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  The
+sample kinds fall into families by the builder that reads their numbers: the
+kinds on a symplectic word (sp, gstar, jacobi, gstarj), the Siegel bases
+(siegel, siegel_jacobi), the disk bases (disk, disk_jacobi) and the tangent
+vectors, with heisenberg and kstarj each alone.  A chunk's samples of a
+family come from one pass over the counter-based (seed, tag) streams of its
+rows, every kind and offset included, each row read to the family's longest
+length: a stream's first numbers do not depend on how many are drawn, so each
+sample has the bits of its int-seed draw.  They are built and validated once
+for the chunk, and each offset takes its rows as views, 2-d holders in a
+chunk of one trial.  The chunk is then evaluated in one pass, and each
+residual has the bits of its trial drawn and evaluated alone.  A chunk that
+raises an SjkError is evaluated again one trial at a time, each trial drawn
+the same way as a chunk of one, so a trial that raises is recorded as a
+failure with its error and the run goes on.  laplacian-invariance, whose
+test field depends on the seed, runs in chunks of one trial, each Laplacian
+acting on its stencil's points in one batch.  metric-invariance evaluates
+each metric once per (point, image) pair, stacked with its tangent vectors
+on a leading axis of two.  A SUITES entry is (fn, default tolerance) with
+fn(g, h, seeds) returning, per seed, a residual or the SjkError its trial
+raised.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .geometry import (
     _abs_det2,
     _coordinate_dirs,
     _metric_sj_terms,
+    _sample_tangents,
     _weighted_sj,
     laplacian_disk,
     laplacian_sj,
@@ -49,13 +55,13 @@ from .geometry import (
     metric_disk,
     metric_siegel,
     pullback_metric_disk,
-    sample_tangent,
     volume_density,
 )
 from .groups import (
     GStarJacobiElement,
     HeisenbergElement,
     JacobiElement,
+    _sample_elements,
     _seed,
     conjugate_by_T,
     embed_sp_gph,
@@ -79,6 +85,7 @@ from .numkit import (
     rel_error,
 )
 from .spaces import (
+    _sample_points,
     act_disk,
     act_jacobi,
     act_jacobi_disk,
@@ -134,35 +141,37 @@ def _dist(fields: attrgetter, a, b):
 # the runner
 
 
-_POINT_KINDS = ("siegel", "disk", "siegel_jacobi", "disk_jacobi")
+# the kinds of each family, whose samples one builder makes from one pass over
+# their (seed, tag) streams, and its draw (g, h, seeds) -> {kind: sample}, seeds
+# mapping each of those kinds to its seed or sequence of seeds
+_FAMILIES = {
+    ("sp", "gstar", "jacobi", "gstarj"): _sample_elements,
+    ("heisenberg",): _sample_elements,
+    ("kstarj",): _sample_elements,
+    ("siegel", "siegel_jacobi"): _sample_points,
+    ("disk", "disk_jacobi"): _sample_points,
+    ("tangent", "tangent_jacobi"): _sample_tangents,
+    # a suite that draws its own samples takes the trial (g, h, seed) itself
+    ("trial",): lambda g, h, seeds: {"trial": (g, h, seeds["trial"])},
+}
+_FAMILY = {kind: family for family in _FAMILIES for kind in family}
 # trials evaluated in one pass: memory stays flat in the trial count
 _CHUNK = 64
-
-
-def _sample(kind: str, g: int, h: int, seed):
-    """The sample of one kind for a seed or a sequence of seeds: an element,
-    a point, a tangent vector ("tangent", "tangent_jacobi" with a fiber) or,
-    for "trial", the trial (g, h, seed) itself, for a suite that draws its own."""
-    if kind == "trial":
-        return g, h, seed
-    if kind.startswith("tangent"):
-        return sample_tangent(g, h if kind == "tangent_jacobi" else None, seed)
-    return (sample_point if kind in _POINT_KINDS else sample_element)(kind, g, h, seed)
 
 
 @dataclass(frozen=True)
 class _Batched:
     """A suite that draws one sample of each kind per trial, seeded s, s + 1,
-    ..., and evaluates each chunk of up to `chunk` trials in one pass.  A
-    chunk's samples of a kind come from one sampler call: a kind at offsets
-    k1..km is drawn on the seeds s + k1 over the chunk, then s + k2, ..., and
-    each offset takes its rows of that batch as a view.
+    ..., and evaluates each chunk of up to `chunk` trials in one pass.
 
-    A chunk that raises an SjkError, and a chunk of one trial, is evaluated
-    trial by trial from 2-d holders drawn with the trial's int seed, one
-    sampler call per offset: a batch of a repeated kind and its split cost
-    more than its 2-d draws.  A trial that still raises gives its error in
-    place of its residual.
+    A chunk's samples come from one draw per family of kinds (see _FAMILIES):
+    a kind at offsets k1..km is drawn on the seeds s + k1 over the chunk, then
+    s + k2, ..., next to the other kinds of its family, and each offset takes
+    its rows of the kind's batch as a view, a 2-d holder through an int row
+    for a chunk of one trial.  A family with one row is drawn with its int
+    seed.  A chunk that raises an SjkError is evaluated again trial by trial,
+    each trial drawn as a chunk of one, and a trial that still raises gives
+    its error in place of its residual.
     """
 
     kinds: tuple
@@ -170,9 +179,13 @@ class _Batched:
     chunk: int = _CHUNK
 
     @cached_property
-    def offsets(self) -> dict:
-        """The offsets in kinds of each distinct kind, in order of first offset."""
-        return {kind: [k for k, x in enumerate(self.kinds) if x == kind] for kind in self.kinds}
+    def families(self) -> list[tuple]:
+        """(draw, the offsets in kinds of each of its kinds) per family, the
+        families and their kinds in order of first offset."""
+        out = {}
+        for k, kind in enumerate(self.kinds):
+            out.setdefault(_FAMILY[kind], {}).setdefault(kind, []).append(k)
+        return [(_FAMILIES[family], offsets) for family, offsets in out.items()]
 
     def __call__(self, g: int, h: int, seeds: list[int]) -> list:
         out = []
@@ -188,22 +201,27 @@ class _Batched:
         return out
 
     def _draw(self, g: int, h: int, chunk: list[int]) -> list:
-        """The chunk's samples, one batch per kind position, from one sampler
-        call per distinct kind."""
+        """The chunk's samples, one per kind position, from one draw per
+        family.  In a chunk of one trial each sample is a 2-d holder: a kind
+        at one offset is drawn on its int seed, a kind at several takes int
+        rows of its batch."""
         n, samples = len(chunk), [None] * len(self.kinds)
-        for kind, ks in self.offsets.items():
-            batch = _sample(kind, g, h, [s + k for k in ks for s in chunk])
-            if len(ks) == 1:
-                samples[ks[0]] = batch
-            else:
+        for draw, offsets in self.families:
+            seeds = {kind: chunk[0] + ks[0] if n == 1 and len(ks) == 1
+                     else [s + k for k in ks for s in chunk] for kind, ks in offsets.items()}
+            for kind, batch in draw(g, h, seeds).items():
+                ks = offsets[kind]
+                if len(ks) == 1:
+                    samples[ks[0]] = batch
+                    continue
                 for j, k in enumerate(ks):
-                    samples[k] = _slice_holder(batch, slice(j * n, (j + 1) * n))
+                    samples[k] = _slice_holder(batch, j if n == 1 else slice(j * n, (j + 1) * n))
         return samples
 
     def alone(self, g: int, h: int, s: int):
         """Trial s evaluated from 2-d holders, or the SjkError it raises."""
         try:
-            return self.evaluate(*[_sample(kind, g, h, s + k) for k, kind in enumerate(self.kinds)])
+            return self.evaluate(*self._draw(g, h, [s]))
         except SjkError as exc:
             return exc
 

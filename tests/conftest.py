@@ -1,21 +1,39 @@
+import importlib
 import sys
 
 import pytest
 
-from sjkit import numkit
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls("module.name") -> a list that gains the arguments of each
+    call of that sjkit function, through every sjkit module that holds it;
+    count_calls("module.Class.method") counts a method's calls."""
+
+    def count(path: str) -> list:
+        module, *owner, name = path.split(".")
+        holder = importlib.import_module(f"sjkit.{module}")
+        for cls in owner:
+            holder = getattr(holder, cls)
+        calls, inner = [], getattr(holder, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        if owner:
+            monkeypatch.setattr(holder, name, counted)
+            return calls
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "sjkit" and getattr(mod, name, None) is inner:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return count
 
 
 @pytest.fixture
-def guards(monkeypatch):
+def guards(count_calls):
     """A list that gains one entry per conditioning guard (numkit._check_cond)
     called, through every sjkit module that imports the guard."""
-    calls, inner = [], numkit._check_cond
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "sjkit" and getattr(module, "_check_cond", None) is inner:
-            monkeypatch.setattr(module, "_check_cond", counted)
-    return calls
+    return count_calls("numkit._check_cond")

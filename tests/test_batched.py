@@ -84,36 +84,54 @@ def test_every_suite_runs_on_the_one_runner():
     assert [name for name in SUITES if name not in BATCHED] == ["laplacian-invariance"]
 
 
+def _sample(kind: str, g: int, h: int, seed):
+    """The public sampler's draw of kind on a seed or a sequence of seeds, or
+    for "trial" the trial (g, h, seed) itself."""
+    if kind == "trial":
+        return g, h, seed
+    if kind.startswith("tangent"):
+        return sample_tangent(g, h if kind == "tangent_jacobi" else None, seed)
+    return _sampler(kind)(kind, g, h, seed)
+
+
 def _draw_alone(suite, g, h, s) -> tuple:
     """A trial's samples as unbatched holders, each kind drawn with its int seed."""
-    return tuple(suites._sample(kind, g, h, s + k) for k, kind in enumerate(suite.kinds))
+    return tuple(_sample(kind, g, h, s + k) for k, kind in enumerate(suite.kinds))
 
 
-def _count_draws(monkeypatch) -> list:
-    """The length of the seed list of every sampler call the suites make."""
-    draws = []
-    for name in ("sample_element", "sample_point", "sample_tangent"):
-        inner = getattr(suites, name)
-        monkeypatch.setattr(suites, name, lambda *args, inner=inner:
-                            draws.append(np.size(args[-1])) or inner(*args))
-    return draws
+def _rows(draws: list) -> list[int]:
+    """The number of (seed, tag) rows of each _uniforms pass counted in draws."""
+    return [np.size(args[0]) for args in draws]
+
+
+def _family_offsets(suite) -> list[int]:
+    """The number of offsets of each family of the suite's kinds, in order of
+    first offset."""
+    families = dict.fromkeys(suites._FAMILY[kind] for kind in suite.kinds)
+    return [sum(kind in family for kind in suite.kinds) for family in families]
 
 
 @pytest.mark.parametrize("g,h", SHAPES)
 @pytest.mark.parametrize("name", BATCHED)
-def test_batched_suite_matches_trials_one_at_a_time(monkeypatch, name, g, h):
+def test_batched_suite_matches_trials_one_at_a_time(count_calls, name, g, h):
     suite = SUITES[name][0]
     seeds = [trial_seed(5, i) for i in range(10)]
     alone = [suite.evaluate(*_draw_alone(suite, g, h, s)) for s in seeds]  # unbatched, 2-d holders
     assert all(type(r) in (float, np.float64) for r in alone)
     evaluations, counted = _counting(suite)
-    draws = _count_draws(monkeypatch)
+    draws = count_calls("groups._uniforms")
     batched = counted(g, h, seeds)
-    # one sampler call per distinct kind, on ten seeds per offset it sits at
-    assert draws == [10 * suite.kinds.count(kind) for kind in dict.fromkeys(suite.kinds)]
+    # one _uniforms pass per family, on ten seeds per offset of its kinds
+    assert _rows(draws) == [10 * k for k in _family_offsets(suite)]
     assert evaluations == [1] and len(batched) == 10  # one pass, no trial replayed
     assert _bits(batched) == _bits(alone)
-    assert _bits(np.concatenate([suite(g, h, [s]) for s in seeds])) == _bits(alone)
+    one_at_a_time = []
+    for s in seeds:
+        draws.clear()
+        one_at_a_time.append(suite(g, h, [s]))
+        assert _rows(draws) == _family_offsets(suite)  # the same passes, a row per offset
+    assert all(type(r) in (float, np.float64) for (r,) in one_at_a_time)
+    assert _bits(np.concatenate(one_at_a_time)) == _bits(alone)
 
 
 def _counting(suite) -> tuple[list, suites._Batched]:
@@ -123,14 +141,17 @@ def _counting(suite) -> tuple[list, suites._Batched]:
         suite, evaluate=lambda *batch: calls.append(1) or suite.evaluate(*batch))
 
 
-def test_trials_past_one_chunk_match_trials_one_at_a_time(monkeypatch):
+def test_trials_past_one_chunk_match_trials_one_at_a_time(count_calls):
     suite = SUITES["compat-29"][0]
     seeds = [trial_seed(2, i) for i in range(suites._CHUNK + 6)]
-    want = [suite.evaluate(*_draw_alone(suite, 1, 1, s)) for s in seeds]
-    draws = _count_draws(monkeypatch)
-    batched = suite(1, 1, seeds)
-    assert draws == [suites._CHUNK] * 2 + [6] * 2  # two kinds, two chunks
-    assert _bits(batched) == _bits(want)
+    draws = count_calls("groups._uniforms")
+    for g, h in [(1, 1), (2, 1), (3, 2)]:
+        want = [suite.evaluate(*_draw_alone(suite, g, h, s)) for s in seeds]
+        draws.clear()
+        batched = suite(g, h, seeds)
+        # two families, the word's sp and the disk's disk, and two chunks
+        assert _rows(draws) == [suites._CHUNK] * 2 + [6] * 2
+        assert _bits(batched) == _bits(want)
 
 
 def _raise_on_trial_67(monkeypatch, name: str, k: int) -> None:
@@ -139,22 +160,23 @@ def _raise_on_trial_67(monkeypatch, name: str, k: int) -> None:
     recorded as a failure, and every other residual keeps its bits."""
     inner = SUITES[name][0]
     seeds = [trial_seed(2, i) for i in range(suites._CHUNK + 6)]
-    bad = _arrays(suites._sample(inner.kinds[k], 1, 1, seeds[67] + k))[0]
+    for g, h in [(1, 1), (2, 1), (3, 2)]:
+        bad = _arrays(_sample(inner.kinds[k], g, h, seeds[67] + k))[0]
 
-    def evaluate(*batch):
-        _ensure((_arrays(batch[k])[0] != bad).any(axis=(-2, -1)), DomainError, "bad trial")
-        return inner.evaluate(*batch)
+        def evaluate(*batch, bad=bad):
+            _ensure((_arrays(batch[k])[0] != bad).any(axis=(-2, -1)), DomainError, "bad trial")
+            return inner.evaluate(*batch)
 
-    calls, suite = _counting(dataclasses.replace(inner, evaluate=evaluate))
-    got = suite(1, 1, seeds)
-    assert len(calls) == 2 + 6  # a pass per chunk, then the second chunk trial by trial
-    assert type(got[67]) is DomainError and str(got[67]) == "bad trial"  # no "(slice 3)"
-    want = inner(1, 1, seeds)
-    assert _bits(got[:67] + got[68:]) == _bits(want[:67] + want[68:])
-    monkeypatch.setitem(SUITES, name, (suite, 1e-9))
-    (failure,) = run_suite(name, 1, 1, trials=len(seeds), seed=2).failures
-    assert failure["seed"] == seeds[67] and np.isnan(failure["residual"])
-    assert failure["error"] == "DomainError: bad trial"
+        calls, suite = _counting(dataclasses.replace(inner, evaluate=evaluate))
+        got = suite(g, h, seeds)
+        assert len(calls) == 2 + 6  # a pass per chunk, then the second chunk trial by trial
+        assert type(got[67]) is DomainError and str(got[67]) == "bad trial"  # no "(slice 3)"
+        want = inner(g, h, seeds)
+        assert _bits(got[:67] + got[68:]) == _bits(want[:67] + want[68:])
+        monkeypatch.setitem(SUITES, name, (suite, 1e-9))
+        (failure,) = run_suite(name, g, h, trials=len(seeds), seed=2).failures
+        assert failure["seed"] == seeds[67] and np.isnan(failure["residual"])
+        assert failure["error"] == "DomainError: bad trial"
 
 
 def test_a_raising_slice_is_replayed_alone_and_recorded_as_its_trial(monkeypatch):
@@ -279,8 +301,8 @@ def _word(kind: str, seed: int, g: int) -> list[int]:
 def test_a_batched_draw_is_the_draws_of_its_seeds_stacked(kind, g, h):
     chunks = [[41], list(range(40)), [trial_seed(9, i) for i in range(suites._CHUNK + 6)]]
     for seeds in chunks:
-        batch = suites._sample(kind, g, h, seeds)
-        alone = [suites._sample(kind, g, h, s) for s in seeds]
+        batch = _sample(kind, g, h, seeds)
+        alone = [_sample(kind, g, h, s) for s in seeds]
         assert (batch.g, getattr(batch, "h", h)) == (g, h)
         for got, *want in zip(_arrays(batch), *map(_arrays, alone), strict=True):
             assert got.shape == (len(seeds),) + want[0].shape and want[0].ndim == 2
@@ -293,27 +315,27 @@ def test_a_batched_draw_is_the_draws_of_its_seeds_stacked(kind, g, h):
 @pytest.mark.parametrize("kind", ELEMENT_KINDS + POINT_KINDS + TANGENT_KINDS)
 def test_a_slice_of_a_batch_is_the_batch_of_its_seeds(kind, g, h):
     seeds = [trial_seed(6, i) for i in range(12)]
-    batch = suites._sample(kind, g, h, seeds)
+    batch = _sample(kind, g, h, seeds)
     flags = [a.flags.writeable for a in _arrays(batch)]
     for rows in (slice(0, 5), slice(5, 12), slice(11, 12)):
         got = _slice_holder(batch, rows)
-        want = suites._sample(kind, g, h, seeds[rows])
+        want = _sample(kind, g, h, seeds[rows])
         assert type(got) is type(want) and (got.g, getattr(got, "h", h)) == (g, h)
         for x, y, whole in zip(_arrays(got), _arrays(want), _arrays(batch), strict=True):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
             assert not x.flags.writeable and x.base is not None and np.shares_memory(x, whole)
     assert [a.flags.writeable for a in _arrays(batch)] == flags  # the batch is left as it was
     with pytest.raises(DimensionError, match="no batch axis"):
-        _slice_holder(suites._sample(kind, g, h, seeds[0]), slice(0, 1))
+        _slice_holder(_sample(kind, g, h, seeds[0]), slice(0, 1))
 
 
 @pytest.mark.parametrize("g,h", SAMPLE_SHAPES)
 @pytest.mark.parametrize("kind", ELEMENT_KINDS + POINT_KINDS + TANGENT_KINDS)
 def test_a_stack_of_draws_is_the_batch_of_their_seeds(kind, g, h):
     seeds = [trial_seed(7, i) for i in range(3)]
-    alone = [suites._sample(kind, g, h, s) for s in seeds]
+    alone = [_sample(kind, g, h, s) for s in seeds]
     flags = [a.flags.writeable for x in alone for a in _arrays(x)]
-    got, want = _stack_holders(*alone), suites._sample(kind, g, h, seeds)
+    got, want = _stack_holders(*alone), _sample(kind, g, h, seeds)
     assert type(got) is type(want) and (got.g, getattr(got, "h", h)) == (g, h)
     if kind == "tangent":
         assert got.dfiber is None
@@ -352,26 +374,75 @@ def test_a_seed_list_must_be_one_non_empty_sequence(seed):
             _sampler(kind)(kind, 2, 1, seed)
 
 
-def _count_validations(monkeypatch) -> dict:
-    counts = {}
-    for cls in (SymplecticMatrix, SiegelPoint, DiskPoint):
-        inner = cls.validate
-        monkeypatch.setattr(cls, "validate", lambda self, *a, inner=inner, name=cls.__name__:
-                            counts.update({name: counts.get(name, 0) + 1}) or inner(self, *a))
-    return counts
+def _count_validations(count_calls) -> dict:
+    """Class name -> the list of its counted validate calls."""
+    return {cls: count_calls(f"{module}.{cls}.validate") for module, cls in
+            [("groups", "SymplecticMatrix"), ("spaces", "SiegelPoint"), ("spaces", "DiskPoint")]}
 
 
-def test_each_kind_is_validated_once_per_chunk(monkeypatch):
+def _counts(counted: dict) -> dict:
+    return {name: len(calls) for name, calls in counted.items()}
+
+
+def test_each_kind_is_validated_once_per_chunk(count_calls):
     kinds = ("sp", "jacobi", "gstar", "gstarj", "siegel", "disk", "siegel_jacobi", "disk_jacobi")
-    counts = _count_validations(monkeypatch)
-    suite = suites._Batched(kinds, lambda *batch: np.zeros(len(batch[0].m)))
-    assert len(suite(2, 1, list(range(suites._CHUNK + 6)))) == suites._CHUNK + 6
-    # two chunks: a symplectic part in four kinds, a Siegel and a disk base in two each
-    assert counts == {"SymplecticMatrix": 2 * 4, "SiegelPoint": 2 * 2, "DiskPoint": 2 * 2}
-    counts.clear()
+    counted = _count_validations(count_calls)
+    suite = suites._Batched(kinds, lambda *batch: np.zeros(batch[0].m.shape[:-2]))
+    for trials, chunks in [(suites._CHUNK + 6, 2), (1, 1)]:
+        for calls in counted.values():
+            calls.clear()
+        assert len(suite(2, 1, list(range(trials)))) == trials
+        # one word for the four kinds on it, one Siegel and one disk base for two each
+        assert _counts(counted) == {"SymplecticMatrix": chunks, "SiegelPoint": chunks,
+                                    "DiskPoint": chunks}
+    for calls in counted.values():
+        calls.clear()
     for kind in kinds:
         _sampler(kind)(kind, 2, 1, 5)
-    assert counts == {"SymplecticMatrix": 4, "SiegelPoint": 2, "DiskPoint": 2}
+    assert _counts(counted) == {"SymplecticMatrix": 4, "SiegelPoint": 2, "DiskPoint": 2}
+
+
+def _suite_counts(count_calls, name: str, g: int, h: int) -> dict:
+    """The calls each draw function and validation makes in one one-trial call
+    of a suite."""
+    counted = _count_validations(count_calls) | {
+        fn: count_calls(fn) for fn in
+        ("groups._uniforms", "groups._sample_symplectic", "groups._sample_heisenberg")}
+    assert run_suite(name, g, h, trials=1, seed=4).passed
+    return _counts(counted)
+
+
+def test_a_metric_invariance_trial_draws_each_family_once(count_calls):
+    # 14 samples in four families: the word's sp, gstar, jacobi and gstarj (two
+    # with a Heisenberg part), the Siegel base's two, the disk base's three and
+    # five tangent vectors
+    assert _suite_counts(count_calls, "metric-invariance", 2, 2) == {
+        "groups._uniforms": 4, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
+        "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 1}
+
+
+def test_a_volume_invariance_trial_draws_as_before(count_calls):
+    # a jacobi element and a siegel_jacobi point, each family one row on its int seed
+    assert _suite_counts(count_calls, "volume-invariance", 2, 2) == {
+        "groups._uniforms": 2, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
+        "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
+
+
+@pytest.mark.parametrize("g,h", SHAPES)
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_sample_of_a_family_draw_has_the_bytes_of_its_int_seed_draw(name, g, h):
+    suite = SUITES[name][0]
+    for n in (1, 3):
+        chunk = [trial_seed(8, i) for i in range(n)]
+        for k, (kind, got) in enumerate(zip(suite.kinds, suite._draw(g, h, chunk), strict=True)):
+            if kind == "trial":
+                assert got == (g, h, chunk[0] if n == 1 else chunk)
+                continue
+            alone = [_sample(kind, g, h, s + k) for s in chunk]
+            assert type(got) is type(alone[0])
+            for x, *want in zip(_arrays(got), *map(_arrays, alone), strict=True):
+                assert want[0].ndim == 2 and x.shape == (() if n == 1 else (n,)) + want[0].shape
+                assert x.tobytes() == np.stack(want).tobytes()
 
 
 # -- tangent vectors, metrics and volume: one batched pass per call ----------

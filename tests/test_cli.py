@@ -191,6 +191,16 @@ def test_element_point_commands_require_point(capsys, argv, what):
     assert f"{what} input must be" in err
 
 
+def test_laplacian_command_of_a_field_that_is_not_finite_is_a_domain_error(capsys):
+    # det(Y) of Omega = 1e150 i I_4 overflows, so logdet-y is inf at every stencil point
+    point = json.dumps({"omega": encode_matrix(1e150j * np.eye(4)),
+                        "z": encode_matrix(np.zeros((1, 4)))})
+    code, out, err = run_cli(capsys, "laplacian", "--which", "sj", "--field", "logdet-y",
+                             "--input", point)
+    assert code == 3 and out == ""
+    assert "domain error: siegel-jacobi laplacian: not finite, from a NaN or inf field" in err
+
+
 def test_exit_code_domain_violation(capsys):
     code, _, err = run_cli(capsys, "transform", "--map", "cayley", "--input", '{"w":[[[2,0]]]}')
     assert code == 3 and "domain error" in err

@@ -382,6 +382,51 @@ def test_volume_density_values():
     assert volume_density(p) == pytest.approx(0.0625)
 
 
+def _sj_point(y: float, g: int, h: int) -> SiegelJacobiPoint:
+    return SiegelJacobiPoint(SiegelPoint(1j * y * np.eye(g)), np.zeros((h, g)))
+
+
+@pytest.mark.parametrize("y,g,h", [
+    # det(Y) = 1e200 is finite and its -4th power underflows to 0 with no warning
+    (1e100, 2, 1),
+    # det(Y) overflows to inf, so the density is 0; numpy warns, as np.linalg.det does
+    pytest.param(1e150, 4, 1, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # det(Y) = 1e-40 and its -8th power overflows to inf; numpy warns on purpose
+    pytest.param(1e-10, 4, 3, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+], ids=["underflow-to-0", "det-overflows", "power-overflows"])
+def test_a_volume_density_of_zero_or_inf_is_a_domain_error(y, g, h):
+    with pytest.raises(DomainError, match=r"density det\(Y\)\^-\(g\+h\+1\) = (0\.0|inf) is not"):
+        volume_density(_sj_point(y, g, h))
+    batch = SiegelJacobiPoint(SiegelPoint(1j * np.array([1.0, y])[:, None, None] * np.eye(g)),
+                              np.zeros((2, h, g)))
+    with pytest.raises(DomainError, match=r"not a positive finite number \(slice 1\)"):
+        volume_density(batch)
+
+
+_NOT_FINITE = ": not finite, from a NaN or inf field value or differences that overflow$"
+
+
+# det(Y) = inf at this point on purpose, so the logdet-y field is inf; numpy warns as it does
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_field_value_that_is_not_finite_raises_naming_its_laplacian():
+    p = _sj_point(1e150, 4, 1)
+    with pytest.raises(DomainError, match="^siegel-jacobi laplacian" + _NOT_FINITE):
+        laplacian_sj(MetricParams(), FIELDS["logdet-y"], p)
+    with pytest.raises(DomainError, match="^siegel laplacian" + _NOT_FINITE):
+        laplacian_siegel(FIELDS["logdet-y"], p.base)
+
+
+def test_a_nan_field_value_raises_naming_its_laplacian():
+    # one NaN among the stencil's values, at a displaced point
+    def nan_at_one_point(q):
+        vals = np.zeros(q.w.shape[:-2])
+        vals[3] = np.nan
+        return vals
+
+    with pytest.raises(DomainError, match="^disk laplacian" + _NOT_FINITE):
+        laplacian_disk(nan_at_one_point, sample_point("disk", 2, 1, seed=1))
+
+
 def test_pushforward_identity_and_cayley():
     p = sample_point("disk", 1, 1, seed=2)
     v = tv([[0.7 - 0.1j]])

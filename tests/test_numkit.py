@@ -111,7 +111,9 @@ def test_guarded_solve_raises_on_ill_conditioning():
     lambda: guarded_rsolve(np.ones((2, 2)), np.eye(3)[:2]),
     lambda: guarded_rsolve(np.ones((2, 2)), np.eye(3)),
     lambda: guarded_rsolve(np.ones((4, 2, 3)), np.eye(2)),
-], ids=["inv-2x3", "inv-batch-1x2", "rsolve-den-2x3", "rsolve-num-cols", "rsolve-batch-num-cols"])
+    lambda: guarded_rsolve(np.ones((3, 2, 2)), np.ones((4, 2, 2)) + np.eye(2)),
+], ids=["inv-2x3", "inv-batch-1x2", "rsolve-den-2x3", "rsolve-num-cols", "rsolve-batch-num-cols",
+        "rsolve-batches-3-4"])
 def test_guarded_solves_reject_nonconforming_shapes_before_lapack(monkeypatch, call):
     def no_lapack(*args):
         raise AssertionError("LAPACK was called")
@@ -120,6 +122,13 @@ def test_guarded_solves_reject_nonconforming_shapes_before_lapack(monkeypatch, c
         monkeypatch.setattr(numkit, name, no_lapack)
     with pytest.raises(DimensionError):
         call()
+
+
+def test_guarded_rsolve_broadcasts_batches_that_broadcast():
+    den = np.array([[2.0, 1.0], [0.0, 4.0]]) + np.zeros((3, 1, 2, 2))
+    num = np.arange(8.0).reshape(4, 1, 2)
+    want = np.stack([[guarded_rsolve(n, d) for n in num] for d in den[:, 0]])
+    assert guarded_rsolve(num, den).tobytes() == want.tobytes()
 
 
 def test_guarded_rsolve_takes_a_numerator_of_any_row_count():
@@ -241,7 +250,7 @@ def test_a_failed_eigensolve_reads_as_a_conditioning_error(monkeypatch):
 
 _LAPACK_KERNELS = {"_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky"}
 # (module, enclosing function, use) allowed besides the kernels' own gufunc calls
-_ALLOWED = {("groups", "sample_element", "linalg.qr"), ("numkit", "frob", "linalg.norm"),
+_ALLOWED = {("groups", "_sample_elements", "linalg.qr"), ("numkit", "frob", "linalg.norm"),
             ("numkit", "<module>", "import LinAlgError"),
             ("numkit", "<module>", "import _umath_linalg")}
 

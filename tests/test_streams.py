@@ -9,6 +9,7 @@ import pytest
 
 from sjkit import suites
 from sjkit.cli import main
+from sjkit.geometry import sample_tangent
 from sjkit.groups import _KIND_TAG, _uniforms, sample_element
 from sjkit.numkit import DomainError
 from sjkit.spaces import sample_point
@@ -160,7 +161,7 @@ def test_a_bad_seed_is_a_domain_error(seed):
     with pytest.raises(DomainError, match="seed must be a non-negative integer"):
         sample_point("disk", 1, 1, [2, seed])
     with pytest.raises(DomainError, match="seed must be a non-negative integer"):
-        suites._sample("tangent", 1, 1, seed)
+        sample_tangent(1, None, seed)
     with pytest.raises(DomainError, match="seed must be a non-negative integer"):
         run_suite("compat-29", 1, 1, trials=2, seed=seed)
 
