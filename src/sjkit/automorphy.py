@@ -10,6 +10,7 @@ representation) pair at once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,8 @@ class Representation:
     def __post_init__(self):
         if self.kind not in ("det_power", "standard"):
             raise DomainError(f"unknown representation kind: {self.kind!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise DomainError(f"the power k must be an int, got {self.k!r}")
 
 
 def chi_character(idx: IndexMatrix, c):

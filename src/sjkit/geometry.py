@@ -38,6 +38,7 @@ inverse has the bits of the other.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -53,6 +54,7 @@ from .numkit import (
     DomainError,
     _built_once,
     _cholesky,
+    _count,
     _det,
     _eigvalsh,
     _ensure,
@@ -108,8 +110,9 @@ class MetricParams:
     b: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.a < np.inf and 0 < self.b < np.inf):
-            raise DomainError("metric parameters must be finite and positive")
+        for x in (self.a, self.b):
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < np.inf:
+                raise DomainError(f"metric parameters must be finite positive reals, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ class ScalarField:
     holder of points to one real value per point, an array of its batch shape."""
 
     name: str
-    domain: str  # "siegel", "disk", or "sj"
+    domain: str  # "disk", "sj", or "siegel": of Omega alone, so also on the Siegel-Jacobi space
     fn: Callable
 
     def __call__(self, point):
@@ -136,8 +139,8 @@ def _abs2(x):
 
 
 TEST_FIELDS = [
-    ScalarField("trace-re-base", "sj", lambda p: _tr(p.omega.real)),
-    ScalarField("logdet-y", "sj", lambda p: np.log(_det(p.omega.imag))),
+    ScalarField("trace-re-base", "siegel", lambda p: _tr(p.omega.real)),
+    ScalarField("logdet-y", "siegel", lambda p: np.log(_det(p.omega.imag))),
     ScalarField("trace-yvv", "sj", lambda p: _tr(p.omega.imag @ p.z.imag.mT @ p.z.imag)),
     ScalarField("re-trace-z", "sj", lambda p: _tr(p.z).real),
     ScalarField("abs2-trace-z", "sj", lambda p: _abs2(_tr(p.z))),
@@ -398,6 +401,7 @@ def sample_tangent(g: int, h: int | None = None, seed=0) -> TangentVector:
     The seed is a non-negative int, whose vector is built from the numbers of
     the counter-based (seed, 20) stream; a sequence of seeds gives one holder
     of their batch, as sample_point does."""
+    g, h = _count(g, "g"), None if h is None else _count(h, "h")
     kind = "tangent" if h is None else "tangent_jacobi"
     return _sample_tangents(g, h, {kind: seed})[kind]
 

@@ -23,6 +23,7 @@ from .numkit import (
     Holder,
     _block,
     _built_once,
+    _count,
     _det,
     _ensure,
     _eye,
@@ -649,8 +650,7 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown element kind: {kind!r}")
-    if g < 1 or h < 1:
-        raise DimensionError("g and h must be >= 1")
+    g, h = _count(g, "g"), _count(h, "h")
     _check_scale(scale)
     if kind in _WORD_KINDS and scale > 1:
         raise DomainError(f"scale must be at most 1 for kind {kind!r}, got {scale}")

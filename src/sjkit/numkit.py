@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -171,6 +172,13 @@ def _floor1(x, y=0.0):
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return np.fmax(np.fmax(1.0, x), y)
     return max(1.0, x, y)
+
+
+def _count(x, what: str, error: type = DimensionError) -> int:
+    """x as an int, or error unless x is an integer >= 1 and not a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
+        raise error(f"{what} must be an int >= 1, got {x!r}")
+    return int(x)
 
 
 def _nonfinite(name: str, *arrays: np.ndarray) -> None:

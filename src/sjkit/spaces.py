@@ -43,6 +43,7 @@ from .numkit import (
     DimensionError,
     DomainError,
     Holder,
+    _count,
     _ensure,
     _eye,
     _freeze,
@@ -466,8 +467,7 @@ def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown point kind: {kind!r}")
-    if g < 1 or h < 1:
-        raise DimensionError("g and h must be >= 1")
+    g, h = _count(g, "g"), _count(h, "h")
     _check_scale(scale)
     return _sample_points(g, h, {kind: seed}, scale)[kind]
 

@@ -5,27 +5,21 @@ and reports the worst relative residual.  Per-trial seeds are derived from
 the master seed and the trial index alone, so reruns of the same suite
 produce byte-identical reports.
 
-Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  The
-sample kinds fall into families by the builder that reads their numbers: the
-kinds on a symplectic word (sp, gstar, jacobi, gstarj), the Siegel bases
-(siegel, siegel_jacobi), the disk bases (disk, disk_jacobi) and the tangent
-vectors, with heisenberg and kstarj each alone.  A chunk's samples of a
-family come from one pass over the counter-based (seed, tag) streams of its
-rows, every kind and offset included, each row read to the family's longest
-length: a stream's first numbers do not depend on how many are drawn, so each
-sample has the bits of its int-seed draw.  They are built and validated once
-for the chunk, and each offset takes its rows as views, 2-d holders in a
-chunk of one trial.  The chunk is then evaluated in one pass, and each
-residual has the bits of its trial drawn and evaluated alone.  A chunk that
-raises an SjkError is evaluated again one trial at a time, each trial drawn
-the same way as a chunk of one, so a trial that raises is recorded as a
-failure with its error and the run goes on.  laplacian-invariance, whose
-test field depends on the seed, runs in chunks of one trial, each Laplacian
-acting on its stencil's points in one batch.  metric-invariance evaluates
-each metric once per (point, image) pair, stacked with its tangent vectors
-on a leading axis of two.  A SUITES entry is (fn, default tolerance) with
-fn(g, h, seeds) returning, per seed, a residual or the SjkError its trial
-raised.
+Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  A
+chunk's samples of a family of kinds (see _FAMILIES) come from one pass over
+the counter-based (seed, tag) streams of its rows, each read to the family's
+longest length: a stream's first numbers do not depend on how many are
+drawn, so each sample has the bits of its int-seed draw.  They are built and
+validated once for the chunk, which is then evaluated in one pass, each
+residual with the bits of its trial drawn and evaluated alone.  A trial that
+raises an SjkError is recorded as a failure with its error and the run goes
+on.  laplacian-invariance has a runner per test field, its samples set by
+the field's domain, and sends each trial to the runner of its seed's field,
+one trial per call, each Laplacian acting on its stencil's points in one
+batch.  metric-invariance evaluates each metric once per (point, image)
+pair, stacked with its tangent vectors on a leading axis of two.  A SUITES
+entry is (fn, default tolerance) with fn(g, h, seeds) returning, per seed, a
+residual or the SjkError its trial raised.
 """
 
 from __future__ import annotations
@@ -70,15 +64,14 @@ from .groups import (
     heisenberg_mul,
     jacobi_inv,
     jacobi_mul,
-    sample_element,
     symplectic_j,
     theta,
     tstar_agreement_residual,
 )
 from .numkit import (
-    DimensionError,
     DomainError,
     SjkError,
+    _count,
     _floor1,
     _slice_holder,
     _stack_holders,
@@ -92,7 +85,6 @@ from .spaces import (
     act_siegel,
     cayley,
     check_compatibility,
-    sample_point,
 )
 
 __all__ = ["VerifyReport", "SUITES", "run_suite", "run_all"]
@@ -151,8 +143,6 @@ _FAMILIES = {
     ("siegel", "siegel_jacobi"): _sample_points,
     ("disk", "disk_jacobi"): _sample_points,
     ("tangent", "tangent_jacobi"): _sample_tangents,
-    # a suite that draws its own samples takes the trial (g, h, seed) itself
-    ("trial",): lambda g, h, seeds: {"trial": (g, h, seeds["trial"])},
 }
 _FAMILY = {kind: family for family in _FAMILIES for kind in family}
 # trials evaluated in one pass: memory stays flat in the trial count
@@ -162,7 +152,7 @@ _CHUNK = 64
 @dataclass(frozen=True)
 class _Batched:
     """A suite that draws one sample of each kind per trial, seeded s, s + 1,
-    ..., and evaluates each chunk of up to `chunk` trials in one pass.
+    ..., and evaluates each chunk of up to _CHUNK trials in one pass.
 
     A chunk's samples come from one draw per family of kinds (see _FAMILIES):
     a kind at offsets k1..km is drawn on the seeds s + k1 over the chunk, then
@@ -176,7 +166,6 @@ class _Batched:
 
     kinds: tuple
     evaluate: Callable
-    chunk: int = _CHUNK
 
     @cached_property
     def families(self) -> list[tuple]:
@@ -189,8 +178,8 @@ class _Batched:
 
     def __call__(self, g: int, h: int, seeds: list[int]) -> list:
         out = []
-        for i in range(0, len(seeds), self.chunk):
-            chunk = seeds[i:i + self.chunk]
+        for i in range(0, len(seeds), _CHUNK):
+            chunk = seeds[i:i + _CHUNK]
             if len(chunk) > 1:
                 try:
                     out.extend(self.evaluate(*self._draw(g, h, chunk)))
@@ -326,21 +315,25 @@ def _laplacian_residual(laplacian, fld, act, p) -> float:
     return _scalar_rel(laplacian(lambda q: fld(act(q)), p), laplacian(fld, act(p)))
 
 
-def _laplacian_invariance(trial) -> float:
-    """One trial: its test field, and so the samples it draws, follow from its seed."""
-    g, h, s = trial
-    fld = TEST_FIELDS[s % len(TEST_FIELDS)]
+def _laplacian_invariance(fld, a, p, m=None, q=None) -> float:
+    """fld's residual under a at p on the model of its domain, and for a field
+    of Omega alone also under m at q on Siegel space."""
     if fld.domain == "disk":
-        act = partial(act_disk, sample_element("gstar", g, h, s))
-        return _laplacian_residual(laplacian_disk, fld, act, sample_point("disk", g, h, s + 1))
-    act = partial(act_jacobi, sample_element("jacobi", g, h, s))
+        return _laplacian_residual(laplacian_disk, fld, partial(act_disk, a), p)
     lap = partial(laplacian_sj, MetricParams(1.0, 1.0))
-    res = _laplacian_residual(lap, fld, act, sample_point("siegel_jacobi", g, h, s + 1))
-    if fld.name in ("trace-re-base", "logdet-y"):
-        act = partial(act_siegel, sample_element("sp", g, h, s + 2))
-        res = np.maximum(res, _laplacian_residual(laplacian_siegel, fld, act,
-                                                  sample_point("siegel", g, h, s + 3)))
+    res = _laplacian_residual(lap, fld, partial(act_jacobi, a), p)
+    if fld.domain == "siegel":
+        res = np.maximum(res, _laplacian_residual(laplacian_siegel, fld, partial(act_siegel, m), q))
     return res
+
+
+# the samples of a test field's trial, by the field's domain
+_LAPLACIAN_KINDS = {"disk": ("gstar", "disk"), "sj": ("jacobi", "siegel_jacobi"),
+                    "siegel": ("jacobi", "siegel_jacobi", "sp", "siegel")}
+# a runner per test field: trial s takes TEST_FIELDS[s % 6], one trial per call, as
+# _frame_laplacian takes a single point
+_LAPLACIANS = tuple(_Batched(_LAPLACIAN_KINDS[f.domain], partial(_laplacian_invariance, f))
+                    for f in TEST_FIELDS)
 
 
 # name -> (suite function (g, h, seeds) -> residual or error per seed, default tolerance)
@@ -355,25 +348,19 @@ SUITES = {
                                     "jacobi", "siegel_jacobi", "tangent_jacobi", "disk", "tangent",
                                     "gstarj", "disk_jacobi", "tangent_jacobi"),
                                    _metric_invariance), 1e-9),
-    "laplacian-invariance": (_Batched(("trial",), _laplacian_invariance, chunk=1), 1e-3),
+    "laplacian-invariance": (lambda g, h, seeds: [_LAPLACIANS[s % len(_LAPLACIANS)].alone(g, h, s)
+                                                  for s in seeds], 1e-3),
     "cocycle": (_Batched(("gstarj", "gstarj", "disk_jacobi"), _cocycle), 1e-8),
     "volume-invariance": (_Batched(("jacobi", "siegel_jacobi"), _volume_invariance), 1e-9),
 }
 
 
-def _count(x, what: str, error: type) -> int:
-    """x as an int, or error unless x is an integer >= 1 and not a bool."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
-        raise error(f"{what} must be an int >= 1, got {x!r}")
-    return int(x)
-
-
 def run_suite(name: str, g: int = 1, h: int = 1, trials: int = 100, seed: int = 0,
               tol: float | None = None) -> VerifyReport:
     """Run one named suite; deterministic in (name, g, h, trials, seed)."""
-    if name not in SUITES:
+    if not isinstance(name, str) or name not in SUITES:
         raise DomainError(f"unknown suite: {name!r}")
-    g, h = _count(g, "g", DimensionError), _count(h, "h", DimensionError)
+    g, h = _count(g, "g"), _count(h, "h")
     trials = _count(trials, "trials", DomainError)
     suite_fn, default_tol = SUITES[name]
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)

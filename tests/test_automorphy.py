@@ -95,6 +95,14 @@ def test_rho_det_power_and_standard():
         rho_eval(Representation("det_power", 1), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("k", [1.5, True, np.bool_(True), "2", None, np.float64(2.0)])
+def test_a_representation_takes_only_an_int_power(k):
+    # det^1.5 would take the principal branch, -1j at det = -1: not a representation
+    with pytest.raises(DomainError, match=r"the power k must be an int"):
+        Representation("det_power", k)
+    assert rho_eval(Representation("det_power", np.int64(2)), 2 * np.eye(2))[0, 0] == 16.0
+
+
 def test_rho_det_power_that_overflows_is_a_domain_error():
     rep = Representation("det_power", -100000)
     for p in (0.5 * np.eye(1), np.stack([np.eye(2), 0.5 * np.eye(2)])):

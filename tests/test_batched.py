@@ -66,7 +66,7 @@ from sjkit.suites import SUITES, run_suite, trial_seed
 
 ALGEBRAIC = ["group-axioms", "theta-hom", "compat-29", "compat-37", "hc-reconstruct", "cocycle"]
 # the suites that evaluate a chunk of trials in one pass
-BATCHED = [name for name, (fn, _) in SUITES.items() if fn.chunk > 1]
+BATCHED = [name for name, (fn, _) in SUITES.items() if type(fn) is suites._Batched]
 SHAPES = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)]
 
 
@@ -78,17 +78,31 @@ def test_the_six_algebraic_suites_are_batched():
     assert set(ALGEBRAIC) < set(BATCHED)
 
 
+def _runners(name: str) -> list:
+    """The runners of a suite: laplacian-invariance has one per test field."""
+    return list(suites._LAPLACIANS) if name == "laplacian-invariance" else [SUITES[name][0]]
+
+
 def test_every_suite_runs_on_the_one_runner():
-    assert all(type(fn) is suites._Batched for fn, _ in SUITES.values())
-    # the Laplacian's test field, and so its samples, depend on the seed
     assert [name for name in SUITES if name not in BATCHED] == ["laplacian-invariance"]
+    assert "trial" not in suites._FAMILY
+    # a runner per test field, its samples set by the field's domain
+    runners = _runners("laplacian-invariance")
+    assert [type(r) for r in runners] == [suites._Batched] * len(TEST_FIELDS)
+    assert [r.evaluate.args for r in runners] == [(f,) for f in TEST_FIELDS]
+    assert {f.domain: r.kinds for f, r in zip(TEST_FIELDS, runners)} == {
+        "disk": ("gstar", "disk"), "sj": ("jacobi", "siegel_jacobi"),
+        "siegel": ("jacobi", "siegel_jacobi", "sp", "siegel")}
+    assert [f.name for f in TEST_FIELDS if f.domain == "siegel"] == ["trace-re-base", "logdet-y"]
+    # trial s on the runner of its test field, TEST_FIELDS[s % 6], one trial per call
+    seeds = [trial_seed(1, i) for i in range(8)]
+    assert {s % 6 for s in seeds} == set(range(6))
+    want = [runners[s % 6](1, 1, [s])[0] for s in seeds]
+    assert _bits(SUITES["laplacian-invariance"][0](1, 1, seeds)) == _bits(want)
 
 
 def _sample(kind: str, g: int, h: int, seed):
-    """The public sampler's draw of kind on a seed or a sequence of seeds, or
-    for "trial" the trial (g, h, seed) itself."""
-    if kind == "trial":
-        return g, h, seed
+    """The public sampler's draw of kind on a seed or a sequence of seeds."""
     if kind.startswith("tangent"):
         return sample_tangent(g, h if kind == "tangent_jacobi" else None, seed)
     return _sampler(kind)(kind, g, h, seed)
@@ -374,6 +388,24 @@ def test_a_seed_list_must_be_one_non_empty_sequence(seed):
             _sampler(kind)(kind, 2, 1, seed)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda: sample_tangent(0), lambda: sample_tangent(2, 0), lambda: sample_tangent(-1),
+    lambda: sample_tangent(2, 1.5), lambda: sample_element("sp", 1.5),
+    lambda: sample_element("sp", True), lambda: sample_element("jacobi", 2, 0),
+    lambda: sample_point("siegel", "2"), lambda: sample_point("disk_jacobi", 1, np.int64(0)),
+], ids=["tangent-g0", "tangent-h0", "tangent-g-1", "tangent-h1.5", "sp-g1.5", "sp-gTrue",
+        "jacobi-h0", "siegel-g-str", "disk_jacobi-h-np0"])
+def test_a_sampler_refuses_a_dimension_that_is_not_an_int_of_at_least_one(draw):
+    with pytest.raises(DimensionError, match=r"must be an int >= 1"):
+        draw()
+
+
+def test_a_sampler_takes_numpy_int_dimensions():
+    for kind in ("jacobi", "siegel_jacobi", "tangent_jacobi"):
+        got, want = _sample(kind, np.int64(2), np.int32(1), 3), _sample(kind, 2, 1, 3)
+        assert [a.tobytes() for a in _arrays(got)] == [a.tobytes() for a in _arrays(want)]
+
+
 def _count_validations(count_calls) -> dict:
     """Class name -> the list of its counted validate calls."""
     return {cls: count_calls(f"{module}.{cls}.validate") for module, cls in
@@ -402,14 +434,20 @@ def test_each_kind_is_validated_once_per_chunk(count_calls):
     assert _counts(counted) == {"SymplecticMatrix": 4, "SiegelPoint": 2, "DiskPoint": 2}
 
 
-def _suite_counts(count_calls, name: str, g: int, h: int) -> dict:
-    """The calls each draw function and validation makes in one one-trial call
-    of a suite."""
+def _draw_counts(count_calls, run) -> dict:
+    """The calls each draw function and validation makes in run(), which
+    returns whether its trials passed."""
     counted = _count_validations(count_calls) | {
         fn: count_calls(fn) for fn in
         ("groups._uniforms", "groups._sample_symplectic", "groups._sample_heisenberg")}
-    assert run_suite(name, g, h, trials=1, seed=4).passed
+    assert run()
     return _counts(counted)
+
+
+def _suite_counts(count_calls, name: str, g: int, h: int) -> dict:
+    """The calls each draw function and validation makes in one one-trial call
+    of a suite."""
+    return _draw_counts(count_calls, lambda: run_suite(name, g, h, trials=1, seed=4).passed)
 
 
 def test_a_metric_invariance_trial_draws_each_family_once(count_calls):
@@ -428,16 +466,29 @@ def test_a_volume_invariance_trial_draws_as_before(count_calls):
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
 
 
+def test_a_laplacian_trial_of_a_field_of_omega_alone_draws_each_family_once(count_calls):
+    # jacobi and sp on one word, one with a Heisenberg part, and siegel_jacobi and
+    # siegel on one Siegel base
+    (k,) = [k for k, f in enumerate(TEST_FIELDS) if f.name == "logdet-y"]
+    run = lambda: suites._LAPLACIANS[k](2, 2, [6 * 7 + k])[0] <= 1e-3  # noqa: E731
+    assert _draw_counts(count_calls, run) == {
+        "groups._uniforms": 2, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
+        "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
+
+
+def test_the_suites_call_no_public_sampler(count_calls):
+    calls = [count_calls(fn) for fn in
+             ("groups.sample_element", "spaces.sample_point", "geometry.sample_tangent")]
+    assert all(r.passed for r in suites.run_all(trials=2))
+    assert calls == [[], [], []]
+
+
 @pytest.mark.parametrize("g,h", SHAPES)
 @pytest.mark.parametrize("name", list(SUITES))
 def test_every_sample_of_a_family_draw_has_the_bytes_of_its_int_seed_draw(name, g, h):
-    suite = SUITES[name][0]
-    for n in (1, 3):
+    for suite, n in [(suite, n) for suite in _runners(name) for n in (1, 3)]:
         chunk = [trial_seed(8, i) for i in range(n)]
         for k, (kind, got) in enumerate(zip(suite.kinds, suite._draw(g, h, chunk), strict=True)):
-            if kind == "trial":
-                assert got == (g, h, chunk[0] if n == 1 else chunk)
-                continue
             alone = [_sample(kind, g, h, s + k) for s in chunk]
             assert type(got) is type(alone[0])
             for x, *want in zip(_arrays(got), *map(_arrays, alone), strict=True):
@@ -550,7 +601,7 @@ def _laplacian_cases(g, h, seed):
             continue
         yield (f, pj) + sj
         yield (lambda q, f=f: f(act_jacobi(a, q)), pj) + sj
-        if f.name in ("trace-re-base", "logdet-y"):
+        if f.domain == "siegel":
             yield (f, ps) + siegel
             yield (lambda q, f=f: f(act_siegel(m, q)), ps) + siegel
 
@@ -591,10 +642,12 @@ def test_test_fields_give_each_point_of_a_batch_its_scalar_bits(g, h):
     z = rng.uniform(-2, 2, (n, h, g)) + 1j * rng.uniform(-2, 2, (n, h, g))
     w = (x + 1j * y + (x + 1j * y).mT) / 2
     w = 0.9 * w / (1 + np.linalg.norm(w, 2, axis=(-2, -1)))[:, None, None]
-    batches = {"sj": SiegelJacobiPoint(SiegelPoint(omega), z), "disk": DiskPoint(w)}
+    batches = {"sj": SiegelJacobiPoint(SiegelPoint(omega), z), "disk": DiskPoint(w),
+               "siegel": SiegelPoint(omega)}
     points = {"sj": [SiegelJacobiPoint(SiegelPoint(o, validate=False), f)
                      for o, f in zip(omega, z)],
-              "disk": [DiskPoint(m) for m in w]}
+              "disk": [DiskPoint(m) for m in w],
+              "siegel": [SiegelPoint(o, validate=False) for o in omega]}
     for f in TEST_FIELDS:
         got = f(batches[f.domain])
         assert got.shape == (n,)
@@ -683,8 +736,9 @@ def test_a_laplacian_trial_calls_its_field_at_most_four_times_at_every_shape(mon
         fields.clear()
         guards.clear()
         frames.clear()
-        suites._laplacian_invariance((g, h, 6 * 7 + k))
-        base_only = TEST_FIELDS[k].name in ("trace-re-base", "logdet-y")
+        (res,) = suites._LAPLACIANS[k](g, h, [6 * 7 + k])
+        assert type(res) in (float, np.float64)
+        base_only = TEST_FIELDS[k].domain == "siegel"
         assert len(fields) == (4 if base_only else 2)
         # per residual one action of the stencil's batch and one of the point, and
         # the conditioning check of each of its two Laplacians' frames

@@ -96,6 +96,28 @@ def test_laplacian_command(capsys):
     assert json.loads(out)["value"] == pytest.approx(-1.0, abs=1e-4)
 
 
+# the test fields each Laplacian takes: the Siegel one only the functions of Omega alone
+_LAPLACIAN_FIELDS = {
+    "siegel": {"trace-re-base", "logdet-y"},
+    "disk": {"logdet-disk"},
+    "sj": {"trace-re-base", "logdet-y", "trace-yvv", "re-trace-z", "abs2-trace-z"},
+}
+
+
+@pytest.mark.parametrize("field", ["trace-re-base", "logdet-y", "trace-yvv", "re-trace-z",
+                                   "abs2-trace-z", "logdet-disk"])
+@pytest.mark.parametrize("which", sorted(_LAPLACIAN_FIELDS))
+def test_the_laplacian_command_takes_only_the_fields_of_its_model(capsys, which, field):
+    kind = {"siegel": "siegel", "disk": "disk", "sj": "siegel_jacobi"}[which]
+    point = json.dumps(encode_point(sample_point(kind, 2, 1, seed=3)))
+    code, out, err = run_cli(capsys, "laplacian", "--which", which, "--field", field,
+                             "--input", point)
+    if field in _LAPLACIAN_FIELDS[which]:
+        assert code == 0 and err == "" and np.isfinite(json.loads(out)["value"])
+    else:
+        assert code == 2 and out == "" and f"input error: field {field!r}" in err
+
+
 @pytest.mark.parametrize("which, field, point, error", [
     # cond(Im omega) = 1e5: the stencil's step is too coarse
     ("siegel", "logdet-y", '{"omega":[[[0,1],[0,0]],[[0,0],[0,1e-5]]]}',

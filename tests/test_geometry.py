@@ -77,6 +77,13 @@ def test_metric_sj_reductions():
     assert metric_sj(MetricParams(1, 1), p, tv([[1.0]], [[0.0]])) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("a,b", [(True, 1), (1, np.bool_(False)), ("a", 1), (1, None),
+                                 (1 + 0j, 1), (0, 1), (1, -2.0), (np.inf, 1), (1, np.nan)])
+def test_metric_params_take_only_finite_positive_reals(a, b):
+    with pytest.raises(DomainError, match=r"metric parameters must be finite positive reals"):
+        MetricParams(a, b)
+
+
 def test_metric_invariance_samples():
     for seed in range(10):
         m = sample_element("sp", 2, 1, seed=seed)

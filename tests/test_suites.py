@@ -79,6 +79,12 @@ def test_run_suite_checks_shapes_and_trials_before_any_seed_is_drawn(monkeypatch
     assert drawn == []
 
 
+@pytest.mark.parametrize("name", [["x"], {"compat-29": 1}, 5, None])
+def test_run_suite_refuses_a_name_that_is_not_a_suite(name):
+    with pytest.raises(DomainError, match=r"unknown suite"):
+        run_suite(name)
+
+
 def test_run_suite_takes_numpy_ints_and_reports_plain_ints():
     r = run_suite("compat-29", np.int64(2), np.int32(1), trials=np.int64(3), seed=7)
     assert (r.g, r.h, r.trials) == (2, 1, 3) and {type(x) for x in (r.g, r.h, r.trials)} == {int}
@@ -158,16 +164,18 @@ def test_exact_differential_suites_pass_at_g_ne_h(name, g, h):
 
 
 def test_a_trial_that_raises_is_a_recorded_failure_and_the_run_goes_on(monkeypatch, capsys):
-    suite, tol = SUITES["laplacian-invariance"]
     bad = trial_seed(29, 8)
+    runners = list(suites._LAPLACIANS)
+    runner = runners[bad % 6]  # the runner of trial 8's test field
+    bad_point = sample_point(runner.kinds[1], 1, 1, bad + 1)
 
-    def evaluate(trial):  # trial 8 of this run raises
-        if trial[2] == bad:
+    def evaluate(a, p, *rest):  # trial 8 of this run raises
+        if np.array_equal(geometry._point_parts(p)[0], geometry._point_parts(bad_point)[0]):
             raise DomainError("bad trial")
-        return suite.evaluate(trial)
+        return runner.evaluate(a, p, *rest)
 
-    monkeypatch.setitem(SUITES, "laplacian-invariance",
-                        (dataclasses.replace(suite, evaluate=evaluate), tol))
+    runners[bad % 6] = dataclasses.replace(runner, evaluate=evaluate)
+    monkeypatch.setattr(suites, "_LAPLACIANS", tuple(runners))
     r = run_suite("laplacian-invariance", 1, 1, trials=30, seed=29)
     assert r.trials == 30 and not r.passed and np.isnan(r.max_residual)
     assert len(r.failures) == 1
