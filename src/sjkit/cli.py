@@ -58,8 +58,13 @@ from .suites import SUITES, run_all, run_suite
 
 _POINT_KINDS = ("siegel", "disk", "siegel-jacobi", "disk-jacobi")
 _ELEMENT_KINDS = ("sp", "heisenberg", "jacobi", "gstar", "gstarj", "kstarj")
-# the field domains each Laplacian takes: a siegel field also lives on the Siegel-Jacobi space
-_LAPLACIAN_DOMAINS = {"siegel": ("siegel",), "disk": ("disk",), "sj": ("sj", "siegel")}
+# --which: its metric, its Laplacian and the field domains that Laplacian takes (a siegel
+# field also lives on the Siegel-Jacobi space); the sj forms take --params first
+_MODELS = {
+    "siegel": (metric_siegel, laplacian_siegel, ("siegel",)),
+    "disk": (metric_disk, laplacian_disk, ("disk",)),
+    "sj": (metric_sj, laplacian_sj, ("sj", "siegel")),
+}
 
 _PLAIN_MAPS = {
     "cayley": cayley,
@@ -96,12 +101,16 @@ def _read_input(args) -> object:
     return json.loads(text)
 
 
-def _parse_params(text: str) -> MetricParams:
+def _params(args) -> tuple:
+    """The leading arguments of --which's metric and Laplacian: (MetricParams(A, B),) for sj."""
+    if args.which != "sj":
+        return ()
     try:
-        a, b = (float(part) for part in text.split(","))
+        a, b = (float(part) for part in args.params.split(","))
     except ValueError:
-        raise DimensionError(f"--params expects 'A,B' with two numbers, got {text!r}") from None
-    return MetricParams(a, b)
+        raise DimensionError("--params expects 'A,B' with two numbers, "
+                             f"got {args.params!r}") from None
+    return (MetricParams(a, b),)
 
 
 def _parse_rep(text: str) -> Representation:
@@ -136,12 +145,12 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    kind = args.kind
+    kind, scale = args.kind, {} if args.scale is None else {"scale": args.scale}
     if kind in _POINT_KINDS:
-        p = sample_point(kind.replace("-", "_"), args.g, args.h, args.seed, args.scale)
+        p = sample_point(kind.replace("-", "_"), args.g, args.h, args.seed, **scale)
         _emit(encode_point(p))
     else:
-        el = sample_element(kind, args.g, args.h, args.seed, args.scale)
+        el = sample_element(kind, args.g, args.h, args.seed, **scale)
         _emit(encode_element(el))
     return 0
 
@@ -152,30 +161,19 @@ def _cmd_metric(args) -> int:
         raise DimensionError("metric input must be {'point': ..., 'tangent': ...}")
     p = decode_point(payload["point"])
     v = decode_tangent(payload["tangent"])
-    if args.which == "siegel":
-        value = metric_siegel(p, v)
-    elif args.which == "disk":
-        value = metric_disk(p, v)
-    else:
-        value = metric_sj(_parse_params(args.params), p, v)
-    _emit({"value": value})
+    _emit({"value": _MODELS[args.which][0](*_params(args), p, v)})
     return 0
 
 
 def _cmd_laplacian(args) -> int:
     payload = _read_input(args)
-    fields = {f.name: f for f in TEST_FIELDS if f.domain in _LAPLACIAN_DOMAINS[args.which]}
+    _, laplacian, domains = _MODELS[args.which]
+    fields = {f.name: f for f in TEST_FIELDS if f.domain in domains}
     if args.field not in fields:
         raise DimensionError(f"field {args.field!r} is not a field of the {args.which} Laplacian; "
                              f"choose from {sorted(fields)}")
     fld, p = fields[args.field], decode_point(payload)
-    if args.which == "siegel":
-        value = laplacian_siegel(fld, p)
-    elif args.which == "disk":
-        value = laplacian_disk(fld, p)
-    else:
-        value = laplacian_sj(_parse_params(args.params), fld, p)
-    _emit({"value": value})
+    _emit({"value": laplacian(*_params(args), fld, p)})
     return 0
 
 
@@ -244,17 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g", type=int, default=1)
     sp.add_argument("--h", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--scale", type=float, default=0.8)
+    sp.add_argument("--scale", type=float, help="the sampler's own default when omitted")
     sp.set_defaults(fn=_cmd_sample)
 
     sp = sub.add_parser("metric", help="evaluate an invariant metric at (point, tangent)")
-    sp.add_argument("--which", required=True, choices=("siegel", "disk", "sj"))
+    sp.add_argument("--which", required=True, choices=tuple(_MODELS))
     sp.add_argument("--params", default="1,1", help="A,B weights for --which sj")
     add_input(sp)
     sp.set_defaults(fn=_cmd_metric)
 
     sp = sub.add_parser("laplacian", help="evaluate an invariant Laplacian on a builtin field")
-    sp.add_argument("--which", required=True, choices=("siegel", "disk", "sj"))
+    sp.add_argument("--which", required=True, choices=tuple(_MODELS))
     sp.add_argument("--field", required=True)
     sp.add_argument("--params", default="1,1")
     add_input(sp)

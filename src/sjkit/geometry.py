@@ -311,9 +311,12 @@ def _frame_laplacian(f: Callable, p, frame: Callable, what: str, weights=(1.0, 1
     weights[1] where it moves only the fiber.
 
     frame(base, fiber) returns the stacked (base, fiber) displacements of the
-    e_k, with fiber None for a fixed fiber.
+    e_k, with fiber None for a fixed fiber.  p is one point: a batch raises
+    DimensionError.
     """
     base, fiber = _point_parts(p)
+    if base.ndim > 2:
+        raise DimensionError(f"{what} takes one point, not a batch of shape {base.shape[:-2]}")
     db, df = frame(base, fiber)
     steps = FD_SECOND_STEP * np.array([1, -1, 1j, -1j])[:, None, None]
     n = 1 + len(steps) * len(db)

@@ -662,9 +662,11 @@ def _sample_elements(g: int, h: int, seeds: dict, scale: float = 0.8) -> dict:
     kind to its seed or sequence of seeds (see _draw_rows): heisenberg or
     kstarj alone, or any of the kinds on a symplectic word, sp, gstar, jacobi
     and gstarj.  Their rows are read to the longest kind's numbers, as a
-    stream's first numbers do not depend on how many are drawn; one word is
-    built for every row and one Heisenberg part for the rows of jacobi and
-    gstarj, which run first.  A kind's holder then takes its rows of these."""
+    stream's first numbers do not depend on how many are drawn.  One word is
+    built for every row and, when jacobi or gstarj is drawn, one Heisenberg
+    part for every row too: both builds are row by row, so a kind's rows have
+    the same bits in any order of kinds.  A kind's holder then takes its rows
+    of these."""
     kind = next(iter(seeds))
     word, heis = 9 + 8 * g * g, 2 * h * g + h * h
     if kind == "heisenberg":
@@ -680,15 +682,11 @@ def _sample_elements(g: int, h: int, seeds: dict, scale: float = 0.8) -> dict:
         z = np.zeros(q.shape[:-2] + (h, g), dtype=complex)
         return {kind: GStarJacobiElement(GStarElement(q * (d / np.abs(d)), np.zeros(q.shape)),
                                          ComplexHeisenbergElement(z, z, 1j * _sym(kap)))}
-    if len(seeds) > 1:
-        seeds = {k: seeds[k] for k in _WORD_KINDS if k in seeds}
     lifted = "jacobi" in seeds or "gstarj" in seeds
     u, spans = _draw_rows(seeds, _KIND_TAG, word + heis if lifted else word)
     m = _sample_symplectic(u, g, scale)
-    if lifted:  # the rows of jacobi and gstarj, first
-        rows = ... if len(seeds) == 1 else slice(
-            sum(np.size(seeds[k]) for k in ("jacobi", "gstarj") if k in seeds))
-        hs = _sample_heisenberg(u[rows, word:], g, h, scale)
+    if lifted:
+        hs = _sample_heisenberg(u[..., word:], g, h, scale)
     out = {}
     for kind in seeds:
         mk = _rows(m, spans, kind)
@@ -700,6 +698,5 @@ def _sample_elements(g: int, h: int, seeds: dict, scale: float = 0.8) -> dict:
     return out
 
 
-# the kinds on a symplectic word, those with a Heisenberg part first
-_WORD_KINDS = ("jacobi", "gstarj", "sp", "gstar")
+_WORD_KINDS = {"sp", "gstar", "jacobi", "gstarj"}  # the kinds on a symplectic word
 _KIND_TAG = {"sp": 0, "heisenberg": 1, "jacobi": 2, "gstar": 3, "gstarj": 4, "kstarj": 5}

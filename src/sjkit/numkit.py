@@ -295,20 +295,16 @@ def frob(a):
 
 def _block(rows) -> np.ndarray:
     """np.block for a grid of (..., r, c) arrays whose batch axes broadcast:
-    each slice has the dtype, bytes and memory order np.block gives it,
-    without its generic dispatch.  Like np.concatenate, a slice is
-    Fortran-ordered when every block with no unit dimension is."""
+    each slice has the dtype and bytes np.block gives it, without its generic
+    dispatch, and is assembled in C order."""
     widths = [b.shape[-1] for b in rows[0]]
     blocks = [b for row in rows for b in row]
     batch = ()
     for b in blocks:
         if b.ndim > 2 and b.shape[:-2] != batch:
             batch = np.broadcast_shapes(batch, b.shape[:-2])
-    votes = [abs(b.strides[-1]) > abs(b.strides[-2]) for b in blocks if 1 not in b.shape[-2:]]
     shape = (sum(row[0].shape[-2] for row in rows), sum(widths))
-    fortran = votes and all(votes)
-    out = np.empty(batch + (shape[::-1] if fortran else shape), np.result_type(*blocks))
-    out = out.mT if fortran else out
+    out = np.empty(batch + shape, np.result_type(*blocks))
     i = 0
     for row in rows:
         height, j = row[0].shape[-2], 0

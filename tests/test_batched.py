@@ -476,6 +476,37 @@ def test_a_laplacian_trial_of_a_field_of_omega_alone_draws_each_family_once(coun
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
 
 
+@pytest.mark.parametrize("seeds", [
+    {"sp": [1, 2], "gstar": 7, "jacobi": [3, 4], "gstarj": [5, 6]},
+    {"gstar": [8, 9, 10], "gstarj": 11, "sp": 12, "jacobi": [13]},
+    {"sp": 14, "jacobi": 15},
+], ids=["heisenberg-kinds-last", "mixed", "sp-first"])
+def test_a_word_draw_in_any_order_of_kinds_gives_each_kind_its_public_draw(count_calls, seeds):
+    words, parts = count_calls("groups._sample_symplectic"), count_calls("groups._sample_heisenberg")
+    got = groups._sample_elements(2, 1, seeds)
+    # one word and one Heisenberg part, each built on every row of the draw
+    assert len(words) == len(parts) == 1
+    for kind, s in seeds.items():
+        want = sample_element(kind, 2, 1, s)
+        assert [(a.shape, a.tobytes()) for a in _arrays(got[kind])] == \
+            [(a.shape, a.tobytes()) for a in _arrays(want)]
+
+
+def _outcomes(results: list) -> list:
+    """A runner's results as comparable values: a residual's bytes, an error's class and text."""
+    return [(type(r).__name__, str(r)) if isinstance(r, Exception) else _bits(r) for r in results]
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("k", range(len(TEST_FIELDS)))
+def test_a_laplacian_runner_given_several_seeds_replays_them_one_at_a_time(g, h, k):
+    runner, seeds = suites._LAPLACIANS[k], [6 * j + k for j in range(7, 10)]
+    # the chunk's batched points stop at the Laplacian, which takes one point
+    with pytest.raises(DimensionError, match="takes one point, not a batch of shape"):
+        runner.evaluate(*runner._draw(g, h, seeds))
+    assert _outcomes(runner(g, h, seeds)) == _outcomes([runner.alone(g, h, s) for s in seeds])
+
+
 def test_the_suites_call_no_public_sampler(count_calls):
     calls = [count_calls(fn) for fn in
              ("groups.sample_element", "spaces.sample_point", "geometry.sample_tangent")]

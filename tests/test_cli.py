@@ -61,12 +61,17 @@ def test_transform_action_matches_library(capsys):
     assert np.max(np.abs(got.z - want.z)) < 1e-14
 
 
-def test_sample_matches_library(capsys):
-    code, out, _ = run_cli(capsys, "sample", "--kind", "gstarj", "--g", "2", "--h", "1",
-                           "--seed", "5")
-    assert code == 0
-    want = encode_element(sample_element("gstarj", 2, 1, seed=5, scale=0.8))
-    assert json.loads(out) == want
+@pytest.mark.parametrize("kind", ["siegel", "disk", "siegel-jacobi", "disk-jacobi", "sp",
+                                  "heisenberg", "jacobi", "gstar", "gstarj", "kstarj"])
+def test_sample_matches_library(capsys, kind):
+    # with no --scale, each sampler's own default
+    code, out, err = run_cli(capsys, "sample", "--kind", kind, "--g", "2", "--h", "1",
+                             "--seed", "5")
+    assert code == 0 and err == ""
+    if "-" in kind or kind in ("siegel", "disk"):
+        assert json.loads(out) == encode_point(sample_point(kind.replace("-", "_"), 2, 1, 5))
+    else:  # an element's default scale is 0.8
+        assert json.loads(out) == encode_element(sample_element(kind, 2, 1, 5, scale=0.8))
 
 
 def test_metric_matches_library(capsys):

@@ -434,6 +434,20 @@ def test_a_nan_field_value_raises_naming_its_laplacian():
         laplacian_disk(nan_at_one_point, sample_point("disk", 2, 1, seed=1))
 
 
+def test_a_batched_point_raises_naming_its_laplacian_before_any_field_call():
+    calls = []
+    field = lambda q: calls.append(q) or np.zeros(q.omega.shape[:-2])  # noqa: E731
+    cases = [(laplacian_siegel, "siegel", "siegel laplacian"),
+             (partial(laplacian_sj, MetricParams()), "siegel_jacobi", "siegel-jacobi laplacian"),
+             (laplacian_disk, "disk", "disk laplacian")]
+    for laplacian, kind, what in cases:
+        p = sample_point(kind, 2, 1, [1, 2])
+        with pytest.raises(DimensionError, match=re.escape(f"{what} takes one point, "
+                                                           "not a batch of shape (2,)")):
+            laplacian(field, p)
+    assert calls == []
+
+
 def test_pushforward_identity_and_cayley():
     p = sample_point("disk", 1, 1, seed=2)
     v = tv([[0.7 - 0.1j]])
