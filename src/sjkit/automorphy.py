@@ -125,7 +125,7 @@ def j_factor(idx: IndexMatrix, rep: Representation, a: GStarJacobiElement,
     if idx.h != a.h:
         raise DimensionError(f"index matrix degree {idx.h} != element h={a.h}")
     _, k_lower, kappa_star = kc_component(a, p)
-    return chi_character(idx, kappa_star) * rho_eval(rep, k_lower)
+    return np.asarray(chi_character(idx, kappa_star))[..., None, None] * rho_eval(rep, k_lower)
 
 
 def verify_cocycle(indexes: list[IndexMatrix], reps: list[Representation],

@@ -27,12 +27,13 @@ from .groups import (
     GStarJacobiElement,
     _big_parts,
     _big_product,
+    _check_batches,
+    _check_gh,
     _embedded,
 )
 from .numkit import (
     ALGEBRAIC_REL,
     ConsistencyError,
-    DimensionError,
     DomainError,
     _block,
     _check_cond,
@@ -137,8 +138,8 @@ def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors
     transposed form y t(conj Q) t(d)^-1 t(y) = y t(conj Q) t(eta') agrees
     exactly when d^-1 conj(Q) is symmetric.
     """
-    if (a.g, a.h) != (p.g, p.h):
-        raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
+    _check_gh(a, p)
+    _check_batches(a.gs.p, p.w)
     lam, mu, kap = a.hc.xi, a.hc.eta, a.hc.zeta
     qbar = a.gs.q.conj()
     den = qbar @ p.w + a.gs.p.conj()

@@ -22,7 +22,8 @@ Jacobian determinant of such a map is |det|^2 of its complex differential,
 read off the images of the coordinate directions E_ii and E_ij + E_ji of
 the base and the unit h x g matrices of the fiber.  Each of those maps
 returns its exact differential along given tangent vectors (see spaces):
-pullback_metric_disk and the metric- and volume-invariance suites use it.
+pullback_metric_disk and the metric- and volume-invariance suites use it
+(metric-invariance reads the pullback metric through partial_cayley itself).
 pushforward and action_jacobian_det are the finite-difference oracles for
 those differentials, kept to check them.  Each finite-difference operator
 makes one batched pass: its displaced points, built as one batch through
@@ -365,8 +366,10 @@ def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint) -> flo
 def volume_density(p: SiegelJacobiPoint):
     """det(Y)^-(g+h+1), the density of the invariant volume element; float_power
     has the bits of a float's ** where an array's ** differs.  A density that
-    comes out as 0 or inf, det(Y) or its power out of range, raises DomainError."""
-    density = np.float_power(_det(p.base.y), -(p.g + p.h + 1))
+    comes out as 0 or inf, det(Y) or its power out of range, raises DomainError,
+    with no RuntimeWarning first."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        density = np.float_power(_det(p.base.y), -(p.g + p.h + 1))
     _ensure((density > 0) & (density < np.inf), DomainError,
             "volume density det(Y)^-(g+h+1) = {} is not a positive finite number", density)
     return _plain(density)

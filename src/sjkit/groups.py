@@ -334,9 +334,23 @@ def _check_gh(a, b) -> None:
         raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({b.g}, {b.h})")
 
 
+def _check_batches(x: np.ndarray, y: np.ndarray) -> None:
+    """DimensionError, naming both batch shapes, unless the leading axes of
+    the arrays x and y, one part of each operand, broadcast; equal batches
+    and a 2-d operand, which broadcasts against any batch, pass on one
+    comparison each."""
+    if x.shape[:-2] != y.shape[:-2] and min(x.ndim, y.ndim) > 2:
+        try:
+            np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+        except ValueError:
+            raise DimensionError(f"batch {x.shape[:-2]} does not broadcast with batch "
+                                 f"{y.shape[:-2]}") from None
+
+
 def heisenberg_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
     """(lam, mu; kappa)(lam', mu'; kappa') with central twist lam t(mu') - mu t(lam')."""
     _check_gh(a, b)
+    _check_batches(a.lam, b.lam)
     kappa = a.kappa + b.kappa + a.lam @ b.mu.mT - a.mu @ b.lam.mT
     return HeisenbergElement(a.lam + b.lam, a.mu + b.mu, kappa)
 
@@ -345,6 +359,7 @@ def jacobi_mul(a: JacobiElement, b: JacobiElement) -> JacobiElement:
     """Semidirect product: the Heisenberg part of a is first pushed through
     the symplectic part of b via (lam~, mu~) = (lam, mu) M'."""
     _check_gh(a, b)
+    _check_batches(a.m.m, b.m.m)
     lm = np.concatenate([a.hs.lam, a.hs.mu], axis=-1) @ np.real(b.m.m)
     lt, mt = lm[..., : a.g], lm[..., a.g :]
     kappa = a.hs.kappa + b.hs.kappa + lt @ b.hs.mu.mT - mt @ b.hs.lam.mT
@@ -393,6 +408,7 @@ def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement) -> GStarJacobiEleme
     reported as a consistency error rather than repaired.
     """
     _check_gh(a, b)
+    _check_batches(a.gs.p, b.gs.p)
     g = a.g
     block, xi, eta, zeta = _big_product(_embedded(a), _embedded(b))
     p, q = block[..., :g, :g], block[..., :g, g:]

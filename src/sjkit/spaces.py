@@ -31,6 +31,8 @@ from .groups import (
     JacobiElement,
     SymplecticMatrix,
     _blocks,
+    _check_batches,
+    _check_gh,
     _check_scale,
     _draw_rows,
     _rows,
@@ -316,6 +318,7 @@ def act_siegel(m: SymplecticMatrix, p: SiegelPoint, *, dirs=None):
     _takes("act_siegel", p, SiegelPoint, SiegelJacobiPoint)
     if m.g != p.g:
         raise DimensionError(f"degree mismatch: element g={m.g}, point g={p.g}")
+    _check_batches(m.m, p.omega)
     om, _, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, "C omega + D",
                                        "siegel action", _displacements(dirs, p.omega))
     out = _positive(SiegelPoint, om)
@@ -332,6 +335,7 @@ def act_disk(gs: GStarElement, p: DiskPoint, *, dirs=None):
     _takes("act_disk", p, DiskPoint, DiskJacobiPoint)
     if gs.g != p.g:
         raise DimensionError(f"degree mismatch: element g={gs.g}, point g={p.g}")
+    _check_batches(gs.p, p.w)
     w, _, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None,
                                       "conj(Q) W + conj(P)", "disk action",
                                       _displacements(dirs, p.w))
@@ -346,8 +350,8 @@ def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, *, dirs=None):
     """
     _takes("act_jacobi", a, JacobiElement)
     _takes("act_jacobi", p, SiegelJacobiPoint)
-    if (a.g, a.h) != (p.g, p.h):
-        raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
+    _check_gh(a, p)
+    _check_batches(a.m.m, p.omega)
     m, fiber = a.m, p.z + a.hs.lam @ p.omega + a.hs.mu
     om, z, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, fiber, "C omega + D",
                                        "siegel action",
@@ -363,8 +367,8 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint, *, dirs=None):
     """
     _takes("act_jacobi_disk", a, GStarJacobiElement)
     _takes("act_jacobi_disk", p, DiskJacobiPoint)
-    if (a.g, a.h) != (p.g, p.h):
-        raise DimensionError(f"(g, h) mismatch: ({a.g}, {a.h}) vs ({p.g}, {p.h})")
+    _check_gh(a, p)
+    _check_batches(a.gs.p, p.w)
     gs, fiber = a.gs, p.eta + a.hc.xi @ p.w + a.hc.eta
     w, eta, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, fiber,
                                         "conj(Q) W + conj(P)", "disk action",

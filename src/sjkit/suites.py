@@ -16,10 +16,11 @@ raises an SjkError is recorded as a failure with its error and the run goes
 on.  laplacian-invariance has a runner per test field, its samples set by
 the field's domain, and sends each trial to the runner of its seed's field,
 one trial per call, each Laplacian acting on its stencil's points in one
-batch.  metric-invariance evaluates each metric once per (point, image)
-pair, stacked with its tangent vectors on a leading axis of two.  A SUITES
-entry is (fn, default tolerance) with fn(g, h, seeds) returning, per seed, a
-residual or the SjkError its trial raised.
+batch.  metric-invariance applies its maps first and then evaluates each
+model's metric in one call, on the stack of that model's points and images
+with their tangent vectors.  A SUITES entry is (fn, default tolerance) with
+fn(g, h, seeds) returning, per seed, a residual or the SjkError its trial
+raised.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .geometry import (
     laplacian_siegel,
     metric_disk,
     metric_siegel,
-    pullback_metric_disk,
     volume_density,
 )
 from .groups import (
@@ -85,6 +85,7 @@ from .spaces import (
     act_siegel,
     cayley,
     check_compatibility,
+    partial_cayley,
 )
 
 __all__ = ["VerifyReport", "SUITES", "run_suite", "run_all"]
@@ -271,37 +272,32 @@ def _cocycle(g1, g2, p):
 # the Laplacians by their stencils
 
 
-def _paired(act_fn, p, v):
-    """(p, act_fn(p)) and (v, its pushforward), each pair one holder with a
-    leading axis of two, for one metric call."""
-    moved_p, (moved_v,) = act_fn(p, dirs=[v])
-    return _stack_holders(p, moved_p), _stack_holders(v, moved_v)
-
-
-def _pair_rel(vals):
-    """The relative residual of a metric's values at a pair's two slices."""
-    return _scalar_rel(vals[0], vals[1])
-
-
-def _metric_action_residual(metric_fn, act_fn, p, v):
-    """The metric at (p, v) against the metric at their images under act_fn,
-    with v pushed through the action's exact differential."""
-    return _pair_rel(metric_fn(*_paired(act_fn, p, v)))
+# the weights the geometric suites give the Siegel-Jacobi metric
+_UNIT, _SKEWED = MetricParams(1.0, 1.0), MetricParams(2.0, 0.5)
 
 
 def _metric_invariance(m, ps, vs, gs, pd, vd, a, pj, vj, pc, vc, b, pb, vb):
-    res = [_metric_action_residual(metric_siegel, partial(act_siegel, m), ps, vs),
-           _metric_action_residual(metric_disk, partial(act_disk, gs), pd, vd)]
-    terms = _metric_sj_terms(*_paired(partial(act_jacobi, a), pj, vj))
-    res += [_pair_rel(_weighted_sj(params, terms))
-            for params in (MetricParams(1.0, 1.0), MetricParams(2.0, 0.5))]
-    # Cayley isometry: the factor 4 in the bounded-model metric
-    moved, (moved_v,) = cayley(pc, dirs=[vc])
-    res.append(_scalar_rel(metric_disk(pc, vc), metric_siegel(moved, moved_v)))
-    # pullback metric on the disk model is invariant under the bounded action
-    res.append(_metric_action_residual(partial(pullback_metric_disk, MetricParams(1.0, 1.0)),
-                                       partial(act_jacobi_disk, b), pb, vb))
-    return np.max(res, axis=0)
+    """Each model's metric at its points and their images, from one metric
+    call per model on their stack: a point and its image under the model's
+    action; for the Cayley isometry, with the factor 4 of the bounded-model
+    metric, pc on the disk and cayley(pc) on Siegel space; and, for the
+    bounded-model metric as a pullback, the partial-Cayley images of pb and
+    b.pb on the Siegel-Jacobi space."""
+    moved_s, (moved_vs,) = act_siegel(m, ps, dirs=[vs])
+    moved_d, (moved_vd,) = act_disk(gs, pd, dirs=[vd])
+    moved_j, (moved_vj,) = act_jacobi(a, pj, dirs=[vj])
+    up_c, (up_vc,) = cayley(pc, dirs=[vc])
+    moved_b, (moved_vb,) = act_jacobi_disk(b, pb, dirs=[vb])
+    up_b, (up_vb,) = partial_cayley(_stack_holders(pb, moved_b),
+                                    dirs=[_stack_holders(vb, moved_vb)])
+    siegel = metric_siegel(_stack_holders(ps, moved_s, up_c), _stack_holders(vs, moved_vs, up_vc))
+    disk = metric_disk(_stack_holders(pd, moved_d, pc), _stack_holders(vd, moved_vd, vc))
+    terms = _metric_sj_terms(*(_stack_holders(x, y, _slice_holder(z, 0), _slice_holder(z, 1))
+                               for x, y, z in ((pj, moved_j, up_b), (vj, moved_vj, up_vb))))
+    unit, skewed = _weighted_sj(_UNIT, terms), _weighted_sj(_SKEWED, [t[:2] for t in terms])
+    return np.max([_scalar_rel(siegel[0], siegel[1]), _scalar_rel(disk[0], disk[1]),
+                   _scalar_rel(unit[0], unit[1]), _scalar_rel(skewed[0], skewed[1]),
+                   _scalar_rel(disk[2], siegel[2]), _scalar_rel(unit[2], unit[3])], axis=0)
 
 
 def _volume_invariance(a, p):
@@ -320,7 +316,7 @@ def _laplacian_invariance(fld, a, p, m=None, q=None) -> float:
     of Omega alone also under m at q on Siegel space."""
     if fld.domain == "disk":
         return _laplacian_residual(laplacian_disk, fld, partial(act_disk, a), p)
-    lap = partial(laplacian_sj, MetricParams(1.0, 1.0))
+    lap = partial(laplacian_sj, _UNIT)
     res = _laplacian_residual(lap, fld, partial(act_jacobi, a), p)
     if fld.domain == "siegel":
         res = np.maximum(res, _laplacian_residual(laplacian_siegel, fld, partial(act_siegel, m), q))

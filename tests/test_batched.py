@@ -34,7 +34,16 @@ from sjkit.geometry import (
     sample_tangent,
     volume_density,
 )
-from sjkit.groups import SymplecticMatrix, _uniforms, sample_element
+from sjkit.automorphy import IndexMatrix, Representation, j_factor
+from sjkit.decomp import decompose_full, kc_component
+from sjkit.groups import (
+    SymplecticMatrix,
+    _uniforms,
+    gstarj_mul,
+    heisenberg_mul,
+    jacobi_mul,
+    sample_element,
+)
 from sjkit.numkit import (
     ConditioningError,
     DimensionError,
@@ -59,6 +68,7 @@ from sjkit.spaces import (
     act_jacobi_disk,
     act_siegel,
     cayley,
+    check_compatibility,
     partial_cayley,
     sample_point,
 )
@@ -263,6 +273,46 @@ def test_ten_trials_take_the_guards_of_one(guards, name):
     assert counts[0] == counts[1]
 
 
+def _j_factor(a, p):
+    return tuple(j_factor(IndexMatrix(np.eye(a.h)), rep, a, p)
+                 for rep in (Representation("det_power", 2), Representation("standard")))
+
+
+# each function of two holders whose batches must broadcast, and the kinds it takes
+_PAIRWISE = [(heisenberg_mul, "heisenberg", "heisenberg"), (jacobi_mul, "jacobi", "jacobi"),
+             (gstarj_mul, "gstarj", "gstarj"), (act_siegel, "sp", "siegel"),
+             (act_disk, "gstar", "disk"), (act_jacobi, "jacobi", "siegel_jacobi"),
+             (act_jacobi_disk, "gstarj", "disk_jacobi"), (decompose_full, "gstarj", "disk_jacobi"),
+             (kc_component, "gstarj", "disk_jacobi"), (_j_factor, "gstarj", "disk_jacobi"),
+             (check_compatibility, "jacobi", "disk_jacobi")]
+
+
+def _result_arrays(x) -> list:
+    """Every array of a result, whether a holder, a dataclass of arrays, a tuple or a value."""
+    if isinstance(x, Holder):
+        return _arrays(x)
+    if dataclasses.is_dataclass(x):
+        return [a for f in dataclasses.fields(x) for a in _result_arrays(getattr(x, f.name))]
+    if isinstance(x, tuple):
+        return [a for y in x for a in _result_arrays(y)]
+    return [np.asarray(x)]
+
+
+@pytest.mark.parametrize("fn,kind_a,kind_b", _PAIRWISE,
+                         ids=[fn.__name__.lstrip("_") for fn, *_ in _PAIRWISE])
+def test_batches_that_do_not_broadcast_raise_naming_both_shapes(fn, kind_a, kind_b):
+    with pytest.raises(DimensionError, match=r"^batch \(2,\) does not broadcast with batch \(3,\)$"):
+        fn(_sample(kind_a, 2, 1, [1, 2]), _sample(kind_b, 2, 1, [1, 2, 3]))
+    # a 2-d operand or a batch of one broadcasts: each slice has the bits of its 2-d call
+    pick = lambda seeds, k: seeds if isinstance(seeds, int) else seeds[k % len(seeds)]  # noqa: E731
+    for seeds_a, seeds_b in [(1, [1, 2, 3]), ([1, 2, 3], 4), ([1], [1, 2, 3]), ([1, 2, 3], [4])]:
+        got = _result_arrays(fn(_sample(kind_a, 2, 1, seeds_a), _sample(kind_b, 2, 1, seeds_b)))
+        alone = [_result_arrays(fn(_sample(kind_a, 2, 1, pick(seeds_a, k)),
+                                   _sample(kind_b, 2, 1, pick(seeds_b, k)))) for k in range(3)]
+        for x, *want in zip(got, *alone, strict=True):
+            assert x.shape == (3,) + want[0].shape and x.tobytes() == np.stack(want).tobytes()
+
+
 def test_max_residual_reports_a_nan_in_any_position(monkeypatch):
     for residuals in ([0.1, np.nan], [np.nan, 0.1]):
         monkeypatch.setitem(SUITES, "compat-29", (lambda g, h, seeds, r=residuals: r, 1e-9))
@@ -459,6 +509,16 @@ def test_a_metric_invariance_trial_draws_each_family_once(count_calls):
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 1}
 
 
+def test_a_metric_invariance_trial_makes_one_metric_call_per_model(count_calls, guards):
+    # the five maps, one partial_cayley on the bounded-model pair, then each model's
+    # metric once on its stack: nine guards, one per map and metric
+    calls = {fn: count_calls(fn) for fn in ("geometry.metric_siegel", "geometry.metric_disk",
+                                            "geometry._metric_sj_terms", "spaces.partial_cayley")}
+    assert run_suite("metric-invariance", 2, 2, trials=1, seed=4).passed
+    assert _counts(calls) == dict.fromkeys(calls, 1)
+    assert len(guards) == 9
+
+
 def test_a_volume_invariance_trial_draws_as_before(count_calls):
     # a jacobi element and a siegel_jacobi point, each family one row on its int seed
     assert _suite_counts(count_calls, "volume-invariance", 2, 2) == {
@@ -555,6 +615,10 @@ def test_batched_tangents_metrics_and_volume_match_their_slices(g, h):
         # an unbatched tangent vector broadcasts against the batch of points
         v0 = sample_tangent(g, fiber, seeds[0])
         assert _bits(metric(p, v0)) == _bits([metric(q, v0) for q in points]), kind
+        # a stack of batches, (k, n, ...) as a metric-invariance chunk stacks its models
+        stacked = [_stack_holders(*(_slice_holder(x, slice(k, k + 8)) for k in (0, 8, 16)))
+                   for x in (p, v)]
+        assert _bits(metric(*stacked)) == _bits(np.reshape(want, (3, 8))), kind
     a = sample_element("jacobi", g, h, seeds)
     p = sample_point("siegel_jacobi", g, h, [s + 1 for s in seeds])
     moved, pushed = act_jacobi(a, p, dirs=geometry._coordinate_dirs(p))
@@ -568,6 +632,9 @@ def test_batched_tangents_metrics_and_volume_match_their_slices(g, h):
     assert all(type(w) is float for w in want_volume + want_det)
     assert _bits(volume_density(moved)) == _bits(want_volume)
     assert _bits(_abs_det2(pushed)) == _bits(want_det)
+    # the images and their points stacked on a leading axis: (2, n, ...)
+    want_p = [volume_density(sample_point("siegel_jacobi", g, h, s + 1)) for s in seeds]
+    assert _bits(volume_density(_stack_holders(moved, p))) == _bits([want_volume, want_p])
 
 
 def test_volume_density_has_the_bits_of_a_float_power():
