@@ -38,6 +38,7 @@ from .spaces import (
     DiskPoint,
     SiegelJacobiPoint,
     SiegelPoint,
+    TangentVector,
     act_disk,
     act_jacobi,
     act_jacobi_disk,
@@ -61,7 +62,6 @@ from .geometry import (
     MetricParams,
     ScalarField,
     TEST_FIELDS,
-    TangentVector,
     laplacian_disk,
     laplacian_sj,
     laplacian_siegel,
@@ -69,7 +69,6 @@ from .geometry import (
     metric_sj,
     metric_siegel,
     pullback_metric_disk,
-    pushforward,
     sample_tangent,
     volume_density,
 )

@@ -24,10 +24,8 @@ the base and the unit h x g matrices of the fiber.  Each of those maps
 returns its exact differential along given tangent vectors (see spaces):
 pullback_metric_disk and the metric- and volume-invariance suites use it
 (metric-invariance reads the pullback metric through partial_cayley itself).
-pushforward and action_jacobian_det are the finite-difference oracles for
-those differentials, kept to check them.  Each finite-difference operator
-makes one batched pass: its displaced points, built as one batch through
-_rebuild, go through its field or map in one call.
+Each Laplacian makes one batched pass: its displaced points, built as one
+batch through _rebuild, go through its field in one call.
 
 The metrics, the volume density and sample_tangent take (..., r, c) batches
 like the points (see numkit): each slice of a result has the bits of its 2-d
@@ -60,9 +58,8 @@ from .numkit import (
     _eigvalsh,
     _ensure,
     _floor1,
-    _freeze,
     _inv,
-    frob,
+    _takes,
     guarded_inv,
 )
 from .spaces import (
@@ -72,12 +69,10 @@ from .spaces import (
     SiegelPoint,
     TangentVector,
     _fit,
-    _takes,
     partial_cayley,
 )
 
 __all__ = [
-    "TangentVector",
     "ScalarField",
     "MetricParams",
     "TEST_FIELDS",
@@ -89,15 +84,11 @@ __all__ = [
     "laplacian_disk",
     "laplacian_sj",
     "volume_density",
-    "pushforward",
     "sample_tangent",
-    "action_jacobian_det",
 ]
 
-# central differences: steps (first order relative to the point, second in frame units), bounds
-FD_FIRST_STEP = 1e-6
+# the Laplacians' central second differences: the step in frame units and its bound
 FD_SECOND_STEP = 1e-4
-FD_FIRST_REL = 1e-6
 FD_SECOND_REL = 1e-4
 # the largest cond(M) at which a field read through M^-1 (cond(M) eps / t^2) keeps FD_SECOND_REL
 _STENCIL_COND = FD_SECOND_REL * FD_SECOND_STEP**2 / np.finfo(float).eps
@@ -191,6 +182,7 @@ def metric_sj(params: MetricParams, p: SiegelJacobiPoint, v: TangentVector):
 
     Reduces to a times the base metric when dZ = 0 and Im(Z) = 0.
     """
+    _takes("metric_sj", params, MetricParams)
     return _weighted_sj(params, _metric_sj_terms(p, v))
 
 
@@ -204,9 +196,9 @@ def _metric_sj_terms(p: SiegelJacobiPoint, v: TangentVector) -> tuple:
     """The complex A- and B-terms of metric_sj at (p, v), computed once for
     any number of MetricParams."""
     _takes("metric_sj", p, SiegelJacobiPoint)
+    do, dz = _fit(v, p.omega, p.z)
     if v.dfiber is None:
         raise DimensionError("tangent vector must carry a fiber part")
-    do, dz = _fit(v, p.omega, p.z)
     yi = guarded_inv(p.base.y.astype(complex), "Im(omega)")
     vmat = p.v.astype(complex)
     dob, dzb = do.conj(), dz.conj()
@@ -226,7 +218,7 @@ def pullback_metric_disk(params: MetricParams, p: DiskJacobiPoint, v: TangentVec
 
 
 # ---------------------------------------------------------------------------
-# point plumbing shared by the finite-difference operators
+# point plumbing of the difference stencils
 
 
 def _point_parts(p) -> tuple[np.ndarray, np.ndarray | None]:
@@ -241,18 +233,11 @@ def _point_parts(p) -> tuple[np.ndarray, np.ndarray | None]:
     raise DimensionError(f"unsupported point type: {type(p).__name__}")
 
 
-def _rebuild(p, base: np.ndarray, fiber: np.ndarray | None, validate: bool):
+def _rebuild(p, base: np.ndarray, fiber: np.ndarray | None):
+    """A point of p's model at (base, fiber), unvalidated: the frame keeps the stencil inside."""
     if fiber is None:
-        return type(p)(base, validate=validate)
-    return type(p)(type(p.base)(base, validate=validate), fiber)
-
-
-def _norm(base: np.ndarray, fiber: np.ndarray | None) -> float:
-    """The Frobenius norm of a 2-d (base, fiber) pair, a point's or a tangent vector's."""
-    n2 = frob(base) ** 2
-    if fiber is not None:
-        n2 += frob(fiber) ** 2
-    return float(np.sqrt(n2))
+        return type(p)(base, validate=False)
+    return type(p)(type(p.base)(base, validate=False), fiber)
 
 
 def _sym_coords(g: int) -> np.ndarray:
@@ -327,7 +312,7 @@ def _frame_laplacian(f: Callable, p, frame: Callable, what: str, weights=(1.0, 1
             return None if x is None else np.broadcast_to(x, (n,) + x.shape)
         return np.concatenate([x[None], (x + steps * dx[:, None]).reshape((-1,) + x.shape)])
 
-    vals = np.asarray(f(_rebuild(p, displaced(base, db), displaced(fiber, df), validate=False)))
+    vals = np.asarray(f(_rebuild(p, displaced(base, db), displaced(fiber, df))))
     if vals.shape != (n,):
         raise DimensionError(f"a field returns one value per point: shape ({n},), not {vals.shape}")
     # summed in stencil order: np.sum's pairwise order would round differently
@@ -354,13 +339,14 @@ def laplacian_disk(f: Callable, p: DiskPoint) -> float:
 
 def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint) -> float:
     """The Laplacian of metric_sj, Delta_h / A + Delta_v / B."""
+    _takes("laplacian_sj", params, MetricParams)
     _takes("laplacian_sj", p, SiegelJacobiPoint)
     return _frame_laplacian(f, p, _sj_frame, "siegel-jacobi laplacian",
                             (1 / params.a, 1 / params.b))
 
 
 # ---------------------------------------------------------------------------
-# volume density and numerical differentials
+# volume density, tangent vectors and Jacobian determinants
 
 
 def volume_density(p: SiegelJacobiPoint):
@@ -373,33 +359,6 @@ def volume_density(p: SiegelJacobiPoint):
     _ensure((density > 0) & (density < np.inf), DomainError,
             "volume density det(Y)^-(g+h+1) = {} is not a positive finite number", density)
     return _plain(density)
-
-
-def _pushforwards(map_fn: Callable, p, vs: list) -> list[TangentVector]:
-    """pushforward along each of vs, from one call of map_fn on the batch of
-    the 2 len(vs) displaced points, + then - for each v."""
-    base, fiber = _point_parts(p)
-    norms = np.array([max(1.0, _norm(v.dbase, v.dfiber)) for v in vs])
-    h = FD_FIRST_STEP * max(1.0, _norm(base, fiber)) / norms
-    steps = np.stack([h, -h], axis=-1).reshape(-1, 1, 1)
-    moves = zip(*(_fit(v, base, fiber) for v in vs))  # every base, then every fiber displacement
-    displaced = [None if x is None else x + steps * np.repeat(np.stack(dx), 2, axis=0)
-                 for x, dx in zip((base, fiber), moves)]
-    try:
-        out = map_fn(_rebuild(p, *displaced, validate=True))
-    except DomainError as exc:
-        raise DomainError(f"difference stencil left the domain: {exc}") from exc
-    db, df = [None if x is None else (x[0::2] - x[1::2]) / (2 * h[:, None, None])
-              for x in _point_parts(out)]
-    return [TangentVector((d + d.T) / 2, None if df is None else df[k])
-            for k, d in enumerate(db)]
-
-
-def pushforward(map_fn: Callable, p, v: TangentVector) -> TangentVector:
-    """Directional derivative of a holomorphic map by complex-linear central
-    differences; the base part of the result is re-symmetrized.  map_fn takes
-    the batch of the two displaced points, as the actions and Cayley maps do."""
-    return _pushforwards(map_fn, p, [v])[0]
 
 
 def sample_tangent(g: int, h: int | None = None, seed=0) -> TangentVector:
@@ -437,12 +396,10 @@ def _coordinate_dirs(p) -> tuple[TangentVector, ...]:
 
 @cache
 def _coordinate_dirs_of(g: int, h: int | None) -> tuple[TangentVector, ...]:
-    """The _coordinate_dirs of a (g, h) point, built once on read-only arrays."""
-    dirs = [TangentVector(e) for e in _freeze(_sym_coords(g).astype(complex), None)]
+    """The _coordinate_dirs of a (g, h) point, built once (TangentVector freezes their arrays)."""
+    dirs = [TangentVector(e) for e in _sym_coords(g)]
     if h is not None:
-        zero = _freeze(np.zeros((g, g), complex), None)
-        fiber = _freeze(_fiber_coords(h, g).astype(complex), None)
-        dirs += [TangentVector(zero, e) for e in fiber]
+        dirs += [TangentVector(np.zeros((g, g)), e) for e in _fiber_coords(h, g)]
     return tuple(dirs)
 
 
@@ -461,10 +418,3 @@ def _abs_det2(pushed: list[TangentVector]):
     jac = cols.transpose(tuple(range(1, cols.ndim)) + (0,))
     return _plain(_abs2(_det(jac)))
 
-
-def action_jacobian_det(map_fn: Callable, p) -> float:
-    """|det| of the differential of the holomorphic map_fn in the real
-    coordinates of p, by finite differences: |det|^2 of its complex
-    differential in the upper triangle of the base and the fiber row-major,
-    from one call of map_fn on all the displaced points."""
-    return _abs_det2(_pushforwards(map_fn, p, _coordinate_dirs(p)))

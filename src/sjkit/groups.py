@@ -33,6 +33,7 @@ from .numkit import (
     _nonfinite,
     _rel,
     _slice_holder,
+    _takes,
     as_cmatrix,
     frob,
     rel_error,
@@ -174,6 +175,8 @@ class JacobiElement(Holder):
     __slots__ = ("m", "hs")
 
     def __init__(self, m: SymplecticMatrix, hs: HeisenbergElement):
+        _takes("JacobiElement", m, SymplecticMatrix)
+        _takes("JacobiElement", hs, HeisenbergElement)
         if m.g != hs.g:
             raise DimensionError(f"degree mismatch: symplectic g={m.g}, Heisenberg g={hs.g}")
         self.m = m
@@ -254,6 +257,8 @@ class GStarJacobiElement(Holder):
 
     def __init__(self, gs: GStarElement, hc: ComplexHeisenbergElement, *,
                  validate: bool = True):
+        _takes("GStarJacobiElement", gs, GStarElement)
+        _takes("GStarJacobiElement", hc, ComplexHeisenbergElement)
         if gs.g != hc.g:
             raise DimensionError(f"degree mismatch: blocks g={gs.g}, Heisenberg g={hc.g}")
         self.gs = gs

@@ -181,6 +181,14 @@ def _count(x, what: str, error: type = DimensionError) -> int:
     return int(x)
 
 
+def _takes(what: str, x, *kinds: type) -> None:
+    """The entry check of a constructor, map or metric: DimensionError, naming
+    the classes it takes, unless x is one of kinds."""
+    if not isinstance(x, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DimensionError(f"{what} takes a {names}, not a {type(x).__name__}")
+
+
 def _nonfinite(name: str, *arrays: np.ndarray) -> None:
     """Raise the DomainError for arrays known to hold a NaN or Inf."""
     finite = [np.isfinite(a).all(axis=(-2, -1)) for a in arrays]

@@ -16,7 +16,6 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import TangentVector
 from .groups import (
     ComplexHeisenbergElement,
     GStarElement,
@@ -26,7 +25,7 @@ from .groups import (
     SymplecticMatrix,
 )
 from .numkit import DimensionError, DomainError, frob
-from .spaces import DiskJacobiPoint, DiskPoint, SiegelJacobiPoint, SiegelPoint
+from .spaces import DiskJacobiPoint, DiskPoint, SiegelJacobiPoint, SiegelPoint, TangentVector
 
 __all__ = [
     "encode_matrix",

@@ -50,6 +50,7 @@ from .numkit import (
     _eye,
     _freeze,
     _svdvals,
+    _takes,
     as_cmatrix,
     guarded_rsolve,
     hermitian_pd_margin,
@@ -74,14 +75,6 @@ __all__ = [
     "check_compatibility",
     "sample_point",
 ]
-
-
-def _takes(what: str, x, *kinds: type) -> None:
-    """The entry check of a map or metric: DimensionError, naming the models
-    or elements it takes, unless x is one of kinds."""
-    if not isinstance(x, kinds):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise DimensionError(f"{what} takes a {names}, not a {type(x).__name__}")
 
 
 def _check_square_symmetric(m: np.ndarray, name: str) -> None:
@@ -154,7 +147,9 @@ class SiegelJacobiPoint(Holder):
     __slots__ = ("base", "z")
 
     def __init__(self, base: SiegelPoint, z):
-        if not isinstance(base, SiegelPoint):
+        if isinstance(base, Holder):
+            _takes("SiegelJacobiPoint", base, SiegelPoint)
+        else:  # a raw matrix
             base = SiegelPoint(base)
         self.base = base
         self.z = _freeze(as_cmatrix(z, "z"), z)
@@ -189,7 +184,9 @@ class DiskJacobiPoint(Holder):
     __slots__ = ("base", "eta")
 
     def __init__(self, base: DiskPoint, eta):
-        if not isinstance(base, DiskPoint):
+        if isinstance(base, Holder):
+            _takes("DiskJacobiPoint", base, DiskPoint)
+        else:  # a raw matrix
             base = DiskPoint(base)
         self.base = base
         self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
@@ -216,9 +213,9 @@ class TangentVector(Holder):
     __slots__ = ("dbase", "dfiber")
 
     def __init__(self, dbase, dfiber=None):
-        self.dbase = as_cmatrix(dbase, "dbase")
+        self.dbase = _freeze(as_cmatrix(dbase, "dbase"), dbase)
         _check_square_symmetric(self.dbase, "dbase")
-        self.dfiber = None if dfiber is None else as_cmatrix(dfiber, "dfiber")
+        self.dfiber = None if dfiber is None else _freeze(as_cmatrix(dfiber, "dfiber"), dfiber)
 
     @property
     def g(self) -> int:
@@ -253,6 +250,7 @@ def _fit(v: TangentVector, x: np.ndarray, fiber: np.ndarray | None = None):
     """The (dx, df) displacement of the tangent vector v at the point (x, fiber):
     df is None at a point without a fiber and zero where v has none.  An
     unbatched v broadcasts against a batched point."""
+    _takes("a tangent argument", v, TangentVector)
     df = None if fiber is None else v.dfiber
     if fiber is not None and df is None:
         df = np.zeros_like(fiber)
@@ -302,7 +300,7 @@ def _pushed(lead, c, z, jinv, dirs) -> list[TangentVector]:
 
 def _fractional_linear(a, b, c, d, x, fiber, context: str, what: str, dirs=None):
     """(a x + b)(c x + d)^-1 symmetrized, fiber (c x + d)^-1 and, given (dx, df)
-    pairs, their pushforwards, in one guarded solve."""
+    pairs, those pushed through its differential, in one guarded solve."""
     top, z, jinv = _stacked_rsolve(a @ x + b, fiber, c @ x + d, context, dirs is not None)
     out = _symmetrized(top, what)
     return out, z, None if dirs is None else _pushed(a - out @ c, c, z, jinv, dirs)
@@ -311,7 +309,7 @@ def _fractional_linear(a, b, c, d, x, fiber, context: str, what: str, dirs=None)
 def act_siegel(m: SymplecticMatrix, p: SiegelPoint, *, dirs=None):
     """Fractional linear action (A omega + B)(C omega + D)^-1.
 
-    Given tangent vectors dirs at p, returns (image, their pushforwards); a
+    Given tangent vectors dirs at p, returns (image, dirs pushed through its differential); a
     SiegelJacobiPoint is acted on in its base.
     """
     _takes("act_siegel", m, SymplecticMatrix)
@@ -328,7 +326,7 @@ def act_siegel(m: SymplecticMatrix, p: SiegelPoint, *, dirs=None):
 def act_disk(gs: GStarElement, p: DiskPoint, *, dirs=None):
     """Fractional linear action (P W + Q)(conj(Q) W + conj(P))^-1.
 
-    Given tangent vectors dirs at p, returns (image, their pushforwards); a
+    Given tangent vectors dirs at p, returns (image, dirs pushed through its differential); a
     DiskJacobiPoint is acted on in its base.
     """
     _takes("act_disk", gs, GStarElement)
@@ -346,7 +344,7 @@ def act_disk(gs: GStarElement, p: DiskPoint, *, dirs=None):
 def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, *, dirs=None):
     """(M omega, (Z + lam omega + mu)(C omega + D)^-1); kappa plays no role.
 
-    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    Given tangent vectors dirs at p, returns (image, dirs pushed through its differential).
     """
     _takes("act_jacobi", a, JacobiElement)
     _takes("act_jacobi", p, SiegelJacobiPoint)
@@ -363,7 +361,7 @@ def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, *, dirs=None):
 def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint, *, dirs=None):
     """((P W + Q) d^-1, (eta + xi W + mu) d^-1) with d = conj(Q) W + conj(P).
 
-    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    Given tangent vectors dirs at p, returns (image, dirs pushed through its differential).
     """
     _takes("act_jacobi_disk", a, GStarJacobiElement)
     _takes("act_jacobi_disk", p, DiskJacobiPoint)
@@ -383,7 +381,7 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint, *, dirs=None):
 
 def _cayley(w, fiber, dirs=None):
     """i (I + W)(I - W)^-1 symmetrized, 2i fiber (I - W)^-1 and, given (dW, deta)
-    pairs, their pushforwards, in one guarded solve.
+    pairs, those pushed through its differential, in one guarded solve.
 
     This is the fractional-linear map with a = b = iI, c = -I, d = I and the
     fiber 2i eta, so df = 2i deta.
@@ -408,7 +406,7 @@ def _cayley_inv(omega, fiber):
 def cayley(p: DiskPoint, *, dirs=None):
     """W -> i (I + W)(I - W)^-1; a DiskJacobiPoint is mapped in its base.
 
-    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    Given tangent vectors dirs at p, returns (image, dirs pushed through its differential).
     """
     _takes("cayley", p, DiskPoint, DiskJacobiPoint)
     om, _, pushed = _cayley(p.w, None, _displacements(dirs, p.w))
@@ -425,7 +423,7 @@ def cayley_inv(p: SiegelPoint) -> DiskPoint:
 def partial_cayley(p: DiskJacobiPoint, *, dirs=None):
     """(W, eta) -> (i (I + W)(I - W)^-1, 2i eta (I - W)^-1).
 
-    Given tangent vectors dirs at p, returns (image, their pushforwards).
+    Given tangent vectors dirs at p, returns (image, dirs pushed through its differential).
     """
     _takes("partial_cayley", p, DiskJacobiPoint)
     om, z, pushed = _cayley(p.w, p.eta, _displacements(dirs, p.w, p.eta))

@@ -2,8 +2,8 @@
 bits of the 2-d call, and a guard that fails on one slice raises for the
 batch, naming that slice.  The samplers draw a batch of seeds in one holder,
 the metrics and the volume density take such batches, the suites evaluate a
-chunk of trials in one pass, and the finite-difference operators evaluate
-their displaced points in one batch."""
+chunk of trials in one pass, and the Laplacians evaluate their displaced
+points in one batch."""
 
 import dataclasses
 import hashlib
@@ -20,9 +20,7 @@ from sjkit import geometry, groups, suites
 from sjkit.geometry import (
     TEST_FIELDS,
     MetricParams,
-    TangentVector,
     _abs_det2,
-    action_jacobian_det,
     laplacian_disk,
     laplacian_sj,
     laplacian_siegel,
@@ -30,7 +28,6 @@ from sjkit.geometry import (
     metric_siegel,
     metric_sj,
     pullback_metric_disk,
-    pushforward,
     sample_tangent,
     volume_density,
 )
@@ -62,7 +59,6 @@ from sjkit.spaces import (
     DiskPoint,
     SiegelJacobiPoint,
     SiegelPoint,
-    _fit,
     act_disk,
     act_jacobi,
     act_jacobi_disk,
@@ -644,7 +640,7 @@ def test_volume_density_has_the_bits_of_a_float_power():
     assert _bits(volume_density(p)) == _bits([float(np.linalg.det(q)) ** -5 for q in p.base.y])
 
 
-# -- finite-difference stencils: one batched pass per operator ----------------
+# -- Laplacian stencils: one batched pass per Laplacian -----------------------
 
 FD_SHAPES = [(1, 1), (2, 1), (3, 2), (4, 3)]
 
@@ -662,8 +658,7 @@ def _laplacian_point_by_point(f, p, frame, weights):
     for k in range(len(db)):
         second = 0.0
         for s in (t, -t, 1j * t, -1j * t):
-            q = geometry._rebuild(p, base + s * db[k],
-                                  fiber if df is None else fiber + s * df[k], validate=False)
+            q = geometry._rebuild(p, base + s * db[k], fiber if df is None else fiber + s * df[k])
             second += f(q) - f0
         total += weights[k] * second
     return float(total / t**2)
@@ -752,56 +747,6 @@ def test_test_fields_give_each_point_of_a_batch_its_scalar_bits(g, h):
         assert _bits(got) == _bits([_SCALAR_FIELDS[f.name](q) for q in points[f.domain]]), f.name
 
 
-def _pushforward_two_calls(map_fn, p, v):
-    """The central difference of map_fn along v from two separate map calls."""
-    base, fiber = geometry._point_parts(p)
-    h = geometry.FD_FIRST_STEP * max(1.0, geometry._norm(base, fiber)) / max(1.0, geometry._norm(
-        v.dbase, v.dfiber))
-    db, df = _fit(v, base, fiber)
-    plus = map_fn(geometry._rebuild(p, base + h * db, None if fiber is None else fiber + h * df,
-                                    validate=True))
-    minus = map_fn(geometry._rebuild(p, base - h * db, None if fiber is None else fiber - h * df,
-                                     validate=True))
-    (bp, fp), (bm, fm) = geometry._point_parts(plus), geometry._point_parts(minus)
-    d = (bp - bm) / (2 * h)
-    return TangentVector((d + d.T) / 2, None if fp is None else (fp - fm) / (2 * h))
-
-
-def _fd_maps(g, h, seed):
-    """(map, point) pairs: the four actions and the two Cayley maps."""
-    yield partial(act_siegel, sample_element("sp", g, h, seed)), sample_point("siegel", g, h, seed)
-    yield partial(act_disk, sample_element("gstar", g, h, seed)), sample_point("disk", g, h, seed)
-    yield (partial(act_jacobi, sample_element("jacobi", g, h, seed)),
-           sample_point("siegel_jacobi", g, h, seed))
-    yield (partial(act_jacobi_disk, sample_element("gstarj", g, h, seed)),
-           sample_point("disk_jacobi", g, h, seed))
-    yield cayley, sample_point("disk", g, h, seed)
-    yield partial_cayley, sample_point("disk_jacobi", g, h, seed)
-
-
-@pytest.mark.parametrize("g,h", FD_SHAPES)
-def test_batched_fd_oracles_match_separate_map_calls(g, h):
-    for seed in (3, 4):
-        for map_fn, p in _fd_maps(g, h, seed):
-            fiber = getattr(p, "z", getattr(p, "eta", None))
-            v = sample_tangent(g, None if fiber is None else h, seed + 1)
-            want = _pushforward_two_calls(map_fn, p, v)
-            assert _tangent_bytes(pushforward(map_fn, p, v)) == _tangent_bytes(want)
-            dirs = geometry._coordinate_dirs(p)
-            want = _abs_det2([_pushforward_two_calls(map_fn, p, d) for d in dirs])
-            assert action_jacobian_det(map_fn, p).hex() == want.hex()
-
-
-def test_fd_oracles_make_one_map_call_on_every_displaced_point():
-    a = sample_element("jacobi", 3, 2, seed=1)
-    p = sample_point("siegel_jacobi", 3, 2, seed=2)
-    batches = []
-    fn = lambda q: batches.append(q.omega.shape[:-2]) or act_jacobi(a, q)  # noqa: E731
-    pushforward(fn, p, sample_tangent(3, 2, seed=3))
-    action_jacobian_det(fn, p)
-    assert batches == [(2,), (2 * (6 + 6),)]  # 2 points per direction; 6 + 6 directions
-
-
 @pytest.mark.parametrize("field", [
     lambda q: 3.25,  # a constant
     lambda q: np.imag(q.omega[0, 0]),  # a per-point field reads row 0 of slice 0
@@ -813,13 +758,6 @@ def test_a_field_of_the_wrong_shape_raises_naming_the_contract(field):
     for laplacian in (laplacian_siegel, partial(laplacian_sj, MetricParams())):
         with pytest.raises(DimensionError, match=r"returns one value per point"):
             laplacian(field, p)
-
-
-def test_fd_displaced_points_are_still_validated():
-    # a stencil point outside the Siegel space fails validation, naming its slice
-    p = SiegelPoint([[1e-7j]])
-    with pytest.raises(DomainError, match=r"difference stencil left the domain.*\(slice 1\)"):
-        pushforward(lambda q: q, p, TangentVector([[1j]]))
 
 
 @pytest.mark.parametrize("g,h", [(1, 1), (2, 2), (4, 3)])

@@ -1,5 +1,6 @@
-"""Public-surface guards: every public name a module declares must exist,
-and no public callable takes a tolerance it would only pass along."""
+"""Public-surface guards: every public name a module declares must exist and
+be its own, not an alias of another module's, and no public callable takes a
+tolerance it would only pass along."""
 
 import importlib
 import inspect
@@ -18,7 +19,10 @@ def test_all_names_resolve_and_star_import_works(name):
     namespace = {}
     exec(f"from sjkit.{name} import *", namespace)
     for n in getattr(mod, "__all__", ()):
-        assert namespace[n] is getattr(mod, n)
+        obj = getattr(mod, n)
+        assert namespace[n] is obj
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == mod.__name__, f"sjkit.{name}.{n} is {obj.__module__}.{n}"
 
 
 def _public_callables(mod):
@@ -53,6 +57,17 @@ def test_tolerance_object_is_gone():
 
     for n in ("Tolerance", "DEFAULT_TOL"):
         assert not hasattr(sjkit, n) and not hasattr(sjkit.numkit, n)
+
+
+def test_finite_difference_oracles_are_gone():
+    import sjkit
+    import sjkit.geometry
+
+    for n in ("pushforward", "_pushforwards", "action_jacobian_det", "FD_FIRST_STEP",
+              "FD_FIRST_REL", "_norm"):
+        assert not hasattr(sjkit, n) and not hasattr(sjkit.geometry, n), n
+    assert "TangentVector" not in sjkit.geometry.__all__
+    assert sjkit.TangentVector is sjkit.spaces.TangentVector
 
 
 def test_big_group_holder_layer_is_gone():

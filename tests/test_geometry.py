@@ -4,18 +4,16 @@ from functools import partial
 import numpy as np
 import pytest
 
+from fd_oracle import FD_FIRST_REL, fd_jacobian_det, fd_pushforward
 from sjkit.geometry import (
-    FD_FIRST_REL,
     MetricParams,
     TEST_FIELDS,
-    TangentVector,
     _coordinate_dirs,
     _disk_frame,
     _metric_sj_terms,
     _siegel_frame,
     _sj_frame,
     _triu,
-    action_jacobian_det,
     laplacian_disk,
     laplacian_sj,
     laplacian_siegel,
@@ -23,7 +21,6 @@ from sjkit.geometry import (
     metric_sj,
     metric_siegel,
     pullback_metric_disk,
-    pushforward,
     sample_tangent,
     volume_density,
 )
@@ -34,6 +31,7 @@ from sjkit.spaces import (
     DiskPoint,
     SiegelJacobiPoint,
     SiegelPoint,
+    TangentVector,
     act_disk,
     act_jacobi,
     act_jacobi_disk,
@@ -90,14 +88,14 @@ def test_metric_invariance_samples():
         p = sample_point("siegel", 2, 1, seed=seed)
         v = sample_tangent(2, None, seed=seed)
         lhs = metric_siegel(p, v)
-        rhs = metric_siegel(act_siegel(m, p), pushforward(lambda q: act_siegel(m, q), p, v))
+        rhs = metric_siegel(act_siegel(m, p), fd_pushforward(lambda q: act_siegel(m, q), p, v))
         assert abs(lhs - rhs) / max(1, abs(lhs)) < 1e-5
 
         gs = conjugate_by_T(m)
         pd = sample_point("disk", 2, 1, seed=seed)
         vd = sample_tangent(2, None, seed=seed + 50)
         lhs = metric_disk(pd, vd)
-        rhs = metric_disk(act_disk(gs, pd), pushforward(lambda q: act_disk(gs, q), pd, vd))
+        rhs = metric_disk(act_disk(gs, pd), fd_pushforward(lambda q: act_disk(gs, q), pd, vd))
         assert abs(lhs - rhs) / max(1, abs(lhs)) < 1e-5
 
 
@@ -109,7 +107,7 @@ def test_metric_sj_invariance_two_parameter_sets():
         for params in (MetricParams(1, 1), MetricParams(2.0, 0.5)):
             lhs = metric_sj(params, p, v)
             rhs = metric_sj(params, act_jacobi(a, p),
-                            pushforward(lambda q: act_jacobi(a, q), p, v))
+                            fd_pushforward(lambda q: act_jacobi(a, q), p, v))
             assert abs(lhs - rhs) / max(1, abs(lhs)) < 1e-5
 
 
@@ -125,7 +123,7 @@ def test_pullback_metric_origin_and_invariance():
         v = sample_tangent(1, 1, seed=seed)
         lhs = pullback_metric_disk(params, p, v)
         rhs = pullback_metric_disk(params, act_jacobi_disk(b, p),
-                                   pushforward(lambda q: act_jacobi_disk(b, q), p, v))
+                                   fd_pushforward(lambda q: act_jacobi_disk(b, q), p, v))
         assert abs(lhs - rhs) / max(1, abs(lhs)) < 1e-5
 
 
@@ -135,7 +133,7 @@ def test_cayley_isometry():
             p = sample_point("disk", g, 1, seed=seed)
             v = sample_tangent(g, None, seed=seed)
             lhs = metric_disk(p, v)
-            rhs = metric_siegel(cayley(p), pushforward(cayley, p, v))
+            rhs = metric_siegel(cayley(p), fd_pushforward(cayley, p, v))
             assert abs(lhs - rhs) / max(1, abs(lhs)) < 1e-5
 
 
@@ -378,7 +376,7 @@ def test_metric_params_must_be_finite_and_positive(a, b):
         MetricParams(a, b)
 
 
-# -- volume, pushforward, jacobian -------------------------------------------
+# -- volume, finite-difference oracle, jacobian -------------------------------------------
 
 
 def test_volume_density_values():
@@ -451,19 +449,19 @@ def test_a_batched_point_raises_naming_its_laplacian_before_any_field_call():
 def test_pushforward_identity_and_cayley():
     p = sample_point("disk", 1, 1, seed=2)
     v = tv([[0.7 - 0.1j]])
-    out = pushforward(lambda q: q, p, v)
+    out = fd_pushforward(lambda q: q, p, v)
     assert rel_error(out.dbase, v.dbase) < 1e-9
 
     origin = DiskPoint([[0j]])
-    out = pushforward(cayley, origin, tv([[1.0]]))
+    out = fd_pushforward(cayley, origin, tv([[1.0]]))
     assert out.dbase[0, 0] == pytest.approx(2j, abs=1e-8)
 
 
 def test_pushforward_linearity():
     p = sample_point("disk", 2, 1, seed=4)
     v = sample_tangent(2, None, seed=4)
-    a = pushforward(cayley, p, v.scaled(2.0))
-    b = pushforward(cayley, p, v)
+    a = fd_pushforward(cayley, p, v.scaled(2.0))
+    b = fd_pushforward(cayley, p, v)
     assert rel_error(a.dbase, 2 * b.dbase) < 1e-6
 
 
@@ -472,7 +470,7 @@ def test_volume_invariance():
         for g, h in ((1, 1), (2, 1)):
             a = sample_element("jacobi", g, h, seed=seed)
             p = sample_point("siegel_jacobi", g, h, seed=seed)
-            det_j = action_jacobian_det(lambda q: act_jacobi(a, q), p)
+            det_j = fd_jacobian_det(lambda q: act_jacobi(a, q), p)
             lhs = volume_density(act_jacobi(a, p)) * det_j
             rhs = volume_density(p)
             assert abs(lhs - rhs) / max(1.0, rhs) < 1e-4
@@ -489,7 +487,7 @@ def test_jacobian_det_jacobi_action_closed_form(g, h):
     for seed in range(3):
         a = sample_element("jacobi", g, h, seed=seed)
         p = sample_point("siegel_jacobi", g, h, seed=seed + 1)
-        got = action_jacobian_det(lambda q: act_jacobi(a, q), p)
+        got = fd_jacobian_det(lambda q: act_jacobi(a, q), p)
         want = _abs_det_j(a.m, p.omega) ** (-2 * (g + h + 1))
         assert abs(got - want) <= FD_FIRST_REL * want
 
@@ -499,7 +497,7 @@ def test_jacobian_det_siegel_action_closed_form(g):
     for seed in range(3):
         m = sample_element("sp", g, 1, seed=seed)
         p = sample_point("siegel", g, 1, seed=seed + 1)
-        got = action_jacobian_det(lambda q: act_siegel(m, q), p)
+        got = fd_jacobian_det(lambda q: act_siegel(m, q), p)
         want = _abs_det_j(m, p.omega) ** (-2 * (g + 1))
         assert abs(got - want) <= FD_FIRST_REL * want
 
@@ -511,6 +509,44 @@ def test_tangent_vector_validation():
     assert v.dfiber.shape == (2, 2)
     again = sample_tangent(2, 2, seed=0)
     np.testing.assert_array_equal(v.dbase, again.dbase)
+
+
+def test_tangent_vector_keeps_read_only_copies_of_the_caller_arrays():
+    a = np.array([[1 + 0j, 2], [2, 1]])
+    f = np.array([[0.5j, 1]])
+    v = TangentVector(a, f)
+    p = SiegelJacobiPoint(SiegelPoint(1j * np.eye(2)), np.zeros((1, 2)))
+    want = (metric_siegel(p.base, v), metric_sj(MetricParams(), p, v))
+    assert want[0] == 10.0
+    for arr, stored in ((a, v.dbase), (f, v.dfiber)):
+        assert arr.flags.writeable and not stored.flags.writeable
+        assert not np.may_share_memory(arr, stored)
+        arr[0, 1] = 99
+    assert (metric_siegel(p.base, v), metric_sj(MetricParams(), p, v)) == want
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda p, pd, pj, pdj, v: metric_siegel(p, np.eye(2)), "takes a TangentVector, not a ndarray"),
+    (lambda p, pd, pj, pdj, v: metric_disk(pd, np.eye(2)), "takes a TangentVector, not a ndarray"),
+    (lambda p, pd, pj, pdj, v: metric_sj(MetricParams(), pj, np.eye(2)),
+     "takes a TangentVector, not a ndarray"),
+    (lambda p, pd, pj, pdj, v: act_siegel(sample_element("sp", 2), p, dirs=[np.eye(2)]),
+     "takes a TangentVector, not a ndarray"),
+    (lambda p, pd, pj, pdj, v: pullback_metric_disk(MetricParams(), pdj, None),
+     "takes a TangentVector, not a NoneType"),
+    (lambda p, pd, pj, pdj, v: metric_sj(None, pj, v),
+     "metric_sj takes a MetricParams, not a NoneType"),
+    (lambda p, pd, pj, pdj, v: pullback_metric_disk((1, 1), pdj, v),
+     "metric_sj takes a MetricParams, not a tuple"),
+    (lambda p, pd, pj, pdj, v: laplacian_sj(None, FIELDS["re-trace-z"], pj),
+     "laplacian_sj takes a MetricParams, not a NoneType"),
+], ids=["metric_siegel", "metric_disk", "metric_sj", "act_siegel-dirs", "pullback-tangent",
+        "metric_sj-params", "pullback-params", "laplacian_sj-params"])
+def test_a_tangent_or_metric_weight_of_the_wrong_class_is_a_dimension_error(call, match):
+    points = [sample_point(kind, 2, 1, seed=1) for kind in ("siegel", "disk", "siegel_jacobi",
+                                                            "disk_jacobi")]
+    with pytest.raises(DimensionError, match=match):
+        call(*points, sample_tangent(2, 1, seed=2))
 
 
 def _tangent_cases(g, h, seed):
@@ -529,8 +565,8 @@ def test_tangent_shapes_are_checked_against_the_point(name):
         "metric_siegel": lambda v: metric_siegel(p_sj.base, v),
         "metric_disk": lambda v: metric_disk(sample_point("disk", g, h, seed=2), v),
         "metric_sj": lambda v: metric_sj(MetricParams(2.0, 0.5), p_sj, v),
-        "pushforward": lambda v: pushforward(lambda q: act_jacobi(sample_element("jacobi", g, h, 3), q),
-                                             p_sj, v),
+        "pushforward": lambda v: act_jacobi(sample_element("jacobi", g, h, 3), p_sj,
+                                            dirs=[v])[1][0],
     }[name]
     fits, wrong_base, wrong_fiber, no_fiber = _tangent_cases(g, h, seed=4)
     evaluate(fits)

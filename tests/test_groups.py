@@ -23,7 +23,7 @@ from sjkit.groups import (
 )
 from sjkit import groups
 from sjkit.groups import _SCALE_MAX
-from sjkit.numkit import DomainError, Holder, rel_error
+from sjkit.numkit import DimensionError, DomainError, Holder, rel_error
 from sjkit.spaces import sample_point
 
 
@@ -460,3 +460,23 @@ def test_element_constructors_leave_caller_arrays_writeable_and_unaliased(case):
         assert not stored.flags.writeable
         a += 7.0
         np.testing.assert_array_equal(stored, np.real(old) if stored.dtype.kind == "f" else old)
+
+
+def test_composite_element_constructors_check_the_classes_of_their_parts():
+    m = sample_element("sp", 2, 1, seed=1)
+    hs = sample_element("heisenberg", 2, 1, seed=2)
+    gs = sample_element("gstar", 2, 1, seed=3)
+    hc = sample_element("gstarj", 2, 1, seed=4).hc
+    cases = [(lambda: JacobiElement(m, m), "JacobiElement takes a HeisenbergElement, not a "
+              "SymplecticMatrix"),
+             (lambda: JacobiElement(hs, hs), "JacobiElement takes a SymplecticMatrix, not a "
+              "HeisenbergElement"),
+             (lambda: GStarJacobiElement(m, m), "GStarJacobiElement takes a GStarElement, not a "
+              "SymplecticMatrix"),
+             (lambda: GStarJacobiElement(gs, hs), "GStarJacobiElement takes a "
+              "ComplexHeisenbergElement, not a HeisenbergElement")]
+    for make, match in cases:
+        with pytest.raises(DimensionError, match=f"^{match}$"):
+            make()
+    assert JacobiElement(m, hs).hs is hs
+    assert GStarJacobiElement(gs, hc, validate=False).hc is hc

@@ -9,7 +9,7 @@ from sjkit.groups import (
     sample_element,
     theta,
 )
-from sjkit.numkit import DomainError, rel_error
+from sjkit.numkit import DimensionError, DomainError, rel_error
 from sjkit.spaces import (
     DiskJacobiPoint,
     DiskPoint,
@@ -273,6 +273,19 @@ def test_invalid_points_rejected():
 def test_a_check_that_overflows_rejects(make, match):
     """A residual that overflows to NaN fails its check rather than passing it."""
     with pytest.raises(DomainError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SiegelJacobiPoint(sample_point("disk", 2), np.ones((1, 2))),
+     "SiegelJacobiPoint takes a SiegelPoint, not a DiskPoint"),
+    (lambda: SiegelJacobiPoint(sample_point("siegel_jacobi", 2), np.ones((1, 2))),
+     "SiegelJacobiPoint takes a SiegelPoint, not a SiegelJacobiPoint"),
+    (lambda: DiskJacobiPoint(sample_point("siegel", 2), np.ones((1, 2))),
+     "DiskJacobiPoint takes a DiskPoint, not a SiegelPoint"),
+], ids=["siegel_jacobi-on-disk", "siegel_jacobi-on-siegel_jacobi", "disk_jacobi-on-siegel"])
+def test_a_jacobi_point_on_a_base_of_another_model_is_a_dimension_error(make, match):
+    with pytest.raises(DimensionError, match=f"^{match}$"):
         make()
 
 
