@@ -132,7 +132,9 @@ def _abs2(x):
 
 TEST_FIELDS = [
     ScalarField("trace-re-base", "siegel", lambda p: _tr(p.omega.real)),
-    ScalarField("logdet-y", "siegel", lambda p: np.log(_det(p.omega.imag))),
+    # 2 sum log diag L with Y = L L^T, finite where det(Y) overflows
+    ScalarField("logdet-y", "siegel",
+                lambda p: 2 * np.log(np.diagonal(_cholesky(p.omega.imag), 0, -2, -1)).sum(-1)),
     ScalarField("trace-yvv", "sj", lambda p: _tr(p.omega.imag @ p.z.imag.mT @ p.z.imag)),
     ScalarField("re-trace-z", "sj", lambda p: _tr(p.z).real),
     ScalarField("abs2-trace-z", "sj", lambda p: _abs2(_tr(p.z))),

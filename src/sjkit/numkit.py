@@ -272,7 +272,10 @@ def _stack_holders(*xs: Holder) -> Holder:
 
 def as_cmatrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex128 array of shape (..., r, c) with finite entries."""
-    arr = np.asarray(a, dtype=np.complex128)
+    try:
+        arr = np.asarray(a, dtype=np.complex128)
+    except (ValueError, TypeError, OverflowError) as exc:  # ragged, not numbers, too large
+        raise DimensionError(f"{name}: not an array of complex numbers: {exc}") from None
     if arr.ndim < 2:
         raise DimensionError(f"{name}: expected a matrix, got ndim={arr.ndim}")
     if np.count_nonzero(np.isfinite(arr)) != arr.size:  # half the cost of .all()

@@ -6,8 +6,11 @@ I - W conj(W) positive definite.  Both extend by an h x g fiber coordinate.
 Actions re-symmetrize their output and record the defect, which must stay
 below the algebraic tolerance.
 
-The actions and the (partial) Cayley transform are fractional-linear,
-x' = (a x + b) J^-1 with fiber z' = f J^-1 and J = c x + d, so each has the
+The four actions and the four (partial) Cayley maps are one fractional-linear
+map, x' = (a x + b) J^-1 with fiber z' = f J^-1 and J = c x + d, of the
+blocks (a, b, c, d): (A, B, C, D) for the Siegel actions, (P, Q, conj(Q),
+conj(P)) for the disk actions, (iI, iI, -I, I) for cayley and partial_cayley
+(f = 2i eta) and (I, -iI, I, iI) for their inverses (f = Z).  Each has the
 exact differential
 
     dx' = (a - x'c) dx J^-1,    dz' = (df - z'c dx) J^-1,
@@ -46,6 +49,7 @@ from .numkit import (
     DomainError,
     Holder,
     _count,
+    _built_once,
     _ensure,
     _eye,
     _freeze,
@@ -221,11 +225,6 @@ class TangentVector(Holder):
     def g(self) -> int:
         return self.dbase.shape[-1]
 
-    def scaled(self, t: float) -> "TangentVector":
-        return TangentVector(
-            t * self.dbase, None if self.dfiber is None else t * self.dfiber
-        )
-
 
 # ---------------------------------------------------------------------------
 # actions
@@ -261,49 +260,44 @@ def _fit(v: TangentVector, x: np.ndarray, fiber: np.ndarray | None = None):
     return v.dbase, df
 
 
-def _displacements(dirs, x: np.ndarray, fiber: np.ndarray | None = None, lift=None):
-    """The (dx, df) pairs of tangent vectors at (x, fiber) for a map whose
-    numerator fiber moves by df = dfiber + lift dx; None when dirs is None."""
-    if dirs is None:
-        return None
-    out = []
-    for v in dirs:
-        dx, df = _fit(v, x, fiber)
-        out.append((dx, df if lift is None else df + lift @ dx))
-    return out
+def _fractional_linear(blocks, x, cls, context: str, what: str, dirs=None, fiber=None):
+    """The cls point (a x + b) J^-1, J = c x + d, of the blocks (a, b, c, d).
 
-
-def _stacked_rsolve(top, fiber, den, context: str, with_inverse: bool):
-    """top den^-1, fiber den^-1 and, if with_inverse, den^-1 itself, from one
-    guarded solve of the stacked numerator."""
-    if fiber is None and not with_inverse:
-        return guarded_rsolve(top, den, context), None, None
+    fiber, for a map of Jacobi points, is (phi, f, df): the point's fiber
+    phi, the numerator fiber f, whose f J^-1 makes the image a point of cls's
+    Jacobi class, and f's differential df(dx, dphi).  Given tangent vectors
+    dirs at (x, phi), returns (image, dirs pushed through its differential).
+    One guarded solve gives the image, its fiber and, for dirs, J^-1.
+    """
+    a, b, c, d = blocks
+    phi, f, df = (None, None, None) if fiber is None else fiber
+    moves = None if dirs is None else [_fit(v, x, phi) for v in dirs]
+    den = c @ x + d
     n = den.shape[-1]
-    eye = np.zeros_like(den) + _eye(n) if with_inverse else None  # I in each slice
-    parts = [m for m in (top, fiber, eye) if m is not None]
-    out = guarded_rsolve(np.concatenate(parts, axis=-2), den, context)
-    k = n if fiber is None else n + fiber.shape[-2]
-    return out[..., :n, :], None if fiber is None else out[..., n:k, :], out[..., k:, :]
-
-
-def _pushed(lead, c, z, jinv, dirs) -> list[TangentVector]:
-    """(lead dx J^-1 symmetrized, (df - z c dx) J^-1) for each (dx, df) in dirs,
-    with lead = a - x'c: the exact differential of a fractional-linear map."""
-    out = []
-    for dx, df in dirs:
+    parts = [a @ x + b] + ([] if f is None else [f])
+    if moves is not None:
+        parts.append(np.zeros_like(den) + _eye(n))  # I in each slice
+    out = guarded_rsolve(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-2),
+                         den, context)
+    image = _symmetrized(out[..., :n, :], what)
+    point = _positive(cls, image)
+    k = n if f is None else n + f.shape[-2]
+    z = out[..., n:k, :]
+    if f is not None:
+        point = _JACOBI[cls](point, z)
+    if moves is None:
+        return point
+    lead, jinv, pushed = a - image @ c, out[..., k:, :], []
+    for dx, dphi in moves:
         dx2 = lead @ dx @ jinv
         v = TangentVector.__new__(TangentVector)  # (dx2 + dx2^T)/2 is exactly symmetric
-        v.dbase, v.dfiber = (dx2 + dx2.mT) / 2, None if df is None else (df - z @ (c @ dx)) @ jinv
-        out.append(v)
-    return out
+        v.dbase = _freeze((dx2 + dx2.mT) / 2, None)
+        v.dfiber = None if f is None else _freeze((df(dx, dphi) - z @ (c @ dx)) @ jinv, None)
+        pushed.append(v)
+    return point, pushed
 
 
-def _fractional_linear(a, b, c, d, x, fiber, context: str, what: str, dirs=None):
-    """(a x + b)(c x + d)^-1 symmetrized, fiber (c x + d)^-1 and, given (dx, df)
-    pairs, those pushed through its differential, in one guarded solve."""
-    top, z, jinv = _stacked_rsolve(a @ x + b, fiber, c @ x + d, context, dirs is not None)
-    out = _symmetrized(top, what)
-    return out, z, None if dirs is None else _pushed(a - out @ c, c, z, jinv, dirs)
+_JACOBI = {SiegelPoint: SiegelJacobiPoint, DiskPoint: DiskJacobiPoint}
 
 
 def act_siegel(m: SymplecticMatrix, p: SiegelPoint, *, dirs=None):
@@ -317,10 +311,8 @@ def act_siegel(m: SymplecticMatrix, p: SiegelPoint, *, dirs=None):
     if m.g != p.g:
         raise DimensionError(f"degree mismatch: element g={m.g}, point g={p.g}")
     _check_batches(m.m, p.omega)
-    om, _, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, None, "C omega + D",
-                                       "siegel action", _displacements(dirs, p.omega))
-    out = _positive(SiegelPoint, om)
-    return out if dirs is None else (out, pushed)
+    return _fractional_linear((m.a, m.b, m.c, m.d), p.omega, SiegelPoint, "C omega + D",
+                              "siegel action", dirs)
 
 
 def act_disk(gs: GStarElement, p: DiskPoint, *, dirs=None):
@@ -334,11 +326,8 @@ def act_disk(gs: GStarElement, p: DiskPoint, *, dirs=None):
     if gs.g != p.g:
         raise DimensionError(f"degree mismatch: element g={gs.g}, point g={p.g}")
     _check_batches(gs.p, p.w)
-    w, _, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, None,
-                                      "conj(Q) W + conj(P)", "disk action",
-                                      _displacements(dirs, p.w))
-    out = _positive(DiskPoint, w)
-    return out if dirs is None else (out, pushed)
+    return _fractional_linear((gs.p, gs.q, gs.q.conj(), gs.p.conj()), p.w, DiskPoint,
+                              "conj(Q) W + conj(P)", "disk action", dirs)
 
 
 def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, *, dirs=None):
@@ -350,12 +339,10 @@ def act_jacobi(a: JacobiElement, p: SiegelJacobiPoint, *, dirs=None):
     _takes("act_jacobi", p, SiegelJacobiPoint)
     _check_gh(a, p)
     _check_batches(a.m.m, p.omega)
-    m, fiber = a.m, p.z + a.hs.lam @ p.omega + a.hs.mu
-    om, z, pushed = _fractional_linear(m.a, m.b, m.c, m.d, p.omega, fiber, "C omega + D",
-                                       "siegel action",
-                                       _displacements(dirs, p.omega, p.z, a.hs.lam))
-    out = SiegelJacobiPoint(_positive(SiegelPoint, om), z)
-    return out if dirs is None else (out, pushed)
+    m, lam = a.m, a.hs.lam
+    fiber = p.z, p.z + lam @ p.omega + a.hs.mu, lambda dx, dz: dz + lam @ dx
+    return _fractional_linear((m.a, m.b, m.c, m.d), p.omega, SiegelPoint, "C omega + D",
+                              "siegel action", dirs, fiber)
 
 
 def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint, *, dirs=None):
@@ -367,40 +354,20 @@ def act_jacobi_disk(a: GStarJacobiElement, p: DiskJacobiPoint, *, dirs=None):
     _takes("act_jacobi_disk", p, DiskJacobiPoint)
     _check_gh(a, p)
     _check_batches(a.gs.p, p.w)
-    gs, fiber = a.gs, p.eta + a.hc.xi @ p.w + a.hc.eta
-    w, eta, pushed = _fractional_linear(gs.p, gs.q, gs.q.conj(), gs.p.conj(), p.w, fiber,
-                                        "conj(Q) W + conj(P)", "disk action",
-                                        _displacements(dirs, p.w, p.eta, a.hc.xi))
-    out = DiskJacobiPoint(_positive(DiskPoint, w), eta)
-    return out if dirs is None else (out, pushed)
+    gs, xi = a.gs, a.hc.xi
+    fiber = p.eta, p.eta + xi @ p.w + a.hc.eta, lambda dw, deta: deta + xi @ dw
+    return _fractional_linear((gs.p, gs.q, gs.q.conj(), gs.p.conj()), p.w, DiskPoint,
+                              "conj(Q) W + conj(P)", "disk action", dirs, fiber)
 
 
 # ---------------------------------------------------------------------------
 # Cayley transforms
 
 
-def _cayley(w, fiber, dirs=None):
-    """i (I + W)(I - W)^-1 symmetrized, 2i fiber (I - W)^-1 and, given (dW, deta)
-    pairs, those pushed through its differential, in one guarded solve.
-
-    This is the fractional-linear map with a = b = iI, c = -I, d = I and the
-    fiber 2i eta, so df = 2i deta.
-    """
-    i = np.eye(w.shape[-1])
-    top, z, rinv = _stacked_rsolve(i + w, fiber, i - w, "I - W", dirs is not None)
-    om, z = _symmetrized(1j * top, "cayley"), None if fiber is None else 2j * z
-    if dirs is None:
-        return om, z, None
-    dirs = [(dw, None if de is None else 2j * de) for dw, de in dirs]
-    return om, z, _pushed(1j * i + om, -i, z, rinv, dirs)
-
-
-def _cayley_inv(omega, fiber):
-    """(omega - iI)(omega + iI)^-1 symmetrized and fiber (omega + iI)^-1: the
-    fractional-linear map with a = I, b = -iI, c = I, d = iI."""
-    i = _eye(omega.shape[-1])
-    return _fractional_linear(i, -1j * i, i, 1j * i, omega, fiber, "omega + iI",
-                              "inverse cayley")[:2]
+# the blocks (a, b, c, d) of i (I + W)(I - W)^-1 and of (omega - iI)(omega + iI)^-1,
+# stacked and built once per g
+_CAYLEY = _built_once(lambda n: np.array([1j, 1j, -1, 1])[:, None, None] * np.eye(n))
+_CAYLEY_INV = _built_once(lambda n: np.array([1, -1j, 1, 1j])[:, None, None] * np.eye(n))
 
 
 def cayley(p: DiskPoint, *, dirs=None):
@@ -409,15 +376,13 @@ def cayley(p: DiskPoint, *, dirs=None):
     Given tangent vectors dirs at p, returns (image, dirs pushed through its differential).
     """
     _takes("cayley", p, DiskPoint, DiskJacobiPoint)
-    om, _, pushed = _cayley(p.w, None, _displacements(dirs, p.w))
-    out = _positive(SiegelPoint, om)
-    return out if dirs is None else (out, pushed)
+    return _fractional_linear(_CAYLEY(p.g), p.w, SiegelPoint, "I - W", "cayley", dirs)
 
 
 def cayley_inv(p: SiegelPoint) -> DiskPoint:
     """omega -> (omega - iI)(omega + iI)^-1; a SiegelJacobiPoint is mapped in its base."""
     _takes("cayley_inv", p, SiegelPoint, SiegelJacobiPoint)
-    return _positive(DiskPoint, _cayley_inv(p.omega, None)[0])
+    return _fractional_linear(_CAYLEY_INV(p.g), p.omega, DiskPoint, "omega + iI", "inverse cayley")
 
 
 def partial_cayley(p: DiskJacobiPoint, *, dirs=None):
@@ -426,16 +391,15 @@ def partial_cayley(p: DiskJacobiPoint, *, dirs=None):
     Given tangent vectors dirs at p, returns (image, dirs pushed through its differential).
     """
     _takes("partial_cayley", p, DiskJacobiPoint)
-    om, z, pushed = _cayley(p.w, p.eta, _displacements(dirs, p.w, p.eta))
-    out = SiegelJacobiPoint(_positive(SiegelPoint, om), z)
-    return out if dirs is None else (out, pushed)
+    fiber = p.eta, 2j * p.eta, lambda dw, deta: 2j * deta
+    return _fractional_linear(_CAYLEY(p.g), p.w, SiegelPoint, "I - W", "cayley", dirs, fiber)
 
 
 def partial_cayley_inv(p: SiegelJacobiPoint) -> DiskJacobiPoint:
     """(omega, Z) -> ((omega - iI)(omega + iI)^-1, Z (omega + iI)^-1)."""
     _takes("partial_cayley_inv", p, SiegelJacobiPoint)
-    w, eta = _cayley_inv(p.omega, p.z)
-    return DiskJacobiPoint(_positive(DiskPoint, w), eta)
+    return _fractional_linear(_CAYLEY_INV(p.g), p.omega, DiskPoint, "omega + iI",
+                              "inverse cayley", fiber=(p.z, p.z, None))
 
 
 def check_compatibility(a: JacobiElement, p: DiskJacobiPoint) -> float:

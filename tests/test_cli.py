@@ -219,10 +219,10 @@ def test_element_point_commands_require_point(capsys, argv, what):
 
 
 def test_laplacian_command_of_a_field_that_is_not_finite_is_a_domain_error(capsys):
-    # det(Y) of Omega = 1e150 i I_4 overflows, so logdet-y is inf at every stencil point
-    point = json.dumps({"omega": encode_matrix(1e150j * np.eye(4)),
-                        "z": encode_matrix(np.zeros((1, 4)))})
-    code, out, err = run_cli(capsys, "laplacian", "--which", "sj", "--field", "logdet-y",
+    # |tr Z|^2 of Z entries 1e200 overflows, so abs2-trace-z is inf at every stencil point
+    point = json.dumps({"omega": encode_matrix(1j * np.eye(4)),
+                        "z": encode_matrix(np.full((1, 4), 1e200))})
+    code, out, err = run_cli(capsys, "laplacian", "--which", "sj", "--field", "abs2-trace-z",
                              "--input", point)
     assert code == 3 and out == ""
     assert "domain error: siegel-jacobi laplacian: not finite, from a NaN or inf field" in err

@@ -69,12 +69,24 @@ def test_image_with_directions_is_bit_identical(name, g, h):
     for seed in SEEDS:
         fn, p, v = _case(name, g, h, seed)
         plain = fn(p)
-        moved, pushed = fn(p, dirs=[v, v.scaled(2.0), v])
+        twice = TangentVector(2.0 * v.dbase, None if v.dfiber is None else 2.0 * v.dfiber)
+        moved, pushed = fn(p, dirs=[v, twice, v])
         assert len(pushed) == 3
         for a, b in zip(_parts(plain), _parts(moved), strict=True):
             assert np.array_equal(a, b)
         _, none = fn(p, dirs=[])
         assert none == []
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_pushed_tangent_vectors_are_read_only(name):
+    fn, p, v = _case(name, 2, 1, 0)
+    _, pushed = fn(p, dirs=[v, TangentVector(v.dbase)])
+    fibered = name in ("act_jacobi", "act_jacobi_disk", "partial_cayley")
+    for u in pushed:
+        assert (u.dfiber is not None) == fibered
+        assert not u.dbase.flags.writeable
+        assert not fibered or not u.dfiber.flags.writeable
 
 
 def _parts(p):
@@ -83,7 +95,8 @@ def _parts(p):
 
 def test_exact_differential_is_linear_and_fiber_free_for_base_maps():
     fn, p, v = _case("act_jacobi", 2, 2, 0)
-    _, (a, b, c) = fn(p, dirs=[v, v.scaled(-3.0), TangentVector(v.dbase)])
+    _, (a, b, c) = fn(p, dirs=[v, TangentVector(-3.0 * v.dbase, -3.0 * v.dfiber),
+                               TangentVector(v.dbase)])
     assert rel_error(b.dbase, -3.0 * a.dbase) < 1e-14
     assert rel_error(b.dfiber, -3.0 * a.dfiber) < 1e-14
     assert c.dfiber.shape == a.dfiber.shape  # a missing fiber part moves as zero

@@ -411,14 +411,21 @@ def test_a_volume_density_of_zero_or_inf_is_a_domain_error(y, g, h):
 _NOT_FINITE = ": not finite, from a NaN or inf field value or differences that overflow$"
 
 
-# det(Y) = inf at this point on purpose, so the logdet-y field is inf; numpy warns as it does
+# |tr Z|^2 = 1e400 = inf at this point on purpose, so abs2-trace-z is inf; numpy warns as it does
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_field_value_that_is_not_finite_raises_naming_its_laplacian():
-    p = _sj_point(1e150, 4, 1)
+    p = SiegelJacobiPoint(SiegelPoint(1j * np.eye(4)), np.full((1, 4), 1e200))
     with pytest.raises(DomainError, match="^siegel-jacobi laplacian" + _NOT_FINITE):
-        laplacian_sj(MetricParams(), FIELDS["logdet-y"], p)
+        laplacian_sj(MetricParams(), FIELDS["abs2-trace-z"], p)
     with pytest.raises(DomainError, match="^siegel laplacian" + _NOT_FINITE):
-        laplacian_siegel(FIELDS["logdet-y"], p.base)
+        laplacian_siegel(FIELDS["abs2-trace-z"], p)
+
+
+def test_logdet_y_laplacian_is_finite_where_det_y_overflows():
+    # det(Y) = 1e600 is out of range; logdet-y, 2 sum log diag L with Y = L L^T, is not
+    p = _sj_point(1e150, 4, 1)
+    _close(laplacian_sj(MetricParams(), FIELDS["logdet-y"], p), -10.0)
+    _close(laplacian_siegel(FIELDS["logdet-y"], p.base), -10.0)
 
 
 def test_a_nan_field_value_raises_naming_its_laplacian():
@@ -460,7 +467,7 @@ def test_pushforward_identity_and_cayley():
 def test_pushforward_linearity():
     p = sample_point("disk", 2, 1, seed=4)
     v = sample_tangent(2, None, seed=4)
-    a = fd_pushforward(cayley, p, v.scaled(2.0))
+    a = fd_pushforward(cayley, p, TangentVector(2.0 * v.dbase))
     b = fd_pushforward(cayley, p, v)
     assert rel_error(a.dbase, 2 * b.dbase) < 1e-6
 

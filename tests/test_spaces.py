@@ -289,6 +289,18 @@ def test_a_jacobi_point_on_a_base_of_another_model_is_a_dimension_error(make, ma
         make()
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: SiegelPoint(sample_point("disk", 2)), "omega"),
+    (lambda: SiegelJacobiPoint(1j * np.eye(2), sample_point("disk", 2)), "z"),
+    (lambda: DiskPoint([[0.5, 0.1], [0.1]]), "w"),
+    (lambda: TangentVector("ab"), "dbase"),
+    (lambda: TangentVector(np.eye(2), [[10**400, 0]]), "dfiber"),
+], ids=["point-as-omega", "point-as-fiber", "ragged", "malformed-string", "past-the-doubles"])
+def test_an_argument_that_is_not_an_array_of_complex_numbers_is_a_dimension_error(make, match):
+    with pytest.raises(DimensionError, match=f"^{match}: not an array of complex numbers: "):
+        make()
+
+
 @pytest.mark.parametrize("kind", ["siegel", "disk", "siegel_jacobi", "disk_jacobi"])
 def test_point_constructors_leave_caller_arrays_writeable_and_unaliased(kind):
     base = np.array([[0.1 + 1.0j, 0.2], [0.2, 0.3 + 2.0j]]) / (1 if "siegel" in kind else 4)
@@ -307,3 +319,55 @@ def test_point_constructors_leave_caller_arrays_writeable_and_unaliased(kind):
         assert not arr.flags.writeable
         a += 7.0
         np.testing.assert_array_equal(arr, old)
+
+
+# ---------------------------------------------------------------------------
+# each map against its textbook formula, written out with np.linalg.inv
+
+
+def _oracle_cases(g, h, seed, batch):
+    """(name, image, want) for the eight maps at the seed's points and elements,
+    a batch of three of each if batch: want lists the image's parts, base then
+    fiber, from the formula of the map's docstring."""
+    def seeds(k):
+        return [seed + 10 * i + k for i in range(3)] if batch else seed + k
+
+    eye, inv = np.eye(g), np.linalg.inv
+    om = sample_point("siegel_jacobi", g, h, seeds(0))
+    dk = sample_point("disk_jacobi", g, h, seeds(1))
+    m, gs = sample_element("sp", g, h, seeds(2)), sample_element("gstar", g, h, seeds(2))
+    j, jd = sample_element("jacobi", g, h, seeds(2)), sample_element("gstarj", g, h, seeds(2))
+    o, z, w, eta = om.omega, om.z, dk.w, dk.eta
+
+    def siegel(a, b, c, d):
+        return (a @ o + b) @ inv(c @ o + d), inv(c @ o + d)
+
+    def disk(p, q):
+        return (p @ w + q) @ inv(q.conj() @ w + p.conj()), inv(q.conj() @ w + p.conj())
+
+    mj, jinv = siegel(j.m.a, j.m.b, j.m.c, j.m.d)
+    mjd, dinv = disk(jd.gs.p, jd.gs.q)
+    forth, back = 1j * (eye + w) @ inv(eye - w), (o - 1j * eye) @ inv(o + 1j * eye)
+    return [
+        ("act_siegel", act_siegel(m, om.base), [siegel(m.a, m.b, m.c, m.d)[0]]),
+        ("act_disk", act_disk(gs, dk.base), [disk(gs.p, gs.q)[0]]),
+        ("act_jacobi", act_jacobi(j, om), [mj, (z + j.hs.lam @ o + j.hs.mu) @ jinv]),
+        ("act_jacobi_disk", act_jacobi_disk(jd, dk),
+         [mjd, (eta + jd.hc.xi @ w + jd.hc.eta) @ dinv]),
+        ("cayley", cayley(dk.base), [forth]),
+        ("cayley_inv", cayley_inv(om.base), [back]),
+        ("partial_cayley", partial_cayley(dk), [forth, 2j * eta @ inv(eye - w)]),
+        ("partial_cayley_inv", partial_cayley_inv(om), [back, z @ inv(o + 1j * eye)]),
+    ]
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["2d", "batch"])
+@pytest.mark.parametrize("g,h", [(2, 1), (3, 2), (4, 3)])
+def test_each_map_gives_its_textbook_formula(g, h, batch):
+    for seed in range(4):
+        for name, image, want in _oracle_cases(g, h, seed, batch):
+            parts = [getattr(image, n) for n in ("omega", "w", "z", "eta") if hasattr(image, n)]
+            assert len(parts) == len(want), name
+            for got, ref in zip(parts, want):
+                assert got.shape == ref.shape, name
+                assert np.all(rel_error(got, ref) <= 1e-12), (name, rel_error(got, ref))
