@@ -25,8 +25,8 @@ from .groups import (
     ComplexHeisenbergElement,
     GStarElement,
     GStarJacobiElement,
-    _big_parts,
     _big_product,
+    _block_part,
     _check_batches,
     _check_gh,
     _embedded,
@@ -34,6 +34,7 @@ from .groups import (
 from .numkit import (
     ALGEBRAIC_REL,
     ConsistencyError,
+    DimensionError,
     DomainError,
     _block,
     _check_cond,
@@ -42,6 +43,7 @@ from .numkit import (
     _floor1,
     _rel,
     _solve,
+    as_cmatrix,
     frob,
     rel_error,
     symmetry_defect,
@@ -92,12 +94,28 @@ class JacobiHCFactors:
     kappa_star: np.ndarray
 
     def _parts(self, h: int) -> list[tuple]:
-        """The (block, xi, eta, zeta) arrays of the three factors, unchecked."""
+        """The (block, xi, eta, zeta) arrays of the three factors for a fiber
+        of h rows.  Factor by factor, its one caller array and then its block
+        are checked as groups._big_product checks an operand's parts, with the
+        same messages: finite and complex, of conforming shapes; the zero
+        parts, built here, are not."""
         g = self.hc.k_p.shape[-1]
         zf = np.zeros((h, g), dtype=complex)
         zc = np.zeros((h, h), dtype=complex)
-        heisenberg = [(zf, self.pplus_eta, zc), (zf, zf, self.kappa_star), (self.pminus_xi, zf, zc)]
-        return [(b, *t) for b, t in zip(self.hc._blocks(), heisenberg)]
+        up, mid, low = self.hc._blocks()
+        eta = as_cmatrix(self.pplus_eta, "eta")
+        if eta.shape[-2:] != (h, g):
+            raise DimensionError("xi and eta must have equal shape")
+        up = _block_part(up, g)
+        zeta = as_cmatrix(self.kappa_star, "zeta")
+        if zeta.shape[-2:] != (h, h):
+            raise DimensionError(f"zeta must be {h} x {h}, got {zeta.shape[-2:]}")
+        mid = _block_part(mid, g)
+        xi = as_cmatrix(self.pminus_xi, "xi")
+        if xi.shape[-2:] != (h, g):
+            raise DimensionError("xi and eta must have equal shape")
+        low = _block_part(low, g)
+        return [(up, zf, eta, zc), (mid, zf, zf, zeta), (low, xi, zf, zc)]
 
 
 def hc_decompose_gstar(gs: GStarElement) -> HCFactors:
@@ -118,7 +136,8 @@ def hc_decompose_gstar(gs: GStarElement) -> HCFactors:
 
 
 def _embedded_point(p: DiskJacobiPoint) -> tuple:
-    """(W, eta) as (block, xi, eta, zeta) = ([[I, W], [0, I]], 0, eta, 0), unchecked."""
+    """(W, eta) as (block, xi, eta, zeta) = ([[I, W], [0, I]], 0, eta, 0): finite
+    complex parts of conforming shapes, as the point's are."""
     g, h = p.g, p.h
     i = _eye(g)
     z = np.zeros((g, g))
@@ -216,11 +235,12 @@ def component_residuals(a: GStarJacobiElement, p: DiskJacobiPoint) -> dict:
 def reconstruction_residual(a: GStarJacobiElement, p: DiskJacobiPoint,
                             factors: JacobiHCFactors) -> float:
     """Relative residual of (up mid low) against a . (embedded point), the
-    largest over the block and the three Heisenberg parts.  Every factor and
-    product is checked as in _big_product: finite parts of conforming shapes,
-    then, for a product, zeta + eta t(xi) symmetric and a nonsingular block."""
-    up, mid, low = (_big_parts(*parts) for parts in factors._parts(p.h))
+    largest over the block and the three Heisenberg parts.  Every factor
+    array and product is checked as in _big_product: finite parts of
+    conforming shapes, then, for a product, zeta + eta t(xi) symmetric and a
+    nonsingular block."""
+    up, mid, low = factors._parts(p.h)
     rebuilt = _big_product(_big_product(up, mid), low)
-    target = _big_product(_embedded(a), _big_parts(*_embedded_point(p)))
+    target = _big_product(_embedded(a), _embedded_point(p))
     block, xi, eta, zeta = map(_rel, rebuilt, target)
     return np.maximum(np.maximum(block, xi), np.maximum(eta, zeta))

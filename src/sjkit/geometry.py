@@ -58,6 +58,7 @@ from .numkit import (
     _eigvalsh,
     _ensure,
     _floor1,
+    _freeze,
     _inv,
     _takes,
     guarded_inv,
@@ -69,6 +70,7 @@ from .spaces import (
     SiegelPoint,
     TangentVector,
     _fit,
+    _tangent,
     partial_cayley,
 )
 
@@ -378,15 +380,17 @@ def _sample_tangents(g: int, h: int, seeds: dict) -> dict:
     mapping each kind to its seed or sequence of seeds (see
     groups._draw_rows): "tangent" without a fiber part and "tangent_jacobi"
     with an h x g one, both on the (seed, 20) streams.  Their rows are read to
-    the longest kind's numbers and the base part is built for every row."""
+    the longest kind's numbers and the base part is built for every row,
+    exactly symmetric as (s + s^T)/2, so without the symmetry test that could
+    only pass (spaces._tangent)."""
     # the real and the imaginary part of the base, then of the fiber
     shapes = [(g, g)] * 2 + ([(h, g)] * 2 if "tangent_jacobi" in seeds else [])
     u, spans = _draw_rows(seeds, dict.fromkeys(seeds, 20), sum(r * c for r, c in shapes))
     x = _blocks(u, shapes, 1.0)
     s = x[0] + 1j * x[1]
-    s = (s + s.mT) / 2
-    return {kind: TangentVector(s[rows], x[2][rows] + 1j * x[3][rows] if kind == "tangent_jacobi"
-                                else None) for kind, rows in spans.items()}
+    s = _freeze((s + s.mT) / 2, None)  # so each kind's rows are read-only views
+    return {kind: _tangent(s[rows], x[2][rows] + 1j * x[3][rows] if kind == "tangent_jacobi"
+                           else None) for kind, rows in spans.items()}
 
 
 def _coordinate_dirs(p) -> tuple[TangentVector, ...]:

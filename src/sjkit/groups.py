@@ -106,8 +106,9 @@ class SymplecticMatrix(Holder):
 
     def validate(self) -> None:
         m, j = self.m, _j(self.g)  # m is complex and finite, see __init__
-        _ensure(frob(m.imag) / _floor1(frob(m)) <= ALGEBRAIC_REL, DomainError,
-                "symplectic matrix must be real")
+        if np.count_nonzero(m.imag):  # else its realness defect is 0, as for a real input
+            _ensure(frob(m.imag) / _floor1(frob(m)) <= ALGEBRAIC_REL, DomainError,
+                    "symplectic matrix must be real")
         _ensure(_rel(m.mT @ j @ m, j) <= ALGEBRAIC_REL, DomainError,
                 "matrix is not symplectic within tolerance")
 
@@ -321,13 +322,6 @@ def _block_part(block, g: int) -> np.ndarray:
 
 def _check_nonsingular(block) -> None:
     _ensure(abs(_det(block)) >= 1e-300, DomainError, "block matrix is singular")
-
-
-def _big_parts(block, xi, eta, zeta) -> tuple:
-    """(block, xi, eta, zeta) as finite complex arrays of conforming shapes,
-    the first of _big_product's checks."""
-    xi, eta, zeta = _heisenberg_parts(xi, eta, zeta)
-    return _block_part(block, xi.shape[-1]), xi, eta, zeta
 
 
 # ---------------------------------------------------------------------------

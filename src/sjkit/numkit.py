@@ -16,6 +16,11 @@ conditioning guard checks every slice and raises its usual error class if
 any slice fails, naming the first failing slice.  Serialization and the CLI
 take 2-d matrices only.
 
+A positivity check is one eigensolve, _pd_margin.  hermitian_pd_margin adds
+the Hermitian test for a matrix of unknown make, as a point's validation
+gets it; a matrix the library has just made exactly Hermitian, as
+(m + m^H)/2 is, goes to _pd_margin alone (see spaces).
+
 Each slice of a batched result has the bits of the 2-d call: stacked @ gives
 them by itself, and so do the LAPACK kernels (_svdvals, _eigvalsh, _inv,
 _solve, _det, _cholesky), which every module calls in place of np.linalg.
@@ -350,21 +355,38 @@ def hermitian_pd_margin(a):
     formed is not positive definite).
 
     The margin is returned rather than a bare bool so callers can report how
-    far inside the domain a point sits.
+    far inside the domain a point sits.  This is the test for a matrix of
+    unknown make, as a point's validation gets it; a caller that has just
+    made its matrix exactly Hermitian, as (m + m^H)/2 or as the imaginary part
+    of an exactly symmetric matrix is, takes its margin from _pd_margin, the
+    one eigensolve this function ends in, without the Hermitian test that
+    could only pass.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"PD test requires a square matrix, got shape {a.shape}")
+    margin = _pd_margin(a)
+    # a slice with a NaN or Inf reads -inf already, and its NaN defect fails the test
+    with np.errstate(invalid="ignore"):
+        hermitian = frob(a - a.conj().mT) / _floor1(frob(a)) <= ALGEBRAIC_REL
+    if isinstance(hermitian, bool):
+        return margin if hermitian else -math.inf
+    return np.where(hermitian, margin, -np.inf)
+
+
+def _pd_margin(a: np.ndarray):
+    """hermitian_pd_margin of a square complex128 array whose every slice is
+    Hermitian: the smallest eigenvalue of each slice, -inf where a slice holds
+    a NaN or Inf, from one _eigvalsh of a (a non-finite slice replaced by 0)."""
     finite = True
     if not np.isfinite(a).all():
         finite = np.isfinite(a).all(axis=(-2, -1))
         a = np.where(finite[..., None, None], a, 0)
-    hermitian = finite & (frob(a - a.conj().mT) / _floor1(frob(a)) <= ALGEBRAIC_REL)
     try:
         eigs = _eigvalsh(a)
     except LinAlgError as exc:  # LAPACK does not say which slice failed
         raise ConditioningError(f"eigenvalue iteration failed: {exc}") from exc
-    margin = eigs[..., 0] if hermitian is True else np.where(hermitian, eigs[..., 0], -np.inf)
+    margin = eigs[..., 0] if finite is True else np.where(finite, eigs[..., 0], -np.inf)
     return float(margin) if margin.ndim == 0 else margin
 
 

@@ -6,6 +6,16 @@ I - W conj(W) positive definite.  Both extend by an h x g fiber coordinate.
 Actions re-symmetrize their output and record the defect, which must stay
 below the algebraic tolerance.
 
+A point's validation tests the symmetry of its matrix, then the positivity
+of its domain matrix: Im(omega), with a Hermitian test, as a caller's omega
+need not make it exactly symmetric, or (M + M^H)/2 with M = I - W conj(W),
+which is exactly Hermitian however W was made.  A point the library builds
+at an exactly symmetric matrix (m + m^T)/2, as each map's image, the
+decomposition's P+ coordinate and each sampled base is, is checked for
+positivity alone (_positive), as its other tests could only pass.  Sampled
+and pushed tangent vectors, whose base parts are exactly symmetric too, skip
+their symmetry test.
+
 The four actions and the four (partial) Cayley maps are one fractional-linear
 map, x' = (a x + b) J^-1 with fiber z' = f J^-1 and J = c x + d, of the
 blocks (a, b, c, d): (A, B, C, D) for the Siegel actions, (P, Q, conj(Q),
@@ -53,6 +63,7 @@ from .numkit import (
     _ensure,
     _eye,
     _freeze,
+    _pd_margin,
     _svdvals,
     _takes,
     as_cmatrix,
@@ -104,7 +115,11 @@ class SiegelPoint(Holder):
         _ensure(self.pd_margin() > PD_MIN_EIG, DomainError, self._NOT_PD)
 
     def pd_margin(self):
-        return hermitian_pd_margin(self.y.astype(complex))
+        return hermitian_pd_margin(self._pd_matrix())
+
+    def _pd_matrix(self) -> np.ndarray:
+        """Im(omega) as complex, exactly symmetric when omega is."""
+        return self.y.astype(complex)
 
     @property
     def g(self) -> int:
@@ -135,10 +150,12 @@ class DiskPoint(Holder):
         _ensure(self.pd_margin() > PD_MIN_EIG, DomainError, self._NOT_PD)
 
     def pd_margin(self):
+        return _pd_margin(self._pd_matrix())
+
+    def _pd_matrix(self) -> np.ndarray:
+        """I - W conj(W) with its roundoff skew symmetrized away: exactly Hermitian."""
         m = _eye(self.g) - self.w @ self.w.conj()
-        # symmetrize away the roundoff skew before the Hermitian eigensolve
-        m = (m + m.conj().mT) / 2
-        return hermitian_pd_margin(m)
+        return (m + m.conj().mT) / 2
 
     @property
     def g(self) -> int:
@@ -238,11 +255,22 @@ def _symmetrized(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def _positive(cls, m: np.ndarray):
-    """The cls point at a _symmetrized m: (m + m^T)/2 is exactly symmetric, so
-    of cls's validation only the positivity check is left to make."""
+    """The cls point at an exactly symmetric m, as (m + m^T)/2 is: of cls's
+    validation only the positivity check is left to make, as its symmetry
+    test and the Hermitian test of its _pd_matrix could only pass."""
     out = cls(m, validate=False)
-    _ensure(out.pd_margin() > PD_MIN_EIG, DomainError, cls._NOT_PD)
+    _ensure(_pd_margin(out._pd_matrix()) > PD_MIN_EIG, DomainError, cls._NOT_PD)
     return out
+
+
+def _tangent(dbase: np.ndarray, dfiber: np.ndarray | None) -> TangentVector:
+    """The TangentVector (dbase, dfiber) for a complex dbase that is exactly
+    symmetric, as (m + m^T)/2 is: without the symmetry test that could only
+    pass."""
+    v = TangentVector.__new__(TangentVector)
+    v.dbase = _freeze(dbase, None)
+    v.dfiber = None if dfiber is None else _freeze(dfiber, None)
+    return v
 
 
 def _fit(v: TangentVector, x: np.ndarray, fiber: np.ndarray | None = None):
@@ -290,10 +318,8 @@ def _fractional_linear(blocks, x, cls, context: str, what: str, dirs=None, fiber
     lead, jinv, pushed = a - image @ c, out[..., k:, :], []
     for dx, dphi in moves:
         dx2 = lead @ dx @ jinv
-        v = TangentVector.__new__(TangentVector)  # (dx2 + dx2^T)/2 is exactly symmetric
-        v.dbase = _freeze((dx2 + dx2.mT) / 2, None)
-        v.dfiber = None if f is None else _freeze((df(dx, dphi) - z @ (c @ dx)) @ jinv, None)
-        pushed.append(v)
+        pushed.append(_tangent((dx2 + dx2.mT) / 2,
+                               None if f is None else (df(dx, dphi) - z @ (c @ dx)) @ jinv))
     return point, pushed
 
 
@@ -442,9 +468,9 @@ def _sample_points(g: int, h: int, seeds: dict, scale: float = 1.0) -> dict:
     """One family draw of points, kind -> holder, with seeds mapping each kind
     to its seed or sequence of seeds (see groups._draw_rows): any of siegel and
     siegel_jacobi, or of disk and disk_jacobi.  Their rows are read to the
-    longest kind's numbers, and one base is built and validated for every
-    row; a kind's points take their rows of it, with a fiber for a jacobi
-    kind."""
+    longest kind's numbers, and one base is built for every row, exactly
+    symmetric, and checked for positivity (_positive); a kind's points take
+    their rows of it, with a fiber for a jacobi kind."""
     # two g x g blocks for the base (Siegel: R, then Re omega; disk: Re W,
     # then Im W), then the real and the imaginary part of the fiber
     siegel = next(iter(seeds)).startswith("siegel")
@@ -453,11 +479,11 @@ def _sample_points(g: int, h: int, seeds: dict, scale: float = 1.0) -> dict:
     u, spans = _draw_rows(seeds, _KIND_TAG, sum(r * c for r, c in shapes))
     x = _blocks(u, shapes, scale)
     if siegel:
-        base = SiegelPoint(_sym(x[1]) + 1j * (x[0].mT @ x[0] + 0.1 * _eye(g)))
+        base = _positive(SiegelPoint, _sym(x[1]) + 1j * (_sym(x[0].mT @ x[0]) + 0.1 * _eye(g)))
     else:
         w = _sym(x[0]) + 1j * _sym(x[1])
         norm = _svdvals(w)[..., :1, None]  # spectral: the largest, first
-        base = DiskPoint(_DISK_RADIUS * w / (1 + norm))
+        base = _positive(DiskPoint, _DISK_RADIUS * w / (1 + norm))
     out = {}
     for kind, rows in spans.items():
         out[kind] = _rows(base, spans, kind)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sjkit import geometry, groups, suites
+from sjkit import geometry, groups, spaces, suites
 from sjkit.geometry import (
     TEST_FIELDS,
     MetricParams,
@@ -452,19 +452,30 @@ def test_a_sampler_takes_numpy_int_dimensions():
         assert [a.tobytes() for a in _arrays(got)] == [a.tobytes() for a in _arrays(want)]
 
 
-def _count_validations(count_calls) -> dict:
-    """Class name -> the list of its counted validate calls."""
-    return {cls: count_calls(f"{module}.{cls}.validate") for module, cls in
-            [("groups", "SymplecticMatrix"), ("spaces", "SiegelPoint"), ("spaces", "DiskPoint")]}
+def _count_checks(count_calls, monkeypatch) -> dict:
+    """Class name -> the list of its counted checks: each SymplecticMatrix
+    validation, and each sampled Siegel or disk base's one positivity check,
+    a spaces._positive call made by spaces._sample_points."""
+    counted = {"SymplecticMatrix": count_calls("groups.SymplecticMatrix.validate"),
+               "SiegelPoint": [], "DiskPoint": []}
+    positive = spaces._positive
+
+    def counted_positive(cls, m):
+        if sys._getframe(1).f_code is spaces._sample_points.__code__:
+            counted[cls.__name__].append(m)
+        return positive(cls, m)
+
+    monkeypatch.setattr(spaces, "_positive", counted_positive)
+    return counted
 
 
 def _counts(counted: dict) -> dict:
     return {name: len(calls) for name, calls in counted.items()}
 
 
-def test_each_kind_is_validated_once_per_chunk(count_calls):
+def test_each_kind_is_validated_once_per_chunk(count_calls, monkeypatch):
     kinds = ("sp", "jacobi", "gstar", "gstarj", "siegel", "disk", "siegel_jacobi", "disk_jacobi")
-    counted = _count_validations(count_calls)
+    counted = _count_checks(count_calls, monkeypatch)
     suite = suites._Batched(kinds, lambda *batch: np.zeros(batch[0].m.shape[:-2]))
     for trials, chunks in [(suites._CHUNK + 6, 2), (1, 1)]:
         for calls in counted.values():
@@ -480,27 +491,28 @@ def test_each_kind_is_validated_once_per_chunk(count_calls):
     assert _counts(counted) == {"SymplecticMatrix": 4, "SiegelPoint": 2, "DiskPoint": 2}
 
 
-def _draw_counts(count_calls, run) -> dict:
-    """The calls each draw function and validation makes in run(), which
-    returns whether its trials passed."""
-    counted = _count_validations(count_calls) | {
+def _draw_counts(count_calls, monkeypatch, run) -> dict:
+    """The calls each draw function and check makes in run(), which returns
+    whether its trials passed."""
+    counted = _count_checks(count_calls, monkeypatch) | {
         fn: count_calls(fn) for fn in
         ("groups._uniforms", "groups._sample_symplectic", "groups._sample_heisenberg")}
     assert run()
     return _counts(counted)
 
 
-def _suite_counts(count_calls, name: str, g: int, h: int) -> dict:
-    """The calls each draw function and validation makes in one one-trial call
-    of a suite."""
-    return _draw_counts(count_calls, lambda: run_suite(name, g, h, trials=1, seed=4).passed)
+def _suite_counts(count_calls, monkeypatch, name: str, g: int, h: int) -> dict:
+    """The calls each draw function and check makes in one one-trial call of a
+    suite."""
+    return _draw_counts(count_calls, monkeypatch,
+                        lambda: run_suite(name, g, h, trials=1, seed=4).passed)
 
 
-def test_a_metric_invariance_trial_draws_each_family_once(count_calls):
+def test_a_metric_invariance_trial_draws_each_family_once(count_calls, monkeypatch):
     # 14 samples in four families: the word's sp, gstar, jacobi and gstarj (two
     # with a Heisenberg part), the Siegel base's two, the disk base's three and
     # five tangent vectors
-    assert _suite_counts(count_calls, "metric-invariance", 2, 2) == {
+    assert _suite_counts(count_calls, monkeypatch, "metric-invariance", 2, 2) == {
         "groups._uniforms": 4, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 1}
 
@@ -515,19 +527,28 @@ def test_a_metric_invariance_trial_makes_one_metric_call_per_model(count_calls, 
     assert len(guards) == 9
 
 
-def test_a_volume_invariance_trial_draws_as_before(count_calls):
+def test_a_metric_invariance_trial_tests_positivity_alone(count_calls):
+    # every point the trial checks is built exactly symmetric, so no Hermitian test
+    # is made again (8 such tests and 59 norms before), and each eigensolve is kept
+    calls = {fn: count_calls(f"numkit.{fn}") for fn in ("hermitian_pd_margin", "_eigvalsh", "frob")}
+    assert run_suite("metric-invariance", 2, 2, trials=1, seed=4).passed
+    assert _counts(calls) == {"hermitian_pd_margin": 0, "_eigvalsh": 8, "frob": 33}
+
+
+def test_a_volume_invariance_trial_draws_as_before(count_calls, monkeypatch):
     # a jacobi element and a siegel_jacobi point, each family one row on its int seed
-    assert _suite_counts(count_calls, "volume-invariance", 2, 2) == {
+    assert _suite_counts(count_calls, monkeypatch, "volume-invariance", 2, 2) == {
         "groups._uniforms": 2, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
 
 
-def test_a_laplacian_trial_of_a_field_of_omega_alone_draws_each_family_once(count_calls):
+def test_a_laplacian_trial_of_a_field_of_omega_alone_draws_each_family_once(count_calls,
+                                                                             monkeypatch):
     # jacobi and sp on one word, one with a Heisenberg part, and siegel_jacobi and
     # siegel on one Siegel base
     (k,) = [k for k, f in enumerate(TEST_FIELDS) if f.name == "logdet-y"]
     run = lambda: suites._LAPLACIANS[k](2, 2, [6 * 7 + k])[0] <= 1e-3  # noqa: E731
-    assert _draw_counts(count_calls, run) == {
+    assert _draw_counts(count_calls, monkeypatch, run) == {
         "groups._uniforms": 2, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
 

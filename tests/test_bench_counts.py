@@ -1,0 +1,24 @@
+"""Smoke run of bench/counts.py, the per-trial call counter."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_counts_prints_the_calls_per_trial_of_one_suite_and_shape():
+    proc = subprocess.run(
+        [sys.executable, "bench/counts.py", "--suite", "metric-invariance", "--shape", "2,2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    out = json.loads(proc.stdout)
+    assert out["seed"] == 1
+    assert [(r["suite"], r["g"], r["h"], r["trials"]) for r in out["rows"]] == [
+        ("metric-invariance", 2, 2, 1), ("metric-invariance", 2, 2, 64)]
+    one, many = (r["per_trial"] for r in out["rows"])
+    assert list(one) == list(many) == out["counted"]
+    # no Hermitian re-test of a point the code built, and one positivity
+    # eigensolve per sampled base and map image (eight in a trial at (2,2))
+    assert (one["hermitian_pd_margin"], one["_eigvalsh"], one["frob"]) == (0, 8, 33)
+    assert many["hermitian_pd_margin"] == 0

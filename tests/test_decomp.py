@@ -17,7 +17,7 @@ from sjkit.groups import (
 )
 from sjkit import decomp, groups, suites
 from sjkit.automorphy import IndexMatrix, Representation, j_factor
-from sjkit.numkit import ConsistencyError, DomainError, rel_error
+from sjkit.numkit import ConsistencyError, DimensionError, DomainError, rel_error
 from sjkit.spaces import (
     DiskJacobiPoint,
     DiskPoint,
@@ -306,6 +306,54 @@ def test_reconstruction_of_a_batch_names_its_corrupted_slice(field, bad, message
     assert str(err.value) == message + " (slice 3)"
 
 
+def _grown(x, rows=0, cols=0):
+    return np.zeros(x.shape[:-2] + (x.shape[-2] + rows, x.shape[-1] + cols), dtype=complex)
+
+
+# Mis-shaped factors, alone and in pairs: the factors are checked one by one,
+# up (pplus_eta, its block), mid (kappa_star, its block), low (pminus_xi, its
+# block), each with the message the holders gave.
+MISSHAPES = [
+    ({"pplus_eta": lambda x: _grown(x, rows=1)}, "xi and eta must have equal shape"),
+    ({"kappa_star": lambda x: _grown(x, 1, 1)}, "zeta must be {h} x {h}, got ({h1}, {h1})"),
+    ({"pminus_xi": lambda x: _grown(x, cols=1)}, "xi and eta must have equal shape"),
+    ({"kappa_star": lambda x: _grown(x, 1, 1), "pminus_xi": lambda x: np.full_like(x, np.nan)},
+     "zeta must be {h} x {h}, got ({h1}, {h1})"),
+    ({"pminus_xi": lambda x: _grown(x, cols=1), "kappa_star": lambda x: np.full_like(x, np.inf)},
+     "zeta: entries must be finite (no NaN/Inf)"),
+    ({"kappa_star": lambda x: _grown(x, 1, 1), "pplus_eta": lambda x: np.full_like(x, np.nan)},
+     "eta: entries must be finite (no NaN/Inf)"),
+]
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (3, 2)])
+@pytest.mark.parametrize("bad,message", MISSHAPES)
+def test_reconstruction_of_misshaped_factors_names_the_first_in_product_order(g, h, bad, message):
+    a = sample_element("gstarj", g, h, seed=5)
+    p = sample_point("disk_jacobi", g, h, seed=6)
+    factors = decompose_full(a, p)
+    for field, change in bad.items():
+        factors = _corrupt(factors, field, change(_part(factors, field)))
+    with pytest.raises((DimensionError, DomainError)) as err:
+        decomp.reconstruction_residual(a, p, factors)
+    assert str(err.value) == message.format(h=h, h1=h + 1)
+
+
+def test_reconstruction_coerces_the_factor_arrays_and_no_zero_part(count_calls):
+    a = sample_element("gstarj", 2, 1, seed=5)
+    p = sample_point("disk_jacobi", 2, 1, seed=6)
+    factors = decompose_full(a, p)
+    coerced = count_calls("numkit.as_cmatrix")
+    decomp.reconstruction_residual(a, p, factors)
+    # the three factor blocks and factor arrays, a's block and the four parts of
+    # each of the three products: 29 before, with the eight zero parts and the
+    # embedded point's two parts
+    given = [args[0] for args in coerced[0:6:2]]
+    assert [x is y for x, y in zip(given, (factors.pplus_eta, factors.kappa_star,
+                                           factors.pminus_xi))] == [True] * 3
+    assert len(coerced) == 6 + 1 + 3 * 4
+
+
 @pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
 def test_reconstruction_of_a_shifted_factor_is_a_residual(g, h):
     a = sample_element("gstarj", g, h, seed=5)
@@ -362,7 +410,7 @@ def test_array_products_match_the_holder_path_bit_for_bit(g, h, seed):
     kernel = groups._big_product(groups._embedded(a), groups._embedded(b))
     assert np.all(_oracle_rel(_oracle(*kernel), ea @ eb) <= 1e-12)
     factors = decompose_full(a, p)
-    up, mid, low = (groups._big_parts(*parts) for parts in factors._parts(h))
+    up, mid, low = factors._parts(h)
     rebuilt = groups._big_product(groups._big_product(up, mid), low)
     assert np.all(_oracle_rel(_oracle(*rebuilt), _oracle(*up) @ _oracle(*mid) @ _oracle(*low))
                   <= 1e-12)

@@ -107,9 +107,9 @@ def test_big_product_identity_and_associativity():
         xi = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
         eta = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
         zeta = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
-        return groups._big_parts(blk, xi, eta, zeta)
-    z = np.zeros((1, 1))
-    e = groups._big_parts(np.eye(2), z, z, z)
+        return blk, xi, eta, zeta
+    z = np.zeros((1, 1), dtype=complex)
+    e = np.eye(2, dtype=complex), z, z, z
     for _ in range(20):
         a, b, c = rand_big(), rand_big(), rand_big()
         ae = groups._big_product(a, e)
@@ -125,8 +125,8 @@ def test_big_product_central_parts_add():
     z1 = np.array([[0.3 + 0.1j]])
     z2 = np.array([[-0.2 + 0.5j]])
     zf = np.zeros((1, 1), dtype=complex)
-    a = groups._big_parts(np.eye(2), zf, zf, z1)
-    b = groups._big_parts(np.eye(2), zf, zf, z2)
+    a = np.eye(2, dtype=complex), zf, zf, z1
+    b = np.eye(2, dtype=complex), zf, zf, z2
     np.testing.assert_allclose(groups._big_product(a, b)[3], z1 + z2)
 
 
@@ -290,6 +290,19 @@ def test_invalid_elements_rejected():
             GStarElement(np.eye(1), np.zeros((1, 1))),
             ComplexHeisenbergElement(xi, xi, np.array([[0.5 + 0.0j]])),
         )
+
+
+def test_a_real_symplectic_matrix_is_validated_without_a_realness_norm(count_calls):
+    m = sample_element("sp", 2, 1, seed=3).m
+    a, b = (sample_element("jacobi", 2, 1, seed=s) for s in (1, 2))
+    norms = count_calls("numkit.frob")
+    SymplecticMatrix(m.real)
+    assert len(norms) == 3  # the symplectic residual, by _rel
+    jacobi_mul(a, b)
+    assert len(norms) == 3 + 3 + 2  # and the Heisenberg part's symmetry defect
+    SymplecticMatrix(m + 1e-14j)  # real within tolerance
+    with pytest.raises(DomainError, match="^symplectic matrix must be real$"):
+        SymplecticMatrix(m + 1e-3j)
 
 
 # The checks of these finite inputs overflow on purpose; numpy warns as they do.

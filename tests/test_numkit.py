@@ -73,6 +73,17 @@ def test_is_hermitian_pd_cases():
     assert hermitian_pd_margin(m) == pytest.approx(0.91)
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 1e-3], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, np.nan]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([[1.0, np.inf], [np.inf, 1.0]]),
+], ids=["not-hermitian", "nan", "inf-diagonal", "inf-offdiagonal"])
+def test_a_slice_that_is_not_hermitian_or_not_finite_has_margin_minus_inf(bad):
+    # with no RuntimeWarning: warnings are errors in this suite
+    assert hermitian_pd_margin(bad) == -np.inf
+    got = hermitian_pd_margin(np.stack([np.eye(2), bad, 2 * np.eye(2)]))
+    assert got.tolist() == [1.0, -np.inf, 2.0]
+
+
 def test_pd_congruence_invariance():
     rng = np.random.default_rng(2)
     for _ in range(30):

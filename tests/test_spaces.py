@@ -1,15 +1,29 @@
+import re
+
 import numpy as np
 import pytest
 
+from sjkit.decomp import decompose_full, hc_decompose_gstar
+from sjkit.geometry import sample_tangent
 from sjkit.groups import (
     GStarElement,
+    GStarJacobiElement,
+    JacobiElement,
     SymplecticMatrix,
     conjugate_by_T,
     jacobi_mul,
     sample_element,
     theta,
 )
-from sjkit.numkit import DimensionError, DomainError, rel_error
+from sjkit.numkit import (
+    ALGEBRAIC_REL,
+    DimensionError,
+    DomainError,
+    _pd_margin,
+    hermitian_pd_margin,
+    rel_error,
+    symmetry_defect,
+)
 from sjkit.spaces import (
     DiskJacobiPoint,
     DiskPoint,
@@ -259,6 +273,83 @@ def test_invalid_points_rejected():
         SiegelPoint(np.array([[1j, 0.5], [0.0, 1j]]))  # not symmetric
     with pytest.raises(DomainError):
         DiskPoint([[1.5 + 0j]])  # outside the disk
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)])
+@pytest.mark.parametrize("batch", [False, True], ids=["2d", "batch"])
+def test_what_is_checked_for_positivity_alone_is_exactly_symmetric(count_calls, g, h, batch):
+    """Each point built at an exactly symmetric matrix is checked for positivity
+    alone (spaces._positive), and each sampled or pushed tangent vector skips
+    its symmetry test: every test left out could only pass, with the margin
+    hermitian_pd_margin gives bit for bit."""
+    checked = count_calls("spaces._positive")
+    for seed in range(6):
+        seeds = list(range(8 * seed, 8 * seed + 8)) if batch else seed
+        a = sample_element("jacobi", g, h, seed=seeds)
+        pj = sample_point("siegel_jacobi", g, h, seed=seeds)
+        pd = sample_point("disk_jacobi", g, h, seed=seeds)
+        v, vj = sample_tangent(g, seed=seeds), sample_tangent(g, h, seed=seeds)
+        vectors = [v, vj]
+        for image, pushed in (act_siegel(a.m, pj.base, dirs=[v]),
+                              act_disk(conjugate_by_T(a.m), pd.base, dirs=[v]),
+                              act_jacobi(a, pj, dirs=[vj]),
+                              act_jacobi_disk(theta(a), pd, dirs=[vj]),
+                              cayley(pd.base, dirs=[v]), partial_cayley(pd, dirs=[vj])):
+            vectors += pushed
+        cayley_inv(pj.base)
+        partial_cayley_inv(pj)
+        decompose_full(theta(a), pd)
+        hc_decompose_gstar(conjugate_by_T(a.m))
+        for u in vectors:
+            assert (u.dbase == u.dbase.mT).all()
+    # the two sampled bases, eight map images and two P+ coordinates per seed
+    assert len(checked) == 6 * 12
+    for cls, m in checked:
+        assert (m == m.mT).all()
+        form = cls(m, validate=False)._pd_matrix()
+        assert (form == form.conj().mT).all()
+        got = _pd_margin(form)
+        assert np.asarray(got).tobytes() == np.asarray(hermitian_pd_margin(form)).tobytes()
+        assert np.all(got > 0)
+
+
+_OUT_S = SiegelPoint(-2j * np.eye(2), validate=False)  # Im(omega) = -2 I
+_OUT_D = DiskPoint(1.5 * np.eye(2), validate=False)  # W = 1.5 I
+_FIBER = np.zeros((1, 2))
+
+
+@pytest.mark.parametrize("make, cls", [
+    (lambda: act_siegel(SymplecticMatrix.identity(2), _OUT_S), SiegelPoint),
+    (lambda: act_disk(GStarElement.identity(2), _OUT_D), DiskPoint),
+    (lambda: act_jacobi(JacobiElement.identity(2, 1), SiegelJacobiPoint(_OUT_S, _FIBER)),
+     SiegelPoint),
+    (lambda: act_jacobi_disk(GStarJacobiElement.identity(2, 1), DiskJacobiPoint(_OUT_D, _FIBER)),
+     DiskPoint),
+    (lambda: cayley(_OUT_D), SiegelPoint),
+    (lambda: cayley_inv(_OUT_S), DiskPoint),
+    (lambda: partial_cayley(DiskJacobiPoint(_OUT_D, _FIBER)), SiegelPoint),
+    (lambda: partial_cayley_inv(SiegelJacobiPoint(_OUT_S, _FIBER)), DiskPoint),
+    (lambda: decompose_full(GStarJacobiElement.identity(2, 1), DiskJacobiPoint(_OUT_D, _FIBER)),
+     DiskPoint),
+    (lambda: hc_decompose_gstar(GStarElement(np.eye(2), 1.5 * np.eye(2), validate=False)),
+     DiskPoint),
+    (lambda: SiegelPoint(np.diag([1j, -1j])), SiegelPoint),
+    (lambda: DiskPoint(np.diag([0.5, 1.5])), DiskPoint),
+], ids=["act_siegel", "act_disk", "act_jacobi", "act_jacobi_disk", "cayley", "cayley_inv",
+        "partial_cayley", "partial_cayley_inv", "decompose_full", "hc_decompose_gstar",
+        "siegel-base", "disk-base"])
+def test_an_image_or_base_that_is_not_positive_definite_is_rejected(make, cls):
+    with pytest.raises(DomainError, match=f"^{re.escape(cls._NOT_PD)}$"):
+        make()
+
+
+def test_a_siegel_point_whose_imaginary_part_is_not_symmetric_is_rejected():
+    # omega passes its symmetry test, as a large real part hides the skew of Im(omega)
+    omega = np.array([[1e6 + 1j, 1e6 + 0.5001j], [1e6 + 0.5j, 1e6 + 1j]])
+    assert symmetry_defect(omega) <= ALGEBRAIC_REL < symmetry_defect(omega.imag)
+    with pytest.raises(DomainError, match=r"^Im\(omega\) is not positive definite$"):
+        SiegelPoint(omega)
+    assert SiegelPoint(omega, validate=False).pd_margin() == -np.inf
 
 
 # The checks of these finite inputs overflow on purpose; numpy warns as they do.
