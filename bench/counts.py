@@ -5,11 +5,14 @@
 For every suite and shape (g, h) asked for (by default every suite at (1,1),
 (2,2) and (4,3)), two run_suite calls are made at seed 1, of 1 and of 64
 trials, with these functions counted: frob, hermitian_pd_margin, the
-conditioning guard _check_cond and the six LAPACK kernels of numkit.  Each
+conditioning guard _check_cond and the six LAPACK kernels of numkit, the
+fractional-linear core of the eight maps, spaces._fractional_linear, and the
+stream passes of the samplers, groups._uniforms, with the rows they draw
+(rows_drawn: one for an int seed, len(seed) for a sequence of seeds).  Each
 function is wrapped in every sjkit module that holds it, so a call through
 any import is counted.  A count depends on the code and the seed only, not on
 the machine, so two commits compare without alternating runs.  The JSON
-printed gives each function's calls divided by the trial count.
+printed gives each count divided by the trial count.
 """
 
 from __future__ import annotations
@@ -28,8 +31,12 @@ import numpy as np  # noqa: E402
 
 import sjkit  # noqa: E402
 
-COUNTED = ("frob", "hermitian_pd_margin", "_check_cond",
-           "_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky")
+COUNTED = tuple(f"numkit.{name}" for name in (
+    "frob", "hermitian_pd_margin", "_check_cond",
+    "_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky")) + (
+    "spaces._fractional_linear", "groups._uniforms")
+# each count's name in the JSON: the function's, then the rows its _uniforms passes draw
+NAMES = tuple(path.rsplit(".", 1)[1] for path in COUNTED) + ("rows_drawn",)
 SHAPES = ((1, 1), (2, 2), (4, 3))
 TRIALS = (1, 64)
 SEED = 1
@@ -74,10 +81,18 @@ def counting(paths):
             setattr(holder, name, value)
 
 
+def rows_drawn(uniforms_calls: list) -> int:
+    """The rows of the counted _uniforms(seed, tag, n) calls: one per int seed,
+    len(seed) per sequence of seeds."""
+    return sum(1 if isinstance(args[0], (int, np.integer)) else len(args[0])
+               for args in uniforms_calls)
+
+
 def per_trial(suite: str, g: int, h: int, trials: int) -> dict:
-    with counting([f"numkit.{name}" for name in COUNTED]) as calls:
+    with counting(COUNTED) as calls:
         sjkit.run_suite(suite, g, h, trials=trials, seed=SEED)
-    return {name: len(c) / trials for name, c in zip(COUNTED, calls)}
+    counts = [len(c) for c in calls] + [rows_drawn(calls[-1])]
+    return {name: n / trials for name, n in zip(NAMES, counts, strict=True)}
 
 
 def _shape(text: str) -> tuple[int, int]:
@@ -95,7 +110,7 @@ def main(argv=None) -> None:
             for g, h in args.shape or SHAPES
             for n in TRIALS]
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
-                      "seed": SEED, "counted": COUNTED, "rows": rows}, indent=1))
+                      "seed": SEED, "counted": NAMES, "rows": rows}, indent=1))
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .numkit import (
     _det,
     _eigvalsh,
     _ensure,
+    _takes,
     as_cmatrix,
     frob,
     rel_error,
@@ -91,6 +92,7 @@ class Representation:
 
 def chi_character(idx: IndexMatrix, c):
     """exp(-2 pi i trace(M c)), a character of the additive group."""
+    _takes("chi_character", idx, IndexMatrix)
     c = as_cmatrix(c, "c")
     if c.shape[-2:] != (idx.h, idx.h):
         raise DimensionError(f"expected a {idx.h} x {idx.h} argument, got {c.shape[-2:]}")
@@ -103,6 +105,7 @@ def chi_character(idx: IndexMatrix, c):
 
 def rho_eval(rep: Representation, p) -> np.ndarray:
     """Evaluate the representation on an invertible matrix; result is dim x dim."""
+    _takes("rho_eval", rep, Representation)
     p = as_cmatrix(p, "P")
     if p.shape[-2] != p.shape[-1]:
         raise DimensionError(f"representation argument must be square, got {p.shape[-2:]}")
@@ -122,6 +125,8 @@ def rho_eval(rep: Representation, p) -> np.ndarray:
 def j_factor(idx: IndexMatrix, rep: Representation, a: GStarJacobiElement,
              p: DiskJacobiPoint) -> np.ndarray:
     """chi(kappa_star) rho(conj(Q) W + conj(P)), the automorphic factor."""
+    _takes("j_factor", idx, IndexMatrix)
+    _takes("j_factor", rep, Representation)
     if idx.h != a.h:
         raise DimensionError(f"index matrix degree {idx.h} != element h={a.h}")
     _, k_lower, kappa_star = kc_component(a, p)
@@ -133,6 +138,8 @@ def verify_cocycle(indexes: list[IndexMatrix], reps: list[Representation],
     """Worst relative residual on (g1, g2, p) of the additive cocycle of kappa_star
     and, per (index, rep) pair, of J(g1 g2, p) = J(g1, g2 p) J(g2, p); the shared
     components are formed once, chi and rho once per (index or rep, component)."""
+    _takes("verify_cocycle", g1, GStarJacobiElement)
+    _takes("verify_cocycle", g2, GStarJacobiElement)
     prod, moved = gstarj_mul(g1, g2), act_jacobi_disk(g2, p)
     parts = [kc_component(x, q)[1:] for x, q in ((prod, p), (g1, moved), (g2, p))]
     (_, k12), (_, k1), (_, k2) = parts

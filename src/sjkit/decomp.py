@@ -43,6 +43,7 @@ from .numkit import (
     _floor1,
     _rel,
     _solve,
+    _takes,
     as_cmatrix,
     frob,
     rel_error,
@@ -157,6 +158,8 @@ def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors
     transposed form y t(conj Q) t(d)^-1 t(y) = y t(conj Q) t(eta') agrees
     exactly when d^-1 conj(Q) is symmetric.
     """
+    _takes("the Harish-Chandra decomposition", a, GStarJacobiElement)
+    _takes("the Harish-Chandra decomposition", p, DiskJacobiPoint)
     _check_gh(a, p)
     _check_batches(a.gs.p, p.w)
     lam, mu, kap = a.hc.xi, a.hc.eta, a.hc.zeta
@@ -239,6 +242,9 @@ def reconstruction_residual(a: GStarJacobiElement, p: DiskJacobiPoint,
     array and product is checked as in _big_product: finite parts of
     conforming shapes, then, for a product, zeta + eta t(xi) symmetric and a
     nonsingular block."""
+    _takes("reconstruction_residual", a, GStarJacobiElement)
+    _takes("reconstruction_residual", p, DiskJacobiPoint)
+    _takes("reconstruction_residual", factors, JacobiHCFactors)
     up, mid, low = factors._parts(p.h)
     rebuilt = _big_product(_big_product(up, mid), low)
     target = _big_product(_embedded(a), _embedded_point(p))

@@ -304,6 +304,8 @@ def _frame_laplacian(f: Callable, p, frame: Callable, what: str, weights=(1.0, 1
     e_k, with fiber None for a fixed fiber.  p is one point: a batch raises
     DimensionError.
     """
+    if not callable(f):
+        raise DimensionError(f"{what} takes a callable field, not a {type(f).__name__}")
     base, fiber = _point_parts(p)
     if base.ndim > 2:
         raise DimensionError(f"{what} takes one point, not a batch of shape {base.shape[:-2]}")

@@ -299,6 +299,9 @@ def _fractional_linear(blocks, x, cls, context: str, what: str, dirs=None, fiber
     """
     a, b, c, d = blocks
     phi, f, df = (None, None, None) if fiber is None else fiber
+    if dirs is not None and not isinstance(dirs, (list, tuple)):  # a lone TangentVector, say
+        raise DimensionError(f"dirs takes a list or tuple of TangentVectors, "
+                             f"not a {type(dirs).__name__}")
     moves = None if dirs is None else [_fit(v, x, phi) for v in dirs]
     den = c @ x + d
     n = den.shape[-1]

@@ -509,30 +509,34 @@ def _suite_counts(count_calls, monkeypatch, name: str, g: int, h: int) -> dict:
 
 
 def test_a_metric_invariance_trial_draws_each_family_once(count_calls, monkeypatch):
-    # 14 samples in four families: the word's sp, gstar, jacobi and gstarj (two
-    # with a Heisenberg part), the Siegel base's two, the disk base's three and
-    # five tangent vectors
+    # 6 samples in four families: the word's jacobi and gstarj, both with a
+    # Heisenberg part, the Siegel base's siegel_jacobi, the disk base's
+    # disk_jacobi and two tangent vectors
     assert _suite_counts(count_calls, monkeypatch, "metric-invariance", 2, 2) == {
         "groups._uniforms": 4, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 1}
 
 
 def test_a_metric_invariance_trial_makes_one_metric_call_per_model(count_calls, guards):
-    # the five maps, one partial_cayley on the bounded-model pair, then each model's
-    # metric once on its stack: nine guards, one per map and metric
+    # the two Jacobi maps, one partial_cayley on the bounded-model pair, then each
+    # model's metric once on its stack: six guards, one per map and metric
     calls = {fn: count_calls(fn) for fn in ("geometry.metric_siegel", "geometry.metric_disk",
-                                            "geometry._metric_sj_terms", "spaces.partial_cayley")}
+                                            "geometry._metric_sj_terms", "spaces.partial_cayley",
+                                            "spaces.act_jacobi", "spaces.act_jacobi_disk")}
+    maps = {fn: count_calls(fn) for fn in ("spaces.act_siegel", "spaces.act_disk",
+                                           "spaces.cayley")}
     assert run_suite("metric-invariance", 2, 2, trials=1, seed=4).passed
     assert _counts(calls) == dict.fromkeys(calls, 1)
-    assert len(guards) == 9
+    assert _counts(maps) == dict.fromkeys(maps, 0)
+    assert len(guards) == 6
 
 
 def test_a_metric_invariance_trial_tests_positivity_alone(count_calls):
     # every point the trial checks is built exactly symmetric, so no Hermitian test
-    # is made again (8 such tests and 59 norms before), and each eigensolve is kept
+    # is made again, and each eigensolve is kept: one per sampled base and map image
     calls = {fn: count_calls(f"numkit.{fn}") for fn in ("hermitian_pd_margin", "_eigvalsh", "frob")}
     assert run_suite("metric-invariance", 2, 2, trials=1, seed=4).passed
-    assert _counts(calls) == {"hermitian_pd_margin": 0, "_eigvalsh": 8, "frob": 33}
+    assert _counts(calls) == {"hermitian_pd_margin": 0, "_eigvalsh": 5, "frob": 22}
 
 
 def test_a_volume_invariance_trial_draws_as_before(count_calls, monkeypatch):

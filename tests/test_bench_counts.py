@@ -19,6 +19,10 @@ def test_counts_prints_the_calls_per_trial_of_one_suite_and_shape():
     one, many = (r["per_trial"] for r in out["rows"])
     assert list(one) == list(many) == out["counted"]
     # no Hermitian re-test of a point the code built, and one positivity
-    # eigensolve per sampled base and map image (eight in a trial at (2,2))
-    assert (one["hermitian_pd_margin"], one["_eigvalsh"], one["frob"]) == (0, 8, 33)
+    # eigensolve per sampled base and map image (five in a trial at (2,2))
+    assert (one["hermitian_pd_margin"], one["_eigvalsh"], one["frob"]) == (0, 5, 22)
     assert many["hermitian_pd_margin"] == 0
+    # three maps, and six samples from four stream passes: the word's jacobi and
+    # gstarj, a Siegel and a disk base, and two tangent vectors
+    assert (one["_fractional_linear"], one["_uniforms"], one["rows_drawn"]) == (3, 4, 6)
+    assert many["rows_drawn"] == 6

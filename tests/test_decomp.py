@@ -16,7 +16,14 @@ from sjkit.groups import (
     sample_element,
 )
 from sjkit import decomp, groups, suites
-from sjkit.automorphy import IndexMatrix, Representation, j_factor
+from sjkit.automorphy import (
+    IndexMatrix,
+    Representation,
+    chi_character,
+    j_factor,
+    rho_eval,
+    verify_cocycle,
+)
 from sjkit.numkit import ConsistencyError, DimensionError, DomainError, rel_error
 from sjkit.spaces import (
     DiskJacobiPoint,
@@ -440,3 +447,36 @@ def test_decompose_full_builds_no_big_group_holders(monkeypatch):
     assert built == []
     ComplexHeisenbergElement(p.eta, p.eta, np.zeros((2, 2)))  # the counter counts
     assert built == ["ComplexHeisenbergElement"]
+
+
+
+_HC = "the Harish-Chandra decomposition takes a"
+_IDX, _REP = IndexMatrix(np.eye(2)), Representation("standard")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, p, b, pj: decompose_full(a, p), f"{_HC} GStarJacobiElement, not a JacobiElement"),
+    (lambda a, p, b, pj: kc_component(a, p), f"{_HC} GStarJacobiElement, not a JacobiElement"),
+    (lambda a, p, b, pj: pminus_component(a, p), f"{_HC} GStarJacobiElement, not a JacobiElement"),
+    (lambda a, p, b, pj: component_residuals(a, p),
+     f"{_HC} GStarJacobiElement, not a JacobiElement"),
+    (lambda a, p, b, pj: decompose_full(b, pj), f"{_HC} DiskJacobiPoint, not a SiegelJacobiPoint"),
+    (lambda a, p, b, pj: decomp.reconstruction_residual(b, p, (1, 2)),
+     "reconstruction_residual takes a JacobiHCFactors, not a tuple"),
+    (lambda a, p, b, pj: j_factor(np.eye(2), _REP, b, p),
+     "j_factor takes a IndexMatrix, not a ndarray"),
+    (lambda a, p, b, pj: j_factor(_IDX, "standard", b, p),
+     "j_factor takes a Representation, not a str"),
+    (lambda a, p, b, pj: chi_character(np.eye(2), np.eye(2)),
+     "chi_character takes a IndexMatrix, not a ndarray"),
+    (lambda a, p, b, pj: rho_eval("x", np.eye(2)), "rho_eval takes a Representation, not a str"),
+    (lambda a, p, b, pj: verify_cocycle([_IDX], [_REP], a, b, p),
+     "verify_cocycle takes a GStarJacobiElement, not a JacobiElement"),
+], ids=["decompose_full", "kc_component", "pminus_component", "component_residuals",
+        "decompose_full-point", "reconstruction_residual", "j_factor-index", "j_factor-rep",
+        "chi_character", "rho_eval", "verify_cocycle"])
+def test_an_argument_of_the_wrong_class_is_a_dimension_error(call, message):
+    a, p = sample_element("jacobi", 2, 2, 2), sample_point("disk_jacobi", 2, 2, 1)
+    b, pj = sample_element("gstarj", 2, 2, 2), sample_point("siegel_jacobi", 2, 2, 1)
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        call(a, p, b, pj)

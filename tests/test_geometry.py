@@ -657,3 +657,15 @@ def test_metric_sj_weighs_the_terms_it_shares_between_metric_params(g, h):
     ta, tb = _metric_sj_terms(p, v)
     for a, b in ((1.0, 1.0), (2.0, 0.5), (0.3, 7.0)):
         assert metric_sj(MetricParams(a, b), p, v) == float((a * ta + b * tb).real)
+
+
+@pytest.mark.parametrize("laplacian, kind, frame", [
+    (laplacian_siegel, "siegel", "_siegel_frame"), (laplacian_disk, "disk", "_disk_frame"),
+    (partial(laplacian_sj, MetricParams()), "siegel_jacobi", "_sj_frame"),
+], ids=["siegel", "disk", "sj"])
+def test_a_field_that_is_not_callable_is_a_dimension_error_before_any_frame(count_calls,
+                                                                          laplacian, kind, frame):
+    frames = count_calls(f"geometry.{frame}")
+    with pytest.raises(DimensionError, match=r" laplacian takes a callable field, not a int$"):
+        laplacian(5, sample_point(kind, 2, 1, seed=1))
+    assert frames == []

@@ -462,3 +462,32 @@ def test_each_map_gives_its_textbook_formula(g, h, batch):
             for got, ref in zip(parts, want):
                 assert got.shape == ref.shape, name
                 assert np.all(rel_error(got, ref) <= 1e-12), (name, rel_error(got, ref))
+
+
+# ---------------------------------------------------------------------------
+# each base-model map is the base part of its Jacobi map, bit for bit
+
+
+@pytest.mark.parametrize("seed", [4, [4, 5, 6]], ids=["2d", "batch"])
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)])
+def test_each_base_model_map_is_the_base_part_of_its_jacobi_map(g, h, seed):
+    # metric-invariance reads its base-model identities off the Jacobi maps' images
+    a, pj = sample_element("jacobi", g, h, seed), sample_point("siegel_jacobi", g, h, seed)
+    b, pb = sample_element("gstarj", g, h, seed), sample_point("disk_jacobi", g, h, seed)
+    v = sample_tangent(g, h, seed)
+    pairs = [("omega", act_siegel(a.m, pj.base, dirs=[v]), act_jacobi(a, pj, dirs=[v])),
+             ("w", act_disk(b.gs, pb.base, dirs=[v]), act_jacobi_disk(b, pb, dirs=[v])),
+             ("omega", cayley(pb.base, dirs=[v]), partial_cayley(pb, dirs=[v]))]
+    for part, (base, (dbase,)), (full, (dfull,)) in pairs:
+        assert type(base) is type(full.base)
+        assert np.array_equal(getattr(base, part), getattr(full.base, part))
+        assert dbase.dfiber is None and np.array_equal(dbase.dbase, dfull.dbase)
+
+
+@pytest.mark.parametrize("dirs", [sample_tangent(2, 1, 3), np.eye(2)], ids=["tangent", "array"])
+def test_dirs_that_are_not_a_list_or_tuple_are_a_dimension_error_before_any_solve(guards, dirs):
+    a, p = sample_element("jacobi", 2, 1, 1), sample_point("siegel_jacobi", 2, 1, 2)
+    with pytest.raises(DimensionError, match="^dirs takes a list or tuple of TangentVectors, "
+                                             f"not a {type(dirs).__name__}$"):
+        act_jacobi(a, p, dirs=dirs)
+    assert guards == []

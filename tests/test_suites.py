@@ -8,7 +8,7 @@ import pytest
 from sjkit import geometry, suites
 from sjkit.cli import main
 from sjkit.numkit import DimensionError, DomainError
-from sjkit.spaces import SiegelPoint, sample_point
+from sjkit.spaces import SiegelJacobiPoint, SiegelPoint, sample_point
 from sjkit.suites import SUITES, run_suite, trial_seed
 
 
@@ -92,18 +92,18 @@ def test_run_suite_takes_numpy_ints_and_reports_plain_ints():
 
 
 def test_a_metric_trial_whose_image_fails_a_guard_is_recorded_naming_the_image(monkeypatch):
-    # trial 1's Siegel action takes its point to an unvalidated image with
-    # cond(Im(omega)) = 1e13, which only metric_siegel's guard refuses
-    bad, inner = trial_seed(5, 1), suites.act_siegel
-    start = sample_point("siegel", 2, 2, bad + 1).omega  # the trial's point: kind offset 1
+    # trial 1's Jacobi action takes its point to an unvalidated image whose base
+    # has cond(Im(omega)) = 1e13, which only the metrics' guards refuse
+    bad, inner = trial_seed(5, 1), suites.act_jacobi
+    start = sample_point("siegel_jacobi", 2, 2, bad + 1).omega  # the trial's point: offset 1
 
-    def act(m, p, *, dirs=None):
-        out, pushed = inner(m, p, dirs=dirs)
+    def act(a, p, *, dirs=None):
+        out, pushed = inner(a, p, dirs=dirs)
         hit = np.all(p.omega == start, axis=(-2, -1))[..., None, None]
         image = np.where(hit, 1j * np.diag([1.0, 1e-13]), out.omega)
-        return SiegelPoint(image, validate=False), pushed
+        return SiegelJacobiPoint(SiegelPoint(image, validate=False), out.z), pushed
 
-    monkeypatch.setattr(suites, "act_siegel", act)
+    monkeypatch.setattr(suites, "act_jacobi", act)
     r = run_suite("metric-invariance", 2, 2, trials=3, seed=5)
     assert [f["seed"] for f in r.failures] == [bad] and np.isnan(r.failures[0]["residual"])
     error = r.failures[0]["error"]
