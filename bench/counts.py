@@ -6,13 +6,16 @@ For every suite and shape (g, h) asked for (by default every suite at (1,1),
 (2,2) and (4,3)), two run_suite calls are made at seed 1, of 1 and of 64
 trials, with these functions counted: frob, hermitian_pd_margin, the
 conditioning guard _check_cond and the six LAPACK kernels of numkit, the
-fractional-linear core of the eight maps, spaces._fractional_linear, and the
+fractional-linear core of the eight maps, spaces._fractional_linear, the
 stream passes of the samplers, groups._uniforms, with the rows they draw
-(rows_drawn: one for an int seed, len(seed) for a sequence of seeds).  Each
-function is wrapped in every sjkit module that holds it, so a call through
-any import is counted.  A count depends on the code and the seed only, not on
-the machine, so two commits compare without alternating runs.  The JSON
-printed gives each count divided by the trial count.
+(rows_drawn: one for an int seed, len(seed) for a sequence of seeds), and
+the Laplacians' field calls (field_calls: one per
+geometry._frame_laplacian) with the points of their stencils (field_points:
+the batch of each geometry._rebuild).  Each function is wrapped in every
+sjkit module that holds it, so a call through any import is counted.  A
+count depends on the code and the seed only, not on the machine, so two
+commits compare without alternating runs.  The JSON printed gives each count
+divided by the trial count.
 """
 
 from __future__ import annotations
@@ -31,12 +34,34 @@ import numpy as np  # noqa: E402
 
 import sjkit  # noqa: E402
 
-COUNTED = tuple(f"numkit.{name}" for name in (
-    "frob", "hermitian_pd_margin", "_check_cond",
-    "_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky")) + (
-    "spaces._fractional_linear", "groups._uniforms")
-# each count's name in the JSON: the function's, then the rows its _uniforms passes draw
-NAMES = tuple(path.rsplit(".", 1)[1] for path in COUNTED) + ("rows_drawn",)
+
+def _call(args) -> int:
+    """One per call."""
+    return 1
+
+
+def _rows(args) -> int:
+    """The rows a _uniforms(seed, tag, n) pass draws: one for an int seed,
+    len(seed) for a sequence of seeds."""
+    return 1 if isinstance(args[0], (int, np.integer)) else len(args[0])
+
+
+def _points(args) -> int:
+    """The points a _rebuild(p, base, fiber) batch holds."""
+    return int(np.prod(args[1].shape[:-2]))
+
+
+# each count: its name in the JSON, the sjkit function whose calls it counts,
+# and what one call adds, from its arguments
+COUNTS = tuple((path.rsplit(".", 1)[1], path, _call) for path in (
+    *(f"numkit.{name}" for name in (
+        "frob", "hermitian_pd_margin", "_check_cond",
+        "_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky")),
+    "spaces._fractional_linear", "groups._uniforms")) + (
+    ("rows_drawn", "groups._uniforms", _rows),
+    ("field_calls", "geometry._frame_laplacian", _call),
+    ("field_points", "geometry._rebuild", _points))
+NAMES = tuple(name for name, _, _ in COUNTS)
 SHAPES = ((1, 1), (2, 2), (4, 3))
 TRIALS = (1, 64)
 SEED = 1
@@ -81,18 +106,12 @@ def counting(paths):
             setattr(holder, name, value)
 
 
-def rows_drawn(uniforms_calls: list) -> int:
-    """The rows of the counted _uniforms(seed, tag, n) calls: one per int seed,
-    len(seed) per sequence of seeds."""
-    return sum(1 if isinstance(args[0], (int, np.integer)) else len(args[0])
-               for args in uniforms_calls)
-
-
 def per_trial(suite: str, g: int, h: int, trials: int) -> dict:
-    with counting(COUNTED) as calls:
+    paths = list(dict.fromkeys(path for _, path, _ in COUNTS))
+    with counting(paths) as calls:
         sjkit.run_suite(suite, g, h, trials=trials, seed=SEED)
-    counts = [len(c) for c in calls] + [rows_drawn(calls[-1])]
-    return {name: n / trials for name, n in zip(NAMES, counts, strict=True)}
+    by_path = dict(zip(paths, calls, strict=True))
+    return {name: sum(map(size, by_path[path])) / trials for name, path, size in COUNTS}
 
 
 def _shape(text: str) -> tuple[int, int]:

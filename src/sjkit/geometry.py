@@ -24,6 +24,9 @@ the base and the unit h x g matrices of the fiber.  Each of those maps
 returns its exact differential along given tangent vectors (see spaces):
 pullback_metric_disk and the metric- and volume-invariance suites use it
 (metric-invariance reads the pullback metric through partial_cayley itself).
+The volume density det(Y)^-(g+h+1) is the exp of its log, -(g+h+1) log det Y
+from the Cholesky factor of Y, the log-determinant of the logdet-y field; the
+log stays finite where det(Y) or the density leaves float range.
 Each Laplacian makes one batched pass: its displaced points, built as one
 batch through _rebuild, go through its field in one call.
 
@@ -132,11 +135,14 @@ def _abs2(x):
     return np.float_power(np.hypot(x.real, x.imag), 2)
 
 
+def _logdet_y(p):
+    """log det Y as 2 sum log diag L with Y = L L^T, finite where det(Y) overflows."""
+    return 2 * np.log(np.diagonal(_cholesky(p.omega.imag), 0, -2, -1)).sum(-1)
+
+
 TEST_FIELDS = [
     ScalarField("trace-re-base", "siegel", lambda p: _tr(p.omega.real)),
-    # 2 sum log diag L with Y = L L^T, finite where det(Y) overflows
-    ScalarField("logdet-y", "siegel",
-                lambda p: 2 * np.log(np.diagonal(_cholesky(p.omega.imag), 0, -2, -1)).sum(-1)),
+    ScalarField("logdet-y", "siegel", _logdet_y),
     ScalarField("trace-yvv", "sj", lambda p: _tr(p.omega.imag @ p.z.imag.mT @ p.z.imag)),
     ScalarField("re-trace-z", "sj", lambda p: _tr(p.z).real),
     ScalarField("abs2-trace-z", "sj", lambda p: _abs2(_tr(p.z))),
@@ -355,13 +361,19 @@ def laplacian_sj(params: MetricParams, f: Callable, p: SiegelJacobiPoint) -> flo
 # volume density, tangent vectors and Jacobian determinants
 
 
+def _log_volume_density(p: SiegelJacobiPoint):
+    """-(g+h+1) log det Y, the log of volume_density, finite wherever Y is
+    positive definite."""
+    return -(p.g + p.h + 1) * _logdet_y(p)
+
+
 def volume_density(p: SiegelJacobiPoint):
-    """det(Y)^-(g+h+1), the density of the invariant volume element; float_power
-    has the bits of a float's ** where an array's ** differs.  A density that
-    comes out as 0 or inf, det(Y) or its power out of range, raises DomainError,
-    with no RuntimeWarning first."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        density = np.float_power(_det(p.base.y), -(p.g + p.h + 1))
+    """det(Y)^-(g+h+1), the density of the invariant volume element, as the exp
+    of _log_volume_density.  A density that comes out as 0 or inf, out of float
+    range, raises DomainError, with no RuntimeWarning first."""
+    _takes("volume_density", p, SiegelJacobiPoint)
+    with np.errstate(over="ignore", under="ignore"):
+        density = np.exp(_log_volume_density(p))
     _ensure((density > 0) & (density < np.inf), DomainError,
             "volume density det(Y)^-(g+h+1) = {} is not a positive finite number", density)
     return _plain(density)

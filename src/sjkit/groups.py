@@ -348,6 +348,8 @@ def _check_batches(x: np.ndarray, y: np.ndarray) -> None:
 
 def heisenberg_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
     """(lam, mu; kappa)(lam', mu'; kappa') with central twist lam t(mu') - mu t(lam')."""
+    _takes("heisenberg_mul", a, HeisenbergElement)
+    _takes("heisenberg_mul", b, HeisenbergElement)
     _check_gh(a, b)
     _check_batches(a.lam, b.lam)
     kappa = a.kappa + b.kappa + a.lam @ b.mu.mT - a.mu @ b.lam.mT
@@ -357,6 +359,8 @@ def heisenberg_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElem
 def jacobi_mul(a: JacobiElement, b: JacobiElement) -> JacobiElement:
     """Semidirect product: the Heisenberg part of a is first pushed through
     the symplectic part of b via (lam~, mu~) = (lam, mu) M'."""
+    _takes("jacobi_mul", a, JacobiElement)
+    _takes("jacobi_mul", b, JacobiElement)
     _check_gh(a, b)
     _check_batches(a.m.m, b.m.m)
     lm = np.concatenate([a.hs.lam, a.hs.mu], axis=-1) @ np.real(b.m.m)
@@ -369,6 +373,7 @@ def jacobi_mul(a: JacobiElement, b: JacobiElement) -> JacobiElement:
 
 
 def jacobi_inv(a: JacobiElement) -> JacobiElement:
+    _takes("jacobi_inv", a, JacobiElement)
     mi = a.m.inv()
     lm = np.concatenate([a.hs.lam, a.hs.mu], axis=-1) @ np.real(mi.m)
     lt, mt = lm[..., : a.g], lm[..., a.g :]
@@ -406,6 +411,8 @@ def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement) -> GStarJacobiEleme
     Closure holds in exact arithmetic, so a violation beyond tolerance is
     reported as a consistency error rather than repaired.
     """
+    _takes("gstarj_mul", a, GStarJacobiElement)
+    _takes("gstarj_mul", b, GStarJacobiElement)
     _check_gh(a, b)
     _check_batches(a.gs.p, b.gs.p)
     g = a.g
@@ -424,6 +431,7 @@ def gstarj_mul(a: GStarJacobiElement, b: GStarJacobiElement) -> GStarJacobiEleme
 def gstarj_inv(a: GStarJacobiElement) -> GStarJacobiElement:
     """Inverse in the bounded model: block inverse [[t(conj P), -t(Q)], ...]
     with the Heisenberg part pushed through it."""
+    _takes("gstarj_inv", a, GStarJacobiElement)
     g = a.g
     p_i = a.gs.p.mT.conj()
     q_i = -a.gs.q.mT
@@ -440,6 +448,7 @@ def gstarj_inv(a: GStarJacobiElement) -> GStarJacobiElement:
 
 def conjugate_by_T(m: SymplecticMatrix) -> GStarElement:
     """Blocks of T^-1 M T: P = ((A+D) + i(B-C))/2, Q = ((A-D) - i(B+C))/2."""
+    _takes("conjugate_by_T", m, SymplecticMatrix)
     a, b, c, d = m.a, m.b, m.c, m.d
     p = 0.5 * ((a + d) + 1j * (b - c))
     q = 0.5 * ((a - d) - 1j * (b + c))
@@ -449,6 +458,7 @@ def conjugate_by_T(m: SymplecticMatrix) -> GStarElement:
 def theta(a: JacobiElement) -> GStarJacobiElement:
     """The isomorphism onto the bounded model: blocks via conjugate_by_T and
     Heisenberg part ((lam + i mu)/2, (lam - i mu)/2; -i kappa / 2)."""
+    _takes("theta", a, JacobiElement)
     gs = conjugate_by_T(a.m)
     xi = 0.5 * (a.hs.lam + 1j * a.hs.mu)
     eta = 0.5 * (a.hs.lam - 1j * a.hs.mu)
@@ -458,6 +468,7 @@ def theta(a: JacobiElement) -> GStarJacobiElement:
 
 def embed_sp_gph(a: JacobiElement) -> np.ndarray:
     """The real 2(g+h) x 2(g+h) symplectic matrix identified with a."""
+    _takes("embed_sp_gph", a, JacobiElement)
     g, h = a.g, a.h
     A, B = np.real(a.m.a), np.real(a.m.b)
     C, D = np.real(a.m.c), np.real(a.m.d)
@@ -491,6 +502,7 @@ def _tstar_closed(a: JacobiElement) -> tuple[np.ndarray, np.ndarray]:
 def tstar_agreement_residual(a: JacobiElement) -> float:
     """Relative residual between the explicit conjugation of the embedding by
     the Cayley matrix and the closed-form blocks."""
+    _takes("tstar_agreement_residual", a, JacobiElement)
     n = a.g + a.h
     ts = cayley_matrix(n)
     conj = ts.conj().T @ embed_sp_gph(a).astype(complex) @ ts  # T* is unitary

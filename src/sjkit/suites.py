@@ -13,18 +13,18 @@ drawn, so each sample has the bits of its int-seed draw.  They are built and
 validated once for the chunk, which is then evaluated in one pass, each
 residual with the bits of its trial drawn and evaluated alone.  A trial that
 raises an SjkError is recorded as a failure with its error and the run goes
-on.  laplacian-invariance has a runner per test field, its samples set by
-the field's domain, and sends each trial to the runner of its seed's field,
-one trial per call, each Laplacian acting on its stencil's points in one
-batch.  metric-invariance draws six samples, a Jacobi element, point and
-tangent vector for each model, applies three maps first, the two Jacobi
-actions and the partial Cayley transform, and then evaluates each model's
-metric in one call, on the stack of that model's points and images with
-their tangent vectors; its base-model identities read the bases of the
-Jacobi samples and images, as each base-model map is the base part of its
-Jacobi map.  A SUITES entry is (fn, default tolerance) with
-fn(g, h, seeds) returning, per seed, a residual or the SjkError its trial
-raised.
+on.  laplacian-invariance checks each test field once, on the model of its
+domain (_LAPLACIAN_MODELS), on the runner of the seeds of that field, one
+trial per call, each Laplacian acting on its stencil's points in one batch.
+volume-invariance compares log densities.  metric-invariance draws six
+samples, a Jacobi element, point and tangent vector for each model, applies
+three maps first, the two Jacobi actions and the partial Cayley transform,
+and then evaluates each model's metric in one call, on the stack of that
+model's points and images with their tangent vectors; its base-model
+identities read the bases of the Jacobi samples and images, as each
+base-model map is the base part of its Jacobi map.  A SUITES entry is (fn,
+default tolerance) with fn(g, h, seeds) returning, per seed, a residual or
+the SjkError its trial raised.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .geometry import (
     TEST_FIELDS,
     _abs_det2,
     _coordinate_dirs,
+    _log_volume_density,
     _metric_sj_terms,
     _sample_tangents,
     _weighted_sj,
@@ -53,7 +54,6 @@ from .geometry import (
     laplacian_siegel,
     metric_disk,
     metric_siegel,
-    volume_density,
 )
 from .groups import (
     GStarJacobiElement,
@@ -306,34 +306,30 @@ def _metric_invariance(a, pj, vj, b, pb, vb):
 
 
 def _volume_invariance(a, p):
+    """|rho(a.p) |det J|^2 / rho(p) - 1| from the log volume density rho."""
     moved, pushed = act_jacobi(a, p, dirs=_coordinate_dirs(p))
-    return _scalar_rel(volume_density(moved) * _abs_det2(pushed), volume_density(p))
+    return abs(np.expm1(_log_volume_density(moved) + np.log(_abs_det2(pushed))
+                        - _log_volume_density(p)))
 
 
-def _laplacian_residual(laplacian, fld, act, p) -> float:
-    """The Laplacian of fld after act at p against that of fld at act(p); the
-    stencil's batch of points goes through act in one call."""
-    return _scalar_rel(laplacian(lambda q: fld(act(q)), p), laplacian(fld, act(p)))
+# by field domain: the model's trial samples (an element, a point), Laplacian and action
+_LAPLACIAN_MODELS = {
+    "disk": (("gstar", "disk"), laplacian_disk, act_disk),
+    "siegel": (("sp", "siegel"), laplacian_siegel, act_siegel),
+    "sj": (("jacobi", "siegel_jacobi"), partial(laplacian_sj, _UNIT), act_jacobi),
+}
 
 
-def _laplacian_invariance(fld, a, p, m=None, q=None) -> float:
-    """fld's residual under a at p on the model of its domain, and for a field
-    of Omega alone also under m at q on Siegel space."""
-    if fld.domain == "disk":
-        return _laplacian_residual(laplacian_disk, fld, partial(act_disk, a), p)
-    lap = partial(laplacian_sj, _UNIT)
-    res = _laplacian_residual(lap, fld, partial(act_jacobi, a), p)
-    if fld.domain == "siegel":
-        res = np.maximum(res, _laplacian_residual(laplacian_siegel, fld, partial(act_siegel, m), q))
-    return res
+def _laplacian_invariance(fld, a, p) -> float:
+    """Delta(fld after a) at p against (Delta fld) at a.p on the model of fld's
+    domain; the stencil's batch of points goes through the action in one call."""
+    _, laplacian, act = _LAPLACIAN_MODELS[fld.domain]
+    return _scalar_rel(laplacian(lambda q: fld(act(a, q)), p), laplacian(fld, act(a, p)))
 
 
-# the samples of a test field's trial, by the field's domain
-_LAPLACIAN_KINDS = {"disk": ("gstar", "disk"), "sj": ("jacobi", "siegel_jacobi"),
-                    "siegel": ("jacobi", "siegel_jacobi", "sp", "siegel")}
 # a runner per test field: trial s takes TEST_FIELDS[s % 6], one trial per call, as
 # _frame_laplacian takes a single point
-_LAPLACIANS = tuple(_Batched(_LAPLACIAN_KINDS[f.domain], partial(_laplacian_invariance, f))
+_LAPLACIANS = tuple(_Batched(_LAPLACIAN_MODELS[f.domain][0], partial(_laplacian_invariance, f))
                     for f in TEST_FIELDS)
 
 

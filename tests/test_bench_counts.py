@@ -8,11 +8,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _counts(suite: str, shape: str) -> dict:
+    proc = subprocess.run([sys.executable, "bench/counts.py", "--suite", suite, "--shape", shape],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
+
+
 def test_counts_prints_the_calls_per_trial_of_one_suite_and_shape():
-    proc = subprocess.run(
-        [sys.executable, "bench/counts.py", "--suite", "metric-invariance", "--shape", "2,2"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
-    out = json.loads(proc.stdout)
+    out = _counts("metric-invariance", "2,2")
     assert out["seed"] == 1
     assert [(r["suite"], r["g"], r["h"], r["trials"]) for r in out["rows"]] == [
         ("metric-invariance", 2, 2, 1), ("metric-invariance", 2, 2, 64)]
@@ -26,3 +29,14 @@ def test_counts_prints_the_calls_per_trial_of_one_suite_and_shape():
     # gstarj, a Siegel and a disk base, and two tangent vectors
     assert (one["_fractional_linear"], one["_uniforms"], one["rows_drawn"]) == (3, 4, 6)
     assert many["rows_drawn"] == 6
+    # no finite differences
+    assert (one["field_calls"], one["field_points"], many["field_calls"]) == (0, 0, 0)
+
+
+def test_counts_gives_a_laplacian_trial_two_field_calls_on_its_stencils_points():
+    out = _counts("laplacian-invariance", "1,1")
+    one, many = (r["per_trial"] for r in out["rows"])
+    # the Laplacian of the field after the action and the one at the image
+    assert one["field_calls"] == many["field_calls"] == 2.0
+    # seed 1's one trial has an sj field: 1 + 4 * 2 points per stencil at (1,1)
+    assert one["field_points"] == 18.0

@@ -221,6 +221,24 @@ def test_laplacian_invariance_catalog(g, h):
         assert abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) < 1e-3
 
 
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)])
+@pytest.mark.parametrize("name", [f.name for f in TEST_FIELDS if f.domain == "siegel"])
+def test_a_field_of_omega_alone_has_the_bits_of_its_siegel_laplacian_on_siegel_jacobi_space(
+        name, g, h):
+    # the fiber directions of the Siegel-Jacobi frame leave Omega fixed, so their
+    # differences are exactly 0, and act_jacobi's base is act_siegel's image: the
+    # laplacian-invariance check of such a field on its Siegel model is the one
+    # it would make on Siegel-Jacobi space, bit for bit
+    f, sj = FIELDS[name], partial(laplacian_sj, MetricParams(1, 1))
+    for seed in range(4):
+        a = sample_element("jacobi", g, h, seed=seed)
+        p = sample_point("siegel_jacobi", g, h, seed=seed + 1)
+        got = [sj(lambda q: f(act_jacobi(a, q)), p), sj(f, act_jacobi(a, p))]
+        want = [laplacian_siegel(lambda q: f(act_siegel(a.m, q)), p.base),
+                laplacian_siegel(f, act_siegel(a.m, p.base))]
+        assert [x.hex() for x in got] == [x.hex() for x in want], seed
+
+
 def _polarized_gram(metric, frame):
     """Gram matrix of the Hermitian form whose quadratic form is metric."""
     def q(u, v, c):

@@ -22,6 +22,7 @@ from sjkit.groups import (
     tstar_agreement_residual,
 )
 from sjkit import groups
+from sjkit.geometry import volume_density
 from sjkit.groups import _SCALE_MAX
 from sjkit.numkit import DimensionError, DomainError, Holder, rel_error
 from sjkit.spaces import sample_point
@@ -493,3 +494,28 @@ def test_composite_element_constructors_check_the_classes_of_their_parts():
             make()
     assert JacobiElement(m, hs).hs is hs
     assert GStarJacobiElement(gs, hc, validate=False).hc is hc
+
+
+_J, _GJ = "takes a JacobiElement, not a GStarJacobiElement", "takes a GStarJacobiElement, not a"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, b, p: heisenberg_mul(a.hs, a), "heisenberg_mul takes a HeisenbergElement, not a "
+     "JacobiElement"),
+    (lambda a, b, p: jacobi_mul(a, b), f"jacobi_mul {_J}"),
+    (lambda a, b, p: jacobi_inv(b), f"jacobi_inv {_J}"),
+    (lambda a, b, p: gstarj_mul(b, a), f"gstarj_mul {_GJ} JacobiElement"),
+    (lambda a, b, p: gstarj_inv(a), f"gstarj_inv {_GJ} JacobiElement"),
+    (lambda a, b, p: conjugate_by_T(a), "conjugate_by_T takes a SymplecticMatrix, not a "
+     "JacobiElement"),
+    (lambda a, b, p: theta(b), f"theta {_J}"),
+    (lambda a, b, p: embed_sp_gph(b), f"embed_sp_gph {_J}"),
+    (lambda a, b, p: tstar_agreement_residual(b), f"tstar_agreement_residual {_J}"),
+    (lambda a, b, p: volume_density(p), "volume_density takes a SiegelJacobiPoint, not a "
+     "DiskJacobiPoint"),
+], ids=["heisenberg_mul", "jacobi_mul", "jacobi_inv", "gstarj_mul", "gstarj_inv",
+        "conjugate_by_T", "theta", "embed_sp_gph", "tstar_agreement_residual", "volume_density"])
+def test_an_argument_of_the_wrong_class_is_a_dimension_error(call, message):
+    a, b = sample_element("jacobi", 2, 1, 2), sample_element("gstarj", 2, 1, 1)
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        call(a, b, sample_point("disk_jacobi", 2, 1, 1))

@@ -150,6 +150,16 @@ def test_exact_differential_suites_pass_at_g_ne_h(name, g, h):
     assert r.passed, f"{name}: max residual {r.max_residual}"
 
 
+def test_volume_invariance_is_relative_at_every_density(monkeypatch):
+    # a Jacobian off by one part in a million fails every trial, densities below
+    # 1 (down to about 1e-10 at (4,3)) included, where an absolute check passes some
+    inner = suites._abs_det2
+    monkeypatch.setattr(suites, "_abs_det2", lambda pushed: inner(pushed) * (1 + 1e-6))
+    r = run_suite("volume-invariance", 4, 3, trials=300, seed=1)
+    assert len(r.failures) == 300
+    assert all(9.9e-7 < f["residual"] < 1.01e-6 for f in r.failures)
+
+
 def test_a_trial_that_raises_is_a_recorded_failure_and_the_run_goes_on(monkeypatch, capsys):
     bad = trial_seed(29, 8)
     runners = list(suites._LAPLACIANS)
