@@ -11,11 +11,12 @@ stream passes of the samplers, groups._uniforms, with the rows they draw
 (rows_drawn: one for an int seed, len(seed) for a sequence of seeds), and
 the Laplacians' field calls (field_calls: one per
 geometry._frame_laplacian) with the points of their stencils (field_points:
-the batch of each geometry._rebuild).  Each function is wrapped in every
-sjkit module that holds it, so a call through any import is counted.  A
-count depends on the code and the seed only, not on the machine, so two
-commits compare without alternating runs.  The JSON printed gives each count
-divided by the trial count.
+the batch of each geometry._rebuild), and the validate calls of every holder
+class that has one (validations: class name -> calls).  Each function is
+wrapped in every sjkit module that holds it, so a call through any import is
+counted.  A count depends on the code and the seed only, not on the machine,
+so two commits compare without alternating runs.  The JSON printed gives
+each count divided by the trial count.
 """
 
 from __future__ import annotations
@@ -61,7 +62,10 @@ COUNTS = tuple((path.rsplit(".", 1)[1], path, _call) for path in (
     ("rows_drawn", "groups._uniforms", _rows),
     ("field_calls", "geometry._frame_laplacian", _call),
     ("field_points", "geometry._rebuild", _points))
-NAMES = tuple(name for name, _, _ in COUNTS)
+# "module.Class" of each holder class with a validate of its own
+VALIDATED = tuple(f"{cls.__module__.rsplit('.', 1)[1]}.{cls.__name__}"
+                  for cls in sjkit.numkit.Holder.__subclasses__() if "validate" in vars(cls))
+NAMES = tuple(name for name, _, _ in COUNTS) + ("validations",)
 SHAPES = ((1, 1), (2, 2), (4, 3))
 TRIALS = (1, 64)
 SEED = 1
@@ -108,10 +112,14 @@ def counting(paths):
 
 def per_trial(suite: str, g: int, h: int, trials: int) -> dict:
     paths = list(dict.fromkeys(path for _, path, _ in COUNTS))
+    paths += [f"{cls}.validate" for cls in VALIDATED]
     with counting(paths) as calls:
         sjkit.run_suite(suite, g, h, trials=trials, seed=SEED)
     by_path = dict(zip(paths, calls, strict=True))
-    return {name: sum(map(size, by_path[path])) / trials for name, path, size in COUNTS}
+    out = {name: sum(map(size, by_path[path])) / trials for name, path, size in COUNTS}
+    out["validations"] = {cls.rsplit(".", 1)[1]: len(by_path[f"{cls}.validate"]) / trials
+                          for cls in VALIDATED}
+    return out
 
 
 def _shape(text: str) -> tuple[int, int]:

@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import _blocks, _draw_rows
+from .groups import _blocks, _draw_rows, _fibered_shapes, _fibered_width
 from .numkit import (
     ALGEBRAIC_REL,
     ConditioningError,
@@ -172,8 +172,13 @@ def metric_siegel(p: SiegelPoint, v: TangentVector):
     _takes("metric_siegel", p, SiegelPoint)
     do, _ = _fit(v, p.omega)
     yi = guarded_inv(p.y.astype(complex), "Im(omega)")
-    val = _tr(yi @ do @ yi @ do.conj())
-    return _real_value(val, ALGEBRAIC_REL, "siegel metric")
+    return _real_value(_siegel_term(yi, do, do.conj()), ALGEBRAIC_REL, "siegel metric")
+
+
+def _siegel_term(yi, do, dob):
+    """trace(Y^-1 dOmega Y^-1 conj(dOmega)), complex: metric_siegel's value
+    and metric_sj's A-term, with the same bits."""
+    return _tr(yi @ do @ yi @ dob)
 
 
 def metric_disk(p: DiskPoint, v: TangentVector):
@@ -204,7 +209,8 @@ def _weighted_sj(params: MetricParams, terms: tuple):
 
 def _metric_sj_terms(p: SiegelJacobiPoint, v: TangentVector) -> tuple:
     """The complex A- and B-terms of metric_sj at (p, v), computed once for
-    any number of MetricParams."""
+    any number of MetricParams.  The A-term is _siegel_term at (p.base, v),
+    so its real part is metric_siegel(p.base, v), bit for bit."""
     _takes("metric_sj", p, SiegelJacobiPoint)
     do, dz = _fit(v, p.omega, p.z)
     if v.dfiber is None:
@@ -212,7 +218,7 @@ def _metric_sj_terms(p: SiegelJacobiPoint, v: TangentVector) -> tuple:
     yi = guarded_inv(p.base.y.astype(complex), "Im(omega)")
     vmat = p.v.astype(complex)
     dob, dzb = do.conj(), dz.conj()
-    m1 = _tr(yi @ do @ yi @ dob)
+    m1 = _siegel_term(yi, do, dob)
     m2 = _tr(yi @ vmat.mT @ vmat @ yi @ do @ yi @ dob)
     m3 = _tr(yi @ dz.mT @ dzb)
     m4 = _tr(vmat @ yi @ do @ yi @ dzb.mT)
@@ -386,21 +392,24 @@ def sample_tangent(g: int, h: int | None = None, seed=0) -> TangentVector:
     of their batch, as sample_point does."""
     g, h = _count(g, "g"), None if h is None else _count(h, "h")
     kind = "tangent" if h is None else "tangent_jacobi"
-    return _sample_tangents(g, h, {kind: seed})[kind]
+    seeds = {kind: seed}
+    ((u, spans),) = _draw_rows([seeds], _KIND_TAG, _fibered_width(g, h, seeds))
+    return _sample_tangents(g, h, u, spans)[kind]
 
 
-def _sample_tangents(g: int, h: int, seeds: dict) -> dict:
-    """One family draw of tangent vectors, kind -> TangentVector, with seeds
-    mapping each kind to its seed or sequence of seeds (see
-    groups._draw_rows): "tangent" without a fiber part and "tangent_jacobi"
-    with an h x g one, both on the (seed, 20) streams.  Their rows are read to
-    the longest kind's numbers and the base part is built for every row,
-    exactly symmetric as (s + s^T)/2, so without the symmetry test that could
-    only pass (spaces._tangent)."""
-    # the real and the imaginary part of the base, then of the fiber
-    shapes = [(g, g)] * 2 + ([(h, g)] * 2 if "tangent_jacobi" in seeds else [])
-    u, spans = _draw_rows(seeds, dict.fromkeys(seeds, 20), sum(r * c for r, c in shapes))
-    x = _blocks(u, shapes, 1.0)
+_KIND_TAG = {"tangent": 20, "tangent_jacobi": 20}
+
+
+def _sample_tangents(g: int, h: int | None, u: np.ndarray, spans: dict) -> dict:
+    """One family draw of tangent vectors, kind -> TangentVector, from the rows
+    of numbers u, each kind's rows at its span (see groups._draw_rows):
+    "tangent" without a fiber part and "tangent_jacobi" with an h x g one,
+    both on the (seed, 20) streams.  Each row is read from its front: the
+    real and the imaginary part of the base, then, for tangent_jacobi, of the
+    fiber.  The base part is built for every row, exactly symmetric as
+    (s + s^T)/2, so without the symmetry test that could only pass
+    (spaces._tangent)."""
+    x = _blocks(u, _fibered_shapes(g, h, spans), 1.0)
     s = x[0] + 1j * x[1]
     s = _freeze((s + s.mT) / 2, None)  # so each kind's rows are read-only views
     return {kind: _tangent(s[rows], x[2][rows] + 1j * x[3][rows] if kind == "tangent_jacobi"

@@ -447,23 +447,30 @@ def gstarj_inv(a: GStarJacobiElement) -> GStarJacobiElement:
 
 
 def conjugate_by_T(m: SymplecticMatrix) -> GStarElement:
-    """Blocks of T^-1 M T: P = ((A+D) + i(B-C))/2, Q = ((A-D) - i(B+C))/2."""
+    """Blocks of T^-1 M T: P = ((A+D) + i(B-C))/2, Q = ((A-D) - i(B+C))/2.
+
+    Conjugation by the Cayley matrix is an exact isomorphism, so the image of
+    m, validated when it was built, is not validated again (as for
+    SymplecticMatrix.inv)."""
     _takes("conjugate_by_T", m, SymplecticMatrix)
     a, b, c, d = m.a, m.b, m.c, m.d
     p = 0.5 * ((a + d) + 1j * (b - c))
     q = 0.5 * ((a - d) - 1j * (b + c))
-    return GStarElement(p, q)
+    return GStarElement(p, q, validate=False)
 
 
 def theta(a: JacobiElement) -> GStarJacobiElement:
     """The isomorphism onto the bounded model: blocks via conjugate_by_T and
-    Heisenberg part ((lam + i mu)/2, (lam - i mu)/2; -i kappa / 2)."""
+    Heisenberg part ((lam + i mu)/2, (lam - i mu)/2; -i kappa / 2).  Like
+    conjugate_by_T it is exact, so its image of a, validated when it was
+    built, is not validated again."""
     _takes("theta", a, JacobiElement)
     gs = conjugate_by_T(a.m)
     xi = 0.5 * (a.hs.lam + 1j * a.hs.mu)
     eta = 0.5 * (a.hs.lam - 1j * a.hs.mu)
     zeta = -0.5j * a.hs.kappa
-    return GStarJacobiElement(gs, ComplexHeisenbergElement(xi, eta, zeta))
+    return GStarJacobiElement(gs, ComplexHeisenbergElement(xi, eta, zeta, validate=False),
+                              validate=False)
 
 
 def embed_sp_gph(a: JacobiElement) -> np.ndarray:
@@ -567,23 +574,37 @@ def _uniforms(seed, tag, n: int, start: int = 0) -> np.ndarray:
     return (z >> 11) * 2.0 ** -53
 
 
-def _draw_rows(seeds: dict, tags: dict, n: int) -> tuple[np.ndarray, dict]:
-    """The first n numbers of each (seed, tag) row of one family draw, and
-    where each kind's rows lie.  seeds maps each kind to its seed or sequence
-    of seeds and tags each kind to its tag.  A lone kind draws as _uniforms
-    does, an int seed giving shape (n,), and its rows are all of them (...).
-    Otherwise the rows run kind by kind in the order of seeds, a sequence
-    taking a slice of them and an int seed one row, at an int index."""
-    if len(seeds) == 1:
-        kind = next(iter(seeds))
-        return _uniforms(seeds[kind], tags[kind], n), {kind: ...}
-    spans, rows, row_tags = {}, [], []
-    for kind, s in seeds.items():
-        one = isinstance(s, (int, np.integer))
-        spans[kind] = len(rows) if one else slice(len(rows), len(rows) + len(s))
-        rows += [s] if one else s
-        row_tags += [tags[kind]] * (len(rows) - len(row_tags))
-    return _uniforms(rows, row_tags, n), spans
+def _draw_rows(families: list, tags: dict, n: int) -> list[tuple]:
+    """One _uniforms pass over the (seed, tag) rows of a draw, each read to
+    its first n numbers.  families is a list of dicts, each mapping the kinds
+    of one builder to their seeds, an int or a sequence of seeds, and tags
+    maps each kind to its tag.  Returns, per family, its block of the numbers
+    and where each kind's rows lie in it: the rows run family by family and,
+    within one, kind by kind, a sequence taking a slice of rows and an int
+    seed one row, at an int index.  A family of one kind takes all its block,
+    at ..., the one row of an int seed as numbers of shape (n,); a draw of one
+    kind is _uniforms(seed, tag, n) itself."""
+    if len(families) == 1 and len(families[0]) == 1:
+        ((kind, seed),) = families[0].items()
+        return [(_uniforms(seed, tags[kind], n), {kind: ...})]
+    rows, row_tags, layout = [], [], []
+    for seeds in families:
+        start, spans = len(rows), {}
+        for kind, s in seeds.items():
+            at = len(rows) - start
+            spans[kind] = at if isinstance(s, (int, np.integer)) else slice(at, at + len(s))
+            rows += [s] if isinstance(spans[kind], int) else s
+            row_tags += [tags[kind]] * (len(rows) - len(row_tags))
+        layout.append((start, len(rows), spans))
+    u = _uniforms(rows, row_tags, n)
+    out = []
+    for start, stop, spans in layout:
+        if len(spans) > 1:
+            out.append((u[start:stop], spans))
+        else:
+            ((kind, span),) = spans.items()
+            out.append((u[start] if isinstance(span, int) else u[start:stop], {kind: ...}))
+    return out
 
 
 def _rows(x: Holder, spans: dict, kind: str) -> Holder:
@@ -601,13 +622,24 @@ def _check_scale(scale) -> None:
 
 
 def _blocks(u: np.ndarray, shapes, scale: float) -> list:
-    """Consecutive row-major blocks of the numbers u (..., n) as uniforms on
-    (-scale, scale), -scale + 2 scale u."""
-    x, at, out = 2 * scale * u - scale, 0, []
+    """Consecutive row-major blocks of the first numbers of u (..., n) as
+    uniforms on (-scale, scale), -scale + 2 scale u; later numbers are not read."""
+    x, at, out = 2 * scale * u[..., :sum(map(prod, shapes))] - scale, 0, []
     for shape in shapes:
         out.append(x[..., at:at + prod(shape)].reshape(u.shape[:-1] + shape))
         at += prod(shape)
     return out
+
+
+def _fibered_shapes(g: int, h: int | None, kinds) -> list:
+    """The blocks a row of a family draw of points or tangent vectors reads:
+    two g x g blocks for the base, then, when a kind with a fiber (a jacobi
+    kind) is drawn, two h x g blocks for the fiber."""
+    return [(g, g)] * 2 + ([(h, g)] * 2 if any(k.endswith("jacobi") for k in kinds) else [])
+
+
+def _fibered_width(g: int, h: int | None, kinds) -> int:
+    return sum(map(prod, _fibered_shapes(g, h, kinds)))
 
 
 def _sym(s: np.ndarray) -> np.ndarray:
@@ -651,12 +683,13 @@ def _sample_symplectic(u: np.ndarray, g: int, scale: float) -> SymplecticMatrix:
 
 
 def _sample_heisenberg(u: np.ndarray, g: int, h: int, scale: float) -> HeisenbergElement:
-    """A Heisenberg element for each row of numbers u: lam, mu, then S."""
+    """A Heisenberg element for each row of numbers u: lam, mu, then S, built
+    unvalidated: kappa + mu t(lam) is symmetric by construction."""
     lam, mu, s = _blocks(u, [(h, g), (h, g), (h, h)], scale)
     # kappa = S - mu t(lam) + (mu t(lam) + lam t(mu))/2 makes
     # kappa + mu t(lam) = S + sym part, symmetric by construction.
     ml = mu @ lam.mT
-    return HeisenbergElement(lam, mu, _sym(s) - ml + (ml + lam @ mu.mT) / 2)
+    return HeisenbergElement(lam, mu, _sym(s) - ml + (ml + lam @ mu.mT) / 2, validate=False)
 
 
 def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
@@ -666,14 +699,17 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     is a non-negative int; its element is built from the numbers of the
     counter-based (seed, kind tag) stream at fixed offsets: a symplectic
     word's length, generator kinds and blocks, then the Heisenberg part.  A
-    sequence of seeds gives one holder of their batch, built and validated in
-    one pass, each slice with the bits of its seed's element.  scale must lie
-    in (0, _SCALE_MAX]; the kinds built on a symplectic word take scale <= 1:
-    above it the words' generators lose their conditioning and the product
-    fails its own validation.  kstarj's unitary part is the library's one
-    np.linalg call outside numkit's LAPACK kernels, np.linalg.qr, whose
-    wrapper builds Q from two gufuncs; no suite or perfbench workload draws
-    kstarj.
+    sequence of seeds gives one holder of their batch, built in one pass, each
+    slice with the bits of its seed's element.  What is validated is the
+    word, as a SymplecticMatrix, and kstarj's parts: the Heisenberg part is
+    symmetric by construction, and gstar and gstarj are the exact images of
+    the word and of the jacobi element under conjugate_by_T and theta.  scale
+    must lie in (0, _SCALE_MAX]; the kinds built on a symplectic word take
+    scale <= 1: above it the words' generators lose their conditioning and
+    the product fails its own validation.  kstarj's unitary part is the
+    library's one np.linalg call outside numkit's LAPACK kernels,
+    np.linalg.qr, whose wrapper builds Q from two gufuncs; no suite or
+    perfbench workload draws kstarj.
     """
     if kind not in _KIND_TAG:
         raise DomainError(f"unknown element kind: {kind!r}")
@@ -681,26 +717,38 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     _check_scale(scale)
     if kind in _WORD_KINDS and scale > 1:
         raise DomainError(f"scale must be at most 1 for kind {kind!r}, got {scale}")
-    return _sample_elements(g, h, {kind: seed}, scale)[kind]
+    seeds = {kind: seed}
+    ((u, spans),) = _draw_rows([seeds], _KIND_TAG, _element_width(g, h, seeds))
+    return _sample_elements(g, h, u, spans, scale)[kind]
 
 
-def _sample_elements(g: int, h: int, seeds: dict, scale: float = 0.8) -> dict:
-    """One family draw of elements, kind -> holder, with seeds mapping each
-    kind to its seed or sequence of seeds (see _draw_rows): heisenberg or
-    kstarj alone, or any of the kinds on a symplectic word, sp, gstar, jacobi
-    and gstarj.  Their rows are read to the longest kind's numbers, as a
-    stream's first numbers do not depend on how many are drawn.  One word is
-    built for every row and, when jacobi or gstarj is drawn, one Heisenberg
-    part for every row too: both builds are row by row, so a kind's rows have
-    the same bits in any order of kinds.  A kind's holder then takes its rows
-    of these."""
-    kind = next(iter(seeds))
-    word, heis = 9 + 8 * g * g, 2 * h * g + h * h
+def _element_width(g: int, h: int, kinds) -> int:
+    """The numbers a row of a family draw of elements of these kinds reads: a
+    Heisenberg part, kstarj's unitary and central parts, or a symplectic word
+    and, when jacobi or gstarj is drawn, a Heisenberg part after it."""
+    heis = 2 * h * g + h * h
+    if "heisenberg" in kinds:
+        return heis
+    if "kstarj" in kinds:
+        return 2 * g * g + h * h
+    return 9 + 8 * g * g + (heis if "jacobi" in kinds or "gstarj" in kinds else 0)
+
+
+def _sample_elements(g: int, h: int, u: np.ndarray, spans: dict, scale: float = 0.8) -> dict:
+    """One family draw of elements, kind -> holder, from the rows of numbers
+    u, each kind's rows at its span (see _draw_rows): heisenberg or kstarj
+    alone, or any of the kinds on a symplectic word, sp, gstar, jacobi and
+    gstarj.  Each row is read from its front, to _element_width(g, h, spans)
+    numbers: a stream's first numbers do not depend on how many are drawn.
+    One word is built for every row and, when jacobi or gstarj is drawn, one
+    Heisenberg part for every row too: both builds are row by row, so a
+    kind's rows have the same bits in any order of kinds.  A kind's holder
+    then takes its rows of these."""
+    kind = next(iter(spans))
     if kind == "heisenberg":
-        u = _uniforms(seeds[kind], _KIND_TAG[kind], heis)
         return {kind: _sample_heisenberg(u, g, h, scale)}
     if kind == "kstarj":  # a unitary P from the QR of a complex Gaussian, phases fixed
-        u, n = _uniforms(seeds[kind], _KIND_TAG[kind], 2 * g * g + h * h), g * g
+        n = g * g
         # Box-Muller: numbers k and n + k give the real and imaginary part of a Gaussian
         z = np.sqrt(-2 * np.log1p(-u[..., :n])) * np.exp(2j * np.pi * u[..., n:2 * n])
         (kap,) = _blocks(u[..., 2 * n:], [(h, h)], scale)
@@ -709,13 +757,11 @@ def _sample_elements(g: int, h: int, seeds: dict, scale: float = 0.8) -> dict:
         z = np.zeros(q.shape[:-2] + (h, g), dtype=complex)
         return {kind: GStarJacobiElement(GStarElement(q * (d / np.abs(d)), np.zeros(q.shape)),
                                          ComplexHeisenbergElement(z, z, 1j * _sym(kap)))}
-    lifted = "jacobi" in seeds or "gstarj" in seeds
-    u, spans = _draw_rows(seeds, _KIND_TAG, word + heis if lifted else word)
     m = _sample_symplectic(u, g, scale)
-    if lifted:
-        hs = _sample_heisenberg(u[..., word:], g, h, scale)
+    if "jacobi" in spans or "gstarj" in spans:
+        hs = _sample_heisenberg(u[..., 9 + 8 * g * g:], g, h, scale)
     out = {}
-    for kind in seeds:
+    for kind in spans:
         mk = _rows(m, spans, kind)
         if kind in ("sp", "gstar"):
             out[kind] = mk if kind == "sp" else conjugate_by_T(mk)

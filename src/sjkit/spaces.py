@@ -48,6 +48,8 @@ from .groups import (
     _check_gh,
     _check_scale,
     _draw_rows,
+    _fibered_shapes,
+    _fibered_width,
     _rows,
     _sym,
     theta,
@@ -464,23 +466,22 @@ def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
         raise DomainError(f"unknown point kind: {kind!r}")
     g, h = _count(g, "g"), _count(h, "h")
     _check_scale(scale)
-    return _sample_points(g, h, {kind: seed}, scale)[kind]
+    seeds = {kind: seed}
+    ((u, spans),) = _draw_rows([seeds], _KIND_TAG, _fibered_width(g, h, seeds))
+    return _sample_points(g, h, u, spans, scale)[kind]
 
 
-def _sample_points(g: int, h: int, seeds: dict, scale: float = 1.0) -> dict:
-    """One family draw of points, kind -> holder, with seeds mapping each kind
-    to its seed or sequence of seeds (see groups._draw_rows): any of siegel and
-    siegel_jacobi, or of disk and disk_jacobi.  Their rows are read to the
-    longest kind's numbers, and one base is built for every row, exactly
-    symmetric, and checked for positivity (_positive); a kind's points take
-    their rows of it, with a fiber for a jacobi kind."""
+def _sample_points(g: int, h: int, u: np.ndarray, spans: dict, scale: float = 1.0) -> dict:
+    """One family draw of points, kind -> holder, from the rows of numbers u,
+    each kind's rows at its span (see groups._draw_rows): any of siegel and
+    siegel_jacobi, or of disk and disk_jacobi.  Each row is read from its
+    front, and one base is built for every row, exactly symmetric, and
+    checked for positivity (_positive); a kind's points take their rows of
+    it, with a fiber for a jacobi kind."""
     # two g x g blocks for the base (Siegel: R, then Re omega; disk: Re W,
     # then Im W), then the real and the imaginary part of the fiber
-    siegel = next(iter(seeds)).startswith("siegel")
-    fibered = ("siegel_jacobi" if siegel else "disk_jacobi") in seeds
-    shapes = [(g, g)] * 2 + ([(h, g)] * 2 if fibered else [])
-    u, spans = _draw_rows(seeds, _KIND_TAG, sum(r * c for r, c in shapes))
-    x = _blocks(u, shapes, scale)
+    siegel = next(iter(spans)).startswith("siegel")
+    x = _blocks(u, _fibered_shapes(g, h, spans), scale)
     if siegel:
         base = _positive(SiegelPoint, _sym(x[1]) + 1j * (_sym(x[0].mT @ x[0]) + 0.1 * _eye(g)))
     else:

@@ -6,14 +6,18 @@ the master seed and the trial index alone, so reruns of the same suite
 produce byte-identical reports.
 
 Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  A
-chunk's samples of a family of kinds (see _FAMILIES) come from one pass over
-the counter-based (seed, tag) streams of its rows, each read to the family's
-longest length: a stream's first numbers do not depend on how many are
-drawn, so each sample has the bits of its int-seed draw.  They are built and
-validated once for the chunk, which is then evaluated in one pass, each
-residual with the bits of its trial drawn and evaluated alone.  A trial that
-raises an SjkError is recorded as a failure with its error and the run goes
-on.  laplacian-invariance checks each test field once, on the model of its
+chunk's samples come from one pass over the counter-based (seed, tag)
+streams of all its rows, each read to the longest length any family of
+kinds (see _FAMILIES) needs: a stream's first numbers do not depend on how
+many are drawn, so each sample has the bits of its int-seed draw.  Each
+family's samples are built once for the chunk, and checked once where a
+check could fail: the symplectic word is validated and each sampled base
+checked for positivity, while the samples that are exact images of a
+validated word (gstar, gstarj) or symmetric by construction (the Heisenberg
+part) are not validated again.  The chunk is then evaluated in one pass,
+each residual with the bits of its trial drawn and evaluated alone.  A
+trial that raises an SjkError is recorded as a failure with its error and
+the run goes on.  laplacian-invariance checks each test field once, on the model of its
 domain (_LAPLACIAN_MODELS), on the runner of the seeds of that field, one
 trial per call, each Laplacian acting on its stencil's points in one batch.
 volume-invariance compares log densities.  metric-invariance draws six
@@ -22,9 +26,10 @@ three maps first, the two Jacobi actions and the partial Cayley transform,
 and then evaluates each model's metric in one call, on the stack of that
 model's points and images with their tangent vectors; its base-model
 identities read the bases of the Jacobi samples and images, as each
-base-model map is the base part of its Jacobi map.  A SUITES entry is (fn,
-default tolerance) with fn(g, h, seeds) returning, per seed, a residual or
-the SjkError its trial raised.
+base-model map is the base part of its Jacobi map, and Siegel space's
+metric is the real part of the Siegel-Jacobi metric's A-term there.  A
+SUITES entry is (fn, default tolerance) with fn(g, h, seeds) returning, per
+seed, a residual or the SjkError its trial raised.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import decomp
+from . import decomp, geometry, groups, spaces
 from .automorphy import IndexMatrix, Representation, verify_cocycle
 from .geometry import (
     MetricParams,
@@ -47,18 +52,21 @@ from .geometry import (
     _coordinate_dirs,
     _log_volume_density,
     _metric_sj_terms,
+    _real_value,
     _sample_tangents,
     _weighted_sj,
     laplacian_disk,
     laplacian_sj,
     laplacian_siegel,
     metric_disk,
-    metric_siegel,
 )
 from .groups import (
     GStarJacobiElement,
     HeisenbergElement,
     JacobiElement,
+    _draw_rows,
+    _element_width,
+    _fibered_width,
     _sample_elements,
     _seed,
     conjugate_by_T,
@@ -73,6 +81,7 @@ from .groups import (
     tstar_agreement_residual,
 )
 from .numkit import (
+    ALGEBRAIC_REL,
     DomainError,
     SjkError,
     _count,
@@ -138,18 +147,21 @@ def _dist(fields: attrgetter, a, b):
 # the runner
 
 
-# the kinds of each family, whose samples one builder makes from one pass over
-# their (seed, tag) streams, and its draw (g, h, seeds) -> {kind: sample}, seeds
-# mapping each of those kinds to its seed or sequence of seeds
+# the kinds of each family, whose samples one builder makes from their rows of
+# a chunk's one stream pass: (width, build), width(g, h, kinds) the numbers a
+# row of the family reads and build(g, h, u, spans) -> {kind: sample} its
+# samples from its block of rows u, each kind's rows at its span
 _FAMILIES = {
-    ("sp", "gstar", "jacobi", "gstarj"): _sample_elements,
-    ("heisenberg",): _sample_elements,
-    ("kstarj",): _sample_elements,
-    ("siegel", "siegel_jacobi"): _sample_points,
-    ("disk", "disk_jacobi"): _sample_points,
-    ("tangent", "tangent_jacobi"): _sample_tangents,
+    ("sp", "gstar", "jacobi", "gstarj"): (_element_width, _sample_elements),
+    ("heisenberg",): (_element_width, _sample_elements),
+    ("kstarj",): (_element_width, _sample_elements),
+    ("siegel", "siegel_jacobi"): (_fibered_width, _sample_points),
+    ("disk", "disk_jacobi"): (_fibered_width, _sample_points),
+    ("tangent", "tangent_jacobi"): (_fibered_width, _sample_tangents),
 }
 _FAMILY = {kind: family for family in _FAMILIES for kind in family}
+# each kind's stream tag: elements 0-5, points 10-13, tangent vectors 20
+_TAG = groups._KIND_TAG | spaces._KIND_TAG | geometry._KIND_TAG
 # trials evaluated in one pass: memory stays flat in the trial count
 _CHUNK = 64
 
@@ -159,14 +171,17 @@ class _Batched:
     """A suite that draws one sample of each kind per trial, seeded s, s + 1,
     ..., and evaluates each chunk of up to _CHUNK trials in one pass.
 
-    A chunk's samples come from one draw per family of kinds (see _FAMILIES):
-    a kind at offsets k1..km is drawn on the seeds s + k1 over the chunk, then
-    s + k2, ..., next to the other kinds of its family, and each offset takes
-    its rows of the kind's batch as a view, a 2-d holder through an int row
-    for a chunk of one trial.  A family with one row is drawn with its int
-    seed.  A chunk that raises an SjkError is evaluated again trial by trial,
-    each trial drawn as a chunk of one, and a trial that still raises gives
-    its error in place of its residual.
+    A chunk's samples come from one _uniforms pass over the (seed, tag) rows
+    of all its kinds, laid out family by family (see _FAMILIES) and each read
+    to the longest family's width; each family's builder then makes its
+    kinds' samples from its block of rows.  A kind at offsets k1..km has the
+    rows of the seeds s + k1 over the chunk, then s + k2, ..., next to the
+    other kinds of its family, and each offset takes its rows of the kind's
+    batch as a view, a 2-d holder through an int row for a chunk of one
+    trial.  A kind with one row has it on its int seed.  A chunk that raises
+    an SjkError is evaluated again trial by trial, each trial drawn as a
+    chunk of one, and a trial that still raises gives its error in place of
+    its residual.
     """
 
     kinds: tuple
@@ -174,12 +189,12 @@ class _Batched:
 
     @cached_property
     def families(self) -> list[tuple]:
-        """(draw, the offsets in kinds of each of its kinds) per family, the
-        families and their kinds in order of first offset."""
+        """(width, build, the offsets in kinds of each of its kinds) per
+        family, the families and their kinds in order of first offset."""
         out = {}
         for k, kind in enumerate(self.kinds):
             out.setdefault(_FAMILY[kind], {}).setdefault(kind, []).append(k)
-        return [(_FAMILIES[family], offsets) for family, offsets in out.items()]
+        return [(*_FAMILIES[family], offsets) for family, offsets in out.items()]
 
     def __call__(self, g: int, h: int, seeds: list[int]) -> list:
         out = []
@@ -195,15 +210,18 @@ class _Batched:
         return out
 
     def _draw(self, g: int, h: int, chunk: list[int]) -> list:
-        """The chunk's samples, one per kind position, from one draw per
-        family.  In a chunk of one trial each sample is a 2-d holder: a kind
-        at one offset is drawn on its int seed, a kind at several takes int
-        rows of its batch."""
+        """The chunk's samples, one per kind position, from one stream pass
+        whose rows are read to the longest family's width.  In a chunk of one
+        trial each sample is a 2-d holder: a kind at one offset is drawn on
+        its int seed, a kind at several takes int rows of its batch."""
         n, samples = len(chunk), [None] * len(self.kinds)
-        for draw, offsets in self.families:
-            seeds = {kind: chunk[0] + ks[0] if n == 1 and len(ks) == 1
-                     else [s + k for k in ks for s in chunk] for kind, ks in offsets.items()}
-            for kind, batch in draw(g, h, seeds).items():
+        seeds = [{kind: chunk[0] + ks[0] if n == 1 and len(ks) == 1
+                  else [s + k for k in ks for s in chunk] for kind, ks in offsets.items()}
+                 for _, _, offsets in self.families]
+        width = max(w(g, h, s) for (w, _, _), s in zip(self.families, seeds))
+        blocks = _draw_rows(seeds, _TAG, width)
+        for (_, build, offsets), (u, spans) in zip(self.families, blocks):
+            for kind, batch in build(g, h, u, spans).items():
                 ks = offsets[kind]
                 if len(ks) == 1:
                     samples[ks[0]] = batch
@@ -288,17 +306,19 @@ def _metric_invariance(a, pj, vj, b, pb, vb):
     disk at pb and its image under b.gs, and the Cayley isometry, with the
     factor 4 of the bounded-model metric, at pb and partial_cayley(pb).  The
     Siegel-Jacobi metric takes pj and a.pj and, as a pullback of the
-    bounded-model metric, the partial-Cayley images of pb and b.pb."""
+    bounded-model metric, the partial-Cayley images of pb and b.pb.  The
+    Siegel-space values are the real part of its A-term on the first three
+    slices, metric_siegel's bits without a metric call of their own."""
     moved_j, (moved_vj,) = act_jacobi(a, pj, dirs=[vj])
     moved_b, (moved_vb,) = act_jacobi_disk(b, pb, dirs=[vb])
     disk_p, disk_v = _stack_holders(pb, moved_b), _stack_holders(vb, moved_vb)
     up_b, (up_vb,) = partial_cayley(disk_p, dirs=[disk_v])
     sj_p, sj_v = (_stack_holders(x, y, _slice_holder(z, 0), _slice_holder(z, 1))
                   for x, y, z in ((pj, moved_j, up_b), (vj, moved_vj, up_vb)))
-    # Siegel space on the bases of pj, a.pj and partial_cayley(pb)
-    siegel = metric_siegel(_slice_holder(sj_p.base, slice(3)), _slice_holder(sj_v, slice(3)))
-    disk = metric_disk(disk_p, disk_v)
     terms = _metric_sj_terms(sj_p, sj_v)
+    # Siegel space on the bases of pj, a.pj and partial_cayley(pb): the A-term's real part
+    siegel = _real_value(terms[0][:3], ALGEBRAIC_REL, "siegel metric")
+    disk = metric_disk(disk_p, disk_v)
     unit, skewed = _weighted_sj(_UNIT, terms), _weighted_sj(_SKEWED, [t[:2] for t in terms])
     return np.max([_scalar_rel(siegel[0], siegel[1]), _scalar_rel(disk[0], disk[1]),
                    _scalar_rel(unit[0], unit[1]), _scalar_rel(skewed[0], skewed[1]),

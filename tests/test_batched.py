@@ -123,13 +123,6 @@ def _rows(draws: list) -> list[int]:
     return [np.size(args[0]) for args in draws]
 
 
-def _family_offsets(suite) -> list[int]:
-    """The number of offsets of each family of the suite's kinds, in order of
-    first offset."""
-    families = dict.fromkeys(suites._FAMILY[kind] for kind in suite.kinds)
-    return [sum(kind in family for kind in suite.kinds) for family in families]
-
-
 @pytest.mark.parametrize("g,h", SHAPES)
 @pytest.mark.parametrize("name", BATCHED)
 def test_batched_suite_matches_trials_one_at_a_time(count_calls, name, g, h):
@@ -140,15 +133,15 @@ def test_batched_suite_matches_trials_one_at_a_time(count_calls, name, g, h):
     evaluations, counted = _counting(suite)
     draws = count_calls("groups._uniforms")
     batched = counted(g, h, seeds)
-    # one _uniforms pass per family, on ten seeds per offset of its kinds
-    assert _rows(draws) == [10 * k for k in _family_offsets(suite)]
+    # one _uniforms pass for every family, on ten seeds per offset of a kind
+    assert _rows(draws) == [10 * len(suite.kinds)]
     assert evaluations == [1] and len(batched) == 10  # one pass, no trial replayed
     assert _bits(batched) == _bits(alone)
     one_at_a_time = []
     for s in seeds:
         draws.clear()
         one_at_a_time.append(suite(g, h, [s]))
-        assert _rows(draws) == _family_offsets(suite)  # the same passes, a row per offset
+        assert _rows(draws) == [len(suite.kinds)]  # the same pass, a row per offset
     assert all(type(r) in (float, np.float64) for (r,) in one_at_a_time)
     assert _bits(np.concatenate(one_at_a_time)) == _bits(alone)
 
@@ -168,8 +161,8 @@ def test_trials_past_one_chunk_match_trials_one_at_a_time(count_calls):
         want = [suite.evaluate(*_draw_alone(suite, g, h, s)) for s in seeds]
         draws.clear()
         batched = suite(g, h, seeds)
-        # two families, the word's sp and the disk's disk, and two chunks
-        assert _rows(draws) == [suites._CHUNK] * 2 + [6] * 2
+        # one pass per chunk, on the rows of both families: the word's sp and the disk's disk
+        assert _rows(draws) == [2 * suites._CHUNK, 2 * 6]
         assert _bits(batched) == _bits(want)
 
 
@@ -508,50 +501,52 @@ def _suite_counts(count_calls, monkeypatch, name: str, g: int, h: int) -> dict:
 
 
 def test_a_metric_invariance_trial_draws_each_family_once(count_calls, monkeypatch):
-    # 6 samples in four families: the word's jacobi and gstarj, both with a
-    # Heisenberg part, the Siegel base's siegel_jacobi, the disk base's
-    # disk_jacobi and two tangent vectors
+    # 6 samples in four families from one stream pass: the word's jacobi and
+    # gstarj, both with a Heisenberg part, the Siegel base's siegel_jacobi, the
+    # disk base's disk_jacobi and two tangent vectors
     assert _suite_counts(count_calls, monkeypatch, "metric-invariance", 2, 2) == {
-        "groups._uniforms": 4, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
+        "groups._uniforms": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 1}
 
 
 def test_a_metric_invariance_trial_makes_one_metric_call_per_model(count_calls, guards):
-    # the two Jacobi maps, one partial_cayley on the bounded-model pair, then each
-    # model's metric once on its stack: six guards, one per map and metric
-    calls = {fn: count_calls(fn) for fn in ("geometry.metric_siegel", "geometry.metric_disk",
-                                            "geometry._metric_sj_terms", "spaces.partial_cayley",
-                                            "spaces.act_jacobi", "spaces.act_jacobi_disk")}
-    maps = {fn: count_calls(fn) for fn in ("spaces.act_siegel", "spaces.act_disk",
-                                           "spaces.cayley")}
+    # the two Jacobi maps, one partial_cayley on the bounded-model pair, then the
+    # disk's and the Siegel-Jacobi metric once each on its stack, Siegel space
+    # read off the latter's A-term: five guards, one per map and metric call
+    calls = {fn: count_calls(fn) for fn in ("geometry.metric_disk", "geometry._metric_sj_terms",
+                                            "spaces.partial_cayley", "spaces.act_jacobi",
+                                            "spaces.act_jacobi_disk")}
+    unused = {fn: count_calls(fn) for fn in ("geometry.metric_siegel", "spaces.act_siegel",
+                                             "spaces.act_disk", "spaces.cayley")}
     assert run_suite("metric-invariance", 2, 2, trials=1, seed=4).passed
     assert _counts(calls) == dict.fromkeys(calls, 1)
-    assert _counts(maps) == dict.fromkeys(maps, 0)
-    assert len(guards) == 6
+    assert _counts(unused) == dict.fromkeys(unused, 0)
+    assert len(guards) == 5
 
 
 def test_a_metric_invariance_trial_tests_positivity_alone(count_calls):
     # every point the trial checks is built exactly symmetric, so no Hermitian test
-    # is made again, and each eigensolve is kept: one per sampled base and map image
+    # is made again, and each eigensolve is kept: one per sampled base and map image;
+    # of the sampled elements only the word is validated
     calls = {fn: count_calls(f"numkit.{fn}") for fn in ("hermitian_pd_margin", "_eigvalsh", "frob")}
     assert run_suite("metric-invariance", 2, 2, trials=1, seed=4).passed
-    assert _counts(calls) == {"hermitian_pd_margin": 0, "_eigvalsh": 5, "frob": 22}
+    assert _counts(calls) == {"hermitian_pd_margin": 0, "_eigvalsh": 5, "frob": 9}
 
 
 def test_a_volume_invariance_trial_draws_as_before(count_calls, monkeypatch):
-    # a jacobi element and a siegel_jacobi point, each family one row on its int seed
+    # a jacobi element and a siegel_jacobi point, one row each of one stream pass
     assert _suite_counts(count_calls, monkeypatch, "volume-invariance", 2, 2) == {
-        "groups._uniforms": 2, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
+        "groups._uniforms": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
 
 
 def test_a_laplacian_trial_of_a_field_of_omega_alone_draws_each_family_once(count_calls,
                                                                              monkeypatch):
-    # an sp element, a word with no Heisenberg part, and a siegel point
+    # an sp element, a word with no Heisenberg part, and a siegel point, from one pass
     (k,) = [k for k, f in enumerate(TEST_FIELDS) if f.name == "logdet-y"]
     run = lambda: suites._LAPLACIANS[k](2, 2, [6 * 7 + k])[0] <= 1e-3  # noqa: E731
     assert _draw_counts(count_calls, monkeypatch, run) == {
-        "groups._uniforms": 2, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 0,
+        "groups._uniforms": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 0,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
 
 
@@ -562,7 +557,9 @@ def test_a_laplacian_trial_of_a_field_of_omega_alone_draws_each_family_once(coun
 ], ids=["heisenberg-kinds-last", "mixed", "sp-first"])
 def test_a_word_draw_in_any_order_of_kinds_gives_each_kind_its_public_draw(count_calls, seeds):
     words, parts = count_calls("groups._sample_symplectic"), count_calls("groups._sample_heisenberg")
-    got = groups._sample_elements(2, 1, seeds)
+    ((u, spans),) = groups._draw_rows([seeds], groups._KIND_TAG,
+                                      groups._element_width(2, 1, seeds))
+    got = groups._sample_elements(2, 1, u, spans)
     # one word and one Heisenberg part, each built on every row of the draw
     assert len(words) == len(parts) == 1
     for kind, s in seeds.items():

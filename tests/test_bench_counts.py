@@ -23,12 +23,18 @@ def test_counts_prints_the_calls_per_trial_of_one_suite_and_shape():
     assert list(one) == list(many) == out["counted"]
     # no Hermitian re-test of a point the code built, and one positivity
     # eigensolve per sampled base and map image (five in a trial at (2,2))
-    assert (one["hermitian_pd_margin"], one["_eigvalsh"], one["frob"]) == (0, 5, 22)
+    assert (one["hermitian_pd_margin"], one["_eigvalsh"], one["frob"]) == (0, 5, 9)
     assert many["hermitian_pd_margin"] == 0
-    # three maps, and six samples from four stream passes: the word's jacobi and
+    # three maps, and six samples from one stream pass: the word's jacobi and
     # gstarj, a Siegel and a disk base, and two tangent vectors
-    assert (one["_fractional_linear"], one["_uniforms"], one["rows_drawn"]) == (3, 4, 6)
+    assert (one["_fractional_linear"], one["_uniforms"], one["rows_drawn"]) == (3, 1, 6)
     assert many["rows_drawn"] == 6
+    # of the holders the trial builds only the word is validated: its gstarj is
+    # theta's exact image and the Heisenberg part symmetric by construction
+    assert one["validations"] == {"SymplecticMatrix": 1, "HeisenbergElement": 0,
+                                  "GStarElement": 0, "ComplexHeisenbergElement": 0,
+                                  "GStarJacobiElement": 0, "SiegelPoint": 0, "DiskPoint": 0}
+    assert many["validations"]["SymplecticMatrix"] == 1 / 64
     # no finite differences
     assert (one["field_calls"], one["field_points"], many["field_calls"]) == (0, 0, 0)
 

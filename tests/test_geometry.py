@@ -99,6 +99,18 @@ def test_metric_invariance_samples():
         assert abs(lhs - rhs) / max(1, abs(lhs)) < 1e-5
 
 
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)])
+def test_metric_siegel_is_the_real_part_of_the_sj_a_term_bit_for_bit(g, h):
+    # so metric-invariance reads its Siegel-space values off that A-term
+    seeds = list(range(12))
+    for s in seeds:
+        p, v = sample_point("siegel_jacobi", g, h, s), sample_tangent(g, h, s + 50)
+        assert metric_siegel(p.base, v).hex() == _metric_sj_terms(p, v)[0].real.hex()
+    p, v = sample_point("siegel_jacobi", g, h, seeds), sample_tangent(g, h, [s + 50 for s in seeds])
+    want = _metric_sj_terms(p, v)[0].real
+    assert [x.hex() for x in metric_siegel(p.base, v)] == [x.hex() for x in want]
+
+
 def test_metric_sj_invariance_two_parameter_sets():
     for seed in range(8):
         a = sample_element("jacobi", 1, 1, seed=seed)

@@ -293,6 +293,54 @@ def test_invalid_elements_rejected():
         )
 
 
+PREMISE_SHAPES = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)]
+
+
+def _validated_parts(x) -> list:
+    """The holders with a validate of a sampled element: a gstarj with its
+    blocks and Heisenberg part, a jacobi element's Heisenberg part, or x."""
+    if isinstance(x, GStarJacobiElement):
+        return [x, x.gs, x.hc]
+    return [x.hs] if isinstance(x, JacobiElement) else [x]
+
+
+@pytest.mark.parametrize("g,h", PREMISE_SHAPES)
+def test_sampled_elements_built_unvalidated_pass_validation_far_inside_its_tolerance(
+        monkeypatch, g, h):
+    # gstar and gstarj are exact images of a validated word and jacobi element,
+    # and a sampled Heisenberg part is symmetric by construction, so none is
+    # validated when drawn: each passes validate() with the tolerance 1e-9
+    # lowered to 1e-12, for each seed alone and for the batch of all of them
+    seeds = list(range(200))
+    monkeypatch.setattr(groups, "ALGEBRAIC_REL", 1e-12)
+    for kind in ("gstar", "gstarj", "jacobi", "heisenberg"):
+        alone = [sample_element(kind, g, h, s) for s in seeds]
+        for x in alone + [sample_element(kind, g, h, seeds)]:
+            for part in _validated_parts(x):
+                part.validate()
+
+
+def test_the_constructors_still_reject_corrupted_parts():
+    # the sampled holders skip validation; a caller's parts do not
+    bump = lambda a: a + 1e-6 * np.triu(np.ones(a.shape[-2:]), 1)  # noqa: E731
+    for g, h in PREMISE_SHAPES:
+        gs, b = sample_element("gstar", g, h, 3), sample_element("gstarj", g, h, 4)
+        a = sample_element("jacobi", g, h, 5).hs
+        with pytest.raises(DomainError, match=r"t\(P\) conj\(P\)"):
+            GStarElement(1.001 * gs.p, gs.q)
+        hc = b.hc
+        if h > 1:
+            with pytest.raises(DomainError, match=r"zeta \+ eta t\(xi\) is not symmetric"):
+                ComplexHeisenbergElement(hc.xi, hc.eta, bump(hc.zeta))
+            with pytest.raises(DomainError, match=r"kappa \+ mu t\(lam\) is not symmetric"):
+                HeisenbergElement(a.lam, a.mu, bump(a.kappa))
+        with pytest.raises(DomainError, match=r"eta != conj\(xi\)"):
+            GStarJacobiElement(b.gs, ComplexHeisenbergElement(hc.xi, 1.001 * hc.eta, hc.zeta,
+                                                              validate=False))
+        with pytest.raises(DomainError, match="zeta is not i"):
+            GStarJacobiElement(b.gs, ComplexHeisenbergElement(hc.xi, hc.eta, hc.zeta + 1e-3))
+
+
 def test_a_real_symplectic_matrix_is_validated_without_a_realness_norm(count_calls):
     m = sample_element("sp", 2, 1, seed=3).m
     a, b = (sample_element("jacobi", 2, 1, seed=s) for s in (1, 2))
