@@ -4,12 +4,14 @@
 
 For every suite and shape (g, h) asked for (by default every suite at (1,1),
 (2,2) and (4,3)), two run_suite calls are made at seed 1, of 1 and of 64
-trials, with these functions counted: frob, hermitian_pd_margin, the
+trials, each after one uncounted trial, so that one-time cache fills are
+not counted, with these functions counted: frob, hermitian_pd_margin, the
 conditioning guard _check_cond and the six LAPACK kernels of numkit, the
 fractional-linear core of the eight maps, spaces._fractional_linear, the
-stream passes of the samplers, groups._uniforms, with the rows they draw
-(rows_drawn: one for an int seed, len(seed) for a sequence of seeds), and
-the Laplacians' field calls (field_calls: one per
+group laws jacobi_mul, heisenberg_mul and gstarj_mul, the Harish-Chandra
+core decomp._hc_core, the stream passes of the samplers, groups._uniforms,
+with the rows they draw (rows_drawn: one for an int seed, len(seed) for a
+sequence of seeds), and the Laplacians' field calls (field_calls: one per
 geometry._frame_laplacian) with the points of their stencils (field_points:
 the batch of each geometry._rebuild), and the validate calls of every holder
 class that has one (validations: class name -> calls).  Each function is
@@ -58,7 +60,8 @@ COUNTS = tuple((path.rsplit(".", 1)[1], path, _call) for path in (
     *(f"numkit.{name}" for name in (
         "frob", "hermitian_pd_margin", "_check_cond",
         "_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky")),
-    "spaces._fractional_linear", "groups._uniforms")) + (
+    "spaces._fractional_linear", "groups._uniforms",
+    "groups.jacobi_mul", "groups.heisenberg_mul", "groups.gstarj_mul", "decomp._hc_core")) + (
     ("rows_drawn", "groups._uniforms", _rows),
     ("field_calls", "geometry._frame_laplacian", _call),
     ("field_points", "geometry._rebuild", _points))
@@ -111,6 +114,8 @@ def counting(paths):
 
 
 def per_trial(suite: str, g: int, h: int, trials: int) -> dict:
+    # one trial first, uncounted, so the counts leave out one-time cache fills
+    sjkit.run_suite(suite, g, h, trials=1, seed=SEED)
     paths = list(dict.fromkeys(path for _, path, _ in COUNTS))
     paths += [f"{cls}.validate" for cls in VALIDATED]
     with counting(paths) as calls:

@@ -25,6 +25,8 @@ from .numkit import (
     _det,
     _eigvalsh,
     _ensure,
+    _slice_holder,
+    _stack_holders,
     _takes,
     as_cmatrix,
     frob,
@@ -136,17 +138,19 @@ def j_factor(idx: IndexMatrix, rep: Representation, a: GStarJacobiElement,
 def verify_cocycle(indexes: list[IndexMatrix], reps: list[Representation],
                    g1: GStarJacobiElement, g2: GStarJacobiElement, p: DiskJacobiPoint) -> float:
     """Worst relative residual on (g1, g2, p) of the additive cocycle of kappa_star
-    and, per (index, rep) pair, of J(g1 g2, p) = J(g1, g2 p) J(g2, p); the shared
-    components are formed once, chi and rho once per (index or rep, component)."""
+    and, per (index, rep) pair, of J(g1 g2, p) = J(g1, g2 p) J(g2, p); the three
+    components from one kc_component call on their stack, chi and rho once each."""
     _takes("verify_cocycle", g1, GStarJacobiElement)
     _takes("verify_cocycle", g2, GStarJacobiElement)
     prod, moved = gstarj_mul(g1, g2), act_jacobi_disk(g2, p)
-    parts = [kc_component(x, q)[1:] for x, q in ((prod, p), (g1, moved), (g2, p))]
-    (_, k12), (_, k1), (_, k2) = parts
-    res = [rel_error(k12, k1 + k2)]
-    rhos = [[rho_eval(rep, d) for d, _ in parts] for rep in reps]
+    xs, ps = _stack_holders(prod, g1, g2), _stack_holders(p, moved, p)
+    if k := xs.gs.p.ndim - ps.w.ndim:  # align the batch axes after the stack's
+        xs, ps = (_slice_holder(x, (slice(None),) + (None,) * n) for x, n in ((xs, -k), (ps, k)))
+    _, d, kappa = kc_component(xs, ps)
+    res = [rel_error(kappa[0], kappa[1] + kappa[2])]
+    rhos = [rho_eval(rep, d) for rep in reps]
     for idx in indexes:
-        c12, c1, c2 = (np.asarray(chi_character(idx, k))[..., None, None] for _, k in parts)
+        c12, c1, c2 = np.asarray(chi_character(idx, kappa))[..., None, None]
         for r12, r1, r2 in rhos:
             res.append(rel_error(c12 * r12, (c1 * r1) @ (c2 * r2)))
     return np.max(res, axis=0)

@@ -236,7 +236,7 @@ class Holder:
         return f"{type(self).__name__}(g={self.g}{h})"
 
 
-def _slice_holder(x: Holder, rows: slice | int) -> Holder:
+def _slice_holder(x: Holder, rows: slice | int | tuple) -> Holder:
     """The rows of the batched holder x, as a holder of x's type: each array
     part, nested holders' included, is a read-only view of those rows of its
     leading axis, and an int row gives a 2-d view, one unbatched sample.
@@ -260,16 +260,25 @@ def _stack_holders(*xs: Holder) -> Holder:
     """The holders xs, of one type and shape, as one holder with a new
     leading batch axis, x k at index k: the inverse of _slice_holder.  Each
     array part, nested holders' included, is a read-only stack of the xs'
-    parts; any other part (None, an int) is xs[0]'s.  Nothing is validated
-    again, as each x was."""
+    parts, broadcast to the batch they share when their batches differ; any
+    other part (None, an int) is xs[0]'s.  Nothing is validated again, as
+    each x was."""
     out = object.__new__(type(xs[0]))
     for name in type(out).__slots__:
         v = getattr(xs[0], name)
         if isinstance(v, Holder):
             v = _stack_holders(*[getattr(x, name) for x in xs])
         elif isinstance(v, np.ndarray):
-            # np.stack's copy without its checks, at a quarter of its cost
-            v = np.array([getattr(x, name) for x in xs])
+            parts = [getattr(x, name) for x in xs]
+            try:  # np.stack's copy without its checks, at a quarter of its cost
+                v = np.array(parts)
+            except ValueError:  # ragged: unequal batches (ValueError if they do not broadcast)
+                if len({x.shape[-2:] for x in parts}) > 1:  # or matrices of unequal shapes
+                    raise
+                v = np.empty((len(parts), *np.broadcast_shapes(*map(np.shape, parts))),
+                             np.result_type(*parts))
+                for k, x in enumerate(parts):
+                    v[k] = x
             v.flags.writeable = False
         setattr(out, name, v)
     return out

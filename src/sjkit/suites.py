@@ -17,19 +17,18 @@ validated word (gstar, gstarj) or symmetric by construction (the Heisenberg
 part) are not validated again.  The chunk is then evaluated in one pass,
 each residual with the bits of its trial drawn and evaluated alone.  A
 trial that raises an SjkError is recorded as a failure with its error and
-the run goes on.  laplacian-invariance checks each test field once, on the model of its
-domain (_LAPLACIAN_MODELS), on the runner of the seeds of that field, one
-trial per call, each Laplacian acting on its stencil's points in one batch.
-volume-invariance compares log densities.  metric-invariance draws six
-samples, a Jacobi element, point and tangent vector for each model, applies
-three maps first, the two Jacobi actions and the partial Cayley transform,
-and then evaluates each model's metric in one call, on the stack of that
-model's points and images with their tangent vectors; its base-model
-identities read the bases of the Jacobi samples and images, as each
-base-model map is the base part of its Jacobi map, and Siegel space's
-metric is the real part of the Siegel-Jacobi metric's A-term there.  A
-SUITES entry is (fn, default tolerance) with fn(g, h, seeds) returning, per
-seed, a residual or the SjkError its trial raised.
+the run goes on.  The algebraic suites call each law once per layer of
+their identity trees, on the stack of the layer's operands (group-axioms:
+jacobi_mul, heisenberg_mul and gstarj_mul twice each; theta-hom: theta and
+embed_sp_gph once; cocycle: kc_component once), and a law that fails on a
+stack names its slice, e.g. " (slice 2)".  laplacian-invariance checks each
+test field once, on the model of its domain (_LAPLACIAN_MODELS), one trial
+per call, each Laplacian acting on its stencil's points in one batch.
+volume-invariance compares log densities.  metric-invariance applies three
+maps and then evaluates each model's metric in one call on the stack of its
+points and images (see _metric_invariance).  A SUITES entry is (fn,
+default tolerance) with fn(g, h, seeds) returning, per seed, a residual or
+the SjkError its trial raised.
 """
 
 from __future__ import annotations
@@ -242,32 +241,34 @@ class _Batched:
 # algebraic suites
 
 
+def _axioms(mul, fields: attrgetter, a, b, c, pairs):
+    """The distances of (ab)c from a(bc) and of x y from w, (x, y, w) in pairs,
+    from one call of the law mul per layer of products and one _dist."""
+    xs, ys, ws = zip(*pairs)
+    one = mul(_stack_holders(a, b, *xs), _stack_holders(b, c, *ys))
+    ab, bc, *got = (_slice_holder(one, k) for k in range(len(xs) + 2))
+    two = mul(_stack_holders(ab, a), _stack_holders(c, bc))
+    return _dist(fields, _stack_holders(_slice_holder(two, 0), *got),
+                 _stack_holders(_slice_holder(two, 1), *ws))
+
+
 def _group_axioms(a, b, c, ha, hb, hc, sa, sb, sc):
     e, ai = JacobiElement.identity(a.g, a.h), jacobi_inv(a)
-    res = [_dist(_JACOBI, jacobi_mul(jacobi_mul(a, b), c), jacobi_mul(a, jacobi_mul(b, c))),
-           _dist(_JACOBI, jacobi_mul(a, e), a), _dist(_JACOBI, jacobi_mul(e, a), a),
-           _dist(_JACOBI, jacobi_mul(a, ai), e), _dist(_JACOBI, jacobi_mul(ai, a), e)]
-
-    he = HeisenbergElement.identity(a.g, a.h)
-    res += [_dist(_HEIS, heisenberg_mul(heisenberg_mul(ha, hb), hc),
-                  heisenberg_mul(ha, heisenberg_mul(hb, hc))),
-            _dist(_HEIS, heisenberg_mul(ha, he), ha)]
-
-    se = GStarJacobiElement.identity(a.g, a.h)
-    res += [_dist(_GSTARJ, gstarj_mul(gstarj_mul(sa, sb), sc), gstarj_mul(sa, gstarj_mul(sb, sc))),
-            _dist(_GSTARJ, gstarj_mul(sa, se), sa), _dist(_GSTARJ, gstarj_mul(se, sa), sa),
-            _dist(_GSTARJ, gstarj_mul(sa, gstarj_inv(sa)), se)]
-    return np.max(res, axis=0)
+    he, se = HeisenbergElement.identity(a.g, a.h), GStarJacobiElement.identity(a.g, a.h)
+    return np.max(np.concatenate([
+        _axioms(jacobi_mul, _JACOBI, a, b, c, [(a, e, a), (e, a, a), (a, ai, e), (ai, a, e)]),
+        _axioms(heisenberg_mul, _HEIS, ha, hb, hc, [(ha, he, ha)]),
+        _axioms(gstarj_mul, _GSTARJ, sa, sb, sc,
+                [(sa, se, sa), (se, sa, sa), (sa, gstarj_inv(sa), se)])]), axis=0)
 
 
 def _theta_hom(a, b):
-    res = [_dist(_GSTARJ, theta(jacobi_mul(a, b)), gstarj_mul(theta(a), theta(b))),
-           tstar_agreement_residual(a)]
-    ea, eb = embed_sp_gph(a), embed_sp_gph(b)
-    res.append(rel_error(embed_sp_gph(jacobi_mul(a, b)), ea @ eb))
-    j = symplectic_j(a.g + a.h)
-    res.append(rel_error(ea.mT @ np.real(j) @ ea, np.real(j)))
-    return np.max(res, axis=0)
+    stack = _stack_holders(jacobi_mul(a, b), a, b)  # theta and embed_sp_gph once, on it
+    t_ab, t_a, t_b = map(partial(_slice_holder, theta(stack)), range(3))
+    e_ab, e_a, e_b = embed_sp_gph(stack)
+    j = np.real(symplectic_j(a.g + a.h))
+    return np.max([_dist(_GSTARJ, t_ab, gstarj_mul(t_a, t_b)), tstar_agreement_residual(a),
+                   rel_error(e_ab, e_a @ e_b), rel_error(e_a.mT @ j @ e_a, j)], axis=0)
 
 
 def _compat_29(m, w):

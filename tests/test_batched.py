@@ -31,7 +31,7 @@ from sjkit.geometry import (
     sample_tangent,
     volume_density,
 )
-from sjkit.automorphy import IndexMatrix, Representation, j_factor
+from sjkit.automorphy import IndexMatrix, Representation, j_factor, verify_cocycle
 from sjkit.decomp import decompose_full, kc_component
 from sjkit.groups import (
     SymplecticMatrix,
@@ -397,6 +397,40 @@ def test_a_stack_of_draws_is_the_batch_of_their_seeds(kind, g, h):
     for k, x in enumerate(alone):  # slicing undoes the stack
         back = _slice_holder(got, slice(k, k + 1))
         assert [a.tobytes() for a in _arrays(back)] == [a.tobytes() for a in _arrays(x)]
+
+
+@pytest.mark.parametrize("kind", ELEMENT_KINDS + POINT_KINDS + TANGENT_KINDS)
+def test_a_stack_broadcasts_a_2d_holder_against_batched_ones(kind):
+    one, batch = _sample(kind, 2, 1, 5), _sample(kind, 2, 1, [6, 7, 8])
+    got = _stack_holders(batch, one, batch)
+    assert type(got) is type(one)
+    for x, b, o in zip(_arrays(got), _arrays(batch), _arrays(one), strict=True):
+        assert x.shape == (3, 3) + o.shape and not x.flags.writeable
+        assert x[0].tobytes() == x[2].tobytes() == b.tobytes()
+        assert all(x[1, k].tobytes() == o.tobytes() for k in range(3))
+    # batches that do not broadcast, or matrices of another size, still raise
+    with pytest.raises(ValueError, match=r"cannot be broadcast"):
+        _stack_holders(batch, _sample(kind, 2, 1, [1, 2]))
+    for other in (_sample(kind, 3, 1, 5), _sample(kind, 2, 2, 5)):  # another g, another h
+        if [x.shape for x in _arrays(other)] != [x.shape[1:] for x in _arrays(batch)]:
+            with pytest.raises(ValueError, match=r"inhomogeneous shape"):
+                _stack_holders(batch, other)
+
+
+@pytest.mark.parametrize("seeds", [(1, [2, 3, 4], 5), ([1, 2, 3], 4, 5), (1, 2, [5, 6, 7]),
+                                   ([1], [2, 3, 4], 5), ([1, 2, 3], 4, [5]),
+                                   (1, [2, 3, 4], [5, 6, 7])])
+def test_verify_cocycle_broadcasts_its_operands_slice_by_slice(seeds):
+    # the one kc_component call stacks (g1 g2, g1, g2) and (p, g2 p, p), whose
+    # batches differ when one operand is 2-d; each slice keeps its 2-d bits
+    indexes = [IndexMatrix(np.eye(2)), IndexMatrix(np.zeros((2, 2)))]
+    reps = [Representation("det_power", 2), Representation("standard")]
+    kinds = ("gstarj", "gstarj", "disk_jacobi")
+    got = verify_cocycle(indexes, reps, *(_sample(k, 2, 2, s) for k, s in zip(kinds, seeds)))
+    pick = lambda s, k: s if isinstance(s, int) else s[k % len(s)]  # noqa: E731
+    want = [verify_cocycle(indexes, reps, *(_sample(kind, 2, 2, pick(s, k))
+                                            for kind, s in zip(kinds, seeds))) for k in range(3)]
+    assert np.shape(got) == (3,) and _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

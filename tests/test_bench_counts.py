@@ -46,3 +46,19 @@ def test_counts_gives_a_laplacian_trial_two_field_calls_on_its_stencils_points()
     assert one["field_calls"] == many["field_calls"] == 2.0
     # seed 1's one trial has an sj field: 1 + 4 * 2 points per stencil at (1,1)
     assert one["field_points"] == 18.0
+
+
+def test_counts_leave_out_one_time_cache_fills():
+    # each count follows one uncounted trial, so a fresh process reads on its
+    # first call what it reads on its second (volume-invariance's first trial
+    # at (2,2) fills caches through 14 frob calls that later trials skip)
+    code = ("import json, counts; print(json.dumps([counts.per_trial(s, 2, 2, 1) for s in "
+            "('volume-invariance', 'volume-invariance', 'group-axioms', 'cocycle')]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "bench",
+                          capture_output=True, text=True, timeout=300, check=True)
+    first, second, axioms, cocycle = json.loads(proc.stdout)
+    assert first == second and first["frob"] == 5
+    # each group law once per layer of its identity tree, on the layer's stack
+    assert [axioms[law] for law in ("jacobi_mul", "heisenberg_mul", "gstarj_mul")] == [2, 2, 2]
+    # cocycle's three components from one Harish-Chandra core on their stack
+    assert (cocycle["gstarj_mul"], cocycle["_hc_core"], cocycle["_check_cond"]) == (1, 1, 2)

@@ -197,8 +197,9 @@ def test_cocycle_trial_guards_and_cores(monkeypatch, guards):
         guards.clear()
         cores.clear()
         suites.SUITES["cocycle"][0](2, 2, seeds)
-        # one action plus three Harish-Chandra cores, each guarded once per batch
-        assert (len(guards), len(cores)) == (4, 3)
+        # one action plus one Harish-Chandra core on the stack of the three
+        # (element, point) pairs, each guarded once per batch
+        assert (len(guards), len(cores)) == (2, 1)
 
 
 @pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])

@@ -5,11 +5,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sjkit import geometry, suites
+from sjkit import geometry, groups, suites
+from sjkit.automorphy import chi_character, rho_eval
 from sjkit.cli import main
-from sjkit.numkit import DimensionError, DomainError
-from sjkit.spaces import SiegelJacobiPoint, SiegelPoint, sample_point
-from sjkit.suites import SUITES, run_suite, trial_seed
+from sjkit.decomp import kc_component
+from sjkit.groups import (
+    GStarJacobiElement,
+    HeisenbergElement,
+    JacobiElement,
+    embed_sp_gph,
+    gstarj_inv,
+    gstarj_mul,
+    heisenberg_mul,
+    jacobi_inv,
+    jacobi_mul,
+    sample_element,
+    symplectic_j,
+    theta,
+    tstar_agreement_residual,
+)
+from sjkit.numkit import DimensionError, DomainError, _takes, rel_error
+from sjkit.spaces import SiegelJacobiPoint, SiegelPoint, act_jacobi_disk, sample_point
+from sjkit.suites import _GSTARJ, _HEIS, _JACOBI, SUITES, _dist, run_suite, trial_seed
 
 
 def test_trial_seed_is_stable():
@@ -109,6 +126,91 @@ def test_a_metric_trial_whose_image_fails_a_guard_is_recorded_naming_the_image(m
     error = r.failures[0]["error"]
     assert error.startswith("ConditioningError: Im(omega): condition number 1.000e+13 exceeds")
     assert error.endswith(" (slice 1)")
+
+
+# one law call per product of the identity tree: the references the layered
+# evaluation of group-axioms, theta-hom and cocycle must match bit for bit
+
+
+def _group_axioms_per_product(a, b, c, ha, hb, hc, sa, sb, sc):
+    e, ai = JacobiElement.identity(a.g, a.h), jacobi_inv(a)
+    res = [_dist(_JACOBI, jacobi_mul(jacobi_mul(a, b), c), jacobi_mul(a, jacobi_mul(b, c))),
+           _dist(_JACOBI, jacobi_mul(a, e), a), _dist(_JACOBI, jacobi_mul(e, a), a),
+           _dist(_JACOBI, jacobi_mul(a, ai), e), _dist(_JACOBI, jacobi_mul(ai, a), e)]
+    he = HeisenbergElement.identity(a.g, a.h)
+    res += [_dist(_HEIS, heisenberg_mul(heisenberg_mul(ha, hb), hc),
+                  heisenberg_mul(ha, heisenberg_mul(hb, hc))),
+            _dist(_HEIS, heisenberg_mul(ha, he), ha)]
+    se = GStarJacobiElement.identity(a.g, a.h)
+    res += [_dist(_GSTARJ, gstarj_mul(gstarj_mul(sa, sb), sc), gstarj_mul(sa, gstarj_mul(sb, sc))),
+            _dist(_GSTARJ, gstarj_mul(sa, se), sa), _dist(_GSTARJ, gstarj_mul(se, sa), sa),
+            _dist(_GSTARJ, gstarj_mul(sa, gstarj_inv(sa)), se)]
+    return np.max(res, axis=0)
+
+
+def _theta_hom_per_product(a, b):
+    res = [_dist(_GSTARJ, theta(jacobi_mul(a, b)), gstarj_mul(theta(a), theta(b))),
+           tstar_agreement_residual(a)]
+    ea, eb = embed_sp_gph(a), embed_sp_gph(b)
+    res.append(rel_error(embed_sp_gph(jacobi_mul(a, b)), ea @ eb))
+    j = symplectic_j(a.g + a.h)
+    res.append(rel_error(ea.mT @ np.real(j) @ ea, np.real(j)))
+    return np.max(res, axis=0)
+
+
+def _verify_cocycle_per_product(indexes, reps, g1, g2, p):
+    _takes("verify_cocycle", g1, GStarJacobiElement)
+    _takes("verify_cocycle", g2, GStarJacobiElement)
+    prod, moved = gstarj_mul(g1, g2), act_jacobi_disk(g2, p)
+    parts = [kc_component(x, q)[1:] for x, q in ((prod, p), (g1, moved), (g2, p))]
+    (_, k12), (_, k1), (_, k2) = parts
+    res = [rel_error(k12, k1 + k2)]
+    rhos = [[rho_eval(rep, d) for d, _ in parts] for rep in reps]
+    for idx in indexes:
+        c12, c1, c2 = (np.asarray(chi_character(idx, k))[..., None, None] for _, k in parts)
+        for r12, r1, r2 in rhos:
+            res.append(rel_error(c12 * r12, (c1 * r1) @ (c2 * r2)))
+    return np.max(res, axis=0)
+
+
+_PER_PRODUCT = {"group-axioms": _group_axioms_per_product, "theta-hom": _theta_hom_per_product}
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2), (4, 3)])
+@pytest.mark.parametrize("name", ["group-axioms", "theta-hom", "cocycle"])
+def test_layered_suites_keep_the_bits_of_one_law_call_per_product(monkeypatch, name, g, h):
+    seeds = [trial_seed(9, i) for i in range(70)]  # two chunks: 64 and 6 trials
+    suite = SUITES[name][0]
+    got = [suite(g, h, seeds), [suite(g, h, [s])[0] for s in seeds]]
+    if name == "cocycle":  # the suite's indexes and reps, through the reference
+        monkeypatch.setattr(suites, "verify_cocycle", _verify_cocycle_per_product)
+    else:
+        suite = dataclasses.replace(suite, evaluate=_PER_PRODUCT[name])
+    want = np.asarray(suite(g, h, seeds), dtype=float)
+    assert np.all(want <= SUITES[name][1])
+    for residuals in got:
+        assert np.asarray(residuals, dtype=float).tobytes() == want.tobytes()
+
+
+def test_a_failing_stacked_product_names_its_slice_and_keeps_its_class(monkeypatch):
+    # trial 1's G*J product sa . e, slice 2 of the stack of group-axioms' first
+    # gstarj_mul call, leaves the block form; the other trials pass
+    bad, inner = trial_seed(4, 1), groups._big_product
+    sa = sample_element("gstarj", 2, 1, bad + 6).gs.block()  # the trial's sa: offset 6
+
+    def big_product(a, b):
+        block, *rest = inner(a, b)
+        if a[0].ndim > 2 and len(a[0]) == 5:  # the first layer: ab, bc, ae, ea, a a^-1
+            hit = np.all(a[0][2] == sa, axis=(-2, -1))[..., None, None]
+            block = block.copy()
+            block[2, ..., 2:, :] += np.where(hit, 1.0, 0.0)
+        return block, *rest
+
+    monkeypatch.setattr(groups, "_big_product", big_product)
+    r = run_suite("group-axioms", 2, 1, trials=3, seed=4)
+    assert [f["seed"] for f in r.failures] == [bad] and np.isnan(r.failures[0]["residual"])
+    assert r.failures[0]["error"] == ("ConsistencyError: product left the "
+                                      "(P, Q; conj Q, conj P) block form (slice 2)")
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
