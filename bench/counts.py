@@ -5,11 +5,14 @@
 For every suite and shape (g, h) asked for (by default every suite at (1,1),
 (2,2) and (4,3)), two run_suite calls are made at seed 1, of 1 and of 64
 trials, each after one uncounted trial, so that one-time cache fills are
-not counted, with these functions counted: frob, hermitian_pd_margin, the
-conditioning guard _check_cond and the six LAPACK kernels of numkit, the
+not counted, with these functions counted: frob, rel_error,
+hermitian_pd_margin, the conditioning guard _check_cond and the six LAPACK
+kernels of numkit, the holder stack and slice numkit._stack_holders and
+numkit._slice_holder (each call on a nested holder counted too), the
 fractional-linear core of the eight maps, spaces._fractional_linear, the
-group laws jacobi_mul, heisenberg_mul and gstarj_mul, the Harish-Chandra
-core decomp._hc_core, the stream passes of the samplers, groups._uniforms,
+group laws jacobi_mul, heisenberg_mul and gstarj_mul, the embedding
+groups.embed_sp_gph, the Harish-Chandra core decomp._hc_core, the stream
+passes of the samplers, groups._uniforms,
 with the rows they draw (rows_drawn: one for an int seed, len(seed) for a
 sequence of seeds), and the Laplacians' field calls (field_calls: one per
 geometry._frame_laplacian) with the points of their stencils (field_points:
@@ -58,10 +61,11 @@ def _points(args) -> int:
 # and what one call adds, from its arguments
 COUNTS = tuple((path.rsplit(".", 1)[1], path, _call) for path in (
     *(f"numkit.{name}" for name in (
-        "frob", "hermitian_pd_margin", "_check_cond",
-        "_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky")),
-    "spaces._fractional_linear", "groups._uniforms",
-    "groups.jacobi_mul", "groups.heisenberg_mul", "groups.gstarj_mul", "decomp._hc_core")) + (
+        "frob", "rel_error", "hermitian_pd_margin", "_check_cond",
+        "_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky",
+        "_stack_holders", "_slice_holder")),
+    "spaces._fractional_linear", "groups._uniforms", "groups.jacobi_mul",
+    "groups.heisenberg_mul", "groups.gstarj_mul", "groups.embed_sp_gph", "decomp._hc_core")) + (
     ("rows_drawn", "groups._uniforms", _rows),
     ("field_calls", "geometry._frame_laplacian", _call),
     ("field_points", "geometry._rebuild", _points))

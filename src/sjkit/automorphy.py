@@ -149,8 +149,8 @@ def verify_cocycle(indexes: list[IndexMatrix], reps: list[Representation],
     _, d, kappa = kc_component(xs, ps)
     res = [rel_error(kappa[0], kappa[1] + kappa[2])]
     rhos = [rho_eval(rep, d) for rep in reps]
-    for idx in indexes:
-        c12, c1, c2 = np.asarray(chi_character(idx, kappa))[..., None, None]
-        for r12, r1, r2 in rhos:
-            res.append(rel_error(c12 * r12, (c1 * r1) @ (c2 * r2)))
+    if indexes:  # the indexes' chi values on a leading axis: one rel_error per rep
+        c12, c1, c2 = np.stack([chi_character(i, kappa) for i in indexes], 1)[..., None, None]
+        res += [np.max(rel_error(c12 * r12, (c1 * r1) @ (c2 * r2)), axis=0)
+                for r12, r1, r2 in rhos]
     return np.max(res, axis=0)

@@ -416,34 +416,37 @@ def _sample_tangents(g: int, h: int | None, u: np.ndarray, spans: dict) -> dict:
                            else None) for kind, rows in spans.items()}
 
 
-def _coordinate_dirs(p) -> tuple[TangentVector, ...]:
-    """E_ii and E_ij + E_ji (i < j) on the base, then the unit h x g matrices
-    on the fiber when p has one: the complex coordinate directions at p."""
+def _coordinate_dirs(p) -> TangentVector:
+    """The complex coordinate directions at p, E_ii and E_ij + E_ji (i < j) on the
+    base, then the unit h x g fiber matrices, on the frame's leading axis."""
     base, fiber = _point_parts(p)
-    return _coordinate_dirs_of(base.shape[-1], None if fiber is None else fiber.shape[-2])
+    return _coordinate_frame(base.shape[-1], None if fiber is None else fiber.shape[-2],
+                             base.ndim - 2)
 
 
 @cache
-def _coordinate_dirs_of(g: int, h: int | None) -> tuple[TangentVector, ...]:
-    """The _coordinate_dirs of a (g, h) point, built once (TangentVector freezes their arrays)."""
-    dirs = [TangentVector(e) for e in _sym_coords(g)]
+def _coordinate_frame(g: int, h: int | None, ndim: int) -> TangentVector:
+    """_coordinate_dirs, an axis of 1 per batch axis, built once per (g, h, ndim), read-only."""
+    dbase, dfiber = _sym_coords(g), None
     if h is not None:
-        dirs += [TangentVector(np.zeros((g, g)), e) for e in _fiber_coords(h, g)]
-    return tuple(dirs)
+        dfiber = np.concatenate([np.zeros((len(dbase), h, g)), _fiber_coords(h, g)])
+        dbase = np.concatenate([dbase, np.zeros((h * g, g, g))])
+    lead = (len(dbase),) + (1,) * ndim
+    return _tangent(dbase.reshape(lead + (g, g)).astype(complex),
+                    None if h is None else dfiber.reshape(lead + (h, g)).astype(complex))
 
 
 _triu = _built_once(np.triu_indices)  # its (row, column) indices, stacked
 
 
-def _abs_det2(pushed: list[TangentVector]):
+def _abs_det2(pushed: TangentVector):
     """|det|^2 of the complex Jacobian whose columns are the images of the
     _coordinate_dirs, read in the upper triangle of the base and the fiber
     row-major."""
-    iu = _triu(pushed[0].g)
-    cols = np.array([v.dbase for v in pushed])[..., iu[0], iu[1]]  # one row per column
-    if pushed[0].dfiber is not None:
-        df = np.array([v.dfiber for v in pushed])
-        cols = np.concatenate([cols, df.reshape(df.shape[:-2] + (-1,))], axis=-1)
+    iu = _triu(pushed.g)
+    cols = pushed.dbase[..., iu[0], iu[1]]  # one row per column
+    if pushed.dfiber is not None:
+        cols = np.concatenate([cols, pushed.dfiber.reshape(cols.shape[:-1] + (-1,))], axis=-1)
     jac = cols.transpose(tuple(range(1, cols.ndim)) + (0,))
     return _plain(_abs2(_det(jac)))
 

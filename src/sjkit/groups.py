@@ -510,9 +510,13 @@ def tstar_agreement_residual(a: JacobiElement) -> float:
     """Relative residual between the explicit conjugation of the embedding by
     the Cayley matrix and the closed-form blocks."""
     _takes("tstar_agreement_residual", a, JacobiElement)
+    return _tstar_residual(a, embed_sp_gph(a))
+
+
+def _tstar_residual(a: JacobiElement, e: np.ndarray):  # given e = embed_sp_gph(a)
     n = a.g + a.h
     ts = cayley_matrix(n)
-    conj = ts.conj().T @ embed_sp_gph(a).astype(complex) @ ts  # T* is unitary
+    conj = ts.conj().T @ e.astype(complex) @ ts  # T* is unitary
     p_closed, q_closed = _tstar_closed(a)
     return np.maximum(rel_error(conj[..., :n, :n], p_closed),
                       rel_error(conj[..., :n, n:], q_closed))

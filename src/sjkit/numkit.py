@@ -256,6 +256,16 @@ def _slice_holder(x: Holder, rows: slice | int | tuple) -> Holder:
     return out
 
 
+def _broadcast_holder(x: Holder, batch: tuple) -> Holder:
+    """x at the batch shape batch, its array parts read-only np.broadcast_to views."""
+    out = object.__new__(type(x))
+    for name in type(x).__slots__:
+        v = getattr(x, name)
+        setattr(out, name, _broadcast_holder(v, batch) if isinstance(v, Holder) else
+                np.broadcast_to(v, batch + v.shape[-2:]) if isinstance(v, np.ndarray) else v)
+    return out
+
+
 def _stack_holders(*xs: Holder) -> Holder:
     """The holders xs, of one type and shape, as one holder with a new
     leading batch axis, x k at index k: the inverse of _slice_holder.  Each
@@ -275,10 +285,7 @@ def _stack_holders(*xs: Holder) -> Holder:
             except ValueError:  # ragged: unequal batches (ValueError if they do not broadcast)
                 if len({x.shape[-2:] for x in parts}) > 1:  # or matrices of unequal shapes
                     raise
-                v = np.empty((len(parts), *np.broadcast_shapes(*map(np.shape, parts))),
-                             np.result_type(*parts))
-                for k, x in enumerate(parts):
-                    v[k] = x
+                v = np.array(np.broadcast_arrays(*parts))
             v.flags.writeable = False
         setattr(out, name, v)
     return out

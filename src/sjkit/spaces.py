@@ -9,8 +9,9 @@ below the algebraic tolerance.
 A point's validation tests the symmetry of its matrix, then the positivity
 of its domain matrix: Im(omega), with a Hermitian test, as a caller's omega
 need not make it exactly symmetric, or (M + M^H)/2 with M = I - W conj(W),
-which is exactly Hermitian however W was made.  A point the library builds
-at an exactly symmetric matrix (m + m^T)/2, as each map's image, the
+which is exactly Hermitian however W was made: its least eigenvalue must
+pass PD_MIN_EIG, times max diag(Y) on Siegel space.  A point the library
+builds at an exactly symmetric matrix (m + m^T)/2, as each map's image, the
 decomposition's P+ coordinate and each sampled base is, is checked for
 positivity alone (_positive), as its other tests could only pass.  Sampled
 and pushed tangent vectors, whose base parts are exactly symmetric too, skip
@@ -30,8 +31,8 @@ and 2i deta for partial_cayley.  Given tangent vectors (dirs=...), a map
 also returns their images under it; its one guarded solve then returns J^-1
 as well, by stacking I under the numerator.
 Points and tangent vectors hold (..., r, c) arrays (see numkit), so one
-holder may carry a batch; an unbatched tangent vector broadcasts against a
-batched point.
+holder may carry a batch; a tangent vector's batch broadcasts against the
+point's, an unbatched one or a batch of directions on axes of their own.
 """
 
 from __future__ import annotations
@@ -114,10 +115,13 @@ class SiegelPoint(Holder):
 
     def validate(self) -> None:
         _check_square_symmetric(self.omega, "omega")
-        _ensure(self.pd_margin() > PD_MIN_EIG, DomainError, self._NOT_PD)
+        _ensure(self.pd_margin() > self._pd_floor(), DomainError, self._NOT_PD)
 
     def pd_margin(self):
         return hermitian_pd_margin(self._pd_matrix())
+
+    def _pd_floor(self):  # PD_MIN_EIG relative to the scale of Y, its largest diagonal entry
+        return PD_MIN_EIG * np.maximum.reduce(self.omega.imag.diagonal(0, -2, -1), -1)
 
     def _pd_matrix(self) -> np.ndarray:
         """Im(omega) as complex, exactly symmetric when omega is."""
@@ -149,10 +153,13 @@ class DiskPoint(Holder):
 
     def validate(self) -> None:
         _check_square_symmetric(self.w, "w")
-        _ensure(self.pd_margin() > PD_MIN_EIG, DomainError, self._NOT_PD)
+        _ensure(self.pd_margin() > self._pd_floor(), DomainError, self._NOT_PD)
 
     def pd_margin(self):
         return _pd_margin(self._pd_matrix())
+
+    def _pd_floor(self):  # absolute: I - W conj(W) has the scale 1 of the disk's bound
+        return PD_MIN_EIG
 
     def _pd_matrix(self) -> np.ndarray:
         """I - W conj(W) with its roundoff skew symmetrized away: exactly Hermitian."""
@@ -261,7 +268,7 @@ def _positive(cls, m: np.ndarray):
     validation only the positivity check is left to make, as its symmetry
     test and the Hermitian test of its _pd_matrix could only pass."""
     out = cls(m, validate=False)
-    _ensure(_pd_margin(out._pd_matrix()) > PD_MIN_EIG, DomainError, cls._NOT_PD)
+    _ensure(_pd_margin(out._pd_matrix()) > out._pd_floor(), DomainError, cls._NOT_PD)
     return out
 
 
@@ -277,16 +284,20 @@ def _tangent(dbase: np.ndarray, dfiber: np.ndarray | None) -> TangentVector:
 
 def _fit(v: TangentVector, x: np.ndarray, fiber: np.ndarray | None = None):
     """The (dx, df) displacement of the tangent vector v at the point (x, fiber):
-    df is None at a point without a fiber and zero where v has none.  An
-    unbatched v broadcasts against a batched point."""
+    df is None at a point without a fiber and zero where v has none.  The batch
+    of v, an unbatched one or a frame's directions, broadcasts against the point's."""
     _takes("a tangent argument", v, TangentVector)
     df = None if fiber is None else v.dfiber
     if fiber is not None and df is None:
         df = np.zeros_like(fiber)
-    if v.dbase.shape not in (x.shape, x.shape[-2:]) or (
-            df is not None and df.shape not in (fiber.shape, fiber.shape[-2:])):
-        at = x.shape if fiber is None else (x.shape, fiber.shape)
-        raise DimensionError(f"tangent vector does not fit a point of shape {at}")
+    if v.dbase.shape != x.shape or (df is not None and df.shape != fiber.shape):
+        if v.dbase.shape[-2:] != x.shape[-2:] or (
+                df is not None and df.shape[-2:] != fiber.shape[-2:]):
+            at = x.shape if fiber is None else (x.shape, fiber.shape)
+            raise DimensionError(f"tangent vector does not fit a point of shape {at}")
+        for d, y in ((v.dbase, x), (df, fiber), (df, v.dbase)):  # pairwise, so all together
+            if d is not None:
+                _check_batches(d, y)
     return v.dbase, df
 
 

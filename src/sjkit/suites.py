@@ -19,16 +19,18 @@ each residual with the bits of its trial drawn and evaluated alone.  A
 trial that raises an SjkError is recorded as a failure with its error and
 the run goes on.  The algebraic suites call each law once per layer of
 their identity trees, on the stack of the layer's operands (group-axioms:
-jacobi_mul, heisenberg_mul and gstarj_mul twice each; theta-hom: theta and
-embed_sp_gph once; cocycle: kc_component once), and a law that fails on a
-stack names its slice, e.g. " (slice 2)".  laplacian-invariance checks each
-test field once, on the model of its domain (_LAPLACIAN_MODELS), one trial
-per call, each Laplacian acting on its stencil's points in one batch.
-volume-invariance compares log densities.  metric-invariance applies three
-maps and then evaluates each model's metric in one call on the stack of its
-points and images (see _metric_invariance).  A SUITES entry is (fn,
-default tolerance) with fn(g, h, seeds) returning, per seed, a residual or
-the SjkError its trial raised.
+jacobi_mul, heisenberg_mul and gstarj_mul twice each, then one rel_error
+per field array of the two layers, its identities broadcast views at the
+chunk's batch so each stack is one copy; theta-hom: theta and embed_sp_gph
+once; cocycle: kc_component once and one rel_error per representation), and
+a law that fails on a stack names its slice, e.g. " (slice 2)".
+laplacian-invariance checks each test field once, on its domain's model
+(_LAPLACIAN_MODELS), one trial per call, each Laplacian acting on its
+stencil's points in one batch.  volume-invariance compares log densities,
+the coordinate directions pushed as one TangentVector.  metric-invariance
+applies three maps, then each model's metric once on the stack of its points
+and images.  A SUITES entry is (fn, default tolerance), fn(g, h, seeds)
+giving per seed a residual or the SjkError its trial raised.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .groups import (
     _fibered_width,
     _sample_elements,
     _seed,
+    _tstar_residual,
     conjugate_by_T,
     embed_sp_gph,
     gstarj_inv,
@@ -77,12 +80,12 @@ from .groups import (
     jacobi_mul,
     symplectic_j,
     theta,
-    tstar_agreement_residual,
 )
 from .numkit import (
     ALGEBRAIC_REL,
     DomainError,
     SjkError,
+    _broadcast_holder,
     _count,
     _floor1,
     _slice_holder,
@@ -243,18 +246,18 @@ class _Batched:
 
 def _axioms(mul, fields: attrgetter, a, b, c, pairs):
     """The distances of (ab)c from a(bc) and of x y from w, (x, y, w) in pairs,
-    from one call of the law mul per layer of products and one _dist."""
+    from one call of the law mul per layer and one rel_error per field array."""
     xs, ys, ws = zip(*pairs)
     one = mul(_stack_holders(a, b, *xs), _stack_holders(b, c, *ys))
-    ab, bc, *got = (_slice_holder(one, k) for k in range(len(xs) + 2))
-    two = mul(_stack_holders(ab, a), _stack_holders(c, bc))
-    return _dist(fields, _stack_holders(_slice_holder(two, 0), *got),
-                 _stack_holders(_slice_holder(two, 1), *ws))
+    ab, bc = _slice_holder(one, 0), _slice_holder(one, 1)
+    two = mul(_stack_holders(ab, a), _stack_holders(c, bc))  # (ab)c and a(bc)
+    return np.max([rel_error(np.concatenate([t[:1], o[2:]]), np.concatenate([t[1:], w])) for
+                   t, o, w in zip(fields(two), fields(one), fields(_stack_holders(*ws)))], axis=0)
 
 
 def _group_axioms(a, b, c, ha, hb, hc, sa, sb, sc):
-    e, ai = JacobiElement.identity(a.g, a.h), jacobi_inv(a)
-    he, se = HeisenbergElement.identity(a.g, a.h), GStarJacobiElement.identity(a.g, a.h)
+    ai, classes = jacobi_inv(a), (JacobiElement, HeisenbergElement, GStarJacobiElement)
+    e, he, se = (_broadcast_holder(k.identity(a.g, a.h), a.m.m.shape[:-2]) for k in classes)
     return np.max(np.concatenate([
         _axioms(jacobi_mul, _JACOBI, a, b, c, [(a, e, a), (e, a, a), (a, ai, e), (ai, a, e)]),
         _axioms(heisenberg_mul, _HEIS, ha, hb, hc, [(ha, he, ha)]),
@@ -267,7 +270,7 @@ def _theta_hom(a, b):
     t_ab, t_a, t_b = map(partial(_slice_holder, theta(stack)), range(3))
     e_ab, e_a, e_b = embed_sp_gph(stack)
     j = np.real(symplectic_j(a.g + a.h))
-    return np.max([_dist(_GSTARJ, t_ab, gstarj_mul(t_a, t_b)), tstar_agreement_residual(a),
+    return np.max([_dist(_GSTARJ, t_ab, gstarj_mul(t_a, t_b)), _tstar_residual(a, e_a),
                    rel_error(e_ab, e_a @ e_b), rel_error(e_a.mT @ j @ e_a, j)], axis=0)
 
 
@@ -328,7 +331,7 @@ def _metric_invariance(a, pj, vj, b, pb, vb):
 
 def _volume_invariance(a, p):
     """|rho(a.p) |det J|^2 / rho(p) - 1| from the log volume density rho."""
-    moved, pushed = act_jacobi(a, p, dirs=_coordinate_dirs(p))
+    moved, (pushed,) = act_jacobi(a, p, dirs=[_coordinate_dirs(p)])
     return abs(np.expm1(_log_volume_density(moved) + np.log(_abs_det2(pushed))
                         - _log_volume_density(p)))
 

@@ -5,7 +5,7 @@ from two separate map calls; a map checks that its image is in its domain."""
 import math
 
 from sjkit.geometry import _abs_det2, _coordinate_dirs, _point_parts, _rebuild
-from sjkit.numkit import frob
+from sjkit.numkit import _slice_holder, _stack_holders, frob
 from sjkit.spaces import TangentVector, _fit
 
 # the step, relative to the sizes of the point and the direction, and the bound on the error
@@ -34,4 +34,6 @@ def fd_pushforward(map_fn, p, v: TangentVector) -> TangentVector:
 def fd_jacobian_det(map_fn, p) -> float:
     """|det| of the differential of map_fn in the real coordinates of p:
     |det|^2 of its complex differential on the coordinate directions."""
-    return _abs_det2([fd_pushforward(map_fn, p, d) for d in _coordinate_dirs(p)])
+    frame = _coordinate_dirs(p)  # the directions on its leading axis
+    return _abs_det2(_stack_holders(*(fd_pushforward(map_fn, p, _slice_holder(frame, k))
+                                      for k in range(len(frame.dbase)))))

@@ -671,12 +671,12 @@ def test_batched_tangents_metrics_and_volume_match_their_slices(g, h):
         assert _bits(metric(*stacked)) == _bits(np.reshape(want, (3, 8))), kind
     a = sample_element("jacobi", g, h, seeds)
     p = sample_point("siegel_jacobi", g, h, [s + 1 for s in seeds])
-    moved, pushed = act_jacobi(a, p, dirs=geometry._coordinate_dirs(p))
+    moved, (pushed,) = act_jacobi(a, p, dirs=[geometry._coordinate_dirs(p)])
     want_volume, want_det = [], []
     for s in seeds:
         q = sample_point("siegel_jacobi", g, h, s + 1)
-        moved_q, pushed_q = act_jacobi(sample_element("jacobi", g, h, s), q,
-                                       dirs=geometry._coordinate_dirs(q))
+        moved_q, (pushed_q,) = act_jacobi(sample_element("jacobi", g, h, s), q,
+                                          dirs=[geometry._coordinate_dirs(q)])
         want_volume.append(volume_density(moved_q))
         want_det.append(_abs_det2(pushed_q))
     assert all(type(w) is float for w in want_volume + want_det)

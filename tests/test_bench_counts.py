@@ -62,3 +62,8 @@ def test_counts_leave_out_one_time_cache_fills():
     assert [axioms[law] for law in ("jacobi_mul", "heisenberg_mul", "gstarj_mul")] == [2, 2, 2]
     # cocycle's three components from one Harish-Chandra core on their stack
     assert (cocycle["gstarj_mul"], cocycle["_hc_core"], cocycle["_check_cond"]) == (1, 1, 2)
+    # the holder stacks and slices, rel_error and the embedding are counted too:
+    # cocycle's kappa_star residual and one rel_error per representation
+    assert {"_stack_holders", "_slice_holder", "rel_error", "embed_sp_gph"} <= set(first)
+    assert (cocycle["rel_error"], axioms["rel_error"], axioms["embed_sp_gph"]) == (5, 12, 0)
+    assert (axioms["_stack_holders"], axioms["_slice_holder"]) == (35, 39)

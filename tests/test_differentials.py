@@ -78,6 +78,40 @@ def test_image_with_directions_is_bit_identical(name, g, h):
         assert none == []
 
 
+# a map, its element kind (None for a Cayley map) and its point kind
+_FRAMED = {"act_jacobi": (act_jacobi, "jacobi", "siegel_jacobi"),
+           "act_jacobi_disk": (act_jacobi_disk, "gstarj", "disk_jacobi"),
+           "cayley": (cayley, None, "disk")}
+
+
+@pytest.mark.parametrize("g,h", [(1, 3), (2, 2), (4, 3)])
+@pytest.mark.parametrize("name", sorted(_FRAMED))
+def test_a_frame_of_directions_pushes_each_direction_with_the_bits_of_its_own_push(name, g, h):
+    fn, element, kind = _FRAMED[name]
+    seeds = [11, 12, 13]
+    at = (lambda s: (sample_element(element, g, h, s),)) if element else (lambda s: ())
+    p = sample_point(kind, g, h, [s + 1 for s in seeds])
+    frame = _coordinate_dirs(p)  # its directions on a leading axis, before an axis of length 1
+    moved, (pushed,) = fn(*at(seeds), p, dirs=[frame])
+    assert pushed.dbase.shape == (len(frame.dbase), 3, g, g)
+    for i, s in enumerate(seeds):
+        q = sample_point(kind, g, h, s + 1)
+        dirs = [TangentVector(frame.dbase[k, 0], None if frame.dfiber is None else frame.dfiber[k, 0])
+                for k in range(len(frame.dbase))]
+        _, alone = fn(*at(s), q, dirs=dirs)
+        for k, v in enumerate(alone):
+            assert pushed.dbase[k, i].tobytes() == v.dbase.tobytes()
+            assert (v.dfiber is None) == (pushed.dfiber is None)
+            assert v.dfiber is None or pushed.dfiber[k, i].tobytes() == v.dfiber.tobytes()
+    # a batch of directions that does not broadcast against the points' is refused
+    v = sample_tangent(g, None if frame.dfiber is None else h, [1, 2])
+    with pytest.raises(DimensionError, match=r"batch \(2,\) does not broadcast with batch \(3,\)"):
+        fn(*at(seeds), p, dirs=[v])
+    if frame.dfiber is not None:  # nor does a fiber part's
+        with pytest.raises(DimensionError, match=r"batch \(2,\) does not broadcast"):
+            fn(*at(seeds), p, dirs=[TangentVector(frame.dbase, v.dfiber)])
+
+
 @pytest.mark.parametrize("name", MAPS)
 def test_pushed_tangent_vectors_are_read_only(name):
     fn, p, v = _case(name, 2, 1, 0)
@@ -131,7 +165,7 @@ def test_exact_jacobian_det_closed_form_and_fd_oracle(g, h):
     for seed in SEEDS:
         a = sample_element("jacobi", g, h, seed)
         p = sample_point("siegel_jacobi", g, h, seed + 1)
-        _, pushed = act_jacobi(a, p, dirs=_coordinate_dirs(p))
+        _, (pushed,) = act_jacobi(a, p, dirs=[_coordinate_dirs(p)])
         exact = _abs_det2(pushed)
         want = abs(np.linalg.det(a.m.c @ p.omega + a.m.d)) ** (-2 * (g + h + 1))
         assert abs(exact - want) <= 1e-12 * want

@@ -11,6 +11,7 @@ from sjkit.geometry import (
     _coordinate_dirs,
     _disk_frame,
     _metric_sj_terms,
+    _point_parts,
     _siegel_frame,
     _sj_frame,
     _triu,
@@ -25,7 +26,13 @@ from sjkit.geometry import (
     volume_density,
 )
 from sjkit.groups import conjugate_by_T, sample_element
-from sjkit.numkit import ConditioningError, DimensionError, DomainError, rel_error
+from sjkit.numkit import (
+    ConditioningError,
+    DimensionError,
+    DomainError,
+    _stack_holders,
+    rel_error,
+)
 from sjkit.spaces import (
     DiskJacobiPoint,
     DiskPoint,
@@ -628,25 +635,35 @@ def test_tangent_shapes_are_checked_against_the_point(name):
 
 @pytest.mark.parametrize("g, h", [(1, 1), (2, 2), (4, 3)])
 def test_coordinate_dirs_are_built_once_per_shape_and_read_only(g, h):
-    for kind, fiber in (("siegel", None), ("disk_jacobi", h)):
-        dirs = _coordinate_dirs(sample_point(kind, g, h, seed=1))
-        assert _coordinate_dirs(sample_point(kind, g, h, seed=2)) is dirs
-        base = [(i, j) for i in range(g) for j in range(i, g)]
-        assert len(dirs) == len(base) + (0 if fiber is None else h * g)
-        for k, v in enumerate(dirs):
+    base = [(i, j) for i in range(g) for j in range(i, g)]
+    batched = [sample_point("siegel_jacobi", g, h, [s, s + 1, s + 2]) for s in (1, 7)]
+    cases = [(sample_point("siegel", g, h, 1), sample_point("siegel", g, h, 2), None),
+             (sample_point("disk_jacobi", g, h, 1), sample_point("disk_jacobi", g, h, 2), h),
+             (*batched, h), (_stack_holders(*batched), _stack_holders(*batched[::-1]), h)]
+    for p, q, fiber in cases:
+        frame = _coordinate_dirs(p)
+        assert _coordinate_dirs(q) is frame  # one per (g, h, batch ndim)
+        # the directions on a leading axis, before an axis of length 1 per batch axis of p
+        n_dirs = len(base) + (0 if fiber is None else h * g)
+        lead = (n_dirs,) + (1,) * (_point_parts(p)[0].ndim - 2)
+        assert frame.dbase.shape == lead + (g, g)
+        assert frame.dfiber is None if fiber is None else frame.dfiber.shape == lead + (h, g)
+        dbase = frame.dbase.reshape(n_dirs, g, g)
+        for k, (i, j) in enumerate(base):
             want = np.zeros((g, g))
-            if k < len(base):
-                want[base[k]] = want[base[k][::-1]] = 1.0
-            np.testing.assert_array_equal(v.dbase, want)
-            # a base direction has no fiber part: _fit reads it as zero
-            assert (v.dfiber is None) == (k < len(base))
-            if k >= len(base):
-                np.testing.assert_array_equal(v.dfiber.ravel(), np.eye(h * g)[k - len(base)])
-            for x in (v.dbase, v.dfiber):
-                if x is not None:
-                    assert not x.flags.writeable
-                    with pytest.raises(ValueError):
-                        x[0, 0] = 2.0
+            want[i, j] = want[j, i] = 1.0
+            np.testing.assert_array_equal(dbase[k], want)
+        if fiber is not None:
+            # a base direction has a zero fiber part, a fiber direction a zero base part
+            dfiber = frame.dfiber.reshape(n_dirs, h * g)
+            np.testing.assert_array_equal(dfiber[:len(base)], 0.0)
+            np.testing.assert_array_equal(dfiber[len(base):], np.eye(h * g))
+            np.testing.assert_array_equal(dbase[len(base):], 0.0)
+        for x in (frame.dbase, frame.dfiber):
+            if x is not None:
+                assert x.dtype == complex and not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[(0,) * x.ndim] = 2.0
     iu = _triu(g)
     np.testing.assert_array_equal(iu, np.triu_indices(g))
     assert _triu(g) is iu and not iu.flags.writeable

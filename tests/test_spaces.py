@@ -352,6 +352,36 @@ def test_a_siegel_point_whose_imaginary_part_is_not_symmetric_is_rejected():
     assert SiegelPoint(omega, validate=False).pd_margin() == -np.inf
 
 
+@pytest.mark.parametrize("k", range(-70, 71))
+def test_siegel_positivity_is_relative_to_the_scale_of_y_so_a_dilation_of_a_point_is_one(k):
+    # diag(tI, I/t) takes omega to t^2 omega: Y = t^2 I, of condition 1 at every t
+    t = 10.0 ** k
+    m = SymplecticMatrix(np.diag([t, t, 1 / t, 1 / t]))
+    image = act_siegel(m, SiegelPoint(1j * np.eye(2) + 0.3))
+    assert image.pd_margin() == pytest.approx(t * t, rel=1e-12)
+    assert SiegelPoint(image.omega).pd_margin() == image.pd_margin()
+    # the same points, built from their matrices and batched
+    omega = (1j * np.eye(2) + 0.3) * np.array([t * t, 1.0, 1 / (t * t)])[:, None, None]
+    SiegelPoint(omega)
+
+
+def test_siegel_positivity_is_relative_to_the_scale_of_y():
+    SiegelPoint(1e-13j * np.eye(2))  # a well-conditioned Y far below PD_MIN_EIG
+    big = SiegelJacobiPoint(SiegelPoint(1e150j * np.eye(4)), np.zeros((1, 4)))
+    for s in range(20):  # images whose Y is near 1e-150
+        act_jacobi(sample_element("jacobi", 4, 1, s), big)
+    # a Y of condition 1e13 is refused at every scale, however large its least eigenvalue
+    for scale in (1e-20, 1.0, 1e20):
+        with pytest.raises(DomainError, match=r"^Im\(omega\) is not positive definite$"):
+            SiegelPoint(1j * scale * np.diag([1.0, 1e-13]))
+        with pytest.raises(DomainError, match=r"not positive definite \(slice 1\)$"):
+            SiegelPoint(1j * scale * np.array([np.eye(2), np.diag([1.0, 1e-13])]))
+    # the disk's check stays absolute: I - W conj(W) has the scale 1 of its bound
+    DiskPoint(np.sqrt(1 - 1e-11) * np.eye(2))
+    with pytest.raises(DomainError, match=r"^I - W conj\(W\) is not positive definite$"):
+        DiskPoint(np.sqrt(1 - 1e-13) * np.eye(2))
+
+
 # The checks of these finite inputs overflow on purpose; numpy warns as they do.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("make, match", [
