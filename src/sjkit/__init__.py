@@ -12,7 +12,6 @@ from .numkit import (
     DimensionError,
     DomainError,
     SjkError,
-    bracket,
     rel_error,
 )
 from .groups import (
@@ -54,9 +53,7 @@ from .decomp import (
     HCFactors,
     JacobiHCFactors,
     decompose_full,
-    hc_decompose_gstar,
     kc_component,
-    pminus_component,
 )
 from .geometry import (
     MetricParams,

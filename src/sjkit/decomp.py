@@ -1,16 +1,15 @@
 """Harish-Chandra decompositions.
 
-For a bounded-model block element the classical factorization into an upper
-unipotent, a block diagonal, and a lower unipotent part; for the Jacobi
-group the three components of g . (point embedded in the upper unipotent
-part), including the central coordinate kappa_star that later feeds the
-automorphic factors.
+For the Jacobi group, the three components of g . (point embedded in the
+upper unipotent part): the upper unipotent, block diagonal and lower
+unipotent factors, including the central coordinate kappa_star that later
+feeds the automorphic factors.  At the origin with an identity Heisenberg
+part they are the classical factorization of a bounded-model block element.
 
 The three components are read off one guarded denominator in one private
 core.  component_residuals returns the residuals of the identities they
-satisfy; kc_component, pminus_component and decompose_full return the
-components and raise when a residual exceeds the algebraic tolerance;
-hc_decompose_gstar is the same core at the origin; reconstruction_residual
+satisfy; kc_component and decompose_full return the components and raise
+when a residual exceeds the algebraic tolerance; reconstruction_residual
 multiplies through the one product law, groups._big_product.  All act on
 every slice of batched holders in one pass.
 """
@@ -22,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (
-    ComplexHeisenbergElement,
-    GStarElement,
     GStarJacobiElement,
     _big_product,
     _block_part,
@@ -46,7 +43,6 @@ from .numkit import (
     _takes,
     as_cmatrix,
     frob,
-    rel_error,
     symmetry_defect,
 )
 from .spaces import DiskJacobiPoint, DiskPoint, _positive
@@ -54,9 +50,7 @@ from .spaces import DiskJacobiPoint, DiskPoint, _positive
 __all__ = [
     "HCFactors",
     "JacobiHCFactors",
-    "hc_decompose_gstar",
     "kc_component",
-    "pminus_component",
     "decompose_full",
     "component_residuals",
     "reconstruction_residual",
@@ -79,10 +73,6 @@ class HCFactors:
         return (_block([[i, self.pplus_w], [z, i]]),
                 _block([[self.k_p, z], [z, self.k_lower]]),
                 _block([[i, z], [self.pminus_w, i]]))
-
-    def reconstruct(self) -> np.ndarray:
-        up, mid, low = self._blocks()
-        return up @ mid @ low
 
 
 @dataclass(frozen=True)
@@ -117,23 +107,6 @@ class JacobiHCFactors:
             raise DimensionError("xi and eta must have equal shape")
         low = _block_part(low, g)
         return [(up, zf, eta, zc), (mid, zf, zf, zeta), (low, xi, zf, zc)]
-
-
-def hc_decompose_gstar(gs: GStarElement) -> HCFactors:
-    """Factor [[P, Q], [conj Q, conj P]] through the origin.
-
-    The core at W = 0, eta = 0 with zero Heisenberg part: the upper coordinate
-    Q conj(P)^-1 lands in the bounded domain; reconstruction validates it.
-    """
-    a = GStarJacobiElement(gs, ComplexHeisenbergElement.identity(gs.g, 1), validate=False)
-    origin = DiskJacobiPoint(DiskPoint(np.zeros(gs.p.shape), validate=False),
-                             np.zeros(gs.p.shape[:-2] + (1, gs.g)))
-    factors, res = _hc_core(a, origin)
-    _require(rel_error(factors.hc.reconstruct(), gs.block()), ConsistencyError,
-             "Harish-Chandra reconstruction residual")
-    _require(res["pplus_symmetry"], ConsistencyError, "Q conj(P)^-1 symmetry defect")
-    _positive(DiskPoint, factors.hc.pplus_w)  # membership check
-    return factors.hc
 
 
 def _embedded_point(p: DiskJacobiPoint) -> tuple:
@@ -203,14 +176,6 @@ def kc_component(a: GStarJacobiElement,
     factors, res = _hc_core(a, p)
     _require(res["kappa_agreement"], ConsistencyError, "kappa_star disagreement")
     return factors.hc.k_p, factors.hc.k_lower, factors.kappa_star
-
-
-def pminus_component(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Lower-unipotent component (d^-1 conj(Q), xi - y d^-1 conj(Q)); raises if
-    d^-1 conj(Q) is not symmetric."""
-    factors, res = _hc_core(a, p)
-    _require(res["pminus_symmetry"], ConsistencyError, "d^-1 conj(Q) symmetry defect")
-    return factors.hc.pminus_w, factors.pminus_xi
 
 
 def decompose_full(a: GStarJacobiElement, p: DiskJacobiPoint) -> JacobiHCFactors:

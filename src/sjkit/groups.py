@@ -12,6 +12,7 @@ carry a batch, and every law acts slice by slice.
 from __future__ import annotations
 
 from math import prod
+from numbers import Real
 
 import numpy as np
 
@@ -64,6 +65,7 @@ __all__ = [
 
 def symplectic_j(g: int) -> np.ndarray:
     """The standard symplectic form [[0, I], [-I, 0]] of degree g."""
+    g = _count(g, "g")
     j = np.zeros((2 * g, 2 * g), dtype=np.complex128)
     j[:g, g:], j[g:, :g] = np.eye(g), -np.eye(g)
     return j
@@ -74,20 +76,24 @@ _j = _built_once(symplectic_j)
 
 def cayley_matrix(n: int) -> np.ndarray:
     """The unitary 2n x 2n matrix (1/sqrt 2) [[I, I], [iI, -iI]]."""
-    i = np.eye(n)
+    i = np.eye(_count(n, "n"))
     return _block([[i, i], [1j * i, -1j * i]]) / np.sqrt(2.0)
 
 
 def _as_real(a, name: str) -> np.ndarray:
-    """A float array; a complex input must be finite and real within tolerance."""
-    a = np.asarray(a)
-    if a.dtype.kind == "c":
-        if not np.isfinite(a).all():
-            _nonfinite(name, np.atleast_2d(a))
-        _ensure(frob(np.imag(a)) / _floor1(frob(a)) <= ALGEBRAIC_REL, DomainError,
-                "{} must be real", name)
-        a = a.real
-    return np.asarray(a, dtype=float)
+    """A float array; a complex input must be finite and real within tolerance,
+    and input numpy cannot read as numbers raises DimensionError."""
+    try:
+        a = np.asarray(a)
+        if a.dtype.kind != "c":
+            return np.asarray(a, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:  # ragged, not numbers, too large
+        raise DimensionError(f"{name}: not an array of real numbers: {exc}") from None
+    if not np.isfinite(a).all():
+        _nonfinite(name, np.atleast_2d(a))
+    _ensure(frob(np.imag(a)) / _floor1(frob(a)) <= ALGEBRAIC_REL, DomainError,
+            "{} must be real", name)
+    return np.asarray(a.real, dtype=float)
 
 
 class SymplecticMatrix(Holder):
@@ -621,7 +627,8 @@ _SCALE_MAX = 1e50  # drawn entries reach scale, their norms scale**2: 1e100 over
 
 
 def _check_scale(scale) -> None:
-    if not 0 < scale <= _SCALE_MAX:  # NaN fails too
+    if isinstance(scale, bool) or not isinstance(scale, Real) or \
+            not 0 < scale <= _SCALE_MAX:  # NaN fails too
         raise DomainError(f"scale must be in (0, _SCALE_MAX = {_SCALE_MAX:g}], got {scale}")
 
 
@@ -715,7 +722,7 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     np.linalg.qr, whose wrapper builds Q from two gufuncs; no suite or
     perfbench workload draws kstarj.
     """
-    if kind not in _KIND_TAG:
+    if not isinstance(kind, str) or kind not in _KIND_TAG:
         raise DomainError(f"unknown element kind: {kind!r}")
     g, h = _count(g, "g"), _count(h, "h")
     _check_scale(scale)

@@ -1,6 +1,6 @@
 """Shared complex dense-matrix semantics: the algebraic and conditioning
-thresholds, structural predicates, trace/bracket helpers, and guarded linear
-solves.
+thresholds, the error classes, the structural predicates (symmetry defect,
+Hermitian-PD margin, relative error) and guarded linear solves.
 
 Every other module builds on the conventions fixed here; in particular all
 approximate equality is relative Frobenius with a max(1, .) floor so that
@@ -54,7 +54,6 @@ __all__ = [
     "ConsistencyError",
     "as_cmatrix",
     "frob",
-    "bracket",
     "symmetry_defect",
     "hermitian_pd_margin",
     "rel_error",
@@ -349,17 +348,6 @@ def _block(rows) -> np.ndarray:
     return out
 
 
-def bracket(a, b) -> np.ndarray:
-    """A[B] = transpose(B) A B."""
-    a = as_cmatrix(a, "A")
-    b = as_cmatrix(b, "B")
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionError(f"A must be square, got {a.shape[-2:]}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"inner dimensions do not match: {a.shape} vs {b.shape}")
-    return b.mT @ a @ b
-
-
 def symmetry_defect(a: np.ndarray):
     """Relative Frobenius distance of each slice from its transpose."""
     return frob(a - a.mT) / _floor1(frob(a))
@@ -378,7 +366,10 @@ def hermitian_pd_margin(a):
     one eigensolve this function ends in, without the Hermitian test that
     could only pass.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    try:
+        a = np.asarray(a, dtype=np.complex128)
+    except (ValueError, TypeError, OverflowError) as exc:  # ragged, not numbers, too large
+        raise DimensionError(f"PD test: not an array of complex numbers: {exc}") from None
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"PD test requires a square matrix, got shape {a.shape}")
     margin = _pd_margin(a)

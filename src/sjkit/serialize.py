@@ -7,6 +7,7 @@ as a string; a real matrix may also be rows of plain numbers.  A matrix is
 a non-empty list of equal, non-empty rows, lists at every level, of ints or
 floats (no bool, string or null), else DimensionError (CLI exit code 2); a
 NaN, an inf or an int past the doubles raises DomainError (exit code 3).
+An element missing a key its kind needs raises DimensionError too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ __all__ = [
 
 
 def encode_matrix(a) -> list:
-    a = np.asarray(a, dtype=complex)
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (ValueError, TypeError, OverflowError) as exc:  # ragged, not numbers, too large
+        raise DimensionError(f"only a matrix of numbers can be encoded: {exc}") from None
     if a.ndim != 2:
         raise DimensionError(f"only a 2-d matrix can be encoded, got ndim={a.ndim}")
     # the (re, im) doubles of each entry, as Python floats
@@ -169,32 +173,35 @@ def decode_element(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DimensionError("element: expected a JSON object with a 'kind' key")
     kind = obj["kind"]
-    if kind == "sp":
-        return SymplecticMatrix(decode_real_matrix(obj["m"], "m"))
-    if kind == "heisenberg":
-        return HeisenbergElement(
-            decode_real_matrix(obj["lambda"], "lambda"),
-            decode_real_matrix(obj["mu"], "mu"),
-            decode_real_matrix(obj["kappa"], "kappa"),
-        )
-    if kind == "jacobi":
-        return JacobiElement(
-            SymplecticMatrix(decode_real_matrix(obj["m"], "m")),
-            HeisenbergElement(
+    try:
+        if kind == "sp":
+            return SymplecticMatrix(decode_real_matrix(obj["m"], "m"))
+        if kind == "heisenberg":
+            return HeisenbergElement(
                 decode_real_matrix(obj["lambda"], "lambda"),
                 decode_real_matrix(obj["mu"], "mu"),
                 decode_real_matrix(obj["kappa"], "kappa"),
-            ),
-        )
-    if kind == "gstar":
-        return GStarElement(decode_matrix(obj["p"], "p"), decode_matrix(obj["q"], "q"))
-    if kind == "gstarj":
-        xi = decode_matrix(obj["xi"], "xi")
-        kappa = decode_real_matrix(obj["kappa"], "kappa")
-        return GStarJacobiElement(
-            GStarElement(decode_matrix(obj["p"], "p"), decode_matrix(obj["q"], "q")),
-            ComplexHeisenbergElement(xi, xi.conj(), 1j * kappa),
-        )
+            )
+        if kind == "jacobi":
+            return JacobiElement(
+                SymplecticMatrix(decode_real_matrix(obj["m"], "m")),
+                HeisenbergElement(
+                    decode_real_matrix(obj["lambda"], "lambda"),
+                    decode_real_matrix(obj["mu"], "mu"),
+                    decode_real_matrix(obj["kappa"], "kappa"),
+                ),
+            )
+        if kind == "gstar":
+            return GStarElement(decode_matrix(obj["p"], "p"), decode_matrix(obj["q"], "q"))
+        if kind == "gstarj":
+            xi = decode_matrix(obj["xi"], "xi")
+            kappa = decode_real_matrix(obj["kappa"], "kappa")
+            return GStarJacobiElement(
+                GStarElement(decode_matrix(obj["p"], "p"), decode_matrix(obj["q"], "q")),
+                ComplexHeisenbergElement(xi, xi.conj(), 1j * kappa),
+            )
+    except KeyError as exc:  # a key its kind needs is missing
+        raise DimensionError(f"element: kind {kind!r} needs the key {exc.args[0]!r}") from None
     raise DimensionError(f"element: unknown kind {kind!r}")
 
 

@@ -473,7 +473,7 @@ def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
     stream.  A sequence of seeds gives one holder of their batch, built and
     validated in one pass, each slice with the bits of its seed's point.
     """
-    if kind not in _KIND_TAG:
+    if not isinstance(kind, str) or kind not in _KIND_TAG:
         raise DomainError(f"unknown point kind: {kind!r}")
     g, h = _count(g, "g"), _count(h, "h")
     _check_scale(scale)

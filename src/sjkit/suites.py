@@ -156,7 +156,6 @@ def _dist(fields: attrgetter, a, b):
 _FAMILIES = {
     ("sp", "gstar", "jacobi", "gstarj"): (_element_width, _sample_elements),
     ("heisenberg",): (_element_width, _sample_elements),
-    ("kstarj",): (_element_width, _sample_elements),
     ("siegel", "siegel_jacobi"): (_fibered_width, _sample_points),
     ("disk", "disk_jacobi"): (_fibered_width, _sample_points),
     ("tangent", "tangent_jacobi"): (_fibered_width, _sample_tangents),

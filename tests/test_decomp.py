@@ -4,9 +4,7 @@ import pytest
 from sjkit.decomp import (
     component_residuals,
     decompose_full,
-    hc_decompose_gstar,
     kc_component,
-    pminus_component,
 )
 from sjkit.groups import (
     ComplexHeisenbergElement,
@@ -44,8 +42,15 @@ def origin(g, h):
     return DiskJacobiPoint(DiskPoint(np.zeros((g, g))), np.zeros((h, g)))
 
 
+def hc_at_origin(gs):
+    """decompose_full at the origin with an identity Heisenberg part: the
+    classical factorization of the block element gs."""
+    a = GStarJacobiElement(gs, ComplexHeisenbergElement.identity(gs.g, 1))
+    return decompose_full(a, origin(gs.g, 1)).hc
+
+
 def test_hc_decompose_identity():
-    f = hc_decompose_gstar(GStarElement(np.eye(2), np.zeros((2, 2))))
+    f = hc_at_origin(GStarElement(np.eye(2), np.zeros((2, 2))))
     assert np.max(np.abs(f.pplus_w)) < 1e-14
     assert np.max(np.abs(f.pminus_w)) < 1e-14
     np.testing.assert_allclose(f.k_p, np.eye(2))
@@ -53,7 +58,7 @@ def test_hc_decompose_identity():
 
 
 def test_hc_decompose_rotation_image():
-    f = hc_decompose_gstar(GStarElement(1j * np.eye(1), np.zeros((1, 1))))
+    f = hc_at_origin(GStarElement(1j * np.eye(1), np.zeros((1, 1))))
     assert np.max(np.abs(f.pplus_w)) < 1e-14
     assert np.max(np.abs(f.pminus_w)) < 1e-14
     assert f.k_p[0, 0] == pytest.approx(1j)
@@ -62,8 +67,12 @@ def test_hc_decompose_rotation_image():
 def test_hc_decompose_random_reconstruction():
     for seed in range(30):
         gs = sample_element("gstar", 2, 1, seed=seed)
-        f = hc_decompose_gstar(gs)
-        assert rel_error(f.reconstruct(), gs.block()) < 1e-9
+        f = hc_at_origin(gs)
+        i, z = np.eye(2), np.zeros((2, 2))
+        up = np.block([[i, f.pplus_w], [z, i]])
+        mid = np.block([[f.k_p, z], [z, f.k_lower]])
+        low = np.block([[i, z], [f.pminus_w, i]])
+        assert rel_error(up @ mid @ low, gs.block()) < 1e-9
         assert rel_error(f.pplus_w, f.pplus_w.T) < 1e-9
         DiskPoint((f.pplus_w + f.pplus_w.T) / 2)  # upper coordinate is in the disk
 
@@ -77,14 +86,11 @@ def test_pplus_component_equals_action():
             rhs = act_jacobi_disk(a, p)
             assert rel_error(f.hc.pplus_w, rhs.w) < 1e-12
             assert rel_error(f.pplus_eta, rhs.eta) < 1e-12
-            # the raising views read the same components, field for field
+            # the raising view reads the same components, field for field
             k_p, k_lower, kappa_star = kc_component(a, p)
-            pm_w, pm_xi = pminus_component(a, p)
             np.testing.assert_array_equal(f.hc.k_p, k_p)
             np.testing.assert_array_equal(f.hc.k_lower, k_lower)
             np.testing.assert_array_equal(f.kappa_star, kappa_star)
-            np.testing.assert_array_equal(f.hc.pminus_w, pm_w)
-            np.testing.assert_array_equal(f.pminus_xi, pm_xi)
 
 
 def test_pplus_identity_and_translation():
@@ -124,14 +130,14 @@ def test_kc_component_identity_and_kappa_reduction():
 def test_pminus_component_cases():
     e = GStarJacobiElement.identity(2, 1)
     p = sample_point("disk_jacobi", 2, 1, seed=7)
-    pm_w, pm_xi = pminus_component(e, p)
-    assert np.max(np.abs(pm_w)) < 1e-14
-    assert np.max(np.abs(pm_xi)) < 1e-14
+    f = decompose_full(e, p)
+    assert np.max(np.abs(f.hc.pminus_w)) < 1e-14
+    assert np.max(np.abs(f.pminus_xi)) < 1e-14
 
     a = sample_element("kstarj", 1, 1, seed=8)  # Q = 0, xi = 0
-    pm_w, pm_xi = pminus_component(a, sample_point("disk_jacobi", 1, 1, seed=8))
-    assert np.max(np.abs(pm_w)) < 1e-14
-    np.testing.assert_allclose(pm_xi, a.hc.xi)
+    f = decompose_full(a, sample_point("disk_jacobi", 1, 1, seed=8))
+    assert np.max(np.abs(f.hc.pminus_w)) < 1e-14
+    np.testing.assert_allclose(f.pminus_xi, a.hc.xi)
 
 
 @pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
@@ -139,8 +145,9 @@ def test_pminus_symmetry_random(g, h):
     for seed in range(30):
         a = sample_element("gstarj", g, h, seed=seed)
         p = sample_point("disk_jacobi", g, h, seed=seed + 1)
-        pm_w, _ = pminus_component(a, p)
+        pm_w = decompose_full(a, p).hc.pminus_w
         assert rel_error(pm_w, pm_w.T) < 1e-10
+        assert component_residuals(a, p)["pminus_symmetry"] < 1e-10
 
 
 @pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (3, 2)])
@@ -184,8 +191,7 @@ def test_one_conditioning_guard_per_call(guards):
     p = sample_point("disk_jacobi", 2, 2, seed=2)
     idx, rep = IndexMatrix(np.eye(2)), Representation("det_power", 1)
     for fn in (lambda: decompose_full(a, p), lambda: component_residuals(a, p),
-               lambda: kc_component(a, p), lambda: pminus_component(a, p),
-               lambda: j_factor(idx, rep, a, p)):
+               lambda: kc_component(a, p), lambda: j_factor(idx, rep, a, p)):
         guards.clear()
         fn()
         assert len(guards) == 1
@@ -243,10 +249,9 @@ def test_raising_views_check_core_residuals(monkeypatch, key, error):
     assert component_residuals(a, p)[key] == 1e-6
     with pytest.raises(error):
         decompose_full(a, p)
-    view = {"kappa_agreement": kc_component, "pminus_symmetry": pminus_component}.get(key)
-    if view is not None:
+    if key == "kappa_agreement":
         with pytest.raises(error):
-            view(a, p)
+            kc_component(a, p)
 
 
 def test_decompose_full_checks_membership_and_reconstruction(monkeypatch):
@@ -458,7 +463,6 @@ _IDX, _REP = IndexMatrix(np.eye(2)), Representation("standard")
 @pytest.mark.parametrize("call, message", [
     (lambda a, p, b, pj: decompose_full(a, p), f"{_HC} GStarJacobiElement, not a JacobiElement"),
     (lambda a, p, b, pj: kc_component(a, p), f"{_HC} GStarJacobiElement, not a JacobiElement"),
-    (lambda a, p, b, pj: pminus_component(a, p), f"{_HC} GStarJacobiElement, not a JacobiElement"),
     (lambda a, p, b, pj: component_residuals(a, p),
      f"{_HC} GStarJacobiElement, not a JacobiElement"),
     (lambda a, p, b, pj: decompose_full(b, pj), f"{_HC} DiskJacobiPoint, not a SiegelJacobiPoint"),
@@ -473,7 +477,7 @@ _IDX, _REP = IndexMatrix(np.eye(2)), Representation("standard")
     (lambda a, p, b, pj: rho_eval("x", np.eye(2)), "rho_eval takes a Representation, not a str"),
     (lambda a, p, b, pj: verify_cocycle([_IDX], [_REP], a, b, p),
      "verify_cocycle takes a GStarJacobiElement, not a JacobiElement"),
-], ids=["decompose_full", "kc_component", "pminus_component", "component_residuals",
+], ids=["decompose_full", "kc_component", "component_residuals",
         "decompose_full-point", "reconstruction_residual", "j_factor-index", "j_factor-rep",
         "chi_character", "rho_eval", "verify_cocycle"])
 def test_an_argument_of_the_wrong_class_is_a_dimension_error(call, message):

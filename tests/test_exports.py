@@ -80,3 +80,16 @@ def test_big_group_holder_layer_is_gone():
         for mod in (sjkit, sjkit.groups, sjkit.decomp):
             assert not hasattr(mod, n), f"{mod.__name__}.{n}"
     assert not hasattr(sjkit.decomp.JacobiHCFactors, "factors")
+
+
+def test_unused_public_names_are_gone():
+    import sjkit
+    import sjkit.decomp
+    import sjkit.numkit
+    import sjkit.suites
+
+    for n in ("bracket", "hc_decompose_gstar", "pminus_component"):
+        for mod in (sjkit, sjkit.numkit, sjkit.decomp):
+            assert not hasattr(mod, n), f"{mod.__name__}.{n}"
+    assert not hasattr(sjkit.decomp.HCFactors, "reconstruct")
+    assert "kstarj" not in sjkit.suites._FAMILY

@@ -24,7 +24,9 @@ from sjkit.groups import (
 from sjkit import groups
 from sjkit.geometry import volume_density
 from sjkit.groups import _SCALE_MAX
-from sjkit.numkit import DimensionError, DomainError, Holder, rel_error
+from sjkit.automorphy import IndexMatrix
+from sjkit.numkit import DimensionError, DomainError, Holder, hermitian_pd_margin, rel_error
+from sjkit.serialize import decode_element, encode_matrix
 from sjkit.spaces import sample_point
 
 
@@ -275,6 +277,31 @@ def test_sample_rejects_bad_arguments():
         sample_element("sp", 0, 1, seed=1)
     with pytest.raises(DomainError):
         sample_element("nonsense", 1, 1, seed=1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: sample_element("sp", 1, 1, 0, "x"), DomainError),
+    (lambda: sample_element("sp", 1, 1, 0, True), DomainError),
+    (lambda: sample_point("siegel", 1, 1, 0, None), DomainError),
+    (lambda: sample_point(["siegel"], 1), DomainError),
+    (lambda: sample_element(["sp"], 1), DomainError),
+    (lambda: symplectic_j(-1), DimensionError),
+    (lambda: symplectic_j("a"), DimensionError),
+    (lambda: cayley_matrix(-1), DimensionError),
+    (lambda: hermitian_pd_margin("x"), DimensionError),
+    (lambda: hermitian_pd_margin([[1.0, 0.0], [0.0]]), DimensionError),
+    (lambda: IndexMatrix("a"), DimensionError),
+    (lambda: HeisenbergElement("a", [[0.0]], [[0.0]]), DimensionError),
+    (lambda: HeisenbergElement([[0.0]], [[0.0], [0.0, 1.0]], [[0.0]]), DimensionError),
+    (lambda: encode_matrix("x"), DimensionError),
+    (lambda: decode_element({"kind": "sp"}), DimensionError),
+], ids=["element-scale-str", "element-scale-bool", "point-scale-none", "point-kind-list",
+        "element-kind-list", "symplectic_j-negative", "symplectic_j-str", "cayley_matrix-negative",
+        "pd-margin-str", "pd-margin-ragged", "index-matrix-str", "heisenberg-str",
+        "heisenberg-ragged", "encode-str", "decode-missing-key"])
+def test_a_malformed_argument_raises_a_library_error(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_invalid_elements_rejected():

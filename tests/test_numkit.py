@@ -19,7 +19,6 @@ from sjkit.numkit import (
     _inv,
     _solve,
     _svdvals,
-    bracket,
     frob,
     guarded_inv,
     guarded_rsolve,
@@ -27,35 +26,6 @@ from sjkit.numkit import (
     rel_error,
     symmetry_defect,
 )
-
-
-def test_bracket_identity():
-    np.testing.assert_allclose(bracket(np.eye(2), np.eye(2)), np.eye(2))
-
-
-def test_bracket_zero():
-    np.testing.assert_allclose(bracket(np.eye(2), np.zeros((2, 2))), np.zeros((2, 2)))
-
-
-def test_bracket_scalar():
-    np.testing.assert_allclose(bracket([[2]], [[3]]), [[18]])
-
-
-def test_bracket_rejects_mismatch():
-    with pytest.raises(DimensionError):
-        bracket(np.eye(2), np.zeros((3, 3)))
-
-
-def test_bracket_transpose_and_symmetry_properties():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        k, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        b = rng.normal(size=(k, l)) + 1j * rng.normal(size=(k, l))
-        np.testing.assert_allclose(bracket(a, b).T, bracket(a.T, b), atol=1e-12)
-        s = a + a.T
-        res = bracket(s, b)
-        np.testing.assert_allclose(res, res.T, atol=1e-12)
 
 
 def test_is_symmetric_cases():
