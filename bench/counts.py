@@ -9,12 +9,15 @@ not counted, with these functions counted: frob, rel_error,
 hermitian_pd_margin, the conditioning guard _check_cond and the six LAPACK
 kernels of numkit, the holder stack and slice numkit._stack_holders and
 numkit._slice_holder (each call on a nested holder counted too), the
-fractional-linear core of the eight maps, spaces._fractional_linear, the
-group laws jacobi_mul, heisenberg_mul and gstarj_mul, the embedding
-groups.embed_sp_gph, the Harish-Chandra core decomp._hc_core, the stream
-passes of the samplers, groups._uniforms,
-with the rows they draw (rows_drawn: one for an int seed, len(seed) for a
-sequence of seeds), and the Laplacians' field calls (field_calls: one per
+coercions numkit.as_cmatrix and numkit._freeze of what a constructor is
+given, the fractional-linear core of the eight maps,
+spaces._fractional_linear, the group laws jacobi_mul, heisenberg_mul and
+gstarj_mul, the embedding groups.embed_sp_gph, the Harish-Chandra core
+decomp._hc_core, the stream passes (_uniforms: the calls of
+groups._stream, which both the samplers' groups._uniforms and a suite's
+planned draw enter) with the rows they draw (rows_drawn: one for an int
+seed, one per key of a sequence of seeds or of a suite's chunk), and the
+Laplacians' field calls (field_calls: one per
 geometry._frame_laplacian) with the points of their stencils (field_points:
 the batch of each geometry._rebuild), and the validate calls of every holder
 class that has one (validations: class name -> calls).  Each function is
@@ -47,8 +50,8 @@ def _call(args) -> int:
 
 
 def _rows(args) -> int:
-    """The rows a _uniforms(seed, tag, n) pass draws: one for an int seed,
-    len(seed) for a sequence of seeds."""
+    """The rows a _stream(key, n) pass draws: one for an int key, len(key)
+    for an array of keys."""
     return 1 if isinstance(args[0], (int, np.integer)) else len(args[0])
 
 
@@ -63,10 +66,11 @@ COUNTS = tuple((path.rsplit(".", 1)[1], path, _call) for path in (
     *(f"numkit.{name}" for name in (
         "frob", "rel_error", "hermitian_pd_margin", "_check_cond",
         "_svdvals", "_eigvalsh", "_inv", "_solve", "_det", "_cholesky",
-        "_stack_holders", "_slice_holder")),
-    "spaces._fractional_linear", "groups._uniforms", "groups.jacobi_mul",
-    "groups.heisenberg_mul", "groups.gstarj_mul", "groups.embed_sp_gph", "decomp._hc_core")) + (
-    ("rows_drawn", "groups._uniforms", _rows),
+        "_stack_holders", "_slice_holder", "as_cmatrix", "_freeze")),
+    "spaces._fractional_linear", "groups.jacobi_mul", "groups.heisenberg_mul",
+    "groups.gstarj_mul", "groups.embed_sp_gph", "decomp._hc_core")) + (
+    ("_uniforms", "groups._stream", _call),
+    ("rows_drawn", "groups._stream", _rows),
     ("field_calls", "geometry._frame_laplacian", _call),
     ("field_points", "geometry._rebuild", _points))
 # "module.Class" of each holder class with a validate of its own

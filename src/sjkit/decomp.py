@@ -183,7 +183,7 @@ def decompose_full(a: GStarJacobiElement, p: DiskJacobiPoint) -> JacobiHCFactors
     point lies in the disk, every identity holds and the product rebuilds."""
     factors, res = _hc_core(a, p)
     _require(res["pplus_symmetry"], DomainError, "P+ coordinate symmetry defect")
-    _positive(DiskPoint, factors.hc.pplus_w)  # membership check
+    _positive(DiskPoint, factors.hc.pplus_w.copy())  # membership check; the point takes its copy
     _require(res["kappa_agreement"], ConsistencyError, "kappa_star disagreement")
     _require(res["pminus_symmetry"], ConsistencyError, "d^-1 conj(Q) symmetry defect")
     _require(reconstruction_residual(a, p, factors), ConsistencyError,

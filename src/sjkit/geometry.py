@@ -47,13 +47,14 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import _blocks, _draw_rows, _fibered_shapes, _fibered_width
+from .groups import _blocks, _fibered_shapes, _fibered_width, _uniforms
 from .numkit import (
     ALGEBRAIC_REL,
     ConditioningError,
     ConsistencyError,
     DimensionError,
     DomainError,
+    _assemble,
     _built_once,
     _cholesky,
     _count,
@@ -61,7 +62,6 @@ from .numkit import (
     _eigvalsh,
     _ensure,
     _floor1,
-    _freeze,
     _inv,
     _takes,
     guarded_inv,
@@ -73,7 +73,6 @@ from .spaces import (
     SiegelPoint,
     TangentVector,
     _fit,
-    _tangent,
     partial_cayley,
 )
 
@@ -250,10 +249,12 @@ def _point_parts(p) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _rebuild(p, base: np.ndarray, fiber: np.ndarray | None):
-    """A point of p's model at (base, fiber), unvalidated: the frame keeps the stencil inside."""
+    """A point of p's model at (base, fiber), assembled unvalidated: the frame
+    keeps the stencil inside, and the displacements of p's finite parts by
+    the frame's steps of 1e-4 are finite."""
     if fiber is None:
-        return type(p)(base, validate=False)
-    return type(p)(type(p.base)(base, validate=False), fiber)
+        return _assemble(type(p), base)
+    return _assemble(type(p), _assemble(type(p.base), base), fiber)
 
 
 def _sym_coords(g: int) -> np.ndarray:
@@ -392,8 +393,8 @@ def sample_tangent(g: int, h: int | None = None, seed=0) -> TangentVector:
     of their batch, as sample_point does."""
     g, h = _count(g, "g"), None if h is None else _count(h, "h")
     kind = "tangent" if h is None else "tangent_jacobi"
-    seeds = {kind: seed}
-    ((u, spans),) = _draw_rows([seeds], _KIND_TAG, _fibered_width(g, h, seeds))
+    spans = {kind: ...}
+    u = _uniforms(seed, _KIND_TAG[kind], _fibered_width(g, h, spans))
     return _sample_tangents(g, h, u, spans)[kind]
 
 
@@ -402,18 +403,19 @@ _KIND_TAG = {"tangent": 20, "tangent_jacobi": 20}
 
 def _sample_tangents(g: int, h: int | None, u: np.ndarray, spans: dict) -> dict:
     """One family draw of tangent vectors, kind -> TangentVector, from the rows
-    of numbers u, each kind's rows at its span (see groups._draw_rows):
+    of numbers u, each kind's rows at its span (see groups._rows):
     "tangent" without a fiber part and "tangent_jacobi" with an h x g one,
     both on the (seed, 20) streams.  Each row is read from its front: the
     real and the imaginary part of the base, then, for tangent_jacobi, of the
     fiber.  The base part is built for every row, exactly symmetric as
-    (s + s^T)/2, so without the symmetry test that could only pass
-    (spaces._tangent)."""
+    (s + s^T)/2, so each vector is assembled from these finite uniforms
+    without the symmetry test that could only pass."""
     x = _blocks(u, _fibered_shapes(g, h, spans), 1.0)
     s = x[0] + 1j * x[1]
-    s = _freeze((s + s.mT) / 2, None)  # so each kind's rows are read-only views
-    return {kind: _tangent(s[rows], x[2][rows] + 1j * x[3][rows] if kind == "tangent_jacobi"
-                           else None) for kind, rows in spans.items()}
+    s = (s + s.mT) / 2
+    s.setflags(write=False)  # so each kind's rows are read-only views, assembled uncopied
+    return {kind: _assemble(TangentVector, s[rows], x[2][rows] + 1j * x[3][rows]
+                            if kind == "tangent_jacobi" else None) for kind, rows in spans.items()}
 
 
 def _coordinate_dirs(p) -> TangentVector:
@@ -432,8 +434,8 @@ def _coordinate_frame(g: int, h: int | None, ndim: int) -> TangentVector:
         dfiber = np.concatenate([np.zeros((len(dbase), h, g)), _fiber_coords(h, g)])
         dbase = np.concatenate([dbase, np.zeros((h * g, g, g))])
     lead = (len(dbase),) + (1,) * ndim
-    return _tangent(dbase.reshape(lead + (g, g)).astype(complex),
-                    None if h is None else dfiber.reshape(lead + (h, g)).astype(complex))
+    return _assemble(TangentVector, dbase.reshape(lead + (g, g)).astype(complex),
+                     None if h is None else dfiber.reshape(lead + (h, g)).astype(complex))
 
 
 _triu = _built_once(np.triu_indices)  # its (row, column) indices, stacked

@@ -11,6 +11,7 @@ carry a batch, and every law acts slice by slice.
 
 from __future__ import annotations
 
+from functools import cache
 from math import prod
 from numbers import Real
 
@@ -22,6 +23,7 @@ from .numkit import (
     DimensionError,
     DomainError,
     Holder,
+    _assemble,
     _block,
     _built_once,
     _count,
@@ -135,14 +137,15 @@ class SymplecticMatrix(Holder):
         return self.m[..., self.g :, self.g :]
 
     def inv(self) -> "SymplecticMatrix":
-        # M^-1 = [[tD, -tB], [-tC, tA]], exact for symplectic M
+        # M^-1 = [[tD, -tB], [-tC, tA]], exact for symplectic M: assembled, as
+        # its entries are M's, finite
         a, b, c, d = self.a, self.b, self.c, self.d
-        mi = _block([[d.mT, -b.mT], [-c.mT, a.mT]])
-        return SymplecticMatrix(mi, validate=False)
+        return _assemble(SymplecticMatrix, _block([[d.mT, -b.mT], [-c.mT, a.mT]]), self.g)
 
     @classmethod
     def identity(cls, g: int) -> "SymplecticMatrix":
-        return cls(np.eye(2 * g), validate=False)
+        g = _count(g, "g")
+        return _assemble(cls, np.eye(2 * g, dtype=complex), g)
 
 
 class HeisenbergElement(Holder):
@@ -172,8 +175,9 @@ class HeisenbergElement(Holder):
 
     @classmethod
     def identity(cls, g: int, h: int) -> "HeisenbergElement":
+        g, h = _count(g, "g"), _count(h, "h")
         z = np.zeros((h, g))
-        return cls(z, z, np.zeros((h, h)), validate=False)
+        return _assemble(cls, z, z, np.zeros((h, h)), g, h)
 
 
 class JacobiElement(Holder):
@@ -199,7 +203,7 @@ class JacobiElement(Holder):
 
     @classmethod
     def identity(cls, g: int, h: int) -> "JacobiElement":
-        return cls(SymplecticMatrix.identity(g), HeisenbergElement.identity(g, h))
+        return _assemble(cls, SymplecticMatrix.identity(g), HeisenbergElement.identity(g, h))
 
 
 class GStarElement(Holder):
@@ -231,7 +235,8 @@ class GStarElement(Holder):
 
     @classmethod
     def identity(cls, g: int) -> "GStarElement":
-        return cls(np.eye(g), np.zeros((g, g)), validate=False)
+        g = _count(g, "g")
+        return _assemble(cls, np.eye(g, dtype=complex), np.zeros((g, g), complex), g)
 
 
 class ComplexHeisenbergElement(Holder):
@@ -251,8 +256,9 @@ class ComplexHeisenbergElement(Holder):
 
     @classmethod
     def identity(cls, g: int, h: int) -> "ComplexHeisenbergElement":
-        z = np.zeros((h, g), dtype=complex)
-        return cls(z, z, np.zeros((h, h), dtype=complex), validate=False)
+        g, h = _count(g, "g"), _count(h, "h")
+        z = np.zeros((h, g), complex)
+        return _assemble(cls, z, z, np.zeros((h, h), complex), g, h)
 
 
 class GStarJacobiElement(Holder):
@@ -295,8 +301,7 @@ class GStarJacobiElement(Holder):
 
     @classmethod
     def identity(cls, g: int, h: int) -> "GStarJacobiElement":
-        return cls(GStarElement.identity(g), ComplexHeisenbergElement.identity(g, h),
-                   validate=False)
+        return _assemble(cls, GStarElement.identity(g), ComplexHeisenbergElement.identity(g, h))
 
 
 def _heisenberg_parts(xi, eta, zeta) -> tuple:
@@ -456,27 +461,26 @@ def conjugate_by_T(m: SymplecticMatrix) -> GStarElement:
     """Blocks of T^-1 M T: P = ((A+D) + i(B-C))/2, Q = ((A-D) - i(B+C))/2.
 
     Conjugation by the Cayley matrix is an exact isomorphism, so the image of
-    m, validated when it was built, is not validated again (as for
-    SymplecticMatrix.inv)."""
+    m, validated when it was built, is assembled and not validated again (as
+    SymplecticMatrix.inv is): its blocks are sums of m's, whose validation
+    bounds their entries far below overflow."""
     _takes("conjugate_by_T", m, SymplecticMatrix)
     a, b, c, d = m.a, m.b, m.c, m.d
-    p = 0.5 * ((a + d) + 1j * (b - c))
-    q = 0.5 * ((a - d) - 1j * (b + c))
-    return GStarElement(p, q, validate=False)
+    return _assemble(GStarElement, 0.5 * ((a + d) + 1j * (b - c)), 0.5 * ((a - d) - 1j * (b + c)),
+                     m.g)
 
 
 def theta(a: JacobiElement) -> GStarJacobiElement:
     """The isomorphism onto the bounded model: blocks via conjugate_by_T and
     Heisenberg part ((lam + i mu)/2, (lam - i mu)/2; -i kappa / 2).  Like
     conjugate_by_T it is exact, so its image of a, validated when it was
-    built, is not validated again."""
+    built, is assembled and not validated again: the Heisenberg part halves
+    a's finite one."""
     _takes("theta", a, JacobiElement)
-    gs = conjugate_by_T(a.m)
-    xi = 0.5 * (a.hs.lam + 1j * a.hs.mu)
-    eta = 0.5 * (a.hs.lam - 1j * a.hs.mu)
-    zeta = -0.5j * a.hs.kappa
-    return GStarJacobiElement(gs, ComplexHeisenbergElement(xi, eta, zeta, validate=False),
-                              validate=False)
+    lam, imu = a.hs.lam, 1j * a.hs.mu
+    hc = _assemble(ComplexHeisenbergElement, 0.5 * (lam + imu), 0.5 * (lam - imu),
+                   -0.5j * a.hs.kappa, a.g, a.h)
+    return _assemble(GStarJacobiElement, conjugate_by_T(a.m), hc)
 
 
 def embed_sp_gph(a: JacobiElement) -> np.ndarray:
@@ -536,18 +540,22 @@ def _tstar_residual(a: JacobiElement, e: np.ndarray):  # given e = embed_sp_gph(
 
 
 _MASK, _GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15
+_MIX = (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)
+_MIX_U64 = tuple(map(np.uint64, _MIX))  # an array's operands, spared a conversion per op
 
 
 def _mix(z):
     """SplitMix64's finalizer of an int below 2**64, its products masked to 64
     bits, or of a uint64 array, whose products wrap by themselves."""
     if isinstance(z, int):
-        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
-        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+        s1, m1, s2, m2, s3 = _MIX
+        z = (z ^ z >> s1) * m1 & _MASK
+        z = (z ^ z >> s2) * m2 & _MASK
     else:
-        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
-        z = (z ^ z >> 27) * 0x94D049BB133111EB
-    return z ^ z >> 31
+        s1, m1, s2, m2, s3 = _MIX_U64
+        z = (z ^ z >> s1) * m1
+        z = (z ^ z >> s2) * m2
+    return z ^ z >> s3
 
 
 def _seed(s) -> int:
@@ -566,60 +574,66 @@ def _key(seed, tag: int) -> int:
     return _mix((s & _MASK) + z & _MASK)
 
 
-def _uniforms(seed, tag, n: int, start: int = 0) -> np.ndarray:
-    """Numbers start, ..., start + n - 1 of the (seed, tag) stream: shape (n,)
-    for an int seed, (len(seed), n) for a sequence of seeds, a row per seed,
-    each with tag or, for a sequence of tags, its own."""
-    # dtype=object keeps a ragged nesting 1-d, its sequences then rejected one by one
-    seeds = None if isinstance(seed, (int, np.integer)) else np.asarray(seed, dtype=object)
-    if seeds is None or seeds.ndim == 0:
-        key = _key(seed if seeds is None else seeds.item(), tag)
-    elif seeds.ndim != 1 or not len(seeds):
-        raise DimensionError("seed must be an int or a non-empty sequence of ints")
-    else:
-        tags = [tag] * len(seeds) if isinstance(tag, int) else tag
-        key = np.array([_key(s, t) for s, t in zip(seeds, tags, strict=True)],
-                       dtype=np.uint64)[:, None]
-    z = _mix(np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GAMMA + key)
-    return (z >> 11) * 2.0 ** -53
+class _RowKeys:
+    """The keys of a draw's rows, laid out once: rows holds the (offset k,
+    tag) of each row group, and a group's rows are the streams of the seeds
+    s + k, s running over the draw's seeds, on its tag.  Below 2**64 the key
+    of s + k is the mix of s + k plus the mix of the tag word (see _key), so
+    each group keeps k plus that mix, modulo 2**64, and a draw's keys are one
+    uint64 mix of the seeds plus these words; a draw with a seed s + k of
+    2**64 or above takes _key, with its loop over the higher words, row by
+    row."""
+
+    __slots__ = ("rows", "words", "top")
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+        self.words = np.array([k + _mix(t * _GAMMA & _MASK) & _MASK for k, t in self.rows],
+                              dtype=np.uint64)[:, None]
+        self.top = max(k for k, _ in self.rows)
+
+    def __call__(self, seeds: list) -> np.ndarray:
+        """The keys of each group's rows, group by group, each seed through _seed."""
+        seeds = [_seed(s) for s in seeds]
+        if max(seeds) + self.top <= _MASK:
+            return _mix(np.array(seeds, dtype=np.uint64) + self.words).ravel()
+        return np.array([_key(s + k, t) for k, t in self.rows for s in seeds], dtype=np.uint64)
 
 
-def _draw_rows(families: list, tags: dict, n: int) -> list[tuple]:
-    """One _uniforms pass over the (seed, tag) rows of a draw, each read to
-    its first n numbers.  families is a list of dicts, each mapping the kinds
-    of one builder to their seeds, an int or a sequence of seeds, and tags
-    maps each kind to its tag.  Returns, per family, its block of the numbers
-    and where each kind's rows lie in it: the rows run family by family and,
-    within one, kind by kind, a sequence taking a slice of rows and an int
-    seed one row, at an int index.  A family of one kind takes all its block,
-    at ..., the one row of an int seed as numbers of shape (n,); a draw of one
-    kind is _uniforms(seed, tag, n) itself."""
-    if len(families) == 1 and len(families[0]) == 1:
-        ((kind, seed),) = families[0].items()
-        return [(_uniforms(seed, tags[kind], n), {kind: ...})]
-    rows, row_tags, layout = [], [], []
-    for seeds in families:
-        start, spans = len(rows), {}
-        for kind, s in seeds.items():
-            at = len(rows) - start
-            spans[kind] = at if isinstance(s, (int, np.integer)) else slice(at, at + len(s))
-            rows += [s] if isinstance(spans[kind], int) else s
-            row_tags += [tags[kind]] * (len(rows) - len(row_tags))
-        layout.append((start, len(rows), spans))
-    u = _uniforms(rows, row_tags, n)
-    out = []
-    for start, stop, spans in layout:
-        if len(spans) > 1:
-            out.append((u[start:stop], spans))
-        else:
-            ((kind, span),) = spans.items()
-            out.append((u[start] if isinstance(span, int) else u[start:stop], {kind: ...}))
+@cache
+def _counters(start: int, n: int) -> np.ndarray:
+    """(i + 1) gamma for i = start, ..., start + n - 1, as uint64 that wraps:
+    read-only, built once per (start, n)."""
+    out = np.arange(start + 1, start + n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    out.setflags(write=False)
     return out
 
 
+def _stream(key, n: int, start: int = 0) -> np.ndarray:
+    """Numbers start, ..., start + n - 1 of the stream of an int key, shape
+    (n,), or of each key of a uint64 array of them, shape (len(key), n)."""
+    if not isinstance(key, int):
+        key = key[:, None]
+    z = _mix(_counters(start, n) + key)
+    return (z >> np.uint64(11)) * 2.0 ** -53
+
+
+def _uniforms(seed, tag: int, n: int, start: int = 0) -> np.ndarray:
+    """Numbers start, ..., start + n - 1 of the (seed, tag) stream: shape (n,)
+    for an int seed, (len(seed), n) for a sequence of seeds, a row per seed."""
+    # dtype=object keeps a ragged nesting 1-d, its sequences then rejected one by one
+    seeds = None if isinstance(seed, (int, np.integer)) else np.asarray(seed, dtype=object)
+    if seeds is None or seeds.ndim == 0:
+        return _stream(_key(seed if seeds is None else seeds.item(), tag), n, start)
+    if seeds.ndim != 1 or not len(seeds):
+        raise DimensionError("seed must be an int or a non-empty sequence of ints")
+    return _stream(_RowKeys([(0, tag)])(seeds.tolist()), n, start)
+
+
 def _rows(x: Holder, spans: dict, kind: str) -> Holder:
-    """kind's rows of the batch x of a family draw (see _draw_rows): a 2-d
-    holder for an int index, all of x for a lone kind."""
+    """kind's rows of the batch x of a family draw: all of x for a lone kind
+    (spans[kind] is ...), else a view of the rows at kind's span, a 2-d
+    holder for an int index."""
     return x if spans[kind] is ... else _slice_holder(x, spans[kind])
 
 
@@ -634,11 +648,14 @@ def _check_scale(scale) -> None:
 
 def _blocks(u: np.ndarray, shapes, scale: float) -> list:
     """Consecutive row-major blocks of the first numbers of u (..., n) as
-    uniforms on (-scale, scale), -scale + 2 scale u; later numbers are not read."""
-    x, at, out = 2 * scale * u[..., :sum(map(prod, shapes))] - scale, 0, []
-    for shape in shapes:
-        out.append(x[..., at:at + prod(shape)].reshape(u.shape[:-1] + shape))
-        at += prod(shape)
+    uniforms on (-scale, scale), -scale + 2 scale u; later numbers are not
+    read.  The blocks are read-only views, so a holder assembles them uncopied."""
+    sizes = [prod(shape) for shape in shapes]
+    x, at, out, lead = 2 * scale * u[..., :sum(sizes)] - scale, 0, [], u.shape[:-1]
+    x.setflags(write=False)
+    for shape, size in zip(shapes, sizes):
+        out.append(x[..., at:at + size].reshape(lead + shape))
+        at += size
     return out
 
 
@@ -657,6 +674,9 @@ def _sym(s: np.ndarray) -> np.ndarray:
     return (s + s.mT) / 2
 
 
+_STEPS = np.arange(8)[:, None]  # a word's steps, against its length
+
+
 @_built_once
 def _generator_bases(g: int) -> np.ndarray:
     """The four kinds of elementary generator with their drawn blocks zero."""
@@ -671,36 +691,43 @@ def _sample_symplectic(u: np.ndarray, g: int, scale: float) -> SymplecticMatrix:
     once; step k multiplies only the words longer than k, as padding by I
     could flip the sign of a zero."""
     rows = u.reshape(-1, u.shape[-1])
-    steps = (np.arange(8) < 4 + (5 * rows[:, :1]).astype(int)).T  # step k of word w runs
+    steps = _STEPS < 4 + (5 * rows[:, 0]).astype(int)  # step k of word w runs
     kinds = (4 * rows[:, 1:9]).astype(int).T[steps]  # step-major, as the product runs
     drawn = _blocks(rows[:, 9:], [(8, g, g)], scale)[0].swapaxes(0, 1)[steps]
     bases = _generator_bases(g)
     gens = bases[kinds]
-    for kind in {0, 1, 2} & set(kinds.tolist()):
+    present = {0, 1, 2} & set(kinds.tolist())
+    sym = _sym(drawn) if present & {0, 1} else None  # entry by entry: each step reads its own
+    for kind in present:
         at = kinds == kind
         if kind < 2:  # [[I, S], [0, I]] or [[I, 0], [S, I]]
-            gens[at, kind * g:(kind + 1) * g, (1 - kind) * g:(2 - kind) * g] = _sym(drawn[at])
+            gens[at, kind * g:(kind + 1) * g, (1 - kind) * g:(2 - kind) * g] = sym[at]
         else:  # A = I + R with |R|_2 < 1 so the block stays well conditioned
             a = bases[0, :g, :g] + drawn[at] / max(1, g)
             gens[at, :g, :g], gens[at, g:, g:] = a, _inv(a).mT
-    m, t = np.repeat(bases[:1], len(rows), axis=0), 0
-    for running, n in zip(steps, steps.sum(axis=1).tolist()):
+    r = len(rows)
+    m, t = bases[0] @ gens[:r], r  # every word runs its first 4 steps
+    for running, n in zip(steps[1:], steps[1:].sum(axis=1).tolist()):
         step, t = gens[t:t + n], t + n
-        if n == len(rows):
+        if n == r:
             m = m @ step
         elif n:
             m[running] = m[running] @ step
-    return SymplecticMatrix(m.reshape(u.shape[:-1] + m.shape[-2:]))
+    # assembled from finite generators, and validated once for the batch
+    out = _assemble(SymplecticMatrix, m.reshape(u.shape[:-1] + m.shape[-2:]).astype(complex), g)
+    out.validate()
+    return out
 
 
 def _sample_heisenberg(u: np.ndarray, g: int, h: int, scale: float) -> HeisenbergElement:
-    """A Heisenberg element for each row of numbers u: lam, mu, then S, built
-    unvalidated: kappa + mu t(lam) is symmetric by construction."""
+    """A Heisenberg element for each row of numbers u: lam, mu, then S,
+    assembled unvalidated from finite uniforms: kappa + mu t(lam) is
+    symmetric by construction."""
     lam, mu, s = _blocks(u, [(h, g), (h, g), (h, h)], scale)
     # kappa = S - mu t(lam) + (mu t(lam) + lam t(mu))/2 makes
     # kappa + mu t(lam) = S + sym part, symmetric by construction.
     ml = mu @ lam.mT
-    return HeisenbergElement(lam, mu, _sym(s) - ml + (ml + lam @ mu.mT) / 2, validate=False)
+    return _assemble(HeisenbergElement, lam, mu, _sym(s) - ml + (ml + lam @ mu.mT) / 2, g, h)
 
 
 def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
@@ -728,8 +755,8 @@ def sample_element(kind: str, g: int, h: int = 1, seed=0, scale: float = 0.8):
     _check_scale(scale)
     if kind in _WORD_KINDS and scale > 1:
         raise DomainError(f"scale must be at most 1 for kind {kind!r}, got {scale}")
-    seeds = {kind: seed}
-    ((u, spans),) = _draw_rows([seeds], _KIND_TAG, _element_width(g, h, seeds))
+    spans = {kind: ...}
+    u = _uniforms(seed, _KIND_TAG[kind], _element_width(g, h, spans))
     return _sample_elements(g, h, u, spans, scale)[kind]
 
 
@@ -747,7 +774,7 @@ def _element_width(g: int, h: int, kinds) -> int:
 
 def _sample_elements(g: int, h: int, u: np.ndarray, spans: dict, scale: float = 0.8) -> dict:
     """One family draw of elements, kind -> holder, from the rows of numbers
-    u, each kind's rows at its span (see _draw_rows): heisenberg or kstarj
+    u, each kind's rows at its span (see _rows): heisenberg or kstarj
     alone, or any of the kinds on a symplectic word, sp, gstar, jacobi and
     gstarj.  Each row is read from its front, to _element_width(g, h, spans)
     numbers: a stream's first numbers do not depend on how many are drawn.
@@ -777,7 +804,7 @@ def _sample_elements(g: int, h: int, u: np.ndarray, spans: dict, scale: float = 
         if kind in ("sp", "gstar"):
             out[kind] = mk if kind == "sp" else conjugate_by_T(mk)
         else:
-            a = JacobiElement(mk, _rows(hs, spans, kind))
+            a = _assemble(JacobiElement, mk, _rows(hs, spans, kind))
             out[kind] = a if kind == "jacobi" else theta(a)
     return out
 

@@ -216,6 +216,24 @@ def _freeze(a: np.ndarray, src) -> np.ndarray:
     return a
 
 
+def _assemble(cls, *parts):
+    """The cls holder of parts the library has just made, in the order of
+    cls.__slots__ (its constructor's arguments, then g and h where it stores
+    them), with no coercion, shape or finiteness pass and no validation:
+    each caller says why its parts are finite.  Each array part is made
+    read-only and C-contiguous in place, unless it is a view of writeable
+    memory (numpy gives a view its owner as base), which is copied first so
+    that no write can reach the holder."""
+    out = object.__new__(cls)
+    for name, v in zip(cls.__slots__, parts, strict=True):
+        if type(v) is np.ndarray:
+            if not v.flags.c_contiguous or v.base is not None and v.base.flags.writeable:
+                v = v.copy()
+            v.setflags(write=False)
+        setattr(out, name, v)
+    return out
+
+
 def _built_once(make):
     """make(n) as a read-only array, built once per n."""
     return functools.cache(lambda n: _freeze(make(n), None))

@@ -48,11 +48,11 @@ from .groups import (
     _check_batches,
     _check_gh,
     _check_scale,
-    _draw_rows,
     _fibered_shapes,
     _fibered_width,
     _rows,
     _sym,
+    _uniforms,
     theta,
 )
 from .numkit import (
@@ -61,6 +61,7 @@ from .numkit import (
     DimensionError,
     DomainError,
     Holder,
+    _assemble,
     _count,
     _built_once,
     _ensure,
@@ -264,22 +265,15 @@ def _symmetrized(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def _positive(cls, m: np.ndarray):
-    """The cls point at an exactly symmetric m, as (m + m^T)/2 is: of cls's
+    """The cls point at m, a complex array the library has just made exactly
+    symmetric, as (m + m^T)/2 is, and finite: a map's image, which passed
+    _symmetrized, whose NaN defect fails a non-finite matrix first, or a
+    sampled base.  It is assembled, taking m as its own, and of cls's
     validation only the positivity check is left to make, as its symmetry
     test and the Hermitian test of its _pd_matrix could only pass."""
-    out = cls(m, validate=False)
+    out = _assemble(cls, m)
     _ensure(_pd_margin(out._pd_matrix()) > out._pd_floor(), DomainError, cls._NOT_PD)
     return out
-
-
-def _tangent(dbase: np.ndarray, dfiber: np.ndarray | None) -> TangentVector:
-    """The TangentVector (dbase, dfiber) for a complex dbase that is exactly
-    symmetric, as (m + m^T)/2 is: without the symmetry test that could only
-    pass."""
-    v = TangentVector.__new__(TangentVector)
-    v.dbase = _freeze(dbase, None)
-    v.dfiber = None if dfiber is None else _freeze(dfiber, None)
-    return v
 
 
 def _fit(v: TangentVector, x: np.ndarray, fiber: np.ndarray | None = None):
@@ -334,8 +328,10 @@ def _fractional_linear(blocks, x, cls, context: str, what: str, dirs=None, fiber
     lead, jinv, pushed = a - image @ c, out[..., k:, :], []
     for dx, dphi in moves:
         dx2 = lead @ dx @ jinv
-        pushed.append(_tangent((dx2 + dx2.mT) / 2,
-                               None if f is None else (df(dx, dphi) - z @ (c @ dx)) @ jinv))
+        # assembled: the base part is exactly symmetric, and both are products of
+        # finite arrays, as the solve's numerator and its output are
+        pushed.append(_assemble(TangentVector, (dx2 + dx2.mT) / 2,
+                                None if f is None else (df(dx, dphi) - z @ (c @ dx)) @ jinv))
     return point, pushed
 
 
@@ -477,18 +473,18 @@ def sample_point(kind: str, g: int, h: int = 1, seed=0, scale: float = 1.0):
         raise DomainError(f"unknown point kind: {kind!r}")
     g, h = _count(g, "g"), _count(h, "h")
     _check_scale(scale)
-    seeds = {kind: seed}
-    ((u, spans),) = _draw_rows([seeds], _KIND_TAG, _fibered_width(g, h, seeds))
+    spans = {kind: ...}
+    u = _uniforms(seed, _KIND_TAG[kind], _fibered_width(g, h, spans))
     return _sample_points(g, h, u, spans, scale)[kind]
 
 
 def _sample_points(g: int, h: int, u: np.ndarray, spans: dict, scale: float = 1.0) -> dict:
     """One family draw of points, kind -> holder, from the rows of numbers u,
-    each kind's rows at its span (see groups._draw_rows): any of siegel and
+    each kind's rows at its span (see groups._rows): any of siegel and
     siegel_jacobi, or of disk and disk_jacobi.  Each row is read from its
     front, and one base is built for every row, exactly symmetric, and
     checked for positivity (_positive); a kind's points take their rows of
-    it, with a fiber for a jacobi kind."""
+    it, with a fiber for a jacobi kind, assembled from finite uniforms."""
     # two g x g blocks for the base (Siegel: R, then Re omega; disk: Re W,
     # then Im W), then the real and the imaginary part of the fiber
     siegel = next(iter(spans)).startswith("siegel")
@@ -503,8 +499,8 @@ def _sample_points(g: int, h: int, u: np.ndarray, spans: dict, scale: float = 1.
     for kind, rows in spans.items():
         out[kind] = _rows(base, spans, kind)
         if kind.endswith("jacobi"):
-            out[kind] = (SiegelJacobiPoint if siegel else DiskJacobiPoint)(
-                out[kind], x[2][rows] + 1j * x[3][rows])
+            out[kind] = _assemble(SiegelJacobiPoint if siegel else DiskJacobiPoint, out[kind],
+                                  x[2][rows] + 1j * x[3][rows])
     return out
 
 

@@ -9,21 +9,25 @@ Every suite runs on one runner, _Batched, in chunks of up to 64 trials.  A
 chunk's samples come from one pass over the counter-based (seed, tag)
 streams of all its rows, each read to the longest length any family of
 kinds (see _FAMILIES) needs: a stream's first numbers do not depend on how
-many are drawn, so each sample has the bits of its int-seed draw.  Each
-family's samples are built once for the chunk, and checked once where a
-check could fail: the symplectic word is validated and each sampled base
-checked for positivity, while the samples that are exact images of a
-validated word (gstar, gstarj) or symmetric by construction (the Heisenberg
-part) are not validated again.  The chunk is then evaluated in one pass,
-each residual with the bits of its trial drawn and evaluated alone.  A
-trial that raises an SjkError is recorded as a failure with its error and
-the run goes on.  The algebraic suites call each law once per layer of
-their identity trees, on the stack of the layer's operands (group-axioms:
-jacobi_mul, heisenberg_mul and gstarj_mul twice each, then one rel_error
-per field array of the two layers, its identities broadcast views at the
-chunk's batch so each stack is one copy; theta-hom: theta and embed_sp_gph
-once; cocycle: kc_component once and one rel_error per representation), and
-a law that fails on a stack names its slice, e.g. " (slice 2)".
+many are drawn, so each sample has the bits of its int-seed draw.  The
+pass's layout depends on (g, h) and the chunk's length alone, so a runner
+plans it once per such shape, and a draw only keys its seeds, in one uint64
+mix, and makes the pass.  Each family's samples are built once for the
+chunk, assembled from the arrays the builder makes with no coercion, and
+checked once where a check could fail: the symplectic word is validated and
+each sampled base checked for positivity, while the samples that are exact
+images of a validated word (gstar, gstarj) or symmetric by construction
+(the Heisenberg part) are not validated again.  The chunk is then
+evaluated in one pass, each residual with the bits of its trial drawn and
+evaluated alone.  A trial that raises an SjkError is recorded as a failure
+with its error and the run goes on.  The algebraic suites call each law
+once per layer of their identity trees, on the stack of the layer's
+operands (group-axioms: jacobi_mul, heisenberg_mul and gstarj_mul twice
+each, then one rel_error per field array of the two layers, its identities
+broadcast views at the chunk's batch so each stack is one copy; theta-hom:
+theta and embed_sp_gph once; cocycle: kc_component once and one rel_error
+per representation), and a law that fails on a stack names its slice, e.g.
+" (slice 2)".
 laplacian-invariance checks each test field once, on its domain's model
 (_LAPLACIAN_MODELS), one trial per call, each Laplacian acting on its
 stencil's points in one batch.  volume-invariance compares log densities,
@@ -65,11 +69,12 @@ from .groups import (
     GStarJacobiElement,
     HeisenbergElement,
     JacobiElement,
-    _draw_rows,
     _element_width,
     _fibered_width,
+    _RowKeys,
     _sample_elements,
     _seed,
+    _stream,
     _tstar_residual,
     conjugate_by_T,
     embed_sp_gph,
@@ -172,17 +177,19 @@ class _Batched:
     """A suite that draws one sample of each kind per trial, seeded s, s + 1,
     ..., and evaluates each chunk of up to _CHUNK trials in one pass.
 
-    A chunk's samples come from one _uniforms pass over the (seed, tag) rows
-    of all its kinds, laid out family by family (see _FAMILIES) and each read
-    to the longest family's width; each family's builder then makes its
-    kinds' samples from its block of rows.  A kind at offsets k1..km has the
-    rows of the seeds s + k1 over the chunk, then s + k2, ..., next to the
-    other kinds of its family, and each offset takes its rows of the kind's
-    batch as a view, a 2-d holder through an int row for a chunk of one
-    trial.  A kind with one row has it on its int seed.  A chunk that raises
-    an SjkError is evaluated again trial by trial, each trial drawn as a
-    chunk of one, and a trial that still raises gives its error in place of
-    its residual.
+    A chunk's samples come from one stream pass over the (seed, tag) rows of
+    all its kinds, laid out family by family (see _FAMILIES) and each read to
+    the longest family's width; each family's builder then makes its kinds'
+    samples from its block of rows.  A kind at offsets k1..km has the rows of
+    the seeds s + k1 over the chunk, then s + k2, ..., next to the other
+    kinds of its family, and each offset takes its rows of the kind's batch
+    as a view, a 2-d holder through an int row for a chunk of one trial.  A
+    kind with one row has it as a 1-d block, as its int seed's draw does.
+    That layout depends on (g, h) and the chunk's length alone, so it is
+    planned once for each (_plan), and a draw only keys its seeds and makes
+    the pass.  A chunk that raises an SjkError is evaluated again trial by
+    trial, each trial drawn as a chunk of one, and a trial that still raises
+    gives its error in place of its residual.
     """
 
     kinds: tuple
@@ -197,6 +204,11 @@ class _Batched:
             out.setdefault(_FAMILY[kind], {}).setdefault(kind, []).append(k)
         return [(*_FAMILIES[family], offsets) for family, offsets in out.items()]
 
+    @cached_property
+    def _plans(self) -> dict:
+        """(g, h, chunk length) -> its draw plan: as many as the runner meets."""
+        return {}
+
     def __call__(self, g: int, h: int, seeds: list[int]) -> list:
         out = []
         for i in range(0, len(seeds), _CHUNK):
@@ -210,25 +222,45 @@ class _Batched:
             out.extend(self.alone(g, h, s) for s in chunk)
         return out
 
+    def _plan(self, g: int, h: int, n: int) -> tuple:
+        """The draw of a chunk of n trials at (g, h), laid out once: the keys of
+        its rows (groups._RowKeys, a row group per kind offset), the row width,
+        and per family its builder, its block of rows (an int for a lone kind's
+        one row), its kinds' spans in that block (... for a lone kind) and,
+        per kind, the (offset, rows of its batch) of each of its samples, rows
+        None for a kind at one offset, which takes its whole batch."""
+        plan = self._plans.get((g, h, n))
+        if plan is not None:
+            return plan
+        rows, families, width = [], [], 0
+        for w, build, offsets in self.families:
+            start, spans, places = len(rows) * n, {}, {}
+            for kind, ks in offsets.items():
+                at = len(rows) * n - start
+                spans[kind] = at if n == 1 and len(ks) == 1 else slice(at, at + n * len(ks))
+                places[kind] = [(ks[0], None)] if len(ks) == 1 else [
+                    (k, j if n == 1 else slice(j * n, (j + 1) * n)) for j, k in enumerate(ks)]
+                rows += [(k, _TAG[kind]) for k in ks]
+            block = slice(start, len(rows) * n)
+            if len(spans) == 1:
+                ((kind, span),) = spans.items()
+                block, spans = start if isinstance(span, int) else block, {kind: ...}
+            families.append((build, block, spans, places))
+            width = max(width, w(g, h, offsets))
+        plan = self._plans[g, h, n] = (_RowKeys(rows), width, families)
+        return plan
+
     def _draw(self, g: int, h: int, chunk: list[int]) -> list:
         """The chunk's samples, one per kind position, from one stream pass
-        whose rows are read to the longest family's width.  In a chunk of one
-        trial each sample is a 2-d holder: a kind at one offset is drawn on
-        its int seed, a kind at several takes int rows of its batch."""
-        n, samples = len(chunk), [None] * len(self.kinds)
-        seeds = [{kind: chunk[0] + ks[0] if n == 1 and len(ks) == 1
-                  else [s + k for k in ks for s in chunk] for kind, ks in offsets.items()}
-                 for _, _, offsets in self.families]
-        width = max(w(g, h, s) for (w, _, _), s in zip(self.families, seeds))
-        blocks = _draw_rows(seeds, _TAG, width)
-        for (_, build, offsets), (u, spans) in zip(self.families, blocks):
-            for kind, batch in build(g, h, u, spans).items():
-                ks = offsets[kind]
-                if len(ks) == 1:
-                    samples[ks[0]] = batch
-                    continue
-                for j, k in enumerate(ks):
-                    samples[k] = _slice_holder(batch, j if n == 1 else slice(j * n, (j + 1) * n))
+        planned by _plan.  In a chunk of one trial each sample is a 2-d
+        holder."""
+        keys, width, families = self._plan(g, h, len(chunk))
+        u = _stream(keys(chunk), width)
+        samples = [None] * len(self.kinds)
+        for build, block, spans, places in families:
+            for kind, batch in build(g, h, u[block], spans).items():
+                for k, rows in places[kind]:
+                    samples[k] = batch if rows is None else _slice_holder(batch, rows)
         return samples
 
     def alone(self, g: int, h: int, s: int):

@@ -119,7 +119,8 @@ def _draw_alone(suite, g, h, s) -> tuple:
 
 
 def _rows(draws: list) -> list[int]:
-    """The number of (seed, tag) rows of each _uniforms pass counted in draws."""
+    """The number of (seed, tag) rows of each stream pass counted in draws:
+    the keys groups._stream takes, one int or an array of them."""
     return [np.size(args[0]) for args in draws]
 
 
@@ -131,9 +132,9 @@ def test_batched_suite_matches_trials_one_at_a_time(count_calls, name, g, h):
     alone = [suite.evaluate(*_draw_alone(suite, g, h, s)) for s in seeds]  # unbatched, 2-d holders
     assert all(type(r) in (float, np.float64) for r in alone)
     evaluations, counted = _counting(suite)
-    draws = count_calls("groups._uniforms")
+    draws = count_calls("groups._stream")
     batched = counted(g, h, seeds)
-    # one _uniforms pass for every family, on ten seeds per offset of a kind
+    # one stream pass for every family, on ten seeds per offset of a kind
     assert _rows(draws) == [10 * len(suite.kinds)]
     assert evaluations == [1] and len(batched) == 10  # one pass, no trial replayed
     assert _bits(batched) == _bits(alone)
@@ -156,7 +157,7 @@ def _counting(suite) -> tuple[list, suites._Batched]:
 def test_trials_past_one_chunk_match_trials_one_at_a_time(count_calls):
     suite = SUITES["compat-29"][0]
     seeds = [trial_seed(2, i) for i in range(suites._CHUNK + 6)]
-    draws = count_calls("groups._uniforms")
+    draws = count_calls("groups._stream")
     for g, h in [(1, 1), (2, 1), (3, 2)]:
         want = [suite.evaluate(*_draw_alone(suite, g, h, s)) for s in seeds]
         draws.clear()
@@ -327,13 +328,20 @@ TANGENT_KINDS = ["tangent", "tangent_jacobi"]
 SAMPLE_SHAPES = [(1, 1), (2, 1), (3, 2), (4, 3)]
 
 
-def _arrays(x) -> list:
-    """Every array a holder stores, nested holders included, in slot order."""
+def _classed_arrays(x) -> list[tuple]:
+    """(class of the holder that stores it, array) for every array a holder
+    stores, nested holders included, in slot order."""
     out = []
     for name in type(x).__slots__:
         v = getattr(x, name)
-        out += [v] if isinstance(v, np.ndarray) else _arrays(v) if isinstance(v, Holder) else []
+        out += [(type(x), v)] if isinstance(v, np.ndarray) else \
+            _classed_arrays(v) if isinstance(v, Holder) else []
     return out
+
+
+def _arrays(x) -> list:
+    """Every array a holder stores, nested holders included, in slot order."""
+    return [a for _, a in _classed_arrays(x)]
 
 
 def _sampler(kind):
@@ -359,8 +367,7 @@ def test_a_batched_draw_is_the_draws_of_its_seeds_stacked(kind, g, h):
         for got, *want in zip(_arrays(batch), *map(_arrays, alone), strict=True):
             assert got.shape == (len(seeds),) + want[0].shape and want[0].ndim == 2
             assert got.tobytes() == np.stack(want).tobytes()
-            if kind not in TANGENT_KINDS:  # a tangent vector does not freeze its arrays
-                assert not got.flags.writeable
+            assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("g,h", SAMPLE_SHAPES)
@@ -517,12 +524,35 @@ def test_each_kind_is_validated_once_per_chunk(count_calls, monkeypatch):
     assert _counts(counted) == {"SymplecticMatrix": 4, "SiegelPoint": 2, "DiskPoint": 2}
 
 
+def test_a_corrupted_word_still_fails_its_validation(count_calls, monkeypatch):
+    # the sampled word is assembled uncoerced but still validated, once per draw: with
+    # its shear blocks left unsymmetrized, a word with a shear step is not symplectic
+    validations = count_calls("groups.SymplecticMatrix.validate")
+    seeds = list(range(12))
+    sheared = [s for s in seeds if {0, 1} & set(_word("sp", s, 2))]
+    assert 0 < len(sheared) < len(seeds)
+    monkeypatch.setattr(groups, "_sym", lambda s: s)
+    for s in seeds:
+        if s in sheared:
+            with pytest.raises(DomainError, match="^matrix is not symplectic within tolerance$"):
+                sample_element("sp", 2, 1, s)
+        else:
+            sample_element("sp", 2, 1, s)
+    assert len(validations) == len(seeds)
+    # a suite's chunk fails as one draw, and each trial replayed alone fails or not as above
+    runner = suites._Batched(("sp",), lambda m: np.zeros(m.m.shape[:-2]))
+    validations.clear()
+    got = runner(2, 1, seeds)
+    assert [isinstance(r, DomainError) for r in got] == [s in sheared for s in seeds]
+    assert len(validations) == 1 + len(seeds)
+
+
 def _draw_counts(count_calls, monkeypatch, run) -> dict:
     """The calls each draw function and check makes in run(), which returns
     whether its trials passed."""
     counted = _count_checks(count_calls, monkeypatch) | {
         fn: count_calls(fn) for fn in
-        ("groups._uniforms", "groups._sample_symplectic", "groups._sample_heisenberg")}
+        ("groups._stream", "groups._sample_symplectic", "groups._sample_heisenberg")}
     assert run()
     return _counts(counted)
 
@@ -539,7 +569,7 @@ def test_a_metric_invariance_trial_draws_each_family_once(count_calls, monkeypat
     # gstarj, both with a Heisenberg part, the Siegel base's siegel_jacobi, the
     # disk base's disk_jacobi and two tangent vectors
     assert _suite_counts(count_calls, monkeypatch, "metric-invariance", 2, 2) == {
-        "groups._uniforms": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
+        "groups._stream": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 1}
 
 
@@ -570,7 +600,7 @@ def test_a_metric_invariance_trial_tests_positivity_alone(count_calls):
 def test_a_volume_invariance_trial_draws_as_before(count_calls, monkeypatch):
     # a jacobi element and a siegel_jacobi point, one row each of one stream pass
     assert _suite_counts(count_calls, monkeypatch, "volume-invariance", 2, 2) == {
-        "groups._uniforms": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
+        "groups._stream": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 1,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
 
 
@@ -580,7 +610,7 @@ def test_a_laplacian_trial_of_a_field_of_omega_alone_draws_each_family_once(coun
     (k,) = [k for k, f in enumerate(TEST_FIELDS) if f.name == "logdet-y"]
     run = lambda: suites._LAPLACIANS[k](2, 2, [6 * 7 + k])[0] <= 1e-3  # noqa: E731
     assert _draw_counts(count_calls, monkeypatch, run) == {
-        "groups._uniforms": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 0,
+        "groups._stream": 1, "groups._sample_symplectic": 1, "groups._sample_heisenberg": 0,
         "SymplecticMatrix": 1, "SiegelPoint": 1, "DiskPoint": 0}
 
 
@@ -591,9 +621,13 @@ def test_a_laplacian_trial_of_a_field_of_omega_alone_draws_each_family_once(coun
 ], ids=["heisenberg-kinds-last", "mixed", "sp-first"])
 def test_a_word_draw_in_any_order_of_kinds_gives_each_kind_its_public_draw(count_calls, seeds):
     words, parts = count_calls("groups._sample_symplectic"), count_calls("groups._sample_heisenberg")
-    ((u, spans),) = groups._draw_rows([seeds], groups._KIND_TAG,
-                                      groups._element_width(2, 1, seeds))
-    got = groups._sample_elements(2, 1, u, spans)
+    # the kinds' rows one after another, an int seed's as one row at an int index
+    width, blocks, spans = groups._element_width(2, 1, seeds), [], {}
+    for kind, s in seeds.items():
+        at, u = sum(map(len, blocks)), _uniforms(s, groups._KIND_TAG[kind], width)
+        spans[kind] = at if u.ndim == 1 else slice(at, at + len(u))
+        blocks.append(np.atleast_2d(u))
+    got = groups._sample_elements(2, 1, np.concatenate(blocks), spans)
     # one word and one Heisenberg part, each built on every row of the draw
     assert len(words) == len(parts) == 1
     for kind, s in seeds.items():
@@ -635,6 +669,69 @@ def test_every_sample_of_a_family_draw_has_the_bytes_of_its_int_seed_draw(name, 
             for x, *want in zip(_arrays(got), *map(_arrays, alone), strict=True):
                 assert want[0].ndim == 2 and x.shape == (() if n == 1 else (n,)) + want[0].shape
                 assert x.tobytes() == np.stack(want).tobytes()
+
+
+# every kind a suite draws, some at a second offset too, so a kind's batch is
+# also read as int rows and as slices
+_ALL_KINDS = tuple(suites._FAMILY) + ("jacobi", "siegel_jacobi", "tangent", "heisenberg")
+
+
+def _frozen_alone(a: np.ndarray) -> bool:
+    """Read-only and C-contiguous, with no writeable array behind it (numpy
+    gives a view its owner as base), so no write can reach it."""
+    return (not a.flags.writeable and a.flags.c_contiguous
+            and (a.base is None or not a.base.flags.writeable))
+
+
+@pytest.mark.parametrize("g,h", [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)])
+def test_an_assembled_draw_is_the_public_draw_frozen(g, h):
+    # the samplers assemble their holders from the arrays they make, with no
+    # coercion: a suite's draw of each kind, alone and batched, has the public
+    # sampler's bytes and dtypes, and each array part is frozen and unshared
+    runner = suites._Batched(_ALL_KINDS, None)
+    for chunk in ([trial_seed(3, 0)], [trial_seed(3, i) for i in range(4)]):
+        for k, (kind, got) in enumerate(zip(_ALL_KINDS, runner._draw(g, h, chunk), strict=True)):
+            seeds = chunk[0] + k if len(chunk) == 1 else [s + k for s in chunk]
+            want = _sample(kind, g, h, seeds)
+            assert type(got) is type(want) and (got.g, getattr(got, "h", h)) == (g, h)
+            if kind == "tangent":
+                assert got.dfiber is None and want.dfiber is None
+            for (cls, x), y in zip(_classed_arrays(got), _arrays(want), strict=True):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), kind
+                # the dtype the public constructors coerce to: real Heisenberg parts
+                assert x.dtype == (float if cls is groups.HeisenbergElement else complex), kind
+                assert _frozen_alone(y), kind
+                # the suite's samples are views of its kinds' batches, frozen in turn
+                assert _frozen_alone(x if x.base is None else x.base), kind
+
+
+def test_a_chunk_shape_is_planned_once_and_its_seeds_keyed_in_one_mix(count_calls):
+    runner = suites._Batched(_ALL_KINDS, None)
+    keyed = count_calls("groups._key")
+    shapes = [(1, 1, 1), (2, 1, 1), (1, 1, 5), (1, 1, 1), (2, 1, 5), (2, 1, 1)]
+    for g, h, n in shapes:
+        plan = runner._plan(g, h, n)
+        runner._draw(g, h, [trial_seed(4, i) for i in range(n)])
+        assert runner._plan(g, h, n) is plan
+    # a plan per (g, h, chunk length) met, and no seed keyed alone below 2**64
+    assert set(runner._plans) == set(shapes) and keyed == []
+    for bad in ([-1], [3, True], [2.0]):  # every seed still goes through _seed
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            runner._draw(1, 1, bad)
+
+
+@pytest.mark.parametrize("top", [2 ** 64 - 3, 2 ** 64, 2 ** 70 + 5])
+def test_a_chunk_with_seeds_past_two_to_the_64_keeps_their_streams(count_calls, top):
+    # s + k of 2**64 and above takes _key's loop over the higher words, row by row
+    runner = suites._Batched(("jacobi", "siegel_jacobi", "jacobi", "tangent"), None)
+    keyed = count_calls("groups._key")
+    for chunk in ([top], [5, top, top + 1]):
+        keyed.clear()
+        got = runner._draw(2, 1, chunk)
+        assert len(keyed) == len(chunk) * len(runner.kinds)
+        for k, (kind, x) in enumerate(zip(runner.kinds, got, strict=True)):
+            want = _sample(kind, 2, 1, chunk[0] + k if len(chunk) == 1 else [s + k for s in chunk])
+            assert [a.tobytes() for a in _arrays(x)] == [a.tobytes() for a in _arrays(want)]
 
 
 # -- tangent vectors, metrics and volume: one batched pass per call ----------

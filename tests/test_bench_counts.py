@@ -29,6 +29,10 @@ def test_counts_prints_the_calls_per_trial_of_one_suite_and_shape():
     # gstarj, a Siegel and a disk base, and two tangent vectors
     assert (one["_fractional_linear"], one["_uniforms"], one["rows_drawn"]) == (3, 1, 6)
     assert many["rows_drawn"] == 6
+    # the samples, theta's image and the maps' image bases and pushed vectors are
+    # assembled uncoerced: what is coerced is each guarded solve's two operands and
+    # each metric's guarded inverse, 8, and the three maps' image fibers, 3, each frozen
+    assert (one["as_cmatrix"], one["_freeze"]) == (11, 3)
     # of the holders the trial builds only the word is validated: its gstarj is
     # theta's exact image and the Heisenberg part symmetric by construction
     assert one["validations"] == {"SymplecticMatrix": 1, "HeisenbergElement": 0,

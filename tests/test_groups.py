@@ -295,13 +295,61 @@ def test_sample_rejects_bad_arguments():
     (lambda: HeisenbergElement([[0.0]], [[0.0], [0.0, 1.0]], [[0.0]]), DimensionError),
     (lambda: encode_matrix("x"), DimensionError),
     (lambda: decode_element({"kind": "sp"}), DimensionError),
+    (lambda: SymplecticMatrix.identity("a"), DimensionError),
+    (lambda: HeisenbergElement.identity(-1, 1), DimensionError),
+    (lambda: GStarJacobiElement.identity(0, 1), DimensionError),
+    (lambda: JacobiElement.identity(2, True), DimensionError),
+    (lambda: GStarElement.identity(1.0), DimensionError),
+    (lambda: ComplexHeisenbergElement.identity(1, 0), DimensionError),
 ], ids=["element-scale-str", "element-scale-bool", "point-scale-none", "point-kind-list",
         "element-kind-list", "symplectic_j-negative", "symplectic_j-str", "cayley_matrix-negative",
         "pd-margin-str", "pd-margin-ragged", "index-matrix-str", "heisenberg-str",
-        "heisenberg-ragged", "encode-str", "decode-missing-key"])
+        "heisenberg-ragged", "encode-str", "decode-missing-key", "symplectic-identity-str",
+        "heisenberg-identity-negative", "gstarj-identity-zero", "jacobi-identity-bool-h",
+        "gstar-identity-float", "complex-heisenberg-identity-h0"])
 def test_a_malformed_argument_raises_a_library_error(call, error):
     with pytest.raises(error):
         call()
+
+
+# each identity as its constructor builds it from plain numpy arrays, at degrees (g, h)
+_CONSTRUCTED = {
+    SymplecticMatrix: lambda g, h: SymplecticMatrix(np.eye(2 * g)),
+    HeisenbergElement: lambda g, h: HeisenbergElement(*_zeros(g, h)),
+    GStarElement: lambda g, h: GStarElement(np.eye(g), np.zeros((g, g))),
+    ComplexHeisenbergElement: lambda g, h: ComplexHeisenbergElement(*_zeros(g, h)),
+}
+_CONSTRUCTED[JacobiElement] = lambda g, h: JacobiElement(
+    _CONSTRUCTED[SymplecticMatrix](g, h), _CONSTRUCTED[HeisenbergElement](g, h))
+_CONSTRUCTED[GStarJacobiElement] = lambda g, h: GStarJacobiElement(
+    _CONSTRUCTED[GStarElement](g, h), _CONSTRUCTED[ComplexHeisenbergElement](g, h))
+
+
+def _zeros(g: int, h: int) -> tuple:
+    return np.zeros((h, g)), np.zeros((h, g)), np.zeros((h, h))
+
+
+def _holder_arrays(x) -> list:
+    """Every array a holder stores, nested holders included, in slot order."""
+    out = []
+    for name in type(x).__slots__:
+        v = getattr(x, name)
+        out += [v] if isinstance(v, np.ndarray) else _holder_arrays(v) if isinstance(v, Holder) \
+            else []
+    return out
+
+
+@pytest.mark.parametrize("cls", list(_CONSTRUCTED), ids=lambda c: c.__name__)
+def test_an_identity_has_the_parts_its_constructor_gives(cls):
+    # assembled without the constructor's coercion, an identity has the degrees,
+    # and its parts the dtype, shape and bytes, that the constructor gives, read-only
+    g, h = 2, 3
+    got = cls.identity(g) if cls in (SymplecticMatrix, GStarElement) else cls.identity(g, h)
+    want = _CONSTRUCTED[cls](g, h)
+    assert (got.g, getattr(got, "h", h)) == (g, h)
+    for x, y in zip(_holder_arrays(got), _holder_arrays(want), strict=True):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        assert not x.flags.writeable and x.flags.c_contiguous
 
 
 def test_invalid_elements_rejected():

@@ -8,6 +8,7 @@ from sjkit.geometry import sample_tangent
 from sjkit.groups import (
     GStarElement,
     GStarJacobiElement,
+    HeisenbergElement,
     JacobiElement,
     SymplecticMatrix,
     conjugate_by_T,
@@ -390,6 +391,36 @@ def test_siegel_positivity_is_relative_to_the_scale_of_y():
 def test_a_check_that_overflows_rejects(make, match):
     """A residual that overflows to NaN fails its check rather than passing it."""
     with pytest.raises(DomainError, match=match):
+        make()
+
+
+# den = I - W, of W = 1 - 1e-11, is 1e-11: eta of 1e300 gives a fiber of 2e311, which
+# overflows in the solve, while eta of 1.5e308 already overflows in the numerator's
+# 2i eta, where numpy warns, before the solve's coercion raises
+_NEAR_ONE = DiskPoint(np.array([[1 - 1e-11]]))
+# theta of diag(1e6, 1e-6) acts with den = conj(Q) W + conj(P) = 1e-6 at W = -(1 - 1e-11)
+_SHRINK = theta(JacobiElement(SymplecticMatrix(np.diag([1e6, 1e-6])),
+                              HeisenbergElement([[0.0]], [[0.0]], [[0.0]])))
+_NEAR_MINUS_ONE = DiskPoint(np.array([[-(1 - 1e-11)]]))
+_ON_THE_CUT = SiegelPoint(np.array([[-1 + 1e-9j]]))  # omega + 1 = 1e-9 i
+_SHEAR = JacobiElement(SymplecticMatrix(np.array([[1.0, 0.0], [1.0, 1.0]])),
+                       HeisenbergElement([[0.0]], [[0.0]], [[0.0]]))  # C = D = 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make, match", [
+    (lambda: partial_cayley(DiskJacobiPoint(_NEAR_ONE, [[1e300]])), "z"),
+    (lambda: partial_cayley(DiskJacobiPoint(_NEAR_ONE, [[1e300]]),
+                            dirs=[sample_tangent(1, 1, seed=0)]), "z"),
+    (lambda: partial_cayley(DiskJacobiPoint(_NEAR_ONE, [[1.5e308]])), "numerator"),
+    (lambda: act_jacobi_disk(_SHRINK, DiskJacobiPoint(_NEAR_MINUS_ONE, [[1e304]])), "eta"),
+    (lambda: act_jacobi(_SHEAR, SiegelJacobiPoint(_ON_THE_CUT, [[1e300]])), "z"),
+], ids=["partial_cayley", "partial_cayley-dirs", "partial_cayley-numerator",
+        "act_jacobi_disk", "act_jacobi"])
+def test_a_map_whose_image_fiber_is_not_finite_raises(make, match):
+    """The image base is assembled unchecked, as _symmetrized has passed it,
+    but the fiber, which can overflow on its own, keeps its finiteness check."""
+    with pytest.raises(DomainError, match=f"^{match}: entries must be finite"):
         make()
 
 
