@@ -11,7 +11,13 @@ core.  component_residuals returns the residuals of the identities they
 satisfy; kc_component and decompose_full return the components and raise
 when a residual exceeds the algebraic tolerance; reconstruction_residual
 multiplies through the one product law, groups._big_product.  All act on
-every slice of batched holders in one pass.
+every slice of batched holders in one pass.  decompose_full and
+component_residuals rebuild from the factors the core has just made, in
+one private reconstruction core, without the coercion that
+reconstruction_residual makes of a caller's factors; the finiteness,
+Heisenberg-symmetry and nonsingular checks of each product stay.  The
+factor blocks and the embedded point, the identity with one or two of its
+g x g blocks replaced, are written into a copy of the cached identity.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .numkit import (
     ConsistencyError,
     DimensionError,
     DomainError,
-    _block,
     _check_cond,
     _ensure,
     _eye,
@@ -68,11 +73,27 @@ class HCFactors:
 
     def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = self.k_p.shape[-1]
-        i = _eye(g)
-        z = np.zeros((g, g))
-        return (_block([[i, self.pplus_w], [z, i]]),
-                _block([[self.k_p, z], [z, self.k_lower]]),
-                _block([[i, z], [self.pminus_w, i]]))
+        return (_in_identity(g, (0, 1, self.pplus_w)),
+                _in_identity(g, (0, 0, self.k_p), (1, 1, self.k_lower)),
+                _in_identity(g, (1, 0, self.pminus_w)))
+
+
+def _in_identity(g: int, *blocks) -> np.ndarray:
+    """The 2g x 2g identity with its g x g block (i, j) replaced by x for each
+    (i, j, x) of blocks, the batches of the xs broadcast: x written into a
+    copy of the cached identity, with the complex dtype and the bytes that
+    numkit._block gives each slice of the grid."""
+    batch = ()
+    for _, _, x in blocks:
+        if x.shape[-2:] != (g, g):
+            raise DimensionError(f"block shape {x.shape[-2:]} != {(g, g)}")
+        if x.shape[:-2] != batch:
+            batch = np.broadcast_shapes(batch, x.shape[:-2])
+    out = np.empty(batch + (2 * g, 2 * g), complex)
+    out[...] = _eye(2 * g)
+    for i, j, x in blocks:
+        out[..., i * g:(i + 1) * g, j * g:(j + 1) * g] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -91,8 +112,6 @@ class JacobiHCFactors:
         same messages: finite and complex, of conforming shapes; the zero
         parts, built here, are not."""
         g = self.hc.k_p.shape[-1]
-        zf = np.zeros((h, g), dtype=complex)
-        zc = np.zeros((h, h), dtype=complex)
         up, mid, low = self.hc._blocks()
         eta = as_cmatrix(self.pplus_eta, "eta")
         if eta.shape[-2:] != (h, g):
@@ -106,17 +125,33 @@ class JacobiHCFactors:
         if xi.shape[-2:] != (h, g):
             raise DimensionError("xi and eta must have equal shape")
         low = _block_part(low, g)
-        return [(up, zf, eta, zc), (mid, zf, zf, zeta), (low, xi, zf, zc)]
+        return _factor_parts((up, mid, low), eta, zeta, xi)
+
+
+def _factor_parts(blocks: tuple, eta: np.ndarray, zeta: np.ndarray, xi: np.ndarray) -> list:
+    """The (block, xi, eta, zeta) arrays of the three factors (up, mid, low) of
+    blocks, whose Heisenberg parts are (0, eta; 0), (0, 0; zeta) and (xi, 0; 0)."""
+    up, mid, low = blocks
+    zf = np.zeros(xi.shape[-2:], dtype=complex)
+    zc = np.zeros(zeta.shape[-2:], dtype=complex)
+    return [(up, zf, eta, zc), (mid, zf, zf, zeta), (low, xi, zf, zc)]
+
+
+def _made_parts(factors: JacobiHCFactors) -> list:
+    """JacobiHCFactors._parts of the factors _hc_core has just made, without
+    its coercion: their arrays are complex and of conforming shapes by
+    construction, and a part that overflowed makes a product that fails
+    _big_product's finiteness check."""
+    return _factor_parts(factors.hc._blocks(), factors.pplus_eta, factors.kappa_star,
+                         factors.pminus_xi)
 
 
 def _embedded_point(p: DiskJacobiPoint) -> tuple:
     """(W, eta) as (block, xi, eta, zeta) = ([[I, W], [0, I]], 0, eta, 0): finite
     complex parts of conforming shapes, as the point's are."""
     g, h = p.g, p.h
-    i = _eye(g)
-    z = np.zeros((g, g))
     zf = np.zeros((h, g), dtype=complex)
-    return _block([[i, p.w], [z, i]]), zf, p.eta, np.zeros((h, h), dtype=complex)
+    return _in_identity(g, (0, 1, p.w)), zf, p.eta, np.zeros((h, h), dtype=complex)
 
 
 def _hc_core(a: GStarJacobiElement, p: DiskJacobiPoint) -> tuple[JacobiHCFactors, dict]:
@@ -186,7 +221,7 @@ def decompose_full(a: GStarJacobiElement, p: DiskJacobiPoint) -> JacobiHCFactors
     _positive(DiskPoint, factors.hc.pplus_w.copy())  # membership check; the point takes its copy
     _require(res["kappa_agreement"], ConsistencyError, "kappa_star disagreement")
     _require(res["pminus_symmetry"], ConsistencyError, "d^-1 conj(Q) symmetry defect")
-    _require(reconstruction_residual(a, p, factors), ConsistencyError,
+    _require(_reconstruction(a, p, _made_parts(factors)), ConsistencyError,
              "component reconstruction residual")
     return factors
 
@@ -197,7 +232,7 @@ def component_residuals(a: GStarJacobiElement, p: DiskJacobiPoint) -> dict:
     relative disagreement of the two kappa_star expressions, and the
     reconstruction (triple product vs embedded product)."""
     factors, res = _hc_core(a, p)
-    return {**res, "reconstruction": reconstruction_residual(a, p, factors)}
+    return {**res, "reconstruction": _reconstruction(a, p, _made_parts(factors))}
 
 
 def reconstruction_residual(a: GStarJacobiElement, p: DiskJacobiPoint,
@@ -210,7 +245,13 @@ def reconstruction_residual(a: GStarJacobiElement, p: DiskJacobiPoint,
     _takes("reconstruction_residual", a, GStarJacobiElement)
     _takes("reconstruction_residual", p, DiskJacobiPoint)
     _takes("reconstruction_residual", factors, JacobiHCFactors)
-    up, mid, low = factors._parts(p.h)
+    return _reconstruction(a, p, factors._parts(p.h))
+
+
+def _reconstruction(a: GStarJacobiElement, p: DiskJacobiPoint, factors: list):
+    """reconstruction_residual of the (block, xi, eta, zeta) arrays of the
+    factors (up, mid, low)."""
+    up, mid, low = factors
     rebuilt = _big_product(_big_product(up, mid), low)
     target = _big_product(_embedded(a), _embedded_point(p))
     block, xi, eta, zeta = map(_rel, rebuilt, target)

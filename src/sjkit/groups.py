@@ -105,10 +105,7 @@ class SymplecticMatrix(Holder):
 
     def __init__(self, m, *, validate: bool = True):
         self.m = _freeze(as_cmatrix(m, "symplectic matrix"), m)
-        n = self.m.shape[-1]
-        if self.m.shape[-2] != n or n % 2:
-            raise DimensionError(f"expected a 2g x 2g matrix, got {self.m.shape[-2:]}")
-        self.g = n // 2
+        self.g = _symplectic_degree(self.m)
         if validate:
             self.validate()
 
@@ -148,6 +145,14 @@ class SymplecticMatrix(Holder):
         return _assemble(cls, np.eye(2 * g, dtype=complex), g)
 
 
+def _symplectic_degree(m: np.ndarray) -> int:
+    """g of a 2g x 2g matrix m, else DimensionError."""
+    n = m.shape[-1]
+    if m.shape[-2] != n or n % 2:
+        raise DimensionError(f"expected a 2g x 2g matrix, got {m.shape[-2:]}")
+    return n // 2
+
+
 class HeisenbergElement(Holder):
     """A triple (lam, mu; kappa) of real matrices with kappa + mu t(lam) symmetric."""
 
@@ -157,11 +162,7 @@ class HeisenbergElement(Holder):
         self.lam = _freeze(_as_real(lam, "lam"), lam)
         self.mu = _freeze(_as_real(mu, "mu"), mu)
         self.kappa = _freeze(_as_real(kappa, "kappa"), kappa)
-        if self.lam.ndim < 2 or self.mu.shape != self.lam.shape:
-            raise DimensionError("lam and mu must be h x g matrices of equal shape")
-        self.h, self.g = self.lam.shape[-2:]
-        if self.kappa.shape[-2:] != (self.h, self.h):
-            raise DimensionError(f"kappa must be {self.h} x {self.h}, got {self.kappa.shape[-2:]}")
+        self.h, self.g = _real_heisenberg_shape(self.lam, self.mu, self.kappa)
         if not np.isfinite(np.concatenate((self.lam.ravel(), self.mu.ravel(),
                                            self.kappa.ravel()))).all():
             _nonfinite("lam, mu, kappa", self.lam, self.mu, self.kappa)
@@ -178,6 +179,17 @@ class HeisenbergElement(Holder):
         g, h = _count(g, "g"), _count(h, "h")
         z = np.zeros((h, g))
         return _assemble(cls, z, z, np.zeros((h, h)), g, h)
+
+
+def _real_heisenberg_shape(lam: np.ndarray, mu: np.ndarray, kappa: np.ndarray) -> tuple:
+    """(h, g) of lam and mu, h x g matrices of equal shape, and an h x h
+    kappa, else DimensionError."""
+    if lam.ndim < 2 or mu.shape != lam.shape:
+        raise DimensionError("lam and mu must be h x g matrices of equal shape")
+    h = lam.shape[-2]
+    if kappa.shape[-2:] != (h, h):
+        raise DimensionError(f"kappa must be {h} x {h}, got {kappa.shape[-2:]}")
+    return lam.shape[-2:]
 
 
 class JacobiElement(Holder):
@@ -215,9 +227,7 @@ class GStarElement(Holder):
     def __init__(self, p, q, *, validate: bool = True):
         self.p = _freeze(as_cmatrix(p, "P"), p)
         self.q = _freeze(as_cmatrix(q, "Q"), q)
-        if self.p.shape[-2] != self.p.shape[-1] or self.p.shape[-2:] != self.q.shape[-2:]:
-            raise DimensionError("P and Q must be square matrices of equal size")
-        self.g = self.p.shape[-1]
+        self.g = _gstar_degree(self.p, self.q)
         if validate:
             self.validate()
 
@@ -237,6 +247,13 @@ class GStarElement(Holder):
     def identity(cls, g: int) -> "GStarElement":
         g = _count(g, "g")
         return _assemble(cls, np.eye(g, dtype=complex), np.zeros((g, g), complex), g)
+
+
+def _gstar_degree(p: np.ndarray, q: np.ndarray) -> int:
+    """g of g x g blocks P and Q, else DimensionError."""
+    if p.shape[-2] != p.shape[-1] or p.shape[-2:] != q.shape[-2:]:
+        raise DimensionError("P and Q must be square matrices of equal size")
+    return p.shape[-1]
 
 
 class ComplexHeisenbergElement(Holder):
@@ -307,12 +324,19 @@ class GStarJacobiElement(Holder):
 def _heisenberg_parts(xi, eta, zeta) -> tuple:
     """xi, eta, zeta as finite complex arrays of shapes (h, g), (h, g), (h, h)."""
     xi, eta, zeta = as_cmatrix(xi, "xi"), as_cmatrix(eta, "eta"), as_cmatrix(zeta, "zeta")
+    _complex_heisenberg_shape(xi, eta, zeta)
+    return xi, eta, zeta
+
+
+def _complex_heisenberg_shape(xi: np.ndarray, eta: np.ndarray, zeta: np.ndarray) -> tuple:
+    """(h, g) of xi and eta, matrices of equal shape, and an h x h zeta, else
+    DimensionError."""
     if eta.shape[-2:] != xi.shape[-2:]:
         raise DimensionError("xi and eta must have equal shape")
     h = xi.shape[-2]
     if zeta.shape[-2:] != (h, h):
         raise DimensionError(f"zeta must be {h} x {h}, got {zeta.shape[-2:]}")
-    return xi, eta, zeta
+    return xi.shape[-2:]
 
 
 def _check_heisenberg_symmetry(xi, eta, zeta) -> None:

@@ -16,10 +16,11 @@ conditioning guard checks every slice and raises its usual error class if
 any slice fails, naming the first failing slice.  Serialization and the CLI
 take 2-d matrices only.
 
-A positivity check is one eigensolve, _pd_margin.  hermitian_pd_margin adds
-the Hermitian test for a matrix of unknown make, as a point's validation
-gets it; a matrix the library has just made exactly Hermitian, as
-(m + m^H)/2 is, goes to _pd_margin alone (see spaces).
+A positivity check is one eigensolve, _pd_extremes, which gives the least
+and the largest eigenvalue of each slice.  hermitian_pd_margin adds the
+Hermitian test for a matrix of unknown make, as a point's validation gets
+it; a matrix the library has just made exactly Hermitian, as (m + m^H)/2 is,
+goes to _pd_extremes alone (see spaces).
 
 Each slice of a batched result has the bits of the 2-d call: stacked @ gives
 them by itself, and so do the LAPACK kernels (_svdvals, _eigvalsh, _inv,
@@ -224,8 +225,11 @@ def _assemble(cls, *parts):
     read-only and C-contiguous in place, unless it is a view of writeable
     memory (numpy gives a view its owner as base), which is copied first so
     that no write can reach the holder."""
+    slots = cls.__slots__
+    if len(parts) != len(slots):  # zip's strict=True costs half a microsecond more
+        raise TypeError(f"{cls.__name__} is assembled from {len(slots)} parts, got {len(parts)}")
     out = object.__new__(cls)
-    for name, v in zip(cls.__slots__, parts, strict=True):
+    for name, v in zip(slots, parts):
         if type(v) is np.ndarray:
             if not v.flags.c_contiguous or v.base is not None and v.base.flags.writeable:
                 v = v.copy()
@@ -380,29 +384,36 @@ def hermitian_pd_margin(a):
     far inside the domain a point sits.  This is the test for a matrix of
     unknown make, as a point's validation gets it; a caller that has just
     made its matrix exactly Hermitian, as (m + m^H)/2 or as the imaginary part
-    of an exactly symmetric matrix is, takes its margin from _pd_margin, the
+    of an exactly symmetric matrix is, takes its margin from _pd_extremes, the
     one eigensolve this function ends in, without the Hermitian test that
     could only pass.
     """
+    return _hermitian_extremes(a)[0]
+
+
+def _hermitian_extremes(a) -> tuple:
+    """(hermitian_pd_margin(a), the largest eigenvalue of each slice), from
+    one eigensolve: a Siegel point's positivity test reads both."""
     try:
         a = np.asarray(a, dtype=np.complex128)
     except (ValueError, TypeError, OverflowError) as exc:  # ragged, not numbers, too large
         raise DimensionError(f"PD test: not an array of complex numbers: {exc}") from None
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"PD test requires a square matrix, got shape {a.shape}")
-    margin = _pd_margin(a)
+    margin, top = _pd_extremes(a)
     # a slice with a NaN or Inf reads -inf already, and its NaN defect fails the test
     with np.errstate(invalid="ignore"):
         hermitian = frob(a - a.conj().mT) / _floor1(frob(a)) <= ALGEBRAIC_REL
     if isinstance(hermitian, bool):
-        return margin if hermitian else -math.inf
-    return np.where(hermitian, margin, -np.inf)
+        return (margin if hermitian else -math.inf), top
+    return np.where(hermitian, margin, -np.inf), top
 
 
-def _pd_margin(a: np.ndarray):
-    """hermitian_pd_margin of a square complex128 array whose every slice is
-    Hermitian: the smallest eigenvalue of each slice, -inf where a slice holds
-    a NaN or Inf, from one _eigvalsh of a (a non-finite slice replaced by 0)."""
+def _pd_extremes(a: np.ndarray) -> tuple:
+    """The smallest and the largest eigenvalue of each slice of a square
+    complex128 array whose every slice is Hermitian, from one _eigvalsh of a
+    (a non-finite slice replaced by 0): the smallest is hermitian_pd_margin's
+    margin, -inf where a slice holds a NaN or Inf."""
     finite = True
     if not np.isfinite(a).all():
         finite = np.isfinite(a).all(axis=(-2, -1))
@@ -412,7 +423,9 @@ def _pd_margin(a: np.ndarray):
     except LinAlgError as exc:  # LAPACK does not say which slice failed
         raise ConditioningError(f"eigenvalue iteration failed: {exc}") from exc
     margin = eigs[..., 0] if finite is True else np.where(finite, eigs[..., 0], -np.inf)
-    return float(margin) if margin.ndim == 0 else margin
+    if margin.ndim == 0:
+        return float(margin), float(eigs[-1])
+    return margin, eigs[..., -1]
 
 
 def rel_error(a, b):

@@ -8,6 +8,18 @@ a non-empty list of equal, non-empty rows, lists at every level, of ints or
 floats (no bool, string or null), else DimensionError (CLI exit code 2); a
 NaN, an inf or an int past the doubles raises DomainError (exit code 3).
 An element missing a key its kind needs raises DimensionError too.
+
+decode_point and decode_element assemble each holder (numkit._assemble)
+from the fresh, finite arrays the parser has just made, with no coercion,
+copy or finiteness pass, then make the checks its constructor makes, with
+its messages: the shapes, the fiber's columns and batch, and the class's
+own validate() (symmetry, positivity, symplectic, G*, Heisenberg symmetry).
+Of GStarJacobiElement.validate nothing is left to check: a decoded gstarj
+element is built as (xi, conj xi; i kappa), for which both its identities
+hold exactly.  A real matrix whose parsed imaginary parts are all 0 skips
+the relative-size test of them, which could only pass.  decode_matrix,
+decode_real_matrix and decode_tangent give the caller writeable arrays, or
+a TangentVector built by its constructor.
 """
 
 from __future__ import annotations
@@ -24,9 +36,20 @@ from .groups import (
     HeisenbergElement,
     JacobiElement,
     SymplecticMatrix,
+    _complex_heisenberg_shape,
+    _gstar_degree,
+    _real_heisenberg_shape,
+    _symplectic_degree,
 )
-from .numkit import DimensionError, DomainError, frob
-from .spaces import DiskJacobiPoint, DiskPoint, SiegelJacobiPoint, SiegelPoint, TangentVector
+from .numkit import DimensionError, DomainError, _assemble, frob
+from .spaces import (
+    DiskJacobiPoint,
+    DiskPoint,
+    SiegelJacobiPoint,
+    SiegelPoint,
+    TangentVector,
+    _check_fiber,
+)
 
 __all__ = [
     "encode_matrix",
@@ -92,14 +115,31 @@ def decode_matrix(obj, name: str = "matrix") -> np.ndarray:
 
 
 def decode_real_matrix(obj, name: str = "matrix") -> np.ndarray:
-    """Real matrix; entries may be plain numbers or [re, im] with im = 0."""
+    """Real C-contiguous matrix; entries may be plain numbers or [re, im] with im = 0."""
     if isinstance(obj, list) and obj and isinstance(obj[0], list) and obj[0] and \
             isinstance(obj[0][0], (int, float)):
         return _numbers(obj, name, pairs=False)
-    a = decode_matrix(obj, name)
-    if frob(np.imag(a)) > 1e-12 * max(1.0, frob(a)):
-        raise DomainError(f"{name}: expected a real matrix")
-    return np.real(a)
+    a = _numbers(obj, name, pairs=True)
+    if a[..., 1].any():  # else the imaginary parts are 0 and so is their relative size
+        c = a.view(complex)[..., 0]
+        if frob(c.imag) > 1e-12 * max(1.0, frob(c)):
+            raise DomainError(f"{name}: expected a real matrix")
+    return a[..., 0].copy()
+
+
+def _decoded(obj, name: str) -> np.ndarray:
+    """decode_matrix(obj, name), read-only over a read-only buffer of its own:
+    a holder takes it as it is (numkit._assemble)."""
+    a = _numbers(obj, name, pairs=True)
+    a.flags.writeable = False
+    return a.view(complex)[..., 0]
+
+
+def _validated(cls, *parts):
+    """The cls holder assembled from decoded parts (numkit._assemble), validated."""
+    out = _assemble(cls, *parts)
+    out.validate()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +158,21 @@ def encode_point(p) -> dict:
     raise DimensionError(f"cannot encode point of type {type(p).__name__}")
 
 
+# each point model: its base key and class, then its fiber key and Jacobi class
+_MODELS = (("omega", SiegelPoint, "z", SiegelJacobiPoint), ("w", DiskPoint, "eta", DiskJacobiPoint))
+
+
 def decode_point(obj):
     if not isinstance(obj, dict):
         raise DimensionError("point: expected a JSON object")
-    if "omega" in obj:
-        base = SiegelPoint(decode_matrix(obj["omega"], "omega"))
-        if "z" in obj:
-            return SiegelJacobiPoint(base, decode_matrix(obj["z"], "z"))
-        return base
-    if "w" in obj:
-        base = DiskPoint(decode_matrix(obj["w"], "w"))
-        if "eta" in obj:
-            return DiskJacobiPoint(base, decode_matrix(obj["eta"], "eta"))
-        return base
+    for key, cls, fiber_key, jacobi_cls in _MODELS:
+        if key in obj:
+            base = _validated(cls, _decoded(obj[key], key))
+            if fiber_key not in obj:
+                return base
+            fiber = _decoded(obj[fiber_key], fiber_key)
+            _check_fiber(fiber_key, fiber, getattr(base, key))
+            return _assemble(jacobi_cls, base, fiber)
     raise DimensionError("point: expected keys omega[/z] or w[/eta]")
 
 
@@ -169,40 +211,55 @@ def encode_element(el) -> dict:
     raise DimensionError(f"cannot encode element of type {type(el).__name__}")
 
 
+def _symplectic(obj) -> SymplecticMatrix:
+    m = decode_real_matrix(obj["m"], "m").astype(complex)
+    return _validated(SymplecticMatrix, m, _symplectic_degree(m))
+
+
+def _heisenberg(obj) -> HeisenbergElement:
+    parts = [decode_real_matrix(obj[key], key) for key in ("lambda", "mu", "kappa")]
+    return _validated(HeisenbergElement, *parts, *_real_heisenberg_shape(*parts)[::-1])
+
+
+def _gstar(obj) -> GStarElement:
+    p, q = _decoded(obj["p"], "p"), _decoded(obj["q"], "q")
+    return _validated(GStarElement, p, q, _gstar_degree(p, q))
+
+
+def _gstarj(obj) -> GStarJacobiElement:
+    """(gs, (xi, conj xi; i kappa)): GStarJacobiElement.validate's eta =
+    conj(xi) and Re(zeta) = 0 hold exactly for this make, so only its parts
+    are validated."""
+    xi = _decoded(obj["xi"], "xi")
+    kappa = decode_real_matrix(obj["kappa"], "kappa")
+    gs = _gstar(obj)
+    parts = xi, xi.conj(), 1j * kappa
+    hc = _validated(ComplexHeisenbergElement, *parts, *_complex_heisenberg_shape(*parts)[::-1])
+    return GStarJacobiElement(gs, hc, validate=False)
+
+
+# each element kind's decoder, its parts' checks made in the order their constructors make them
+_KINDS = {
+    "sp": _symplectic,
+    "heisenberg": _heisenberg,
+    "jacobi": lambda obj: JacobiElement(_symplectic(obj), _heisenberg(obj)),
+    "gstar": _gstar,
+    "gstarj": _gstarj,
+}
+
+
 def decode_element(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DimensionError("element: expected a JSON object with a 'kind' key")
     kind = obj["kind"]
     try:
-        if kind == "sp":
-            return SymplecticMatrix(decode_real_matrix(obj["m"], "m"))
-        if kind == "heisenberg":
-            return HeisenbergElement(
-                decode_real_matrix(obj["lambda"], "lambda"),
-                decode_real_matrix(obj["mu"], "mu"),
-                decode_real_matrix(obj["kappa"], "kappa"),
-            )
-        if kind == "jacobi":
-            return JacobiElement(
-                SymplecticMatrix(decode_real_matrix(obj["m"], "m")),
-                HeisenbergElement(
-                    decode_real_matrix(obj["lambda"], "lambda"),
-                    decode_real_matrix(obj["mu"], "mu"),
-                    decode_real_matrix(obj["kappa"], "kappa"),
-                ),
-            )
-        if kind == "gstar":
-            return GStarElement(decode_matrix(obj["p"], "p"), decode_matrix(obj["q"], "q"))
-        if kind == "gstarj":
-            xi = decode_matrix(obj["xi"], "xi")
-            kappa = decode_real_matrix(obj["kappa"], "kappa")
-            return GStarJacobiElement(
-                GStarElement(decode_matrix(obj["p"], "p"), decode_matrix(obj["q"], "q")),
-                ComplexHeisenbergElement(xi, xi.conj(), 1j * kappa),
-            )
+        decode = _KINDS[kind]
+    except (KeyError, TypeError):  # not a kind, or not even a key
+        raise DimensionError(f"element: unknown kind {kind!r}") from None
+    try:
+        return decode(obj)
     except KeyError as exc:  # a key its kind needs is missing
         raise DimensionError(f"element: kind {kind!r} needs the key {exc.args[0]!r}") from None
-    raise DimensionError(f"element: unknown kind {kind!r}")
 
 
 def decode_tangent(obj) -> TangentVector:

@@ -9,13 +9,15 @@ below the algebraic tolerance.
 A point's validation tests the symmetry of its matrix, then the positivity
 of its domain matrix: Im(omega), with a Hermitian test, as a caller's omega
 need not make it exactly symmetric, or (M + M^H)/2 with M = I - W conj(W),
-which is exactly Hermitian however W was made: its least eigenvalue must
-pass PD_MIN_EIG, times max diag(Y) on Siegel space.  A point the library
-builds at an exactly symmetric matrix (m + m^T)/2, as each map's image, the
-decomposition's P+ coordinate and each sampled base is, is checked for
-positivity alone (_positive), as its other tests could only pass.  Sampled
-and pushed tangent vectors, whose base parts are exactly symmetric too, skip
-their symmetry test.
+which is exactly Hermitian however W was made.  Its least eigenvalue must
+pass PD_MIN_EIG, on Siegel space times its largest, read off the same
+eigensolve: cond(Y) < 1e12.  A point the library builds at an exactly
+symmetric matrix (m + m^T)/2, as each map's image, the decomposition's P+
+coordinate and each sampled base is, is checked for positivity alone
+(_positive), as its other tests could only pass.  Sampled and pushed
+tangent vectors, whose base parts are exactly symmetric too, skip their
+symmetry test.  A point or element decoded from JSON is assembled from the
+parsed arrays and validated as its constructor validates it (serialize).
 
 The four actions and the four (partial) Cayley maps are one fractional-linear
 map, x' = (a x + b) J^-1 with fiber z' = f J^-1 and J = c x + d, of the
@@ -67,7 +69,8 @@ from .numkit import (
     _ensure,
     _eye,
     _freeze,
-    _pd_margin,
+    _hermitian_extremes,
+    _pd_extremes,
     _svdvals,
     _takes,
     as_cmatrix,
@@ -116,13 +119,15 @@ class SiegelPoint(Holder):
 
     def validate(self) -> None:
         _check_square_symmetric(self.omega, "omega")
-        _ensure(self.pd_margin() > self._pd_floor(), DomainError, self._NOT_PD)
+        _ensure(self._pd_holds(*_hermitian_extremes(self._pd_matrix())), DomainError,
+                self._NOT_PD)
 
     def pd_margin(self):
         return hermitian_pd_margin(self._pd_matrix())
 
-    def _pd_floor(self):  # PD_MIN_EIG relative to the scale of Y, its largest diagonal entry
-        return PD_MIN_EIG * np.maximum.reduce(self.omega.imag.diagonal(0, -2, -1), -1)
+    @staticmethod
+    def _pd_holds(least, largest):  # cond(Y) < 1/PD_MIN_EIG: relative to the scale of Y
+        return least > PD_MIN_EIG * largest
 
     def _pd_matrix(self) -> np.ndarray:
         """Im(omega) as complex, exactly symmetric when omega is."""
@@ -154,13 +159,14 @@ class DiskPoint(Holder):
 
     def validate(self) -> None:
         _check_square_symmetric(self.w, "w")
-        _ensure(self.pd_margin() > self._pd_floor(), DomainError, self._NOT_PD)
+        _ensure(self._pd_holds(*_pd_extremes(self._pd_matrix())), DomainError, self._NOT_PD)
 
     def pd_margin(self):
-        return _pd_margin(self._pd_matrix())
+        return _pd_extremes(self._pd_matrix())[0]
 
-    def _pd_floor(self):  # absolute: I - W conj(W) has the scale 1 of the disk's bound
-        return PD_MIN_EIG
+    @staticmethod
+    def _pd_holds(least, largest):  # absolute: I - W conj(W) has the scale 1 of the disk's bound
+        return least > PD_MIN_EIG
 
     def _pd_matrix(self) -> np.ndarray:
         """I - W conj(W) with its roundoff skew symmetrized away: exactly Hermitian."""
@@ -170,6 +176,14 @@ class DiskPoint(Holder):
     @property
     def g(self) -> int:
         return self.w.shape[-1]
+
+
+def _check_fiber(name: str, fiber: np.ndarray, base: np.ndarray) -> None:
+    """DimensionError unless the fiber coordinate is a batch of matrices with
+    as many columns as the base matrix, of the base's batch."""
+    if fiber.shape[-1] != base.shape[-1] or fiber.shape[:-2] != base.shape[:-2]:
+        raise DimensionError(f"{name} must be a batch {base.shape[:-2]} of matrices with "
+                             f"{base.shape[-1]} columns, got {fiber.shape}")
 
 
 class SiegelJacobiPoint(Holder):
@@ -184,9 +198,7 @@ class SiegelJacobiPoint(Holder):
             base = SiegelPoint(base)
         self.base = base
         self.z = _freeze(as_cmatrix(z, "z"), z)
-        if self.z.shape[-1] != base.g or self.z.shape[:-2] != base.omega.shape[:-2]:
-            raise DimensionError(f"z must be a batch {base.omega.shape[:-2]} of matrices with "
-                                 f"{base.g} columns, got {self.z.shape}")
+        _check_fiber("z", self.z, base.omega)
 
     @property
     def omega(self) -> np.ndarray:
@@ -221,9 +233,7 @@ class DiskJacobiPoint(Holder):
             base = DiskPoint(base)
         self.base = base
         self.eta = _freeze(as_cmatrix(eta, "eta"), eta)
-        if self.eta.shape[-1] != base.g or self.eta.shape[:-2] != base.w.shape[:-2]:
-            raise DimensionError(f"eta must be a batch {base.w.shape[:-2]} of matrices with "
-                                 f"{base.g} columns, got {self.eta.shape}")
+        _check_fiber("eta", self.eta, base.w)
 
     @property
     def w(self) -> np.ndarray:
@@ -239,7 +249,8 @@ class DiskJacobiPoint(Holder):
 
 
 class TangentVector(Holder):
-    """A symmetric base displacement plus an optional fiber displacement."""
+    """A symmetric base displacement plus an optional fiber displacement with
+    as many columns."""
 
     __slots__ = ("dbase", "dfiber")
 
@@ -247,6 +258,9 @@ class TangentVector(Holder):
         self.dbase = _freeze(as_cmatrix(dbase, "dbase"), dbase)
         _check_square_symmetric(self.dbase, "dbase")
         self.dfiber = None if dfiber is None else _freeze(as_cmatrix(dfiber, "dfiber"), dfiber)
+        if dfiber is not None and self.dfiber.shape[-1] != self.g:
+            raise DimensionError(f"dfiber must be a matrix with {self.g} columns, "
+                                 f"got shape {self.dfiber.shape}")
 
     @property
     def g(self) -> int:
@@ -272,7 +286,7 @@ def _positive(cls, m: np.ndarray):
     validation only the positivity check is left to make, as its symmetry
     test and the Hermitian test of its _pd_matrix could only pass."""
     out = _assemble(cls, m)
-    _ensure(_pd_margin(out._pd_matrix()) > out._pd_floor(), DomainError, cls._NOT_PD)
+    _ensure(cls._pd_holds(*_pd_extremes(out._pd_matrix())), DomainError, cls._NOT_PD)
     return out
 
 

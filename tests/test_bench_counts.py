@@ -71,3 +71,27 @@ def test_counts_leave_out_one_time_cache_fills():
     assert {"_stack_holders", "_slice_holder", "rel_error", "embed_sp_gph"} <= set(first)
     assert (cocycle["rel_error"], axioms["rel_error"], axioms["embed_sp_gph"]) == (5, 12, 0)
     assert (axioms["_stack_holders"], axioms["_slice_holder"]) == (35, 39)
+
+
+def test_counts_serve_prints_the_calls_of_each_decode_and_operation():
+    proc = subprocess.run([sys.executable, "bench/counts.py", "--serve", "--shape", "2,2"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    out = json.loads(proc.stdout)
+    rows = {r["call"]: r["per_call"] for r in out["rows"]}
+    assert {(r["g"], r["h"]) for r in out["rows"]} == {(2, 2)}
+    assert list(rows) == [
+        *(f"decode_point:{k}" for k in ("siegel", "disk", "siegel_jacobi", "disk_jacobi")),
+        *(f"decode_element:{k}" for k in ("sp", "heisenberg", "jacobi", "gstar", "gstarj")),
+        "act_jacobi", "act_jacobi_disk", "partial_cayley", "partial_cayley_inv", "cayley",
+        "decompose_full", "j_factor", "metric_sj"]
+    # a decoded holder is assembled from the arrays the parser made and validated once
+    for name, counts in rows.items():
+        if name.startswith("decode_"):
+            assert (counts["as_cmatrix"], counts["_freeze"], counts["_block"]) == (0, 0, 0)
+    assert rows["decode_element:gstarj"]["validations"]["GStarJacobiElement"] == 0
+    assert rows["decode_element:gstarj"]["validations"]["ComplexHeisenbergElement"] == 1
+    # decompose_full rebuilds from the factors it made: only a's block and the
+    # four parts of each of the three products are coerced, and of the five
+    # 2g x 2g blocks only a's goes through numkit._block
+    full = rows["decompose_full"]
+    assert (full["as_cmatrix"], full["frob"], full["_block"]) == (13, 24, 1)

@@ -594,10 +594,10 @@ def test_a_tangent_or_metric_weight_of_the_wrong_class_is_a_dimension_error(call
 
 
 def _tangent_cases(g, h, seed):
-    """A fitting tangent, a wrong base, a wrong fiber and a missing fiber at a (g, h) point."""
+    """A fitting tangent, a wrong base (of degree g + 1, with a fiber of its
+    width), a wrong fiber and a missing fiber at a (g, h) point."""
     v = sample_tangent(g, h, seed=seed)
-    wrong_base = sample_tangent(g + 1, h, seed=seed)
-    return v, TangentVector(wrong_base.dbase, v.dfiber), \
+    return v, sample_tangent(g + 1, h, seed=seed), \
         TangentVector(v.dbase, np.ones((h + 1, g))), TangentVector(v.dbase)
 
 

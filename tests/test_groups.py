@@ -27,7 +27,7 @@ from sjkit.groups import _SCALE_MAX
 from sjkit.automorphy import IndexMatrix
 from sjkit.numkit import DimensionError, DomainError, Holder, hermitian_pd_margin, rel_error
 from sjkit.serialize import decode_element, encode_matrix
-from sjkit.spaces import sample_point
+from sjkit.spaces import TangentVector, sample_point
 
 
 def heis(lam, mu, kappa):
@@ -301,12 +301,13 @@ def test_sample_rejects_bad_arguments():
     (lambda: JacobiElement.identity(2, True), DimensionError),
     (lambda: GStarElement.identity(1.0), DimensionError),
     (lambda: ComplexHeisenbergElement.identity(1, 0), DimensionError),
+    (lambda: TangentVector(np.eye(2), np.ones((1, 3))), DimensionError),
 ], ids=["element-scale-str", "element-scale-bool", "point-scale-none", "point-kind-list",
         "element-kind-list", "symplectic_j-negative", "symplectic_j-str", "cayley_matrix-negative",
         "pd-margin-str", "pd-margin-ragged", "index-matrix-str", "heisenberg-str",
         "heisenberg-ragged", "encode-str", "decode-missing-key", "symplectic-identity-str",
         "heisenberg-identity-negative", "gstarj-identity-zero", "jacobi-identity-bool-h",
-        "gstar-identity-float", "complex-heisenberg-identity-h0"])
+        "gstar-identity-float", "complex-heisenberg-identity-h0", "tangent-fiber-width"])
 def test_a_malformed_argument_raises_a_library_error(call, error):
     with pytest.raises(error):
         call()

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from sjkit.automorphy import IndexMatrix, Representation, j_factor
 from sjkit.cli import main
-from sjkit.groups import sample_element
-from sjkit.numkit import DimensionError, DomainError, rel_error
+from sjkit.decomp import decompose_full
+from sjkit.geometry import MetricParams, metric_sj, sample_tangent
+from sjkit.groups import GStarJacobiElement, sample_element
+from sjkit.numkit import DimensionError, DomainError, Holder, rel_error
 from sjkit.serialize import (
     decode_element,
     decode_matrix,
@@ -16,7 +19,14 @@ from sjkit.serialize import (
     encode_matrix,
     encode_point,
 )
-from sjkit.spaces import sample_point
+from sjkit.spaces import (
+    act_jacobi,
+    act_jacobi_disk,
+    cayley,
+    partial_cayley,
+    partial_cayley_inv,
+    sample_point,
+)
 
 
 def test_matrix_roundtrip():
@@ -81,6 +91,10 @@ def test_decode_tangent():
     assert v.dfiber.shape == (1, 2)
     with pytest.raises(DimensionError):
         decode_tangent({"dfiber": encode_matrix(np.eye(2))})
+    # a fiber part of another width than the base part is refused when it is built
+    with pytest.raises(DimensionError, match=r"^dfiber must be a matrix with 2 columns, "
+                                             r"got shape \(1, 3\)$"):
+        decode_tangent({"dbase": encode_matrix(np.eye(2)), "dfiber": encode_matrix(np.ones((1, 3)))})
 
 
 NAN, INF = float("nan"), float("inf")
@@ -181,3 +195,217 @@ def test_subclasses_of_list_and_float_decode_like_their_bases():
     assert decode_real_matrix([[np.float64(2.0), 1]]).tolist() == [[2.0, 1.0]]
     with pytest.raises(DimensionError):  # not an int: numpy's integers are no Python int
         decode_matrix([[[np.int64(1), 0]]])
+
+
+SHAPES = [(1, 1), (2, 1), (1, 3), (2, 2), (3, 2), (4, 3)]
+POINT_KINDS = ("siegel", "disk", "siegel_jacobi", "disk_jacobi")
+ELEMENT_KINDS = ("sp", "heisenberg", "jacobi", "gstar", "gstarj")
+
+
+def _arrays(x) -> list:
+    """Every array a holder stores, nested holders included, in slot order."""
+    out = []
+    for name in type(x).__slots__:
+        v = getattr(x, name)
+        out += [v] if isinstance(v, np.ndarray) else _arrays(v) if isinstance(v, Holder) else []
+    return out
+
+
+def _encoded_arrays(x) -> list:
+    """The arrays of x that its encoding holds: all it stores, but kappa in
+    place of a gstarj element's zeta = i kappa, whose real part is a zero of
+    either sign, which the encoding does not hold."""
+    if isinstance(x, GStarJacobiElement):
+        return [x.gs.p, x.gs.q, x.hc.xi, x.hc.eta, x.kappa]
+    return _arrays(x)
+
+
+def _samples(g: int, h: int, seed: int) -> list:
+    points = [(decode_point, encode_point, sample_point(k, g, h, seed)) for k in POINT_KINDS]
+    return points + [(decode_element, encode_element, sample_element(k, g, h, seed))
+                     for k in ELEMENT_KINDS]
+
+
+@pytest.mark.parametrize("g, h", SHAPES)
+def test_each_kind_decodes_to_the_bytes_it_was_encoded_from(g, h):
+    for seed in range(3):
+        for decode, encode, x in _samples(g, h, seed):
+            obj = json.loads(json.dumps(encode(x)))
+            got = decode(obj)
+            assert type(got) is type(x) and (got.g, getattr(got, "h", None)) == \
+                (x.g, getattr(x, "h", None))
+            for a, b in zip(_encoded_arrays(got), _encoded_arrays(x), strict=True):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            if isinstance(got, GStarJacobiElement):
+                assert not np.real(got.hc.zeta).any()
+            assert encode(got) == obj
+
+
+@pytest.mark.parametrize("g, h", [(1, 1), (4, 3)])
+def test_a_decoded_holder_is_read_only_c_contiguous_and_its_own(g, h):
+    for decode, encode, x in _samples(g, h, seed=1):
+        obj = encode(x)
+        first, second = decode(obj), decode(obj)
+        for a, b in zip(_arrays(first), _arrays(second), strict=True):
+            assert not a.flags.writeable and a.flags.c_contiguous
+            # nothing writeable lies under it, and no other decode shares its memory
+            assert a.base is None or not a.base.flags.writeable
+            assert not np.shares_memory(a, b)
+    # the public matrix decoders still give the caller writeable arrays
+    for m in ([[[1.0, 0.0], [2.0, -0.0]]], [[1.0, 2.0]]):
+        assert decode_real_matrix(m).flags.writeable and decode_real_matrix(m).flags.c_contiguous
+    assert decode_matrix([[[1.0, 2.0]]]).flags.writeable
+
+
+_I2 = np.eye(2)
+_GS = {"p": encode_matrix(sample_element("gstar", 2, 1, seed=1).p),
+       "q": encode_matrix(sample_element("gstar", 2, 1, seed=1).q)}
+
+
+def _heisenberg(lam, mu, kappa) -> dict:
+    return {"lambda": encode_matrix(lam), "mu": encode_matrix(mu), "kappa": encode_matrix(kappa)}
+
+
+# (id, decoder, object, error class, message): each as the constructors gave it
+BAD_INPUTS = [
+    ("omega-not-symmetric", decode_point, {"omega": encode_matrix([[1j, 0.5], [0, 1j]])},
+     DomainError, "omega is not symmetric within tolerance"),
+    ("y-not-pd", decode_point, {"omega": encode_matrix(-1j * _I2),
+                                "z": encode_matrix(np.ones((1, 2)))},
+     DomainError, "Im(omega) is not positive definite"),
+    ("disk-not-pd", decode_point, {"w": encode_matrix(1.5 * _I2)},
+     DomainError, "I - W conj(W) is not positive definite"),
+    ("disk-jacobi-not-pd", decode_point, {"w": encode_matrix(1.5 * _I2),
+                                          "eta": encode_matrix(np.ones((1, 2)))},
+     DomainError, "I - W conj(W) is not positive definite"),
+    ("z-wrong-width", decode_point, {"omega": encode_matrix(1j * _I2),
+                                     "z": encode_matrix(np.ones((1, 3)))},
+     DimensionError, "z must be a batch () of matrices with 2 columns, got (1, 3)"),
+    ("eta-wrong-width", decode_point, {"w": encode_matrix(0.5 * _I2),
+                                       "eta": encode_matrix(np.ones((2, 1)))},
+     DimensionError, "eta must be a batch () of matrices with 2 columns, got (2, 1)"),
+    ("omega-not-square", decode_point, {"omega": encode_matrix(np.ones((2, 3)))},
+     DimensionError, "omega must be square, got (2, 3)"),
+    ("omega-nan", decode_point, {"omega": [[[NAN, 1.0]]]},
+     DomainError, "omega: entries must be finite"),
+    ("z-infinity", decode_point, {"omega": encode_matrix([[1j]]), "z": [[[0.0, INF]]]},
+     DomainError, "z: entries must be finite"),
+    ("w-bool", decode_point, {"w": [[[True, 0.0]]]},
+     DimensionError, "w: entries must be [re, im] number pairs"),
+    ("eta-string", decode_point, {"w": encode_matrix([[0.5]]), "eta": [[["1", 0.0]]]},
+     DimensionError, "eta: entries must be [re, im] number pairs"),
+    ("sp-not-symplectic", decode_element, {"kind": "sp", "m": encode_matrix(2 * _I2)},
+     DomainError, "matrix is not symplectic within tolerance"),
+    ("sp-odd", decode_element, {"kind": "sp", "m": encode_matrix(np.eye(3))},
+     DimensionError, "expected a 2g x 2g matrix, got (3, 3)"),
+    ("sp-imaginary", decode_element, {"kind": "sp", "m": encode_matrix(_I2 + 1e-6j)},
+     DomainError, "m: expected a real matrix"),
+    ("sp-nan-plain", decode_element, {"kind": "sp", "m": [[NAN, 0.0], [0.0, 1.0]]},
+     DomainError, "m: entries must be finite"),
+    ("heisenberg-not-symmetric", decode_element,
+     {"kind": "heisenberg", **_heisenberg(np.zeros((2, 1)), np.zeros((2, 1)), [[0, 1], [0, 0]])},
+     DomainError, "kappa + mu t(lam) is not symmetric"),
+    ("heisenberg-shapes", decode_element,
+     {"kind": "heisenberg", **_heisenberg(np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2)))},
+     DimensionError, "lam and mu must be h x g matrices of equal shape"),
+    ("heisenberg-kappa-shape", decode_element,
+     {"kind": "heisenberg", **_heisenberg(np.zeros((2, 1)), np.zeros((2, 1)), [[0.0]])},
+     DimensionError, "kappa must be 2 x 2, got (1, 1)"),
+    ("heisenberg-imaginary", decode_element,
+     {"kind": "heisenberg", **_heisenberg([[0.0]], [[1e-3j]], [[0.0]])},
+     DomainError, "mu: expected a real matrix"),
+    ("jacobi-degrees", decode_element,
+     {"kind": "jacobi", "m": encode_matrix(_I2), **_heisenberg(np.zeros((1, 2)),
+                                                               np.zeros((1, 2)), [[0.0]])},
+     DimensionError, "degree mismatch: symplectic g=1, Heisenberg g=2"),
+    ("jacobi-not-symplectic-first", decode_element,
+     {"kind": "jacobi", "m": encode_matrix(2 * _I2), **_heisenberg([[0.0]], [[0.0]], [[0.0]]),
+      "lambda": [[NAN]]},
+     DomainError, "matrix is not symplectic within tolerance"),
+    ("jacobi-missing-mu", decode_element,
+     {"kind": "jacobi", "m": encode_matrix(_I2), "lambda": [[0.0]], "kappa": [[0.0]]},
+     DimensionError, "element: kind 'jacobi' needs the key 'mu'"),
+    ("gstar-not-in-group", decode_element,
+     {"kind": "gstar", "p": encode_matrix(2 * _I2), "q": encode_matrix(np.zeros((2, 2)))},
+     DomainError, "t(P) conj(P) - t(conj Q) Q != I"),
+    ("gstar-shapes", decode_element,
+     {"kind": "gstar", "p": encode_matrix(_I2), "q": encode_matrix([[0.0]])},
+     DimensionError, "P and Q must be square matrices of equal size"),
+    ("gstarj-kappa-shape", decode_element,
+     {"kind": "gstarj", **_GS, "xi": encode_matrix(np.zeros((1, 2))),
+      "kappa": encode_matrix(np.zeros((2, 2)))},
+     DimensionError, "zeta must be 1 x 1, got (2, 2)"),
+    ("gstarj-not-symmetric", decode_element,
+     {"kind": "gstarj", **_GS, "xi": encode_matrix(np.zeros((2, 2))),
+      "kappa": encode_matrix([[0.0, 1.0], [0.0, 0.0]])},
+     DomainError, "zeta + eta t(xi) is not symmetric"),
+    ("gstarj-degrees", decode_element,
+     {"kind": "gstarj", **_GS, "xi": encode_matrix(np.zeros((1, 3))), "kappa": [[0.0]]},
+     DimensionError, "degree mismatch: blocks g=2, Heisenberg g=3"),
+    ("gstarj-imaginary-kappa", decode_element,
+     {"kind": "gstarj", **_GS, "xi": encode_matrix(np.zeros((1, 2))), "kappa": [[[0.0, 1.0]]]},
+     DomainError, "kappa: expected a real matrix"),
+    ("gstarj-missing-kappa", decode_element,
+     {"kind": "gstarj", **_GS, "xi": encode_matrix(np.zeros((1, 2)))},
+     DimensionError, "element: kind 'gstarj' needs the key 'kappa'"),
+    ("gstarj-not-in-group", decode_element,
+     {"kind": "gstarj", "p": encode_matrix(2 * _I2), "q": encode_matrix(np.zeros((2, 2))),
+      "xi": encode_matrix(np.zeros((1, 2))), "kappa": [[0.0]]},
+     DomainError, "t(P) conj(P) - t(conj Q) Q != I"),
+    ("unknown-kind", decode_element, {"kind": "kstarj", "m": encode_matrix(_I2)},
+     DimensionError, "element: unknown kind 'kstarj'"),
+    ("list-kind", decode_element, {"kind": ["sp"], "m": encode_matrix(_I2)},
+     DimensionError, "element: unknown kind ['sp']"),
+]
+
+
+@pytest.mark.parametrize("decode, obj, error, message", [c[1:] for c in BAD_INPUTS],
+                         ids=[c[0] for c in BAD_INPUTS])
+def test_a_bad_input_keeps_its_error_class_and_message(decode, obj, error, message):
+    with pytest.raises(error) as err:
+        decode(json.loads(json.dumps(obj)))
+    assert type(err.value) is error and str(err.value) == message
+
+
+def _operations(g: int, h: int, seed: int, decoded: bool) -> dict:
+    """Each single-call operation on sampled inputs, or on the same inputs
+    encoded and decoded, by name."""
+    sj, dj = sample_point("siegel_jacobi", g, h, seed), sample_point("disk_jacobi", g, h, seed)
+    disk = sample_point("disk", g, h, seed)
+    jacobi, gstarj = (sample_element(kind, g, h, seed + 1) for kind in ("jacobi", "gstarj"))
+    v = sample_tangent(g, h, seed + 2)
+    if decoded:
+        sj, dj, disk = (decode_point(encode_point(p)) for p in (sj, dj, disk))
+        jacobi, gstarj = (decode_element(encode_element(a)) for a in (jacobi, gstarj))
+        v = decode_tangent({"dbase": encode_matrix(v.dbase), "dfiber": encode_matrix(v.dfiber)})
+    index = IndexMatrix(np.eye(h) * (1 + seed % 3))
+    f = decompose_full(gstarj, dj)
+    return {
+        "act_jacobi": act_jacobi(jacobi, sj),
+        "act_jacobi_disk": act_jacobi_disk(gstarj, dj),
+        "partial_cayley": partial_cayley(dj),
+        "partial_cayley_inv": partial_cayley_inv(sj),
+        "cayley": cayley(disk),
+        "decompose_full": [f.hc.pplus_w, f.hc.k_p, f.hc.k_lower, f.hc.pminus_w, f.pplus_eta,
+                           f.pminus_xi, f.kappa_star],
+        "j_factor": [j_factor(index, rep, gstarj, dj) for rep in (
+            Representation("standard"), Representation("det_power", 2))],
+        "metric_sj": np.array(metric_sj(MetricParams(2.0, 0.5), sj, v)),
+    }
+
+
+def _bytes(x) -> bytes:
+    if isinstance(x, Holder):
+        return b"".join(a.dtype.str.encode() + a.tobytes() for a in _arrays(x))
+    if isinstance(x, list):
+        return b"".join(map(_bytes, x))
+    return x.dtype.str.encode() + x.tobytes()
+
+
+@pytest.mark.parametrize("g, h", SHAPES)
+def test_each_operation_gives_the_same_bytes_on_decoded_holders(g, h):
+    for seed in range(3):
+        sampled, decoded = _operations(g, h, seed, False), _operations(g, h, seed, True)
+        assert list(sampled) == list(decoded)
+        for name in sampled:
+            assert _bytes(decoded[name]) == _bytes(sampled[name]), name

@@ -18,9 +18,10 @@ from sjkit.groups import (
 )
 from sjkit.numkit import (
     ALGEBRAIC_REL,
+    PD_MIN_EIG,
     DimensionError,
     DomainError,
-    _pd_margin,
+    _pd_extremes,
     hermitian_pd_margin,
     rel_error,
     symmetry_defect,
@@ -308,7 +309,7 @@ def test_what_is_checked_for_positivity_alone_is_exactly_symmetric(count_calls, 
         assert (m == m.mT).all()
         form = cls(m, validate=False)._pd_matrix()
         assert (form == form.conj().mT).all()
-        got = _pd_margin(form)
+        got = _pd_extremes(form)[0]
         assert np.asarray(got).tobytes() == np.asarray(hermitian_pd_margin(form)).tobytes()
         assert np.all(got > 0)
 
@@ -377,6 +378,24 @@ def test_siegel_positivity_is_relative_to_the_scale_of_y():
     DiskPoint(np.sqrt(1 - 1e-11) * np.eye(2))
     with pytest.raises(DomainError, match=r"^I - W conj\(W\) is not positive definite$"):
         DiskPoint(np.sqrt(1 - 1e-13) * np.eye(2))
+
+
+def test_siegel_positivity_is_relative_to_the_largest_eigenvalue_of_y():
+    # Y = [[1, 1 - e], [1 - e, 1]] has the eigenvalues e and 2 - e: at e = 1.5e-12 its
+    # least passes PD_MIN_EIG times its largest diagonal entry, 1, but not times its
+    # largest eigenvalue, 2, so cond(Y) > 1e12 and it is refused
+    def y(e):
+        return np.array([[1.0, 1 - e], [1 - e, 1.0]])
+
+    least, largest = np.linalg.eigvalsh(y(1.5e-12))[[0, -1]]
+    assert PD_MIN_EIG * y(1.5e-12).diagonal().max() < least < PD_MIN_EIG * largest
+    with pytest.raises(DomainError, match=r"^Im\(omega\) is not positive definite$"):
+        SiegelPoint(1j * y(1.5e-12))
+    with pytest.raises(DomainError, match=r"not positive definite \(slice 1\)$"):
+        SiegelPoint(1j * np.array([y(3e-12), y(1.5e-12)]))
+    # at e = 3e-12 it passes, and pd_margin is still the least eigenvalue
+    p = SiegelPoint(1j * y(3e-12))
+    assert p.pd_margin() == hermitian_pd_margin(y(3e-12)) == pytest.approx(3e-12, rel=1e-3)
 
 
 # The checks of these finite inputs overflow on purpose; numpy warns as they do.
